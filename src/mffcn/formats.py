@@ -168,7 +168,7 @@ def save_wav(path: str, samples: np.ndarray) -> None:
 
 
 def load_wav(path: str) -> np.ndarray:
-    """Read a mono 16-bit 16 kHz PCM WAV into float64 samples in [-1, 1)."""
+    """Read a mono 16-bit 16 kHz PCM WAV into float64 samples in [-1, 1]."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
@@ -204,9 +204,9 @@ def load_wav(path: str) -> np.ndarray:
         raise FormatError(f"{path}: missing data chunk")
     pcm = np.frombuffer(data, dtype="<i2")
     # 32767 mirrors the writer's scale so a save/load round trip stays within
-    # half a quantization step; full-scale negative foreign samples map to
-    # just below -1.0, which downstream float math tolerates.
-    return pcm.astype(np.float64) / 32767.0
+    # half a quantization step; -32768, which the writer never emits but
+    # clipped recordings do, would land just below -1.0 and is clamped.
+    return np.maximum(pcm.astype(np.float64) / 32767.0, -1.0)
 
 
 # ----------------------------------------------------------------------------

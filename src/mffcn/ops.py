@@ -5,6 +5,16 @@ were given. Convolutions are cross-correlations (no kernel flip on the
 forward pass) under "same-ceil" padding: each output extent is
 ceil(input / stride), the shortfall is padded with zeros split evenly, and
 the odd padding element goes on the bottom/right edge.
+
+Both convolutions are lowered to im2col + one GEMM: the kernel windows are
+laid out as columns [B, C*kh*kw, Ho*Wo] and contracted with the flattened
+weights by one matmul; the scatter direction (conv_transpose2d forward,
+conv2d input gradient) is one matmul followed by col2im. 1x1 stride-1
+convolutions skip the window copy and use a plain reshape. Columns are
+recomputed in backward rather than kept on the tape.
+
+Finiteness needs no per-op scan: the Tensor constructor rejects NaN/Inf in
+every op output, including outputs computed from corrupted operands.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import NonFiniteError, ShapeError, Tensor, _accumulate, record, stack
+from .tensor import ShapeError, Tensor, _accumulate, record, stack
 
 LEAKY_SLOPE = 0.2
 BN_EPS = 1e-5
@@ -73,12 +83,6 @@ def _as_batched(data: np.ndarray, op: str) -> Tuple[np.ndarray, bool]:
     raise ShapeError(f"{op}: expected a [C,H,W] or [B,C,H,W] input, got {data.shape}")
 
 
-def _check_finite(op: str, *tensors: Tensor) -> None:
-    for t in tensors:
-        if not np.all(np.isfinite(t.data)):
-            raise NonFiniteError(f"{op}: input holds NaN or Inf values")
-
-
 def _pad_hw(a: np.ndarray, pt: int, pb: int, pl: int, pr: int, value: float = 0.0) -> np.ndarray:
     if pt == pb == pl == pr == 0:
         return a
@@ -92,34 +96,30 @@ def _windows(a: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
     return win[:, :, ::sh, ::sw]
 
 
-def _gather_conv(src: np.ndarray, w: np.ndarray, spec: ConvSpec,
-                 pads: Tuple[int, int, int, int]) -> np.ndarray:
-    """Contract kernel windows of src [B,S,H,W] with w [D,S,kh,kw] -> [B,D,Ho,Wo]."""
-    sh, sw = spec.stride
-    kh, kw = spec.kernel
-    sp = _pad_hw(src, *pads)
-    win = _windows(sp, kh, kw, sh, sw)
-    return np.einsum("dsuv,bshwuv->bdhw", w, win, optimize=True)
+def _im2col(a: np.ndarray, spec: ConvSpec, pads: Tuple[int, int, int, int]) -> np.ndarray:
+    """Kernel windows of a [B,C,H,W] array as GEMM columns [B, C*kh*kw, Ho*Wo]."""
+    b, c = a.shape[:2]
+    if spec.kernel == spec.stride == (1, 1):
+        return a.reshape(b, c, -1)
+    win = _windows(_pad_hw(a, *pads), *spec.kernel, *spec.stride)
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * spec.kernel[0] * spec.kernel[1], -1)
 
 
-def _scatter_conv(src: np.ndarray, w: np.ndarray, spec: ConvSpec, out_hw: Tuple[int, int],
-                  pads: Tuple[int, int, int, int]) -> np.ndarray:
-    """Adjoint of _gather_conv: spread src [B,S,Ho,Wo] through w [S,D,kh,kw].
-
-    out_hw is the unpadded target extent; pads are the same-ceil pads that the
-    matching gather applied to it.
-    """
-    sh, sw = spec.stride
-    kh, kw = spec.kernel
-    b, _, ho, wo = src.shape
-    h, wd = out_hw
+def _col2im(cols: np.ndarray, hw: Tuple[int, int], spec: ConvSpec,
+            pads: Tuple[int, int, int, int]) -> np.ndarray:
+    """Adjoint of _im2col: sum columns [B, C*kh*kw, Ho*Wo] back onto [B,C,H,W]."""
+    (h, w), (kh, kw), (sh, sw) = hw, spec.kernel, spec.stride
+    b = cols.shape[0]
+    if spec.kernel == spec.stride == (1, 1):
+        return cols.reshape(b, -1, h, w)
+    ho, wo = spec.out_extents(h, w)
+    cols = cols.reshape(b, -1, kh, kw, ho, wo)
     pt, pb, pl, pr = pads
-    full = np.zeros((b, w.shape[1], h + pt + pb, wd + pl + pr), dtype=src.dtype)
+    full = np.zeros((b, cols.shape[1], h + pt + pb, w + pl + pr), dtype=cols.dtype)
     for u in range(kh):
         for v in range(kw):
-            patch = np.einsum("bshw,sd->bdhw", src, w[:, :, u, v], optimize=True)
-            full[:, :, u:u + ho * sh:sh, v:v + wo * sw:sw] += patch
-    return full[:, :, pt:pt + h, pl:pl + wd]
+            full[:, :, u:u + ho * sh:sh, v:v + wo * sw:sw] += cols[:, :, u, v]
+    return full[:, :, pt:pt + h, pl:pl + w]
 
 
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
@@ -128,7 +128,6 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
     x: [C_in, H, W] or [B, C_in, H, W]; weights: [C_out, C_in, kh, kw];
     bias: [C_out]. Output spatial extents are ceil(extent / stride).
     """
-    _check_finite("conv2d", x, weights, bias)
     xd, batched = _as_batched(x.data, "conv2d")
     wd = weights.data
     if wd.ndim != 4:
@@ -144,20 +143,20 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
 
     b, c, h, w = xd.shape
     pads = spec.pads(h, w)
-    out = _gather_conv(xd, wd, spec, pads)
+    wmat = wd.reshape(spec.out_channels, -1)
+    out = (wmat @ _im2col(xd, spec, pads)).reshape(b, -1, *spec.out_extents(h, w))
     out += bias.data[None, :, None, None]
     result = Tensor(out if batched else out[0])
 
     def backward(g: np.ndarray) -> None:
-        gb = g if batched else g[None]
+        gb = (g if batched else g[None]).reshape(b, spec.out_channels, -1)
         if weights.requires_grad:
-            xp = _pad_hw(xd, *pads)
-            win = _windows(xp, *spec.kernel, *spec.stride)
-            _accumulate(weights, np.einsum("bdhw,bshwuv->dsuv", gb, win, optimize=True))
+            cols = _im2col(xd, spec, pads)
+            _accumulate(weights, (gb @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(wd.shape))
         if bias.requires_grad:
-            _accumulate(bias, gb.sum(axis=(0, 2, 3)))
+            _accumulate(bias, gb.sum(axis=(0, 2)))
         if x.requires_grad:
-            gx = _scatter_conv(gb, wd, spec, (h, w), pads)
+            gx = _col2im(wmat.T @ gb, (h, w), spec, pads)
             _accumulate(x, gx if batched else gx[0])
 
     return record(result, (x, weights, bias), backward)
@@ -175,7 +174,6 @@ def conv_transpose2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec,
     Applying this op to an upstream gradient with spatially flipped forward
     kernels reproduces conv2d's input gradient exactly.
     """
-    _check_finite("conv_transpose2d", x, weights, bias)
     xd, batched = _as_batched(x.data, "conv_transpose2d")
     wd = weights.data
     if wd.ndim != 4:
@@ -197,20 +195,21 @@ def conv_transpose2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec,
             f"does not contract to the input extent ({h}, {w})")
 
     pads = spec.pads(oh, ow)
-    flipped = wd[:, :, ::-1, ::-1]
-    out = _scatter_conv(xd, flipped, spec, out_hw, pads)
+    flipped = wd[:, :, ::-1, ::-1].reshape(c, -1)  # [C_in, C_out*kh*kw]
+    xmat = xd.reshape(b, c, -1)
+    out = _col2im(flipped.T @ xmat, out_hw, spec, pads)
     out += bias.data[None, :, None, None]
     result = Tensor(out if batched else out[0])
 
     def backward(g: np.ndarray) -> None:
         gb = g if batched else g[None]
+        if x.requires_grad or weights.requires_grad:
+            gcols = _im2col(gb, spec, pads)
         if x.requires_grad:
-            gx = _gather_conv(gb, flipped, spec, pads)
+            gx = (flipped @ gcols).reshape(xd.shape)
             _accumulate(x, gx if batched else gx[0])
         if weights.requires_grad:
-            gp = _pad_hw(gb, *pads)
-            gwin = _windows(gp, *spec.kernel, *spec.stride)
-            gw = np.einsum("bshw,bdhwuv->sduv", xd, gwin, optimize=True)
+            gw = (xmat @ gcols.transpose(0, 2, 1)).sum(axis=0).reshape(wd.shape)
             _accumulate(weights, gw[:, :, ::-1, ::-1])
         if bias.requires_grad:
             _accumulate(bias, gb.sum(axis=(0, 2, 3)))
@@ -225,7 +224,6 @@ def maxpool2d(x: Tensor, window: Tuple[int, int]) -> Tensor:
     window covers at least one real cell. Ties route the gradient to the
     first window element in reading order.
     """
-    _check_finite("maxpool2d", x)
     wh, ww = window
     if wh < 1 or ww < 1:
         raise ShapeError(f"maxpool2d: window extents must be positive, got {window}")
@@ -280,7 +278,6 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     """
     if mode not in ("train", "eval"):
         raise ShapeError(f"batch_norm: mode must be 'train' or 'eval', got {mode!r}")
-    _check_finite("batch_norm", x, gamma, beta)
     xd, batched = _as_batched(x.data, "batch_norm")
     b, c, h, w = xd.shape
     if gamma.dims != (c,) or beta.dims != (c,):
@@ -309,16 +306,16 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 
     def backward(g: np.ndarray) -> None:
         gb = g if batched else g[None]
+        g_xhat = np.einsum("bchw,bchw->c", gb, xhat, optimize=True)
         if gamma.requires_grad:
-            _accumulate(gamma, np.einsum("bchw,bchw->c", gb, xhat, optimize=True))
+            _accumulate(gamma, g_xhat)
         if beta.requires_grad:
             _accumulate(beta, gb.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             scale = (gamma.data * inv)[None, :, None, None]
             if mode == "train":
                 g_mean = gb.mean(axis=(0, 2, 3), keepdims=True)
-                gx_mean = np.einsum("bchw,bchw->c", gb, xhat, optimize=True) / n
-                gx = scale * (gb - g_mean - xhat * gx_mean[None, :, None, None])
+                gx = scale * (gb - g_mean - xhat * (g_xhat / n)[None, :, None, None])
             else:
                 gx = scale * gb
             _accumulate(x, gx if batched else gx[0])
@@ -365,7 +362,6 @@ def softmax_pair(a: Tensor, b: Tensor) -> Tuple[Tensor, Tensor]:
 
 def fully_connected(x: Tensor, weights: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine map y = W x (+ b) for [F] or [B, F] inputs; weights are [O, F]."""
-    _check_finite("fully_connected", x, weights)
     xd = x.data
     wd = weights.data
     if wd.ndim != 2:
@@ -388,7 +384,7 @@ def fully_connected(x: Tensor, weights: Tensor, bias: Optional[Tensor] = None) -
             if xd.ndim == 1:
                 _accumulate(weights, np.outer(g, xd))
             else:
-                _accumulate(weights, np.einsum("bo,bf->of", g, xd, optimize=True))
+                _accumulate(weights, g.T @ xd)
         if x.requires_grad:
             _accumulate(x, g @ wd)
         if bias is not None and bias.requires_grad:
@@ -399,7 +395,6 @@ def fully_connected(x: Tensor, weights: Tensor, bias: Optional[Tensor] = None) -
 
 def global_avg_pool(x: Tensor) -> Tensor:
     """Mean over the spatial axes: [C,H,W] -> [C] or [B,C,H,W] -> [B,C]."""
-    _check_finite("global_avg_pool", x)
     xd, batched = _as_batched(x.data, "global_avg_pool")
     b, c, h, w = xd.shape
     out = xd.mean(axis=(2, 3), dtype=np.float64).astype(xd.dtype)
@@ -448,7 +443,6 @@ def scale_channels(x: Tensor, w: Tensor) -> Tensor:
     Accepts w of shape [C] for any input, [B, C] for batched input, or the
     full input shape for elementwise gating.
     """
-    _check_finite("scale_channels", x, w)
     xd = x.data
     wd = w.data
     if xd.ndim not in (3, 4):

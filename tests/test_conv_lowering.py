@@ -1,0 +1,144 @@
+"""conv2d / conv_transpose2d (im2col + GEMM) against naive loop references.
+
+The references pad by the documented same-ceil rule, walk every output
+position and kernel tap, and contract only the channel axes, all in float64.
+Forward values and all three gradients must agree to 1e-10.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from mffcn.ops import ConvSpec, _im2col, conv2d, conv_transpose2d
+from mffcn.tensor import Tape, Tensor
+
+KERNELS = [(1, 1), (3, 2), (5, 5)]
+STRIDES = [(1, 1), (2, 1), (2, 2)]
+BATCHES = [None, 1, 3]          # None: unbatched [C,H,W] input
+HW = (8, 7)                     # odd totals: (3,2) and (5,5) pad asymmetrically
+C_IN, C_OUT = 3, 2
+ATOL = 1e-10
+
+
+def _pads(extent, stride, kernel):
+    out = math.ceil(extent / stride)
+    total = max((out - 1) * stride + kernel - extent, 0)
+    return total // 2, total - total // 2
+
+
+def _padded_geometry(hw, kernel, stride):
+    (pt, pb), (pl, pr) = (_pads(hw[i], stride[i], kernel[i]) for i in range(2))
+    out = tuple(math.ceil(hw[i] / stride[i]) for i in range(2))
+    return (pt, pb, pl, pr), out
+
+
+def _taps(out_hw, kernel, stride):
+    for i in range(out_hw[0]):
+        for j in range(out_hw[1]):
+            for u in range(kernel[0]):
+                for v in range(kernel[1]):
+                    yield i, j, u, v, i * stride[0] + u, j * stride[1] + v
+
+
+def ref_conv2d(x, w, b, g, kernel, stride):
+    """Forward and (gx, gw, gb) for upstream g; x [B,S,H,W], w [D,S,kh,kw]."""
+    hw = x.shape[2:]
+    (pt, pb, pl, pr), out_hw = _padded_geometry(hw, kernel, stride)
+    xp = np.pad(x, [(0, 0), (0, 0), (pt, pb), (pl, pr)])
+    y = np.zeros((x.shape[0], w.shape[0]) + out_hw)
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for i, j, u, v, r, c in _taps(out_hw, kernel, stride):
+        y[:, :, i, j] += xp[:, :, r, c] @ w[:, :, u, v].T
+        gxp[:, :, r, c] += g[:, :, i, j] @ w[:, :, u, v]
+        gw[:, :, u, v] += g[:, :, i, j].T @ xp[:, :, r, c]
+    y += b[None, :, None, None]
+    gx = gxp[:, :, pt:pt + hw[0], pl:pl + hw[1]]
+    return y, gx, gw, g.sum(axis=(0, 2, 3))
+
+
+def ref_conv_transpose2d(x, w, b, g, kernel, stride, out_hw):
+    """Forward and (gx, gw, gb); x [B,S,Ho,Wo], w [S,D,kh,kw] applied flipped."""
+    (pt, pb, pl, pr), in_hw = _padded_geometry(out_hw, kernel, stride)
+    assert in_hw == x.shape[2:]
+    wf = w[:, :, ::-1, ::-1]
+    full = (x.shape[0], w.shape[1], out_hw[0] + pt + pb, out_hw[1] + pl + pr)
+    yp = np.zeros(full)
+    gp = np.pad(g, [(0, 0), (0, 0), (pt, pb), (pl, pr)])
+    gx = np.zeros_like(x)
+    gwf = np.zeros_like(w)
+    for i, j, u, v, r, c in _taps(in_hw, kernel, stride):
+        yp[:, :, r, c] += x[:, :, i, j] @ wf[:, :, u, v]
+        gx[:, :, i, j] += gp[:, :, r, c] @ wf[:, :, u, v].T
+        gwf[:, :, u, v] += x[:, :, i, j].T @ gp[:, :, r, c]
+    y = yp[:, :, pt:pt + out_hw[0], pl:pl + out_hw[1]] + b[None, :, None, None]
+    return y, gx, gwf[:, :, ::-1, ::-1], g.sum(axis=(0, 2, 3))
+
+
+def _lead(batch):
+    return () if batch is None else (batch,)
+
+
+def _run(op, x, w, b, g):
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    with Tape() as tape:
+        y = op(xt, wt, bt)
+        tape.backward((y * Tensor(g)).sum())
+    return y.data, xt.grad, wt.grad, bt.grad
+
+
+def _batched(a, batch):
+    return a[None] if batch is None else a
+
+
+def _assert_close(got, want, batch):
+    names = ("forward", "input grad", "weight grad", "bias grad")
+    for name, gv, wv, squeeze in zip(names, got, want, (True, True, False, False)):
+        if squeeze and batch is None:
+            wv = wv[0]
+        assert gv.shape == wv.shape, name
+        np.testing.assert_allclose(gv, wv, rtol=0, atol=ATOL, err_msg=name)
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("stride", STRIDES)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_conv2d_matches_loop_reference(kernel, stride, batch):
+    rng = np.random.default_rng([*kernel, *stride, batch or 0])
+    spec = ConvSpec(out_channels=C_OUT, kernel=kernel, stride=stride)
+    x = rng.normal(size=_lead(batch) + (C_IN,) + HW)
+    w = rng.normal(size=(C_OUT, C_IN) + kernel)
+    b = rng.normal(size=C_OUT)
+    g = rng.normal(size=_lead(batch) + (C_OUT,) + spec.out_extents(*HW))
+    got = _run(lambda xt, wt, bt: conv2d(xt, wt, bt, spec), x, w, b, g)
+    want = ref_conv2d(_batched(x, batch), w, b, _batched(g, batch), kernel, stride)
+    _assert_close(got, want, batch)
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("stride", STRIDES)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_conv_transpose2d_matches_loop_reference(kernel, stride, batch):
+    rng = np.random.default_rng([*kernel, *stride, batch or 0, 1])
+    spec = ConvSpec(out_channels=C_OUT, kernel=kernel, stride=stride)
+    x = rng.normal(size=_lead(batch) + (C_IN,) + spec.out_extents(*HW))
+    w = rng.normal(size=(C_IN, C_OUT) + kernel)
+    b = rng.normal(size=C_OUT)
+    g = rng.normal(size=_lead(batch) + (C_OUT,) + HW)
+    got = _run(lambda xt, wt, bt: conv_transpose2d(xt, wt, bt, spec, HW), x, w, b, g)
+    want = ref_conv_transpose2d(_batched(x, batch), w, b, _batched(g, batch), kernel, stride, HW)
+    _assert_close(got, want, batch)
+
+
+def test_grid_exercises_asymmetric_padding():
+    odd = [(k, s) for k in KERNELS for s in STRIDES
+           if any(lo != hi for lo, hi in (_pads(HW[i], s[i], k[i]) for i in range(2)))]
+    assert len(odd) >= 4
+
+
+def test_one_by_one_stride_one_columns_are_a_view():
+    x = np.random.default_rng(0).normal(size=(2, 3, 5, 4))
+    cols = _im2col(x, ConvSpec(out_channels=1, kernel=(1, 1)), (0, 0, 0, 0))
+    assert cols.shape == (2, 3, 20)
+    assert np.shares_memory(cols, x)

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from mffcn.dsp import AudioClip
 from mffcn.formats import (
     FormatError,
     decode_mten,
@@ -117,6 +118,18 @@ class TestWav:
         back = load_wav(p)
         assert back.shape == x.shape
         assert np.max(np.abs(back - x)) < 1.0 / 32000.0
+
+    def test_full_scale_negative_pcm_clamps_to_minus_one(self, tmp_path):
+        pcm = np.array([-32768, -32767, 0, 32767], dtype="<i2")
+        fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+        data = pcm.tobytes()
+        body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                + b"data" + struct.pack("<I", len(data)) + data)
+        p = tmp_path / "clipped.wav"
+        p.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        x = load_wav(str(p))
+        assert np.array_equal(x, [-1.0, -1.0, 0.0, 1.0])
+        AudioClip(x)  # a clipped recording is a valid clip
 
     def test_rejects_stereo(self, tmp_path):
         fmt = struct.pack("<HHIIHH", 1, 2, 16000, 64000, 4, 16)

@@ -409,6 +409,31 @@ class TestFullyConnectedAndPooling:
         assert np.allclose(global_avg_pool(x).data, np.arange(4.0))
 
 
+class TestNonFiniteOperands:
+    """Ops do not rescan their operands; an in-place NaN written past the
+    Tensor constructor is still caught when the op's output is constructed."""
+
+    @staticmethod
+    def _poison(t):
+        t.data.reshape(-1)[0] = np.nan
+        return t
+
+    def test_conv2d_nan_weight(self):
+        w = self._poison(_t(np.ones((2, 3, 3, 3))))
+        with pytest.raises(NonFiniteError, match="tensor holds"):
+            conv2d(_t(np.ones((3, 5, 4))), w, _t(np.zeros(2)), ConvSpec(out_channels=2, kernel=(3, 3)))
+
+    def test_batch_norm_nan_gamma(self):
+        gamma = self._poison(_t(np.ones(2)))
+        with pytest.raises(NonFiniteError, match="tensor holds"):
+            batch_norm(_t(np.ones((2, 3, 3))), gamma, _t(np.zeros(2)), BatchNormState.initial(2), mode="eval")
+
+    def test_fully_connected_nan_weight(self):
+        w = self._poison(_t(np.ones((2, 3))))
+        with pytest.raises(NonFiniteError, match="tensor holds"):
+            fully_connected(_t(np.ones((4, 3))), w)
+
+
 class TestConcatAndScale:
     def test_concat_channel_counts_add(self):
         a = _t(np.zeros((512, 5, 5)))
