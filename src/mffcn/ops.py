@@ -6,12 +6,20 @@ forward pass) under "same-ceil" padding: each output extent is
 ceil(input / stride), the shortfall is padded with zeros split evenly, and
 the odd padding element goes on the bottom/right edge.
 
-Both convolutions are lowered to im2col + one GEMM: the kernel windows are
-laid out as columns [B, C*kh*kw, Ho*Wo] and contracted with the flattened
-weights by one matmul; the scatter direction (conv_transpose2d forward,
-conv2d input gradient) is one matmul followed by col2im. 1x1 stride-1
-convolutions skip the window copy and use a plain reshape. Columns are
-recomputed in backward rather than kept on the tape.
+Both convolutions are lowered to im2col + one 2-D GEMM per direction, which
+reads the weights once: the kernel windows are laid out as columns
+[C*kh*kw, B*Ho*Wo], the batch folded into the columns, and contracted with
+the flattened weights by one matmul; the scatter direction
+(conv_transpose2d forward, conv2d input gradient) is one matmul followed by
+col2im. conv_transpose2d uses its weights unflipped: the spatial kernel flip
+is applied as the tap order in which col2im (forward) and im2col (backward)
+walk the columns. 1x1 stride-1 convolutions skip the window copy (a view at
+batch 1). Columns are recomputed in backward rather than kept on the tape.
+
+maxpool2d's forward is a running maximum over the window taps. The argmax
+that routes the gradient is found in backward only, by a scan of the taps
+in reading order for the first one equal to the window's maximum, so
+inference never pays for it.
 
 Finiteness needs no per-op scan: the Tensor constructor rejects NaN/Inf in
 every op output, including outputs computed from corrupted operands.
@@ -90,36 +98,48 @@ def _pad_hw(a: np.ndarray, pt: int, pb: int, pl: int, pr: int, value: float = 0.
     return np.pad(a, widths, constant_values=value)
 
 
-def _windows(a: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """Strided [B,C,Ho,Wo,kh,kw] view over an already padded [B,C,H,W] array."""
-    win = sliding_window_view(a, (kh, kw), axis=(2, 3))
-    return win[:, :, ::sh, ::sw]
+def _im2col(a: np.ndarray, spec: ConvSpec, pads: Tuple[int, int, int, int],
+            flip: bool = False) -> np.ndarray:
+    """Kernel windows of a [B,C,H,W] array as GEMM columns [C*kh*kw, B*Ho*Wo].
 
-
-def _im2col(a: np.ndarray, spec: ConvSpec, pads: Tuple[int, int, int, int]) -> np.ndarray:
-    """Kernel windows of a [B,C,H,W] array as GEMM columns [B, C*kh*kw, Ho*Wo]."""
-    b, c = a.shape[:2]
+    flip reverses the kernel taps within each channel's rows, which turns a
+    contraction with these columns into one with the spatially flipped kernel.
+    """
     if spec.kernel == spec.stride == (1, 1):
-        return a.reshape(b, c, -1)
-    win = _windows(_pad_hw(a, *pads), *spec.kernel, *spec.stride)
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * spec.kernel[0] * spec.kernel[1], -1)
+        return _fold_batch(a)
+    sh, sw = spec.stride
+    win = sliding_window_view(_pad_hw(a, *pads), spec.kernel, axis=(2, 3))[:, :, ::sh, ::sw]
+    if flip:
+        win = win[..., ::-1, ::-1]
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(a.shape[1] * spec.kernel[0] * spec.kernel[1], -1)
 
 
-def _col2im(cols: np.ndarray, hw: Tuple[int, int], spec: ConvSpec,
-            pads: Tuple[int, int, int, int]) -> np.ndarray:
-    """Adjoint of _im2col: sum columns [B, C*kh*kw, Ho*Wo] back onto [B,C,H,W]."""
+def _col2im(cols: np.ndarray, b: int, hw: Tuple[int, int], spec: ConvSpec,
+            pads: Tuple[int, int, int, int], flip: bool = False) -> np.ndarray:
+    """Adjoint of _im2col (same flip): sum columns [C*kh*kw, B*Ho*Wo] back onto [B,C,H,W]."""
     (h, w), (kh, kw), (sh, sw) = hw, spec.kernel, spec.stride
-    b = cols.shape[0]
     if spec.kernel == spec.stride == (1, 1):
-        return cols.reshape(b, -1, h, w)
+        return _unfold_batch(cols, b, h, w)
     ho, wo = spec.out_extents(h, w)
-    cols = cols.reshape(b, -1, kh, kw, ho, wo)
+    cols = cols.reshape(-1, kh, kw, b, ho, wo)
+    if flip:
+        cols = cols[:, ::-1, ::-1]
     pt, pb, pl, pr = pads
-    full = np.zeros((b, cols.shape[1], h + pt + pb, w + pl + pr), dtype=cols.dtype)
+    full = np.zeros((b, cols.shape[0], h + pt + pb, w + pl + pr), dtype=cols.dtype)
     for u in range(kh):
         for v in range(kw):
-            full[:, :, u:u + ho * sh:sh, v:v + wo * sw:sw] += cols[:, :, u, v]
+            full[:, :, u:u + ho * sh:sh, v:v + wo * sw:sw] += cols[:, u, v].transpose(1, 0, 2, 3)
     return full[:, :, pt:pt + h, pl:pl + w]
+
+
+def _fold_batch(a: np.ndarray) -> np.ndarray:
+    """[B,C,H,W] -> [C, B*H*W]: the batch joins the GEMM columns (a view at B=1)."""
+    return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
+
+
+def _unfold_batch(m: np.ndarray, b: int, h: int, w: int) -> np.ndarray:
+    """[C, B*H*W] -> C-ordered [B,C,H,W]; the inverse of _fold_batch."""
+    return np.ascontiguousarray(m.reshape(-1, b, h, w).transpose(1, 0, 2, 3))
 
 
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
@@ -144,19 +164,19 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
     b, c, h, w = xd.shape
     pads = spec.pads(h, w)
     wmat = wd.reshape(spec.out_channels, -1)
-    out = (wmat @ _im2col(xd, spec, pads)).reshape(b, -1, *spec.out_extents(h, w))
-    out += bias.data[None, :, None, None]
+    out = wmat @ _im2col(xd, spec, pads)
+    out += bias.data[:, None]
+    out = _unfold_batch(out, b, *spec.out_extents(h, w))
     result = Tensor(out if batched else out[0])
 
     def backward(g: np.ndarray) -> None:
-        gb = (g if batched else g[None]).reshape(b, spec.out_channels, -1)
+        gm = _fold_batch(g if batched else g[None])
         if weights.requires_grad:
-            cols = _im2col(xd, spec, pads)
-            _accumulate(weights, (gb @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(wd.shape))
+            _accumulate(weights, (gm @ _im2col(xd, spec, pads).T).reshape(wd.shape))
         if bias.requires_grad:
-            _accumulate(bias, gb.sum(axis=(0, 2)))
+            _accumulate(bias, gm.sum(axis=1))
         if x.requires_grad:
-            gx = _col2im(wmat.T @ gb, (h, w), spec, pads)
+            gx = _col2im(wmat.T @ gm, b, (h, w), spec, pads)
             _accumulate(x, gx if batched else gx[0])
 
     return record(result, (x, weights, bias), backward)
@@ -195,22 +215,21 @@ def conv_transpose2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec,
             f"does not contract to the input extent ({h}, {w})")
 
     pads = spec.pads(oh, ow)
-    flipped = wd[:, :, ::-1, ::-1].reshape(c, -1)  # [C_in, C_out*kh*kw]
-    xmat = xd.reshape(b, c, -1)
-    out = _col2im(flipped.T @ xmat, out_hw, spec, pads)
+    wmat = wd.reshape(c, -1)  # [C_in, C_out*kh*kw]; the flip lives in the column order
+    xm = _fold_batch(xd)
+    out = _col2im(wmat.T @ xm, b, out_hw, spec, pads, flip=True)
     out += bias.data[None, :, None, None]
     result = Tensor(out if batched else out[0])
 
     def backward(g: np.ndarray) -> None:
         gb = g if batched else g[None]
         if x.requires_grad or weights.requires_grad:
-            gcols = _im2col(gb, spec, pads)
+            gcols = _im2col(gb, spec, pads, flip=True)
         if x.requires_grad:
-            gx = (flipped @ gcols).reshape(xd.shape)
+            gx = _unfold_batch(wmat @ gcols, b, h, w)
             _accumulate(x, gx if batched else gx[0])
         if weights.requires_grad:
-            gw = (xmat @ gcols.transpose(0, 2, 1)).sum(axis=0).reshape(wd.shape)
-            _accumulate(weights, gw[:, :, ::-1, ::-1])
+            _accumulate(weights, (xm @ gcols.T).reshape(wd.shape))
         if bias.requires_grad:
             _accumulate(bias, gb.sum(axis=(0, 2, 3)))
 
@@ -221,8 +240,9 @@ def maxpool2d(x: Tensor, window: Tuple[int, int]) -> Tensor:
     """Non-overlapping max pooling; window doubles as the stride.
 
     Same-ceil padding fills with -inf, and the construction guarantees every
-    window covers at least one real cell. Ties route the gradient to the
-    first window element in reading order.
+    window covers at least one real cell. The forward is a running maximum
+    over the window taps; the argmax is found only in backward, where ties
+    route the gradient to the first window element in reading order.
     """
     wh, ww = window
     if wh < 1 or ww < 1:
@@ -232,10 +252,12 @@ def maxpool2d(x: Tensor, window: Tuple[int, int]) -> Tensor:
     ho, wo = math.ceil(h / wh), math.ceil(w / ww)
     pt, pb = _same_ceil_pad(h, wh, wh)
     pl, pr = _same_ceil_pad(w, ww, ww)
-    xp = _pad_hw(xd, pt, pb, pl, pr, value=-np.inf)
-    flat = _windows(xp, wh, ww, wh, ww).reshape(b, c, ho, wo, wh * ww)
-    idx = np.argmax(flat, axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    xp = _pad_hw(xd, pt, pb, pl, pr, value=-np.inf)  # exactly [B, C, ho*wh, wo*ww]
+    out = xp[:, :, ::wh, ::ww].copy()
+    for u in range(wh):
+        for v in range(ww):
+            if u or v:
+                np.maximum(xp[:, :, u::wh, v::ww], out, out=out)  # ties keep the earlier tap
     result = Tensor(out if batched else out[0])
 
     def backward(g: np.ndarray) -> None:
@@ -243,10 +265,13 @@ def maxpool2d(x: Tensor, window: Tuple[int, int]) -> Tensor:
             return
         gb = g if batched else g[None]
         gxp = np.zeros_like(xp)
-        bb, cc, oy, ox = np.indices((b, c, ho, wo), sparse=True)
-        rows = oy * wh + idx // ww
-        cols = ox * ww + idx % ww
-        np.add.at(gxp, (bb, cc, rows, cols), gb)
+        pending = np.ones(out.shape, dtype=bool)  # windows whose argmax is not yet found
+        for u in range(wh):
+            for v in range(ww):
+                hit = xp[:, :, u::wh, v::ww] == out
+                hit &= pending
+                pending ^= hit
+                np.copyto(gxp[:, :, u::wh, v::ww], gb, where=hit)
         gx = gxp[:, :, pt:pt + h, pl:pl + w]
         _accumulate(x, gx if batched else gx[0])
 

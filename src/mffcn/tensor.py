@@ -290,14 +290,11 @@ class Tensor:
     def sigmoid(self) -> "Tensor":
         """Numerically stable logistic, clamped to the open unit interval."""
         x = self.data
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
+        e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) below
+        d = 1.0 + e
+        y = np.where(x >= 0, 1.0 / d, e / d)
         one = x.dtype.type(1.0)
-        np.clip(out, np.finfo(x.dtype).tiny, np.nextafter(one, 0), out=out)
-        y = out
+        np.clip(y, np.finfo(x.dtype).tiny, np.nextafter(one, 0), out=y)
         result = Tensor(y)
 
         def backward(g: np.ndarray) -> None:

@@ -1,4 +1,4 @@
-"""conv2d / conv_transpose2d (im2col + GEMM) against naive loop references.
+"""conv2d / conv_transpose2d (im2col + GEMM) and maxpool2d against naive loop references.
 
 The references pad by the documented same-ceil rule, walk every output
 position and kernel tap, and contract only the channel axes, all in float64.
@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from mffcn.ops import ConvSpec, _im2col, conv2d, conv_transpose2d
+from mffcn.ops import ConvSpec, _col2im, _im2col, conv2d, conv_transpose2d, maxpool2d
 from mffcn.tensor import Tape, Tensor
 
 KERNELS = [(1, 1), (3, 2), (5, 5)]
@@ -139,6 +139,96 @@ def test_grid_exercises_asymmetric_padding():
 
 def test_one_by_one_stride_one_columns_are_a_view():
     x = np.random.default_rng(0).normal(size=(2, 3, 5, 4))
-    cols = _im2col(x, ConvSpec(out_channels=1, kernel=(1, 1)), (0, 0, 0, 0))
-    assert cols.shape == (2, 3, 20)
-    assert np.shares_memory(cols, x)
+    spec = ConvSpec(out_channels=1, kernel=(1, 1))
+    cols = _im2col(x, spec, (0, 0, 0, 0))
+    assert cols.shape == (3, 2 * 20)  # [C, B*H*W]: the batch is folded into the columns
+    np.testing.assert_array_equal(cols.reshape(3, 2, 5, 4), x.transpose(1, 0, 2, 3))
+    one = _im2col(x[1:], spec, (0, 0, 0, 0))
+    assert one.shape == (3, 20)
+    assert np.shares_memory(one, x)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("stride", STRIDES)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_col2im_is_the_adjoint_of_im2col(kernel, stride, flip):
+    rng = np.random.default_rng([*kernel, *stride, flip])
+    spec = ConvSpec(out_channels=1, kernel=kernel, stride=stride)
+    pads = spec.pads(*HW)
+    x = rng.normal(size=(2, C_IN) + HW)
+    cols = _im2col(x, spec, pads, flip=flip)
+    n_out = math.prod(spec.out_extents(*HW))
+    assert cols.shape == (C_IN * kernel[0] * kernel[1], 2 * n_out)
+    c = rng.normal(size=cols.shape)
+    np.testing.assert_allclose(np.vdot(c, cols), np.vdot(_col2im(c, 2, HW, spec, pads, flip=flip), x),
+                               rtol=1e-12)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("stride", STRIDES)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_batch_rows_match_batch_one(kernel, stride, transpose):
+    """Folding the batch into the GEMM columns leaves every row's result alone."""
+    rng = np.random.default_rng([*kernel, *stride, transpose, 2])
+    spec = ConvSpec(out_channels=C_OUT, kernel=kernel, stride=stride)
+    small = spec.out_extents(*HW)
+    if transpose:
+        shapes = (C_IN,) + small, (C_IN, C_OUT) + kernel, (C_OUT,) + HW
+        op = lambda xt, wt, bt: conv_transpose2d(xt, wt, bt, spec, HW)
+    else:
+        shapes = (C_IN,) + HW, (C_OUT, C_IN) + kernel, (C_OUT,) + small
+        op = lambda xt, wt, bt: conv2d(xt, wt, bt, spec)
+    x = rng.normal(size=(3,) + shapes[0])
+    w = rng.normal(size=shapes[1])
+    b = rng.normal(size=C_OUT)
+    g = rng.normal(size=(3,) + shapes[2])
+    y3, gx3, gw3, gb3 = _run(op, x, w, b, g)
+    rows = [_run(op, x[i:i + 1], w, b, g[i:i + 1]) for i in range(3)]
+    for i, (y1, gx1, _, _) in enumerate(rows):
+        np.testing.assert_allclose(y3[i:i + 1], y1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gx3[i:i + 1], gx1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gw3, sum(r[2] for r in rows), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(gb3, sum(r[3] for r in rows), rtol=0, atol=1e-10)
+
+
+def ref_maxpool2d(x, g, window):
+    """Forward and input grad by walking each window's real cells in reading order."""
+    wh, ww = window
+    _, _, h, w = x.shape
+    pt, _ = _pads(h, wh, wh)
+    pl, _ = _pads(w, ww, ww)
+    ho, wo = math.ceil(h / wh), math.ceil(w / ww)
+    y = np.full(x.shape[:2] + (ho, wo), -np.inf)
+    gx = np.zeros_like(x)
+    for bi in range(x.shape[0]):
+        for ci in range(x.shape[1]):
+            for i in range(ho):
+                for j in range(wo):
+                    best = None
+                    for r in range(i * wh - pt, (i + 1) * wh - pt):
+                        for c in range(j * ww - pl, (j + 1) * ww - pl):
+                            real = 0 <= r < h and 0 <= c < w
+                            if real and (best is None or x[bi, ci, r, c] > y[bi, ci, i, j]):
+                                best, y[bi, ci, i, j] = (r, c), x[bi, ci, r, c]
+                    gx[(bi, ci) + best] += g[bi, ci, i, j]
+    return y, gx
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("window", [(2, 2), (2, 4), (3, 3), (1, 2)])
+def test_maxpool2d_matches_loop_reference(window, batch):
+    """Ties (integer-valued input) go to the first cell; edges are padded with -inf."""
+    rng = np.random.default_rng([*window, batch or 0, 3])
+    x = rng.integers(-2, 2, size=_lead(batch) + (C_IN,) + HW).astype(np.float64)
+    x[x == 0] = rng.choice([-0.0, 0.0], size=int((x == 0).sum()))  # signed-zero ties
+    ho, wo = (math.ceil(HW[i] / window[i]) for i in range(2))
+    g = rng.normal(size=_lead(batch) + (C_IN, ho, wo))
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        y = maxpool2d(xt, window)
+        tape.backward((y * Tensor(g)).sum())
+    want_y, want_gx = ref_maxpool2d(_batched(x, batch), _batched(g, batch), window)
+    if batch is None:
+        want_y, want_gx = want_y[0], want_gx[0]
+    assert y.data.tobytes() == want_y.tobytes()  # bitwise: the first of tied zeros wins
+    np.testing.assert_array_equal(xt.grad, want_gx)

@@ -233,6 +233,22 @@ class TestForward:
             assert np.array_equal(st.mean, m0)
             assert np.array_equal(st.var, v0_)
 
+    @pytest.mark.parametrize("strategy", list(FusionStrategy))
+    def test_batch_rows_match_batch_one(self, strategy):
+        """Eval-mode rows of one batched forward equal their own batch-1 forwards."""
+        params = init_params(6, strategy, 16, dtype=np.float64)
+        rng = np.random.default_rng(6)
+        y = rng.normal(scale=0.5, size=(3, 1, 80, 20))
+        v = rng.uniform(size=(3, 5, 80, 80))
+        with no_grad():
+            out = mffcn_forward(Tensor(y), Tensor(v), params, mode="eval").data
+            again = mffcn_forward(Tensor(y), Tensor(v), params, mode="eval").data
+            rows = [mffcn_forward(Tensor(y[i]), Tensor(v[i]), params, mode="eval").data
+                    for i in range(3)]
+        assert np.array_equal(out, again)
+        for i, row in enumerate(rows):
+            np.testing.assert_allclose(out[i], row, rtol=0, atol=1e-12 * np.abs(row).max())
+
     def test_train_mode_updates_running_stats(self):
         params = init_params(5, FusionStrategy.LATE, 16)
         y, v = _small_inputs(5, batch=2)

@@ -351,6 +351,19 @@ class TestActivationsAndGating:
         y = activation(_t([-500.0, 500.0]), "sigmoid")
         assert 0.0 < y.data[0] and y.data[1] < 1.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_masked_formula_bitwise(self, dtype):
+        x = np.array([0.0, -0.0, 1e-30, -1e-30, 88.0, -88.0, 1e4, -1e4, 0.3, -2.5], dtype=dtype)
+        want = np.empty_like(x)
+        pos = x >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        want[~pos] = ex / (1.0 + ex)
+        np.clip(want, np.finfo(dtype).tiny, np.nextafter(dtype(1.0), dtype(0.0)), out=want)
+        got = _t(x, dtype=dtype).sigmoid().data
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ShapeError, match="kind"):
             activation(_t([1.0]), "swish")
