@@ -11,7 +11,16 @@ from typing import List, Optional
 
 import numpy as np
 
-from .dsp import AudioClip, DspError, VideoSegment, log_mel, bilinear_resize
+from .dsp import (
+    SAMPLE_RATE,
+    SEG_VIDEO_FRAMES,
+    AudioClip,
+    DspError,
+    VideoSegment,
+    bilinear_resize,
+    log_mel,
+    segment_samples,
+)
 from .formats import (
     FormatError,
     export_spectrogram,
@@ -27,7 +36,7 @@ from .model import (
     FusionStrategy,
     ModelError,
     N_LAYERS,
-    enhance_segment,
+    enhance_segments,
     load_model,
     scaled_filters,
     shape_trace,
@@ -243,19 +252,21 @@ def cmd_enhance(args) -> int:
     frames = _video_unit_frames(args.video)
 
     noisy_segs = log_mel(clip, clip_id=os.path.basename(args.noisy_wav))
-    n = min(len(noisy_segs), frames.shape[0] // 5)
+    n = min(len(noisy_segs), frames.shape[0] // SEG_VIDEO_FRAMES)
     if n == 0:
         raise DspError(
             f"need at least 1 aligned segment, got {len(noisy_segs)} audio "
-            f"segments but only {frames.shape[0]} video frames (5 per segment)")
+            f"segments but only {frames.shape[0]} video frames ({SEG_VIDEO_FRAMES} per segment)")
 
     os.makedirs(args.out, exist_ok=True)
-    enhanced = []
-    for k in range(n):
-        video = VideoSegment(frames[5 * k:5 * (k + 1)])
-        seg = enhance_segment(noisy_segs[k], video, params)
-        enhanced.append(seg)
+    videos = [VideoSegment(frames[SEG_VIDEO_FRAMES * k:SEG_VIDEO_FRAMES * (k + 1)]) for k in range(n)]
+    enhanced = enhance_segments(noisy_segs[:n], videos, params)
+    for k, seg in enumerate(enhanced):
         save_mten(os.path.join(args.out, f"enhanced_{k:03d}.mten"), seg.values)
+    audio_left = len(clip) - segment_samples(n)
+    print(f"enhanced {n} segments; dropped {audio_left} trailing audio samples "
+          f"({audio_left / SAMPLE_RATE:.3f} s) and {frames.shape[0] - SEG_VIDEO_FRAMES * n} "
+          f"trailing video frames that no segment covers")
 
     noisy_cat = np.concatenate([s.values for s in noisy_segs[:n]], axis=1)
     enh_cat = np.concatenate([s.values for s in enhanced], axis=1)
@@ -273,7 +284,7 @@ def cmd_enhance(args) -> int:
             print(f"reference WAV too short ({len(clean_segs)} segments), skipping",
                   file=sys.stderr)
 
-    print(f"enhanced {n} segments; wrote {n} .mten files and "
+    print(f"wrote {n} .mten files and "
           f"{', '.join(os.path.basename(w) for w in written)} under {args.out}")
     return 0
 

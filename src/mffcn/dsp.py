@@ -183,6 +183,13 @@ def log_mel(clip: AudioClip, clip_id: str = "") -> List[MelSegment]:
     return segments
 
 
+def segment_samples(n_segments: int) -> int:
+    """Audio samples that the first n_segments log_mel segments span (0 for none)."""
+    if n_segments < 1:
+        return 0
+    return (SEG_FRAMES * n_segments - 1) * HOP + WIN_LEN
+
+
 def mix_at_snr(clean: AudioClip, noise: AudioClip, snr_db: float) -> MixResult:
     """Scale noise to hit the requested SNR and add it to the clean signal.
 

@@ -39,7 +39,7 @@ from .dsp import (
     make_segment_pairs,
     stft,
 )
-from .model import FusionStrategy, MffcnParams, enhance_segment, init_params
+from .model import FusionStrategy, MffcnParams, enhance_segments, init_params
 
 STOI_RATE = 10000
 STOI_FRAME = 256
@@ -298,7 +298,7 @@ def evaluate_params(params: MffcnParams, snr_db: float, seed: int,
         mix = mix_at_snr(clean, noise, snr_db)
         triples = make_segment_pairs(clean, noise, video, snr_db, clip_id=f"eval{k}")
 
-        enhanced = [enhance_segment(t.noisy, t.video, params) for t in triples]
+        enhanced = enhance_segments([t.noisy for t in triples], [t.video for t in triples], params)
         proxy = mel_gain_proxy(mix.clip, enhanced)
         reference = AudioClip(clean.samples[:proxy.samples.size] * mix.peak_scale)
 

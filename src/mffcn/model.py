@@ -70,6 +70,9 @@ AUDIO_STRIDES = ((2, 2), (1, 1), (2, 2), (1, 1), (2, 1),
 VIDEO_POOLS = ((2, 4), (1, 2), (2, 2), (1, 1), (2, 1),
                (1, 1), (2, 1), (1, 1), (1, 5), (1, 1))
 N_LAYERS = 10
+# Most segments per inference forward: the batch whose memory the full-width
+# benchmark measures.
+INFER_CHUNK = 8
 AUDIO_IN = (1, 80, 20)
 VIDEO_IN = (5, 80, 80)
 
@@ -549,13 +552,34 @@ def mffcn_forward(y: Tensor, v: Tensor, params: MffcnParams,
     return run_decoder(x, params.decoder, fusion_inputs=pairs, mode=mode)
 
 
+def enhance_segments(noisy: Sequence[MelSegment], videos: Sequence[VideoSegment],
+                     params: MffcnParams) -> List[MelSegment]:
+    """Typed batched inference: eval-mode batch norm, no taping.
+
+    The aligned segments run as [B,1,80,20] / [B,5,80,80] batches, one
+    forward per chunk of at most INFER_CHUNK segments, so memory stays that
+    of a batch-8 forward however long the input is. Returns one enhanced
+    segment per input, in order, each labelled with its input's origin.
+    """
+    if len(noisy) != len(videos):
+        raise ModelError(f"{len(noisy)} audio segments but {len(videos)} video segments")
+    if not noisy:
+        raise ModelError("no segments to enhance")
+    enhanced: List[MelSegment] = []
+    for lo in range(0, len(noisy), INFER_CHUNK):
+        chunk = range(lo, min(lo + INFER_CHUNK, len(noisy)))
+        y = Tensor(np.stack([noisy[k].values[None] for k in chunk], dtype=np.float32))
+        v = Tensor(np.stack([videos[k].frames for k in chunk], dtype=np.float32))
+        with no_grad():
+            out = mffcn_forward(y, v, params, mode="eval")
+        enhanced += [MelSegment(o[0], origin=f"enhanced({noisy[k].origin})")
+                     for k, o in zip(chunk, out.data)]
+    return enhanced
+
+
 def enhance_segment(noisy: MelSegment, video: VideoSegment, params: MffcnParams) -> MelSegment:
-    """Typed single-segment inference: eval-mode batch norm, no taping."""
-    y = Tensor(noisy.values[None, :, :].astype(np.float32))
-    v = Tensor(video.frames.astype(np.float32))
-    with no_grad():
-        out = mffcn_forward(y, v, params, mode="eval")
-    return MelSegment(out.data[0], origin=f"enhanced({noisy.origin})")
+    """Typed single-segment inference: enhance_segments on one segment."""
+    return enhance_segments([noisy], [video], params)[0]
 
 
 # ----------------------------------------------------------------------------

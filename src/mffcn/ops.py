@@ -16,6 +16,14 @@ is applied as the tap order in which col2im (forward) and im2col (backward)
 walk the columns. 1x1 stride-1 convolutions skip the window copy (a view at
 batch 1). Columns are recomputed in backward rather than kept on the tape.
 
+conv2d's forward builds its columns in blocks of at most COL_BLOCK_BYTES
+(2 MiB): whole samples while one sample's columns fit, so a batch that fits
+is a single block, else bands of output rows of one sample. Each block is one GEMM whose product goes, with the bias added,
+straight into its slice of the [B, C_out, Ho, Wo] output, so peak column
+memory stays at one block however large the batch (the first video conv
+would otherwise take 3.2 MB of float32 columns per segment). The backward
+passes still build their columns whole.
+
 maxpool2d's forward is a running maximum over the window taps. The argmax
 that routes the gradient is found in backward only, by a scan of the taps
 in reading order for the first one equal to the window's maximum, so
@@ -29,10 +37,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import ShapeError, Tensor, _accumulate, record, stack
 
@@ -41,6 +49,9 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 ACTIVATION_KINDS = ("leaky_relu", "relu", "sigmoid", "linear")
+
+# Most bytes of GEMM columns conv2d's forward builds at once (see _col_blocks).
+COL_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -94,24 +105,56 @@ def _as_batched(data: np.ndarray, op: str) -> Tuple[np.ndarray, bool]:
 def _pad_hw(a: np.ndarray, pt: int, pb: int, pl: int, pr: int, value: float = 0.0) -> np.ndarray:
     if pt == pb == pl == pr == 0:
         return a
-    widths = [(0, 0)] * (a.ndim - 2) + [(pt, pb), (pl, pr)]
-    return np.pad(a, widths, constant_values=value)
+    h, w = a.shape[-2:]
+    out = np.full(a.shape[:-2] + (h + pt + pb, w + pl + pr), value, dtype=a.dtype)
+    out[..., pt:pt + h, pl:pl + w] = a  # np.pad spends about 50 us per call in Python
+    return out
+
+
+def _windows(a: np.ndarray, spec: ConvSpec, pads: Tuple[int, int, int, int],
+             flip: bool = False) -> np.ndarray:
+    """Kernel windows of a [B,C,H,W] array: a view [B,C,Ho,Wo,kh,kw] of its padded copy.
+
+    flip reverses the kernel taps, which turns a contraction with the
+    windows into one with the spatially flipped kernel.
+    """
+    if spec.kernel == spec.stride == (1, 1):
+        return a[..., None, None]
+    (kh, kw), (sh, sw) = spec.kernel, spec.stride
+    ap = _pad_hw(a, *pads)
+    ho, wo = (ap.shape[2] - kh) // sh + 1, (ap.shape[3] - kw) // sw + 1
+    sb, sc, sy, sx = ap.strides
+    win = as_strided(ap, (a.shape[0], a.shape[1], ho, wo, kh, kw),
+                     (sb, sc, sy * sh, sx * sw, sy, sx), writeable=False)
+    return win[..., ::-1, ::-1] if flip else win
+
+
+def _cols(win: np.ndarray) -> np.ndarray:
+    """GEMM columns [C*kh*kw, B*Ho*Wo] of a window view (a view at one sample of a 1x1 window)."""
+    c, kh, kw = win.shape[1], win.shape[4], win.shape[5]
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, -1)
 
 
 def _im2col(a: np.ndarray, spec: ConvSpec, pads: Tuple[int, int, int, int],
             flip: bool = False) -> np.ndarray:
-    """Kernel windows of a [B,C,H,W] array as GEMM columns [C*kh*kw, B*Ho*Wo].
+    """Kernel windows of a [B,C,H,W] array as GEMM columns [C*kh*kw, B*Ho*Wo]."""
+    return _cols(_windows(a, spec, pads, flip))
 
-    flip reverses the kernel taps within each channel's rows, which turns a
-    contraction with these columns into one with the spatially flipped kernel.
+
+def _col_blocks(b: int, ho: int, row_bytes: int) -> List[Tuple[slice, slice]]:
+    """(sample, output-row) slices whose columns fit in COL_BLOCK_BYTES each.
+
+    row_bytes is the size of the columns of one output row of one sample.
+    Blocks hold whole samples while one sample fits, so a batch that fits
+    is a single block; a larger sample is cut into bands of output rows
+    (at least one row per band).
     """
-    if spec.kernel == spec.stride == (1, 1):
-        return _fold_batch(a)
-    sh, sw = spec.stride
-    win = sliding_window_view(_pad_hw(a, *pads), spec.kernel, axis=(2, 3))[:, :, ::sh, ::sw]
-    if flip:
-        win = win[..., ::-1, ::-1]
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(a.shape[1] * spec.kernel[0] * spec.kernel[1], -1)
+    per_sample = ho * row_bytes
+    if per_sample <= COL_BLOCK_BYTES:
+        n = COL_BLOCK_BYTES // per_sample
+        return [(slice(s, min(s + n, b)), slice(None)) for s in range(0, b, n)]
+    n = max(1, COL_BLOCK_BYTES // row_bytes)
+    return [(slice(s, s + 1), slice(r, min(r + n, ho))) for s in range(b) for r in range(0, ho, n)]
 
 
 def _col2im(cols: np.ndarray, b: int, hw: Tuple[int, int], spec: ConvSpec,
@@ -163,10 +206,15 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
 
     b, c, h, w = xd.shape
     pads = spec.pads(h, w)
+    ho, wo = spec.out_extents(h, w)
     wmat = wd.reshape(spec.out_channels, -1)
-    out = wmat @ _im2col(xd, spec, pads)
-    out += bias.data[:, None]
-    out = _unfold_batch(out, b, *spec.out_extents(h, w))
+    win = _windows(xd, spec, pads)
+    out = np.empty((b, spec.out_channels, ho, wo), dtype=np.result_type(xd, wd))
+    for samples, rows in _col_blocks(b, ho, wmat.shape[1] * wo * xd.itemsize):
+        blk = out[samples, :, rows]
+        prod = wmat @ _cols(win[samples, :, rows])
+        prod = prod.reshape(blk.shape[1], blk.shape[0], *blk.shape[2:]).transpose(1, 0, 2, 3)
+        np.add(prod, bias.data[:, None, None], out=blk)
     result = Tensor(out if batched else out[0])
 
     def backward(g: np.ndarray) -> None:
@@ -398,7 +446,7 @@ def fully_connected(x: Tensor, weights: Tensor, bias: Optional[Tensor] = None) -
     if bias is not None and bias.dims != (wd.shape[0],):
         raise ShapeError(f"fully_connected: bias must be [{wd.shape[0]}], got {bias.dims}")
 
-    out = xd @ wd.T
+    out = (wd @ xd.T).T  # weights on the left: OpenBLAS is about 2x slower with a small batch as M
     if bias is not None:
         out = out + bias.data
     result = Tensor(out)

@@ -143,6 +143,26 @@ class TestEnhanceCommand:
         assert rc == 0
         assert (tmp_path / "o" / "enhanced_001.mten").exists()
 
+    @pytest.mark.parametrize("n_frames, segments, audio_left, video_left", [
+        (27, 4, 2720, 7),   # 1 s of audio makes 97 STFT frames: 4 segments and 17 frames over
+        (12, 2, 9120, 2),   # the video runs out first; the audio of segments 3 and 4 is dropped too
+    ])
+    def test_reports_dropped_tails(self, workdir, tmp_path, capsys, n_frames, segments,
+                                   audio_left, video_left):
+        rng = np.random.default_rng(1)
+        save_wav(str(tmp_path / "in.wav"), rng.uniform(-0.5, 0.5, 16000))
+        save_video_frames(str(tmp_path / "frames"),
+                          rng.integers(0, 255, (n_frames, 80, 80), dtype=np.uint8))
+        rc = main(["enhance", str(tmp_path / "in.wav"), str(tmp_path / "frames"),
+                   "--checkpoint", str(workdir / "ck" / "checkpoint.mffc"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert (f"enhanced {segments} segments; dropped {audio_left} trailing audio samples "
+                f"({audio_left / 16000:.3f} s) and {video_left} trailing video frames") in out
+        written = sorted(f for f in os.listdir(tmp_path / "o") if f.endswith(".mten"))
+        assert written == [f"enhanced_{k:03d}.mten" for k in range(segments)]
+
     def test_missing_wav_is_input_error(self, workdir):
         rc = main(["enhance", "no-such.wav", str(workdir / "frames"),
                    "--checkpoint", str(workdir / "ck" / "checkpoint.mffc")])

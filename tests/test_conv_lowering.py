@@ -6,12 +6,14 @@ Forward values and all three gradients must agree to 1e-10.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mffcn.ops import ConvSpec, _col2im, _im2col, conv2d, conv_transpose2d, maxpool2d
-from mffcn.tensor import Tape, Tensor
+from mffcn import ops
+from mffcn.ops import ConvSpec, _col2im, _col_blocks, _im2col, conv2d, conv_transpose2d, maxpool2d
+from mffcn.tensor import Tape, Tensor, no_grad
 
 KERNELS = [(1, 1), (3, 2), (5, 5)]
 STRIDES = [(1, 1), (2, 1), (2, 2)]
@@ -232,3 +234,118 @@ def test_maxpool2d_matches_loop_reference(window, batch):
         want_y, want_gx = want_y[0], want_gx[0]
     assert y.data.tobytes() == want_y.tobytes()  # bitwise: the first of tied zeros wins
     np.testing.assert_array_equal(xt.grad, want_gx)
+
+
+# Column blocks of the conv2d forward. The grid's 8x7 extents make ragged
+# blocks: for C_IN = 3, one output row of one sample has C_IN*kh*kw * Wo columns.
+def _row_bytes(kernel, stride, dtype):
+    return C_IN * kernel[0] * kernel[1] * ConvSpec(1, kernel, stride).out_extents(*HW)[1] * np.dtype(dtype).itemsize
+
+
+BLOCKINGS = {
+    "samples": lambda ho, row: 2 * ho * row,   # two whole samples per block: batch 3 is 2 + 1
+    "rows": lambda ho, row: 3 * row,           # bands of 3 rows: Ho = 8 or 4 leaves a ragged band
+    "one row": lambda ho, row: 1,              # less than a row: one row per block
+}
+
+
+def _forward_at_budget(monkeypatch, budget, *args):
+    monkeypatch.setattr(ops, "COL_BLOCK_BYTES", budget)
+    with no_grad():
+        return conv2d(*args).data
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("blocking", sorted(BLOCKINGS))
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("stride", STRIDES)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_blocked_conv2d_forward_matches_single_block(kernel, stride, batch, blocking, dtype, monkeypatch):
+    """Every sample/row block lands in its place; only GEMM rounding may differ.
+
+    A block is a narrower GEMM, and OpenBLAS rounds the columns of a GEMM
+    whose width is not a multiple of its 8/16-column tile with other edge
+    kernels, so on these ragged widths the two results agree to the
+    rounding bound of a length-K dot product, not bit for bit. The model's
+    own geometry is bitwise (test_blocked_model_forward_is_bitwise below).
+    """
+    rng = np.random.default_rng([*kernel, *stride, batch or 0, 4])
+    spec = ConvSpec(out_channels=C_OUT, kernel=kernel, stride=stride)
+    x = rng.normal(size=_lead(batch) + (C_IN,) + HW).astype(dtype)
+    w = rng.normal(size=(C_OUT, C_IN) + kernel).astype(dtype)
+    b = rng.normal(size=C_OUT).astype(dtype)
+    ho = spec.out_extents(*HW)[0]
+    row = _row_bytes(kernel, stride, dtype)
+    budget = BLOCKINGS[blocking](ho, row)
+    monkeypatch.setattr(ops, "COL_BLOCK_BYTES", budget)
+    blocks = _col_blocks(batch or 1, ho, row)
+    assert len(blocks) > 1 or (blocking == "samples" and batch != 3)
+
+    whole = _forward_at_budget(monkeypatch, 1 << 40, Tensor(x), Tensor(w), Tensor(b), spec)
+    blocked = _forward_at_budget(monkeypatch, budget, Tensor(x), Tensor(w), Tensor(b), spec)
+    magnitude = _forward_at_budget(monkeypatch, 1 << 40, Tensor(np.abs(x)), Tensor(np.abs(w)),
+                                   Tensor(np.abs(b)), spec)
+    assert blocked.dtype == whole.dtype == dtype
+    assert blocked.shape == whole.shape
+    k = C_IN * kernel[0] * kernel[1]
+    bound = 2 * (k + 1) * np.finfo(dtype).eps * magnitude
+    assert (np.abs(blocked - whole) <= bound).all()
+
+
+@pytest.mark.parametrize("dtype, width_divisor, batch", [
+    (np.float32, 8, 4), (np.float32, 8, 1), (np.float64, 16, 3), (np.float64, 16, None)])
+def test_blocked_model_forward_is_bitwise(dtype, width_divisor, batch, monkeypatch):
+    """At the default budget the first video conv (5x5 over 5x80x80, 3.2 MB of
+    float32 columns per sample) runs in bands of 80-wide output rows; the
+    eval-mode forward is bit-identical to one block per conv."""
+    from mffcn.model import FusionStrategy, init_params, mffcn_forward
+
+    params = init_params(0, FusionStrategy.MULTILAYER, width_divisor, dtype=dtype)
+    rng = np.random.default_rng(6)
+    lead = _lead(batch)
+    y = Tensor(rng.normal(size=lead + (1, 80, 20)).astype(dtype))
+    v = Tensor(rng.uniform(size=lead + (5, 80, 80)).astype(dtype))
+    assert 5 * 5 * 5 * 80 * 80 * np.dtype(dtype).itemsize > ops.COL_BLOCK_BYTES
+    outs = []
+    for budget in (ops.COL_BLOCK_BYTES, 1 << 40):
+        monkeypatch.setattr(ops, "COL_BLOCK_BYTES", budget)
+        with no_grad():
+            outs.append(mffcn_forward(y, v, params, mode="eval").data)
+    assert outs[0].tobytes() == outs[1].tobytes()
+
+
+@pytest.mark.parametrize("budget, want", [
+    (1000, [(slice(0, 5), slice(None))]),                                   # the whole batch fits
+    (40, [(slice(0, 2), slice(None)), (slice(2, 4), slice(None)), (slice(4, 5), slice(None))]),
+    (15, [(slice(s, s + 1), rows) for s in range(5) for rows in (slice(0, 3), slice(3, 4))]),
+    (3, [(slice(s, s + 1), slice(r, r + 1)) for s in range(5) for r in range(4)]),
+])
+def test_col_blocks_cover_every_sample_row_once(budget, want, monkeypatch):
+    """Batch 5, 4 output rows of 5 bytes: samples first, then row bands, a ragged last block."""
+    monkeypatch.setattr(ops, "COL_BLOCK_BYTES", budget)
+    blocks = _col_blocks(5, 4, 5)
+    assert blocks == want
+    seen = np.zeros((5, 4), dtype=int)
+    for samples, rows in blocks:
+        seen[samples, rows] += 1
+        assert seen[samples, rows].size * 5 <= max(budget, 5)
+    assert (seen == 1).all()
+
+
+def test_blocked_columns_bound_peak_memory():
+    """A batch-4 5x5 conv over (5, 80, 80) would build 12.8 MB of columns unblocked."""
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.uniform(size=(4, 5, 80, 80)).astype(np.float32))
+    w = Tensor(rng.normal(size=(8, 5, 5, 5)).astype(np.float32))
+    b = Tensor(np.zeros(8, dtype=np.float32))
+    spec = ConvSpec(out_channels=8, kernel=(5, 5))
+    unblocked = 5 * 5 * 5 * 4 * 80 * 80 * 4
+    assert unblocked == 12_800_000
+    with no_grad():
+        tracemalloc.start()
+        try:
+            conv2d(x, w, b, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < unblocked / 2

@@ -25,7 +25,9 @@ from mffcn.model import (
     MffcnParams,
     align_to_audio,
     bottleneck,
+    INFER_CHUNK,
     enhance_segment,
+    enhance_segments,
     encoder_layer_audio,
     encoder_layer_video,
     init_params,
@@ -495,3 +497,59 @@ class TestEnhanceSegment:
         assert out.values.shape == (80, 20)
         assert out.values.dtype == np.float32
         assert out.origin == "enhanced(clip7:frames[0,20))"
+
+
+def _segments(n, seed=0):
+    rng = np.random.default_rng(seed)
+    noisy = [MelSegment(rng.normal(size=(80, 20)).astype(np.float32), origin=f"clip{seed}:frames[{20 * k},{20 * k + 20})")
+             for k in range(n)]
+    videos = [VideoSegment(rng.uniform(size=(5, 80, 80)).astype(np.float32)) for _ in range(n)]
+    return noisy, videos
+
+
+class TestEnhanceSegments:
+    @pytest.fixture(scope="class")
+    def params(self):
+        return init_params(0, FusionStrategy.MULTILAYER, 16)
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 9])
+    def test_matches_per_segment(self, params, n, monkeypatch):
+        """Rows of a chunked batch agree with one-segment calls to float32 rounding."""
+        noisy, videos = _segments(n, seed=n)
+        batches = []
+        forward = mffcn_forward
+
+        def counting_forward(y, v, p, mode="train", strategy=None):
+            batches.append(y.dims[0])
+            return forward(y, v, p, mode=mode, strategy=strategy)
+
+        monkeypatch.setattr("mffcn.model.mffcn_forward", counting_forward)
+        batched = enhance_segments(noisy, videos, params)
+        assert batches == [min(INFER_CHUNK, n - lo) for lo in range(0, n, INFER_CHUNK)]
+        single = [enhance_segment(s, v, params) for s, v in zip(noisy, videos)]
+        assert len(batched) == n
+        for got, want in zip(batched, single):
+            assert got.values.dtype == np.float32
+            scale = np.abs(want.values).max()
+            np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-5 * scale)
+
+    def test_one_segment_matches_unbatched_forward(self, params):
+        (seg,), (vid,) = _segments(1)
+        with no_grad():
+            want = mffcn_forward(Tensor(seg.values[None]), Tensor(vid.frames), params, mode="eval").data[0]
+        got = enhance_segment(seg, vid, params).values
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
+
+    def test_origins_kept_in_order(self, params):
+        noisy, videos = _segments(9)
+        out = enhance_segments(noisy, videos, params)
+        assert [o.origin for o in out] == [f"enhanced({s.origin})" for s in noisy]
+
+    def test_mismatched_lengths_rejected(self, params):
+        noisy, videos = _segments(3)
+        with pytest.raises(ModelError, match="3 audio segments but 2 video"):
+            enhance_segments(noisy, videos[:2], params)
+
+    def test_empty_input_rejected(self, params):
+        with pytest.raises(ModelError, match="no segments"):
+            enhance_segments([], [], params)
