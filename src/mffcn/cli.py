@@ -5,6 +5,7 @@ unusable files, 3 a computation produced non-finite numbers.
 """
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -74,6 +75,14 @@ def _add_common(sub, *flags):
     if "out" in flags:
         sub.add_argument("--out", default=".", metavar="DIR",
                          help="output directory (default .)")
+
+
+def _require_finite(args, *names: str) -> None:
+    """Reject NaN or infinite values of the named float flags, naming the flag."""
+    for name in names:
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,7 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------------
 
 def cmd_gradcheck(args) -> int:
+    _require_finite(args, "tolerance")
     tol = args.tolerance
+    if tol <= 0:
+        raise ValueError(f"--tolerance must be positive, got {tol:g}")
     seeds = tuple(s + args.seed for s in DEFAULT_SEEDS)
     results = list(run_op_suite(seeds=seeds, tol=tol))
     results.append(run_model_check(seed=args.seed, width_divisor=args.width_divisor,
@@ -159,9 +171,9 @@ def cmd_gradcheck(args) -> int:
     print(f"{'op'.ljust(width)}{'max rel-err':>12}   result")
     failed = []
     for r in results:
-        ok = r.ok and r.worst_err <= tol and tol > 0
+        ok = r.ok and r.worst_err <= tol
         print(f"{r.name.ljust(width)}{r.worst_err:>12.3e}   {'pass' if ok else 'FAIL'}")
-        if r.detail and not ok:
+        if r.detail:
             print(f"{''.ljust(width)}{r.detail}")
         if not ok:
             failed.append(r)
@@ -212,6 +224,7 @@ def cmd_trace_shapes(args) -> int:
 # ----------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
+    _require_finite(args, "lr", "snr_low", "snr_high")
     config = TrainConfig(steps=args.steps, seed=args.seed, learning_rate=args.lr,
                          batch_size=args.batch,
                          snr_range_db=(args.snr_low, args.snr_high),
@@ -303,6 +316,7 @@ def _write_reports(reports, args, csv_name: str) -> int:
 
 
 def cmd_eval(args) -> int:
+    _require_finite(args, "snr_low", "snr_high")
     params = load_model(args.checkpoint)
     snrs = sorted({args.snr_low, args.snr_high}, reverse=True)
     reports = [evaluate_params(params, snr_db=s, seed=args.seed) for s in snrs]
@@ -310,6 +324,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    _require_finite(args, "lr", "snr_low", "snr_high")
     reports = run_ablation(seed=args.seed, width_divisor=args.width_divisor,
                            train_steps=args.steps, train_items=2 * args.batch,
                            batch_size=args.batch, learning_rate=args.lr,

@@ -288,6 +288,8 @@ def evaluate_params(params: MffcnParams, snr_db: float, seed: int,
     """Score a model on freshly synthesized mixtures at one fixed SNR."""
     from .train import _clean_voice, _interference, _mouth_video
 
+    if not math.isfinite(snr_db):
+        raise MetricError(f"evaluation SNR must be finite, got {snr_db} dB")
     children = np.random.SeedSequence([seed, int(round(snr_db * 10)) & 0xFFFF]).spawn(n_clips)
     scores = []
     for k in range(n_clips):

@@ -29,8 +29,19 @@ that routes the gradient is found in backward only, by a scan of the taps
 in reading order for the first one equal to the window's maximum, so
 inference never pays for it.
 
+lstm_forward runs a whole recurrent layer as one taped op rather than 22
+taped primitives per time step. Each gate's input projection is one GEMM
+over every step before the time loop, which then adds one ``wh @ h`` per
+gate and step; the backward pass is backpropagation through time written
+out by hand. The four gates keep their own [H, F] / [H, H] weight tensors
+(names, shapes and checkpoints unchanged) instead of being stacked into one
+[4H, F] matrix: stacking would copy every gate weight on every call, and at
+full width that copy costs more than the per-gate matmuls it would merge.
+
 Finiteness needs no per-op scan: the Tensor constructor rejects NaN/Inf in
-every op output, including outputs computed from corrupted operands.
+every op output, including outputs computed from corrupted operands. The
+one exception is lstm_forward, whose gate pre-activations never become
+Tensors; it scans its pre-activation buffer once.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import ShapeError, Tensor, _accumulate, record, stack
+from .tensor import NonFiniteError, ShapeError, Tensor, _accumulate, _sigmoid, record
 
 LEAKY_SLOPE = 0.2
 BN_EPS = 1e-5
@@ -58,14 +69,13 @@ COL_BLOCK_BYTES = 2 << 20
 class ConvSpec:
     """Geometry of one convolution layer.
 
-    padding_mode is fixed: every layer in this kit pads "same-ceil", so the
-    field exists only to make the convention explicit in traces and errors.
+    Every layer pads "same-ceil" (see the module docstring): each output
+    extent is ceil(input / stride).
     """
 
     out_channels: int
     kernel: Tuple[int, int]
     stride: Tuple[int, int] = (1, 1)
-    padding_mode: str = "same-ceil"
 
     def __post_init__(self):
         if self.out_channels < 1:
@@ -74,8 +84,6 @@ class ConvSpec:
             raise ShapeError(f"kernel extents must be positive pairs, got {self.kernel}")
         if any(s < 1 for s in self.stride) or len(self.stride) != 2:
             raise ShapeError(f"stride extents must be positive pairs, got {self.stride}")
-        if self.padding_mode != "same-ceil":
-            raise ShapeError(f"unsupported padding mode {self.padding_mode!r}")
 
     def out_extents(self, in_h: int, in_w: int) -> Tuple[int, int]:
         return (math.ceil(in_h / self.stride[0]), math.ceil(in_w / self.stride[1]))
@@ -576,13 +584,24 @@ class LstmLayerParams:
         return self.input_gate.wx.dims[1]
 
 
-def lstm_forward(seq: Tensor, params: LstmLayerParams,
-                 h0: Optional[Tensor] = None, c0: Optional[Tensor] = None) -> Tensor:
-    """Run one LSTM layer over a [T, F] or [B, T, F] sequence.
+def lstm_forward(seq: Tensor, params: LstmLayerParams) -> Tensor:
+    """Run one LSTM layer over a [T, F] or [B, T, F] sequence as one taped op.
 
-    Composed entirely of taped primitives, so differentiation through time
-    falls out of the ordinary tape replay. Returns the hidden states for
-    every step, [T, H] or [B, T, H].
+    Returns the hidden states for every step, [T, H] or [B, T, H], from
+    zero initial hidden and cell states. Each gate's input projection plus
+    bias is one GEMM over all B*T rows before the time loop; each step then
+    adds one ``wh @ h`` per gate. The backward pass is backpropagation
+    through time written out by hand: its only per-step matmuls are the four
+    ``dz @ wh``, and the weight, bias and input gradients are each one GEMM
+    or sum over all steps.
+
+    The four gates keep their own weight tensors, so parameter names,
+    shapes and checkpoints are those of the per-gate layout. They are not
+    stacked into one [4H, F] / [4H, H] matrix per call: at full width
+    (H = F = 1024, float32, 2-core OpenBLAS box) copying the four 4 MB gate
+    matrices into one takes about 2 ms, while one gate's [1024, 1024] gemv
+    takes 0.07-0.14 ms. A non-finite gate pre-activation raises
+    NonFiniteError.
     """
     if seq.ndim not in (2, 3):
         raise ShapeError(f"lstm_forward: sequence must be [T,F] or [B,T,F], got {seq.dims}")
@@ -594,25 +613,83 @@ def lstm_forward(seq: Tensor, params: LstmLayerParams,
         if gate.wx.dims != (hidden, feat) or gate.wh.dims != (hidden, hidden) or gate.bias.dims != (hidden,):
             raise ShapeError(f"lstm_forward: {name} gate shapes are inconsistent")
 
-    steps = seq.dims[-2]
-    state_shape = (hidden,) if seq.ndim == 2 else (seq.dims[0], hidden)
-    dtype = seq.dtype
-    h = h0 if h0 is not None else Tensor(np.zeros(state_shape, dtype=dtype))
-    c = c0 if c0 is not None else Tensor(np.zeros(state_shape, dtype=dtype))
-    if h.dims != state_shape or c.dims != state_shape:
-        raise ShapeError(f"lstm_forward: initial state must be {state_shape}, got {h.dims} and {c.dims}")
+    # The three sigmoid gates first, so one call activates them together.
+    gates = (params.input_gate, params.forget_gate, params.output_gate, params.cell_gate)
+    tensors = tuple(t for gate in gates for t in (gate.wx, gate.wh, gate.bias))
+    batched = seq.ndim == 3
+    xd = seq.data if batched else seq.data[None]
+    b, steps, _ = xd.shape
+    xs = xd.reshape(b * steps, feat)
+    dtype = np.result_type(xd, *(t.data for t in tensors))
 
-    outputs = []
+    z = np.empty((4, b, steps, hidden), dtype=dtype)  # pre-activations, gate-major
+    for k, gate in enumerate(gates):
+        np.add((gate.wx.data @ xs.T).T.reshape(b, steps, hidden), gate.bias.data, out=z[k])
+    act = np.empty_like(z)  # i, f, o, g
+    cell = np.empty((b, steps, hidden), dtype=dtype)
+    tanh_c = np.empty_like(cell)
+    out = np.empty_like(cell)
+    c = np.zeros((b, hidden), dtype=dtype)
     for t in range(steps):
-        x_t = seq.pick(axis=-2, index=t)
-        z = {}
-        for name, gate in params.gates():
-            z[name] = fully_connected(x_t, gate.wx, gate.bias) + fully_connected(h, gate.wh)
-        i = z["input"].sigmoid()
-        f = z["forget"].sigmoid()
-        g = z["cell"].tanh()
-        o = z["output"].sigmoid()
+        zt, at = z[:, :, t], act[:, :, t]
+        if t:  # h is zero at t = 0
+            for k, gate in enumerate(gates):
+                zt[k] += (gate.wh.data @ out[:, t - 1].T).T
+        at[:3] = _sigmoid(zt[:3])
+        np.tanh(zt[3], out=at[3])
+        i, f, o, g = at
         c = f * c + i * g
-        h = o * c.tanh()
-        outputs.append(h)
-    return stack(outputs, axis=seq.ndim - 2)
+        cell[:, t] = c
+        np.tanh(c, out=tanh_c[:, t])
+        np.multiply(o, tanh_c[:, t], out=out[:, t])
+    if not np.all(np.isfinite(z)):
+        raise NonFiniteError("lstm_forward: a gate pre-activation is NaN or Inf")
+    result = Tensor(out if batched else out[0])
+
+    def backward(gout: np.ndarray) -> None:
+        gh = gout if batched else gout[None]
+        dz = np.empty_like(act)
+        for t in range(steps - 1, -1, -1):
+            i, f, o, g = act[:, :, t]
+            tc = tanh_c[:, t]
+            dzt = dz[:, :, t]
+            dh = gh[:, t] if t == steps - 1 else gh[:, t] + dh_next
+            dc = dh * o * (1.0 - tc * tc)
+            if t < steps - 1:
+                dc += dc_next
+            np.multiply(dc, g, out=dzt[0])
+            if t:
+                np.multiply(dc, cell[:, t - 1], out=dzt[1])
+            else:
+                dzt[1] = 0.0
+            np.multiply(dh, tc, out=dzt[2])
+            sig = act[:3, :, t]
+            dzt[:3] *= sig
+            dzt[:3] *= 1.0 - sig
+            np.multiply(dc * i, 1.0 - g * g, out=dzt[3])
+            dc_next = dc * f
+            if t:
+                dh_next = dzt[0] @ gates[0].wh.data
+                for k in range(1, 4):
+                    dh_next += dzt[k] @ gates[k].wh.data
+
+        dzs = dz.reshape(4, b * steps, hidden)
+        h_prev = np.zeros_like(out)
+        h_prev[:, 1:] = out[:, :-1]
+        hs = h_prev.reshape(b * steps, hidden)
+        gx = None
+        for k, gate in enumerate(gates):
+            if gate.wx.requires_grad:
+                _accumulate(gate.wx, dzs[k].T @ xs)
+            if gate.wh.requires_grad:
+                _accumulate(gate.wh, dzs[k].T @ hs)
+            if gate.bias.requires_grad:
+                _accumulate(gate.bias, dzs[k].sum(axis=0))
+            if seq.requires_grad:
+                part = dzs[k] @ gate.wx.data
+                gx = part if gx is None else np.add(gx, part, out=gx)
+        if seq.requires_grad:
+            gx = gx.reshape(b, steps, feat)
+            _accumulate(seq, gx if batched else gx[0])
+
+    return record(result, (seq,) + tensors, backward)

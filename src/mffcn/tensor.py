@@ -289,12 +289,7 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         """Numerically stable logistic, clamped to the open unit interval."""
-        x = self.data
-        e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) below
-        d = 1.0 + e
-        y = np.where(x >= 0, 1.0 / d, e / d)
-        one = x.dtype.type(1.0)
-        np.clip(y, np.finfo(x.dtype).tiny, np.nextafter(one, 0), out=y)
+        y = _sigmoid(self.data)
         result = Tensor(y)
 
         def backward(g: np.ndarray) -> None:
@@ -310,6 +305,19 @@ class Tensor:
             _accumulate(self, g * (1.0 - y * y))
 
         return record(result, (self,), backward)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic of a float array without overflow, clamped to the open unit interval.
+
+    Shared by Tensor.sigmoid and the fused LSTM so both gate the same way.
+    """
+    e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) below
+    d = 1.0 + e
+    y = np.where(x >= 0, 1.0 / d, e / d)
+    one = x.dtype.type(1.0)
+    np.clip(y, np.finfo(x.dtype).tiny, np.nextafter(one, 0), out=y)
+    return y
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -383,7 +391,10 @@ class Tape:
         """Populate gradients of every tensor the loss depends on.
 
         Records are visited exactly once, in reverse execution order;
-        contributions to tensors used multiple times add up.
+        contributions to tensors used multiple times add up. Each record is
+        dropped once replayed: recorded outputs point back at the tape, so
+        keeping the records would hold every intermediate until the cyclic
+        garbage collector runs.
         """
         if loss._tape is not self:
             raise TensorError("loss was not produced by operations recorded on this tape")
@@ -393,7 +404,9 @@ class Tape:
             raise TensorError("tape has already been replayed; build a fresh tape")
         self._replayed = True
         loss.grad = np.ones_like(loss.data)
-        for out, fn in reversed(self._records):
+        records, self._records = self._records, []
+        while records:
+            out, fn = records.pop()
             if out.grad is not None:
                 fn(out.grad)
 

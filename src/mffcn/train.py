@@ -68,13 +68,15 @@ class TrainConfig:
     width_divisor: int = 1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise TrainError(f"learning rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise TrainError(f"learning rate must be finite and positive, got {self.learning_rate}")
         if self.batch_size < 1:
             raise TrainError(f"batch size must be at least 1, got {self.batch_size}")
         if self.steps < 0:
             raise TrainError(f"step count must be non-negative, got {self.steps}")
         lo, hi = self.snr_range_db
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise TrainError(f"SNR range bounds must be finite, got [{lo}, {hi}]")
         if lo > hi:
             raise TrainError(f"SNR range must be ordered, got [{lo}, {hi}]")
         scaled_filters(self.width_divisor)  # raises on a bad divisor

@@ -71,11 +71,24 @@ class TestGradcheckCommand:
         assert out.count("pass") == 3
         assert "all 3 checks" in out
 
-    def test_zero_tolerance_fails_everything(self, fake_suites, capsys):
-        assert main(["gradcheck", "--tolerance", "0"]) == 1
+    def test_tight_tolerance_fails_everything(self, fake_suites, capsys):
+        assert main(["gradcheck", "--tolerance", "1e-12"]) == 1
         captured = capsys.readouterr()
         assert captured.out.count("FAIL") == 3
         assert "worst offender" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5"])
+    def test_unusable_tolerance_is_usage_error(self, fake_suites, capsys, value):
+        assert main(["gradcheck", "--tolerance", value]) == 2
+        assert "--tolerance" in capsys.readouterr().err
+        assert fake_suites == {}  # rejected before any suite runs
+
+    def test_passing_detail_is_printed(self, fake_suites, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_model_check",
+                            lambda seed, width_divisor, tol: CheckResult(
+                                "model[d=16]", 5e-5, True, "286 coordinates; worst x[0]"))
+        assert main(["gradcheck"]) == 0
+        assert "286 coordinates; worst x[0]" in capsys.readouterr().out
 
     def test_failure_names_worst(self, fake_suites, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_model_check",
@@ -112,6 +125,15 @@ class TestTrainCommand:
 
     def test_invalid_lr_is_usage_error(self):
         assert main(["train", "--lr", "-1", "--width-divisor", "16"]) == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--lr", "nan"), ("--snr-low", "nan"), ("--snr-high", "inf")])
+    def test_non_finite_flag_is_usage_error(self, tmp_path, capsys, flag, value):
+        rc = main(["train", flag, value, "--steps", "1", "--batch", "2",
+                   "--width-divisor", "16", "--out", str(tmp_path)])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "checkpoint.mffc").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_numeric_error(self, tmp_path):
@@ -182,6 +204,13 @@ class TestEvalCommand:
     def test_missing_checkpoint(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope.mffc")]) == 2
 
+    @pytest.mark.parametrize("flag", ["--snr-low", "--snr-high"])
+    def test_non_finite_snr_is_usage_error(self, workdir, tmp_path, capsys, flag):
+        rc = main(["eval", "--checkpoint", str(workdir / "ck" / "checkpoint.mffc"),
+                   "--out", str(tmp_path), flag, "nan"])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestAblateCommand:
     def _fake_reports(self, sdr):
@@ -207,6 +236,12 @@ class TestAblateCommand:
         text = (tmp_path / "ablation.txt").read_text()
         assert "multilayer" in text
         assert "strategy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--lr", "--snr-low", "--snr-high"])
+    def test_non_finite_flag_is_usage_error(self, monkeypatch, tmp_path, capsys, flag):
+        monkeypatch.setattr(cli, "run_ablation", lambda **kw: pytest.fail("ablation ran"))
+        assert main(["ablate", flag, "inf", "--out", str(tmp_path)]) == 2
+        assert flag in capsys.readouterr().err
 
     def test_nonfinite_report_is_numeric_error(self, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "run_ablation",

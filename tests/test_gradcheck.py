@@ -1,5 +1,7 @@
 """Finite-difference verification of every differentiable operation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,12 @@ from mffcn.gradcheck import (
     OP_CHECKS,
     REL_TOL,
     check_gradients,
+    eps_ladder,
     finite_difference_gradient,
     max_rel_error,
     run_model_check,
 )
+from mffcn.model import FusionStrategy, init_params
 from mffcn.tensor import Tensor, TensorError
 
 
@@ -68,9 +72,23 @@ def test_op_gradients(name, seed):
     assert worst < REL_TOL
 
 
+@pytest.fixture(scope="module")
+def model_check():
+    # five seeds run in the acceptance gate; one keeps this suite honest
+    return run_model_check(seed=0)
+
+
 class TestWholeModel:
-    def test_full_graph_gradients(self):
-        # five seeds run in the acceptance gate; one keeps this suite honest
-        result = run_model_check(seed=0)
-        assert result.ok, result.detail
-        assert result.worst_err < REL_TOL
+    def test_full_graph_gradients(self, model_check):
+        assert model_check.ok, model_check.detail
+        assert model_check.worst_err < REL_TOL
+
+    def test_detail_names_worst_coordinate(self, model_check):
+        names = [n for n, _ in init_params(0, FusionStrategy.MULTILAYER, 16).named]
+        match = re.fullmatch(r"(\d+) coordinates; worst ([\w.]+)\[[\d, ]*\] "
+                             r"rel (\S+) at eps (\S+)", model_check.detail)
+        assert match, model_check.detail
+        assert int(match.group(1)) == len(names)
+        assert match.group(2) in names
+        assert float(match.group(3)) == pytest.approx(model_check.worst_err, rel=1e-3)
+        assert match.group(4) in [f"{h:.3g}" for h in eps_ladder(1e-4)]

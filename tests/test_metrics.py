@@ -242,6 +242,12 @@ class TestEvaluateParams:
         assert report.strategy == "late"
         assert report.snr_db == 0.0
 
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_snr(self, snr_db):
+        params = init_params(0, FusionStrategy.LATE, 16)
+        with pytest.raises(MetricError, match="SNR must be finite"):
+            evaluate_params(params, snr_db=snr_db, seed=0, n_clips=1)
+
     def test_deterministic(self):
         params = init_params(0, FusionStrategy.LATE, 16)
         a = evaluate_params(params, snr_db=5.0, seed=2, n_clips=1)

@@ -1,5 +1,8 @@
 """Unit tests for the tensor engine and the neural-net operations."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,6 +97,28 @@ class TestTapeMechanics:
             tape.backward(loss)
             with pytest.raises(TensorError):
                 tape.backward(loss)
+
+    def test_backward_frees_intermediates_without_gc(self):
+        # Recorded outputs point back at their tape; once replayed, the tape
+        # must let go of them so reference counting alone frees a step.
+        x = _t(np.ones(1 << 20), grad=True)
+
+        def step():
+            with Tape() as tape:
+                tape.backward(((x * 2.0) * 3.0).sum())
+            assert len(tape) == 0
+
+        step()  # warm up allocations that outlive the step
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            step()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert after - before < (1 << 20)  # one float32 intermediate is 4 MiB
 
     def test_backward_requires_scalar(self):
         x = _t([1.0, 2.0], grad=True)
@@ -539,3 +564,103 @@ class TestLstm:
     def test_feature_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="feature"):
             lstm_forward(_t(np.zeros((4, 7))), _zero_lstm(3, 5))
+
+
+def _composed_lstm(seq, params):
+    """Reference LSTM layer built from taped primitives, one cell step at a time.
+
+    This is the composition lstm_forward replaced; the tape differentiates
+    it through time, so it referees the fused op's hand-written backward.
+    """
+    hidden = params.hidden_size
+    state_shape = (hidden,) if seq.ndim == 2 else (seq.dims[0], hidden)
+    h = Tensor(np.zeros(state_shape, dtype=seq.dtype))
+    c = Tensor(np.zeros(state_shape, dtype=seq.dtype))
+    outputs = []
+    for t in range(seq.dims[-2]):
+        x_t = seq.pick(axis=-2, index=t)
+        z = {name: fully_connected(x_t, gate.wx, gate.bias) + fully_connected(h, gate.wh)
+             for name, gate in params.gates()}
+        i = z["input"].sigmoid()
+        f = z["forget"].sigmoid()
+        g = z["cell"].tanh()
+        o = z["output"].sigmoid()
+        c = f * c + i * g
+        h = o * c.tanh()
+        outputs.append(h)
+    return stack(outputs, axis=seq.ndim - 2)
+
+
+def _random_lstm(rng, feat, hidden, dtype=np.float64):
+    return LstmLayerParams(*[
+        LstmGate(wx=Tensor(rng.normal(size=(hidden, feat)).astype(dtype), requires_grad=True),
+                 wh=Tensor(rng.normal(size=(hidden, hidden)).astype(dtype), requires_grad=True),
+                 bias=Tensor(rng.normal(size=hidden).astype(dtype), requires_grad=True))
+        for _ in range(4)])
+
+
+def _lstm_value_and_grads(fn, seq, params, direction):
+    """Output and the gradients of <output, direction> w.r.t. seq and every gate tensor."""
+    leaves = [seq] + [t for _, gate in params.gates() for t in (gate.wx, gate.wh, gate.bias)]
+    for t in leaves:
+        t.zero_grad()
+    with Tape() as tape:
+        out = fn(seq, params)
+        tape.backward((out * Tensor(direction)).sum())
+    return [out.data.copy()] + [t.grad.copy() for t in leaves]
+
+
+class TestFusedLstm:
+    @pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["unbatched", "b1", "b3"])
+    @pytest.mark.parametrize("steps", [1, 5])
+    @pytest.mark.parametrize("feat,hidden", [(4, 4), (3, 6), (7, 2)])
+    def test_matches_composed_reference(self, lead, steps, feat, hidden):
+        rng = np.random.default_rng(1000 * steps + 10 * feat + hidden + len(lead))
+        params = _random_lstm(rng, feat, hidden)
+        seq = Tensor(rng.normal(size=lead + (steps, feat)), requires_grad=True)
+        direction = rng.normal(size=lead + (steps, hidden))
+        fused = _lstm_value_and_grads(lstm_forward, seq, params, direction)
+        reference = _lstm_value_and_grads(_composed_lstm, seq, params, direction)
+        for a, b in zip(fused, reference):
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+    def test_one_record_per_layer(self):
+        rng = np.random.default_rng(5)
+        params = _random_lstm(rng, 3, 4)
+        with Tape() as tape:
+            lstm_forward(Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True), params)
+        assert len(tape) == 1
+
+    def test_batch_rows_match_single_rows(self):
+        rng = np.random.default_rng(7)
+        params = _random_lstm(rng, 5, 3)
+        seqs = rng.normal(size=(3, 4, 5))
+        directions = rng.normal(size=(3, 4, 3))
+        batch = _lstm_value_and_grads(lstm_forward, Tensor(seqs, requires_grad=True),
+                                      params, directions)
+        rows = [_lstm_value_and_grads(lstm_forward, Tensor(seqs[k:k + 1], requires_grad=True),
+                                      params, directions[k:k + 1]) for k in range(3)]
+        np.testing.assert_allclose(batch[0], np.concatenate([r[0] for r in rows]), rtol=1e-12)
+        np.testing.assert_allclose(batch[1], np.concatenate([r[1] for r in rows]), rtol=1e-12)
+        for pos in range(2, len(batch)):  # parameter gradients sum over the rows
+            np.testing.assert_allclose(batch[pos], sum(r[pos] for r in rows),
+                                       rtol=1e-12, atol=1e-12 * np.abs(batch[pos]).max())
+
+    def test_input_grad_only_when_tracked(self):
+        rng = np.random.default_rng(11)
+        params = _random_lstm(rng, 3, 4)
+        seq = Tensor(rng.normal(size=(5, 3)))
+        with Tape() as tape:
+            tape.backward(lstm_forward(seq, params).sum())
+        assert seq.grad is None
+        assert params.forget_gate.wh.grad.shape == (4, 4)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_pre_activation_raises(self):
+        rng = np.random.default_rng(13)
+        params = _random_lstm(rng, 3, 4, dtype=np.float32)
+        params.cell_gate.wx.data[...] = 3e38
+        seq = Tensor(np.abs(rng.normal(size=(2, 3, 3))).astype(np.float32) + 1.0)
+        with pytest.raises(NonFiniteError, match="pre-activation"):
+            lstm_forward(seq, params)

@@ -38,6 +38,22 @@ class TestTrainConfig:
         with pytest.raises(Exception):
             TrainConfig(width_divisor=7)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"snr_range_db": (float("nan"), 10.0)},
+        {"snr_range_db": (-10.0, float("inf"))},
+    ])
+    def test_rejects_non_finite_values(self, kwargs):
+        with pytest.raises(TrainError, match="finite"):
+            TrainConfig(**kwargs)
+
+    def test_from_file_rejects_non_finite_values(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("snr_low = nan\n")
+        with pytest.raises(TrainError, match="SNR"):
+            TrainConfig.from_file(str(path))
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
