@@ -40,6 +40,7 @@ from .dsp import (
     stft,
 )
 from .model import FusionStrategy, MffcnParams, enhance_segments, init_params
+from .synth import draw_clip
 
 STOI_RATE = 10000
 STOI_FRAME = 256
@@ -286,17 +287,13 @@ class EvalReport:
 def evaluate_params(params: MffcnParams, snr_db: float, seed: int,
                     n_clips: int = 2) -> EvalReport:
     """Score a model on freshly synthesized mixtures at one fixed SNR."""
-    from .train import _clean_voice, _interference, _mouth_video
-
     if not math.isfinite(snr_db):
         raise MetricError(f"evaluation SNR must be finite, got {snr_db} dB")
     children = np.random.SeedSequence([seed, int(round(snr_db * 10)) & 0xFFFF]).spawn(n_clips)
     scores = []
     for k in range(n_clips):
         rng = np.random.Generator(np.random.PCG64(children[k]))
-        clean, env = _clean_voice(rng)
-        noise = _interference(rng)
-        video = _mouth_video(rng, env)
+        clean, noise, video = draw_clip(rng)
         mix = mix_at_snr(clean, noise, snr_db)
         triples = make_segment_pairs(clean, noise, video, snr_db, clip_id=f"eval{k}")
 

@@ -20,7 +20,11 @@ the output is again an 80x20 spectrogram patch.
 Five wiring strategies cover the ablation grid: fuse once right after layer
 1, fuse once after layer 10, plain concatenation into the bottleneck, fusion
 into every decoder layer, and the full one-fusion-block-per-encoder-layer
-topology whose fused maps also serve as decoder skips.
+topology. WIRINGS is the one place a wiring is defined; the parameter builder
+and the forward both read it. Under early and late fusion the fused map
+replaces the audio stream. Under multilayer fusion the audio stream continues
+unfused while each layer's fused map feeds its decoder skip (and, at layer 10,
+the bottleneck).
 
 All channel widths (and the bottleneck LSTM width) divide by a constructor
 parameter so a width-16 clone stays small enough for finite-difference
@@ -135,6 +139,7 @@ class DecoderLayerParams:
     deconv: ConvParams
     norm: Optional[NormParams]
     skip_reduce: Optional[ConvParams] = None
+    fusion: Optional[FusionParams] = None
 
 
 @dataclass
@@ -148,7 +153,6 @@ class MffcnParams:
     bottleneck_lstm: List[LstmLayerParams]
     ib_reduce: Optional[ConvParams]
     decoder: List[DecoderLayerParams]
-    decoder_fusion: Optional[List[FusionParams]]
     named: List[Tuple[str, Tensor]] = field(default_factory=list, repr=False)
     named_states: List[Tuple[str, BatchNormState]] = field(default_factory=list, repr=False)
 
@@ -160,18 +164,34 @@ def scaled_filters(width_divisor: int) -> Tuple[int, ...]:
     return tuple(f // width_divisor for f in FILTERS)
 
 
-def _fusion_layers(strategy: FusionStrategy) -> Tuple[int, ...]:
-    return {
-        FusionStrategy.EARLY: (1,),
-        FusionStrategy.LATE: (N_LAYERS,),
-        FusionStrategy.INTERMEDIATE_BOTTLENECK: (),
-        FusionStrategy.INTERMEDIATE_DECODER: (),
-        FusionStrategy.MULTILAYER: tuple(range(1, N_LAYERS + 1)),
-    }[strategy]
+@dataclass(frozen=True)
+class Wiring:
+    """One strategy's topology as plain data.
+
+    fuse: encoder layers followed by a fusion block of the aligned video
+    feature into the audio feature. video_layers: how many video encoder
+    layers exist. skips: fused maps feed the decoder skips (layer 10's also
+    the bottleneck) while the audio stream continues unfused; otherwise a
+    fused map replaces the audio stream. ib_reduce: the bottleneck input is
+    the 1x1-reduced concatenation of both layer-10 features. decoder_fusion:
+    every decoder layer fuses the matching video feature in before its
+    deconv.
+    """
+
+    fuse: Tuple[int, ...] = ()
+    video_layers: int = N_LAYERS
+    skips: bool = False
+    ib_reduce: bool = False
+    decoder_fusion: bool = False
 
 
-def _video_layer_count(strategy: FusionStrategy) -> int:
-    return 1 if strategy is FusionStrategy.EARLY else N_LAYERS
+WIRINGS: Dict[FusionStrategy, Wiring] = {
+    FusionStrategy.EARLY: Wiring(fuse=(1,), video_layers=1),
+    FusionStrategy.LATE: Wiring(fuse=(N_LAYERS,)),
+    FusionStrategy.INTERMEDIATE_BOTTLENECK: Wiring(ib_reduce=True),
+    FusionStrategy.INTERMEDIATE_DECODER: Wiring(decoder_fusion=True),
+    FusionStrategy.MULTILAYER: Wiring(fuse=tuple(range(1, N_LAYERS + 1)), skips=True),
+}
 
 
 def _build(strategy: FusionStrategy, width_divisor: int,
@@ -186,6 +206,7 @@ def _build(strategy: FusionStrategy, width_divisor: int,
     'ones' are constant-initialized vectors.
     """
     widths = scaled_filters(width_divisor)
+    wiring = WIRINGS[strategy]
     recorded: List[Tuple[str, tuple, str]] = []
     states_recorded: List[Tuple[str, int]] = []
     named: List[Tuple[str, Tensor]] = []
@@ -248,21 +269,16 @@ def _build(strategy: FusionStrategy, width_divisor: int,
                 bias=tensor(f"{prefix}.{gate_name}.bias", (hidden,), bias_kind)))
         return LstmLayerParams(*gates)
 
-    audio_enc = []
-    for i in range(1, N_LAYERS + 1):
-        c_in = AUDIO_IN[0] if i == 1 else widths[i - 2]
-        audio_enc.append(EncoderLayerParams(
-            conv=conv_p(f"audio_enc.{i}.conv", widths[i - 1], c_in, KERNELS[i - 1]),
-            norm=norm_p(f"audio_enc.{i}.bn", widths[i - 1])))
+    def encoder_p(branch: str, c_in: int, n_layers: int) -> List[EncoderLayerParams]:
+        return [EncoderLayerParams(
+            conv=conv_p(f"{branch}.{i}.conv", widths[i - 1],
+                        c_in if i == 1 else widths[i - 2], KERNELS[i - 1]),
+            norm=norm_p(f"{branch}.{i}.bn", widths[i - 1]))
+            for i in range(1, n_layers + 1)]
 
-    video_enc = []
-    for i in range(1, _video_layer_count(strategy) + 1):
-        c_in = VIDEO_IN[0] if i == 1 else widths[i - 2]
-        video_enc.append(EncoderLayerParams(
-            conv=conv_p(f"video_enc.{i}.conv", widths[i - 1], c_in, KERNELS[i - 1]),
-            norm=norm_p(f"video_enc.{i}.bn", widths[i - 1])))
-
-    fusion = {i: fusion_p(f"fusion.{i}", widths[i - 1]) for i in _fusion_layers(strategy)}
+    audio_enc = encoder_p("audio_enc", AUDIO_IN[0], N_LAYERS)
+    video_enc = encoder_p("video_enc", VIDEO_IN[0], wiring.video_layers)
+    fusion = {i: fusion_p(f"fusion.{i}", widths[i - 1]) for i in wiring.fuse}
 
     bottleneck_c = widths[-1]
     bottleneck_attn = SpectralParams(
@@ -271,26 +287,24 @@ def _build(strategy: FusionStrategy, width_divisor: int,
     bottleneck_lstm = [lstm_p(f"bottleneck.lstm.{k}", bottleneck_c, bottleneck_c)
                        for k in (1, 2)]
 
-    ib_reduce = None
-    if strategy is FusionStrategy.INTERMEDIATE_BOTTLENECK:
-        ib_reduce = conv_p("ib_reduce", bottleneck_c, 2 * bottleneck_c, (1, 1))
+    ib_reduce = (conv_p("ib_reduce", bottleneck_c, 2 * bottleneck_c, (1, 1))
+                 if wiring.ib_reduce else None)
 
     decoder = []
-    decoder_fusion: Optional[List[FusionParams]] = (
-        [] if strategy is FusionStrategy.INTERMEDIATE_DECODER else None)
     for j in range(1, N_LAYERS + 1):
         enc_i = N_LAYERS + 1 - j
         c_here = widths[enc_i - 1]
         c_out = AUDIO_IN[0] if enc_i == 1 else widths[enc_i - 2]
-        skip_reduce = None
-        if strategy is FusionStrategy.MULTILAYER:
-            skip_reduce = conv_p(f"decoder.{j}.skip_reduce", c_here, 2 * c_here, (1, 1))
-        if decoder_fusion is not None:
-            decoder_fusion.append(fusion_p(f"decoder_fusion.{j}", c_here))
+        # creation order is parameter and checkpoint order: skip projection,
+        # fusion block, deconv, norm
+        skip_reduce = (conv_p(f"decoder.{j}.skip_reduce", c_here, 2 * c_here, (1, 1))
+                       if wiring.skips else None)
+        dec_fusion = fusion_p(f"decoder_fusion.{j}", c_here) if wiring.decoder_fusion else None
         decoder.append(DecoderLayerParams(
             deconv=deconv_p(f"decoder.{j}.deconv", c_here, c_out, KERNELS[enc_i - 1]),
             norm=None if enc_i == 1 else norm_p(f"decoder.{j}.bn", c_out),
-            skip_reduce=skip_reduce))
+            skip_reduce=skip_reduce,
+            fusion=dec_fusion))
 
     params = MffcnParams(
         strategy=strategy,
@@ -302,7 +316,6 @@ def _build(strategy: FusionStrategy, width_divisor: int,
         bottleneck_lstm=bottleneck_lstm,
         ib_reduce=ib_reduce,
         decoder=decoder,
-        decoder_fusion=decoder_fusion,
         named=named,
         named_states=named_states)
     return params, recorded, states_recorded
@@ -441,31 +454,23 @@ def bottleneck(x: Tensor, attn: SpectralParams, lstms: Sequence[LstmLayerParams]
 
 
 def run_decoder(x: Tensor, layers: Sequence[DecoderLayerParams],
-                skips: Optional[Sequence[Optional[Tensor]]] = None,
-                fusion_inputs: Optional[Sequence[Optional[Tuple[Tensor, FusionParams]]]] = None,
+                skips: Sequence[Tensor], video_feats: Sequence[Tensor],
                 mode: str = "train") -> Tensor:
     """Invert the audio trace. Layer j undoes encoder layer 11-j.
 
-    skips holds one entry per encoder layer (index i-1 for layer i) and is
-    concatenated + 1x1-reduced before the matching deconv. fusion_inputs
-    holds per-decoder-layer (video feature, block params) pairs applied to
-    the running feature before the deconv. The last layer is linear with a
-    single output channel.
+    skips and video_feats hold one entry per encoder layer (index i-1 for
+    layer i). Before its deconv, a layer built with skip_reduce concatenates
+    its skip onto the running feature and 1x1-reduces it, and a layer built
+    with a fusion block fuses its video feature in. The last layer is linear
+    with a single output channel.
     """
     for j, layer in enumerate(layers, start=1):
         enc_i = N_LAYERS + 1 - j
-        if skips is not None and skips[enc_i - 1] is not None:
-            skip = skips[enc_i - 1]
-            if skip.dims != x.dims:
-                raise ModelError(
-                    f"decoder layer {j}: skip shape {skip.dims} does not match feature {x.dims}")
-            if layer.skip_reduce is None:
-                raise ModelError(f"decoder layer {j} was built without skip parameters")
-            x = conv2d(concat_channels([x, skip]), layer.skip_reduce.weight,
+        if layer.skip_reduce is not None:
+            x = conv2d(concat_channels([x, skips[enc_i - 1]]), layer.skip_reduce.weight,
                        layer.skip_reduce.bias, layer.skip_reduce.spec())
-        if fusion_inputs is not None and fusion_inputs[j - 1] is not None:
-            v_feat, f_params = fusion_inputs[j - 1]
-            x = fusion_block(v_feat, x, f_params)
+        if layer.fusion is not None:
+            x = fusion_block(video_feats[enc_i - 1], x, layer.fusion)
         spec = ConvSpec(out_channels=layer.deconv.weight.dims[1],
                         kernel=KERNELS[enc_i - 1],
                         stride=AUDIO_STRIDES[enc_i - 1])
@@ -490,66 +495,32 @@ def _check_model_inputs(y: Tensor, v: Tensor) -> None:
 
 
 def mffcn_forward(y: Tensor, v: Tensor, params: MffcnParams,
-                  mode: str = "train",
-                  strategy: Optional[FusionStrategy] = None) -> Tensor:
-    """Run the network under its wiring strategy; output matches y's shape."""
-    if strategy is not None and strategy is not params.strategy:
-        raise ModelError(
-            f"parameters were built for {params.strategy.value}, not {strategy.value}")
-    strategy = params.strategy
+                  mode: str = "train") -> Tensor:
+    """Run the network under its strategy's wiring; output matches y's shape."""
     _check_model_inputs(y, v)
-
-    if strategy is FusionStrategy.MULTILAYER:
-        a, vv = y, v
-        fused: List[Tensor] = []
-        for i in range(1, N_LAYERS + 1):
-            a = encoder_layer_audio(a, i, params.audio_enc[i - 1], mode)
-            vv = encoder_layer_video(vv, i, params.video_enc[i - 1], mode)
-            fused.append(fusion_block(align_to_audio(vv, i), a, params.fusion[i]))
-        x = bottleneck(fused[-1], params.bottleneck_attn, params.bottleneck_lstm)
-        return run_decoder(x, params.decoder, skips=fused, mode=mode)
-
-    if strategy is FusionStrategy.EARLY:
-        a = encoder_layer_audio(y, 1, params.audio_enc[0], mode)
-        vv = encoder_layer_video(v, 1, params.video_enc[0], mode)
-        a = fusion_block(align_to_audio(vv, 1), a, params.fusion[1])
-        for i in range(2, N_LAYERS + 1):
-            a = encoder_layer_audio(a, i, params.audio_enc[i - 1], mode)
-        x = bottleneck(a, params.bottleneck_attn, params.bottleneck_lstm)
-        return run_decoder(x, params.decoder, mode=mode)
-
-    if strategy is FusionStrategy.LATE:
-        a, vv = y, v
-        for i in range(1, N_LAYERS + 1):
-            a = encoder_layer_audio(a, i, params.audio_enc[i - 1], mode)
-            vv = encoder_layer_video(vv, i, params.video_enc[i - 1], mode)
-        o = fusion_block(align_to_audio(vv, N_LAYERS), a, params.fusion[N_LAYERS])
-        x = bottleneck(o, params.bottleneck_attn, params.bottleneck_lstm)
-        return run_decoder(x, params.decoder, mode=mode)
-
-    if strategy is FusionStrategy.INTERMEDIATE_BOTTLENECK:
-        a, vv = y, v
-        for i in range(1, N_LAYERS + 1):
-            a = encoder_layer_audio(a, i, params.audio_enc[i - 1], mode)
-            vv = encoder_layer_video(vv, i, params.video_enc[i - 1], mode)
-        merged = conv2d(concat_channels([a, align_to_audio(vv, N_LAYERS)]),
-                        params.ib_reduce.weight, params.ib_reduce.bias,
-                        params.ib_reduce.spec())
-        x = bottleneck(merged, params.bottleneck_attn, params.bottleneck_lstm)
-        return run_decoder(x, params.decoder, mode=mode)
-
-    # Fusion into every decoder layer: audio encodes alone, the video trace
-    # is kept around and injected in front of each deconv.
+    wiring = WIRINGS[params.strategy]
     a, vv = y, v
+    skips: List[Tensor] = []
     video_feats: List[Tensor] = []
     for i in range(1, N_LAYERS + 1):
         a = encoder_layer_audio(a, i, params.audio_enc[i - 1], mode)
+        if i > wiring.video_layers:
+            continue
         vv = encoder_layer_video(vv, i, params.video_enc[i - 1], mode)
-        video_feats.append(align_to_audio(vv, i))
-    x = bottleneck(a, params.bottleneck_attn, params.bottleneck_lstm)
-    pairs = [(video_feats[N_LAYERS - j], params.decoder_fusion[j - 1])
-             for j in range(1, N_LAYERS + 1)]
-    return run_decoder(x, params.decoder, fusion_inputs=pairs, mode=mode)
+        if wiring.decoder_fusion:
+            video_feats.append(align_to_audio(vv, i))
+        if i in wiring.fuse:
+            fused = fusion_block(align_to_audio(vv, i), a, params.fusion[i])
+            if wiring.skips:
+                skips.append(fused)
+            else:
+                a = fused
+    x = skips[-1] if wiring.skips else a
+    if wiring.ib_reduce:
+        x = conv2d(concat_channels([x, align_to_audio(vv, N_LAYERS)]),
+                   params.ib_reduce.weight, params.ib_reduce.bias, params.ib_reduce.spec())
+    x = bottleneck(x, params.bottleneck_attn, params.bottleneck_lstm)
+    return run_decoder(x, params.decoder, skips, video_feats, mode)
 
 
 def enhance_segments(noisy: Sequence[MelSegment], videos: Sequence[VideoSegment],

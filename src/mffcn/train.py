@@ -5,13 +5,9 @@ network with train-mode batch norm, backpropagate, apply one bias-corrected
 Adam update, repeat. Everything is seeded, so a config run twice produces a
 bit-identical loss history.
 
-The synthetic generator stands in for a real corpus at desk scale. A clean
-"voice" is a handful of harmonics under slow amplitude modulation with a
-faint broadband pedestal; interference is filtered white noise or a tonal
-cluster; the video track is a moving bright ellipse whose vertical aperture
-follows the audio envelope, which gives the fusion path an actually useful
-visual cue. Clips are mixed at a uniformly drawn SNR and cut into aligned
-triples by the regular front end.
+The synthetic dataset draws its clips from synth.draw_clip, mixes each at a
+uniformly drawn SNR and cuts it into aligned triples by the regular front
+end.
 """
 
 from __future__ import annotations
@@ -30,9 +26,7 @@ from .dsp import (
     SEG_FRAMES,
     SEG_VIDEO_FRAMES,
     VIDEO_FPS,
-    VIDEO_HW,
     WIN_LEN,
-    AudioClip,
     MelSegment,
     VideoSegment,
     make_segment_pairs,
@@ -46,6 +40,7 @@ from .model import (
     save_model,
     scaled_filters,
 )
+from .synth import draw_clip
 from .tensor import NonFiniteError, Tape, Tensor
 
 ADAM_BETA1 = 0.9
@@ -80,45 +75,6 @@ class TrainConfig:
         if lo > hi:
             raise TrainError(f"SNR range must be ordered, got [{lo}, {hi}]")
         scaled_filters(self.width_divisor)  # raises on a bad divisor
-
-    @classmethod
-    def from_file(cls, path: str, **overrides) -> "TrainConfig":
-        """Flat key=value config; blank lines and #-comments skipped."""
-        items: Dict[str, str] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise TrainError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-                key, value = line.split("=", 1)
-                items[key.strip()] = value.strip()
-        kwargs: Dict[str, object] = {}
-        snr_lo, snr_hi = -10.0, 10.0
-        for key, value in items.items():
-            if key == "steps":
-                kwargs["steps"] = int(value)
-            elif key == "seed":
-                kwargs["seed"] = int(value)
-            elif key == "learning_rate":
-                kwargs["learning_rate"] = float(value)
-            elif key == "batch_size":
-                kwargs["batch_size"] = int(value)
-            elif key == "snr_low":
-                snr_lo = float(value)
-            elif key == "snr_high":
-                snr_hi = float(value)
-            elif key == "strategy":
-                kwargs["strategy"] = FusionStrategy.from_name(value)
-            elif key == "width_divisor":
-                kwargs["width_divisor"] = int(value)
-            else:
-                raise TrainError(f"{path}: unknown config key {key!r}")
-        if "snr_low" in items or "snr_high" in items:
-            kwargs["snr_range_db"] = (snr_lo, snr_hi)
-        kwargs.update(overrides)
-        return cls(**kwargs)
 
 
 @dataclass
@@ -182,71 +138,10 @@ class SynthItem:
         return iter((self.noisy, self.video, self.clean))
 
 
-def _clean_voice(rng: np.random.Generator) -> Tuple[AudioClip, np.ndarray]:
-    """Harmonic stack under slow amplitude modulation; returns clip and envelope."""
-    n = SAMPLE_RATE
-    t = np.arange(n) / SAMPLE_RATE
-    f0 = rng.uniform(90.0, 220.0)
-    x = np.zeros(n)
-    for h in range(1, int(rng.integers(2, 5)) + 1):
-        amp = rng.uniform(0.5, 1.0) / h
-        x += amp * np.sin(2.0 * np.pi * f0 * h * t + rng.uniform(0, 2 * np.pi))
-    rate = rng.uniform(2.0, 6.0)
-    depth = rng.uniform(0.3, 0.9)
-    env = 1.0 - depth * (0.5 - 0.5 * np.cos(2.0 * np.pi * rate * t + rng.uniform(0, 2 * np.pi)))
-    x *= env
-    # a -35 dB pedestal keeps the quiet Mel bands off the log floor
-    rms = np.sqrt(np.mean(x ** 2))
-    x += rng.standard_normal(n) * rms * 10.0 ** (-35.0 / 20.0)
-    x *= rng.uniform(0.5, 0.9) / np.max(np.abs(x))
-    return AudioClip(x), env
-
-
-def _interference(rng: np.random.Generator) -> AudioClip:
-    n = SAMPLE_RATE
-    if rng.uniform() < 0.5:
-        taps = int(rng.integers(3, 16))
-        x = np.convolve(rng.standard_normal(n), np.ones(taps) / taps, mode="same")
-    else:
-        t = np.arange(n) / SAMPLE_RATE
-        x = 0.05 * rng.standard_normal(n)
-        for f in rng.uniform(300.0, 3000.0, size=3):
-            x += rng.uniform(0.3, 1.0) * np.sin(2.0 * np.pi * f * t + rng.uniform(0, 2 * np.pi))
-    x *= 0.9 / np.max(np.abs(x))
-    return AudioClip(x)
-
-
-def _mouth_video(rng: np.random.Generator, env: np.ndarray) -> np.ndarray:
-    """Bright ellipse whose vertical aperture tracks the audio envelope."""
-    n_frames = VIDEO_FPS  # one second of video
-    samples_per_frame = env.size // n_frames
-    centers = np.arange(n_frames) * samples_per_frame + samples_per_frame // 2
-    env_f = env[centers]
-    spread = np.ptp(env_f)
-    aperture = 3.0 + 12.0 * (env_f - env_f.min()) / (spread if spread > 0 else 1.0)
-
-    h, w = VIDEO_HW
-    yy, xx = np.mgrid[0:h, 0:w]
-    cx = 40.0 + np.clip(np.cumsum(rng.normal(0.0, 0.6, size=n_frames)), -6.0, 6.0)
-    cy = 40.0 + np.clip(np.cumsum(rng.normal(0.0, 0.6, size=n_frames)), -6.0, 6.0)
-    half_width = rng.uniform(10.0, 15.0)
-    background = rng.uniform(0.05, 0.15)
-
-    frames = np.empty((n_frames, h, w))
-    for f in range(n_frames):
-        r = ((xx - cx[f]) / half_width) ** 2 + ((yy - cy[f]) / aperture[f]) ** 2
-        frame = np.where(r <= 1.0, 0.85, background)
-        frame = frame + rng.normal(0.0, 0.02, size=frame.shape)
-        frames[f] = np.clip(frame, 0.0, 1.0)
-    return frames
-
-
 def _synth_clip(seed_seq: np.random.SeedSequence, clip_index: int,
                 snr_range_db: Tuple[float, float]) -> List[SynthItem]:
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    clean, env = _clean_voice(rng)
-    noise = _interference(rng)
-    video = _mouth_video(rng, env)
+    clean, noise, video = draw_clip(rng)
     snr_db = float(rng.uniform(*snr_range_db))
     triples = make_segment_pairs(clean, noise, video, snr_db, clip_id=f"synth{clip_index}")
     return [SynthItem(tr.noisy, tr.video, tr.clean, snr_db, clip_index) for tr in triples]
@@ -266,7 +161,11 @@ def synth_dataset(seed: int, n_items: int,
     triples_per_clip = min(audio_frames // SEG_FRAMES, VIDEO_FPS // SEG_VIDEO_FRAMES)
     n_clips = -(-n_items // triples_per_clip)
     children = np.random.SeedSequence(seed).spawn(n_clips)
-    workers = int(os.environ.get("MFFCN_THREADS", "1"))
+    threads = os.environ.get("MFFCN_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise TrainError(f"MFFCN_THREADS must be an integer, got {threads!r}") from None
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(

@@ -16,7 +16,8 @@ from mffcn.gradcheck import DEFAULT_SEEDS, run_model_check, run_op_suite
 from mffcn.metrics import run_ablation, stoi
 from mffcn.model import AUDIO_HW_TRACE, N_LAYERS, init_params, shape_trace
 from mffcn.tensor import Tensor, no_grad
-from mffcn.train import TrainConfig, _clean_voice, synth_dataset, train
+from mffcn.synth import clean_voice
+from mffcn.train import TrainConfig, synth_dataset, train
 
 REL_TOL = 1e-4          # gradient agreement, criteria 1
 WEIGHT_TOL = 1e-6       # attention weight closure, criterion 3
@@ -151,7 +152,7 @@ def test_criterion_5_ablation_harness(capsys):
 
 def test_criterion_6_stoi_self_consistency(capsys):
     started = time.perf_counter()
-    x, _ = _clean_voice(np.random.default_rng(0))
+    x, _ = clean_voice(np.random.default_rng(0))
     self_score = stoi(x, x)
 
     base = stoi(x, AudioClip(x.samples * 0.5))
@@ -161,7 +162,7 @@ def test_criterion_6_stoi_self_consistency(capsys):
 
     monotone_seeds = 0
     for seed in range(10):
-        clean, _ = _clean_voice(np.random.default_rng(seed))
+        clean, _ = clean_voice(np.random.default_rng(seed))
         n = np.random.default_rng(500 + seed).normal(size=len(clean))
         n *= np.sqrt(np.mean(clean.samples**2) / np.mean(n**2))
         scores = []

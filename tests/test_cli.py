@@ -11,7 +11,7 @@ from mffcn.dsp import mix_at_snr
 from mffcn.formats import load_loss_csv, load_mten, save_mten, save_video_frames, save_wav
 from mffcn.gradcheck import CheckResult
 from mffcn.metrics import EvalReport, ItemScore
-from mffcn.train import _clean_voice, _interference, _mouth_video
+from mffcn.synth import draw_clip
 
 
 @pytest.fixture(scope="module")
@@ -19,11 +19,10 @@ def workdir(tmp_path_factory):
     """A noisy WAV, a clean WAV, a frame directory, and a tiny checkpoint."""
     root = tmp_path_factory.mktemp("cli")
     rng = np.random.default_rng(0)
-    clean, env = _clean_voice(rng)
-    mix = mix_at_snr(clean, _interference(rng), 0.0)
+    clean, noise, video = draw_clip(rng)
+    mix = mix_at_snr(clean, noise, 0.0)
     save_wav(str(root / "noisy.wav"), mix.clip.samples)
     save_wav(str(root / "clean.wav"), clean.samples * mix.peak_scale)
-    video = _mouth_video(rng, env)
     save_video_frames(str(root / "frames"), np.round(video * 255).astype(np.uint8))
     rc = main(["train", "--steps", "1", "--batch", "2", "--width-divisor", "16",
                "--strategy", "late", "--out", str(root / "ck")])
@@ -134,6 +133,14 @@ class TestTrainCommand:
         assert rc == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "checkpoint.mffc").exists()
+
+    def test_malformed_thread_count_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MFFCN_THREADS", "abc")
+        rc = main(["train", "--steps", "1", "--batch", "2", "--width-divisor", "16",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "MFFCN_THREADS" in err and "'abc'" in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_numeric_error(self, tmp_path):

@@ -24,11 +24,11 @@ from mffcn.metrics import (
     stoi,
 )
 from mffcn.model import FusionStrategy, init_params
-from mffcn.train import _clean_voice
+from mffcn.synth import clean_voice
 
 
 def _voice(seed) -> AudioClip:
-    clip, _ = _clean_voice(np.random.default_rng(seed))
+    clip, _ = clean_voice(np.random.default_rng(seed))
     return clip
 
 
@@ -160,7 +160,7 @@ class TestLogSpectralDistance:
 class TestMelGainProxy:
     def _case(self, seed, snr_db=5.0):
         rng = np.random.default_rng(seed)
-        clean, _ = _clean_voice(rng)
+        clean, _ = clean_voice(rng)
         n = rng.normal(size=SAMPLE_RATE)
         noise = AudioClip(0.5 * n / np.max(np.abs(n)))
         triples = make_segment_pairs(clean, noise, np.zeros((25, 80, 80)),

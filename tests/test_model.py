@@ -1,5 +1,7 @@
 """Network graph tests: traces, wirings, attention math, checkpoints."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -189,12 +191,6 @@ class TestForward:
         missing = [n for n, t in params.named if t.grad is None]
         assert missing == []
 
-    def test_strategy_argument_must_agree(self):
-        params = init_params(0, FusionStrategy.LATE, 16)
-        y, v = _small_inputs()
-        with pytest.raises(ModelError):
-            mffcn_forward(y, v, params, strategy=FusionStrategy.EARLY)
-
     def test_input_validation(self):
         params = init_params(0, FusionStrategy.LATE, 16)
         y, v = _small_inputs()
@@ -257,6 +253,41 @@ class TestForward:
         before = params.audio_enc[0].norm.state.mean.copy()
         mffcn_forward(y, v, params, mode="train")
         assert not np.array_equal(params.audio_enc[0].norm.state.mean, before)
+
+
+def _wiring_fingerprint(strategy):
+    """(eval-output norm, eval output projected on a seeded vector, train-mode
+    loss-gradient norm) of a float64 d=16 model: numbers a mis-wired forward
+    cannot reproduce."""
+    params = init_params(0, strategy, 16, dtype=np.float64)
+    rng = np.random.default_rng(2024)
+    y = rng.normal(scale=0.5, size=(2, 1, 80, 20))
+    v = rng.uniform(size=(2, 5, 80, 80))
+    target = rng.normal(scale=0.5, size=(2, 1, 80, 20))
+    probe = rng.standard_normal((2, 1, 80, 20))
+    with no_grad():
+        out = mffcn_forward(Tensor(y), Tensor(v), params, mode="eval").data
+    with Tape() as tape:
+        diff = mffcn_forward(Tensor(y), Tensor(v), params, mode="train") - Tensor(target)
+        tape.backward((diff * diff).mean())
+    grad_norm = math.sqrt(sum(float(np.sum(t.grad ** 2)) for _, t in params.named))
+    return float(np.linalg.norm(out)), float(np.sum(out * probe)), grad_norm
+
+
+# Recorded from an independently written forward with one branch per wiring.
+WIRING_FINGERPRINTS = {
+    FusionStrategy.EARLY: (0.049280043686284566, 0.03030233392910839, 3.177986571268938),
+    FusionStrategy.LATE: (0.11070134567030127, 0.02398916998761053, 4.302749396603561),
+    FusionStrategy.INTERMEDIATE_BOTTLENECK: (0.09707799456077164, 0.03215941526450011, 4.167171968361466),
+    FusionStrategy.INTERMEDIATE_DECODER: (11.566316573109342, 2.9887727852846697, 0.3725238965556403),
+    FusionStrategy.MULTILAYER: (23.98783105347659, -22.61900189377343, 1.910403963697328),
+}
+
+
+@pytest.mark.parametrize("strategy", list(FusionStrategy))
+def test_wiring_fingerprint_pinned(strategy):
+    np.testing.assert_allclose(_wiring_fingerprint(strategy),
+                               WIRING_FINGERPRINTS[strategy], rtol=1e-9, atol=0)
 
 
 def _rand_fusion_params(rng, c, equal_heads=False):
@@ -403,8 +434,7 @@ class TestDegenerateIsomorphism:
         for strategy in (FusionStrategy.MULTILAYER, FusionStrategy.INTERMEDIATE_DECODER):
             params = init_params(9, strategy, 16)
             blocks = list(params.fusion.values())
-            if params.decoder_fusion is not None:
-                blocks += list(params.decoder_fusion)
+            blocks += [layer.fusion for layer in params.decoder if layer.fusion is not None]
             for blk in blocks:
                 c = blk.concat_reduce.weight.dims[0]
                 avg = np.zeros((c, 2 * c, 1, 1), dtype=np.float32)
@@ -519,9 +549,9 @@ class TestEnhanceSegments:
         batches = []
         forward = mffcn_forward
 
-        def counting_forward(y, v, p, mode="train", strategy=None):
+        def counting_forward(y, v, p, mode="train"):
             batches.append(y.dims[0])
-            return forward(y, v, p, mode=mode, strategy=strategy)
+            return forward(y, v, p, mode=mode)
 
         monkeypatch.setattr("mffcn.model.mffcn_forward", counting_forward)
         batched = enhance_segments(noisy, videos, params)

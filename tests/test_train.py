@@ -48,45 +48,6 @@ class TestTrainConfig:
         with pytest.raises(TrainError, match="finite"):
             TrainConfig(**kwargs)
 
-    def test_from_file_rejects_non_finite_values(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("snr_low = nan\n")
-        with pytest.raises(TrainError, match="SNR"):
-            TrainConfig.from_file(str(path))
-
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text(
-            "# comment line\n"
-            "steps = 12\n"
-            "learning_rate=0.001\n"
-            "strategy = early\n"
-            "snr_low = -3\n"
-            "snr_high = 3  # inline comment\n"
-            "width_divisor=16\n")
-        cfg = TrainConfig.from_file(str(path))
-        assert cfg.steps == 12
-        assert cfg.learning_rate == 0.001
-        assert cfg.strategy is FusionStrategy.EARLY
-        assert cfg.snr_range_db == (-3.0, 3.0)
-        assert cfg.width_divisor == 16
-
-    def test_from_file_overrides(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("steps=5\nseed=3\n")
-        cfg = TrainConfig.from_file(str(path), steps=9)
-        assert cfg.steps == 9
-        assert cfg.seed == 3
-
-    def test_from_file_rejects_garbage(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("such config\n")
-        with pytest.raises(TrainError, match="key=value"):
-            TrainConfig.from_file(str(path))
-        path.write_text("volume=11\n")
-        with pytest.raises(TrainError, match="unknown config key"):
-            TrainConfig.from_file(str(path))
-
 
 class TestMseLoss:
     def test_identical_is_zero(self):
