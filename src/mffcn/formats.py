@@ -92,7 +92,10 @@ def save_mten(path: str, array: np.ndarray) -> None:
 def load_mten(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         buf = fh.read()
-    arr, end = decode_mten(buf)
+    try:
+        arr, end = decode_mten(buf)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     if end != len(buf):
         raise FormatError(f"{path}: {len(buf) - end} trailing bytes after tensor payload")
     return arr
@@ -126,14 +129,21 @@ def load_checkpoint(path: str) -> Dict[str, np.ndarray]:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     pos = 9
     entries: Dict[str, np.ndarray] = {}
-    for _ in range(count):
+    for k in range(count):
         if len(buf) - pos < 2:
             raise FormatError(f"{path}: truncated record header")
         (nlen,) = struct.unpack_from("<H", buf, pos)
         pos += 2
-        name = buf[pos:pos + nlen].decode("utf-8")
+        try:
+            name = buf[pos:pos + nlen].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: record {k} name is not valid UTF-8 "
+                              f"(byte {exc.start}: {exc.reason})") from None
         pos += nlen
-        arr, pos = decode_mten(buf, pos)
+        try:
+            arr, pos = decode_mten(buf, pos)
+        except FormatError as exc:
+            raise FormatError(f"{path}: record {k} ({name!r}): {exc}") from None
         if name in entries:
             raise FormatError(f"{path}: duplicate parameter name {name!r}")
         entries[name] = arr
@@ -235,6 +245,7 @@ def load_pgm(path: str) -> np.ndarray:
     # Header tokens may be separated by any whitespace and '#' comments.
     pos = 2
     tokens: List[int] = []
+    fields = ("width", "height", "maxval")
     while len(tokens) < 3:
         while pos < len(buf) and buf[pos:pos + 1].isspace():
             pos += 1
@@ -247,7 +258,11 @@ def load_pgm(path: str) -> np.ndarray:
             pos += 1
         if start == pos:
             raise FormatError(f"{path}: truncated PGM header")
-        tokens.append(int(buf[start:pos]))
+        token = buf[start:pos]
+        if not token.isdigit():
+            raise FormatError(f"{path}: PGM {fields[len(tokens)]} is not a decimal number: "
+                              f"{token[:20]!r}")
+        tokens.append(int(token))
     pos += 1  # single whitespace byte after maxval
     w, h, maxval = tokens
     if maxval != 255:

@@ -67,6 +67,7 @@ from .ops import (
 from .tensor import Tensor, no_grad
 
 FILTERS = (64, 64, 128, 128, 256, 256, 512, 512, 1024, 1024)
+WIDTH_DIVISORS = tuple(d for d in range(1, FILTERS[0] + 1) if FILTERS[0] % d == 0)
 KERNELS = ((5, 5), (4, 4), (4, 4), (4, 4),
            (2, 2), (2, 2), (2, 2), (2, 2), (2, 2), (2, 2))
 AUDIO_STRIDES = ((2, 2), (1, 1), (2, 2), (1, 1), (2, 1),
@@ -158,7 +159,7 @@ class MffcnParams:
 
 
 def scaled_filters(width_divisor: int) -> Tuple[int, ...]:
-    if width_divisor < 1 or FILTERS[0] % width_divisor != 0:
+    if width_divisor not in WIDTH_DIVISORS:
         raise ModelError(
             f"width divisor must divide {FILTERS[0]}, got {width_divisor}")
     return tuple(f // width_divisor for f in FILTERS)
@@ -602,17 +603,22 @@ def save_model(path: str, params: MffcnParams) -> None:
     save_checkpoint(path, entries)
 
 
+def _meta_int(path: str, entries: Dict[str, np.ndarray], key: str,
+              allowed: Sequence[int]) -> int:
+    """Pop a one-element metadata entry that must hold one of the allowed integers."""
+    if key not in entries:
+        raise FormatError(f"{path}: checkpoint lacks the {key!r} metadata entry")
+    values = entries.pop(key).reshape(-1).tolist()
+    if len(values) != 1 or values[0] not in allowed:
+        raise FormatError(f"{path}: {key} must be one of {list(allowed)}, got {values}")
+    return int(values[0])
+
+
 def load_model(path: str) -> MffcnParams:
     """Rebuild a model from a checkpoint, validating the full name set."""
     entries = load_checkpoint(path)
-    try:
-        width_divisor = int(entries.pop("meta.width_divisor")[0])
-        code = int(entries.pop("meta.strategy")[0])
-    except KeyError as missing:
-        raise FormatError(f"{path}: checkpoint lacks the {missing} metadata entry")
-    if code not in CODE_STRATEGIES:
-        raise FormatError(f"{path}: unknown strategy code {code}")
-    strategy = CODE_STRATEGIES[code]
+    width_divisor = _meta_int(path, entries, "meta.width_divisor", WIDTH_DIVISORS)
+    strategy = CODE_STRATEGIES[_meta_int(path, entries, "meta.strategy", sorted(CODE_STRATEGIES))]
 
     def tensor_factory(name: str, shape: tuple, kind: str) -> Tensor:
         if name not in entries:

@@ -349,6 +349,25 @@ class BatchNormState:
         return BatchNormState(self.mean.copy(), self.var.copy())
 
 
+def _batch_stats(xd: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-channel float64 mean and biased variance of a [B, C, H, W] array.
+
+    numpy's mean and var steps with the mean taken once: one float64 sum
+    with kept dims over batch and space, divided by the count, then the
+    squared deviations summed and divided. Bit-identical to
+    ``xd.mean(axis=(0, 2, 3), dtype=np.float64)`` and ``xd.var(...)``.
+    """
+    axes = (0, 2, 3)
+    n = xd.shape[0] * xd.shape[2] * xd.shape[3]
+    mean = np.add.reduce(xd, axis=axes, dtype=np.float64, keepdims=True)
+    np.true_divide(mean, n, out=mean)
+    dev = xd - mean
+    np.square(dev, out=dev)
+    var = np.add.reduce(dev, axis=axes, dtype=np.float64)
+    np.true_divide(var, n, out=var)
+    return mean.reshape(-1), var
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                mode: str = "train") -> Tensor:
     """Per-channel batch normalization over the batch and spatial axes.
@@ -370,8 +389,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         raise ShapeError("batch_norm: zero elements per channel")
 
     if mode == "train":
-        mu = xd.mean(axis=(0, 2, 3), dtype=np.float64)
-        var = xd.var(axis=(0, 2, 3), dtype=np.float64)  # biased, matches the running update
+        mu, var = _batch_stats(xd)
         mu = mu.astype(xd.dtype)
         var = var.astype(xd.dtype)
         state.mean[...] = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
@@ -405,7 +423,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
-    """Pointwise nonlinearity: leaky_relu (slope 0.2), relu, sigmoid, linear."""
+    """Pointwise nonlinearity: leaky_relu (slope 0.2), relu, sigmoid, linear.
+
+    The rectifiers build no boolean mask. leaky_relu is max(x, 0.2 x), relu
+    is max(x, 0), and the backward multiplies g by max(sign(x), slope): 1
+    where x > 0, the slope elsewhere. These are bit-identical to the select
+    forms where(x > 0, x, slope x) and where(x > 0, g, slope g), signed
+    zeros and denormals included.
+    """
     if kind not in ACTIVATION_KINDS:
         raise ShapeError(f"activation: unknown kind {kind!r}, expected one of {ACTIVATION_KINDS}")
     if kind == "sigmoid":
@@ -414,15 +439,15 @@ def activation(x: Tensor, kind: str) -> Tensor:
         return x
     xd = x.data
     if kind == "relu":
-        out = np.where(xd > 0, xd, xd.dtype.type(0))
+        out = np.maximum(xd, 0)
         slope = 0.0
     else:
-        out = np.where(xd > 0, xd, xd * xd.dtype.type(LEAKY_SLOPE))
+        out = np.maximum(xd, xd * xd.dtype.type(LEAKY_SLOPE))
         slope = LEAKY_SLOPE
     result = Tensor(out)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, np.where(xd > 0, g, g * slope))
+        _accumulate(x, g * np.maximum(np.sign(xd), slope))
 
     return record(result, (x,), backward)
 

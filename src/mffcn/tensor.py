@@ -9,12 +9,18 @@ explicit BatchNorm running state, which lives outside tensors) mutates.
 Storage is float32 by default. float64 tensors are supported end to end and
 are what the gradient-check suites use; full reductions (sum, mean) always
 accumulate in 64-bit regardless of storage dtype.
+
+Trained parameters are views of one flat buffer (FlatParams, laid out when
+training starts), which Adam updates in place with whole-vector operations.
+Each such tensor's first gradient contribution of a backward pass is copied
+into its view of a matching flat gradient buffer, so ``grad`` stays None
+until touched and the optimizer reads all gradients as one vector.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,10 +81,11 @@ class Tensor:
     All extents are positive and all elements finite; both are enforced at
     construction, so every public operation hands back a validated value.
     ``grad`` is a same-shape numpy buffer, allocated on first accumulation
-    and only ever populated for tensors with ``requires_grad``.
+    (or, for a tensor laid out by FlatParams, its view of the flat gradient
+    buffer) and only ever populated for tensors with ``requires_grad``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "_flat", "_grad_slot")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if dtype is not None:
@@ -97,6 +104,8 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._tape: Optional[Tape] = None
+        self._flat: Optional[FlatParams] = None
+        self._grad_slot: Optional[np.ndarray] = None
 
     # -- inspection ---------------------------------------------------------
 
@@ -314,7 +323,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     """
     e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) below
     d = 1.0 + e
-    y = np.where(x >= 0, 1.0 / d, e / d)
+    # numerator 1 where x >= 0, else e (<= 1): the branch select without a mask copy
+    y = np.maximum(e, x >= 0) / d
     one = x.dtype.type(1.0)
     np.clip(y, np.finfo(x.dtype).tiny, np.nextafter(one, 0), out=y)
     return y
@@ -340,16 +350,67 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add a gradient contribution to a tensor, allocating its buffer lazily."""
+    """Add a gradient contribution to a tensor.
+
+    The first contribution is copied into the tensor's flat gradient slot
+    when it has one (see FlatParams), else into a fresh buffer.
+    """
     if not t.requires_grad:
         return
     g = np.asarray(g, dtype=t.data.dtype)
     if g.shape != t.data.shape:
         raise ShapeError(f"gradient shape {g.shape} does not match tensor {t.dims}")
-    if t.grad is None:
-        t.grad = g.copy()
-    else:
+    if t.grad is not None:
         t.grad += g
+    elif t._grad_slot is not None:
+        np.copyto(t._grad_slot, g)
+        t.grad = t._grad_slot
+    else:
+        t.grad = g.copy()
+
+
+class FlatParams:
+    """Tensors re-seated as consecutive views of one flat data buffer.
+
+    Each tensor's ``data`` is copied into its view of ``data`` and rebound to
+    it; its gradient slot is the same span of ``grad``. ``views`` and
+    ``slots`` keep those spans in layout order. Build one with ``flatten``,
+    which re-uses an existing layout for the same tensors.
+    """
+
+    def __init__(self, tensors: Sequence[Tensor]):
+        dtypes = {t.data.dtype for t in tensors}
+        if len(dtypes) != 1:
+            raise TensorError(f"flat parameters need tensors of one dtype, got "
+                              f"{sorted(map(str, dtypes))}")
+        self.data = np.empty(sum(t.data.size for t in tensors), dtype=dtypes.pop())
+        self.grad = np.zeros_like(self.data)
+        self.views: List[np.ndarray] = []
+        self.slots: List[np.ndarray] = []
+        start = 0
+        for t in tensors:
+            stop = start + t.data.size
+            view = self.data[start:stop].reshape(t.data.shape)
+            slot = self.grad[start:stop].reshape(t.data.shape)
+            np.copyto(view, t.data)
+            t.data, t._flat, t._grad_slot = view, self, slot
+            self.views.append(view)
+            self.slots.append(slot)
+            start = stop
+
+    def holds(self, tensors: Sequence[Tensor]) -> bool:
+        """Whether exactly these tensors, in this order, still sit in this layout."""
+        return len(tensors) == len(self.views) and all(
+            t.data is view and t._grad_slot is slot
+            for t, view, slot in zip(tensors, self.views, self.slots))
+
+
+def flatten(tensors: Sequence[Tensor]) -> FlatParams:
+    """The flat layout of these tensors: their current one if it still holds, else a new one."""
+    layout = tensors[0]._flat if tensors else None
+    if layout is not None and layout.holds(tensors):
+        return layout
+    return FlatParams(tensors)
 
 
 def record(out: Tensor, inputs: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:

@@ -5,6 +5,12 @@ network with train-mode batch norm, backpropagate, apply one bias-corrected
 Adam update, repeat. Everything is seeded, so a config run twice produces a
 bit-identical loss history.
 
+Training first lays the parameters out as views of one flat buffer
+(tensor.FlatParams; a later call on the same tensors re-uses the layout).
+Gradients land in one matching flat buffer and the Adam moments are flat
+too, so each update is a few whole-vector ufuncs per block of ADAM_BLOCK
+elements, and the post-step finite check is one scan of the buffer.
+
 The synthetic dataset draws its clips from synth.draw_clip, mixes each at a
 uniformly drawn SNR and cuts it into aligned triples by the regular front
 end.
@@ -16,7 +22,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,11 +47,12 @@ from .model import (
     scaled_filters,
 )
 from .synth import draw_clip
-from .tensor import NonFiniteError, Tape, Tensor
+from .tensor import FlatParams, NonFiniteError, Tape, Tensor, flatten
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 1 << 16  # elements per block of the flat Adam update
 
 
 class TrainError(RuntimeError):
@@ -79,10 +86,11 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment buffers and the shared step counter."""
+    """Flat first/second moment buffers over one parameter layout, and the step counter."""
 
-    m: Dict[str, np.ndarray]
-    v: Dict[str, np.ndarray]
+    flat: FlatParams
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = ADAM_BETA1
     beta2: float = ADAM_BETA2
@@ -90,9 +98,9 @@ class AdamState:
 
     @classmethod
     def initial(cls, named: Sequence[Tuple[str, Tensor]]) -> "AdamState":
-        m = {name: np.zeros_like(t.data) for name, t in named}
-        v = {name: np.zeros_like(t.data) for name, t in named}
-        return cls(m=m, v=v)
+        """Zero moments over the parameters, laid out as views of one flat buffer."""
+        flat = flatten([t for _, t in named])
+        return cls(flat=flat, m=np.zeros_like(flat.data), v=np.zeros_like(flat.data))
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -103,23 +111,55 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 
 
 def adam_step(named: Sequence[Tuple[str, Tensor]], state: AdamState, lr: float) -> None:
-    """One in-place bias-corrected update; gradients must all be present."""
+    """One in-place bias-corrected update; gradients must all be present.
+
+    A parameter whose ``data`` was rebound since the layout was made is
+    copied back into its view, and a gradient assigned from outside the tape
+    is copied into its slot. The update then runs over the flat buffers in
+    blocks of ADAM_BLOCK elements, through two block-sized work vectors,
+    with the same operations, order and Python-float constants as the
+    per-tensor formula m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    p -= lr * (m/c1) / (sqrt(v/c2) + eps).
+    """
+    flat = state.flat
+    if len(named) != len(flat.views):
+        raise TrainError(f"Adam state holds {len(flat.views)} parameters, got {len(named)}")
+    for (name, p), view, slot in zip(named, flat.views, flat.slots):
+        if p.grad is None:
+            raise TrainError(f"parameter {name!r} has no gradient")
+        if p.data is not view:
+            if p.data.shape != view.shape:
+                raise TrainError(f"parameter {name!r} has shape {p.data.shape}, "
+                                 f"the Adam state expects {view.shape}")
+            np.copyto(view, p.data)
+            p.data = view
+        if p.grad is not slot:
+            np.copyto(slot, p.grad)
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    for name, p in named:
-        if p.grad is None:
-            raise TrainError(f"parameter {name!r} has no gradient")
-        g = np.asarray(p.grad, dtype=p.data.dtype)
-        m = state.m[name]
-        v = state.v[name]
+    n = flat.data.size
+    work_a = np.empty(min(n, ADAM_BLOCK), dtype=flat.data.dtype)
+    work_b = np.empty_like(work_a)
+    for lo in range(0, n, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, n)
+        g, m, v = flat.grad[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        a, b = work_a[:hi - lo], work_b[:hi - lo]
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        np.multiply(1.0 - state.beta1, g, out=a)
+        m += a
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = (m / c1) / (np.sqrt(v / c2) + state.eps)
-        p.data -= (lr * update).astype(p.data.dtype)
+        np.multiply(1.0 - state.beta2, g, out=a)
+        a *= g
+        v += a
+        np.divide(m, c1, out=a)
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps
+        a /= b
+        a *= lr
+        flat.data[lo:hi] -= a
 
 
 # ----------------------------------------------------------------------------
@@ -218,7 +258,10 @@ class TrainResult:
     adam: AdamState
 
 
-def _first_nonfinite(named: Sequence[Tuple[str, Tensor]]) -> Optional[str]:
+def _first_nonfinite(named: Sequence[Tuple[str, Tensor]], flat: FlatParams) -> Optional[str]:
+    """Name of the first non-finite parameter; one scan of the flat buffer when all are finite."""
+    if np.isfinite(flat.data).all():
+        return None
     for name, t in named:
         if not np.all(np.isfinite(t.data)):
             return name
@@ -268,16 +311,16 @@ def train(config: TrainConfig, data: Sequence[SynthItem],
                 loss = mse_loss(pred, tgt)
                 tape.backward(loss)
         except NonFiniteError as exc:
-            culprit = _first_nonfinite(params.named)
+            culprit = _first_nonfinite(params.named, adam.flat)
             where = f"parameter {culprit!r}" if culprit else "an intermediate value"
             raise TrainError(f"step {step}: forward/backward hit non-finite values "
                              f"in {where}: {exc}") from exc
         loss_value = loss.item()
         if not math.isfinite(loss_value):
-            culprit = _first_nonfinite(params.named) or "loss"
+            culprit = _first_nonfinite(params.named, adam.flat) or "loss"
             raise TrainError(f"step {step}: loss is non-finite (culprit: {culprit})")
         adam_step(params.named, adam, config.learning_rate)
-        culprit = _first_nonfinite(params.named)
+        culprit = _first_nonfinite(params.named, adam.flat)
         if culprit is not None:
             raise TrainError(f"step {step}: parameter {culprit!r} became non-finite")
         for _, p in params.named:

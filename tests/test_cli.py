@@ -219,6 +219,43 @@ class TestEvalCommand:
         assert flag in capsys.readouterr().err
 
 
+class TestMalformedFilesNameTheDefect:
+    def _checkpoint_entries(self, workdir):
+        from mffcn.formats import load_checkpoint
+        return load_checkpoint(str(workdir / "ck" / "checkpoint.mffc"))
+
+    def test_bad_width_divisor_entry(self, workdir, tmp_path, capsys):
+        from mffcn.formats import save_checkpoint
+        entries = self._checkpoint_entries(workdir)
+        entries["meta.width_divisor"] = np.array([16.7], dtype=np.float32)
+        save_checkpoint(str(tmp_path / "meta.mffc"), entries)
+        assert main(["eval", "--checkpoint", str(tmp_path / "meta.mffc")]) == 2
+        err = capsys.readouterr().err
+        assert "meta.mffc" in err and "meta.width_divisor" in err
+
+    def test_undecodable_record_name(self, workdir, tmp_path, capsys):
+        raw = bytearray((workdir / "ck" / "checkpoint.mffc").read_bytes())
+        raw[11] = 0x85  # first byte of the first record's name
+        (tmp_path / "name.mffc").write_bytes(bytes(raw))
+        assert main(["eval", "--checkpoint", str(tmp_path / "name.mffc")]) == 2
+        err = capsys.readouterr().err
+        assert "name.mffc" in err and "record 0 name" in err
+
+    def test_truncated_mten(self, tmp_path, capsys):
+        save_mten(str(tmp_path / "s.mten"), np.ones((80, 20), dtype=np.float32))
+        raw = (tmp_path / "s.mten").read_bytes()
+        (tmp_path / "s.mten").write_bytes(raw[:100])
+        assert main(["export-spec", str(tmp_path / "s.mten"), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "s.mten" in err and "truncated tensor payload" in err
+
+    def test_corrupted_pgm_maxval(self, tmp_path, capsys):
+        (tmp_path / "s.pgm").write_bytes(b"P5\n2 2\n255\xe0\n\x01\x02\x03\x04")
+        assert main(["export-spec", str(tmp_path / "s.pgm"), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "s.pgm" in err and "maxval" in err
+
+
 class TestAblateCommand:
     def _fake_reports(self, sdr):
         return [EvalReport(s, 0.0, 0, [ItemScore(50.0, sdr, 1.0)])

@@ -58,6 +58,13 @@ class TestMten:
         with pytest.raises(FormatError, match="truncated"):
             load_mten(str(p))
 
+    @pytest.mark.parametrize("cut", [3, 9, 20])
+    def test_truncated_file_error_names_the_path(self, tmp_path, cut):
+        p = tmp_path / "cut.mten"
+        p.write_bytes(encode_mten(np.ones((3, 4)))[:cut])
+        with pytest.raises(FormatError, match=r"cut\.mten: truncated tensor"):
+            load_mten(str(p))
+
     def test_rejects_trailing_garbage(self, tmp_path):
         p = tmp_path / "extra.mten"
         p.write_bytes(encode_mten(np.ones(2, dtype=np.float32)) + b"xx")
@@ -106,6 +113,22 @@ class TestCheckpoint:
         p = tmp_path / "dup.mffc"
         p.write_bytes(b"MFFC" + struct.pack("<BI", 1, 2) + rec + rec)
         with pytest.raises(FormatError, match="duplicate"):
+            load_checkpoint(str(p))
+
+    def test_rejects_undecodable_name_naming_the_record(self, tmp_path):
+        blob = encode_mten(np.ones(1, dtype=np.float32))
+        good = struct.pack("<H", 4) + b"name" + blob
+        bad = struct.pack("<H", 4) + b"na\x85e" + blob
+        p = tmp_path / "utf.mffc"
+        p.write_bytes(b"MFFC" + struct.pack("<BI", 1, 2) + good + bad)
+        with pytest.raises(FormatError, match=r"utf\.mffc: record 1 name is not valid UTF-8"):
+            load_checkpoint(str(p))
+
+    def test_rejects_bad_payload_naming_the_record(self, tmp_path):
+        rec = struct.pack("<H", 4) + b"name" + b"XTEN" + encode_mten(np.ones(1))[4:]
+        p = tmp_path / "payload.mffc"
+        p.write_bytes(b"MFFC" + struct.pack("<BI", 1, 1) + rec)
+        with pytest.raises(FormatError, match=r"payload\.mffc: record 0 \('name'\): bad tensor magic"):
             load_checkpoint(str(p))
 
 
@@ -177,6 +200,18 @@ class TestPgmAndVideo:
         p = tmp_path / "a.pgm"
         p.write_bytes(b"P2\n2 2\n255\n1 2 3 4\n")
         with pytest.raises(FormatError, match="P5"):
+            load_pgm(str(p))
+
+    @pytest.mark.parametrize("header, field", [
+        (b"P5\n2x 2\n255\n", "width"),
+        (b"P5\n2 +2\n255\n", "height"),
+        (b"P5\n2 2\n255\xe0\n", "maxval"),
+        (b"P5\n2 2\n-255\n", "maxval"),
+    ])
+    def test_pgm_rejects_non_decimal_field_by_name(self, tmp_path, header, field):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(header + b"\x01\x02\x03\x04")
+        with pytest.raises(FormatError, match=rf"bad\.pgm: PGM {field} is not a decimal number"):
             load_pgm(str(p))
 
     def test_video_directory_round_trip(self, tmp_path):

@@ -516,6 +516,52 @@ class TestCheckpointRoundTrip:
             load_model(path)
 
 
+class TestCheckpointMetadata:
+    """Metadata entries of a saved d=16 checkpoint, rewritten with save_checkpoint."""
+
+    @pytest.fixture(scope="class")
+    def entries(self, tmp_path_factory):
+        from mffcn.formats import load_checkpoint
+        path = str(tmp_path_factory.mktemp("meta") / "model.mffc")
+        save_model(path, init_params(0, FusionStrategy.LATE, 16))
+        return load_checkpoint(path)
+
+    def _rewrite(self, tmp_path, entries, key, value):
+        from mffcn.formats import save_checkpoint
+        changed = dict(entries)
+        if value is None:
+            del changed[key]
+        else:
+            changed[key] = np.array(value, dtype=np.float32)
+        path = str(tmp_path / "meta.mffc")
+        save_checkpoint(path, changed)
+        return path
+
+    @pytest.mark.parametrize("key, value", [
+        ("meta.width_divisor", [16.7]),
+        ("meta.width_divisor", [38.0]),
+        ("meta.width_divisor", [0.0]),
+        ("meta.width_divisor", [16.0, 16.0]),
+        ("meta.strategy", [1.9]),
+        ("meta.strategy", [-1.0]),
+        ("meta.strategy", [5.0]),
+    ])
+    def test_bad_value_rejected_naming_path_and_entry(self, tmp_path, entries, key, value):
+        path = self._rewrite(tmp_path, entries, key, value)
+        with pytest.raises(FormatError, match=rf"meta\.mffc: {key} must be one of"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["meta.width_divisor", "meta.strategy"])
+    def test_missing_entry_rejected(self, tmp_path, entries, key):
+        with pytest.raises(FormatError, match=rf"meta\.mffc: checkpoint lacks the '{key}'"):
+            load_model(self._rewrite(tmp_path, entries, key, None))
+
+    def test_whole_values_load(self, tmp_path, entries):
+        path = self._rewrite(tmp_path, entries, "meta.strategy", [1.0])
+        loaded = load_model(path)
+        assert loaded.strategy is FusionStrategy.LATE and loaded.width_divisor == 16
+
+
 class TestEnhanceSegment:
     def test_types_and_origin(self):
         params = init_params(0, FusionStrategy.EARLY, 16)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mffcn import ops
 from mffcn.ops import (
     BatchNormState,
     ConvSpec,
@@ -351,6 +352,33 @@ class TestBatchNorm:
         assert np.allclose(state.mean, 0.1 * mu, atol=1e-5)
         assert np.allclose(state.var, 0.9 + 0.1 * var, atol=1e-5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 8, 40, 10), (4, 64, 5, 1), (1, 16, 80, 20), (2, 3, 7, 5)])
+    def test_batch_stats_match_numpy_bitwise(self, dtype, shape):
+        rng = np.random.default_rng(29)
+        xd = rng.normal(loc=2.5, scale=3.0, size=shape).astype(dtype)
+        mean, var = ops._batch_stats(xd)
+        assert mean.tobytes() == np.mean(xd, axis=(0, 2, 3), dtype=np.float64).tobytes()
+        assert var.tobytes() == np.var(xd, axis=(0, 2, 3), dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(6, 9, 4), (3, 6, 9, 4)])
+    def test_running_update_matches_numpy_stats_bitwise(self, dtype, shape):
+        rng = np.random.default_rng(37)
+        xd = rng.normal(loc=-1.5, scale=0.7, size=shape).astype(dtype)
+        c = shape[-3]
+        state = BatchNormState.initial(c, dtype)
+        batch_norm(_t(xd, dtype=dtype), _t(np.ones(c), dtype=dtype),
+                   _t(np.zeros(c), dtype=dtype), state, mode="train")
+        xb = xd if xd.ndim == 4 else xd[None]
+        mu = np.mean(xb, axis=(0, 2, 3), dtype=np.float64).astype(dtype)
+        var = np.var(xb, axis=(0, 2, 3), dtype=np.float64).astype(dtype)
+        fresh = BatchNormState.initial(c, dtype)
+        want_mean = (1.0 - ops.BN_MOMENTUM) * fresh.mean + ops.BN_MOMENTUM * mu
+        want_var = (1.0 - ops.BN_MOMENTUM) * fresh.var + ops.BN_MOMENTUM * var
+        assert state.mean.tobytes() == want_mean.tobytes()
+        assert state.var.tobytes() == want_var.tobytes()
+
     def test_eval_mode_uses_running_stats(self):
         x = _t(np.full((1, 2, 2), 3.0))
         state = BatchNormState(mean=np.array([3.0], dtype=np.float32),
@@ -388,6 +416,41 @@ class TestActivationsAndGating:
         got = _t(x, dtype=dtype).sigmoid().data
         assert got.dtype == dtype
         assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _edge_values(dtype):
+        """+-0, denormals, the smallest normals and +-3e38, repeated past numpy's vector width."""
+        sub = np.finfo(dtype).smallest_subnormal
+        normal = np.finfo(dtype).tiny
+        edge = [0.0, -0.0, sub, -sub, 3 * sub, -3 * sub, normal, -normal,
+                3e38, -3e38, 1.0, -1.0, 0.7, -2.5]
+        return np.array(edge * 37, dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind, slope", [("leaky_relu", 0.2), ("relu", 0.0)])
+    def test_rectifiers_match_masked_formula_bitwise(self, dtype, kind, slope):
+        x = self._edge_values(dtype)
+        g = np.roll(x, 3)  # upstream gradients carry the same edge values
+        want = np.where(x > 0, x, x * dtype(slope) if slope else dtype(0))
+        want_grad = np.where(x > 0, g, g * slope)
+        xt = _t(x, grad=True, dtype=dtype)
+        with Tape() as tape:
+            y = activation(xt, kind)
+        (_, backward_fn), = tape._records  # fed g directly: a summed loss would overflow
+        backward_fn(g)
+        assert y.data.dtype == dtype and xt.grad.dtype == dtype
+        assert y.data.tobytes() == want.tobytes()
+        assert xt.grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_select_form_bitwise_on_long_input(self, dtype):
+        x = np.concatenate([self._edge_values(dtype)[:-14],
+                            np.linspace(-40.0, 40.0, 301, dtype=dtype)])
+        e = np.exp(-np.abs(x))
+        d = 1.0 + e
+        want = np.where(x >= 0, 1.0 / d, e / d)
+        np.clip(want, np.finfo(dtype).tiny, np.nextafter(dtype(1.0), dtype(0.0)), out=want)
+        assert _t(x, dtype=dtype).sigmoid().data.tobytes() == want.tobytes()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ShapeError, match="kind"):

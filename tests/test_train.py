@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from mffcn import train as train_module
 from mffcn.formats import load_checkpoint
 from mffcn.gradcheck import check_gradients
 from mffcn.model import FusionStrategy, init_params, mffcn_forward, save_model
-from mffcn.tensor import Tape, Tensor
+from mffcn.tensor import Tape, Tensor, TensorError
 from mffcn.train import (
     AdamState,
     SynthItem,
@@ -135,6 +136,140 @@ class TestAdam:
             runs.append([p.data.copy() for _, p in named])
         for a, b in zip(*runs):
             assert np.array_equal(a, b)
+
+
+def _reference_adam_step(named, moments, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-tensor Adam loop that the flat, blocked adam_step replaced."""
+    c1 = 1.0 - beta1 ** step
+    c2 = 1.0 - beta2 ** step
+    for name, (data, grad) in named.items():
+        g = np.asarray(grad, dtype=data.dtype)
+        m, v = moments[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        update = (m / c1) / (np.sqrt(v / c2) + eps)
+        data -= (lr * update).astype(data.dtype)
+
+
+def _edge_gradient(rng, shape, dtype):
+    """Normal draws with zeros, signed zeros, denormals and +-1e30 spread through."""
+    g = rng.normal(size=shape).astype(dtype)
+    flat = g.reshape(-1)
+    tiny = np.finfo(dtype).smallest_subnormal
+    for k, value in enumerate((0.0, -0.0, tiny, -tiny, 1e30, -1e30)):
+        flat[k::7] = value
+    return g
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_bitwise_equal_to_per_tensor_loop(self, monkeypatch, dtype, block):
+        if block is not None:  # blocks that straddle tensors and end part-full
+            monkeypatch.setattr(train_module, "ADAM_BLOCK", block)
+        rng = np.random.default_rng(41)
+        shapes = [(3, 2), (4,), (5, 7, 3), (300, 250)]  # 75,000 elements: two default blocks
+        named = [(f"p{k}", Tensor(rng.normal(size=s).astype(dtype), requires_grad=True))
+                 for k, s in enumerate(shapes)]
+        ref = {name: [p.data.copy(), None] for name, p in named}
+        moments = {name: (np.zeros_like(p.data), np.zeros_like(p.data)) for name, p in named}
+        state = AdamState.initial(named)
+        with np.errstate(over="ignore"):  # float32 (1e30)^2 overflows v to inf on both paths
+            for step in range(1, 6):
+                for name, p in named:
+                    p.grad = _edge_gradient(rng, p.dims, dtype)
+                    ref[name][1] = p.grad.copy()
+                adam_step(named, state, lr=0.003)
+                _reference_adam_step(ref, moments, step, lr=0.003)
+                for name, p in named:
+                    assert p.data.tobytes() == ref[name][0].tobytes(), (step, name)
+        assert state.step == 5
+        m_ref = np.concatenate([moments[name][0].reshape(-1) for name, _ in named])
+        v_ref = np.concatenate([moments[name][1].reshape(-1) for name, _ in named])
+        assert state.m.tobytes() == m_ref.tobytes()
+        assert state.v.tobytes() == v_ref.tobytes()
+
+    def test_parameters_become_views_of_one_buffer(self):
+        named = _toy_params()
+        before = [p.data.copy() for _, p in named]
+        state = AdamState.initial(named)
+        flat = state.flat
+        start = 0
+        for (_, p), b in zip(named, before):
+            assert p.data.base is flat.data
+            assert np.array_equal(p.data, b)
+            p.data[...] += 1.0  # writes land in the flat buffer at this tensor's span
+            assert np.array_equal(flat.data[start:start + p.size], b.reshape(-1) + 1.0)
+            start += p.size
+        assert start == flat.data.size
+        assert state.m.shape == state.v.shape == flat.data.shape
+
+    def test_layout_is_reused_for_the_same_tensors(self):
+        named = _toy_params()
+        first = AdamState.initial(named).flat
+        assert AdamState.initial(named).flat is first
+        assert AdamState.initial(named[::-1]).flat is not first
+
+    def test_rebound_data_is_copied_into_the_layout(self):
+        named = _toy_params(5)
+        state = AdamState.initial(named)
+        a = named[0][1]
+        a.data = np.full_like(a.data, 2.0)
+        ref = {name: [p.data.copy(), np.ones_like(p.data)] for name, p in named}
+        moments = {name: (np.zeros_like(p.data), np.zeros_like(p.data)) for name, p in named}
+        for _, p in named:
+            p.grad = np.ones_like(p.data)
+        adam_step(named, state, lr=0.1)
+        _reference_adam_step(ref, moments, 1, lr=0.1)
+        assert a.data.base is state.flat.data
+        for name, p in named:
+            assert np.array_equal(p.data, ref[name][0])
+        # a fresh layout starts from the rebound values too
+        b = named[1][1]
+        b.data = np.full_like(b.data, -3.0)
+        again = AdamState.initial(named)
+        assert again.flat is not state.flat
+        assert np.array_equal(b.data, np.full(b.dims, -3.0, dtype=np.float32))
+        assert b.data.base is again.flat.data
+
+    def test_rebound_data_of_another_shape_rejected(self):
+        named = _toy_params()
+        state = AdamState.initial(named)
+        named[1][1].data = np.zeros(5, dtype=np.float32)
+        for _, p in named:
+            p.grad = np.zeros_like(p.data)
+        with pytest.raises(TrainError, match="shape"):
+            adam_step(named, state, lr=0.1)
+
+    def test_mixed_dtypes_rejected(self):
+        named = [("a", Tensor(np.ones(2, dtype=np.float32), requires_grad=True)),
+                 ("b", Tensor(np.ones(2, dtype=np.float64), requires_grad=True))]
+        with pytest.raises(TensorError, match="one dtype"):
+            AdamState.initial(named)
+
+    def test_tape_gradients_land_in_the_flat_buffer(self):
+        named = _toy_params()
+        state = AdamState.initial(named)
+        a, b = named[0][1], named[1][1]
+        with Tape() as tape:
+            tape.backward((a * a).sum() + b.sum() + b.sum())
+        assert a.grad is state.flat.slots[0] and b.grad is state.flat.slots[1]
+        assert np.array_equal(a.grad, 2.0 * a.data)
+        assert np.array_equal(b.grad, np.full(b.dims, 2.0, dtype=np.float32))
+        a.zero_grad()
+        assert a.grad is None  # no gradient until the next backward touches it
+
+    def test_train_reuses_the_layout_across_calls(self):
+        cfg = TrainConfig(steps=1, seed=0, width_divisor=16, batch_size=1,
+                          strategy=FusionStrategy.LATE)
+        data = synth_dataset(0, 1)
+        params = init_params(0, FusionStrategy.LATE, 16)
+        first = train(cfg, data, params=params).adam.flat
+        assert train(cfg, data, params=params).adam.flat is first
+        for (_, p), view in zip(params.named, first.views):
+            assert p.data is view and p.grad is None
 
 
 class TestSynthDataset:
