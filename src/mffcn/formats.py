@@ -10,20 +10,27 @@ dims, then row-major float32 payload.
 Checkpoint ("MFFC"): magic `MFFC`, u8 version=1, u32 record count, then per
 record a u16 name length, the UTF-8 name, and an embedded MTEN blob.
 
-WAV: RIFF/WAVE, PCM format 1, mono, 16-bit signed samples at 16000 Hz.
-Anything else is rejected with a descriptive error rather than resampled.
+WAV: RIFF/WAVE, PCM format 1, mono, 16-bit signed samples at 16000 Hz, with
+the RIFF size, byte rate and block align that agree with that, and chunks
+that tile the file. Anything else is rejected with a descriptive error
+rather than resampled.
 
-PGM: binary P5 with maxval 255. Video directories hold frames named
-frame_000000.pgm onward, contiguously.
+PGM: binary P5 with maxval 255 and nothing after the pixels. Video
+directories hold frames named frame_000000.pgm onward, contiguously.
+
+Every reader names the file in its errors, and a checkpoint reader the
+record too.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import math
 import os
 import re
 import struct
-from typing import Dict, List, Sequence, Tuple
+from typing import BinaryIO, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -55,33 +62,48 @@ def encode_mten(array: np.ndarray) -> bytes:
     return head + dims + arr.tobytes(order="C")
 
 
-def decode_mten(buf: bytes, offset: int = 0) -> Tuple[np.ndarray, int]:
-    """Decode one MTEN blob starting at offset; returns (array, next offset)."""
-    if len(buf) - offset < 6:
+def _read_mten(fh: BinaryIO, end: int) -> np.ndarray:
+    """Read one MTEN blob at the stream's position; end is the stream's length.
+
+    The payload is read straight into a fresh float32 array, so a file is
+    never held twice in memory.
+    """
+    head = fh.read(6)
+    if len(head) < 6:
         raise FormatError("truncated tensor header")
-    if buf[offset:offset + 4] != MTEN_MAGIC:
-        raise FormatError(f"bad tensor magic {buf[offset:offset + 4]!r}")
-    version, rank = struct.unpack_from("<BB", buf, offset + 4)
+    if head[:4] != MTEN_MAGIC:
+        raise FormatError(f"bad tensor magic {head[:4]!r}")
+    version, rank = head[4], head[5]
     if version != 1:
         raise FormatError(f"unsupported tensor container version {version}")
     if rank < 1:
         raise FormatError("tensor rank must be at least 1")
-    pos = offset + 6
-    if len(buf) - pos < 4 * rank:
+    raw = fh.read(4 * rank)
+    if len(raw) < 4 * rank:
         raise FormatError("truncated tensor dims")
-    dims = struct.unpack_from(f"<{rank}I", buf, pos)
-    pos += 4 * rank
-    if any(d == 0 for d in dims):
+    dims = struct.unpack(f"<{rank}I", raw)
+    if 0 in dims:
         raise FormatError(f"tensor dims must be positive, got {dims}")
-    count = int(np.prod(dims, dtype=np.int64))
-    nbytes = 4 * count
-    if len(buf) - pos < nbytes:
-        raise FormatError(f"truncated tensor payload: want {nbytes} bytes, have {len(buf) - pos}")
-    flat = np.frombuffer(buf, dtype="<f4", count=count, offset=pos)
-    arr = flat.reshape(dims).astype(np.float32)
-    if not np.all(np.isfinite(arr)):
+    nbytes = 4 * math.prod(dims)
+    have = end - fh.tell()
+    if have < nbytes:
+        raise FormatError(f"truncated tensor payload: want {nbytes} bytes, have {have}")
+    try:
+        arr = np.empty(dims, dtype="<f4")
+    except ValueError as exc:  # more dims than numpy supports
+        raise FormatError(f"tensor rank {rank} is not supported: {exc}") from None
+    fh.readinto(arr)
+    if not np.isfinite(arr).all():
         raise FormatError("tensor payload holds NaN or Inf values")
-    return arr, pos + nbytes
+    return arr
+
+
+def decode_mten(buf: bytes, offset: int = 0) -> Tuple[np.ndarray, int]:
+    """Decode one MTEN blob starting at offset; returns (array, next offset)."""
+    fh = io.BytesIO(buf)
+    fh.seek(offset)
+    arr = _read_mten(fh, len(buf))
+    return arr, fh.tell()
 
 
 def save_mten(path: str, array: np.ndarray) -> None:
@@ -91,13 +113,14 @@ def save_mten(path: str, array: np.ndarray) -> None:
 
 def load_mten(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    try:
-        arr, end = decode_mten(buf)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-    if end != len(buf):
-        raise FormatError(f"{path}: {len(buf) - end} trailing bytes after tensor payload")
+        end = os.fstat(fh.fileno()).st_size
+        try:
+            arr = _read_mten(fh, end)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+        pos = fh.tell()
+    if pos != end:
+        raise FormatError(f"{path}: {end - pos} trailing bytes after tensor payload")
     return arr
 
 
@@ -120,35 +143,41 @@ def save_checkpoint(path: str, entries: Dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path: str) -> Dict[str, np.ndarray]:
+    """Read named tensors record by record, each straight into its own array."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 9 or buf[:4] != MFFC_MAGIC:
-        raise FormatError(f"{path}: not a checkpoint file")
-    version, count = struct.unpack_from("<BI", buf, 4)
-    if version != 1:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    pos = 9
-    entries: Dict[str, np.ndarray] = {}
-    for k in range(count):
-        if len(buf) - pos < 2:
-            raise FormatError(f"{path}: truncated record header")
-        (nlen,) = struct.unpack_from("<H", buf, pos)
-        pos += 2
-        try:
-            name = buf[pos:pos + nlen].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: record {k} name is not valid UTF-8 "
-                              f"(byte {exc.start}: {exc.reason})") from None
-        pos += nlen
-        try:
-            arr, pos = decode_mten(buf, pos)
-        except FormatError as exc:
-            raise FormatError(f"{path}: record {k} ({name!r}): {exc}") from None
-        if name in entries:
-            raise FormatError(f"{path}: duplicate parameter name {name!r}")
-        entries[name] = arr
-    if pos != len(buf):
-        raise FormatError(f"{path}: {len(buf) - pos} trailing bytes after last record")
+        end = os.fstat(fh.fileno()).st_size
+        head = fh.read(9)
+        if head[:4] != MFFC_MAGIC:
+            raise FormatError(f"{path}: not a checkpoint file")
+        if len(head) < 9:
+            raise FormatError(f"{path}: truncated checkpoint header")
+        version, count = struct.unpack_from("<BI", head, 4)
+        if version != 1:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        entries: Dict[str, np.ndarray] = {}
+        for k in range(count):
+            raw = fh.read(2)
+            if len(raw) < 2:
+                raise FormatError(f"{path}: record {k}: truncated record header")
+            (nlen,) = struct.unpack("<H", raw)
+            raw = fh.read(nlen)
+            if len(raw) < nlen:
+                raise FormatError(f"{path}: record {k}: truncated record name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: record {k} name is not valid UTF-8 "
+                                  f"(byte {exc.start}: {exc.reason})") from None
+            try:
+                arr = _read_mten(fh, end)
+            except FormatError as exc:
+                raise FormatError(f"{path}: record {k} ({name!r}): {exc}") from None
+            if name in entries:
+                raise FormatError(f"{path}: record {k}: duplicate parameter name {name!r}")
+            entries[name] = arr
+        pos = fh.tell()
+    if pos != end:
+        raise FormatError(f"{path}: {end - pos} trailing bytes after last record")
     return entries
 
 
@@ -195,7 +224,7 @@ def load_wav(path: str) -> np.ndarray:
         if cid == b"fmt ":
             if size < 16:
                 raise FormatError(f"{path}: fmt chunk too short")
-            codec, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", body, 0)
+            codec, channels, rate, byte_rate, align, bits = struct.unpack_from("<HHIIHH", body, 0)
             if codec != 1:
                 raise FormatError(f"{path}: compressed WAV (format {codec}) is not supported, need PCM")
             if channels != 1:
@@ -204,10 +233,20 @@ def load_wav(path: str) -> np.ndarray:
                 raise FormatError(f"{path}: sample rate {rate}, need {WAV_RATE}")
             if bits != 16:
                 raise FormatError(f"{path}: {bits}-bit samples, need 16")
+            if byte_rate != 2 * WAV_RATE or align != 2:
+                raise FormatError(f"{path}: byte rate {byte_rate} and block align {align} "
+                                  f"disagree with 16-bit mono at {WAV_RATE} Hz")
             fmt_seen = True
         elif cid == b"data":
             data = body
         pos += 8 + size + (size % 2)
+    if pos < len(buf):
+        raise FormatError(f"{path}: truncated chunk header ({len(buf) - pos} bytes "
+                          f"after the last chunk)")
+    (riff_size,) = struct.unpack_from("<I", buf, 4)
+    if riff_size != len(buf) - 8:
+        raise FormatError(f"{path}: RIFF size field says {riff_size} bytes, "
+                          f"file holds {len(buf) - 8}")
     if not fmt_seen:
         raise FormatError(f"{path}: missing fmt chunk")
     if data is None:
@@ -271,6 +310,9 @@ def load_pgm(path: str) -> np.ndarray:
         raise FormatError(f"{path}: bad image extent {w}x{h}")
     if len(buf) - pos < w * h:
         raise FormatError(f"{path}: truncated pixel payload")
+    if len(buf) - pos > w * h:
+        raise FormatError(f"{path}: {len(buf) - pos - w * h} bytes after the "
+                          f"{w}x{h} pixel payload")
     return np.frombuffer(buf, dtype=np.uint8, count=w * h, offset=pos).reshape(h, w).copy()
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import ops
 from .ops import BatchNormState, ConvSpec, LstmGate, LstmLayerParams
-from .tensor import Tape, Tensor, TensorError, stack
+from .tensor import NonFiniteError, Tape, Tensor, TensorError, stack
 
 FD_EPS = 1e-3
 REL_TOL = 1e-4
@@ -36,11 +36,14 @@ def finite_difference_gradient(fn: Callable[[Sequence[Tensor]], Tensor],
                                ) -> list:
     """Central-difference gradient of a scalar-valued function.
 
-    fn is called with fresh non-taped tensors; it must be deterministic, and
-    that is checked by evaluating the base point twice and demanding equal
-    scalars. coords optionally restricts which coordinates of which input
-    (by position) get probed; unprobed coordinates come back as NaN so a
-    caller cannot mistake them for true zeros.
+    fn is called with non-taped float64 copies of the inputs: at the base
+    point and again on fresh copies of it, demanding equal scalars, since fn
+    must be deterministic; then, for every probe, with the same base tensors,
+    one coordinate perturbed in place and restored afterwards. So fn must not
+    mutate its arguments or keep them past the call. coords optionally
+    restricts which coordinates of which input (by position) get probed;
+    unprobed coordinates come back as NaN so a caller cannot mistake them for
+    true zeros.
     """
     base_args = [Tensor(t.data.astype(np.float64)) for t in inputs]
     first = _scalar(fn(base_args))
@@ -73,11 +76,24 @@ def _scalar(t: Tensor) -> float:
 
 
 def _central_diff(fn, base_args, pos, idx, eps) -> float:
-    args_hi = [Tensor(t.data.copy()) for t in base_args]
-    args_hi[pos].data[idx] += eps
-    args_lo = [Tensor(t.data.copy()) for t in base_args]
-    args_lo[pos].data[idx] -= eps
-    return (_scalar(fn(args_hi)) - _scalar(fn(args_lo))) / (2.0 * eps)
+    """(fn(x + eps e_idx) - fn(x - eps e_idx)) / 2 eps, probed in place.
+
+    Only base_args[pos].data[idx] changes, and it gets its saved value back
+    bit for bit however fn returns. The rest of the input was validated when
+    its tensor was built, so the perturbed scalar is the only one to check.
+    """
+    data = base_args[pos].data
+    saved = data[idx]
+    try:
+        values = []
+        for probed in (saved + eps, saved - eps):
+            if not np.isfinite(probed):
+                raise NonFiniteError("tensor holds NaN or Inf values")
+            data[idx] = probed
+            values.append(_scalar(fn(base_args)))
+    finally:
+        data[idx] = saved
+    return (values[0] - values[1]) / (2.0 * eps)
 
 
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -515,11 +531,16 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
                     tol: float = REL_TOL) -> CheckResult:
     """Differentiate the full network under MSE and spot-check every tensor.
 
-    Batch norm runs in eval mode with fresh default statistics built inside
-    the probed function, so repeated evaluation is bitwise deterministic and
-    the graph stays differentiable everywhere the oracle looks. Probing all
+    Batch norm runs in eval mode with default statistics, which eval never
+    mutates, so repeated evaluation is bitwise deterministic and the graph
+    stays differentiable everywhere the oracle looks. Probing all
     coordinates would take millions of forward passes; instead every
     parameter tensor contributes coords_per_tensor randomly drawn ones.
+
+    The probe model is built once over float64 base tensors; each probe
+    perturbs one coordinate of them in place, runs one eval forward and the
+    MSE, and restores the coordinate exactly. The determinism check still
+    compares the base point against a model rebuilt from fresh copies.
 
     Three departures from the per-op defaults, all about probing a
     composition of ten-plus nonlinear layers rather than a single op. The
@@ -557,14 +578,16 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
     v = Tensor(rng.uniform(0.0, 1.0, size=(5, 80, 80)))
     target = Tensor(0.5 * rng.standard_normal((1, 80, 20)))
 
-    def fn(args: Sequence[Tensor]) -> Tensor:
+    def build(args: Sequence[Tensor]):
         it = iter(args)
         rebuilt, _, _ = _build(
             strategy, width_divisor,
             lambda name, shape, kind: next(it),
             lambda name, channels: BatchNormState.initial(channels, dtype=np.float64))
-        out = mffcn_forward(y, v, rebuilt, mode="eval")
-        diff = out - target
+        return rebuilt
+
+    def loss(model) -> Tensor:
+        diff = mffcn_forward(y, v, model, mode="eval") - target
         return (diff * diff).mean()
 
     coords: Dict[int, List[tuple]] = {}
@@ -578,14 +601,19 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
 
     taped = [Tensor(t.data.astype(np.float64), requires_grad=True) for t in inputs]
     with Tape() as tape:
-        tape.backward(fn(taped))
+        tape.backward(loss(build(taped)))
 
     base_args = [Tensor(t.data.astype(np.float64)) for t in inputs]
-    first = _scalar(fn(base_args))
-    second = _scalar(fn([Tensor(t.data.copy()) for t in base_args]))
+    probe_model = build(base_args)
+    first = _scalar(loss(probe_model))
+    second = _scalar(loss(build([Tensor(t.data.copy()) for t in base_args])))
     if first != second:
         return CheckResult(name, float("nan"), False,
                            f"loss not deterministic: {first} then {second}")
+
+    def probe(args: Sequence[Tensor]) -> Tensor:
+        # probe_model holds the very tensors _central_diff perturbs in place
+        return loss(probe_model)
 
     names = [n for n, _ in params.named]
     worst = 0.0
@@ -599,7 +627,7 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
             analytic = float(grad[idx]) if grad is not None else 0.0
             rel = float("inf")
             for h in eps_ladder(eps):
-                numeric = _central_diff(fn, base_args, pos, idx, h)
+                numeric = _central_diff(probe, base_args, pos, idx, h)
                 denom = max(abs(analytic), abs(numeric), REL_FLOOR)
                 rel = abs(analytic - numeric) / denom
                 if rel < tol:

@@ -8,7 +8,8 @@ import pytest
 from mffcn import cli
 from mffcn.cli import main
 from mffcn.dsp import mix_at_snr
-from mffcn.formats import load_loss_csv, load_mten, save_mten, save_video_frames, save_wav
+from mffcn.formats import (encode_mten, load_loss_csv, load_mten, save_mten,
+                           save_video_frames, save_wav)
 from mffcn.gradcheck import CheckResult
 from mffcn.metrics import EvalReport, ItemScore
 from mffcn.synth import draw_clip
@@ -254,6 +255,31 @@ class TestMalformedFilesNameTheDefect:
         assert main(["export-spec", str(tmp_path / "s.pgm"), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "s.pgm" in err and "maxval" in err
+
+    def test_pgm_bytes_after_the_pixels(self, tmp_path, capsys):
+        (tmp_path / "s.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes(6))
+        assert main(["export-spec", str(tmp_path / "s.pgm"), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "s.pgm" in err and "2 bytes after the 2x2 pixel payload" in err
+
+    def test_mten_rank_past_the_dims(self, tmp_path, capsys):
+        raw = bytearray(encode_mten(np.ones((80, 20), dtype=np.float32)))
+        raw[5] = 7  # five payload words become dims whose product overflows int64
+        (tmp_path / "s.mten").write_bytes(bytes(raw))
+        assert main(["export-spec", str(tmp_path / "s.mten"), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "s.mten" in err and "truncated tensor payload" in err
+
+    def test_wav_riff_size_disagrees(self, workdir, tmp_path, capsys):
+        raw = bytearray((workdir / "noisy.wav").read_bytes())
+        raw[4] ^= 0x10
+        (tmp_path / "n.wav").write_bytes(bytes(raw))
+        rc = main(["enhance", str(tmp_path / "n.wav"), str(workdir / "frames"),
+                   "--checkpoint", str(workdir / "ck" / "checkpoint.mffc"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "n.wav" in err and "RIFF size" in err
 
 
 class TestAblateCommand:

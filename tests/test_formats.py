@@ -1,5 +1,6 @@
 """Round-trip and rejection tests for the binary file formats."""
 
+import re
 import struct
 
 import numpy as np
@@ -69,6 +70,12 @@ class TestMten:
         p = tmp_path / "extra.mten"
         p.write_bytes(encode_mten(np.ones(2, dtype=np.float32)) + b"xx")
         with pytest.raises(FormatError, match="trailing"):
+            load_mten(str(p))
+
+    def test_rejects_rank_beyond_numpy(self, tmp_path):
+        p = tmp_path / "r65.mten"
+        p.write_bytes(b"MTEN" + bytes([1, 65]) + struct.pack("<65I", *[1] * 65) + bytes(4))
+        with pytest.raises(FormatError, match=r"r65\.mten: tensor rank 65 is not supported"):
             load_mten(str(p))
 
     def test_rejects_nonfinite(self):
@@ -256,3 +263,101 @@ class TestCsvAndExport:
             rows = [line.split(",") for line in fh.read().splitlines()]
         back = np.array([[float(v) for v in row] for row in rows])
         assert np.allclose(back, s)
+
+
+def _mten_header(blob: bytes) -> range:
+    return range(6 + 4 * blob[5])
+
+
+def _mffc_header(blob: bytes) -> list:
+    """Offsets of the file header and every record's name and tensor header."""
+    at = list(range(9))
+    pos = 9
+    for _ in range(struct.unpack_from("<I", blob, 5)[0]):
+        (nlen,) = struct.unpack_from("<H", blob, pos)
+        rank = blob[pos + 2 + nlen + 5]
+        head = 2 + nlen + 6 + 4 * rank
+        at += range(pos, pos + head)
+        dims = struct.unpack_from(f"<{rank}I", blob, pos + 2 + nlen + 6)
+        pos += head + 4 * int(np.prod(dims))
+    return at
+
+
+def _pgm_header(blob: bytes) -> range:
+    return range(blob.index(b"255\n") + 4)
+
+
+def _sweep_files(tmp_path):
+    """One valid file per format: (name, bytes, loader, header byte offsets)."""
+    from mffcn.model import FusionStrategy, init_params, load_model, save_model
+
+    rng = np.random.default_rng(5)
+    save_mten(str(tmp_path / "t.mten"), rng.normal(size=(3, 4, 5)))
+    save_model(str(tmp_path / "m.mffc"), init_params(0, FusionStrategy.MULTILAYER, 16))
+    save_wav(str(tmp_path / "a.wav"), rng.uniform(-0.5, 0.5, size=1601))
+    save_pgm(str(tmp_path / "f.pgm"), rng.integers(0, 256, size=(6, 8), dtype=np.uint8))
+    files = []
+    for name, loader, header in (("t.mten", load_mten, _mten_header),
+                                 ("m.mffc", load_model, _mffc_header),
+                                 ("a.wav", load_wav, lambda blob: range(44)),
+                                 ("f.pgm", load_pgm, _pgm_header)):
+        blob = (tmp_path / name).read_bytes()
+        files.append((name, blob, loader, list(header(blob))))
+    return files
+
+
+def _rejections(tmp_path, name, loader, variants):
+    """Load each (label, bytes, names a record) variant; list those not
+    rejected by a FormatError naming the file, and the record if asked."""
+    missed = []
+    for label, blob, in_record in variants:
+        p = str(tmp_path / f"bad-{name}")
+        with open(p, "wb") as fh:
+            fh.write(blob)
+        try:
+            loader(p)
+        except FormatError as exc:
+            msg = str(exc)
+            if p not in msg:
+                missed.append(f"{label}: message lacks the path: {msg}")
+            elif in_record and not re.search(r"record \d+", msg):
+                missed.append(f"{label}: message lacks the record: {msg}")
+        except Exception as exc:  # noqa: BLE001 - any other exception is the defect
+            missed.append(f"{label}: {type(exc).__name__}: {exc}")
+        else:
+            missed.append(f"{label}: loaded without error")
+    return missed
+
+
+class TestMalformedSweep:
+    """Deterministic truncations and header byte flips of every file format."""
+
+    def test_truncation_at_even_offsets(self, tmp_path):
+        missed = []
+        for name, blob, loader, _ in _sweep_files(tmp_path):
+            cuts = sorted(set(np.linspace(0, len(blob), 41, dtype=int)[:-1].tolist()))
+            # a checkpoint cut past its 9-byte file header is cut inside a record
+            missed += _rejections(tmp_path, name, loader,
+                                  [(f"cut {c}", blob[:c], name == "m.mffc" and c >= 9)
+                                   for c in cuts])
+        assert not missed, "\n".join(missed)
+
+    def test_seeded_header_byte_flips(self, tmp_path):
+        rng = np.random.default_rng(8)
+        missed = []
+        for name, blob, loader, header in _sweep_files(tmp_path):
+            variants = []
+            # the first 16 header bytes, then 48 seeded others
+            rest = rng.permutation(np.array(header[16:], dtype=int))[:48]
+            for at in header[:16] + sorted(rest.tolist()):
+                # every single-bit flip, plus two seeded multi-bit ones
+                for mask in [1 << b for b in range(8)] + rng.integers(1, 256, size=2).tolist():
+                    old, new = blob[at], blob[at] ^ int(mask)
+                    # in a PGM header one whitespace byte is as good as another
+                    if name == "f.pgm" and bytes([old]).isspace() and bytes([new]).isspace():
+                        continue
+                    bad = bytearray(blob)
+                    bad[at] = new
+                    variants.append((f"byte {at} {old:#04x}->{new:#04x}", bytes(bad), False))
+            missed += _rejections(tmp_path, name, loader, variants)
+        assert not missed, "\n".join(missed)

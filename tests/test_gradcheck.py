@@ -16,7 +16,7 @@ from mffcn.gradcheck import (
     run_model_check,
 )
 from mffcn.model import FusionStrategy, init_params
-from mffcn.tensor import Tensor, TensorError
+from mffcn.tensor import NonFiniteError, Tensor, TensorError
 
 
 class TestFiniteDifferenceOracle:
@@ -92,3 +92,104 @@ class TestWholeModel:
         assert match.group(2) in names
         assert float(match.group(3)) == pytest.approx(model_check.worst_err, rel=1e-3)
         assert match.group(4) in [f"{h:.3g}" for h in eps_ladder(1e-4)]
+
+
+class TestProbeInPlace:
+    @pytest.mark.parametrize("raise_at", [3, 4])  # the +eps and the -eps probe
+    def test_raising_loss_restores_the_coordinate(self, raise_at):
+        x = Tensor(np.array([0.1, -2.5, 3.0]))
+        seen = []
+
+        def fn(args):
+            seen.append(args[0])
+            if len(seen) == raise_at:
+                raise RuntimeError("loss failed mid-probe")
+            return (args[0] * args[0]).sum()
+
+        with pytest.raises(RuntimeError, match="mid-probe"):
+            finite_difference_gradient(fn, [x])
+        assert seen[-1] is seen[0]  # probes reuse the base tensor
+        assert seen[-1].data.tobytes() == x.data.tobytes()
+
+    def test_nonfinite_probe_is_rejected_and_restored(self):
+        x = Tensor(np.array([1.5e308]))
+        seen = []
+
+        def fn(args):
+            seen.append(args[0])
+            return args[0].sum()
+
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
+            finite_difference_gradient(fn, [x], eps=1e308)
+        assert seen[0].data.tobytes() == x.data.tobytes()
+
+
+@pytest.fixture(scope="module")
+def recorded_check():
+    """run_model_check(seed=0) with every model forward watched.
+
+    Each forward over an already seen model must differ from that model's
+    first forward in exactly one coordinate. For the first three probed
+    coordinates of each parameter group (audio_enc, video_enc, fusion, ...)
+    the output, which alone decides the loss, is also compared with a forward
+    over fresh copies.
+    """
+    from mffcn import model
+    from mffcn.ops import BatchNormState
+
+    original = model.mffcn_forward
+    first_seen = {}     # id(params) -> (params, its data flattened at first sight)
+    probed = []         # (tensor name, flat index) perturbed in each repeated forward
+    fresh_equal = {}    # group -> [probe output == fresh-copy output, bitwise]
+
+    def flat(params):
+        return np.concatenate([t.data.ravel() for _, t in params.named])
+
+    def fresh(params):
+        it = iter([Tensor(t.data.copy()) for _, t in params.named])
+        rebuilt, _, _ = model._build(
+            params.strategy, params.width_divisor, lambda name, shape, kind: next(it),
+            lambda name, channels: BatchNormState.initial(channels, dtype=np.float64))
+        return rebuilt
+
+    def watched(y, v, params, mode="train"):
+        out = original(y, v, params, mode=mode)
+        if id(params) not in first_seen:
+            first_seen[id(params)] = (params, flat(params))
+            return out
+        changed = np.flatnonzero(flat(params) != first_seen[id(params)][1])
+        assert len(changed) == 1, changed
+        ends = np.cumsum([t.size for _, t in params.named])
+        pos = int(np.searchsorted(ends, changed[0], side="right"))
+        name = params.named[pos][0]
+        probed.append((name, int(changed[0])))
+        group = name.split(".")[0]
+        if len({c for c in probed if c[0].split(".")[0] == group}) <= 3:
+            ref = original(y, v, fresh(params), mode=mode)
+            fresh_equal.setdefault(group, []).append(out.data.tobytes() == ref.data.tobytes())
+        return out
+
+    model.mffcn_forward = watched
+    try:
+        result = run_model_check(seed=0)
+    finally:
+        model.mffcn_forward = original
+    return result, first_seen, probed, fresh_equal
+
+
+class TestModelCheckInPlace:
+    def test_result_matches_the_unwatched_check(self, recorded_check, model_check):
+        assert recorded_check[0] == model_check
+
+    def test_probed_losses_equal_fresh_copy_forwards(self, recorded_check):
+        _, _, probed, fresh_equal = recorded_check
+        names = [n for n, _ in init_params(0, FusionStrategy.MULTILAYER, 16).named]
+        assert {name for name, _ in probed} == set(names)
+        assert set(fresh_equal) == {n.split(".")[0] for n in names}
+        assert all(len(v) >= 6 and all(v) for v in fresh_equal.values()), fresh_equal
+
+    def test_base_tensors_left_bit_identical(self, recorded_check):
+        _, first_seen, _, _ = recorded_check
+        for params, snapshot in first_seen.values():
+            assert np.concatenate([t.data.ravel() for _, t in params.named]).tobytes() \
+                == snapshot.tobytes()

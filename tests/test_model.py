@@ -515,6 +515,22 @@ class TestCheckpointRoundTrip:
         with pytest.raises(FormatError, match="shape"):
             load_model(path)
 
+    def test_load_peaks_near_the_file_size(self, tmp_path):
+        # records stream straight into their arrays, so the file's bytes are
+        # never held next to the arrays decoded from them
+        import os
+        import tracemalloc
+
+        path = str(tmp_path / "model.mffc")
+        save_model(path, init_params(0, FusionStrategy.MULTILAYER, 4))
+        tracemalloc.start()
+        try:
+            load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * os.path.getsize(path)
+
 
 class TestCheckpointMetadata:
     """Metadata entries of a saved d=16 checkpoint, rewritten with save_checkpoint."""
