@@ -66,7 +66,9 @@ def _read_mten(fh: BinaryIO, end: int) -> np.ndarray:
     """Read one MTEN blob at the stream's position; end is the stream's length.
 
     The payload is read straight into a fresh float32 array, so a file is
-    never held twice in memory.
+    never held twice in memory. It is not scanned for NaN/Inf here: each
+    caller scans every array once (_finite, or the Tensor constructor for
+    the parameters load_model wraps).
     """
     head = fh.read(6)
     if len(head) < 6:
@@ -93,6 +95,10 @@ def _read_mten(fh: BinaryIO, end: int) -> np.ndarray:
     except ValueError as exc:  # more dims than numpy supports
         raise FormatError(f"tensor rank {rank} is not supported: {exc}") from None
     fh.readinto(arr)
+    return arr
+
+
+def _finite(arr: np.ndarray) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise FormatError("tensor payload holds NaN or Inf values")
     return arr
@@ -102,7 +108,7 @@ def decode_mten(buf: bytes, offset: int = 0) -> Tuple[np.ndarray, int]:
     """Decode one MTEN blob starting at offset; returns (array, next offset)."""
     fh = io.BytesIO(buf)
     fh.seek(offset)
-    arr = _read_mten(fh, len(buf))
+    arr = _finite(_read_mten(fh, len(buf)))
     return arr, fh.tell()
 
 
@@ -115,7 +121,7 @@ def load_mten(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
         try:
-            arr = _read_mten(fh, end)
+            arr = _finite(_read_mten(fh, end))
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from None
         pos = fh.tell()
@@ -143,7 +149,11 @@ def save_checkpoint(path: str, entries: Dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path: str) -> Dict[str, np.ndarray]:
-    """Read named tensors record by record, each straight into its own array."""
+    """Read named tensors record by record, each straight into its own array.
+
+    Payloads are not scanned for NaN/Inf: model.load_model checks every
+    array it keeps once, naming the path and the record.
+    """
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
         head = fh.read(9)

@@ -64,7 +64,7 @@ from .ops import (
     lstm_forward,
     maxpool2d,
 )
-from .tensor import Tensor, no_grad
+from .tensor import NonFiniteError, Tensor, no_grad
 
 FILTERS = (64, 64, 128, 128, 256, 256, 512, 512, 1024, 1024)
 WIDTH_DIVISORS = tuple(d for d in range(1, FILTERS[0] + 1) if FILTERS[0] % d == 0)
@@ -620,6 +620,9 @@ def load_model(path: str) -> MffcnParams:
     width_divisor = _meta_int(path, entries, "meta.width_divisor", WIDTH_DIVISORS)
     strategy = CODE_STRATEGIES[_meta_int(path, entries, "meta.strategy", sorted(CODE_STRATEGIES))]
 
+    def non_finite(record: str) -> FormatError:
+        return FormatError(f"{path}: record {record!r}: tensor payload holds NaN or Inf values")
+
     def tensor_factory(name: str, shape: tuple, kind: str) -> Tensor:
         if name not in entries:
             raise FormatError(f"{path}: checkpoint is missing parameter {name!r}")
@@ -627,13 +630,19 @@ def load_model(path: str) -> MffcnParams:
         if arr.shape != shape:
             raise FormatError(
                 f"{path}: parameter {name!r} has shape {arr.shape}, expected {shape}")
-        return Tensor(arr, requires_grad=True)
+        try:
+            return Tensor(arr, requires_grad=True)  # the one NaN/Inf scan of a parameter
+        except NonFiniteError:
+            raise non_finite(name) from None
 
     def state_factory(name: str, channels: int) -> BatchNormState:
         mean = entries.pop(f"{name}.running_mean", None)
         var = entries.pop(f"{name}.running_var", None)
         if mean is None or var is None or mean.shape != (channels,) or var.shape != (channels,):
             raise FormatError(f"{path}: checkpoint lacks valid running stats for {name!r}")
+        for stat, arr in (("running_mean", mean), ("running_var", var)):
+            if not np.isfinite(arr).all():
+                raise non_finite(f"{name}.{stat}")
         return BatchNormState(mean=mean.copy(), var=var.copy())
 
     params, _, _ = _build(strategy, width_divisor, tensor_factory, state_factory)

@@ -6,23 +6,40 @@ forward pass) under "same-ceil" padding: each output extent is
 ceil(input / stride), the shortfall is padded with zeros split evenly, and
 the odd padding element goes on the bottom/right edge.
 
-Both convolutions are lowered to im2col + one 2-D GEMM per direction, which
-reads the weights once: the kernel windows are laid out as columns
-[C*kh*kw, B*Ho*Wo], the batch folded into the columns, and contracted with
-the flattened weights by one matmul; the scatter direction
-(conv_transpose2d forward, conv2d input gradient) is one matmul followed by
-col2im. conv_transpose2d uses its weights unflipped: the spatial kernel flip
-is applied as the tap order in which col2im (forward) and im2col (backward)
-walk the columns. 1x1 stride-1 convolutions skip the window copy (a view at
-batch 1). Columns are recomputed in backward rather than kept on the tape.
+Both convolutions are lowered onto one zero-padded phase grid. The big side
+(conv2d's input, conv_transpose2d's output) is padded and split by stride
+phase into planes [C, B*hq*wq], hq and wq being the padded extents over the
+stride, rounded up: padded cell (y, x) of sample n sits in plane
+(y % sh, x % sw) at column n*hq*wq + (y // sh)*wq + x // sw. Small-side
+position (i, j) is grid column n*hq*wq + i*wq + j, and its kernel tap
+(u, v) lies in plane (u % sh, v % sw), (u // sh)*wq + v // sw columns
+further on. So every im2col row of a range of grid columns is one
+contiguous run of a plane (one strided copy per phase fills them all), and
+col2im adds each tap back as one shifted contiguous run. Grid columns off
+the small side's extents are computed and dropped, which widens the GEMMs
+by up to hq*wq / (ho*wo); operands placed on the grid are zero there.
 
-conv2d's forward builds its columns in blocks of at most COL_BLOCK_BYTES
-(2 MiB): whole samples while one sample's columns fit, so a batch that fits
-is a single block, else bands of output rows of one sample. Each block is one GEMM whose product goes, with the bias added,
-straight into its slice of the [B, C_out, Ho, Wo] output, so peak column
-memory stays at one block however large the batch (the first video conv
-would otherwise take 3.2 MB of float32 columns per segment). The backward
-passes still build their columns whole.
+Each direction is one GEMM per block with the weights reshaped, never
+copied ([C_out, C_in*kh*kw] and [C_in, C_out*kh*kw]). conv2d's forward and
+conv_transpose2d's input gradient gather columns and write each block's
+product, cropped, straight into its slice of the output; conv2d's input
+gradient and conv_transpose2d's forward multiply a grid-placed operand,
+scatter it with col2im and crop the planes once; weight gradients are
+columns times gradient, summed over blocks. conv_transpose2d uses its
+weights unflipped: the spatial flip is the tap order in which col2im
+(forward) and im2col (backward) walk the columns. A 1x1 stride-1
+convolution has one tap and no padding, so its columns are its operand (a
+view at batch 1) and its scatter is the product itself. Columns are
+recomputed in backward rather than kept on the tape.
+
+Every pass works in blocks of at most COL_BLOCK_BYTES (2 MiB) of columns or
+scatter product over ranges of grid columns: whole samples while one sample
+fits, so a batch that fits is a single block, else near-equal bands of
+small-side rows of one sample. Peak column memory stays at one block
+however large the batch (the first video conv would otherwise take 3.4 MB
+of float32 columns per segment). A geometry's phase and tap tables and its
+blocks are worked out once and cached, since a model meets the same
+geometries on every call.
 
 maxpool2d's forward is a running maximum over the window taps. The argmax
 that routes the gradient is found in backward only, by a scan of the taps
@@ -46,12 +63,12 @@ Tensors; it scans its pre-activation buffer once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .tensor import NonFiniteError, ShapeError, Tensor, _accumulate, _sigmoid, record
 
@@ -61,7 +78,7 @@ BN_MOMENTUM = 0.1
 
 ACTIVATION_KINDS = ("leaky_relu", "relu", "sigmoid", "linear")
 
-# Most bytes of GEMM columns conv2d's forward builds at once (see _col_blocks).
+# Most bytes of GEMM columns (or scatter product) a convolution builds at once (see _Grid.blocks).
 COL_BLOCK_BYTES = 2 << 20
 
 
@@ -119,78 +136,213 @@ def _pad_hw(a: np.ndarray, pt: int, pb: int, pl: int, pr: int, value: float = 0.
     return out
 
 
-def _windows(a: np.ndarray, spec: ConvSpec, pads: Tuple[int, int, int, int],
-             flip: bool = False) -> np.ndarray:
-    """Kernel windows of a [B,C,H,W] array: a view [B,C,Ho,Wo,kh,kw] of its padded copy.
+class _Grid:
+    """Phase-grid geometry of one convolution (see the module docstring).
 
-    flip reverses the kernel taps, which turns a contraction with the
-    windows into one with the spatially flipped kernel.
+    b, h, w are the batch and extents of the big side (conv2d's input,
+    conv_transpose2d's output), ho, wo the small side's, and hq, wq the
+    padded big side over the stride, rounded up. Small-side position (i, j)
+    of sample n is grid column n*s + i*wq + j, s = hq*wq.
     """
-    if spec.kernel == spec.stride == (1, 1):
-        return a[..., None, None]
-    (kh, kw), (sh, sw) = spec.kernel, spec.stride
-    ap = _pad_hw(a, *pads)
-    ho, wo = (ap.shape[2] - kh) // sh + 1, (ap.shape[3] - kw) // sw + 1
-    sb, sc, sy, sx = ap.strides
-    win = as_strided(ap, (a.shape[0], a.shape[1], ho, wo, kh, kw),
-                     (sb, sc, sy * sh, sx * sw, sy, sx), writeable=False)
-    return win[..., ::-1, ::-1] if flip else win
+
+    def __init__(self, spec: ConvSpec, b: int, h: int, w: int):
+        (kh, kw), (sh, sw) = spec.kernel, spec.stride
+        pt, pb, pl, pr = spec.pads(h, w)
+        self.spec, self.b, self.h, self.w = spec, b, h, w
+        self.ho, self.wo = spec.out_extents(h, w)
+        self.hq, self.wq = -(-(h + pt + pb) // sh), -(-(w + pl + pr) // sw)
+        self.s = self.hq * self.wq
+        self.ph, self.pw = min(sh, kh), min(sw, kw)  # phases that hold kernel taps
+        self.view = spec.kernel == spec.stride == (1, 1)  # the columns are the operand itself
+        self.span = b * self.s + (kw - 1) // sw  # plane length; the tail keeps the last taps in bounds
+        # Per phase: its plane (None without taps), the big side's rows and
+        # columns in it, and where the first of them sits in the plane.
+        self.phases = []
+        for p in range(sh):
+            for q in range(sw):
+                rows, cols = slice((p - pt) % sh, None, sh), slice((q - pl) % sw, None, sw)
+                at = (rows.start + pt) // sh * self.wq + (cols.start + pl) // sw
+                plane = p * self.pw + q if p < kh and q < kw else None
+                self.phases.append((plane, rows, cols, len(range(h)[rows]), len(range(w)[cols]), at))
+        # Per tapped phase: its plane and its taps' slices and extents in the kernel.
+        self.gathers = [(p * self.pw + q, slice(p, None, sh), slice(q, None, sw),
+                         len(range(p, kh, sh)), len(range(q, kw, sw)))
+                        for p in range(self.ph) for q in range(self.pw)]
+        # Per tap (u, v): its plane and offset.
+        self.taps = [(u, v, (u % sh) * self.pw + v % sw, (u // sh) * self.wq + v // sw)
+                     for u in range(kh) for v in range(kw)]
+        self._blocks = {}
+
+    def planes(self, c: int, dtype) -> np.ndarray:
+        """Zeroed planes [ph*pw, c, span] of the tapped phases."""
+        return np.zeros((self.ph * self.pw, c, self.span), dtype=dtype)
+
+    def phase_views(self, planes: np.ndarray):
+        """(plane view, rows, columns) per phase: the big side's cells [b, C][rows, columns]
+        in that phase, viewed [C, b, ., .] on its plane (None for a phase without taps)."""
+        c, span = planes.shape[1], planes.shape[2]
+        for plane, rows, cols, nr, nc, at in self.phases:
+            view = None if plane is None else _strided(planes, plane * c * span + at, (c, self.b, nr, nc),
+                                                       (span, self.s, self.wq, 1))
+            yield view, rows, cols
+
+    def on_grid(self, a: np.ndarray) -> np.ndarray:
+        """A small-side [b, C, ho, wo] operand as grid columns [C, b*s], zero off its positions."""
+        if (self.hq, self.wq) == (self.ho, self.wo):
+            return _fold_batch(a)
+        out = np.zeros((a.shape[1], self.b, self.hq, self.wq), dtype=a.dtype)
+        out[:, :, :self.ho, :self.wo] = a.transpose(1, 0, 2, 3)
+        return out.reshape(a.shape[1], -1)
+
+    def blocks(self, col_bytes: int) -> List[Tuple[slice, slice, slice]]:
+        """(samples, small-side rows, grid columns) blocks of at most COL_BLOCK_BYTES of GEMM columns.
+
+        col_bytes is the size of the GEMM columns of one grid column. Blocks
+        hold whole samples while one sample fits, so a batch that fits is a
+        single block, else near-equal bands of rows of one sample (at least
+        one row each). A block's columns run from its first row to the end of
+        its last, the grid's margins in between included.
+        """
+        key = (col_bytes, COL_BLOCK_BYTES)
+        if key not in self._blocks:
+            row = self.wq * col_bytes
+            if self.ho * row <= COL_BLOCK_BYTES:
+                most = 1 + (COL_BLOCK_BYTES - self.ho * row) // (self.s * col_bytes)
+                spans = [(s0, s1, 0, self.ho) for s0, s1 in _bands(self.b, most)]
+            else:
+                bands = _bands(self.ho, max(1, COL_BLOCK_BYTES // row))
+                spans = [(n, n + 1, r0, r1) for n in range(self.b) for r0, r1 in bands]
+            self._blocks[key] = [(slice(s0, s1), slice(r0, r1), slice(s0 * self.s + r0 * self.wq,
+                                                                     (s1 - 1) * self.s + r1 * self.wq))
+                                 for s0, s1, r0, r1 in spans]
+        return self._blocks[key]
+
+    def crop(self, prod: np.ndarray, samples: slice, rows: slice) -> np.ndarray:
+        """View [samples, C, rows, wo] of a block's C-ordered GEMM product [C, columns]."""
+        shape = (prod.shape[0], samples.stop - samples.start, rows.stop - rows.start, self.wo)
+        return _strided(prod, 0, shape, (prod.shape[1], self.s, self.wq, 1)).transpose(1, 0, 2, 3)
 
 
-def _cols(win: np.ndarray) -> np.ndarray:
-    """GEMM columns [C*kh*kw, B*Ho*Wo] of a window view (a view at one sample of a 1x1 window)."""
-    c, kh, kw = win.shape[1], win.shape[4], win.shape[5]
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, -1)
+# Built once per geometry: a model meets the same geometries on every call.
+_grid = functools.lru_cache(maxsize=256)(_Grid)
 
 
-def _im2col(a: np.ndarray, spec: ConvSpec, pads: Tuple[int, int, int, int],
-            flip: bool = False) -> np.ndarray:
-    """Kernel windows of a [B,C,H,W] array as GEMM columns [C*kh*kw, B*Ho*Wo]."""
-    return _cols(_windows(a, spec, pads, flip))
+def _strided(a: np.ndarray, start: int, shape: Tuple[int, ...], steps: Tuple[int, ...]) -> np.ndarray:
+    """View of a C-ordered array from flat element start on, steps in elements.
 
-
-def _col_blocks(b: int, ho: int, row_bytes: int) -> List[Tuple[slice, slice]]:
-    """(sample, output-row) slices whose columns fit in COL_BLOCK_BYTES each.
-
-    row_bytes is the size of the columns of one output row of one sample.
-    Blocks hold whole samples while one sample fits, so a batch that fits
-    is a single block; a larger sample is cut into bands of output rows
-    (at least one row per band).
+    The ndarray constructor checks the view against a's buffer and costs
+    about a seventh of as_strided.
     """
-    per_sample = ho * row_bytes
-    if per_sample <= COL_BLOCK_BYTES:
-        n = COL_BLOCK_BYTES // per_sample
-        return [(slice(s, min(s + n, b)), slice(None)) for s in range(0, b, n)]
-    n = max(1, COL_BLOCK_BYTES // row_bytes)
-    return [(slice(s, s + 1), slice(r, min(r + n, ho))) for s in range(b) for r in range(0, ho, n)]
+    it = a.itemsize
+    return np.ndarray(shape, a.dtype, a, start * it, [n * it for n in steps])
 
 
-def _col2im(cols: np.ndarray, b: int, hw: Tuple[int, int], spec: ConvSpec,
-            pads: Tuple[int, int, int, int], flip: bool = False) -> np.ndarray:
-    """Adjoint of _im2col (same flip): sum columns [C*kh*kw, B*Ho*Wo] back onto [B,C,H,W]."""
-    (h, w), (kh, kw), (sh, sw) = hw, spec.kernel, spec.stride
-    if spec.kernel == spec.stride == (1, 1):
-        return _unfold_batch(cols, b, h, w)
-    ho, wo = spec.out_extents(h, w)
-    cols = cols.reshape(-1, kh, kw, b, ho, wo)
+def _bands(n: int, most: int) -> List[Tuple[int, int]]:
+    """[0, n) as ceil(n / most) consecutive near-equal (start, stop) ranges."""
+    k = -(-n // most)
+    return [(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+def _phases(a: np.ndarray, g: _Grid) -> np.ndarray:
+    """A big-side [b, C, h, w] array zero-padded onto its phase planes.
+
+    For a 1x1 stride-1 convolution the one plane is a itself as [C, b*h*w],
+    a view at one sample.
+    """
+    if g.view:
+        return _fold_batch(a)[None]
+    planes = g.planes(a.shape[1], a.dtype)
+    for gv, rows, cols in g.phase_views(planes):
+        if gv is not None:
+            gv[...] = a[:, :, rows, cols].transpose(1, 0, 2, 3)
+    return planes
+
+
+def _from_phases(planes: np.ndarray, g: _Grid, bias: Optional[np.ndarray] = None) -> np.ndarray:
+    """The big-side [b, C, h, w] array cropped from its phase planes, plus a per-channel bias.
+
+    Cells in phases without taps are zero (plus the bias). Without a bias,
+    the crop of a single plane is a view of it.
+    """
+    views = list(g.phase_views(planes))
+    if bias is None and len(views) == 1:
+        return views[0][0].transpose(1, 0, 2, 3)
+    out = np.empty((g.b, planes.shape[1], g.h, g.w), dtype=planes.dtype)
+    for gv, rows, cols in views:
+        out[:, :, rows, cols] = 0 if gv is None else gv.transpose(1, 0, 2, 3)
+    if bias is not None:
+        out += bias[:, None, None]  # contiguous: a strided copy plus this beats one strided add
+    return out
+
+
+def _columns(planes: np.ndarray, g: _Grid, cols: slice, flip: bool = False) -> np.ndarray:
+    """im2col: GEMM columns [C*kh*kw, n] of the n grid columns `cols`, one strided copy per phase.
+
+    Row (c, u, v) is the contiguous run of plane (u % sh, v % sw), channel
+    c, that starts (u // sh)*wq + v // sw past the first column. flip
+    reverses the kernel taps. A 1x1 stride-1 convolution's columns are a
+    view of its plane.
+    """
+    if g.view:
+        return planes[0, :, cols]
+    kh, kw = g.spec.kernel
+    c, span, n = planes.shape[1], planes.shape[2], cols.stop - cols.start
+    out = np.empty((c, kh, kw, n), dtype=planes.dtype)
+    taps = out[:, ::-1, ::-1] if flip else out
+    for plane, us, vs, nu, nv in g.gathers:
+        taps[:, us, vs] = _strided(planes, plane * c * span + cols.start, (c, nu, nv, n), (span, g.wq, 1, 1))
+    return out.reshape(c * kh * kw, n)
+
+
+def _add_columns(cols: np.ndarray, planes: np.ndarray, g: _Grid, start: int, flip: bool = False) -> None:
+    """col2im: add GEMM columns [C*kh*kw, n] of the grid columns from start onto phase planes.
+
+    The adjoint of _columns (same flip): one shifted contiguous add per tap.
+    """
+    c, n = planes.shape[1], cols.shape[1]
+    taps = cols.reshape(c, *g.spec.kernel, n)
     if flip:
-        cols = cols[:, ::-1, ::-1]
-    pt, pb, pl, pr = pads
-    full = np.zeros((b, cols.shape[0], h + pt + pb, w + pl + pr), dtype=cols.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            full[:, :, u:u + ho * sh:sh, v:v + wo * sw:sw] += cols[:, u, v].transpose(1, 0, 2, 3)
-    return full[:, :, pt:pt + h, pl:pl + w]
+        taps = taps[:, ::-1, ::-1]
+    for u, v, plane, at in g.taps:
+        planes[plane, :, start + at:start + at + n] += taps[:, u, v]
+
+
+def _scatter(mat: np.ndarray, src: np.ndarray, g: _Grid, flip: bool = False,
+             bias: Optional[np.ndarray] = None) -> np.ndarray:
+    """The big-side [b, C, h, w] sum of col2im(mat @ src) for grid columns src [., b*s], block by block.
+
+    A 1x1 stride-1 product is the result itself: one tap at offset 0.
+    """
+    if g.view:
+        return _from_phases((mat @ src)[None], g, bias)
+    kh, kw = g.spec.kernel
+    planes = g.planes(mat.shape[0] // (kh * kw), np.result_type(mat, src))
+    for _, _, cols in g.blocks(mat.shape[0] * planes.itemsize):
+        _add_columns(mat @ src[:, cols], planes, g, cols.start, flip)
+    return _from_phases(planes, g, bias)
+
+
+def _weight_grad(cols: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g [C, n] times columns [K, n] transposed: one block's weight gradient [C, K].
+
+    With many more columns than rows, OpenBLAS reduces the n axis about
+    twice as fast into a [K, C] product, which is returned transposed; a
+    short n loses that to the transposed copy the caller then makes.
+    """
+    return (cols @ g.T).T if cols.shape[1] > cols.shape[0] else g @ cols.T
+
+
+def _sum_blocks(parts) -> np.ndarray:
+    """Sum of an iterable of equally shaped arrays, accumulated in the first."""
+    total = None
+    for part in parts:
+        total = part if total is None else np.add(total, part, out=total)
+    return total
 
 
 def _fold_batch(a: np.ndarray) -> np.ndarray:
     """[B,C,H,W] -> [C, B*H*W]: the batch joins the GEMM columns (a view at B=1)."""
     return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
-
-
-def _unfold_batch(m: np.ndarray, b: int, h: int, w: int) -> np.ndarray:
-    """[C, B*H*W] -> C-ordered [B,C,H,W]; the inverse of _fold_batch."""
-    return np.ascontiguousarray(m.reshape(-1, b, h, w).transpose(1, 0, 2, 3))
 
 
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
@@ -213,26 +365,28 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
         raise ShapeError(f"conv2d: bias must be [{spec.out_channels}], got {bias.dims}")
 
     b, c, h, w = xd.shape
-    pads = spec.pads(h, w)
-    ho, wo = spec.out_extents(h, w)
+    g = _grid(spec, b, h, w)
     wmat = wd.reshape(spec.out_channels, -1)
-    win = _windows(xd, spec, pads)
-    out = np.empty((b, spec.out_channels, ho, wo), dtype=np.result_type(xd, wd))
-    for samples, rows in _col_blocks(b, ho, wmat.shape[1] * wo * xd.itemsize):
-        blk = out[samples, :, rows]
-        prod = wmat @ _cols(win[samples, :, rows])
-        prod = prod.reshape(blk.shape[1], blk.shape[0], *blk.shape[2:]).transpose(1, 0, 2, 3)
-        np.add(prod, bias.data[:, None, None], out=blk)
+    xg = _phases(xd, g)
+    out = np.empty((b, spec.out_channels, g.ho, g.wo), dtype=np.result_type(xd, wd))
+    blocks = g.blocks(wmat.shape[1] * xd.itemsize)
+    for samples, rows, cols in blocks:
+        prod = wmat @ _columns(xg, g, cols)
+        prod += bias.data[:, None]  # on the contiguous product: the strided crop is then a plain copy
+        out[samples, :, rows] = g.crop(prod, samples, rows)
     result = Tensor(out if batched else out[0])
 
-    def backward(g: np.ndarray) -> None:
-        gm = _fold_batch(g if batched else g[None])
+    def backward(gr: np.ndarray) -> None:
+        gb = gr if batched else gr[None]
+        gm = g.on_grid(gb)
         if weights.requires_grad:
-            _accumulate(weights, (gm @ _im2col(xd, spec, pads).T).reshape(wd.shape))
+            xg = _phases(xd, g)
+            gw = _sum_blocks(_weight_grad(_columns(xg, g, cols), gm[:, cols]) for _, _, cols in blocks)
+            _accumulate(weights, gw.reshape(wd.shape))
         if bias.requires_grad:
-            _accumulate(bias, gm.sum(axis=1))
+            _accumulate(bias, gm.sum(axis=1))  # zero off the output positions
         if x.requires_grad:
-            gx = _col2im(wmat.T @ gm, b, (h, w), spec, pads)
+            gx = _scatter(wmat.T, gm, g)
             _accumulate(x, gx if batched else gx[0])
 
     return record(result, (x, weights, bias), backward)
@@ -264,28 +418,33 @@ def conv_transpose2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec,
         raise ShapeError(f"conv_transpose2d: bias must be [{spec.out_channels}], got {bias.dims}")
 
     b, c, h, w = xd.shape
-    oh, ow = out_hw
-    if spec.out_extents(oh, ow) != (h, w):
+    if spec.out_extents(*out_hw) != (h, w):
         raise ShapeError(
             f"conv_transpose2d: target extent {out_hw} with stride {spec.stride} "
             f"does not contract to the input extent ({h}, {w})")
 
-    pads = spec.pads(oh, ow)
+    g = _grid(spec, b, *out_hw)
     wmat = wd.reshape(c, -1)  # [C_in, C_out*kh*kw]; the flip lives in the column order
-    xm = _fold_batch(xd)
-    out = _col2im(wmat.T @ xm, b, out_hw, spec, pads, flip=True)
-    out += bias.data[None, :, None, None]
+    out = _scatter(wmat.T, g.on_grid(xd), g, flip=True, bias=bias.data)
     result = Tensor(out if batched else out[0])
 
-    def backward(g: np.ndarray) -> None:
-        gb = g if batched else g[None]
+    def backward(gr: np.ndarray) -> None:
+        gb = gr if batched else gr[None]
         if x.requires_grad or weights.requires_grad:
-            gcols = _im2col(gb, spec, pads, flip=True)
-        if x.requires_grad:
-            gx = _unfold_batch(wmat @ gcols, b, h, w)
-            _accumulate(x, gx if batched else gx[0])
-        if weights.requires_grad:
-            _accumulate(weights, (xm @ gcols.T).reshape(wd.shape))
+            gp = _phases(gb, g)
+            xm = g.on_grid(xd) if weights.requires_grad else None
+            gx = np.empty((b, c, h, w), dtype=np.result_type(gb, wd)) if x.requires_grad else None
+            parts = []
+            for samples, rows, cols in g.blocks(wmat.shape[1] * gb.itemsize):
+                gcols = _columns(gp, g, cols, flip=True)
+                if x.requires_grad:
+                    np.copyto(gx[samples, :, rows], g.crop(wmat @ gcols, samples, rows))
+                if weights.requires_grad:
+                    parts.append(_weight_grad(gcols, xm[:, cols]))
+            if x.requires_grad:
+                _accumulate(x, gx if batched else gx[0])
+            if weights.requires_grad:
+                _accumulate(weights, _sum_blocks(parts).reshape(wd.shape))
         if bias.requires_grad:
             _accumulate(bias, gb.sum(axis=(0, 2, 3)))
 

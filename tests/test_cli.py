@@ -234,6 +234,25 @@ class TestMalformedFilesNameTheDefect:
         err = capsys.readouterr().err
         assert "meta.mffc" in err and "meta.width_divisor" in err
 
+    def _plant_nan(self, workdir, path, record):
+        """Save the fixture checkpoint with a NaN as the first value of one record."""
+        from mffcn.formats import save_checkpoint
+        entries = self._checkpoint_entries(workdir)
+        marker = np.float32(-1234.5678)
+        entries[record] = entries[record].copy()
+        entries[record].reshape(-1)[0] = marker
+        save_checkpoint(str(path), entries)
+        raw = path.read_bytes()
+        assert raw.count(marker.tobytes()) == 1
+        path.write_bytes(raw.replace(marker.tobytes(), np.float32(np.nan).tobytes()))
+
+    @pytest.mark.parametrize("record", ["audio_enc.1.conv.weight", "audio_enc.1.bn.running_var"])
+    def test_nan_record(self, workdir, tmp_path, capsys, record):
+        self._plant_nan(workdir, tmp_path / "nan.mffc", record)
+        assert main(["eval", "--checkpoint", str(tmp_path / "nan.mffc")]) == 2
+        err = capsys.readouterr().err
+        assert "nan.mffc" in err and record in err and "NaN or Inf" in err
+
     def test_undecodable_record_name(self, workdir, tmp_path, capsys):
         raw = bytearray((workdir / "ck" / "checkpoint.mffc").read_bytes())
         raw[11] = 0x85  # first byte of the first record's name

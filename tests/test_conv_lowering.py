@@ -1,4 +1,4 @@
-"""conv2d / conv_transpose2d (im2col + GEMM) and maxpool2d against naive loop references.
+"""conv2d / conv_transpose2d (phase-grid im2col + GEMM) and maxpool2d against naive loop references.
 
 The references pad by the documented same-ceil rule, walk every output
 position and kernel tap, and contract only the channel axes, all in float64.
@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from mffcn import ops
-from mffcn.ops import ConvSpec, _col2im, _col_blocks, _im2col, conv2d, conv_transpose2d, maxpool2d
+from mffcn.ops import (ConvSpec, _add_columns, _columns, _from_phases, _Grid, _phases, conv2d,
+                       conv_transpose2d, maxpool2d)
 from mffcn.tensor import Tape, Tensor, no_grad
 
 KERNELS = [(1, 1), (3, 2), (5, 5)]
@@ -139,31 +140,86 @@ def test_grid_exercises_asymmetric_padding():
     assert len(odd) >= 4
 
 
+# Model geometries the grid above lacks: a 2x2 kernel at stride (1, 5) leaves
+# three of five column phases without taps (and, over one column, without
+# input cells); at stride (2, 1) the 5-row map pads one row at the bottom.
+MODEL_GEOMETRIES = [((2, 2), (1, 5), (5, 1)), ((2, 2), (1, 5), (5, 5)), ((2, 2), (2, 1), (5, 1))]
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("kernel, stride, hw", MODEL_GEOMETRIES)
+def test_model_geometries_match_loop_reference(kernel, stride, hw, transpose, batch):
+    rng = np.random.default_rng([*kernel, *stride, *hw, transpose, batch or 0, 7])
+    spec = ConvSpec(out_channels=C_OUT, kernel=kernel, stride=stride)
+    small = spec.out_extents(*hw)
+    b = rng.normal(size=C_OUT)
+    if transpose:
+        x = rng.normal(size=_lead(batch) + (C_IN,) + small)
+        w = rng.normal(size=(C_IN, C_OUT) + kernel)
+        g = rng.normal(size=_lead(batch) + (C_OUT,) + hw)
+        got = _run(lambda xt, wt, bt: conv_transpose2d(xt, wt, bt, spec, hw), x, w, b, g)
+        want = ref_conv_transpose2d(_batched(x, batch), w, b, _batched(g, batch), kernel, stride, hw)
+    else:
+        x = rng.normal(size=_lead(batch) + (C_IN,) + hw)
+        w = rng.normal(size=(C_OUT, C_IN) + kernel)
+        g = rng.normal(size=_lead(batch) + (C_OUT,) + small)
+        got = _run(lambda xt, wt, bt: conv2d(xt, wt, bt, spec), x, w, b, g)
+        want = ref_conv2d(_batched(x, batch), w, b, _batched(g, batch), kernel, stride)
+    _assert_close(got, want, batch)
+
+
 def test_one_by_one_stride_one_columns_are_a_view():
     x = np.random.default_rng(0).normal(size=(2, 3, 5, 4))
     spec = ConvSpec(out_channels=1, kernel=(1, 1))
-    cols = _im2col(x, spec, (0, 0, 0, 0))
+    g = _Grid(spec, 2, 5, 4)
+    assert (g.hq, g.wq) == (5, 4)  # no padding: the grid is the map
+    cols = _columns(_phases(x, g), g, slice(0, 2 * 20))
     assert cols.shape == (3, 2 * 20)  # [C, B*H*W]: the batch is folded into the columns
     np.testing.assert_array_equal(cols.reshape(3, 2, 5, 4), x.transpose(1, 0, 2, 3))
-    one = _im2col(x[1:], spec, (0, 0, 0, 0))
+    one_g = _Grid(spec, 1, 5, 4)
+    one = _columns(_phases(x[1:], one_g), one_g, slice(0, 20))
     assert one.shape == (3, 20)
     assert np.shares_memory(one, x)
 
 
+def _whole_grid(g):
+    """The grid columns of a one-block lowering: every column any block reads."""
+    return slice(0, (g.b - 1) * g.s + g.ho * g.wq)
+
+
+ADJOINT_GEOMETRIES = [(k, s, HW) for k in KERNELS for s in STRIDES] + MODEL_GEOMETRIES
+
+
 @pytest.mark.parametrize("flip", [False, True])
-@pytest.mark.parametrize("stride", STRIDES)
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_col2im_is_the_adjoint_of_im2col(kernel, stride, flip):
-    rng = np.random.default_rng([*kernel, *stride, flip])
+@pytest.mark.parametrize("kernel, stride, hw", ADJOINT_GEOMETRIES)
+def test_col2im_is_the_adjoint_of_im2col(kernel, stride, hw, flip):
+    """As the ops compose them: x -> phase planes -> columns, and back -> cropped x."""
+    rng = np.random.default_rng([*kernel, *stride, *hw, flip])
     spec = ConvSpec(out_channels=1, kernel=kernel, stride=stride)
-    pads = spec.pads(*HW)
-    x = rng.normal(size=(2, C_IN) + HW)
-    cols = _im2col(x, spec, pads, flip=flip)
-    n_out = math.prod(spec.out_extents(*HW))
-    assert cols.shape == (C_IN * kernel[0] * kernel[1], 2 * n_out)
+    g = _Grid(spec, 2, *hw)
+    x = rng.normal(size=(2, C_IN) + hw)
+    cols = _columns(_phases(x, g), g, _whole_grid(g), flip=flip)
+    assert cols.shape == (C_IN * kernel[0] * kernel[1], g.s + g.ho * g.wq)
     c = rng.normal(size=cols.shape)
-    np.testing.assert_allclose(np.vdot(c, cols), np.vdot(_col2im(c, 2, HW, spec, pads, flip=flip), x),
-                               rtol=1e-12)
+    planes = g.planes(C_IN, c.dtype)
+    _add_columns(c, planes, g, 0, flip=flip)
+    np.testing.assert_allclose(np.vdot(c, cols), np.vdot(_from_phases(planes, g), x), rtol=1e-12)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("kernel, stride, hw", ADJOINT_GEOMETRIES)
+def test_im2col_col2im_adjoint_over_whole_grid(kernel, stride, hw, flip):
+    """Between arbitrary phase planes (padding, margins and tail included) and columns."""
+    rng = np.random.default_rng([*kernel, *stride, *hw, flip, 8])
+    spec = ConvSpec(out_channels=1, kernel=kernel, stride=stride)
+    g = _Grid(spec, 3, *hw)
+    planes = rng.normal(size=g.planes(C_IN, np.float64).shape)
+    cols = _columns(planes, g, _whole_grid(g), flip=flip)
+    c = rng.normal(size=cols.shape)
+    back = np.zeros_like(planes)
+    _add_columns(c, back, g, 0, flip=flip)
+    np.testing.assert_allclose(np.vdot(c, cols), np.vdot(back, planes), rtol=1e-12)
 
 
 @pytest.mark.parametrize("transpose", [False, True])
@@ -237,15 +293,15 @@ def test_maxpool2d_matches_loop_reference(window, batch):
 
 
 # Column blocks of the conv2d forward. The grid's 8x7 extents make ragged
-# blocks: for C_IN = 3, one output row of one sample has C_IN*kh*kw * Wo columns.
-def _row_bytes(kernel, stride, dtype):
-    return C_IN * kernel[0] * kernel[1] * ConvSpec(1, kernel, stride).out_extents(*HW)[1] * np.dtype(dtype).itemsize
+# blocks: for C_IN = 3, one grid row of one sample has C_IN*kh*kw * wq columns.
+def _col_bytes(kernel, dtype):
+    return C_IN * kernel[0] * kernel[1] * np.dtype(dtype).itemsize
 
 
 BLOCKINGS = {
-    "samples": lambda ho, row: 2 * ho * row,   # two whole samples per block: batch 3 is 2 + 1
-    "rows": lambda ho, row: 3 * row,           # bands of 3 rows: Ho = 8 or 4 leaves a ragged band
-    "one row": lambda ho, row: 1,              # less than a row: one row per block
+    "samples": lambda g, col: g.ho * g.wq * col + g.s * col,  # two whole samples per block: batch 3 is 1 + 2
+    "rows": lambda g, col: 3 * g.wq * col,                    # bands of at most 3 rows: Ho = 8 is 2 + 3 + 3
+    "one row": lambda g, col: 1,                              # less than a row: one row per block
 }
 
 
@@ -274,11 +330,11 @@ def test_blocked_conv2d_forward_matches_single_block(kernel, stride, batch, bloc
     x = rng.normal(size=_lead(batch) + (C_IN,) + HW).astype(dtype)
     w = rng.normal(size=(C_OUT, C_IN) + kernel).astype(dtype)
     b = rng.normal(size=C_OUT).astype(dtype)
-    ho = spec.out_extents(*HW)[0]
-    row = _row_bytes(kernel, stride, dtype)
-    budget = BLOCKINGS[blocking](ho, row)
+    g = _Grid(spec, batch or 1, *HW)
+    col = _col_bytes(kernel, dtype)
+    budget = BLOCKINGS[blocking](g, col)
     monkeypatch.setattr(ops, "COL_BLOCK_BYTES", budget)
-    blocks = _col_blocks(batch or 1, ho, row)
+    blocks = g.blocks(col)
     assert len(blocks) > 1 or (blocking == "samples" and batch != 3)
 
     whole = _forward_at_budget(monkeypatch, 1 << 40, Tensor(x), Tensor(w), Tensor(b), spec)
@@ -314,21 +370,35 @@ def test_blocked_model_forward_is_bitwise(dtype, width_divisor, batch, monkeypat
     assert outs[0].tobytes() == outs[1].tobytes()
 
 
+# A 3x3 stride-1 conv over 4x3 maps pads one cell on every side: a 6x5 grid
+# (s = 30 columns per sample) whose first 4 rows hold the outputs. At one
+# byte per grid column, one sample's block spans 4*5 = 20 bytes.
+BLOCK_GRID = _Grid(ConvSpec(out_channels=1, kernel=(3, 3)), 5, 4, 3)
+
+
+def _block(s0, s1, r0, r1):
+    return slice(s0, s1), slice(r0, r1), slice(s0 * 30 + r0 * 5, (s1 - 1) * 30 + r1 * 5)
+
+
 @pytest.mark.parametrize("budget, want", [
-    (1000, [(slice(0, 5), slice(None))]),                                   # the whole batch fits
-    (40, [(slice(0, 2), slice(None)), (slice(2, 4), slice(None)), (slice(4, 5), slice(None))]),
-    (15, [(slice(s, s + 1), rows) for s in range(5) for rows in (slice(0, 3), slice(3, 4))]),
-    (3, [(slice(s, s + 1), slice(r, r + 1)) for s in range(5) for r in range(4)]),
+    (1000, [_block(0, 5, 0, 4)]),                                          # the whole batch fits
+    (80, [_block(0, 2, 0, 4), _block(2, 5, 0, 4)]),                        # at most 3 samples: 2 + 3
+    (15, [_block(n, n + 1, r, r + 2) for n in range(5) for r in (0, 2)]),  # at most 3 rows: 2 + 2
+    (3, [_block(n, n + 1, r, r + 1) for n in range(5) for r in range(4)]),  # less than a row
 ])
 def test_col_blocks_cover_every_sample_row_once(budget, want, monkeypatch):
-    """Batch 5, 4 output rows of 5 bytes: samples first, then row bands, a ragged last block."""
+    """Batch 5, 4 output rows of 5 grid columns: samples first, then near-equal row bands."""
     monkeypatch.setattr(ops, "COL_BLOCK_BYTES", budget)
-    blocks = _col_blocks(5, 4, 5)
+    g = BLOCK_GRID
+    assert (g.ho, g.wo, g.hq, g.wq, g.s) == (4, 3, 6, 5, 30)
+    blocks = g.blocks(1)
     assert blocks == want
     seen = np.zeros((5, 4), dtype=int)
-    for samples, rows in blocks:
+    for samples, rows, cols in blocks:
         seen[samples, rows] += 1
-        assert seen[samples, rows].size * 5 <= max(budget, 5)
+        assert cols.stop - cols.start <= max(budget, g.wq)
+        assert cols.start == samples.start * g.s + rows.start * g.wq  # the block's first output
+        assert cols.stop - g.wq == (samples.stop - 1) * g.s + (rows.stop - 1) * g.wq  # its last row
     assert (seen == 1).all()
 
 
@@ -349,3 +419,43 @@ def test_blocked_columns_bound_peak_memory():
         finally:
             tracemalloc.stop()
     assert peak < unblocked / 2
+
+
+def test_blocked_weight_gradient_bounds_peak_memory():
+    """The first video conv's weight gradient: 12.8 MB of columns at batch 4 if built whole."""
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.uniform(size=(4, 5, 80, 80)).astype(np.float32))
+    w = Tensor(rng.normal(size=(8, 5, 5, 5)).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
+    g = Tensor(rng.normal(size=(4, 8, 80, 80)).astype(np.float32))
+    spec = ConvSpec(out_channels=8, kernel=(5, 5))
+    whole = 5 * 5 * 5 * 4 * 80 * 80 * 4
+    with Tape() as tape:
+        loss = (conv2d(x, w, b, spec) * g).sum()
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert w.grad is not None and x.grad is None
+    assert peak < whole / 2
+
+
+def test_blocked_transpose_forward_bounds_peak_memory():
+    """A batch-8 4x4 deconv (64, 40x10) -> 64 would scatter a 13.1 MB product built whole."""
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.normal(size=(8, 64, 40, 10)).astype(np.float32))
+    w = Tensor(rng.normal(size=(64, 64, 4, 4)).astype(np.float32))
+    b = Tensor(np.zeros(64, dtype=np.float32))
+    spec = ConvSpec(out_channels=64, kernel=(4, 4))
+    whole = 64 * 4 * 4 * 8 * 40 * 10 * 4
+    assert whole == 13_107_200
+    with no_grad():
+        tracemalloc.start()
+        try:
+            conv_transpose2d(x, w, b, spec, (40, 10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < whole / 2

@@ -515,6 +515,26 @@ class TestCheckpointRoundTrip:
         with pytest.raises(FormatError, match="shape"):
             load_model(path)
 
+    def test_each_loaded_array_is_scanned_once(self, tmp_path, monkeypatch):
+        # the Tensor constructor's scan is the one scan of a parameter, and the
+        # running statistics are scanned by load_model; the reader scans none
+        params = init_params(0, FusionStrategy.LATE, 16)
+        path = str(tmp_path / "model.mffc")
+        save_model(path, params)
+        scanned = []
+        isfinite = np.isfinite
+
+        def counting(a, *args, **kwargs):
+            scanned.append(np.shape(a))
+            return isfinite(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        load_model(path)
+        monkeypatch.undo()
+        want = [t.dims for _, t in params.named]
+        want += [s.mean.shape for _, s in params.named_states for _ in range(2)]
+        assert sorted(scanned) == sorted(want)
+
     def test_load_peaks_near_the_file_size(self, tmp_path):
         # records stream straight into their arrays, so the file's bytes are
         # never held next to the arrays decoded from them
