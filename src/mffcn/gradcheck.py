@@ -300,14 +300,11 @@ def check_conv2d(seed: int) -> float:
     spec = ConvSpec(out_channels=cout,
                     kernel=(int(rng.integers(1, 4)), int(rng.integers(1, 4))),
                     stride=(int(rng.integers(1, 3)), int(rng.integers(1, 3))))
-    batched = seed % 2 == 0
-    x_shape = (2, cin, h, w) if batched else (cin, h, w)
-    x = _normal(rng, x_shape)
+    b = 2 if seed % 2 == 0 else 1
+    x = _normal(rng, (b, cin, h, w))
     wgt = _normal(rng, (cout, cin) + spec.kernel)
     bias = _normal(rng, (cout,))
-    oh, ow = spec.out_extents(h, w)
-    out_shape = (2, cout, oh, ow) if batched else (cout, oh, ow)
-    d = random_projection(seed + 9000, out_shape)
+    d = random_projection(seed + 9000, (b, cout) + spec.out_extents(h, w))
     return check_gradients(
         lambda args: projected_loss(ops.conv2d(args[0], args[1], args[2], spec), d),
         [x, wgt, bias])
@@ -321,13 +318,11 @@ def check_conv_transpose2d(seed: int) -> float:
                     kernel=(int(rng.integers(1, 4)), int(rng.integers(1, 4))),
                     stride=(int(rng.integers(1, 3)), int(rng.integers(1, 3))))
     h, w = spec.out_extents(oh, ow)
-    batched = seed % 2 == 1
-    x_shape = (2, cin, h, w) if batched else (cin, h, w)
-    x = _normal(rng, x_shape)
+    b = 2 if seed % 2 == 1 else 1
+    x = _normal(rng, (b, cin, h, w))
     wgt = _normal(rng, (cin, cout) + spec.kernel)
     bias = _normal(rng, (cout,))
-    out_shape = (2, cout, oh, ow) if batched else (cout, oh, ow)
-    d = random_projection(seed + 9000, out_shape)
+    d = random_projection(seed + 9000, (b, cout, oh, ow))
     return check_gradients(
         lambda args: projected_loss(
             ops.conv_transpose2d(args[0], args[1], args[2], spec, (oh, ow)), d),
@@ -339,9 +334,9 @@ def check_maxpool2d(seed: int) -> float:
     c = int(rng.integers(1, 4))
     h, w = int(rng.integers(2, 7)), int(rng.integers(2, 7))
     window = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-    x = _well_separated(rng, (c, h, w))
+    x = _well_separated(rng, (1, c, h, w))
     oh, ow = -(-h // window[0]), -(-w // window[1])
-    d = random_projection(seed + 9000, (c, oh, ow))
+    d = random_projection(seed + 9000, (1, c, oh, ow))
     return check_gradients(
         lambda args: projected_loss(ops.maxpool2d(args[0], window), d), [x])
 
@@ -397,11 +392,11 @@ def check_softmax_pair(seed: int) -> float:
 def check_fully_connected(seed: int) -> float:
     rng = _rng(seed)
     fin, fout = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-    batched = seed % 2 == 0
-    x = _normal(rng, (3, fin) if batched else (fin,))
+    n = 3 if seed % 2 == 0 else 1
+    x = _normal(rng, (n, fin))
     w = _normal(rng, (fout, fin))
     b = _normal(rng, (fout,))
-    d = random_projection(seed + 9000, (3, fout) if batched else (fout,))
+    d = random_projection(seed + 9000, (n, fout))
     return check_gradients(
         lambda args: projected_loss(ops.fully_connected(args[0], args[1], args[2]), d),
         [x, w, b])
@@ -410,8 +405,8 @@ def check_fully_connected(seed: int) -> float:
 def check_global_avg_pool(seed: int) -> float:
     rng = _rng(seed)
     c = int(rng.integers(1, 6))
-    x = _normal(rng, (c, int(rng.integers(1, 7)), int(rng.integers(1, 7))))
-    d = random_projection(seed + 9000, (c,))
+    x = _normal(rng, (1, c, int(rng.integers(1, 7)), int(rng.integers(1, 7))))
+    d = random_projection(seed + 9000, (1, c))
     return check_gradients(
         lambda args: projected_loss(ops.global_avg_pool(args[0]), d), [x])
 
@@ -420,8 +415,8 @@ def check_concat_channels(seed: int) -> float:
     rng = _rng(seed)
     h, w = int(rng.integers(1, 5)), int(rng.integers(1, 5))
     cs = [int(rng.integers(1, 4)) for _ in range(3)]
-    xs = [_normal(rng, (c, h, w)) for c in cs]
-    d = random_projection(seed + 9000, (sum(cs), h, w))
+    xs = [_normal(rng, (1, c, h, w)) for c in cs]
+    d = random_projection(seed + 9000, (1, sum(cs), h, w))
     return check_gradients(
         lambda args: projected_loss(ops.concat_channels(args), d), xs)
 
@@ -429,10 +424,10 @@ def check_concat_channels(seed: int) -> float:
 def check_scale_channels(seed: int) -> float:
     rng = _rng(seed)
     c, h, w = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
-    x = _normal(rng, (c, h, w))
-    weight_shape = [(c,), (c, h, w)][seed % 2]
+    x = _normal(rng, (1, c, h, w))
+    weight_shape = [(1, c), (1, c, h, w)][seed % 2]
     wt = _normal(rng, weight_shape)
-    d = random_projection(seed + 9000, (c, h, w))
+    d = random_projection(seed + 9000, (1, c, h, w))
     return check_gradients(
         lambda args: projected_loss(ops.scale_channels(args[0], args[1]), d), [x, wt])
 
@@ -440,13 +435,13 @@ def check_scale_channels(seed: int) -> float:
 def check_lstm(seed: int) -> float:
     rng = _rng(seed)
     steps, feat, hidden = 3, 4, 4
-    seq = _normal(rng, (steps, feat))
+    seq = _normal(rng, (1, steps, feat))
     gate_tensors = []
     for _ in range(4):
         gate_tensors += [_normal(rng, (hidden, feat)),
                          _normal(rng, (hidden, hidden)),
                          _normal(rng, (hidden,))]
-    d = random_projection(seed + 9000, (steps, hidden))
+    d = random_projection(seed + 9000, (1, steps, hidden))
 
     def fn(args):
         gates = [LstmGate(wx=args[1 + 3 * k], wh=args[2 + 3 * k], bias=args[3 + 3 * k])
@@ -574,9 +569,9 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
     for name, t in params.named:
         if name.endswith(".bias") or name.endswith(".beta"):
             t.data[...] = rng.uniform(-0.05, 0.05, size=t.data.shape)
-    y = Tensor(0.5 * rng.standard_normal((1, 80, 20)))
-    v = Tensor(rng.uniform(0.0, 1.0, size=(5, 80, 80)))
-    target = Tensor(0.5 * rng.standard_normal((1, 80, 20)))
+    y = Tensor(0.5 * rng.standard_normal((1, 1, 80, 20)))
+    v = Tensor(rng.uniform(0.0, 1.0, size=(1, 5, 80, 80)))
+    target = Tensor(0.5 * rng.standard_normal((1, 1, 80, 20)))
 
     def build(args: Sequence[Tensor]):
         it = iter(args)

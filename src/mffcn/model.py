@@ -433,7 +433,7 @@ def bottleneck(x: Tensor, attn: SpectralParams, lstms: Sequence[LstmLayerParams]
     to aggregate is the 5-step frequency axis; hidden size equals the channel
     count, which keeps the output shape equal to the input shape.
     """
-    c = x.dims[-3]
+    b, c = x.dims[:2]
     if _spatial(x) != AUDIO_HW_TRACE[-1]:
         raise ModelError(
             f"bottleneck expects spatial {AUDIO_HW_TRACE[-1]}, got {_spatial(x)}")
@@ -441,16 +441,10 @@ def bottleneck(x: Tensor, attn: SpectralParams, lstms: Sequence[LstmLayerParams]
         raise ModelError(
             f"bottleneck LSTM is sized {lstms[0].hidden_size}, input has {c} channels")
     y = spectral_attention(x, attn)
-    steps = x.dims[-2]
-    if y.ndim == 3:
-        seq = y.reshape(c, steps).permute(1, 0)
-    else:
-        b = y.dims[0]
-        seq = y.reshape(b, c, steps).permute(0, 2, 1)
+    steps = x.dims[2]
+    seq = y.reshape(b, c, steps).permute(0, 2, 1)
     for layer in lstms:
         seq = lstm_forward(seq, layer)
-    if y.ndim == 3:
-        return seq.permute(1, 0).reshape(c, steps, 1)
     return seq.permute(0, 2, 1).reshape(b, c, steps, 1)
 
 
@@ -497,10 +491,16 @@ def _check_model_inputs(y: Tensor, v: Tensor) -> None:
 
 def mffcn_forward(y: Tensor, v: Tensor, params: MffcnParams,
                   mode: str = "train") -> Tensor:
-    """Run the network under its strategy's wiring; output matches y's shape."""
+    """Run the network under its strategy's wiring; output matches y's shape.
+
+    y and v are [B,1,80,20] / [B,5,80,80] batches, which every op below
+    takes, or one [1,80,20] / [5,80,80] segment, which runs as a batch of
+    one and comes back without the batch axis.
+    """
     _check_model_inputs(y, v)
     wiring = WIRINGS[params.strategy]
-    a, vv = y, v
+    single = y.ndim == 3
+    a, vv = (y.reshape(1, *y.dims), v.reshape(1, *v.dims)) if single else (y, v)
     skips: List[Tensor] = []
     video_feats: List[Tensor] = []
     for i in range(1, N_LAYERS + 1):
@@ -521,7 +521,8 @@ def mffcn_forward(y: Tensor, v: Tensor, params: MffcnParams,
         x = conv2d(concat_channels([x, align_to_audio(vv, N_LAYERS)]),
                    params.ib_reduce.weight, params.ib_reduce.bias, params.ib_reduce.spec())
     x = bottleneck(x, params.bottleneck_attn, params.bottleneck_lstm)
-    return run_decoder(x, params.decoder, skips, video_feats, mode)
+    out = run_decoder(x, params.decoder, skips, video_feats, mode)
+    return out.reshape(*y.dims) if single else out
 
 
 def enhance_segments(noisy: Sequence[MelSegment], videos: Sequence[VideoSegment],

@@ -1,10 +1,13 @@
 """Neural-network operations built on the taped tensor engine.
 
-Spatial ops accept [C, H, W] or [B, C, H, W] inputs and keep the layout they
-were given. Convolutions are cross-correlations (no kernel flip on the
-forward pass) under "same-ceil" padding: each output extent is
-ceil(input / stride), the shortfall is padded with zeros split evenly, and
-the odd padding element goes on the bottom/right edge.
+Every op takes one layout with the batch axis first: [B, C, H, W] feature
+maps, [B, T, F] sequences and [B, F] vectors. An input without its batch
+axis raises a ShapeError naming the op; model.mffcn_forward is the one
+entry that also takes a single [C, H, W] segment. Convolutions are
+cross-correlations (no kernel flip on the forward pass) under "same-ceil"
+padding: each output extent is ceil(input / stride), the shortfall is
+padded with zeros split evenly, and the odd padding element goes on the
+bottom/right edge.
 
 Both convolutions are lowered onto one zero-padded phase grid. The big side
 (conv2d's input, conv_transpose2d's output) is padded and split by stride
@@ -119,12 +122,14 @@ def _same_ceil_pad(extent: int, stride: int, kernel: int) -> Tuple[int, int]:
     return lo, total - lo
 
 
-def _as_batched(data: np.ndarray, op: str) -> Tuple[np.ndarray, bool]:
-    if data.ndim == 3:
-        return data[None], False
-    if data.ndim == 4:
-        return data, True
-    raise ShapeError(f"{op}: expected a [C,H,W] or [B,C,H,W] input, got {data.shape}")
+_LAYOUTS = {2: "[B,F]", 3: "[B,T,F]", 4: "[B,C,H,W]"}
+
+
+def _batch_first(data: np.ndarray, rank: int, op: str) -> np.ndarray:
+    """data, checked to have the op's rank: the batch axis and the _LAYOUTS axes after it."""
+    if data.ndim != rank:
+        raise ShapeError(f"{op}: expected a {_LAYOUTS[rank]} input, got {data.shape}")
+    return data
 
 
 def _pad_hw(a: np.ndarray, pt: int, pb: int, pl: int, pr: int, value: float = 0.0) -> np.ndarray:
@@ -348,10 +353,10 @@ def _fold_batch(a: np.ndarray) -> np.ndarray:
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
     """Strided cross-correlation with fused bias.
 
-    x: [C_in, H, W] or [B, C_in, H, W]; weights: [C_out, C_in, kh, kw];
-    bias: [C_out]. Output spatial extents are ceil(extent / stride).
+    x: [B, C_in, H, W]; weights: [C_out, C_in, kh, kw]; bias: [C_out].
+    Output spatial extents are ceil(extent / stride).
     """
-    xd, batched = _as_batched(x.data, "conv2d")
+    xd = _batch_first(x.data, 4, "conv2d")
     wd = weights.data
     if wd.ndim != 4:
         raise ShapeError(f"conv2d: weights must be [C_out,C_in,kh,kw], got {wd.shape}")
@@ -374,11 +379,10 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
         prod = wmat @ _columns(xg, g, cols)
         prod += bias.data[:, None]  # on the contiguous product: the strided crop is then a plain copy
         out[samples, :, rows] = g.crop(prod, samples, rows)
-    result = Tensor(out if batched else out[0])
+    result = Tensor(out)
 
     def backward(gr: np.ndarray) -> None:
-        gb = gr if batched else gr[None]
-        gm = g.on_grid(gb)
+        gm = g.on_grid(gr)
         if weights.requires_grad:
             xg = _phases(xd, g)
             gw = _sum_blocks(_weight_grad(_columns(xg, g, cols), gm[:, cols]) for _, _, cols in blocks)
@@ -386,8 +390,7 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
         if bias.requires_grad:
             _accumulate(bias, gm.sum(axis=1))  # zero off the output positions
         if x.requires_grad:
-            gx = _scatter(wmat.T, gm, g)
-            _accumulate(x, gx if batched else gx[0])
+            _accumulate(x, _scatter(wmat.T, gm, g))
 
     return record(result, (x, weights, bias), backward)
 
@@ -396,15 +399,15 @@ def conv_transpose2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec,
                      out_hw: Tuple[int, int]) -> Tensor:
     """Transposed convolution: the adjoint of conv2d's input map, plus bias.
 
-    x: [C_in, H, W] or [B, C_in, H, W]; weights: [C_in, C_out, kh, kw];
-    bias: [C_out]. out_hw names the target extent explicitly and must satisfy
+    x: [B, C_in, H, W]; weights: [C_in, C_out, kh, kw]; bias: [C_out].
+    out_hw names the target extent explicitly and must satisfy
     ceil(out / stride) == in for both axes, i.e. the extent a forward conv2d
     with the same spec would have shrunk to this input.
 
     Applying this op to an upstream gradient with spatially flipped forward
     kernels reproduces conv2d's input gradient exactly.
     """
-    xd, batched = _as_batched(x.data, "conv_transpose2d")
+    xd = _batch_first(x.data, 4, "conv_transpose2d")
     wd = weights.data
     if wd.ndim != 4:
         raise ShapeError(f"conv_transpose2d: weights must be [C_in,C_out,kh,kw], got {wd.shape}")
@@ -425,11 +428,9 @@ def conv_transpose2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec,
 
     g = _grid(spec, b, *out_hw)
     wmat = wd.reshape(c, -1)  # [C_in, C_out*kh*kw]; the flip lives in the column order
-    out = _scatter(wmat.T, g.on_grid(xd), g, flip=True, bias=bias.data)
-    result = Tensor(out if batched else out[0])
+    result = Tensor(_scatter(wmat.T, g.on_grid(xd), g, flip=True, bias=bias.data))
 
-    def backward(gr: np.ndarray) -> None:
-        gb = gr if batched else gr[None]
+    def backward(gb: np.ndarray) -> None:
         if x.requires_grad or weights.requires_grad:
             gp = _phases(gb, g)
             xm = g.on_grid(xd) if weights.requires_grad else None
@@ -442,7 +443,7 @@ def conv_transpose2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec,
                 if weights.requires_grad:
                     parts.append(_weight_grad(gcols, xm[:, cols]))
             if x.requires_grad:
-                _accumulate(x, gx if batched else gx[0])
+                _accumulate(x, gx)
             if weights.requires_grad:
                 _accumulate(weights, _sum_blocks(parts).reshape(wd.shape))
         if bias.requires_grad:
@@ -462,7 +463,7 @@ def maxpool2d(x: Tensor, window: Tuple[int, int]) -> Tensor:
     wh, ww = window
     if wh < 1 or ww < 1:
         raise ShapeError(f"maxpool2d: window extents must be positive, got {window}")
-    xd, batched = _as_batched(x.data, "maxpool2d")
+    xd = _batch_first(x.data, 4, "maxpool2d")
     b, c, h, w = xd.shape
     ho, wo = math.ceil(h / wh), math.ceil(w / ww)
     pt, pb = _same_ceil_pad(h, wh, wh)
@@ -473,12 +474,11 @@ def maxpool2d(x: Tensor, window: Tuple[int, int]) -> Tensor:
         for v in range(ww):
             if u or v:
                 np.maximum(xp[:, :, u::wh, v::ww], out, out=out)  # ties keep the earlier tap
-    result = Tensor(out if batched else out[0])
+    result = Tensor(out)
 
     def backward(g: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        gb = g if batched else g[None]
         gxp = np.zeros_like(xp)
         pending = np.ones(out.shape, dtype=bool)  # windows whose argmax is not yet found
         for u in range(wh):
@@ -486,9 +486,8 @@ def maxpool2d(x: Tensor, window: Tuple[int, int]) -> Tensor:
                 hit = xp[:, :, u::wh, v::ww] == out
                 hit &= pending
                 pending ^= hit
-                np.copyto(gxp[:, :, u::wh, v::ww], gb, where=hit)
-        gx = gxp[:, :, pt:pt + h, pl:pl + w]
-        _accumulate(x, gx if batched else gx[0])
+                np.copyto(gxp[:, :, u::wh, v::ww], g, where=hit)
+        _accumulate(x, gxp[:, :, pt:pt + h, pl:pl + w])
 
     return record(result, (x,), backward)
 
@@ -537,7 +536,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     """
     if mode not in ("train", "eval"):
         raise ShapeError(f"batch_norm: mode must be 'train' or 'eval', got {mode!r}")
-    xd, batched = _as_batched(x.data, "batch_norm")
+    xd = _batch_first(x.data, 4, "batch_norm")
     b, c, h, w = xd.shape
     if gamma.dims != (c,) or beta.dims != (c,):
         raise ShapeError(f"batch_norm: gamma/beta must be [{c}], got {gamma.dims} and {beta.dims}")
@@ -560,10 +559,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-    result = Tensor(out if batched else out[0])
+    result = Tensor(out)
 
-    def backward(g: np.ndarray) -> None:
-        gb = g if batched else g[None]
+    def backward(gb: np.ndarray) -> None:
         g_xhat = np.einsum("bchw,bchw->c", gb, xhat, optimize=True)
         if gamma.requires_grad:
             _accumulate(gamma, g_xhat)
@@ -576,7 +574,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                 gx = scale * (gb - g_mean - xhat * (g_xhat / n)[None, :, None, None])
             else:
                 gx = scale * gb
-            _accumulate(x, gx if batched else gx[0])
+            _accumulate(x, gx)
 
     return record(result, (x, gamma, beta), backward)
 
@@ -626,15 +624,13 @@ def softmax_pair(a: Tensor, b: Tensor) -> Tuple[Tensor, Tensor]:
 
 
 def fully_connected(x: Tensor, weights: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map y = W x (+ b) for [F] or [B, F] inputs; weights are [O, F]."""
-    xd = x.data
+    """Affine map y = x W^T (+ b) of a [B, F] input to [B, O]; weights are [O, F]."""
+    xd = _batch_first(x.data, 2, "fully_connected")
     wd = weights.data
     if wd.ndim != 2:
         raise ShapeError(f"fully_connected: weights must be [out,in], got {wd.shape}")
-    if xd.ndim not in (1, 2):
-        raise ShapeError(f"fully_connected: input must be [F] or [B,F], got {xd.shape}")
-    if xd.shape[-1] != wd.shape[1]:
-        raise ShapeError(f"fully_connected: input feature axis is {xd.shape[-1]}, weights expect {wd.shape[1]}")
+    if xd.shape[1] != wd.shape[1]:
+        raise ShapeError(f"fully_connected: input feature axis is {xd.shape[1]}, weights expect {wd.shape[1]}")
     if bias is not None and bias.dims != (wd.shape[0],):
         raise ShapeError(f"fully_connected: bias must be [{wd.shape[0]}], got {bias.dims}")
 
@@ -646,80 +642,62 @@ def fully_connected(x: Tensor, weights: Tensor, bias: Optional[Tensor] = None) -
 
     def backward(g: np.ndarray) -> None:
         if weights.requires_grad:
-            if xd.ndim == 1:
-                _accumulate(weights, np.outer(g, xd))
-            else:
-                _accumulate(weights, g.T @ xd)
+            _accumulate(weights, g.T @ xd)
         if x.requires_grad:
             _accumulate(x, g @ wd)
         if bias is not None and bias.requires_grad:
-            _accumulate(bias, g if xd.ndim == 1 else g.sum(axis=0))
+            _accumulate(bias, g.sum(axis=0))
 
     return record(result, inputs, backward)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over the spatial axes: [C,H,W] -> [C] or [B,C,H,W] -> [B,C]."""
-    xd, batched = _as_batched(x.data, "global_avg_pool")
+    """Mean over the spatial axes: [B, C, H, W] -> [B, C]."""
+    xd = _batch_first(x.data, 4, "global_avg_pool")
     b, c, h, w = xd.shape
     out = xd.mean(axis=(2, 3), dtype=np.float64).astype(xd.dtype)
-    result = Tensor(out if batched else out[0])
+    result = Tensor(out)
 
     def backward(g: np.ndarray) -> None:
-        gb = g if batched else g[None]
-        gx = np.broadcast_to(gb[:, :, None, None] / (h * w), xd.shape).astype(xd.dtype)
-        _accumulate(x, gx if batched else gx[0])
+        _accumulate(x, np.broadcast_to(g[:, :, None, None] / (h * w), xd.shape).astype(xd.dtype))
 
     return record(result, (x,), backward)
 
 
 def concat_channels(xs: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the channel axis; batch and spatial extents must agree."""
+    """Concatenate [B, C_k, H, W] maps along the channel axis; batch and spatial extents must agree."""
     if not xs:
         raise ShapeError("concat_channels needs at least one tensor")
     first = xs[0]
-    for t in xs[1:]:
-        if t.ndim != first.ndim:
-            raise ShapeError(f"concat_channels: rank mismatch, {first.dims} vs {t.dims}")
-        if t.dims[-2:] != first.dims[-2:]:
+    for t in xs:
+        _batch_first(t.data, 4, "concat_channels")
+        if t.dims[2:] != first.dims[2:]:
             raise ShapeError(f"concat_channels: spatial axes differ, {first.dims} vs {t.dims}")
-        if t.ndim == 4 and t.dims[0] != first.dims[0]:
+        if t.dims[0] != first.dims[0]:
             raise ShapeError(f"concat_channels: batch axis differs, {first.dims} vs {t.dims}")
-    if first.ndim not in (3, 4):
-        raise ShapeError(f"concat_channels: expected [C,H,W] or [B,C,H,W] inputs, got {first.dims}")
-    axis = first.ndim - 3
-    out = Tensor(np.concatenate([t.data for t in xs], axis=axis))
-    splits = [t.dims[axis] for t in xs]
+    out = Tensor(np.concatenate([t.data for t in xs], axis=1))
 
     def backward(g: np.ndarray) -> None:
         start = 0
-        for t, span in zip(xs, splits):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(start, start + span)
-            _accumulate(t, g[tuple(sl)])
-            start += span
+        for t in xs:
+            _accumulate(t, g[:, start:start + t.dims[1]])
+            start += t.dims[1]
 
     return record(out, tuple(xs), backward)
 
 
 def scale_channels(x: Tensor, w: Tensor) -> Tensor:
-    """Multiply a feature map by per-channel weights or an equally shaped mask.
+    """Multiply a [B, C, H, W] map by per-channel weights or an equally shaped mask.
 
-    Accepts w of shape [C] for any input, [B, C] for batched input, or the
+    Accepts w of shape [B, C] (one weight per sample and channel) or the
     full input shape for elementwise gating.
     """
-    xd = x.data
+    xd = _batch_first(x.data, 4, "scale_channels")
     wd = w.data
-    if xd.ndim not in (3, 4):
-        raise ShapeError(f"scale_channels: input must be [C,H,W] or [B,C,H,W], got {xd.shape}")
-    c = xd.shape[-3]
     if wd.shape == xd.shape:
         expand = wd
         reduce_axes: Tuple[int, ...] = ()
-    elif wd.shape == (c,):
-        expand = wd[:, None, None] if xd.ndim == 3 else wd[None, :, None, None]
-        reduce_axes = (1, 2) if xd.ndim == 3 else (0, 2, 3)
-    elif xd.ndim == 4 and wd.shape == xd.shape[:2]:
+    elif wd.shape == xd.shape[:2]:
         expand = wd[:, :, None, None]
         reduce_axes = (2, 3)
     else:
@@ -769,15 +747,15 @@ class LstmLayerParams:
 
 
 def lstm_forward(seq: Tensor, params: LstmLayerParams) -> Tensor:
-    """Run one LSTM layer over a [T, F] or [B, T, F] sequence as one taped op.
+    """Run one LSTM layer over a [B, T, F] sequence as one taped op.
 
-    Returns the hidden states for every step, [T, H] or [B, T, H], from
-    zero initial hidden and cell states. Each gate's input projection plus
-    bias is one GEMM over all B*T rows before the time loop; each step then
-    adds one ``wh @ h`` per gate. The backward pass is backpropagation
-    through time written out by hand: its only per-step matmuls are the four
-    ``dz @ wh``, and the weight, bias and input gradients are each one GEMM
-    or sum over all steps.
+    Returns the hidden states for every step, [B, T, H], from zero initial
+    hidden and cell states. Each gate's input projection plus bias is one
+    GEMM over all B*T rows before the time loop; each step then adds one
+    ``wh @ h`` per gate. The backward pass is backpropagation through time
+    written out by hand: its only per-step matmuls are the four ``dz @ wh``,
+    and the weight, bias and input gradients are each one GEMM or sum over
+    all steps.
 
     The four gates keep their own weight tensors, so parameter names,
     shapes and checkpoints are those of the per-gate layout. They are not
@@ -787,12 +765,11 @@ def lstm_forward(seq: Tensor, params: LstmLayerParams) -> Tensor:
     takes 0.07-0.14 ms. A non-finite gate pre-activation raises
     NonFiniteError.
     """
-    if seq.ndim not in (2, 3):
-        raise ShapeError(f"lstm_forward: sequence must be [T,F] or [B,T,F], got {seq.dims}")
+    xd = _batch_first(seq.data, 3, "lstm_forward")
     hidden = params.hidden_size
     feat = params.feature_size
-    if seq.dims[-1] != feat:
-        raise ShapeError(f"lstm_forward: feature axis is {seq.dims[-1]}, gates expect {feat}")
+    if xd.shape[2] != feat:
+        raise ShapeError(f"lstm_forward: feature axis is {xd.shape[2]}, gates expect {feat}")
     for name, gate in params.gates():
         if gate.wx.dims != (hidden, feat) or gate.wh.dims != (hidden, hidden) or gate.bias.dims != (hidden,):
             raise ShapeError(f"lstm_forward: {name} gate shapes are inconsistent")
@@ -800,8 +777,6 @@ def lstm_forward(seq: Tensor, params: LstmLayerParams) -> Tensor:
     # The three sigmoid gates first, so one call activates them together.
     gates = (params.input_gate, params.forget_gate, params.output_gate, params.cell_gate)
     tensors = tuple(t for gate in gates for t in (gate.wx, gate.wh, gate.bias))
-    batched = seq.ndim == 3
-    xd = seq.data if batched else seq.data[None]
     b, steps, _ = xd.shape
     xs = xd.reshape(b * steps, feat)
     dtype = np.result_type(xd, *(t.data for t in tensors))
@@ -828,10 +803,9 @@ def lstm_forward(seq: Tensor, params: LstmLayerParams) -> Tensor:
         np.multiply(o, tanh_c[:, t], out=out[:, t])
     if not np.all(np.isfinite(z)):
         raise NonFiniteError("lstm_forward: a gate pre-activation is NaN or Inf")
-    result = Tensor(out if batched else out[0])
+    result = Tensor(out)
 
-    def backward(gout: np.ndarray) -> None:
-        gh = gout if batched else gout[None]
+    def backward(gh: np.ndarray) -> None:
         dz = np.empty_like(act)
         for t in range(steps - 1, -1, -1):
             i, f, o, g = act[:, :, t]
@@ -873,7 +847,6 @@ def lstm_forward(seq: Tensor, params: LstmLayerParams) -> Tensor:
                 part = dzs[k] @ gate.wx.data
                 gx = part if gx is None else np.add(gx, part, out=gx)
         if seq.requires_grad:
-            gx = gx.reshape(b, steps, feat)
-            _accumulate(seq, gx if batched else gx[0])
+            _accumulate(seq, gx.reshape(b, steps, feat))
 
     return record(result, (seq,) + tensors, backward)

@@ -114,10 +114,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
     def ndim(self) -> int:
         return self.data.ndim
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -191,8 +190,7 @@ def synth_dataset(seed: int, n_items: int,
                   snr_range_db: Tuple[float, float] = (-10.0, 10.0)) -> List[SynthItem]:
     """Deterministic synthetic triples; one clip yields four of them.
 
-    Clip seeds are spawned up front, so the result is identical whether the
-    clips are built serially or by the MFFCN_THREADS worker pool.
+    Clip seeds are spawned up front, one per clip, from the dataset seed.
     """
     if n_items < 1:
         raise TrainError(f"need at least one item, got {n_items}")
@@ -201,17 +199,7 @@ def synth_dataset(seed: int, n_items: int,
     triples_per_clip = min(audio_frames // SEG_FRAMES, VIDEO_FPS // SEG_VIDEO_FRAMES)
     n_clips = -(-n_items // triples_per_clip)
     children = np.random.SeedSequence(seed).spawn(n_clips)
-    threads = os.environ.get("MFFCN_THREADS", "1")
-    try:
-        workers = int(threads)
-    except ValueError:
-        raise TrainError(f"MFFCN_THREADS must be an integer, got {threads!r}") from None
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(
-                lambda k: _synth_clip(children[k], k, snr_range_db), range(n_clips)))
-    else:
-        chunks = [_synth_clip(children[k], k, snr_range_db) for k in range(n_clips)]
+    chunks = [_synth_clip(children[k], k, snr_range_db) for k in range(n_clips)]
     items = [item for chunk in chunks for item in chunk]
     return items[:n_items]
 

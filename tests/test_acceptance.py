@@ -100,8 +100,8 @@ def test_criterion_3_attention_invariants(capsys):
             layer, fp = blocks[invocations % len(blocks)]
             c = fp.fc_v.weight.dims[0]
             h, w = AUDIO_HW_TRACE[layer]
-            v = Tensor(rng.normal(scale=2.0, size=(c, h, w)))
-            a = Tensor(rng.normal(scale=2.0, size=(c, h, w)))
+            v = Tensor(rng.normal(scale=2.0, size=(1, c, h, w)))
+            a = Tensor(rng.normal(scale=2.0, size=(1, c, h, w)))
             fused, w_v, w_a = channel_attention(v, a, fp, return_weights=True)
             _, mask = spectral_attention(fused, fp.spectral, return_mask=True)
             worst_sum = max(worst_sum, float(np.max(np.abs(w_v.data + w_a.data - 1.0))))

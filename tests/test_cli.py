@@ -135,14 +135,6 @@ class TestTrainCommand:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "checkpoint.mffc").exists()
 
-    def test_malformed_thread_count_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MFFCN_THREADS", "abc")
-        rc = main(["train", "--steps", "1", "--batch", "2", "--width-divisor", "16",
-                   "--out", str(tmp_path)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "MFFCN_THREADS" in err and "'abc'" in err
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_numeric_error(self, tmp_path):
         rc = main(["train", "--lr", "1e12", "--steps", "5", "--batch", "2",

@@ -18,7 +18,7 @@ from mffcn.tensor import Tape, Tensor, no_grad
 
 KERNELS = [(1, 1), (3, 2), (5, 5)]
 STRIDES = [(1, 1), (2, 1), (2, 2)]
-BATCHES = [None, 1, 3]          # None: unbatched [C,H,W] input
+BATCHES = [1, 3]
 HW = (8, 7)                     # odd totals: (3,2) and (5,5) pad asymmetrically
 C_IN, C_OUT = 3, 2
 ATOL = 1e-10
@@ -79,10 +79,6 @@ def ref_conv_transpose2d(x, w, b, g, kernel, stride, out_hw):
     return y, gx, gwf[:, :, ::-1, ::-1], g.sum(axis=(0, 2, 3))
 
 
-def _lead(batch):
-    return () if batch is None else (batch,)
-
-
 def _run(op, x, w, b, g):
     xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
     with Tape() as tape:
@@ -91,15 +87,9 @@ def _run(op, x, w, b, g):
     return y.data, xt.grad, wt.grad, bt.grad
 
 
-def _batched(a, batch):
-    return a[None] if batch is None else a
-
-
-def _assert_close(got, want, batch):
+def _assert_close(got, want):
     names = ("forward", "input grad", "weight grad", "bias grad")
-    for name, gv, wv, squeeze in zip(names, got, want, (True, True, False, False)):
-        if squeeze and batch is None:
-            wv = wv[0]
+    for name, gv, wv in zip(names, got, want):
         assert gv.shape == wv.shape, name
         np.testing.assert_allclose(gv, wv, rtol=0, atol=ATOL, err_msg=name)
 
@@ -108,30 +98,30 @@ def _assert_close(got, want, batch):
 @pytest.mark.parametrize("stride", STRIDES)
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_conv2d_matches_loop_reference(kernel, stride, batch):
-    rng = np.random.default_rng([*kernel, *stride, batch or 0])
+    rng = np.random.default_rng([*kernel, *stride, batch])
     spec = ConvSpec(out_channels=C_OUT, kernel=kernel, stride=stride)
-    x = rng.normal(size=_lead(batch) + (C_IN,) + HW)
+    x = rng.normal(size=(batch, C_IN) + HW)
     w = rng.normal(size=(C_OUT, C_IN) + kernel)
     b = rng.normal(size=C_OUT)
-    g = rng.normal(size=_lead(batch) + (C_OUT,) + spec.out_extents(*HW))
+    g = rng.normal(size=(batch, C_OUT) + spec.out_extents(*HW))
     got = _run(lambda xt, wt, bt: conv2d(xt, wt, bt, spec), x, w, b, g)
-    want = ref_conv2d(_batched(x, batch), w, b, _batched(g, batch), kernel, stride)
-    _assert_close(got, want, batch)
+    want = ref_conv2d(x, w, b, g, kernel, stride)
+    _assert_close(got, want)
 
 
 @pytest.mark.parametrize("batch", BATCHES)
 @pytest.mark.parametrize("stride", STRIDES)
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_conv_transpose2d_matches_loop_reference(kernel, stride, batch):
-    rng = np.random.default_rng([*kernel, *stride, batch or 0, 1])
+    rng = np.random.default_rng([*kernel, *stride, batch, 1])
     spec = ConvSpec(out_channels=C_OUT, kernel=kernel, stride=stride)
-    x = rng.normal(size=_lead(batch) + (C_IN,) + spec.out_extents(*HW))
+    x = rng.normal(size=(batch, C_IN) + spec.out_extents(*HW))
     w = rng.normal(size=(C_IN, C_OUT) + kernel)
     b = rng.normal(size=C_OUT)
-    g = rng.normal(size=_lead(batch) + (C_OUT,) + HW)
+    g = rng.normal(size=(batch, C_OUT) + HW)
     got = _run(lambda xt, wt, bt: conv_transpose2d(xt, wt, bt, spec, HW), x, w, b, g)
-    want = ref_conv_transpose2d(_batched(x, batch), w, b, _batched(g, batch), kernel, stride, HW)
-    _assert_close(got, want, batch)
+    want = ref_conv_transpose2d(x, w, b, g, kernel, stride, HW)
+    _assert_close(got, want)
 
 
 def test_grid_exercises_asymmetric_padding():
@@ -150,23 +140,23 @@ MODEL_GEOMETRIES = [((2, 2), (1, 5), (5, 1)), ((2, 2), (1, 5), (5, 5)), ((2, 2),
 @pytest.mark.parametrize("transpose", [False, True])
 @pytest.mark.parametrize("kernel, stride, hw", MODEL_GEOMETRIES)
 def test_model_geometries_match_loop_reference(kernel, stride, hw, transpose, batch):
-    rng = np.random.default_rng([*kernel, *stride, *hw, transpose, batch or 0, 7])
+    rng = np.random.default_rng([*kernel, *stride, *hw, transpose, batch, 7])
     spec = ConvSpec(out_channels=C_OUT, kernel=kernel, stride=stride)
     small = spec.out_extents(*hw)
     b = rng.normal(size=C_OUT)
     if transpose:
-        x = rng.normal(size=_lead(batch) + (C_IN,) + small)
+        x = rng.normal(size=(batch, C_IN) + small)
         w = rng.normal(size=(C_IN, C_OUT) + kernel)
-        g = rng.normal(size=_lead(batch) + (C_OUT,) + hw)
+        g = rng.normal(size=(batch, C_OUT) + hw)
         got = _run(lambda xt, wt, bt: conv_transpose2d(xt, wt, bt, spec, hw), x, w, b, g)
-        want = ref_conv_transpose2d(_batched(x, batch), w, b, _batched(g, batch), kernel, stride, hw)
+        want = ref_conv_transpose2d(x, w, b, g, kernel, stride, hw)
     else:
-        x = rng.normal(size=_lead(batch) + (C_IN,) + hw)
+        x = rng.normal(size=(batch, C_IN) + hw)
         w = rng.normal(size=(C_OUT, C_IN) + kernel)
-        g = rng.normal(size=_lead(batch) + (C_OUT,) + small)
+        g = rng.normal(size=(batch, C_OUT) + small)
         got = _run(lambda xt, wt, bt: conv2d(xt, wt, bt, spec), x, w, b, g)
-        want = ref_conv2d(_batched(x, batch), w, b, _batched(g, batch), kernel, stride)
-    _assert_close(got, want, batch)
+        want = ref_conv2d(x, w, b, g, kernel, stride)
+    _assert_close(got, want)
 
 
 def test_one_by_one_stride_one_columns_are_a_view():
@@ -276,18 +266,16 @@ def ref_maxpool2d(x, g, window):
 @pytest.mark.parametrize("window", [(2, 2), (2, 4), (3, 3), (1, 2)])
 def test_maxpool2d_matches_loop_reference(window, batch):
     """Ties (integer-valued input) go to the first cell; edges are padded with -inf."""
-    rng = np.random.default_rng([*window, batch or 0, 3])
-    x = rng.integers(-2, 2, size=_lead(batch) + (C_IN,) + HW).astype(np.float64)
+    rng = np.random.default_rng([*window, batch, 3])
+    x = rng.integers(-2, 2, size=(batch, C_IN) + HW).astype(np.float64)
     x[x == 0] = rng.choice([-0.0, 0.0], size=int((x == 0).sum()))  # signed-zero ties
     ho, wo = (math.ceil(HW[i] / window[i]) for i in range(2))
-    g = rng.normal(size=_lead(batch) + (C_IN, ho, wo))
+    g = rng.normal(size=(batch, C_IN, ho, wo))
     xt = Tensor(x, requires_grad=True)
     with Tape() as tape:
         y = maxpool2d(xt, window)
         tape.backward((y * Tensor(g)).sum())
-    want_y, want_gx = ref_maxpool2d(_batched(x, batch), _batched(g, batch), window)
-    if batch is None:
-        want_y, want_gx = want_y[0], want_gx[0]
+    want_y, want_gx = ref_maxpool2d(x, g, window)
     assert y.data.tobytes() == want_y.tobytes()  # bitwise: the first of tied zeros wins
     np.testing.assert_array_equal(xt.grad, want_gx)
 
@@ -325,12 +313,12 @@ def test_blocked_conv2d_forward_matches_single_block(kernel, stride, batch, bloc
     rounding bound of a length-K dot product, not bit for bit. The model's
     own geometry is bitwise (test_blocked_model_forward_is_bitwise below).
     """
-    rng = np.random.default_rng([*kernel, *stride, batch or 0, 4])
+    rng = np.random.default_rng([*kernel, *stride, batch, 4])
     spec = ConvSpec(out_channels=C_OUT, kernel=kernel, stride=stride)
-    x = rng.normal(size=_lead(batch) + (C_IN,) + HW).astype(dtype)
+    x = rng.normal(size=(batch, C_IN) + HW).astype(dtype)
     w = rng.normal(size=(C_OUT, C_IN) + kernel).astype(dtype)
     b = rng.normal(size=C_OUT).astype(dtype)
-    g = _Grid(spec, batch or 1, *HW)
+    g = _Grid(spec, batch, *HW)
     col = _col_bytes(kernel, dtype)
     budget = BLOCKINGS[blocking](g, col)
     monkeypatch.setattr(ops, "COL_BLOCK_BYTES", budget)
@@ -351,17 +339,22 @@ def test_blocked_conv2d_forward_matches_single_block(kernel, stride, batch, bloc
 @pytest.mark.parametrize("dtype, width_divisor, batch", [
     (np.float32, 8, 4), (np.float32, 8, 1), (np.float64, 16, 3), (np.float64, 16, None)])
 def test_blocked_model_forward_is_bitwise(dtype, width_divisor, batch, monkeypatch):
-    """At the default budget the first video conv (5x5 over 5x80x80, 3.2 MB of
-    float32 columns per sample) runs in bands of 80-wide output rows; the
-    eval-mode forward is bit-identical to one block per conv."""
+    """At the default budget the first video conv (5x5 over 5x80x80) runs in
+    bands of phase-grid rows: one grid column takes 500 bytes of float32
+    columns (1,000 in float64) and one 84-column grid row 42,000 (84,000), so
+    the 2 MiB budget makes two 40-row bands per sample (four 20-row bands in
+    float64). The eval-mode forward is bit-identical to one block per conv.
+    Batch None feeds mffcn_forward one [C,H,W] segment."""
     from mffcn.model import FusionStrategy, init_params, mffcn_forward
 
     params = init_params(0, FusionStrategy.MULTILAYER, width_divisor, dtype=dtype)
     rng = np.random.default_rng(6)
-    lead = _lead(batch)
+    lead = () if batch is None else (batch,)
     y = Tensor(rng.normal(size=lead + (1, 80, 20)).astype(dtype))
     v = Tensor(rng.uniform(size=lead + (5, 80, 80)).astype(dtype))
     assert 5 * 5 * 5 * 80 * 80 * np.dtype(dtype).itemsize > ops.COL_BLOCK_BYTES
+    bands = _Grid(ConvSpec(out_channels=1, kernel=(5, 5)), 1, 80, 80).blocks(5 * 5 * 5 * np.dtype(dtype).itemsize)
+    assert [rows.stop - rows.start for _, rows, _ in bands] == ([40] * 2 if dtype == np.float32 else [20] * 4)
     outs = []
     for budget in (ops.COL_BLOCK_BYTES, 1 << 40):
         monkeypatch.setattr(ops, "COL_BLOCK_BYTES", budget)

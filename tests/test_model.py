@@ -206,17 +206,17 @@ class TestForward:
 
     def test_trace_violation_message(self):
         params = init_params(0, FusionStrategy.LATE, 16)
-        wrong = Tensor(np.zeros((4, 13, 13), dtype=np.float32))
+        wrong = Tensor(np.zeros((1, 4, 13, 13), dtype=np.float32))
         with pytest.raises(ModelError, match="trace violation"):
             encoder_layer_audio(wrong, 2, params.audio_enc[1])
         with pytest.raises(ModelError, match="trace violation"):
             encoder_layer_video(wrong, 2, params.video_enc[1])
 
     def test_align_pools_only_layer_one(self):
-        feat = Tensor(np.arange(4 * 40 * 20, dtype=np.float32).reshape(4, 40, 20))
+        feat = Tensor(np.arange(4 * 40 * 20, dtype=np.float32).reshape(1, 4, 40, 20))
         aligned = align_to_audio(feat, 1)
-        assert aligned.dims == (4, 40, 10)
-        feat2 = Tensor(np.zeros((8, 20, 5), dtype=np.float32))
+        assert aligned.dims == (1, 4, 40, 10)
+        feat2 = Tensor(np.zeros((1, 8, 20, 5), dtype=np.float32))
         assert align_to_audio(feat2, 3) is feat2
 
     def test_eval_forward_is_pure(self):
@@ -246,6 +246,27 @@ class TestForward:
         assert np.array_equal(out, again)
         for i, row in enumerate(rows):
             np.testing.assert_allclose(out[i], row, rtol=0, atol=1e-12 * np.abs(row).max())
+
+    def test_single_segment_runs_as_a_batch_of_one(self, monkeypatch):
+        """A [C,H,W] segment gives the batch-of-one output bit for bit, in one
+        mffcn_forward call: callers that wrap the name count each forward once."""
+        params = init_params(3, FusionStrategy.MULTILAYER, 16)
+        y, v = _small_inputs(3, batch=1)
+        calls = []
+        forward = mffcn_forward
+
+        def counting_forward(y, v, p, mode="train"):
+            calls.append(y.dims)
+            return forward(y, v, p, mode=mode)
+
+        monkeypatch.setattr("mffcn.model.mffcn_forward", counting_forward)
+        from mffcn import model
+        with no_grad():
+            batch = model.mffcn_forward(y, v, params, mode="eval")
+            single = model.mffcn_forward(Tensor(y.data[0]), Tensor(v.data[0]), params, mode="eval")
+        assert single.dims == (1, 80, 20)
+        assert single.data.tobytes() == batch.data[0].tobytes()
+        assert calls == [(1, 1, 80, 20), (1, 80, 20)]
 
     def test_train_mode_updates_running_stats(self):
         params = init_params(5, FusionStrategy.LATE, 16)
@@ -318,11 +339,11 @@ class TestChannelAttention:
         rng = np.random.default_rng(11)
         c, h, w = 3, 2, 4
         p = _rand_fusion_params(rng, c)
-        v = Tensor(rng.normal(size=(c, h, w)).astype(np.float32))
-        a = Tensor(rng.normal(size=(c, h, w)).astype(np.float32))
+        v = Tensor(rng.normal(size=(1, c, h, w)).astype(np.float32))
+        a = Tensor(rng.normal(size=(1, c, h, w)).astype(np.float32))
         fused, wv, wa = channel_attention(v, a, p, return_weights=True)
 
-        cat = np.concatenate([v.data, a.data], axis=0).astype(np.float64)
+        cat = np.concatenate([v.data[0], a.data[0]], axis=0).astype(np.float64)
         merged = np.einsum("dsuv,shw->dhw", p.concat_reduce.weight.data.astype(np.float64),
                            cat) + p.concat_reduce.bias.data[:, None, None]
         desc = merged.mean(axis=(1, 2))
@@ -331,21 +352,21 @@ class TestChannelAttention:
         ev, ea = np.exp(sv), np.exp(sa)
         exp_wv = ev / (ev + ea)
         exp_wa = ea / (ev + ea)
-        scaled = np.concatenate([v.data * exp_wv[:, None, None],
-                                 a.data * exp_wa[:, None, None]], axis=0)
+        scaled = np.concatenate([v.data[0] * exp_wv[:, None, None],
+                                 a.data[0] * exp_wa[:, None, None]], axis=0)
         expected = np.einsum("dsuv,shw->dhw", p.post_weight.weight.data.astype(np.float64),
                              scaled) + p.post_weight.bias.data[:, None, None]
 
-        assert np.allclose(wv.data, exp_wv, atol=1e-5)
-        assert np.allclose(wa.data, exp_wa, atol=1e-5)
-        assert np.allclose(fused.data, expected, atol=1e-4)
+        assert np.allclose(wv.data, exp_wv[None], atol=1e-5)
+        assert np.allclose(wa.data, exp_wa[None], atol=1e-5)
+        assert np.allclose(fused.data, expected[None], atol=1e-4)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(12)
         for c in (2, 5):
             p = _rand_fusion_params(rng, c)
-            v = Tensor(rng.normal(size=(c, 3, 3)).astype(np.float32))
-            a = Tensor(rng.normal(size=(c, 3, 3)).astype(np.float32))
+            v = Tensor(rng.normal(size=(1, c, 3, 3)).astype(np.float32))
+            a = Tensor(rng.normal(size=(1, c, 3, 3)).astype(np.float32))
             _, wv, wa = channel_attention(v, a, p, return_weights=True)
             assert np.all(wv.data > 0) and np.all(wa.data > 0)
             assert np.allclose(wv.data + wa.data, 1.0, atol=1e-6)
@@ -353,8 +374,8 @@ class TestChannelAttention:
     def test_equal_heads_split_evenly(self):
         rng = np.random.default_rng(13)
         p = _rand_fusion_params(rng, 4, equal_heads=True)
-        v = Tensor(rng.normal(size=(4, 2, 2)).astype(np.float32))
-        a = Tensor(rng.normal(size=(4, 2, 2)).astype(np.float32))
+        v = Tensor(rng.normal(size=(1, 4, 2, 2)).astype(np.float32))
+        a = Tensor(rng.normal(size=(1, 4, 2, 2)).astype(np.float32))
         _, wv, wa = channel_attention(v, a, p, return_weights=True)
         assert np.allclose(wv.data, 0.5)
         assert np.allclose(wa.data, 0.5)
@@ -362,8 +383,8 @@ class TestChannelAttention:
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(14)
         p = _rand_fusion_params(rng, 2)
-        v = Tensor(np.zeros((2, 3, 3), dtype=np.float32))
-        a = Tensor(np.zeros((2, 3, 4), dtype=np.float32))
+        v = Tensor(np.zeros((1, 2, 3, 3), dtype=np.float32))
+        a = Tensor(np.zeros((1, 2, 3, 4), dtype=np.float32))
         with pytest.raises(Exception):
             channel_attention(v, a, p)
 
@@ -372,7 +393,7 @@ class TestSpectralAttention:
     def test_mask_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(15)
         p = _rand_fusion_params(rng, 3).spectral
-        x = Tensor(rng.normal(scale=5.0, size=(3, 4, 4)).astype(np.float32))
+        x = Tensor(rng.normal(scale=5.0, size=(1, 3, 4, 4)).astype(np.float32))
         gated, mask = spectral_attention(x, p, return_mask=True)
         assert np.all(mask.data > 0.0)
         assert np.all(mask.data < 1.0)
@@ -381,21 +402,21 @@ class TestSpectralAttention:
     def test_against_plain_numpy(self):
         rng = np.random.default_rng(16)
         p = _rand_fusion_params(rng, 2).spectral
-        x = Tensor(rng.normal(size=(2, 3, 3)).astype(np.float32))
+        x = Tensor(rng.normal(size=(1, 2, 3, 3)).astype(np.float32))
         gated = spectral_attention(x, p)
-        xd = x.data.astype(np.float64)
+        xd = x.data[0].astype(np.float64)
         hid = np.einsum("dsuv,shw->dhw", p.hidden.weight.data.astype(np.float64), xd) \
             + p.hidden.bias.data[:, None, None]
         hid = np.maximum(hid, 0.0)
         mask = _sigmoid(np.einsum("dsuv,shw->dhw", p.mask.weight.data.astype(np.float64), hid)
                         + p.mask.bias.data[:, None, None])
-        assert np.allclose(gated.data, xd * mask, atol=1e-5)
+        assert np.allclose(gated.data, (xd * mask)[None], atol=1e-5)
 
     def test_fusion_block_composes(self):
         rng = np.random.default_rng(17)
         p = _rand_fusion_params(rng, 3)
-        v = Tensor(rng.normal(size=(3, 2, 2)).astype(np.float32))
-        a = Tensor(rng.normal(size=(3, 2, 2)).astype(np.float32))
+        v = Tensor(rng.normal(size=(1, 3, 2, 2)).astype(np.float32))
+        a = Tensor(rng.normal(size=(1, 3, 2, 2)).astype(np.float32))
         out = fusion_block(v, a, p)
         ca = channel_attention(v, a, p)
         expected = spectral_attention(ca, p.spectral)
@@ -410,17 +431,17 @@ class TestBottleneck:
                 gate.wx.data[...] = 0.0
                 gate.wh.data[...] = 0.0
                 gate.bias.data[...] = 0.0
-        x = Tensor(np.random.default_rng(0).normal(size=(64, 5, 1)).astype(np.float32))
+        x = Tensor(np.random.default_rng(0).normal(size=(1, 64, 5, 1)).astype(np.float32))
         out = bottleneck(x, params.bottleneck_attn, params.bottleneck_lstm)
-        assert out.dims == (64, 5, 1)
+        assert out.dims == (1, 64, 5, 1)
         assert np.allclose(out.data, 0.0)
 
     def test_shape_guard(self):
         params = init_params(0, FusionStrategy.LATE, 16)
-        bad = Tensor(np.zeros((64, 4, 1), dtype=np.float32))
+        bad = Tensor(np.zeros((1, 64, 4, 1), dtype=np.float32))
         with pytest.raises(ModelError):
             bottleneck(bad, params.bottleneck_attn, params.bottleneck_lstm)
-        thin = Tensor(np.zeros((32, 5, 1), dtype=np.float32))
+        thin = Tensor(np.zeros((1, 32, 5, 1), dtype=np.float32))
         with pytest.raises(ModelError):
             bottleneck(thin, params.bottleneck_attn, params.bottleneck_lstm)
 

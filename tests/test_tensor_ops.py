@@ -1,6 +1,7 @@
 """Unit tests for the tensor engine and the neural-net operations."""
 
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -199,28 +200,28 @@ class TestStructureOps:
 
 class TestConv2d:
     def test_hand_worked_all_ones_kernel(self):
-        x = _t([[[1.0, 2.0], [3.0, 4.0]]])
+        x = _t([[[[1.0, 2.0], [3.0, 4.0]]]])
         w = _t(np.ones((1, 1, 2, 2)))
         b = _t([0.0])
         spec = ConvSpec(out_channels=1, kernel=(2, 2), stride=(1, 1))
         y = conv2d(x, w, b, spec)
-        assert np.array_equal(y.data[0], np.array([[10.0, 6.0], [7.0, 4.0]], dtype=np.float32))
+        assert np.array_equal(y.data[0, 0], np.array([[10.0, 6.0], [7.0, 4.0]], dtype=np.float32))
 
     def test_one_by_one_identity(self):
-        x = _t(np.random.default_rng(0).normal(size=(3, 5, 7)))
+        x = _t(np.random.default_rng(0).normal(size=(1, 3, 5, 7)))
         w = _t(np.eye(3).reshape(3, 3, 1, 1))
         b = _t(np.zeros(3))
         y = conv2d(x, w, b, ConvSpec(out_channels=3, kernel=(1, 1)))
         assert np.allclose(y.data, x.data, atol=1e-6)
 
     def test_table_first_audio_layer_shape(self):
-        x = _t(np.zeros((1, 80, 20)))
+        x = _t(np.zeros((1, 1, 80, 20)))
         w = _t(np.zeros((64, 1, 5, 5)))
         b = _t(np.zeros(64))
         y = conv2d(x, w, b, ConvSpec(out_channels=64, kernel=(5, 5), stride=(2, 2)))
-        assert y.dims == (64, 40, 10)
+        assert y.dims == (1, 64, 40, 10)
 
-    def test_batched_matches_unbatched(self):
+    def test_batch_rows_match_batch_one(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 3, 6, 5)).astype(np.float32)
         w = _t(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
@@ -228,18 +229,18 @@ class TestConv2d:
         spec = ConvSpec(out_channels=4, kernel=(3, 3), stride=(2, 1))
         full = conv2d(_t(x), w, b, spec)
         for i in range(2):
-            single = conv2d(_t(x[i]), w, b, spec)
-            assert np.allclose(full.data[i], single.data, atol=1e-6)
+            single = conv2d(_t(x[i:i + 1]), w, b, spec)
+            assert np.allclose(full.data[i:i + 1], single.data, atol=1e-6)
 
     def test_channel_mismatch_names_axis(self):
-        x = _t(np.zeros((2, 4, 4)))
+        x = _t(np.zeros((1, 2, 4, 4)))
         w = _t(np.zeros((1, 3, 2, 2)))
         b = _t(np.zeros(1))
         with pytest.raises(ShapeError, match="channel"):
             conv2d(x, w, b, ConvSpec(out_channels=1, kernel=(2, 2)))
 
     def test_input_left_unchanged(self):
-        x_data = np.random.default_rng(1).normal(size=(2, 4, 4)).astype(np.float32)
+        x_data = np.random.default_rng(1).normal(size=(1, 2, 4, 4)).astype(np.float32)
         x = Tensor(x_data.copy(), requires_grad=True)
         w = _t(np.ones((2, 2, 3, 3)), grad=True)
         b = _t(np.zeros(2), grad=True)
@@ -251,22 +252,22 @@ class TestConv2d:
 
 class TestConvTranspose2d:
     def test_identity_kernel(self):
-        x = _t(np.random.default_rng(5).normal(size=(2, 4, 6)))
+        x = _t(np.random.default_rng(5).normal(size=(1, 2, 4, 6)))
         w = _t(np.eye(2).reshape(2, 2, 1, 1))
         b = _t(np.zeros(2))
         y = conv_transpose2d(x, w, b, ConvSpec(out_channels=2, kernel=(1, 1)), out_hw=(4, 6))
         assert np.allclose(y.data, x.data, atol=1e-6)
 
     def test_inverts_first_audio_layer_extents(self):
-        x = _t(np.zeros((64, 40, 10)))
+        x = _t(np.zeros((1, 64, 40, 10)))
         w = _t(np.zeros((64, 1, 5, 5)))
         b = _t(np.zeros(1))
         spec = ConvSpec(out_channels=1, kernel=(5, 5), stride=(2, 2))
         y = conv_transpose2d(x, w, b, spec, out_hw=(80, 20))
-        assert y.dims == (1, 80, 20)
+        assert y.dims == (1, 1, 80, 20)
 
     def test_rejects_inconsistent_target_extent(self):
-        x = _t(np.zeros((1, 4, 4)))
+        x = _t(np.zeros((1, 1, 4, 4)))
         w = _t(np.zeros((1, 1, 2, 2)))
         b = _t(np.zeros(1))
         spec = ConvSpec(out_channels=1, kernel=(2, 2), stride=(2, 2))
@@ -276,10 +277,10 @@ class TestConvTranspose2d:
     def test_matches_conv2d_input_gradient_with_flipped_kernels(self):
         rng = np.random.default_rng(7)
         spec = ConvSpec(out_channels=3, kernel=(3, 2), stride=(2, 1))
-        x = Tensor(rng.normal(size=(2, 6, 5)).astype(np.float64), requires_grad=True)
+        x = Tensor(rng.normal(size=(1, 2, 6, 5)).astype(np.float64), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 2, 3, 2)).astype(np.float64))
         b = Tensor(np.zeros(3, dtype=np.float64))
-        g = rng.normal(size=(3, 3, 5)).astype(np.float64)
+        g = rng.normal(size=(1, 3, 3, 5)).astype(np.float64)
         with Tape() as tape:
             y = conv2d(x, w, b, spec)
             tape.backward((y * Tensor(g)).sum())
@@ -292,37 +293,37 @@ class TestConvTranspose2d:
 
 class TestMaxPool:
     def test_single_window(self):
-        y = maxpool2d(_t([[[1.0, 2.0], [3.0, 4.0]]]), window=(2, 2))
-        assert y.dims == (1, 1, 1)
+        y = maxpool2d(_t([[[[1.0, 2.0], [3.0, 4.0]]]]), window=(2, 2))
+        assert y.dims == (1, 1, 1, 1)
         assert y.item() == 4.0
 
     def test_window_one_is_identity(self):
-        x = _t(np.random.default_rng(2).normal(size=(3, 4, 5)))
+        x = _t(np.random.default_rng(2).normal(size=(1, 3, 4, 5)))
         y = maxpool2d(x, window=(1, 1))
         assert np.array_equal(y.data, x.data)
 
     def test_video_table_row_shape(self):
-        y = maxpool2d(_t(np.zeros((64, 80, 80))), window=(2, 4))
-        assert y.dims == (64, 40, 20)
+        y = maxpool2d(_t(np.zeros((1, 64, 80, 80))), window=(2, 4))
+        assert y.dims == (1, 64, 40, 20)
 
     def test_ceil_padding_keeps_real_max(self):
-        x = _t(np.array([[[1.0, 2.0, 3.0]]]))  # width 3, window 2 -> ceil = 2
+        x = _t(np.array([[[[1.0, 2.0, 3.0]]]]))  # width 3, window 2 -> ceil = 2
         y = maxpool2d(x, window=(1, 2))
-        assert np.array_equal(y.data[0, 0], [2.0, 3.0])
+        assert np.array_equal(y.data[0, 0, 0], [2.0, 3.0])
 
     def test_tie_routes_gradient_to_first_element(self):
-        x = _t(np.ones((1, 2, 2)), grad=True)
+        x = _t(np.ones((1, 1, 2, 2)), grad=True)
         with Tape() as tape:
             y = maxpool2d(x, window=(2, 2))
             tape.backward(y.sum())
-        expect = np.zeros((1, 2, 2))
-        expect[0, 0, 0] = 1.0
+        expect = np.zeros((1, 1, 2, 2))
+        expect[0, 0, 0, 0] = 1.0
         assert np.array_equal(x.grad, expect)
 
 
 class TestBatchNorm:
     def test_constant_input_maps_to_zero(self):
-        x = _t(np.full((3, 4, 4), 7.0))
+        x = _t(np.full((1, 3, 4, 4), 7.0))
         state = BatchNormState.initial(3)
         y = batch_norm(x, _t(np.ones(3)), _t(np.zeros(3)), state, mode="train")
         assert np.allclose(y.data, 0.0, atol=1e-4)
@@ -362,17 +363,16 @@ class TestBatchNorm:
         assert var.tobytes() == np.var(xd, axis=(0, 2, 3), dtype=np.float64).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(6, 9, 4), (3, 6, 9, 4)])
+    @pytest.mark.parametrize("shape", [(1, 6, 9, 4), (3, 6, 9, 4)])
     def test_running_update_matches_numpy_stats_bitwise(self, dtype, shape):
         rng = np.random.default_rng(37)
         xd = rng.normal(loc=-1.5, scale=0.7, size=shape).astype(dtype)
-        c = shape[-3]
+        c = shape[1]
         state = BatchNormState.initial(c, dtype)
         batch_norm(_t(xd, dtype=dtype), _t(np.ones(c), dtype=dtype),
                    _t(np.zeros(c), dtype=dtype), state, mode="train")
-        xb = xd if xd.ndim == 4 else xd[None]
-        mu = np.mean(xb, axis=(0, 2, 3), dtype=np.float64).astype(dtype)
-        var = np.var(xb, axis=(0, 2, 3), dtype=np.float64).astype(dtype)
+        mu = np.mean(xd, axis=(0, 2, 3), dtype=np.float64).astype(dtype)
+        var = np.var(xd, axis=(0, 2, 3), dtype=np.float64).astype(dtype)
         fresh = BatchNormState.initial(c, dtype)
         want_mean = (1.0 - ops.BN_MOMENTUM) * fresh.mean + ops.BN_MOMENTUM * mu
         want_var = (1.0 - ops.BN_MOMENTUM) * fresh.var + ops.BN_MOMENTUM * var
@@ -380,7 +380,7 @@ class TestBatchNorm:
         assert state.var.tobytes() == want_var.tobytes()
 
     def test_eval_mode_uses_running_stats(self):
-        x = _t(np.full((1, 2, 2), 3.0))
+        x = _t(np.full((1, 1, 2, 2), 3.0))
         state = BatchNormState(mean=np.array([3.0], dtype=np.float32),
                                var=np.array([1.0], dtype=np.float32))
         y = batch_norm(x, _t(np.ones(1)), _t(np.zeros(1)), state, mode="eval")
@@ -485,29 +485,29 @@ class TestActivationsAndGating:
 
 class TestFullyConnectedAndPooling:
     def test_identity_weights(self):
-        x = _t([1.5, -2.5])
+        x = _t([[1.5, -2.5]])
         y = fully_connected(x, _t(np.eye(2)), _t(np.zeros(2)))
         assert np.allclose(y.data, x.data)
 
     def test_dot_product_example(self):
-        y = fully_connected(_t([2.0, 3.0]), _t([[1.0, 1.0]]), _t([1.0]))
-        assert np.allclose(y.data, [6.0])
+        y = fully_connected(_t([[2.0, 3.0]]), _t([[1.0, 1.0]]), _t([1.0]))
+        assert np.allclose(y.data, [[6.0]])
 
     def test_bias_optional(self):
-        y = fully_connected(_t([2.0, 3.0]), _t([[1.0, 1.0]]))
-        assert np.allclose(y.data, [5.0])
+        y = fully_connected(_t([[2.0, 3.0]]), _t([[1.0, 1.0]]))
+        assert np.allclose(y.data, [[5.0]])
 
     def test_global_avg_pool_mean(self):
-        y = global_avg_pool(_t([[[1.0, 3.0], [5.0, 7.0]]]))
-        assert np.allclose(y.data, [4.0])
+        y = global_avg_pool(_t([[[[1.0, 3.0], [5.0, 7.0]]]]))
+        assert np.allclose(y.data, [[4.0]])
 
     def test_global_avg_pool_constant(self):
-        y = global_avg_pool(_t(np.full((3, 2, 5), 2.5)))
+        y = global_avg_pool(_t(np.full((1, 3, 2, 5), 2.5)))
         assert np.allclose(y.data, 2.5)
 
     def test_global_avg_pool_unit_spatial(self):
-        x = _t(np.arange(4.0).reshape(4, 1, 1))
-        assert np.allclose(global_avg_pool(x).data, np.arange(4.0))
+        x = _t(np.arange(4.0).reshape(1, 4, 1, 1))
+        assert np.allclose(global_avg_pool(x).data, np.arange(4.0)[None])
 
 
 class TestNonFiniteOperands:
@@ -522,12 +522,12 @@ class TestNonFiniteOperands:
     def test_conv2d_nan_weight(self):
         w = self._poison(_t(np.ones((2, 3, 3, 3))))
         with pytest.raises(NonFiniteError, match="tensor holds"):
-            conv2d(_t(np.ones((3, 5, 4))), w, _t(np.zeros(2)), ConvSpec(out_channels=2, kernel=(3, 3)))
+            conv2d(_t(np.ones((1, 3, 5, 4))), w, _t(np.zeros(2)), ConvSpec(out_channels=2, kernel=(3, 3)))
 
     def test_batch_norm_nan_gamma(self):
         gamma = self._poison(_t(np.ones(2)))
         with pytest.raises(NonFiniteError, match="tensor holds"):
-            batch_norm(_t(np.ones((2, 3, 3))), gamma, _t(np.zeros(2)), BatchNormState.initial(2), mode="eval")
+            batch_norm(_t(np.ones((1, 2, 3, 3))), gamma, _t(np.zeros(2)), BatchNormState.initial(2), mode="eval")
 
     def test_fully_connected_nan_weight(self):
         w = self._poison(_t(np.ones((2, 3))))
@@ -537,47 +537,47 @@ class TestNonFiniteOperands:
 
 class TestConcatAndScale:
     def test_concat_channel_counts_add(self):
-        a = _t(np.zeros((512, 5, 5)))
-        v = _t(np.zeros((512, 5, 5)))
-        assert concat_channels([a, v]).dims == (1024, 5, 5)
+        a = _t(np.zeros((1, 512, 5, 5)))
+        v = _t(np.zeros((1, 512, 5, 5)))
+        assert concat_channels([a, v]).dims == (1, 1024, 5, 5)
 
     def test_concat_single_identity(self):
-        x = _t(np.random.default_rng(29).normal(size=(2, 3, 3)))
+        x = _t(np.random.default_rng(29).normal(size=(1, 2, 3, 3)))
         assert np.array_equal(concat_channels([x]).data, x.data)
 
     def test_concat_slices_recover_inputs(self):
         rng = np.random.default_rng(31)
-        a = _t(rng.normal(size=(2, 3, 4)))
-        b = _t(rng.normal(size=(5, 3, 4)))
+        a = _t(rng.normal(size=(1, 2, 3, 4)))
+        b = _t(rng.normal(size=(1, 5, 3, 4)))
         y = concat_channels([a, b])
-        assert np.array_equal(y.data[:2], a.data)
-        assert np.array_equal(y.data[2:], b.data)
+        assert np.array_equal(y.data[:, :2], a.data)
+        assert np.array_equal(y.data[:, 2:], b.data)
 
     def test_concat_spatial_mismatch(self):
         with pytest.raises(ShapeError, match="spatial"):
-            concat_channels([_t(np.zeros((1, 2, 2))), _t(np.zeros((1, 3, 2)))])
+            concat_channels([_t(np.zeros((1, 1, 2, 2))), _t(np.zeros((1, 1, 3, 2)))])
 
     def test_scale_ones_identity(self):
-        x = _t(np.random.default_rng(37).normal(size=(3, 4, 4)))
-        y = scale_channels(x, _t(np.ones(3)))
+        x = _t(np.random.default_rng(37).normal(size=(1, 3, 4, 4)))
+        y = scale_channels(x, _t(np.ones((1, 3))))
         assert np.allclose(y.data, x.data)
 
     def test_scale_half(self):
-        x = _t(np.random.default_rng(41).normal(size=(2, 3, 3)))
-        y = scale_channels(x, _t([0.5, 0.5]))
+        x = _t(np.random.default_rng(41).normal(size=(1, 2, 3, 3)))
+        y = scale_channels(x, _t([[0.5, 0.5]]))
         assert np.allclose(y.data, 0.5 * x.data)
 
     def test_scale_weight_gradient_is_channel_sum(self):
-        x = _t(np.random.default_rng(43).normal(size=(3, 2, 2)))
-        w = _t(np.ones(3), grad=True)
+        x = _t(np.random.default_rng(43).normal(size=(1, 3, 2, 2)))
+        w = _t(np.ones((1, 3)), grad=True)
         with Tape() as tape:
             tape.backward(scale_channels(x, w).sum())
-        assert np.allclose(w.grad, x.data.sum(axis=(1, 2)), atol=1e-5)
+        assert np.allclose(w.grad, x.data.sum(axis=(2, 3)), atol=1e-5)
 
     def test_scale_full_shape_mask(self):
         rng = np.random.default_rng(47)
-        x = _t(rng.normal(size=(2, 3, 3)))
-        m = _t(rng.uniform(size=(2, 3, 3)))
+        x = _t(rng.normal(size=(1, 2, 3, 3)))
+        m = _t(rng.uniform(size=(1, 2, 3, 3)))
         assert np.allclose(scale_channels(x, m).data, x.data * m.data)
 
 
@@ -591,9 +591,9 @@ def _zero_lstm(feat, hidden, dtype=np.float64):
 
 class TestLstm:
     def test_zero_weights_give_zero_hiddens(self):
-        seq = _t(np.random.default_rng(53).normal(size=(4, 3)), dtype=np.float64)
+        seq = _t(np.random.default_rng(53).normal(size=(1, 4, 3)), dtype=np.float64)
         out = lstm_forward(seq, _zero_lstm(3, 5))
-        assert out.dims == (4, 5)
+        assert out.dims == (1, 4, 5)
         assert np.allclose(out.data, 0.0)
 
     def test_single_step_matches_cell_equations(self):
@@ -605,19 +605,19 @@ class TestLstm:
                      bias=Tensor(rng.normal(size=hidden)))
             for _ in range(4)
         ])
-        x = rng.normal(size=(1, feat))
+        x = rng.normal(size=(1, 1, feat))
         out = lstm_forward(Tensor(x), params)
 
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
 
-        zi = params.input_gate.wx.data @ x[0] + params.input_gate.bias.data
-        zf = params.forget_gate.wx.data @ x[0] + params.forget_gate.bias.data
-        zg = params.cell_gate.wx.data @ x[0] + params.cell_gate.bias.data
-        zo = params.output_gate.wx.data @ x[0] + params.output_gate.bias.data
+        zi = params.input_gate.wx.data @ x[0, 0] + params.input_gate.bias.data
+        zf = params.forget_gate.wx.data @ x[0, 0] + params.forget_gate.bias.data
+        zg = params.cell_gate.wx.data @ x[0, 0] + params.cell_gate.bias.data
+        zo = params.output_gate.wx.data @ x[0, 0] + params.output_gate.bias.data
         c = sig(zf) * 0.0 + sig(zi) * np.tanh(zg)
         h = sig(zo) * np.tanh(c)
-        assert np.allclose(out.data[0], h, atol=1e-6)
+        assert np.allclose(out.data[0, 0], h, atol=1e-6)
 
     def test_batched_layout(self):
         seq = Tensor(np.random.default_rng(61).normal(size=(2, 4, 3)))
@@ -626,7 +626,7 @@ class TestLstm:
 
     def test_feature_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="feature"):
-            lstm_forward(_t(np.zeros((4, 7))), _zero_lstm(3, 5))
+            lstm_forward(_t(np.zeros((1, 4, 7))), _zero_lstm(3, 5))
 
 
 def _composed_lstm(seq, params):
@@ -635,13 +635,12 @@ def _composed_lstm(seq, params):
     This is the composition lstm_forward replaced; the tape differentiates
     it through time, so it referees the fused op's hand-written backward.
     """
-    hidden = params.hidden_size
-    state_shape = (hidden,) if seq.ndim == 2 else (seq.dims[0], hidden)
+    state_shape = (seq.dims[0], params.hidden_size)
     h = Tensor(np.zeros(state_shape, dtype=seq.dtype))
     c = Tensor(np.zeros(state_shape, dtype=seq.dtype))
     outputs = []
-    for t in range(seq.dims[-2]):
-        x_t = seq.pick(axis=-2, index=t)
+    for t in range(seq.dims[1]):
+        x_t = seq.pick(axis=1, index=t)
         z = {name: fully_connected(x_t, gate.wx, gate.bias) + fully_connected(h, gate.wh)
              for name, gate in params.gates()}
         i = z["input"].sigmoid()
@@ -651,7 +650,7 @@ def _composed_lstm(seq, params):
         c = f * c + i * g
         h = o * c.tanh()
         outputs.append(h)
-    return stack(outputs, axis=seq.ndim - 2)
+    return stack(outputs, axis=1)
 
 
 def _random_lstm(rng, feat, hidden, dtype=np.float64):
@@ -674,7 +673,7 @@ def _lstm_value_and_grads(fn, seq, params, direction):
 
 
 class TestFusedLstm:
-    @pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["unbatched", "b1", "b3"])
+    @pytest.mark.parametrize("lead", [(1,), (3,)], ids=["b1", "b3"])
     @pytest.mark.parametrize("steps", [1, 5])
     @pytest.mark.parametrize("feat,hidden", [(4, 4), (3, 6), (7, 2)])
     def test_matches_composed_reference(self, lead, steps, feat, hidden):
@@ -713,7 +712,7 @@ class TestFusedLstm:
     def test_input_grad_only_when_tracked(self):
         rng = np.random.default_rng(11)
         params = _random_lstm(rng, 3, 4)
-        seq = Tensor(rng.normal(size=(5, 3)))
+        seq = Tensor(rng.normal(size=(1, 5, 3)))
         with Tape() as tape:
             tape.backward(lstm_forward(seq, params).sum())
         assert seq.grad is None
@@ -727,3 +726,25 @@ class TestFusedLstm:
         seq = Tensor(np.abs(rng.normal(size=(2, 3, 3))).astype(np.float32) + 1.0)
         with pytest.raises(NonFiniteError, match="pre-activation"):
             lstm_forward(seq, params)
+
+
+# Each op's call on an input that lacks only its leading batch axis.
+WITHOUT_BATCH_AXIS = [
+    ("conv2d", (2, 3, 3), lambda x: conv2d(x, _t(np.zeros((1, 2, 1, 1))), _t(np.zeros(1)),
+                                           ConvSpec(out_channels=1, kernel=(1, 1)))),
+    ("conv_transpose2d", (2, 3, 3), lambda x: conv_transpose2d(x, _t(np.zeros((2, 1, 1, 1))), _t(np.zeros(1)),
+                                                               ConvSpec(out_channels=1, kernel=(1, 1)), (3, 3))),
+    ("maxpool2d", (2, 3, 3), lambda x: maxpool2d(x, (1, 1))),
+    ("batch_norm", (2, 3, 3), lambda x: batch_norm(x, _t(np.ones(2)), _t(np.zeros(2)), BatchNormState.initial(2))),
+    ("global_avg_pool", (2, 3, 3), global_avg_pool),
+    ("concat_channels", (2, 3, 3), lambda x: concat_channels([x, x])),
+    ("scale_channels", (2, 3, 3), lambda x: scale_channels(x, x)),
+    ("fully_connected", (3,), lambda x: fully_connected(x, _t(np.zeros((1, 3))))),
+    ("lstm_forward", (4, 3), lambda x: lstm_forward(x, _zero_lstm(3, 5, dtype=np.float32))),
+]
+
+
+@pytest.mark.parametrize("op, shape, call", WITHOUT_BATCH_AXIS, ids=[case[0] for case in WITHOUT_BATCH_AXIS])
+def test_input_without_batch_axis_names_the_op(op, shape, call):
+    with pytest.raises(ShapeError, match=rf"^{op}: expected a \[B,.*got {re.escape(str(shape))}$"):
+        call(_t(np.ones(shape)))

@@ -307,14 +307,6 @@ class TestSynthDataset:
             corr = np.corrcoef(areas, energies)[0, 1]
             assert corr > 0.5, f"seed {seed}: correlation {corr:.3f}"
 
-    def test_threaded_build_matches_serial(self, monkeypatch):
-        serial = synth_dataset(7, 8)
-        monkeypatch.setenv("MFFCN_THREADS", "4")
-        threaded = synth_dataset(7, 8)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.noisy.values, b.noisy.values)
-            assert np.array_equal(a.video.frames, b.video.frames)
-
     def test_roundtrip_through_directory(self, tmp_path):
         items = synth_dataset(1, 5)
         save_dataset(str(tmp_path / "ds"), items)
