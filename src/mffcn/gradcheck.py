@@ -10,7 +10,9 @@ operation on small random inputs (extents at most 6, five seeds by default)
 over all coordinates. The network suite differentiates the full model under
 a mean-squared loss and spot-checks a few random coordinates per parameter
 tensor, since probing every one of the millions of coordinates is far beyond
-any sane budget; sampled coordinates are drawn fresh per seed.
+any sane budget; sampled coordinates are drawn fresh per seed. Each of its
+probes is one eval forward that reruns only the layers from the perturbed
+tensor's owner on and reuses the rest from the base-point forward.
 """
 
 from __future__ import annotations
@@ -533,9 +535,13 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
     parameter tensor contributes coords_per_tensor randomly drawn ones.
 
     The probe model is built once over float64 base tensors; each probe
-    perturbs one coordinate of them in place, runs one eval forward and the
-    MSE, and restores the coordinate exactly. The determinism check still
-    compares the base point against a model rebuilt from fresh copies.
+    perturbs one coordinate of them in place, runs the MSE over one eval
+    forward, and restores the coordinate exactly. The first forward of the
+    determinism check, at the base point, fills a model.ForwardMemo; every
+    probe's forward reads it, so it reruns only the node that owns the
+    perturbed tensor and the nodes downstream of it, bit for bit what a
+    whole forward gives. The determinism check still compares the base point
+    against a model rebuilt from fresh copies.
 
     Three departures from the per-op defaults, all about probing a
     composition of ten-plus nonlinear layers rather than a single op. The
@@ -558,7 +564,7 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
     """
     # Imported here: the model layer depends on this module's clients, and
     # the per-op suite should stay usable without pulling in the full graph.
-    from .model import FusionStrategy, _build, init_params, mffcn_forward
+    from .model import ForwardMemo, FusionStrategy, _build, init_params, mffcn_forward
 
     if strategy is None:
         strategy = FusionStrategy.MULTILAYER
@@ -581,8 +587,8 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
             lambda name, channels: BatchNormState.initial(channels, dtype=np.float64))
         return rebuilt
 
-    def loss(model) -> Tensor:
-        diff = mffcn_forward(y, v, model, mode="eval") - target
+    def loss(model, memo=None) -> Tensor:
+        diff = mffcn_forward(y, v, model, mode="eval", memo=memo) - target
         return (diff * diff).mean()
 
     coords: Dict[int, List[tuple]] = {}
@@ -600,7 +606,8 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
 
     base_args = [Tensor(t.data.astype(np.float64)) for t in inputs]
     probe_model = build(base_args)
-    first = _scalar(loss(probe_model))
+    memo = ForwardMemo()  # filled here, at the base point, and only read by the probes
+    first = _scalar(loss(probe_model, memo))
     second = _scalar(loss(build([Tensor(t.data.copy()) for t in base_args])))
     if first != second:
         return CheckResult(name, float("nan"), False,
@@ -608,7 +615,7 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
 
     def probe(args: Sequence[Tensor]) -> Tensor:
         # probe_model holds the very tensors _central_diff perturbs in place
-        return loss(probe_model)
+        return loss(probe_model, memo)
 
     names = [n for n, _ in params.named]
     worst = 0.0
@@ -616,6 +623,7 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
     failures = []
     n_probed = 0
     for pos, idx_list in coords.items():
+        memo.perturb(names[pos])
         grad = taped[pos].grad
         for idx in idx_list:
             n_probed += 1

@@ -64,7 +64,7 @@ from .ops import (
     lstm_forward,
     maxpool2d,
 )
-from .tensor import NonFiniteError, Tensor, no_grad
+from .tensor import NonFiniteError, Tensor, active_tape, no_grad
 
 FILTERS = (64, 64, 128, 128, 256, 256, 512, 512, 1024, 1024)
 WIDTH_DIVISORS = tuple(d for d in range(1, FILTERS[0] + 1) if FILTERS[0] % d == 0)
@@ -374,17 +374,20 @@ def init_params(seed: int, strategy: FusionStrategy = FusionStrategy.MULTILAYER,
 # Forward graph
 # ----------------------------------------------------------------------------
 
-def _spatial(t: Tensor) -> Tuple[int, int]:
+def _spatial(t: Tensor, helper: str) -> Tuple[int, int]:
+    """The map's (H, W), once it is checked to be a [B,C,H,W] batch."""
+    if t.ndim != 4:
+        raise ModelError(f"{helper}: expected a [B,C,H,W] map with its batch axis, got {t.dims}")
     return t.dims[-2], t.dims[-1]
 
 
 def encoder_layer_audio(x: Tensor, layer_idx: int, layer: EncoderLayerParams,
                         mode: str = "train") -> Tensor:
     """Strided conv, batch norm, leaky relu."""
-    expected = AUDIO_HW_TRACE[layer_idx - 1]
-    if _spatial(x) != expected:
+    expected, got = AUDIO_HW_TRACE[layer_idx - 1], _spatial(x, "encoder_layer_audio")
+    if got != expected:
         raise ModelError(
-            f"trace violation: audio layer {layer_idx} expects spatial {expected}, got {_spatial(x)}")
+            f"trace violation: audio layer {layer_idx} expects spatial {expected}, got {got}")
     spec = ConvSpec(out_channels=layer.conv.weight.dims[0],
                     kernel=KERNELS[layer_idx - 1],
                     stride=AUDIO_STRIDES[layer_idx - 1])
@@ -396,10 +399,10 @@ def encoder_layer_audio(x: Tensor, layer_idx: int, layer: EncoderLayerParams,
 def encoder_layer_video(x: Tensor, layer_idx: int, layer: EncoderLayerParams,
                         mode: str = "train") -> Tensor:
     """Stride-1 conv, max pool by the layer's tuple, batch norm, leaky relu."""
-    expected = VIDEO_HW_TRACE[layer_idx - 1]
-    if _spatial(x) != expected:
+    expected, got = VIDEO_HW_TRACE[layer_idx - 1], _spatial(x, "encoder_layer_video")
+    if got != expected:
         raise ModelError(
-            f"trace violation: video layer {layer_idx} expects spatial {expected}, got {_spatial(x)}")
+            f"trace violation: video layer {layer_idx} expects spatial {expected}, got {got}")
     spec = ConvSpec(out_channels=layer.conv.weight.dims[0],
                     kernel=KERNELS[layer_idx - 1], stride=(1, 1))
     x = conv2d(x, layer.conv.weight, layer.conv.bias, spec)
@@ -416,6 +419,7 @@ def align_to_audio(v_feat: Tensor, layer_idx: int) -> Tensor:
     The two traces only disagree at layer 1 (video keeps twice the width);
     the ratio is always an exact integer, so a max pool closes the gap.
     """
+    _spatial(v_feat, "align_to_audio")
     vh, vw = VIDEO_HW_TRACE[layer_idx]
     ah, aw = AUDIO_HW_TRACE[layer_idx]
     if (vh, vw) == (ah, aw):
@@ -433,10 +437,10 @@ def bottleneck(x: Tensor, attn: SpectralParams, lstms: Sequence[LstmLayerParams]
     to aggregate is the 5-step frequency axis; hidden size equals the channel
     count, which keeps the output shape equal to the input shape.
     """
+    got = _spatial(x, "bottleneck")
+    if got != AUDIO_HW_TRACE[-1]:
+        raise ModelError(f"bottleneck expects spatial {AUDIO_HW_TRACE[-1]}, got {got}")
     b, c = x.dims[:2]
-    if _spatial(x) != AUDIO_HW_TRACE[-1]:
-        raise ModelError(
-            f"bottleneck expects spatial {AUDIO_HW_TRACE[-1]}, got {_spatial(x)}")
     if lstms[0].hidden_size != c or lstms[0].feature_size != c:
         raise ModelError(
             f"bottleneck LSTM is sized {lstms[0].hidden_size}, input has {c} channels")
@@ -448,32 +452,90 @@ def bottleneck(x: Tensor, attn: SpectralParams, lstms: Sequence[LstmLayerParams]
     return seq.permute(0, 2, 1).reshape(b, c, steps, 1)
 
 
+class ForwardMemo:
+    """The node outputs of one eval forward, reused by forwards that change one tensor.
+
+    The forward walks named nodes: one encoder layer (audio_enc.i,
+    video_enc.i), one fusion block with its alignment (fusion.i), ib_reduce,
+    the bottleneck or one decoder layer (decoder.j, its decoder_fusion.j block
+    included), each named by the prefix of the parameters it owns, plus the
+    parameterless align.i pools that feed decoder fusion. A forward handed an
+    empty memo records every node's inputs and output. A later forward over
+    the same model never writes into it: a node reruns if it owns the tensor
+    named by the last perturb(), or if one of its inputs is not the very
+    object recorded, and otherwise hands back its recorded output. So the
+    memo must be filled at the point later forwards perturb around, with the
+    same y and v objects those forwards pass.
+    """
+
+    def __init__(self) -> None:
+        self.params: Optional[MffcnParams] = None  # the model, once a forward filled the memo
+        self.nodes: Dict[str, Tuple[tuple, Tensor]] = {}
+        self.owner = ""
+
+    def perturb(self, param_name: str) -> None:
+        """Name the one parameter tensor that may differ from the filling forward."""
+        head, index = (param_name.split(".") + [""])[:2]
+        head = "decoder" if head == "decoder_fusion" else head
+        self.owner = f"{head}.{index}" if index.isdigit() else head
+
+    def run(self, name: str, inputs: tuple, fn: Callable[[], Tensor]) -> Tensor:
+        if self.params is None:
+            self.nodes[name] = (inputs, fn())
+            return self.nodes[name][1]
+        seen, out = self.nodes[name]
+        if name == self.owner or any(a is not b for a, b in zip(inputs, seen)):
+            return fn()
+        return out
+
+
+def _node(memo: Optional[ForwardMemo], name: str, inputs: tuple,
+          fn: Callable[[], Tensor]) -> Tensor:
+    """fn(), the forward node called name over inputs, through the memo if one is given."""
+    return fn() if memo is None else memo.run(name, inputs, fn)
+
+
+def decoder_layer(x: Tensor, j: int, layer: DecoderLayerParams, skip: Optional[Tensor],
+                  video_feat: Optional[Tensor], mode: str = "train") -> Tensor:
+    """Decoder layer j, undoing encoder layer 11-j.
+
+    Before its deconv, a layer built with skip_reduce concatenates skip onto
+    the running feature and 1x1-reduces it, and a layer built with a fusion
+    block fuses video_feat in. The last layer is linear with a single output
+    channel.
+    """
+    _spatial(x, "decoder_layer")
+    enc_i = N_LAYERS + 1 - j
+    if layer.skip_reduce is not None:
+        x = conv2d(concat_channels([x, skip]), layer.skip_reduce.weight,
+                   layer.skip_reduce.bias, layer.skip_reduce.spec())
+    if layer.fusion is not None:
+        x = fusion_block(video_feat, x, layer.fusion)
+    spec = ConvSpec(out_channels=layer.deconv.weight.dims[1],
+                    kernel=KERNELS[enc_i - 1],
+                    stride=AUDIO_STRIDES[enc_i - 1])
+    x = conv_transpose2d(x, layer.deconv.weight, layer.deconv.bias, spec,
+                         out_hw=AUDIO_HW_TRACE[enc_i - 1])
+    if layer.norm is not None:
+        x = batch_norm(x, layer.norm.gamma, layer.norm.beta, layer.norm.state, mode)
+        x = activation(x, "leaky_relu")
+    return x
+
+
 def run_decoder(x: Tensor, layers: Sequence[DecoderLayerParams],
                 skips: Sequence[Tensor], video_feats: Sequence[Tensor],
-                mode: str = "train") -> Tensor:
-    """Invert the audio trace. Layer j undoes encoder layer 11-j.
+                mode: str = "train", *, memo: Optional[ForwardMemo] = None) -> Tensor:
+    """Invert the audio trace: decoder_layer j for j = 1..10, as node decoder.j.
 
     skips and video_feats hold one entry per encoder layer (index i-1 for
-    layer i). Before its deconv, a layer built with skip_reduce concatenates
-    its skip onto the running feature and 1x1-reduces it, and a layer built
-    with a fusion block fuses its video feature in. The last layer is linear
-    with a single output channel.
+    layer i); a layer reads its entry only if it is built to use it.
     """
     for j, layer in enumerate(layers, start=1):
         enc_i = N_LAYERS + 1 - j
-        if layer.skip_reduce is not None:
-            x = conv2d(concat_channels([x, skips[enc_i - 1]]), layer.skip_reduce.weight,
-                       layer.skip_reduce.bias, layer.skip_reduce.spec())
-        if layer.fusion is not None:
-            x = fusion_block(video_feats[enc_i - 1], x, layer.fusion)
-        spec = ConvSpec(out_channels=layer.deconv.weight.dims[1],
-                        kernel=KERNELS[enc_i - 1],
-                        stride=AUDIO_STRIDES[enc_i - 1])
-        x = conv_transpose2d(x, layer.deconv.weight, layer.deconv.bias, spec,
-                             out_hw=AUDIO_HW_TRACE[enc_i - 1])
-        if layer.norm is not None:
-            x = batch_norm(x, layer.norm.gamma, layer.norm.beta, layer.norm.state, mode)
-            x = activation(x, "leaky_relu")
+        skip = skips[enc_i - 1] if layer.skip_reduce is not None else None
+        feat = video_feats[enc_i - 1] if layer.fusion is not None else None
+        x = _node(memo, f"decoder.{j}", (x, skip, feat),
+                  lambda: decoder_layer(x, j, layer, skip, feat, mode))
     return x
 
 
@@ -489,39 +551,55 @@ def _check_model_inputs(y: Tensor, v: Tensor) -> None:
         raise ModelError(f"batch mismatch: audio {y.dims[0]} vs video {v.dims[0]}")
 
 
-def mffcn_forward(y: Tensor, v: Tensor, params: MffcnParams,
-                  mode: str = "train") -> Tensor:
+def mffcn_forward(y: Tensor, v: Tensor, params: MffcnParams, mode: str = "train",
+                  *, memo: Optional[ForwardMemo] = None) -> Tensor:
     """Run the network under its strategy's wiring; output matches y's shape.
 
     y and v are [B,1,80,20] / [B,5,80,80] batches, which every op below
     takes, or one [1,80,20] / [5,80,80] segment, which runs as a batch of
     one and comes back without the batch axis.
+
+    memo, accepted only in eval mode with no tape recording, is a
+    ForwardMemo: an empty one is filled with every node's output, and a
+    filled one makes this forward rerun only the node that owns the tensor
+    it names and the nodes downstream of it.
     """
     _check_model_inputs(y, v)
+    if memo is not None and (mode != "eval" or active_tape() is not None):
+        raise ModelError(f"a forward memo needs eval mode and no recording tape, got mode {mode!r}")
+    if memo is not None and memo.params is not None and memo.params is not params:
+        raise ModelError("the forward memo was filled by a forward over another model")
     wiring = WIRINGS[params.strategy]
     single = y.ndim == 3
     a, vv = (y.reshape(1, *y.dims), v.reshape(1, *v.dims)) if single else (y, v)
     skips: List[Tensor] = []
     video_feats: List[Tensor] = []
     for i in range(1, N_LAYERS + 1):
-        a = encoder_layer_audio(a, i, params.audio_enc[i - 1], mode)
+        a = _node(memo, f"audio_enc.{i}", (a,),
+                  lambda: encoder_layer_audio(a, i, params.audio_enc[i - 1], mode))
         if i > wiring.video_layers:
             continue
-        vv = encoder_layer_video(vv, i, params.video_enc[i - 1], mode)
+        vv = _node(memo, f"video_enc.{i}", (vv,),
+                   lambda: encoder_layer_video(vv, i, params.video_enc[i - 1], mode))
         if wiring.decoder_fusion:
-            video_feats.append(align_to_audio(vv, i))
+            video_feats.append(_node(memo, f"align.{i}", (vv,), lambda: align_to_audio(vv, i)))
         if i in wiring.fuse:
-            fused = fusion_block(align_to_audio(vv, i), a, params.fusion[i])
+            fused = _node(memo, f"fusion.{i}", (vv, a),
+                          lambda: fusion_block(align_to_audio(vv, i), a, params.fusion[i]))
             if wiring.skips:
                 skips.append(fused)
             else:
                 a = fused
     x = skips[-1] if wiring.skips else a
     if wiring.ib_reduce:
-        x = conv2d(concat_channels([x, align_to_audio(vv, N_LAYERS)]),
-                   params.ib_reduce.weight, params.ib_reduce.bias, params.ib_reduce.spec())
-    x = bottleneck(x, params.bottleneck_attn, params.bottleneck_lstm)
-    out = run_decoder(x, params.decoder, skips, video_feats, mode)
+        x = _node(memo, "ib_reduce", (x, vv), lambda: conv2d(
+            concat_channels([x, align_to_audio(vv, N_LAYERS)]),
+            params.ib_reduce.weight, params.ib_reduce.bias, params.ib_reduce.spec()))
+    x = _node(memo, "bottleneck", (x,),
+              lambda: bottleneck(x, params.bottleneck_attn, params.bottleneck_lstm))
+    out = run_decoder(x, params.decoder, skips, video_feats, mode, memo=memo)
+    if memo is not None and memo.params is None:
+        memo.params = params
     return out.reshape(*y.dims) if single else out
 
 

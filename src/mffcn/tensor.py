@@ -96,9 +96,9 @@ class Tensor:
             arr = np.asarray(data)
         else:
             arr = np.asarray(data, dtype=DEFAULT_DTYPE)
-        if any(d <= 0 for d in arr.shape):
+        if arr.size == 0:
             raise ShapeError(f"tensor extents must be positive, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("tensor holds NaN or Inf values")
         self.data = arr
         self.requires_grad = bool(requires_grad)

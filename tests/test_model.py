@@ -22,11 +22,13 @@ from mffcn.model import (
     KERNELS,
     N_LAYERS,
     VIDEO_HW_TRACE,
+    ForwardMemo,
     FusionStrategy,
     ModelError,
     MffcnParams,
     align_to_audio,
     bottleneck,
+    decoder_layer,
     INFER_CHUNK,
     enhance_segment,
     enhance_segments,
@@ -212,6 +214,19 @@ class TestForward:
         with pytest.raises(ModelError, match="trace violation"):
             encoder_layer_video(wrong, 2, params.video_enc[1])
 
+    @pytest.mark.parametrize("helper, call", [
+        ("encoder_layer_audio", lambda p, x: encoder_layer_audio(x, 10, p.audio_enc[9])),
+        ("encoder_layer_video", lambda p, x: encoder_layer_video(x, 10, p.video_enc[9])),
+        ("align_to_audio", lambda p, x: align_to_audio(x, 10)),
+        ("bottleneck", lambda p, x: bottleneck(x, p.bottleneck_attn, p.bottleneck_lstm)),
+        ("decoder_layer", lambda p, x: decoder_layer(x, 1, p.decoder[0], None, None)),
+    ])
+    def test_layer_helpers_name_a_missing_batch_axis(self, helper, call):
+        params = init_params(0, FusionStrategy.LATE, 16)
+        unbatched = Tensor(np.zeros((64, 5, 1), dtype=np.float32))
+        with pytest.raises(ModelError, match=rf"^{helper}: .*batch axis, got \(64, 5, 1\)"):
+            call(params, unbatched)
+
     def test_align_pools_only_layer_one(self):
         feat = Tensor(np.arange(4 * 40 * 20, dtype=np.float32).reshape(1, 4, 40, 20))
         aligned = align_to_audio(feat, 1)
@@ -274,6 +289,51 @@ class TestForward:
         before = params.audio_enc[0].norm.state.mean.copy()
         mffcn_forward(y, v, params, mode="train")
         assert not np.array_equal(params.audio_enc[0].norm.state.mean, before)
+
+
+class TestForwardMemo:
+    def test_needs_eval_mode_and_no_recording_tape(self):
+        params = init_params(0, FusionStrategy.LATE, 16)
+        y, v = _small_inputs(batch=1)
+        with pytest.raises(ModelError, match="eval mode"):
+            mffcn_forward(y, v, params, mode="train", memo=ForwardMemo())
+        with Tape(), pytest.raises(ModelError, match="tape"):
+            mffcn_forward(y, v, params, mode="eval", memo=ForwardMemo())
+
+    def test_refuses_a_memo_filled_over_another_model(self):
+        y, v = _small_inputs(batch=1)
+        memo = ForwardMemo()
+        mffcn_forward(y, v, init_params(0, FusionStrategy.LATE, 16), mode="eval", memo=memo)
+        with pytest.raises(ModelError, match="another model"):
+            mffcn_forward(y, v, init_params(0, FusionStrategy.LATE, 16), mode="eval", memo=memo)
+
+    @pytest.mark.parametrize("strategy", list(FusionStrategy))
+    def test_each_node_perturbed_reruns_to_the_whole_forward(self, strategy):
+        """Shift the first tensor of every node in turn: the memo's forward
+        equals a forward without memo bit for bit, and leaves the memo as filled."""
+        params = init_params(0, strategy, 16, dtype=np.float64)
+        y, v = _small_inputs(batch=2)
+        memo = ForwardMemo()
+        base = mffcn_forward(y, v, params, mode="eval", memo=memo)
+        filled = dict(memo.nodes)
+        owners = {}
+        for name, t in params.named:
+            memo.perturb(name)
+            owners.setdefault(memo.owner, (name, t))
+        assert set(owners) <= set(filled)
+        for name, t in owners.values():
+            memo.perturb(name)
+            saved = t.data.copy()
+            t.data += 0.25
+            try:
+                got = mffcn_forward(y, v, params, mode="eval", memo=memo).data
+                want = mffcn_forward(y, v, params, mode="eval").data
+            finally:
+                t.data[...] = saved
+            assert got.tobytes() == want.tobytes() != base.data.tobytes(), name
+            assert memo.nodes == filled
+        again = mffcn_forward(y, v, params, mode="eval", memo=memo)
+        assert again.data.tobytes() == base.data.tobytes()
 
 
 def _wiring_fingerprint(strategy):
