@@ -250,10 +250,13 @@ def cmd_train(args) -> int:
 
 
 def _video_unit_frames(path: str) -> np.ndarray:
-    """Frames as float64 in [0, 1] at 80x80, from PGM files or a tensor."""
+    """Frames as float64 at 80x80: 8-bit PGM frames over 255, or a [0, 1] tensor."""
     frames = np.asarray(load_video(path), dtype=np.float64)
-    if frames.max() > 1.5:  # 8-bit pixel convention
+    if os.path.isdir(path):
         frames = frames / 255.0
+    elif frames.min() < 0.0 or frames.max() > 1.0:
+        raise FormatError(f"{path}: video tensor values must lie in [0, 1], "
+                          f"got min {frames.min():g}, max {frames.max():g}")
     if frames.shape[1:] != (80, 80):
         frames = np.stack([bilinear_resize(f, 80, 80) for f in frames])
     return np.clip(frames, 0.0, 1.0)

@@ -185,6 +185,31 @@ class TestEnhanceCommand:
         written = sorted(f for f in os.listdir(tmp_path / "o") if f.endswith(".mten"))
         assert written == [f"enhanced_{k:03d}.mten" for k in range(segments)]
 
+    def test_dark_pgm_clip_is_scaled_by_its_maxval(self, tmp_path):
+        # every pixel 0 or 1: still 8-bit values, not [0, 1] ones
+        dark = np.random.default_rng(2).integers(0, 2, (5, 80, 80), dtype=np.uint8)
+        save_video_frames(str(tmp_path / "dark"), dark)
+        assert cli._video_unit_frames(str(tmp_path / "dark")).max() == 1 / 255
+
+    def test_mten_video_outside_unit_range_is_input_error(self, workdir, tmp_path, capsys):
+        video = tmp_path / "v.mten"
+        save_mten(str(video), np.full((10, 80, 80), 200, dtype=np.float32))
+        rc = main(["enhance", str(workdir / "noisy.wav"), str(video),
+                   "--checkpoint", str(workdir / "ck" / "checkpoint.mffc"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(video) in err and "max 200" in err
+
+    def test_unit_range_mten_video_enhances(self, workdir, tmp_path):
+        frames = np.random.default_rng(3).uniform(0.0, 1.0, (10, 80, 80)).astype(np.float32)
+        save_mten(str(tmp_path / "v.mten"), frames)
+        rc = main(["enhance", str(workdir / "noisy.wav"), str(tmp_path / "v.mten"),
+                   "--checkpoint", str(workdir / "ck" / "checkpoint.mffc"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert (tmp_path / "o" / "enhanced_001.mten").exists()
+
     def test_missing_wav_is_input_error(self, workdir):
         rc = main(["enhance", "no-such.wav", str(workdir / "frames"),
                    "--checkpoint", str(workdir / "ck" / "checkpoint.mffc")])

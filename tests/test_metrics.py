@@ -1,5 +1,10 @@
 """Intelligibility and distortion metric tests."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -38,6 +43,31 @@ def _clip(x: np.ndarray) -> AudioClip:
     if peak > 1.0:
         x = x * (0.5 / peak)
     return AudioClip(x)
+
+
+# Imports every module, runs an eval forward and a train step, then scores one
+# fixed pair; prints the score in hex so the parent can compare it bit for bit.
+_LAZY_SCIPY_CHILD = """
+import sys
+import numpy as np
+import mffcn.cli
+from mffcn.dsp import AudioClip
+from mffcn.metrics import stoi
+from mffcn.model import FusionStrategy, enhance_segments, init_params
+from mffcn.synth import clean_voice
+from mffcn.train import TrainConfig, synth_dataset, train
+
+data = synth_dataset(0, 4)
+enhance_segments([data[0].noisy], [data[0].video],
+                 init_params(0, FusionStrategy.MULTILAYER, 64))
+train(TrainConfig(steps=1, batch_size=2, width_divisor=64), data)
+assert "scipy.signal" not in sys.modules, "loaded before the first STOI call"
+x, _ = clean_voice(np.random.default_rng(6))
+noise = np.random.default_rng(600).normal(scale=0.05, size=len(x))
+score = stoi(x, AudioClip(x.samples + noise))
+assert "scipy.signal" in sys.modules
+print(score.hex())
+"""
 
 
 class TestStoi:
@@ -90,6 +120,17 @@ class TestStoi:
         x = AudioClip(_voice(5).samples[:2000])
         with pytest.raises(MetricError, match="384"):
             stoi(x, x)
+
+    def test_scipy_signal_loads_on_first_call_only(self):
+        # A fresh interpreter: other tests have loaded scipy into this one.
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        child = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_CHILD], env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        x = _voice(6)
+        noise = np.random.default_rng(600).normal(scale=0.05, size=len(x))
+        assert child.stdout.strip() == stoi(x, AudioClip(x.samples + noise)).hex()
 
 
 class TestSiSdr:
