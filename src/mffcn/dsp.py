@@ -1,4 +1,4 @@
-"""Spectrogram front end: STFT, Mel projection, SNR mixing, video resizing.
+"""Spectrogram front end: STFT, Mel projection, SNR mixing, resampling, resizing.
 
 Audio in is mono 16 kHz; each 40 ms window (640 samples, symmetric Hann)
 advances by 160 samples, and the one-sided 640-point FFT gives 321 bins.
@@ -12,6 +12,7 @@ Everything here is a pure function of its arguments; no hidden state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Tuple
@@ -216,6 +217,44 @@ def mix_at_snr(clean: AudioClip, noise: AudioClip, snr_db: float) -> MixResult:
         peak_scale = 1.0 / peak
         mixed = mixed * peak_scale
     return MixResult(clip=AudioClip(mixed), noise_scale=noise_scale, peak_scale=peak_scale)
+
+
+@lru_cache(maxsize=8)
+def _polyphase_taps(up: int, down: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Phase table [up, taps]: output r + up*q is table[r] . x[q*down + first[r]:]."""
+    half = 10 * max(up, down)
+    h = np.sinc(np.arange(-half, half + 1) / max(up, down)) * np.kaiser(2 * half + 1, 5.0)
+    h = h / h.sum() * up
+    r = np.arange(up)
+    first = -((half - r * down) // up)
+    taps = int(((half + r * down) // up - first).max()) + 1
+    idx = half + r[:, None] * down - (first[:, None] + np.arange(taps)) * up
+    table = np.where(idx >= 0, h[np.maximum(idx, 0)], 0.0)
+    table.flags.writeable = False
+    return table, first
+
+
+def resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
+    """Resample by up/down as scipy.signal.resample_poly's default path does.
+
+    Zero padding and a Kaiser (beta 5) windowed sinc with cutoff 1/max(up, down),
+    half-length 10*max(up, down) and DC gain up; gives ceil(n*up/down) samples.
+    """
+    if up < 1 or down < 1:
+        raise DspError(f"resampling factors must be at least 1, got {up}/{down}")
+    g = math.gcd(up, down)
+    up, down = up // g, down // g
+    x = np.asarray(x, dtype=np.float64)
+    if up == down == 1:
+        return x.copy()
+    table, first = _polyphase_taps(up, down)
+    xp = np.concatenate([np.zeros(-first[0]), x, np.zeros(first[-1] + table.shape[1])])
+    windows = sliding_window_view(xp, table.shape[1])
+    out = np.empty(-(-x.size * up // down))
+    for r in range(min(up, out.size)):
+        phase = out[r::up]
+        phase[:] = windows[first[r] - first[0]::down][:phase.size] @ table[r]
+    return out
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -15,15 +15,15 @@ by weighted overlap-add. The same construction is applied to every
 strategy, so comparisons across rows of the ablation table are fair even
 though absolute values would differ from a vocoder pipeline.
 
-`scipy.signal` is imported inside `stoi`, its only user, because loading it
-costs every process about 77 MB of resident memory and a second of start-up;
-commands that never score intelligibility then never pay for it.
+numpy is the only runtime import: the resampling to 10 kHz is
+`dsp.resample_poly`, a polyphase FIR that matches scipy.signal's default.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,6 +40,7 @@ from .dsp import (
     mel_filterbank,
     mix_at_snr,
     make_segment_pairs,
+    resample_poly,
     stft,
 )
 from .model import FusionStrategy, MffcnParams, enhance_segments, init_params
@@ -65,12 +66,20 @@ class MetricError(ValueError):
 # Intelligibility
 # ----------------------------------------------------------------------------
 
-def _frame_signal(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
-    if x.size < frame:
-        return np.empty((0, frame))
-    n = 1 + (x.size - frame) // hop
-    strided = np.lib.stride_tricks.sliding_window_view(x, frame)[::hop]
-    return strided[:n]
+def _stoi_frames(x: np.ndarray) -> np.ndarray:
+    """Hann-windowed [frames, 256] at hop 128; no end padding."""
+    if x.size < STOI_FRAME:
+        return np.empty((0, STOI_FRAME))
+    return np.lib.stride_tricks.sliding_window_view(x, STOI_FRAME)[::STOI_HOP] * hann_window(STOI_FRAME)
+
+
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum [n, k*hop] frames laid hop apart; each hop block adds them in frame order."""
+    n, k = frames.shape[0], frames.shape[1] // hop
+    out = np.zeros((n + k - 1, hop))
+    for j in reversed(range(k)):
+        out[j:j + n] += frames[:, j * hop:(j + 1) * hop]
+    return out.ravel()
 
 
 def _remove_silent_frames(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -79,21 +88,13 @@ def _remove_silent_frames(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.
     Kept frames are windowed and re-laid with 50% overlap-add, shrinking
     both signals identically, as the published recipe prescribes.
     """
-    w = hann_window(STOI_FRAME)
-    xf = _frame_signal(x, STOI_FRAME, STOI_HOP) * w
-    yf = _frame_signal(y, STOI_FRAME, STOI_HOP) * w
+    xf, yf = _stoi_frames(x), _stoi_frames(y)
     energy_db = 20.0 * np.log10(np.linalg.norm(xf, axis=1) + 1e-12)
-    keep = energy_db > energy_db.max() - STOI_DYN_RANGE_DB
-    xf, yf = xf[keep], yf[keep]
-    out_len = STOI_FRAME + max(xf.shape[0] - 1, 0) * STOI_HOP
-    xr = np.zeros(out_len)
-    yr = np.zeros(out_len)
-    for m in range(xf.shape[0]):
-        xr[m * STOI_HOP:m * STOI_HOP + STOI_FRAME] += xf[m]
-        yr[m * STOI_HOP:m * STOI_HOP + STOI_FRAME] += yf[m]
-    return xr, yr
+    keep = energy_db > energy_db.max(initial=-np.inf) - STOI_DYN_RANGE_DB
+    return _overlap_add(xf[keep], STOI_HOP), _overlap_add(yf[keep], STOI_HOP)
 
 
+@lru_cache(maxsize=1)
 def _third_octave_bands() -> np.ndarray:
     """[15, 257] membership matrix over the 512-point rfft bins at 10 kHz."""
     freqs = np.fft.rfftfreq(STOI_FFT, 1.0 / STOI_RATE)
@@ -105,6 +106,7 @@ def _third_octave_bands() -> np.ndarray:
         bands[j] = (freqs >= lo) & (freqs < hi)
         if not bands[j].any():
             raise MetricError(f"1/3-octave band {j} covers no FFT bin")
+    bands.flags.writeable = False
     return bands
 
 
@@ -116,15 +118,11 @@ def stoi(clean: AudioClip, processed: AudioClip) -> float:
     if not np.any(clean.samples):
         raise MetricError("reference signal is silent")
 
-    from scipy.signal import resample_poly
-
     x = resample_poly(clean.samples, STOI_RATE, SAMPLE_RATE)
     y = resample_poly(processed.samples, STOI_RATE, SAMPLE_RATE)
     x, y = _remove_silent_frames(x, y)
 
-    w = hann_window(STOI_FRAME)
-    xf = _frame_signal(x, STOI_FRAME, STOI_HOP) * w
-    yf = _frame_signal(y, STOI_FRAME, STOI_HOP) * w
+    xf, yf = _stoi_frames(x), _stoi_frames(y)
     n_frames = xf.shape[0]
     if n_frames < STOI_SEG_FRAMES:
         raise MetricError(
@@ -136,25 +134,23 @@ def stoi(clean: AudioClip, processed: AudioClip) -> float:
     xb = np.sqrt(bands @ X.T)          # [bands, frames]
     yb = np.sqrt(bands @ Y.T)
 
+    # Segments as contiguous [segments, bands, 30], so each reduction sums the
+    # same 30 adjacent values in the same order as a per-segment loop would.
     # Zero-norm guards are applied only where a norm is exactly zero. An
     # additive epsilon would perturb alpha by a scale-dependent amount and
     # break the bit-level invariance to binary gains that division by an
     # exactly scaled norm otherwise gives.
-    scores = []
-    for m in range(STOI_SEG_FRAMES - 1, n_frames):
-        xs = xb[:, m - STOI_SEG_FRAMES + 1:m + 1]
-        ys = yb[:, m - STOI_SEG_FRAMES + 1:m + 1]
-        ny = np.linalg.norm(ys, axis=1)
-        alpha = np.linalg.norm(xs, axis=1) / np.where(ny == 0.0, 1.0, ny)
-        ys = ys * alpha[:, None]
-        ys = np.minimum(ys, xs * (1.0 + STOI_CLIP_FACTOR))
-        xs = xs - xs.mean(axis=1, keepdims=True)
-        ys = ys - ys.mean(axis=1, keepdims=True)
-        denom = np.linalg.norm(xs, axis=1) * np.linalg.norm(ys, axis=1)
-        num = (xs * ys).sum(axis=1)
-        corr = np.divide(num, denom, out=np.zeros_like(num), where=denom != 0.0)
-        scores.append(corr.mean())
-    return float(np.mean(scores))
+    xs, ys = (np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(
+        b, STOI_SEG_FRAMES, axis=1).transpose(1, 0, 2)) for b in (xb, yb))
+    ny = np.linalg.norm(ys, axis=2)
+    alpha = np.linalg.norm(xs, axis=2) / np.where(ny == 0.0, 1.0, ny)
+    ys = np.minimum(ys * alpha[..., None], xs * (1.0 + STOI_CLIP_FACTOR))
+    xs = xs - xs.mean(axis=2, keepdims=True)
+    ys = ys - ys.mean(axis=2, keepdims=True)
+    denom = np.linalg.norm(xs, axis=2) * np.linalg.norm(ys, axis=2)
+    num = (xs * ys).sum(axis=2)
+    corr = np.divide(num, denom, out=np.zeros_like(num), where=denom != 0.0)
+    return float(np.mean(corr.mean(axis=1)))
 
 
 # ----------------------------------------------------------------------------
@@ -200,15 +196,9 @@ def log_spectral_distance(a: MelSegment, b: MelSegment) -> float:
 
 def _istft(spec: np.ndarray) -> np.ndarray:
     """Weighted overlap-add inverse of the analysis in dsp.stft."""
-    bins, n_frames = spec.shape
     w = hann_window(WIN_LEN)
-    out_len = WIN_LEN + (n_frames - 1) * HOP
-    out = np.zeros(out_len)
-    norm = np.zeros(out_len)
-    frames = np.fft.irfft(spec.T, n=WIN_LEN, axis=1)
-    for k in range(n_frames):
-        out[k * HOP:k * HOP + WIN_LEN] += frames[k] * w
-        norm[k * HOP:k * HOP + WIN_LEN] += w ** 2
+    out = _overlap_add(np.fft.irfft(spec.T, n=WIN_LEN, axis=1) * w, HOP)
+    norm = _overlap_add(np.broadcast_to(w ** 2, (spec.shape[1], WIN_LEN)), HOP)
     good = norm > 1e-10
     out[good] /= norm[good]
     return out

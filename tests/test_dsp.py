@@ -20,6 +20,7 @@ from mffcn.dsp import (
     make_segment_pairs,
     mel_filterbank,
     mix_at_snr,
+    resample_poly,
     stft,
 )
 
@@ -214,6 +215,40 @@ class TestMixAtSnr:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DspError, match="length"):
             mix_at_snr(_noise_clip(28, 100), _noise_clip(29, 101), 0.0)
+
+
+class TestResamplePoly:
+    # (up, down): the intelligibility metric's 16k -> 10k, and every common
+    # WAV rate -> 16k
+    RATES = [(10000, 16000)] + [(16000, r) for r in (8000, 22050, 24000, 32000, 44100, 48000)]
+    LENGTHS = (1, 7, 123, 15999, 16000)
+
+    @pytest.mark.parametrize("up,down", RATES)
+    def test_matches_scipy(self, up, down):
+        scipy_signal = pytest.importorskip("scipy.signal")
+        for n in self.LENGTHS:
+            x = np.random.default_rng(n).normal(size=n)
+            got = resample_poly(x, up, down)
+            want = scipy_signal.resample_poly(x, up, down)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("up,down", RATES)
+    def test_binary_gain_is_exact(self, up, down):
+        for n in self.LENGTHS:
+            x = np.random.default_rng(n).normal(size=n)
+            assert np.array_equal(resample_poly(0.5 * x, up, down), 0.5 * resample_poly(x, up, down))
+
+    def test_reduces_by_gcd(self):
+        x = np.random.default_rng(0).normal(size=1000)
+        assert np.array_equal(resample_poly(x, 10000, 16000), resample_poly(x, 5, 8))
+        same = resample_poly(x, 3, 3)
+        assert np.array_equal(same, x) and same is not x
+
+    @pytest.mark.parametrize("up,down", [(0, 1), (1, 0), (-2, 3)])
+    def test_rejects_factors_below_one(self, up, down):
+        with pytest.raises(DspError, match="at least 1"):
+            resample_poly(np.ones(10), up, down)
 
 
 class TestBilinearResize:

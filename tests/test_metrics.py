@@ -46,8 +46,9 @@ def _clip(x: np.ndarray) -> AudioClip:
 
 
 # Imports every module, runs an eval forward and a train step, then scores one
-# fixed pair; prints the score in hex so the parent can compare it bit for bit.
-_LAZY_SCIPY_CHILD = """
+# fixed pair without loading any part of scipy; prints the score in hex so the
+# parent can compare it bit for bit.
+_NO_SCIPY_CHILD = """
 import sys
 import numpy as np
 import mffcn.cli
@@ -61,11 +62,11 @@ data = synth_dataset(0, 4)
 enhance_segments([data[0].noisy], [data[0].video],
                  init_params(0, FusionStrategy.MULTILAYER, 64))
 train(TrainConfig(steps=1, batch_size=2, width_divisor=64), data)
-assert "scipy.signal" not in sys.modules, "loaded before the first STOI call"
 x, _ = clean_voice(np.random.default_rng(6))
 noise = np.random.default_rng(600).normal(scale=0.05, size=len(x))
 score = stoi(x, AudioClip(x.samples + noise))
-assert "scipy.signal" in sys.modules
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, f"scipy modules loaded: {loaded}"
 print(score.hex())
 """
 
@@ -117,15 +118,17 @@ class TestStoi:
             stoi(z, _voice(5))
 
     def test_too_short(self):
-        x = AudioClip(_voice(5).samples[:2000])
-        with pytest.raises(MetricError, match="384"):
-            stoi(x, x)
+        # 400 samples is shorter than one 256-sample frame at 10 kHz
+        for n in (2000, 400):
+            x = AudioClip(_voice(5).samples[:n])
+            with pytest.raises(MetricError, match="384"):
+                stoi(x, x)
 
-    def test_scipy_signal_loads_on_first_call_only(self):
+    def test_stoi_never_loads_scipy_signal(self):
         # A fresh interpreter: other tests have loaded scipy into this one.
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
-        child = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_CHILD], env=env,
+        child = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD], env=env,
                                capture_output=True, text=True, timeout=300)
         assert child.returncode == 0, child.stderr
         x = _voice(6)
