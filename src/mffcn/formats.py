@@ -25,7 +25,6 @@ record too.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 import re
@@ -102,14 +101,6 @@ def _finite(arr: np.ndarray) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise FormatError("tensor payload holds NaN or Inf values")
     return arr
-
-
-def decode_mten(buf: bytes, offset: int = 0) -> Tuple[np.ndarray, int]:
-    """Decode one MTEN blob starting at offset; returns (array, next offset)."""
-    fh = io.BytesIO(buf)
-    fh.seek(offset)
-    arr = _finite(_read_mten(fh, len(buf)))
-    return arr, fh.tell()
 
 
 def save_mten(path: str, array: np.ndarray) -> None:
@@ -376,14 +367,6 @@ def save_loss_csv(path: str, losses: Sequence[float]) -> None:
         writer.writerow(["step", "loss"])
         for i, value in enumerate(losses):
             writer.writerow([i, repr(float(value))])
-
-
-def load_loss_csv(path: str) -> List[float]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["step", "loss"]:
-        raise FormatError(f"{path}: expected a 'step,loss' header")
-    return [float(r[1]) for r in rows[1:]]
 
 
 def export_spectrogram(base_path: str, spect: np.ndarray) -> Tuple[str, str]:

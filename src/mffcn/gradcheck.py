@@ -7,18 +7,22 @@ coordinates do not blow up the ratio; 1e-4 is the pass threshold.
 
 Two suites build on the oracle. The per-op suite probes every differentiable
 operation on small random inputs (extents at most 6, five seeds by default)
-over all coordinates. The network suite differentiates the full model under
-a mean-squared loss and spot-checks a few random coordinates per parameter
-tensor, since probing every one of the millions of coordinates is far beyond
-any sane budget; sampled coordinates are drawn fresh per seed. Each of its
-probes is one eval forward that reruns only the layers from the perturbed
-tensor's owner on and reuses the rest from the base-point forward.
+over all coordinates. It is one table, OP_TABLE: each row is a draw function
+that takes a seeded generator and returns an op's inputs and the op, and
+check_op projects each output on a fixed random direction (an output with no
+axes is the loss itself) before handing the loss to the oracle. The network
+suite differentiates the full model under a mean-squared loss and
+spot-checks a few random coordinates per parameter tensor, since probing
+every one of the millions of coordinates is far beyond any sane budget;
+sampled coordinates are drawn fresh per seed. Each of its probes is one eval
+forward that reruns only the layers from the perturbed tensor's owner on and
+reuses the rest from the base-point forward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,19 +37,14 @@ REL_FLOOR = 1e-6
 
 def finite_difference_gradient(fn: Callable[[Sequence[Tensor]], Tensor],
                                inputs: Sequence[Tensor],
-                               eps: float = FD_EPS,
-                               coords: Optional[Dict[int, Sequence[Tuple[int, ...]]]] = None,
-                               ) -> list:
-    """Central-difference gradient of a scalar-valued function.
+                               eps: float = FD_EPS) -> list:
+    """Central-difference gradient of a scalar-valued function at every coordinate.
 
     fn is called with non-taped float64 copies of the inputs: at the base
     point and again on fresh copies of it, demanding equal scalars, since fn
     must be deterministic; then, for every probe, with the same base tensors,
     one coordinate perturbed in place and restored afterwards. So fn must not
-    mutate its arguments or keep them past the call. coords optionally
-    restricts which coordinates of which input (by position) get probed;
-    unprobed coordinates come back as NaN so a caller cannot mistake them for
-    true zeros.
+    mutate its arguments or keep them past the call.
     """
     base_args = [Tensor(t.data.astype(np.float64)) for t in inputs]
     first = _scalar(fn(base_args))
@@ -55,17 +54,9 @@ def finite_difference_gradient(fn: Callable[[Sequence[Tensor]], Tensor],
             f"function is not deterministic: repeated evaluation gave {first} then {second}")
 
     grads = []
-    for pos, t in enumerate(inputs):
-        flat_shape = t.data.shape
-        if coords is not None and pos not in coords:
-            grads.append(np.full(flat_shape, np.nan))
-            continue
-        g = np.full(flat_shape, np.nan)
-        if coords is None:
-            probe: Iterable[Tuple[int, ...]] = np.ndindex(*flat_shape)
-        else:
-            probe = coords[pos]
-        for idx in probe:
+    for pos, t in enumerate(base_args):
+        g = np.empty(t.data.shape)
+        for idx in np.ndindex(*t.data.shape):
             g[idx] = _central_diff(fn, base_args, pos, idx, eps)
         grads.append(g)
     return grads
@@ -99,22 +90,16 @@ def _central_diff(fn, base_args, pos, idx, eps) -> float:
 
 
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Largest relative disagreement over the probed (non-NaN) coordinates."""
-    mask = ~np.isnan(numeric)
-    if not mask.any():
-        return 0.0
-    a = np.asarray(analytic, dtype=np.float64)[mask]
-    n = numeric[mask]
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), REL_FLOOR)
-    return float(np.max(np.abs(a - n) / denom))
+    """Largest relative disagreement over all coordinates (0 for an empty input)."""
+    a = np.asarray(analytic, dtype=np.float64)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), REL_FLOOR)
+    return float(np.max(np.abs(a - numeric) / denom, initial=0.0))
 
 
 def check_gradients(fn: Callable[[Sequence[Tensor]], Tensor],
                     inputs: Sequence[Tensor],
                     eps: float = FD_EPS,
-                    tol: float = REL_TOL,
-                    coords: Optional[Dict[int, Sequence[Tuple[int, ...]]]] = None,
-                    ) -> float:
+                    tol: float = REL_TOL) -> float:
     """Tape the function, differentiate, and compare against finite differences.
 
     Returns the worst relative error across all checked coordinates; raises
@@ -126,7 +111,7 @@ def check_gradients(fn: Callable[[Sequence[Tensor]], Tensor],
         loss = fn(taped_inputs)
         tape.backward(loss)
 
-    numeric = finite_difference_gradient(fn, inputs, eps=eps, coords=coords)
+    numeric = finite_difference_gradient(fn, inputs, eps=eps)
     worst = 0.0
     for pos, (t, num) in enumerate(zip(taped_inputs, numeric)):
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
@@ -139,26 +124,23 @@ def check_gradients(fn: Callable[[Sequence[Tensor]], Tensor],
     return worst
 
 
-def random_projection(seed: int, shape: tuple, dtype=np.float64) -> np.ndarray:
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def random_projection(seed: int, shape: tuple) -> np.ndarray:
     """Fixed random direction used to reduce a tensor output to a scalar loss."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.standard_normal(shape).astype(dtype)
+    return _rng(seed).standard_normal(shape)
 
 
 def projected_loss(out: Tensor, direction: np.ndarray) -> Tensor:
-    """Scalar loss <out, direction> built from taped primitives."""
-    if out.dims != direction.shape:
-        raise TensorError(f"projection shape {direction.shape} does not match output {out.dims}")
+    """Scalar loss <out, direction> built from taped primitives (shapes must match)."""
     return (out * Tensor(direction.astype(out.dtype))).sum()
 
 
 # ----------------------------------------------------------------------------
 # Per-op check suite
 # ----------------------------------------------------------------------------
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
-
 
 def _rand_shape(rng: np.random.Generator, rank: Optional[int] = None,
                 max_extent: int = 6) -> tuple:
@@ -184,303 +166,198 @@ def _well_separated(rng: np.random.Generator, shape) -> Tensor:
     return Tensor(rng.permutation(n).astype(np.float64).reshape(shape) * 0.05)
 
 
-def _check_elementwise(seed: int, fn2) -> float:
-    rng = _rng(seed)
-    shape = _rand_shape(rng)
-    a, b = _normal(rng, shape), _normal(rng, shape)
-    d = random_projection(seed + 9000, shape)
-    return check_gradients(lambda args: projected_loss(fn2(args[0], args[1]), d), [a, b])
+# Each row of OP_TABLE draws one op's inputs from rng, in a fixed order, and
+# returns them with the op as a function of those inputs. The op returns a
+# Tensor or a tuple of them; check_op reduces each to a loss.
+Draw = Callable[[np.random.Generator, int], Tuple[List[Tensor], Callable]]
 
 
-def check_add(seed: int) -> float:
-    return _check_elementwise(seed, lambda a, b: a + b)
+def _elementwise(fn2) -> Draw:
+    def draw(rng, seed):
+        shape = _rand_shape(rng)
+        return [_normal(rng, shape), _normal(rng, shape)], lambda args: fn2(*args)
+    return draw
 
 
-def check_sub(seed: int) -> float:
-    return _check_elementwise(seed, lambda a, b: a - b)
+def _unary(make_input, fn) -> Draw:
+    def draw(rng, seed):
+        return [make_input(rng, _rand_shape(rng))], lambda args: fn(args[0])
+    return draw
 
 
-def check_mul(seed: int) -> float:
-    return _check_elementwise(seed, lambda a, b: a * b)
-
-
-def check_scalar_mix(seed: int) -> float:
-    rng = _rng(seed)
-    shape = _rand_shape(rng)
-    x = _normal(rng, shape)
-    d = random_projection(seed + 9000, shape)
-    return check_gradients(
-        lambda args: projected_loss(1.5 - (-args[0]) * 0.75 + 0.25, d), [x])
-
-def check_sum(seed: int) -> float:
-    rng = _rng(seed)
-    x = _normal(rng, _rand_shape(rng))
-    return check_gradients(lambda args: args[0].sum(), [x])
-
-
-def check_mean(seed: int) -> float:
-    rng = _rng(seed)
-    x = _normal(rng, _rand_shape(rng))
-    return check_gradients(lambda args: (args[0] * args[0]).mean(), [x])
-
-
-def check_reshape(seed: int) -> float:
-    rng = _rng(seed)
+def _draw_reshape(rng, seed):
     h, w = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-    x = _normal(rng, (h, w))
-    d = random_projection(seed + 9000, (w * h,))
-    return check_gradients(lambda args: projected_loss(args[0].reshape(w * h), d), [x])
+    return [_normal(rng, (h, w))], lambda args: args[0].reshape(w * h)
 
 
-def check_permute(seed: int) -> float:
-    rng = _rng(seed)
+def _draw_permute(rng, seed):
     shape = _rand_shape(rng, rank=3)
     axes = tuple(int(a) for a in rng.permutation(3))
-    out_shape = tuple(shape[a] for a in axes)
-    x = _normal(rng, shape)
-    d = random_projection(seed + 9000, out_shape)
-    return check_gradients(lambda args: projected_loss(args[0].permute(*axes), d), [x])
+    return [_normal(rng, shape)], lambda args: args[0].permute(*axes)
 
 
-def check_pick(seed: int) -> float:
-    rng = _rng(seed)
+def _draw_pick(rng, seed):
     shape = _rand_shape(rng, rank=3)
     axis = int(rng.integers(0, 3))
     index = int(rng.integers(0, shape[axis]))
-    out_shape = tuple(s for i, s in enumerate(shape) if i != axis)
-    x = _normal(rng, shape)
-    d = random_projection(seed + 9000, out_shape)
-    return check_gradients(lambda args: projected_loss(args[0].pick(axis, index), d), [x])
+    return [_normal(rng, shape)], lambda args: args[0].pick(axis, index)
 
 
-def check_stack(seed: int) -> float:
-    rng = _rng(seed)
+def _draw_stack(rng, seed):
     shape = _rand_shape(rng, rank=2)
-    xs = [_normal(rng, shape) for _ in range(3)]
-    d = random_projection(seed + 9000, (3,) + shape)
-    return check_gradients(lambda args: projected_loss(stack(args, axis=0), d), xs)
+    return [_normal(rng, shape) for _ in range(3)], lambda args: stack(args, axis=0)
 
 
-def check_sigmoid(seed: int) -> float:
-    rng = _rng(seed)
-    shape = _rand_shape(rng)
-    x = _normal(rng, shape)
-    d = random_projection(seed + 9000, shape)
-    return check_gradients(lambda args: projected_loss(args[0].sigmoid(), d), [x])
+def _draw_spec(rng, cout: int) -> ConvSpec:
+    return ConvSpec(out_channels=cout,
+                    kernel=(int(rng.integers(1, 4)), int(rng.integers(1, 4))),
+                    stride=(int(rng.integers(1, 3)), int(rng.integers(1, 3))))
 
 
-def check_tanh(seed: int) -> float:
-    rng = _rng(seed)
-    shape = _rand_shape(rng)
-    x = _normal(rng, shape)
-    d = random_projection(seed + 9000, shape)
-    return check_gradients(lambda args: projected_loss(args[0].tanh(), d), [x])
-
-
-def check_leaky_relu(seed: int) -> float:
-    rng = _rng(seed)
-    shape = _rand_shape(rng)
-    x = _away_from_zero(rng, shape)
-    d = random_projection(seed + 9000, shape)
-    return check_gradients(
-        lambda args: projected_loss(ops.activation(args[0], "leaky_relu"), d), [x])
-
-
-def check_relu(seed: int) -> float:
-    rng = _rng(seed)
-    shape = _rand_shape(rng)
-    x = _away_from_zero(rng, shape)
-    d = random_projection(seed + 9000, shape)
-    return check_gradients(
-        lambda args: projected_loss(ops.activation(args[0], "relu"), d), [x])
-
-
-def check_conv2d(seed: int) -> float:
-    rng = _rng(seed)
+def _draw_conv2d(rng, seed):
     cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     h, w = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-    spec = ConvSpec(out_channels=cout,
-                    kernel=(int(rng.integers(1, 4)), int(rng.integers(1, 4))),
-                    stride=(int(rng.integers(1, 3)), int(rng.integers(1, 3))))
+    spec = _draw_spec(rng, cout)
     b = 2 if seed % 2 == 0 else 1
-    x = _normal(rng, (b, cin, h, w))
-    wgt = _normal(rng, (cout, cin) + spec.kernel)
-    bias = _normal(rng, (cout,))
-    d = random_projection(seed + 9000, (b, cout) + spec.out_extents(h, w))
-    return check_gradients(
-        lambda args: projected_loss(ops.conv2d(args[0], args[1], args[2], spec), d),
-        [x, wgt, bias])
+    inputs = [_normal(rng, (b, cin, h, w)), _normal(rng, (cout, cin) + spec.kernel),
+              _normal(rng, (cout,))]
+    return inputs, lambda args: ops.conv2d(*args, spec)
 
 
-def check_conv_transpose2d(seed: int) -> float:
-    rng = _rng(seed)
+def _draw_conv_transpose2d(rng, seed):
     cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     oh, ow = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-    spec = ConvSpec(out_channels=cout,
-                    kernel=(int(rng.integers(1, 4)), int(rng.integers(1, 4))),
-                    stride=(int(rng.integers(1, 3)), int(rng.integers(1, 3))))
-    h, w = spec.out_extents(oh, ow)
+    spec = _draw_spec(rng, cout)
     b = 2 if seed % 2 == 1 else 1
-    x = _normal(rng, (b, cin, h, w))
-    wgt = _normal(rng, (cin, cout) + spec.kernel)
-    bias = _normal(rng, (cout,))
-    d = random_projection(seed + 9000, (b, cout, oh, ow))
-    return check_gradients(
-        lambda args: projected_loss(
-            ops.conv_transpose2d(args[0], args[1], args[2], spec, (oh, ow)), d),
-        [x, wgt, bias])
+    # the input extents a forward conv with spec maps an (oh, ow) map to
+    inputs = [_normal(rng, (b, cin) + spec.out_extents(oh, ow)),
+              _normal(rng, (cin, cout) + spec.kernel), _normal(rng, (cout,))]
+    return inputs, lambda args: ops.conv_transpose2d(*args, spec, (oh, ow))
 
 
-def check_maxpool2d(seed: int) -> float:
-    rng = _rng(seed)
+def _draw_maxpool2d(rng, seed):
     c = int(rng.integers(1, 4))
     h, w = int(rng.integers(2, 7)), int(rng.integers(2, 7))
     window = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-    x = _well_separated(rng, (1, c, h, w))
-    oh, ow = -(-h // window[0]), -(-w // window[1])
-    d = random_projection(seed + 9000, (1, c, oh, ow))
-    return check_gradients(
-        lambda args: projected_loss(ops.maxpool2d(args[0], window), d), [x])
+    return [_well_separated(rng, (1, c, h, w))], lambda args: ops.maxpool2d(args[0], window)
 
 
-def check_batch_norm_train(seed: int) -> float:
-    rng = _rng(seed)
+def _draw_batch_norm_train(rng, seed):
     c = int(rng.integers(1, 5))
     shape = (3, c, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-    x = _normal(rng, shape)
-    gamma = Tensor(rng.uniform(0.5, 1.5, size=c))
-    beta = _normal(rng, (c,))
-    d = random_projection(seed + 9000, shape)
-
-    def fn(args):
-        state = BatchNormState.initial(c, dtype=np.float64)
-        return projected_loss(ops.batch_norm(args[0], args[1], args[2], state, "train"), d)
-
-    return check_gradients(fn, [x, gamma, beta])
+    inputs = [_normal(rng, shape), Tensor(rng.uniform(0.5, 1.5, size=c)), _normal(rng, (c,))]
+    return inputs, lambda args: ops.batch_norm(
+        *args, BatchNormState.initial(c, dtype=np.float64), "train")
 
 
-def check_batch_norm_eval(seed: int) -> float:
-    rng = _rng(seed)
+def _draw_batch_norm_eval(rng, seed):
     c = int(rng.integers(1, 5))
-    shape = (2, c, 3, 3)
-    x = _normal(rng, shape)
-    gamma = Tensor(rng.uniform(0.5, 1.5, size=c))
-    beta = _normal(rng, (c,))
-    mean = rng.standard_normal(c)
-    var = rng.uniform(0.5, 2.0, size=c)
-    d = random_projection(seed + 9000, shape)
-
-    def fn(args):
-        state = BatchNormState(mean.copy(), var.copy())
-        return projected_loss(ops.batch_norm(args[0], args[1], args[2], state, "eval"), d)
-
-    return check_gradients(fn, [x, gamma, beta])
+    inputs = [_normal(rng, (2, c, 3, 3)), Tensor(rng.uniform(0.5, 1.5, size=c)),
+              _normal(rng, (c,))]
+    mean, var = rng.standard_normal(c), rng.uniform(0.5, 2.0, size=c)
+    return inputs, lambda args: ops.batch_norm(
+        *args, BatchNormState(mean.copy(), var.copy()), "eval")
 
 
-def check_softmax_pair(seed: int) -> float:
-    rng = _rng(seed)
+def _draw_softmax_pair(rng, seed):
     n = int(rng.integers(1, 7))
-    a, b = _normal(rng, (n,)), _normal(rng, (n,))
-    da = random_projection(seed + 9000, (n,))
-    db = random_projection(seed + 9001, (n,))
-
-    def fn(args):
-        wa, wb = ops.softmax_pair(args[0], args[1])
-        return projected_loss(wa, da) + projected_loss(wb, db)
-
-    return check_gradients(fn, [a, b])
+    return [_normal(rng, (n,)), _normal(rng, (n,))], lambda args: ops.softmax_pair(*args)
 
 
-def check_fully_connected(seed: int) -> float:
-    rng = _rng(seed)
+def _draw_fully_connected(rng, seed):
     fin, fout = int(rng.integers(1, 7)), int(rng.integers(1, 7))
     n = 3 if seed % 2 == 0 else 1
-    x = _normal(rng, (n, fin))
-    w = _normal(rng, (fout, fin))
-    b = _normal(rng, (fout,))
-    d = random_projection(seed + 9000, (n, fout))
-    return check_gradients(
-        lambda args: projected_loss(ops.fully_connected(args[0], args[1], args[2]), d),
-        [x, w, b])
+    inputs = [_normal(rng, (n, fin)), _normal(rng, (fout, fin)), _normal(rng, (fout,))]
+    return inputs, lambda args: ops.fully_connected(*args)
 
 
-def check_global_avg_pool(seed: int) -> float:
-    rng = _rng(seed)
+def _draw_global_avg_pool(rng, seed):
     c = int(rng.integers(1, 6))
     x = _normal(rng, (1, c, int(rng.integers(1, 7)), int(rng.integers(1, 7))))
-    d = random_projection(seed + 9000, (1, c))
-    return check_gradients(
-        lambda args: projected_loss(ops.global_avg_pool(args[0]), d), [x])
+    return [x], lambda args: ops.global_avg_pool(args[0])
 
 
-def check_concat_channels(seed: int) -> float:
-    rng = _rng(seed)
+def _draw_concat_channels(rng, seed):
     h, w = int(rng.integers(1, 5)), int(rng.integers(1, 5))
     cs = [int(rng.integers(1, 4)) for _ in range(3)]
-    xs = [_normal(rng, (1, c, h, w)) for c in cs]
-    d = random_projection(seed + 9000, (1, sum(cs), h, w))
-    return check_gradients(
-        lambda args: projected_loss(ops.concat_channels(args), d), xs)
+    return [_normal(rng, (1, c, h, w)) for c in cs], ops.concat_channels
 
 
-def check_scale_channels(seed: int) -> float:
-    rng = _rng(seed)
+def _draw_scale_channels(rng, seed):
     c, h, w = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
     x = _normal(rng, (1, c, h, w))
     weight_shape = [(1, c), (1, c, h, w)][seed % 2]
-    wt = _normal(rng, weight_shape)
-    d = random_projection(seed + 9000, (1, c, h, w))
-    return check_gradients(
-        lambda args: projected_loss(ops.scale_channels(args[0], args[1]), d), [x, wt])
+    return [x, _normal(rng, weight_shape)], lambda args: ops.scale_channels(*args)
 
 
-def check_lstm(seed: int) -> float:
-    rng = _rng(seed)
+def _draw_lstm(rng, seed):
     steps, feat, hidden = 3, 4, 4
-    seq = _normal(rng, (1, steps, feat))
-    gate_tensors = []
+    inputs = [_normal(rng, (1, steps, feat))]
     for _ in range(4):
-        gate_tensors += [_normal(rng, (hidden, feat)),
-                         _normal(rng, (hidden, hidden)),
-                         _normal(rng, (hidden,))]
-    d = random_projection(seed + 9000, (1, steps, hidden))
+        inputs += [_normal(rng, (hidden, feat)),
+                   _normal(rng, (hidden, hidden)),
+                   _normal(rng, (hidden,))]
 
-    def fn(args):
+    def op(args):
         gates = [LstmGate(wx=args[1 + 3 * k], wh=args[2 + 3 * k], bias=args[3 + 3 * k])
                  for k in range(4)]
-        params = LstmLayerParams(*gates)
-        return projected_loss(ops.lstm_forward(args[0], params), d)
+        return ops.lstm_forward(args[0], LstmLayerParams(*gates))
 
-    return check_gradients(fn, [seq] + gate_tensors)
+    return inputs, op
 
 
-OP_CHECKS: Dict[str, Callable[[int], float]] = {
-    "add": check_add,
-    "sub": check_sub,
-    "mul": check_mul,
-    "scalar_mix": check_scalar_mix,
-    "sum": check_sum,
-    "mean": check_mean,
-    "reshape": check_reshape,
-    "permute": check_permute,
-    "pick": check_pick,
-    "stack": check_stack,
-    "sigmoid": check_sigmoid,
-    "tanh": check_tanh,
-    "leaky_relu": check_leaky_relu,
-    "relu": check_relu,
-    "conv2d": check_conv2d,
-    "conv_transpose2d": check_conv_transpose2d,
-    "maxpool2d": check_maxpool2d,
-    "batch_norm_train": check_batch_norm_train,
-    "batch_norm_eval": check_batch_norm_eval,
-    "softmax_pair": check_softmax_pair,
-    "fully_connected": check_fully_connected,
-    "global_avg_pool": check_global_avg_pool,
-    "concat_channels": check_concat_channels,
-    "scale_channels": check_scale_channels,
-    "lstm": check_lstm,
+OP_TABLE: Dict[str, Draw] = {
+    "add": _elementwise(lambda a, b: a + b),
+    "sub": _elementwise(lambda a, b: a - b),
+    "mul": _elementwise(lambda a, b: a * b),
+    "scalar_mix": _unary(_normal, lambda x: 1.5 - (-x) * 0.75 + 0.25),
+    "sum": _unary(_normal, lambda x: x.sum()),
+    "mean": _unary(_normal, lambda x: (x * x).mean()),
+    "reshape": _draw_reshape,
+    "permute": _draw_permute,
+    "pick": _draw_pick,
+    "stack": _draw_stack,
+    "sigmoid": _unary(_normal, lambda x: x.sigmoid()),
+    "tanh": _unary(_normal, lambda x: x.tanh()),
+    "leaky_relu": _unary(_away_from_zero, lambda x: ops.activation(x, "leaky_relu")),
+    "relu": _unary(_away_from_zero, lambda x: ops.activation(x, "relu")),
+    "conv2d": _draw_conv2d,
+    "conv_transpose2d": _draw_conv_transpose2d,
+    "maxpool2d": _draw_maxpool2d,
+    "batch_norm_train": _draw_batch_norm_train,
+    "batch_norm_eval": _draw_batch_norm_eval,
+    "softmax_pair": _draw_softmax_pair,
+    "fully_connected": _draw_fully_connected,
+    "global_avg_pool": _draw_global_avg_pool,
+    "concat_channels": _draw_concat_channels,
+    "scale_channels": _draw_scale_channels,
+    "lstm": _draw_lstm,
 }
+
+
+def _outputs(out) -> tuple:
+    return out if isinstance(out, tuple) else (out,)
+
+
+def check_op(name: str, seed: int) -> float:
+    """Gradient-check one OP_TABLE row at one seed; returns the worst relative error.
+
+    A 0-d output is the loss itself. Otherwise output k is projected on
+    random_projection(seed + 9000 + k) and the projections are summed, so
+    the loss is a fixed random linear function of every output coordinate.
+    """
+    inputs, op = OP_TABLE[name](_rng(seed), seed)
+    outs = _outputs(op(inputs))
+    if len(outs) == 1 and outs[0].ndim == 0:
+        return check_gradients(op, inputs)
+    directions = [random_projection(seed + 9000 + k, out.dims) for k, out in enumerate(outs)]
+
+    def loss(args):
+        terms = [projected_loss(out, d) for out, d in zip(_outputs(op(args)), directions)]
+        return sum(terms[1:], terms[0])
+
+    return check_gradients(loss, inputs)
+
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
@@ -497,13 +374,13 @@ def run_op_suite(seeds: Sequence[int] = DEFAULT_SEEDS,
                  tol: float = REL_TOL) -> List[CheckResult]:
     """Run every per-op check over the given seeds and collect the outcomes."""
     results = []
-    for name, check in OP_CHECKS.items():
+    for name in OP_TABLE:
         worst = 0.0
         ok = True
         detail = ""
         for seed in seeds:
             try:
-                worst = max(worst, check(seed))
+                worst = max(worst, check_op(name, seed))
             except TensorError as exc:
                 ok = False
                 detail = f"seed {seed}: {exc}"

@@ -628,11 +628,6 @@ def enhance_segments(noisy: Sequence[MelSegment], videos: Sequence[VideoSegment]
     return enhanced
 
 
-def enhance_segment(noisy: MelSegment, video: VideoSegment, params: MffcnParams) -> MelSegment:
-    """Typed single-segment inference: enhance_segments on one segment."""
-    return enhance_segments([noisy], [video], params)[0]
-
-
 # ----------------------------------------------------------------------------
 # Shape trace (symbolic, no tensor allocation)
 # ----------------------------------------------------------------------------

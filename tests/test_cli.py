@@ -1,5 +1,6 @@
 """Command-line behavior: flags, files, exit codes."""
 
+import csv
 import os
 
 import numpy as np
@@ -8,8 +9,7 @@ import pytest
 from mffcn import cli
 from mffcn.cli import main
 from mffcn.dsp import mix_at_snr
-from mffcn.formats import (encode_mten, load_loss_csv, load_mten, save_mten,
-                           save_video_frames, save_wav)
+from mffcn.formats import encode_mten, load_mten, save_mten, save_video_frames, save_wav
 from mffcn.gradcheck import CheckResult
 from mffcn.metrics import EvalReport, ItemScore
 from mffcn.synth import draw_clip
@@ -104,7 +104,10 @@ class TestTrainCommand:
     def test_writes_checkpoint_and_history(self, workdir):
         out = workdir / "ck"
         assert (out / "checkpoint.mffc").exists()
-        assert load_loss_csv(str(out / "loss.csv")) != []
+        with open(out / "loss.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["step", "loss"]
+        assert rows != []
 
     def test_bit_reproducible(self, workdir, tmp_path):
         args = ["train", "--steps", "2", "--batch", "2", "--width-divisor", "16",

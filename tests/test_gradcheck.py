@@ -7,12 +7,12 @@ import pytest
 
 from mffcn.gradcheck import (
     DEFAULT_SEEDS,
-    OP_CHECKS,
+    OP_TABLE,
     REL_TOL,
     check_gradients,
+    check_op,
     eps_ladder,
     finite_difference_gradient,
-    max_rel_error,
     run_model_check,
 )
 from mffcn.model import FusionStrategy, init_params
@@ -42,24 +42,12 @@ class TestFiniteDifferenceOracle:
         with pytest.raises(TensorError, match="deterministic"):
             finite_difference_gradient(flaky, [Tensor(np.array([1.0]))])
 
-    def test_coordinate_restriction_leaves_nan(self):
-        x = Tensor(np.zeros((2, 2)))
-        grads = finite_difference_gradient(
-            lambda args: args[0].sum(), [x], coords={0: [(0, 1)]})
-        assert grads[0][0, 1] == pytest.approx(1.0, abs=1e-6)
-        assert np.isnan(grads[0][0, 0])
-
-    def test_rel_error_ignores_unprobed(self):
-        analytic = np.array([1.0, 99.0])
-        numeric = np.array([1.0, np.nan])
-        assert max_rel_error(analytic, numeric) < 1e-12
-
     def test_check_gradients_flags_wrong_backward(self):
         # A loss whose true gradient is 2x; pretend it is x by scaling inside.
         x = Tensor(np.array([1.0, 2.0]))
 
         def fn(args):
-            return (args[0] * args[0].detach()).sum()  # analytic grad sees only one factor
+            return (args[0] * Tensor(args[0].data)).sum()  # analytic grad sees only one factor
 
         with pytest.raises(TensorError, match="mismatch"):
             check_gradients(fn, [x])
@@ -122,10 +110,10 @@ OP_WORST_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(OP_CHECKS))
+@pytest.mark.parametrize("name", sorted(OP_TABLE))
 @pytest.mark.parametrize("seed", DEFAULT_SEEDS)
 def test_op_gradients(name, seed):
-    worst = OP_CHECKS[name](seed)
+    worst = check_op(name, seed)
     assert worst < REL_TOL
     np.testing.assert_allclose(worst, OP_WORST_ERRORS[name][DEFAULT_SEEDS.index(seed)], rtol=1e-9, atol=0)
 

@@ -30,7 +30,6 @@ from mffcn.model import (
     bottleneck,
     decoder_layer,
     INFER_CHUNK,
-    enhance_segment,
     enhance_segments,
     encoder_layer_audio,
     encoder_layer_video,
@@ -685,7 +684,7 @@ class TestEnhanceSegment:
         rng = np.random.default_rng(0)
         seg = MelSegment(rng.normal(size=(80, 20)).astype(np.float32), origin="clip7:frames[0,20)")
         vid = VideoSegment(rng.uniform(size=(5, 80, 80)).astype(np.float32))
-        out = enhance_segment(seg, vid, params)
+        out = enhance_segments([seg], [vid], params)[0]
         assert isinstance(out, MelSegment)
         assert out.values.shape == (80, 20)
         assert out.values.dtype == np.float32
@@ -719,7 +718,7 @@ class TestEnhanceSegments:
         monkeypatch.setattr("mffcn.model.mffcn_forward", counting_forward)
         batched = enhance_segments(noisy, videos, params)
         assert batches == [min(INFER_CHUNK, n - lo) for lo in range(0, n, INFER_CHUNK)]
-        single = [enhance_segment(s, v, params) for s, v in zip(noisy, videos)]
+        single = [enhance_segments([s], [v], params)[0] for s, v in zip(noisy, videos)]
         assert len(batched) == n
         for got, want in zip(batched, single):
             assert got.values.dtype == np.float32
@@ -730,7 +729,7 @@ class TestEnhanceSegments:
         (seg,), (vid,) = _segments(1)
         with no_grad():
             want = mffcn_forward(Tensor(seg.values[None]), Tensor(vid.frames), params, mode="eval").data[0]
-        got = enhance_segment(seg, vid, params).values
+        got = enhance_segments([seg], [vid], params)[0].values
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
 
     def test_origins_kept_in_order(self, params):

@@ -1,5 +1,7 @@
 """Optimizer, loss, synthetic data, and training-loop tests."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -376,10 +378,12 @@ class TestTrainLoop:
             train(cfg, synth_dataset(0, 2), params=params)
 
     def test_loss_csv_written(self, tmp_path):
-        from mffcn.formats import load_loss_csv
         cfg = TrainConfig(steps=3, seed=0, width_divisor=16, batch_size=2,
                           strategy=FusionStrategy.LATE)
         data = synth_dataset(0, 2)
         path = str(tmp_path / "loss.csv")
         result = train(cfg, data, loss_csv_path=path)
-        assert load_loss_csv(path) == result.loss_history
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["step", "loss"]
+        assert [float(loss) for _, loss in rows] == result.loss_history
