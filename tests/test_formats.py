@@ -1,6 +1,7 @@
 """Round-trip and rejection tests for the binary file formats."""
 
 import csv
+import io
 import re
 import struct
 
@@ -10,6 +11,7 @@ import pytest
 from mffcn.dsp import AudioClip
 from mffcn.formats import (
     FormatError,
+    _read_mten,
     encode_mten,
     export_spectrogram,
     load_checkpoint,
@@ -80,6 +82,20 @@ class TestMten:
     def test_rejects_nonfinite(self):
         with pytest.raises(FormatError):
             encode_mten(np.array([np.nan], dtype=np.float32))
+
+    def test_decode_offset_chain(self):
+        # load_checkpoint reads its records back to back with _read_mten:
+        # each read must stop exactly at the end of its own blob.
+        a = np.arange(4, dtype=np.float32)
+        b = np.ones((2, 2), dtype=np.float32)
+        buf = encode_mten(a) + encode_mten(b)
+        fh = io.BytesIO(buf)
+        first = _read_mten(fh, len(buf))
+        assert fh.tell() == len(encode_mten(a))
+        second = _read_mten(fh, len(buf))
+        assert np.array_equal(first, a)
+        assert np.array_equal(second, b)
+        assert fh.tell() == len(buf)
 
 
 class TestCheckpoint:
