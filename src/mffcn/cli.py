@@ -228,7 +228,7 @@ def cmd_train(args) -> int:
     config = TrainConfig(steps=args.steps, seed=args.seed, learning_rate=args.lr,
                          batch_size=args.batch,
                          snr_range_db=(args.snr_low, args.snr_high),
-                         strategy=FusionStrategy.from_name(args.strategy),
+                         strategy=FusionStrategy(args.strategy),
                          width_divisor=args.width_divisor)
     if args.data:
         data = load_dataset(args.data)

@@ -13,7 +13,7 @@ Everything here is a pure function of its arguments; no hidden state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Tuple
 
@@ -107,6 +107,7 @@ class SegmentTriple:
     noisy: MelSegment
     video: VideoSegment
     clean: MelSegment
+    snr_db: float = math.nan
 
     def __iter__(self):
         return iter((self.noisy, self.video, self.clean))
@@ -118,32 +119,27 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / (n - 1)))
 
 
-def stft(clip: AudioClip, win_len: int = WIN_LEN, hop: int = HOP) -> np.ndarray:
+def stft(clip: AudioClip) -> np.ndarray:
     """One-sided complex spectrogram, shape [bins, frames].
 
-    Frame count is 1 + floor((len - win_len) / hop); no end padding, so a
+    Frame count is 1 + floor((len - WIN_LEN) / HOP); no end padding, so a
     clip shorter than one window is an error.
     """
     x = clip.samples
-    if len(x) < win_len:
-        raise DspError(f"clip of {len(x)} samples is shorter than one {win_len}-sample window")
-    frames = sliding_window_view(x, win_len)[::hop]
-    windowed = frames * hann_window(win_len)
-    return np.fft.rfft(windowed, n=win_len, axis=1).T
+    if len(x) < WIN_LEN:
+        raise DspError(f"clip of {len(x)} samples is shorter than one {WIN_LEN}-sample window")
+    frames = sliding_window_view(x, WIN_LEN)[::HOP]
+    windowed = frames * hann_window(WIN_LEN)
+    return np.fft.rfft(windowed, n=WIN_LEN, axis=1).T
 
 
-@lru_cache(maxsize=8)
-def mel_filterbank(n_mels: int = N_MELS, fft_bins: int = FFT_BINS,
-                   f_lo: float = MEL_F_LO, f_hi: float = MEL_F_HI) -> np.ndarray:
-    """Triangular filters [n_mels, fft_bins], centers equally spaced in mel.
+@lru_cache(maxsize=1)
+def mel_filterbank() -> np.ndarray:
+    """Triangular filters [N_MELS, FFT_BINS], centers equally spaced in mel.
 
     mel(f) = 2595 * log10(1 + f / 700); filters are evaluated at the FFT bin
     center frequencies (multiples of sample_rate / fft_size).
     """
-    if not n_mels < fft_bins:
-        raise DspError(f"need n_mels < fft_bins, got {n_mels} and {fft_bins}")
-    if not 0.0 <= f_lo < f_hi:
-        raise DspError(f"degenerate band edges [{f_lo}, {f_hi}]")
 
     def to_mel(f):
         return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
@@ -151,10 +147,8 @@ def mel_filterbank(n_mels: int = N_MELS, fft_bins: int = FFT_BINS,
     def from_mel(m):
         return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
-    edges_hz = from_mel(np.linspace(to_mel(f_lo), to_mel(f_hi), n_mels + 2))
-    if np.any(np.diff(edges_hz) <= 0):
-        raise DspError("degenerate band edges: filter centers are not strictly increasing")
-    bin_hz = np.arange(fft_bins, dtype=np.float64) * (SAMPLE_RATE / (2.0 * (fft_bins - 1)))
+    edges_hz = from_mel(np.linspace(to_mel(MEL_F_LO), to_mel(MEL_F_HI), N_MELS + 2))
+    bin_hz = np.arange(FFT_BINS, dtype=np.float64) * (SAMPLE_RATE / (2.0 * (FFT_BINS - 1)))
     left, center, right = edges_hz[:-2, None], edges_hz[1:-1, None], edges_hz[2:, None]
     rising = (bin_hz[None, :] - left) / (center - left)
     falling = (right - bin_hz[None, :]) / (right - center)
@@ -315,5 +309,6 @@ def make_segment_pairs(clean: AudioClip, noise: AudioClip, video_frames: np.ndar
     for k in range(n):
         vs = frames[SEG_VIDEO_FRAMES * k:SEG_VIDEO_FRAMES * (k + 1)]
         video = VideoSegment(vs, origin=f"{clip_id}:video[{SEG_VIDEO_FRAMES * k},{SEG_VIDEO_FRAMES * (k + 1)})")
-        triples.append(SegmentTriple(noisy=noisy_segs[k], video=video, clean=clean_segs[k]))
+        triples.append(SegmentTriple(noisy=noisy_segs[k], video=video, clean=clean_segs[k],
+                                     snr_db=snr_db))
     return triples

@@ -201,8 +201,6 @@ def save_wav(path: str, samples: np.ndarray) -> None:
     body = (b"WAVE"
             + b"fmt " + struct.pack("<I", len(fmt)) + fmt
             + b"data" + struct.pack("<I", len(data)) + data)
-    if len(data) % 2:
-        body += b"\x00"
     with open(path, "wb") as fh:
         fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
 

@@ -22,7 +22,7 @@ numpy is the only runtime import: the resampling to 10 kHz is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,7 +43,7 @@ from .dsp import (
     resample_poly,
     stft,
 )
-from .model import FusionStrategy, MffcnParams, enhance_segments, init_params
+from .model import FusionStrategy, MffcnParams, enhance_segments
 from .synth import draw_clip
 
 STOI_RATE = 10000

@@ -45,7 +45,6 @@ from .attention import (
     DenseParams,
     FusionParams,
     SpectralParams,
-    channel_attention,
     fusion_block,
     spectral_attention,
 )
@@ -108,14 +107,6 @@ class FusionStrategy(enum.Enum):
     INTERMEDIATE_BOTTLENECK = "mid-bottleneck"
     INTERMEDIATE_DECODER = "mid-decoder"
     MULTILAYER = "multilayer"
-
-    @classmethod
-    def from_name(cls, name: str) -> "FusionStrategy":
-        for member in cls:
-            if member.value == name:
-                return member
-        options = ", ".join(m.value for m in cls)
-        raise ModelError(f"unknown fusion strategy {name!r}; options: {options}")
 
 
 STRATEGY_CODES = {s: i for i, s in enumerate(FusionStrategy)}
@@ -198,18 +189,17 @@ WIRINGS: Dict[FusionStrategy, Wiring] = {
 def _build(strategy: FusionStrategy, width_divisor: int,
            tensor_factory: Optional[Callable[[str, tuple, str], Optional[Tensor]]],
            state_factory: Optional[Callable[[str, int], Optional[BatchNormState]]],
-           ) -> Tuple[MffcnParams, List[Tuple[str, tuple, str]], List[Tuple[str, int]]]:
+           ) -> Tuple[MffcnParams, List[Tuple[str, tuple, str]]]:
     """Single definition of the parameter topology.
 
     The factories may be None, in which case only the recorded name/shape
-    lists are meaningful (symbolic mode for counting and validation). Kinds:
+    list is meaningful (symbolic mode for counting and validation). Kinds:
     'conv' and 'deconv' and 'fc' are fan-in-initialized weights, 'zeros' and
     'ones' are constant-initialized vectors.
     """
     widths = scaled_filters(width_divisor)
     wiring = WIRINGS[strategy]
     recorded: List[Tuple[str, tuple, str]] = []
-    states_recorded: List[Tuple[str, int]] = []
     named: List[Tuple[str, Tensor]] = []
     named_states: List[Tuple[str, BatchNormState]] = []
 
@@ -222,7 +212,6 @@ def _build(strategy: FusionStrategy, width_divisor: int,
         return t
 
     def state(name: str, channels: int) -> Optional[BatchNormState]:
-        states_recorded.append((name, channels))
         if state_factory is None:
             return None
         st = state_factory(name, channels)
@@ -319,13 +308,13 @@ def _build(strategy: FusionStrategy, width_divisor: int,
         decoder=decoder,
         named=named,
         named_states=named_states)
-    return params, recorded, states_recorded
+    return params, recorded
 
 
 def parameter_shapes(strategy: FusionStrategy, width_divisor: int = 1
                      ) -> List[Tuple[str, tuple, str]]:
     """Ordered (name, shape, kind) for every trainable tensor, no allocation."""
-    _, recorded, _ = _build(strategy, width_divisor, None, None)
+    _, recorded = _build(strategy, width_divisor, None, None)
     return recorded
 
 
@@ -366,7 +355,7 @@ def init_params(seed: int, strategy: FusionStrategy = FusionStrategy.MULTILAYER,
     def state_factory(name: str, channels: int) -> BatchNormState:
         return BatchNormState.initial(channels, dtype=dtype)
 
-    params, _, _ = _build(strategy, width_divisor, tensor_factory, state_factory)
+    params, _ = _build(strategy, width_divisor, tensor_factory, state_factory)
     return params
 
 
@@ -719,7 +708,7 @@ def load_model(path: str) -> MffcnParams:
                 raise non_finite(f"{name}.{stat}")
         return BatchNormState(mean=mean.copy(), var=var.copy())
 
-    params, _, _ = _build(strategy, width_divisor, tensor_factory, state_factory)
+    params, _ = _build(strategy, width_divisor, tensor_factory, state_factory)
     if entries:
         extra = ", ".join(sorted(entries)[:5])
         raise FormatError(f"{path}: checkpoint holds unknown entries: {extra}")

@@ -79,7 +79,7 @@ LEAKY_SLOPE = 0.2
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
-ACTIVATION_KINDS = ("leaky_relu", "relu", "sigmoid", "linear")
+ACTIVATION_KINDS = ("leaky_relu", "relu", "sigmoid")
 
 # Most bytes of GEMM columns (or scatter product) a convolution builds at once (see _Grid.blocks).
 COL_BLOCK_BYTES = 2 << 20
@@ -477,8 +477,6 @@ def maxpool2d(x: Tensor, window: Tuple[int, int]) -> Tensor:
     result = Tensor(out)
 
     def backward(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
         gxp = np.zeros_like(xp)
         pending = np.ones(out.shape, dtype=bool)  # windows whose argmax is not yet found
         for u in range(wh):
@@ -502,9 +500,6 @@ class BatchNormState:
     @classmethod
     def initial(cls, channels: int, dtype=np.float32) -> "BatchNormState":
         return cls(mean=np.zeros(channels, dtype=dtype), var=np.ones(channels, dtype=dtype))
-
-    def copy(self) -> "BatchNormState":
-        return BatchNormState(self.mean.copy(), self.var.copy())
 
 
 def _batch_stats(xd: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -580,7 +575,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
-    """Pointwise nonlinearity: leaky_relu (slope 0.2), relu, sigmoid, linear.
+    """Pointwise nonlinearity: leaky_relu (slope 0.2), relu, sigmoid.
 
     The rectifiers build no boolean mask. leaky_relu is max(x, 0.2 x), relu
     is max(x, 0), and the backward multiplies g by max(sign(x), slope): 1
@@ -592,8 +587,6 @@ def activation(x: Tensor, kind: str) -> Tensor:
         raise ShapeError(f"activation: unknown kind {kind!r}, expected one of {ACTIVATION_KINDS}")
     if kind == "sigmoid":
         return x.sigmoid()
-    if kind == "linear":
-        return x
     xd = x.data
     if kind == "relu":
         out = np.maximum(xd, 0)

@@ -87,12 +87,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_tape", "_flat", "_grad_slot")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if dtype is not None:
-            if np.dtype(dtype) not in FLOAT_DTYPES:
-                raise TensorError(f"tensors store float32 or float64, not {dtype}")
-            arr = np.asarray(data, dtype=dtype)
-        elif isinstance(data, (np.ndarray, np.generic)) and data.dtype in FLOAT_DTYPES:
+    def __init__(self, data, requires_grad: bool = False):
+        if isinstance(data, (np.ndarray, np.generic)) and data.dtype in FLOAT_DTYPES:
             arr = np.asarray(data)
         else:
             arr = np.asarray(data, dtype=DEFAULT_DTYPE)
@@ -137,9 +133,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
     # -- elementwise arithmetic (strict shapes; scalars broadcast) ----------
 
     def _binary_shapes(self, other: "Tensor", op: str) -> None:
@@ -163,25 +156,15 @@ class Tensor:
 
         return record(out, (self,), backward_s)
 
-    def __radd__(self, other: Scalar) -> "Tensor":
-        return self.__add__(other)
+    def __sub__(self, other: "Tensor") -> "Tensor":
+        self._binary_shapes(other, "sub")
+        out = Tensor(self.data - other.data)
 
-    def __sub__(self, other: Union["Tensor", Scalar]) -> "Tensor":
-        if isinstance(other, Tensor):
-            self._binary_shapes(other, "sub")
-            out = Tensor(self.data - other.data)
-
-            def backward(g: np.ndarray) -> None:
-                _accumulate(self, g)
-                _accumulate(other, -g)
-
-            return record(out, (self, other), backward)
-        out = Tensor(self.data - float(other))
-
-        def backward_s(g: np.ndarray) -> None:
+        def backward(g: np.ndarray) -> None:
             _accumulate(self, g)
+            _accumulate(other, -g)
 
-        return record(out, (self,), backward_s)
+        return record(out, (self, other), backward)
 
     def __rsub__(self, other: Scalar) -> "Tensor":
         out = Tensor(float(other) - self.data)
@@ -209,9 +192,6 @@ class Tensor:
             _accumulate(self, g * s)
 
         return record(out, (self,), backward_s)
-
-    def __rmul__(self, other: Scalar) -> "Tensor":
-        return self.__mul__(other)
 
     def __neg__(self) -> "Tensor":
         out = Tensor(-self.data)
@@ -245,8 +225,6 @@ class Tensor:
     # -- structure ------------------------------------------------------------
 
     def reshape(self, *dims: int) -> "Tensor":
-        if len(dims) == 1 and isinstance(dims[0], (tuple, list)):
-            dims = tuple(dims[0])
         src = self.dims
         out = Tensor(self.data.reshape(dims))
 
@@ -256,8 +234,6 @@ class Tensor:
         return record(out, (self,), backward)
 
     def permute(self, *axes: int) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         if sorted(axes) != list(range(self.ndim)):
             raise ShapeError(f"permute: {axes} is not a permutation of {self.ndim} axes")
         inverse = np.argsort(axes)

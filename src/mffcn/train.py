@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,6 +33,7 @@ from .dsp import (
     VIDEO_FPS,
     WIN_LEN,
     MelSegment,
+    SegmentTriple,
     VideoSegment,
     make_segment_pairs,
 )
@@ -91,9 +92,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
     @classmethod
     def initial(cls, named: Sequence[Tuple[str, Tensor]]) -> "AdamState":
@@ -136,8 +134,8 @@ def adam_step(named: Sequence[Tuple[str, Tensor]], state: AdamState, lr: float) 
             np.copyto(slot, p.grad)
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     n = flat.data.size
     work_a = np.empty(min(n, ADAM_BLOCK), dtype=flat.data.dtype)
     work_b = np.empty_like(work_a)
@@ -145,17 +143,17 @@ def adam_step(named: Sequence[Tuple[str, Tensor]], state: AdamState, lr: float) 
         hi = min(lo + ADAM_BLOCK, n)
         g, m, v = flat.grad[lo:hi], state.m[lo:hi], state.v[lo:hi]
         a, b = work_a[:hi - lo], work_b[:hi - lo]
-        m *= state.beta1
-        np.multiply(1.0 - state.beta1, g, out=a)
+        m *= ADAM_BETA1
+        np.multiply(1.0 - ADAM_BETA1, g, out=a)
         m += a
-        v *= state.beta2
-        np.multiply(1.0 - state.beta2, g, out=a)
+        v *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, g, out=a)
         a *= g
         v += a
         np.divide(m, c1, out=a)
         np.divide(v, c2, out=b)
         np.sqrt(b, out=b)
-        b += state.eps
+        b += ADAM_EPS
         a /= b
         a *= lr
         flat.data[lo:hi] -= a
@@ -165,29 +163,16 @@ def adam_step(named: Sequence[Tuple[str, Tensor]], state: AdamState, lr: float) 
 # Synthetic data
 # ----------------------------------------------------------------------------
 
-@dataclass
-class SynthItem:
-    noisy: MelSegment
-    video: VideoSegment
-    clean: MelSegment
-    snr_db: float = math.nan
-    clip_index: int = -1
-
-    def __iter__(self):
-        return iter((self.noisy, self.video, self.clean))
-
-
 def _synth_clip(seed_seq: np.random.SeedSequence, clip_index: int,
-                snr_range_db: Tuple[float, float]) -> List[SynthItem]:
+                snr_range_db: Tuple[float, float]) -> List[SegmentTriple]:
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     clean, noise, video = draw_clip(rng)
     snr_db = float(rng.uniform(*snr_range_db))
-    triples = make_segment_pairs(clean, noise, video, snr_db, clip_id=f"synth{clip_index}")
-    return [SynthItem(tr.noisy, tr.video, tr.clean, snr_db, clip_index) for tr in triples]
+    return make_segment_pairs(clean, noise, video, snr_db, clip_id=f"synth{clip_index}")
 
 
 def synth_dataset(seed: int, n_items: int,
-                  snr_range_db: Tuple[float, float] = (-10.0, 10.0)) -> List[SynthItem]:
+                  snr_range_db: Tuple[float, float] = (-10.0, 10.0)) -> List[SegmentTriple]:
     """Deterministic synthetic triples; one clip yields four of them.
 
     Clip seeds are spawned up front, one per clip, from the dataset seed.
@@ -204,7 +189,7 @@ def synth_dataset(seed: int, n_items: int,
     return items[:n_items]
 
 
-def save_dataset(dirpath: str, items: Sequence[SynthItem]) -> None:
+def save_dataset(dirpath: str, items: Sequence[SegmentTriple]) -> None:
     """One MTEN file per tensor: NNNNN.{noisy,video,clean}.mten."""
     os.makedirs(dirpath, exist_ok=True)
     for k, item in enumerate(items):
@@ -213,7 +198,7 @@ def save_dataset(dirpath: str, items: Sequence[SynthItem]) -> None:
         save_mten(os.path.join(dirpath, f"{k:05d}.clean.mten"), item.clean.values)
 
 
-def load_dataset(dirpath: str) -> List[SynthItem]:
+def load_dataset(dirpath: str) -> List[SegmentTriple]:
     """Read triples written by save_dataset (or any pre-extracted corpus)."""
     items = []
     k = 0
@@ -224,11 +209,10 @@ def load_dataset(dirpath: str) -> List[SynthItem]:
         noisy = load_mten(noisy_path)
         video = load_mten(os.path.join(dirpath, f"{k:05d}.video.mten"))
         clean = load_mten(os.path.join(dirpath, f"{k:05d}.clean.mten"))
-        items.append(SynthItem(
+        items.append(SegmentTriple(
             MelSegment(noisy, origin=f"{dirpath}:{k}/noisy"),
             VideoSegment(video, origin=f"{dirpath}:{k}/video"),
-            MelSegment(clean, origin=f"{dirpath}:{k}/clean"),
-            clip_index=k))
+            MelSegment(clean, origin=f"{dirpath}:{k}/clean")))
         k += 1
     if not items:
         raise TrainError(f"no dataset items found under {dirpath}")
@@ -256,14 +240,14 @@ def _first_nonfinite(named: Sequence[Tuple[str, Tensor]], flat: FlatParams) -> O
     return None
 
 
-def _stack_batch(items: Sequence[SynthItem]) -> Tuple[Tensor, Tensor, Tensor]:
+def _stack_batch(items: Sequence[SegmentTriple]) -> Tuple[Tensor, Tensor, Tensor]:
     y = np.stack([item.noisy.values[None, :, :] for item in items])
     v = np.stack([item.video.frames for item in items])
     tgt = np.stack([item.clean.values[None, :, :] for item in items])
     return Tensor(y), Tensor(v), Tensor(tgt)
 
 
-def train(config: TrainConfig, data: Sequence[SynthItem],
+def train(config: TrainConfig, data: Sequence[SegmentTriple],
           params: Optional[MffcnParams] = None,
           checkpoint_path: Optional[str] = None,
           loss_csv_path: Optional[str] = None) -> TrainResult:
@@ -304,9 +288,6 @@ def train(config: TrainConfig, data: Sequence[SynthItem],
             raise TrainError(f"step {step}: forward/backward hit non-finite values "
                              f"in {where}: {exc}") from exc
         loss_value = loss.item()
-        if not math.isfinite(loss_value):
-            culprit = _first_nonfinite(params.named, adam.flat) or "loss"
-            raise TrainError(f"step {step}: loss is non-finite (culprit: {culprit})")
         adam_step(params.named, adam, config.learning_rate)
         culprit = _first_nonfinite(params.named, adam.flat)
         if culprit is not None:

@@ -1,8 +1,9 @@
-"""Every function, class and method in src/mffcn is referenced in src/mffcn.
+"""Every function, class, method and import in src/mffcn is referenced in src/mffcn.
 
 A reference is any identifier, attribute or imported name equal to the
 definition's name, outside the definition's own lines. Names are matched
 without their class or module, so this finds code nothing names at all.
+An imported name counts as used only where its own module reads it.
 """
 
 import ast
@@ -70,3 +71,28 @@ def test_allowlist_names_existing_definitions():
     defined = {qualified for module, tree in _trees().items()
                for qualified, _, _ in _definitions(module, tree)}
     assert ALLOWED <= defined
+
+
+def _unused_imports():
+    """module.name of each name a module imports but never reads.
+
+    __init__.py is exempt: its imports are the package's re-exports.
+    """
+    unused = []
+    for module, tree in _trees().items():
+        if module == "__init__":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{module}.{bound}")
+    return unused
+
+
+def test_every_import_is_used():
+    assert _unused_imports() == []

@@ -121,14 +121,6 @@ class TestMelFilterbank:
         peaks = [int(np.argmax(row)) for row in bank]
         assert all(b >= a for a, b in zip(peaks, peaks[1:]))
 
-    def test_degenerate_edges_rejected(self):
-        with pytest.raises(DspError, match="edges"):
-            mel_filterbank(n_mels=8, fft_bins=321, f_lo=100.0, f_hi=100.0)
-
-    def test_needs_fewer_mels_than_bins(self):
-        with pytest.raises(DspError):
-            mel_filterbank(n_mels=321, fft_bins=321)
-
 
 class TestLogMel:
     def test_silent_clip_hits_log_floor(self):

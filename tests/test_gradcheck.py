@@ -14,6 +14,7 @@ from mffcn.gradcheck import (
     eps_ladder,
     finite_difference_gradient,
     run_model_check,
+    run_op_suite,
 )
 from mffcn.model import FusionStrategy, init_params
 from mffcn.tensor import NonFiniteError, Tensor, TensorError
@@ -118,6 +119,66 @@ def test_op_gradients(name, seed):
     np.testing.assert_allclose(worst, OP_WORST_ERRORS[name][DEFAULT_SEEDS.index(seed)], rtol=1e-9, atol=0)
 
 
+class TestOpSuiteTolerance:
+    def test_truncation_miss_passes_down_the_ladder(self):
+        # at FD_EPS the lstm check at seed 6 reads 3.65e-4, truncation of the
+        # central difference; its missing coordinates pass at a smaller step
+        assert check_op("lstm", 6) < REL_TOL
+        assert all(r.ok for r in run_op_suite(seeds=(3, 4, 5, 6, 7)))
+
+    def test_tolerance_reaches_every_op_check(self):
+        lstm = {r.name: r for r in run_op_suite(seeds=(6,), tol=1e-3)}["lstm"]
+        assert lstm.ok and REL_TOL < lstm.worst_err < 1e-3
+
+    def test_failing_rows_report_the_failing_error(self):
+        results = run_op_suite(seeds=(3, 4), tol=1e-12)
+        failed = [r for r in results if not r.ok]
+        assert failed
+        for r in failed:
+            assert r.worst_err > 1e-12, r
+            seed, err = re.match(r"seed (\d): .* error (\S+) >", r.detail).groups()
+            assert seed in "34" and float(err) == pytest.approx(r.worst_err, rel=1e-3)
+
+
+def _leaky_relu_with_scaled_backward(original):
+    """ops.activation, except that leaky_relu's backward is 1.1 times too large."""
+    from mffcn.tensor import _accumulate, record
+
+    def activation(x, kind):
+        if kind != "leaky_relu":
+            return original(x, kind)
+        out = Tensor(np.maximum(x.data, 0.2 * x.data))
+
+        def backward(g):
+            _accumulate(x, 1.1 * g * np.where(x.data > 0, 1.0, 0.2))
+
+        return record(out, (x,), backward)
+
+    return activation
+
+
+class TestPlantedWrongBackward:
+    @pytest.fixture()
+    def planted(self, monkeypatch):
+        from mffcn import model, ops
+        wrong = _leaky_relu_with_scaled_backward(ops.activation)
+        monkeypatch.setattr(ops, "activation", wrong)
+        monkeypatch.setattr(model, "activation", wrong)
+
+    def test_op_row_fails_and_names_its_seed(self, planted):
+        rows = {r.name: r for r in run_op_suite(seeds=(2, 3))}
+        assert [name for name, r in rows.items() if not r.ok] == ["leaky_relu"]
+        assert rows["leaky_relu"].detail.startswith("seed 2: gradient mismatch")
+        assert rows["leaky_relu"].worst_err > 0.05  # 0.1 / 1.1 where the slope is wrong
+
+    def test_model_check_fails_and_names_a_parameter(self, planted):
+        result = run_model_check(seed=0, strategy=FusionStrategy.LATE)
+        names = [n for n, _ in init_params(0, FusionStrategy.LATE, 16).named]
+        assert not result.ok and result.worst_err > 0.05
+        culprits = re.findall(r"input \d+ \(([\w.]+)\) coord", result.detail)
+        assert culprits and set(culprits) <= set(names)
+
+
 # (name, worst_err.hex(), ok, detail) of run_model_check per (wiring, seed),
 # recorded while every probe still ran a whole forward: probes that rerun
 # only the nodes downstream of the perturbed tensor must reproduce them.
@@ -145,7 +206,7 @@ MODEL_CHECKS = {
 
 @pytest.fixture(scope="module")
 def model_checks():
-    return {(wiring, seed): run_model_check(seed=seed, strategy=FusionStrategy.from_name(wiring))
+    return {(wiring, seed): run_model_check(seed=seed, strategy=FusionStrategy(wiring))
             for wiring, seed in MODEL_CHECKS}
 
 
@@ -230,7 +291,7 @@ def recorded_check():
 
     def fresh(params):
         it = iter([Tensor(t.data.copy()) for _, t in params.named])
-        rebuilt, _, _ = model._build(
+        rebuilt, _ = model._build(
             params.strategy, params.width_divisor, lambda name, shape, kind: next(it),
             lambda name, channels: BatchNormState.initial(channels, dtype=np.float64))
         return rebuilt

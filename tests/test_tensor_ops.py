@@ -47,7 +47,7 @@ class TestTensorBasics:
         assert t.dtype == np.float32
 
     def test_float64_supported(self):
-        t = Tensor(np.array([1.0]), dtype=np.float64)
+        t = Tensor(np.array([1.0]))  # a float64 array keeps its dtype
         assert t.dtype == np.float64
 
     def test_rejects_nan_and_inf(self):

@@ -12,7 +12,6 @@ from mffcn.model import FusionStrategy, init_params, mffcn_forward, save_model
 from mffcn.tensor import Tape, Tensor, TensorError
 from mffcn.train import (
     AdamState,
-    SynthItem,
     TrainConfig,
     TrainError,
     adam_step,
@@ -365,6 +364,28 @@ class TestTrainLoop:
         data = synth_dataset(0, 2)
         with pytest.raises(TrainError, match="step"):
             train(cfg, data)
+
+    @pytest.mark.parametrize("at_step", [1, 2])
+    def test_nonfinite_parameter_named_with_step(self, monkeypatch, at_step):
+        # a NaN planted before step 1 stops its forward; one planted by the
+        # update of step 2 is caught by the scan after it
+        cfg = TrainConfig(steps=3, seed=0, batch_size=2, width_divisor=16,
+                          strategy=FusionStrategy.LATE)
+        params = init_params(0, FusionStrategy.LATE, 16)
+        name, target = params.named[len(params.named) // 2]
+        if at_step == 1:
+            target.data.flat[0] = np.nan
+        else:
+            update = train_module.adam_step
+
+            def planted(named, state, lr):
+                update(named, state, lr)
+                if state.step == at_step:
+                    target.data.flat[0] = np.nan
+
+            monkeypatch.setattr(train_module, "adam_step", planted)
+        with pytest.raises(TrainError, match=rf"^step {at_step}: .*parameter {name!r}"):
+            train(cfg, synth_dataset(0, 2), params=params)
 
     def test_empty_data_rejected(self):
         cfg = TrainConfig(steps=1, width_divisor=16)
