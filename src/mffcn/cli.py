@@ -48,13 +48,20 @@ from .train import TrainConfig, TrainError, load_dataset, synth_dataset, train
 STRATEGY_NAMES = tuple(s.value for s in FusionStrategy)
 
 
-def _add_common(sub, *flags):
-    """Attach the shared long-form flags a subcommand declares."""
+def _seed(text: str) -> int:
+    """--seed's type: decimal digits only; argparse names the flag when this rejects a value."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _add_common(sub, *flags, width_divisor=1, steps=100, snr=(-10.0, 10.0)):
+    """Attach the shared long-form flags a subcommand declares, with its own defaults where they differ."""
     if "seed" in flags:
-        sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        sub.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     if "width-divisor" in flags:
-        sub.add_argument("--width-divisor", type=int, default=1, metavar="D",
-                         help="divide every channel count by D (default 1)")
+        sub.add_argument("--width-divisor", type=int, default=width_divisor, metavar="D",
+                         help=f"divide every channel count by D (default {width_divisor})")
     if "strategy" in flags:
         sub.add_argument("--strategy", choices=STRATEGY_NAMES, default="multilayer",
                          help="fusion wiring (default multilayer)")
@@ -65,13 +72,13 @@ def _add_common(sub, *flags):
         sub.add_argument("--batch", type=int, default=8,
                          help="items per optimization step (default 8)")
     if "steps" in flags:
-        sub.add_argument("--steps", type=int, default=100,
-                         help="optimization steps (default 100)")
+        sub.add_argument("--steps", type=int, default=steps,
+                         help=f"optimization steps (default {steps})")
     if "snr" in flags:
-        sub.add_argument("--snr-low", type=float, default=-10.0,
-                         help="lowest mixing SNR in dB (default -10)")
-        sub.add_argument("--snr-high", type=float, default=10.0,
-                         help="highest mixing SNR in dB (default 10)")
+        sub.add_argument("--snr-low", type=float, default=snr[0],
+                         help=f"lowest SNR in dB (default {snr[0]:g})")
+        sub.add_argument("--snr-high", type=float, default=snr[1],
+                         help=f"highest SNR in dB (default {snr[1]:g})")
     if "out" in flags:
         sub.add_argument("--out", default=".", metavar="DIR",
                          help="output directory (default .)")
@@ -94,9 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gradcheck", help="compare every backward rule and the "
                         "full network against finite differences")
-    _add_common(p, "seed")
-    p.add_argument("--width-divisor", type=int, default=16, metavar="D",
-                   help="channel divisor for the whole-network row (default 16)")
+    _add_common(p, "seed", "width-divisor", width_divisor=16)
     p.add_argument("--tolerance", type=float, default=REL_TOL,
                    help=f"maximum allowed relative error (default {REL_TOL:g})")
     p.set_defaults(func=cmd_gradcheck)
@@ -125,24 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("eval", help="score a checkpoint on synthetic mixtures")
     p.add_argument("--checkpoint", required=True, metavar="FILE")
-    _add_common(p, "seed", "out")
-    p.add_argument("--snr-low", type=float, default=-5.0,
-                   help="lowest evaluation SNR in dB (default -5)")
-    p.add_argument("--snr-high", type=float, default=0.0,
-                   help="highest evaluation SNR in dB (default 0)")
+    _add_common(p, "seed", "snr", "out", snr=(-5.0, 0.0))
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("ablate", help="train all five fusion wirings "
                         "identically and tabulate their scores")
-    _add_common(p, "seed", "lr", "batch", "out")
-    p.add_argument("--width-divisor", type=int, default=8, metavar="D",
-                   help="channel divisor (default 8)")
-    p.add_argument("--steps", type=int, default=50,
-                   help="training steps per wiring (default 50)")
-    p.add_argument("--snr-low", type=float, default=-5.0,
-                   help="lowest evaluation SNR in dB (default -5)")
-    p.add_argument("--snr-high", type=float, default=0.0,
-                   help="highest evaluation SNR in dB (default 0)")
+    _add_common(p, "seed", "width-divisor", "lr", "batch", "steps", "snr", "out",
+                width_divisor=8, steps=50, snr=(-5.0, 0.0))
     p.set_defaults(func=cmd_ablate)
 
     p = subs.add_parser("export-spec", help="convert a spectrogram between "
@@ -171,11 +165,10 @@ def cmd_gradcheck(args) -> int:
     print(f"{'op'.ljust(width)}{'max rel-err':>12}   result")
     failed = []
     for r in results:
-        ok = r.ok and r.worst_err <= tol
-        print(f"{r.name.ljust(width)}{r.worst_err:>12.3e}   {'pass' if ok else 'FAIL'}")
+        print(f"{r.name.ljust(width)}{r.worst_err:>12.3e}   {'pass' if r.ok else 'FAIL'}")
         if r.detail:
             print(f"{''.ljust(width)}{r.detail}")
-        if not ok:
+        if not r.ok:
             failed.append(r)
     if failed:
         worst = max(failed, key=lambda r: r.worst_err)
@@ -250,13 +243,8 @@ def cmd_train(args) -> int:
 
 
 def _video_unit_frames(path: str) -> np.ndarray:
-    """Frames as float64 at 80x80: 8-bit PGM frames over 255, or a [0, 1] tensor."""
-    frames = np.asarray(load_video(path), dtype=np.float64)
-    if os.path.isdir(path):
-        frames = frames / 255.0
-    elif frames.min() < 0.0 or frames.max() > 1.0:
-        raise FormatError(f"{path}: video tensor values must lie in [0, 1], "
-                          f"got min {frames.min():g}, max {frames.max():g}")
+    """The video's [0, 1] frames (see formats.load_video), resized to 80x80."""
+    frames = load_video(path)
     if frames.shape[1:] != (80, 80):
         frames = np.stack([bilinear_resize(f, 80, 80) for f in frames])
     return np.clip(frames, 0.0, 1.0)
@@ -267,7 +255,7 @@ def cmd_enhance(args) -> int:
     clip = AudioClip(load_wav(args.noisy_wav))
     frames = _video_unit_frames(args.video)
 
-    noisy_segs = log_mel(clip, clip_id=os.path.basename(args.noisy_wav))
+    noisy_segs = log_mel(clip)
     n = min(len(noisy_segs), frames.shape[0] // SEG_VIDEO_FRAMES)
     if n == 0:
         raise DspError(
@@ -290,7 +278,7 @@ def cmd_enhance(args) -> int:
     written += export_spectrogram(os.path.join(args.out, "enhanced"), enh_cat)
 
     if args.clean_wav:
-        clean_segs = log_mel(AudioClip(load_wav(args.clean_wav)), clip_id="clean")
+        clean_segs = log_mel(AudioClip(load_wav(args.clean_wav)))
         if len(clean_segs) >= n:
             clean_cat = np.concatenate([s.values for s in clean_segs[:n]], axis=1)
             written += export_spectrogram(os.path.join(args.out, "clean"), clean_cat)

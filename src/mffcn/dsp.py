@@ -43,7 +43,6 @@ class AudioClip:
     """Mono 16 kHz waveform with samples in [-1, 1]."""
 
     samples: np.ndarray
-    sample_rate_hz: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -53,8 +52,6 @@ class AudioClip:
             raise DspError("clip holds NaN or Inf samples")
         if np.max(np.abs(self.samples)) > 1.0 + 1e-9:
             raise DspError("clip samples exceed [-1, 1]")
-        if self.sample_rate_hz != SAMPLE_RATE:
-            raise DspError(f"sample rate {self.sample_rate_hz}, this pipeline is fixed at {SAMPLE_RATE}")
 
     def __len__(self) -> int:
         return self.samples.size
@@ -62,10 +59,9 @@ class AudioClip:
 
 @dataclass
 class MelSegment:
-    """One 80x20 block of log-Mel values plus an origin label."""
+    """One 80x20 block of log-Mel values."""
 
     values: np.ndarray
-    origin: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float32)
@@ -80,7 +76,6 @@ class VideoSegment:
     """Five 80x80 grayscale frames in [0, 1], aligned with one MelSegment."""
 
     frames: np.ndarray
-    origin: str = ""
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float32)
@@ -153,13 +148,11 @@ def mel_filterbank() -> np.ndarray:
     rising = (bin_hz[None, :] - left) / (center - left)
     falling = (right - bin_hz[None, :]) / (right - center)
     bank = np.maximum(0.0, np.minimum(rising, falling))
-    if np.any(bank.sum(axis=1) <= 0):
-        raise DspError("a mel filter row came out empty; band layout is degenerate")
     bank.flags.writeable = False
     return bank
 
 
-def log_mel(clip: AudioClip, clip_id: str = "") -> List[MelSegment]:
+def log_mel(clip: AudioClip) -> List[MelSegment]:
     """Log-Mel segments: ln(mel @ |stft|^2 + 1e-10), cut into 80x20 blocks.
 
     Segments are non-overlapping in time; a trailing partial segment is
@@ -169,13 +162,8 @@ def log_mel(clip: AudioClip, clip_id: str = "") -> List[MelSegment]:
     power = np.abs(spec) ** 2
     mel = mel_filterbank() @ power
     values = np.log(mel + LOG_FLOOR)
-    n_frames = values.shape[1]
-    segments = []
-    for k in range(n_frames // SEG_FRAMES):
-        lo, hi = SEG_FRAMES * k, SEG_FRAMES * (k + 1)
-        origin = f"{clip_id}:frames[{lo},{hi})"
-        segments.append(MelSegment(values[:, lo:hi], origin=origin))
-    return segments
+    return [MelSegment(values[:, SEG_FRAMES * k:SEG_FRAMES * (k + 1)])
+            for k in range(values.shape[1] // SEG_FRAMES)]
 
 
 def segment_samples(n_segments: int) -> int:
@@ -281,7 +269,7 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def make_segment_pairs(clean: AudioClip, noise: AudioClip, video_frames: np.ndarray,
-                       snr_db: float, clip_id: str = "") -> List[SegmentTriple]:
+                       snr_db: float) -> List[SegmentTriple]:
     """Cut one utterance into aligned (noisy, video, clean) training triples.
 
     Segment k pairs spectrogram frames [20k, 20k+20) with video frames
@@ -296,8 +284,8 @@ def make_segment_pairs(clean: AudioClip, noise: AudioClip, video_frames: np.ndar
     mix = mix_at_snr(clean, noise, snr_db)
     clean_ref = AudioClip(clean.samples * mix.peak_scale) if mix.peak_scale != 1.0 else clean
 
-    noisy_segs = log_mel(mix.clip, clip_id=f"{clip_id}/noisy")
-    clean_segs = log_mel(clean_ref, clip_id=f"{clip_id}/clean")
+    noisy_segs = log_mel(mix.clip)
+    clean_segs = log_mel(clean_ref)
     n_audio = len(noisy_segs)
     n_video = frames.shape[0] // SEG_VIDEO_FRAMES
     if abs(n_audio - n_video) > 1:
@@ -305,10 +293,6 @@ def make_segment_pairs(clean: AudioClip, noise: AudioClip, video_frames: np.ndar
             f"audio gives {n_audio} segments but video gives {n_video}; "
             "they must agree within one segment")
     n = min(n_audio, n_video)
-    triples = []
-    for k in range(n):
-        vs = frames[SEG_VIDEO_FRAMES * k:SEG_VIDEO_FRAMES * (k + 1)]
-        video = VideoSegment(vs, origin=f"{clip_id}:video[{SEG_VIDEO_FRAMES * k},{SEG_VIDEO_FRAMES * (k + 1)})")
-        triples.append(SegmentTriple(noisy=noisy_segs[k], video=video, clean=clean_segs[k],
-                                     snr_db=snr_db))
-    return triples
+    return [SegmentTriple(noisy=noisy_segs[k], clean=clean_segs[k], snr_db=snr_db,
+                          video=VideoSegment(frames[SEG_VIDEO_FRAMES * k:SEG_VIDEO_FRAMES * (k + 1)]))
+            for k in range(n)]

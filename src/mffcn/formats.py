@@ -346,12 +346,15 @@ def load_video_frames(dirpath: str) -> np.ndarray:
 
 
 def load_video(path: str) -> np.ndarray:
-    """Video ingestion: a directory of PGM frames or a [T,H,W] tensor file."""
+    """Float64 [T,H,W] frames in [0, 1]: a directory of 8-bit PGM frames over 255, or a tensor file."""
     if os.path.isdir(path):
-        return load_video_frames(path)
-    arr = load_mten(path)
+        return load_video_frames(path) / 255.0
+    arr = load_mten(path).astype(np.float64)
     if arr.ndim != 3:
         raise FormatError(f"{path}: video tensor must be [T,H,W], got {arr.shape}")
+    if arr.min() < 0.0 or arr.max() > 1.0:
+        raise FormatError(f"{path}: video tensor values must lie in [0, 1], "
+                          f"got min {arr.min():g}, max {arr.max():g}")
     return arr
 
 

@@ -34,6 +34,7 @@ from .ops import BatchNormState, ConvSpec, LstmGate, LstmLayerParams
 from .tensor import NonFiniteError, Tape, Tensor, TensorError, stack
 
 FD_EPS = 1e-3
+MODEL_FD_EPS = 1e-4  # the whole-network check's first step (see run_model_check)
 REL_TOL = 1e-4
 REL_FLOOR = 1e-6
 
@@ -117,13 +118,12 @@ class GradientMismatch(TensorError):
 
 def check_gradients(fn: Callable[[Sequence[Tensor]], Tensor],
                     inputs: Sequence[Tensor],
-                    eps: float = FD_EPS,
                     tol: float = REL_TOL) -> float:
     """Tape the function, differentiate, and compare against finite differences.
 
     Returns the worst relative error across all checked coordinates; raises
-    GradientMismatch when it exceeds tol. A coordinate that misses tol at eps
-    is probed again at the later steps of eps_ladder(eps) and keeps the error
+    GradientMismatch when it exceeds tol. A coordinate that misses tol is
+    probed again at the later steps of eps_ladder(FD_EPS) and keeps the error
     of the step it passes at, or of the last: the truncation error of a
     central difference shrinks with its step, a wrong gradient's gap does not.
     Inputs are probed in float64 copies so callers can hand in float32
@@ -134,7 +134,7 @@ def check_gradients(fn: Callable[[Sequence[Tensor]], Tensor],
         loss = fn(taped_inputs)
         tape.backward(loss)
 
-    numeric = finite_difference_gradient(fn, inputs, eps=eps)
+    numeric = finite_difference_gradient(fn, inputs)
     base_args = [Tensor(t.data.astype(np.float64)) for t in inputs]
     worst = 0.0
     for pos, (t, num) in enumerate(zip(taped_inputs, numeric)):
@@ -143,7 +143,7 @@ def check_gradients(fn: Callable[[Sequence[Tensor]], Tensor],
                                                   REL_FLOOR)
         for idx in map(tuple, np.argwhere(rel > tol)):
             rel[idx], _ = _ladder_error(fn, base_args, pos, idx, float(analytic[idx]),
-                                        eps_ladder(eps)[1:], tol)
+                                        eps_ladder(FD_EPS)[1:], tol)
         err = float(np.max(rel, initial=0.0))
         worst = max(worst, err)
         if err > tol:
@@ -423,8 +423,7 @@ def run_op_suite(seeds: Sequence[int] = DEFAULT_SEEDS,
 # ----------------------------------------------------------------------------
 
 def run_model_check(seed: int = 0, width_divisor: int = 16,
-                    strategy=None, eps: float = 1e-4,
-                    tol: float = REL_TOL) -> CheckResult:
+                    strategy=None, tol: float = REL_TOL) -> CheckResult:
     """Differentiate the full network under MSE and spot-check every tensor.
 
     Batch norm runs in eval mode with default statistics, which eval never
@@ -519,7 +518,7 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
         memo.perturb(names[pos])
         grad = taped[pos].grad
         analytic = float(grad[idx]) if grad is not None else 0.0
-        rel, h = _ladder_error(probe, base_args, pos, idx, analytic, eps_ladder(eps), tol)
+        rel, h = _ladder_error(probe, base_args, pos, idx, analytic, eps_ladder(MODEL_FD_EPS), tol)
         if rel >= worst:
             worst = rel
             worst_at = f"{names[pos]}{list(idx)} rel {rel:.3e} at eps {h:.3g}"

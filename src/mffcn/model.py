@@ -406,16 +406,14 @@ def align_to_audio(v_feat: Tensor, layer_idx: int) -> Tensor:
     """Pool a video feature down to the audio branch's extent at this layer.
 
     The two traces only disagree at layer 1 (video keeps twice the width);
-    the ratio is always an exact integer, so a max pool closes the gap.
+    the ratio is always an exact integer (a test checks the traces), so a
+    max pool closes the gap.
     """
     _spatial(v_feat, "align_to_audio")
     vh, vw = VIDEO_HW_TRACE[layer_idx]
     ah, aw = AUDIO_HW_TRACE[layer_idx]
     if (vh, vw) == (ah, aw):
         return v_feat
-    if vh % ah or vw % aw:
-        raise ModelError(
-            f"video extent {(vh, vw)} is not an integer multiple of audio extent {(ah, aw)}")
     return maxpool2d(v_feat, (vh // ah, vw // aw))
 
 
@@ -599,7 +597,7 @@ def enhance_segments(noisy: Sequence[MelSegment], videos: Sequence[VideoSegment]
     The aligned segments run as [B,1,80,20] / [B,5,80,80] batches, one
     forward per chunk of at most INFER_CHUNK segments, so memory stays that
     of a batch-8 forward however long the input is. Returns one enhanced
-    segment per input, in order, each labelled with its input's origin.
+    segment per input, in order.
     """
     if len(noisy) != len(videos):
         raise ModelError(f"{len(noisy)} audio segments but {len(videos)} video segments")
@@ -612,8 +610,7 @@ def enhance_segments(noisy: Sequence[MelSegment], videos: Sequence[VideoSegment]
         v = Tensor(np.stack([videos[k].frames for k in chunk], dtype=np.float32))
         with no_grad():
             out = mffcn_forward(y, v, params, mode="eval")
-        enhanced += [MelSegment(o[0], origin=f"enhanced({noisy[k].origin})")
-                     for k, o in zip(chunk, out.data)]
+        enhanced += [MelSegment(o[0]) for o in out.data]
     return enhanced
 
 

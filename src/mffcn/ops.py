@@ -22,18 +22,20 @@ col2im adds each tap back as one shifted contiguous run. Grid columns off
 the small side's extents are computed and dropped, which widens the GEMMs
 by up to hq*wq / (ho*wo); operands placed on the grid are zero there.
 
-Each direction is one GEMM per block with the weights reshaped, never
-copied ([C_out, C_in*kh*kw] and [C_in, C_out*kh*kw]). conv2d's forward and
-conv_transpose2d's input gradient gather columns and write each block's
-product, cropped, straight into its slice of the output; conv2d's input
-gradient and conv_transpose2d's forward multiply a grid-placed operand,
-scatter it with col2im and crop the planes once; weight gradients are
-columns times gradient, summed over blocks. conv_transpose2d uses its
-weights unflipped: the spatial flip is the tap order in which col2im
-(forward) and im2col (backward) walk the columns. A 1x1 stride-1
-convolution has one tap and no padding, so its columns are its operand (a
-view at batch 1) and its scatter is the product itself. Columns are
-recomputed in backward rather than kept on the tape.
+Every pass is one of two directions, each one GEMM per block with the
+weights reshaped, never copied ([C_out, C_in*kh*kw] and
+[C_in, C_out*kh*kw]). _gather builds each block's im2col columns once and
+takes from them the product, cropped straight into its slice of the small
+side (conv2d's forward, conv_transpose2d's input gradient), and/or the
+weight gradient, gradient times columns summed over blocks (both ops).
+_scatter, its adjoint, multiplies a grid-placed operand, adds the product
+back with col2im and crops the planes once (conv2d's input gradient,
+conv_transpose2d's forward). conv_transpose2d uses its weights unflipped:
+the spatial flip is the tap order in which col2im (forward) and im2col
+(backward) walk the columns. A 1x1 stride-1 convolution has one tap and no
+padding, so its columns are its operand (a view at batch 1) and its
+scatter is the product itself. Columns are recomputed in backward rather
+than kept on the tape.
 
 Every pass works in blocks of at most COL_BLOCK_BYTES (2 MiB) of columns or
 scatter product over ranges of grid columns: whole samples while one sample
@@ -327,22 +329,53 @@ def _scatter(mat: np.ndarray, src: np.ndarray, g: _Grid, flip: bool = False,
     return _from_phases(planes, g, bias)
 
 
-def _weight_grad(cols: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g [C, n] times columns [K, n] transposed: one block's weight gradient [C, K].
+def _gather(mat: Optional[np.ndarray], planes: np.ndarray, g: _Grid, flip: bool = False,
+            bias: Optional[np.ndarray] = None,
+            small: Optional[np.ndarray] = None) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """One im2col pass over the big side's planes, block by block: (out, gw).
 
-    With many more columns than rows, OpenBLAS reduces the n axis about
-    twice as fast into a [K, C] product, which is returned transposed; a
-    short n loses that to the transposed copy the caller then makes.
+    out is mat @ columns plus a per-channel bias, cropped to the small side
+    [b, ., ho, wo]; gw is small @ columns.T summed over blocks, small being
+    grid columns [., b*s]. Each is None when its operand is. A block with
+    many more columns than rows takes gw's part as a transposed product:
+    OpenBLAS reduces the column axis about twice as fast that way, a gain
+    a short block loses to the later copy of the transposed part.
     """
-    return (cols @ g.T).T if cols.shape[1] > cols.shape[0] else g @ cols.T
+    out = total = None
+    if mat is not None:
+        out = np.empty((g.b, mat.shape[0], g.ho, g.wo), dtype=np.result_type(mat, planes))
+    for samples, rows, cols in g.blocks(planes.shape[1] * math.prod(g.spec.kernel) * planes.itemsize):
+        columns = _columns(planes, g, cols, flip)
+        if mat is not None:
+            prod = mat @ columns
+            if bias is not None:
+                prod += bias[:, None]  # on the contiguous product: the strided crop is then a plain copy
+            out[samples, :, rows] = g.crop(prod, samples, rows)
+        if small is not None:
+            sc = small[:, cols]
+            part = (columns @ sc.T).T if columns.shape[1] > columns.shape[0] else sc @ columns.T
+            total = part if total is None else np.add(total, part, out=total)
+        del columns  # freed before the next block's are built: one block of columns at a time
+    return out, total
 
 
-def _sum_blocks(parts) -> np.ndarray:
-    """Sum of an iterable of equally shaped arrays, accumulated in the first."""
-    total = None
-    for part in parts:
-        total = part if total is None else np.add(total, part, out=total)
-    return total
+def _conv_checks(op: str, x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec,
+                 out_axis: int) -> Tuple[np.ndarray, np.ndarray]:
+    """x's and the weights' data, checked against the spec; out_axis is the weights' C_out axis."""
+    xd, wd = _batch_first(x.data, 4, op), weights.data
+    if wd.ndim != 4:
+        layout = "[C_out,C_in,kh,kw]" if out_axis == 0 else "[C_in,C_out,kh,kw]"
+        raise ShapeError(f"{op}: weights must be {layout}, got {wd.shape}")
+    if wd.shape[out_axis] != spec.out_channels:
+        raise ShapeError(f"{op}: weight axis {out_axis} is {wd.shape[out_axis]}, "
+                         f"spec says {spec.out_channels} output channels")
+    if wd.shape[2:] != spec.kernel:
+        raise ShapeError(f"{op}: weight kernel axes {wd.shape[2:]} do not match spec kernel {spec.kernel}")
+    if xd.shape[1] != wd.shape[1 - out_axis]:
+        raise ShapeError(f"{op}: input channel axis is {xd.shape[1]}, weights expect {wd.shape[1 - out_axis]}")
+    if bias.dims != (spec.out_channels,):
+        raise ShapeError(f"{op}: bias must be [{spec.out_channels}], got {bias.dims}")
+    return xd, wd
 
 
 def _fold_batch(a: np.ndarray) -> np.ndarray:
@@ -356,37 +389,15 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
     x: [B, C_in, H, W]; weights: [C_out, C_in, kh, kw]; bias: [C_out].
     Output spatial extents are ceil(extent / stride).
     """
-    xd = _batch_first(x.data, 4, "conv2d")
-    wd = weights.data
-    if wd.ndim != 4:
-        raise ShapeError(f"conv2d: weights must be [C_out,C_in,kh,kw], got {wd.shape}")
-    if wd.shape[0] != spec.out_channels:
-        raise ShapeError(f"conv2d: weight axis 0 is {wd.shape[0]}, spec says {spec.out_channels} output channels")
-    if (wd.shape[2], wd.shape[3]) != spec.kernel:
-        raise ShapeError(f"conv2d: weight kernel axes {wd.shape[2:]} do not match spec kernel {spec.kernel}")
-    if xd.shape[1] != wd.shape[1]:
-        raise ShapeError(f"conv2d: input channel axis is {xd.shape[1]}, weights expect {wd.shape[1]}")
-    if bias.dims != (spec.out_channels,):
-        raise ShapeError(f"conv2d: bias must be [{spec.out_channels}], got {bias.dims}")
-
-    b, c, h, w = xd.shape
-    g = _grid(spec, b, h, w)
+    xd, wd = _conv_checks("conv2d", x, weights, bias, spec, out_axis=0)
+    g = _grid(spec, xd.shape[0], *xd.shape[2:])
     wmat = wd.reshape(spec.out_channels, -1)
-    xg = _phases(xd, g)
-    out = np.empty((b, spec.out_channels, g.ho, g.wo), dtype=np.result_type(xd, wd))
-    blocks = g.blocks(wmat.shape[1] * xd.itemsize)
-    for samples, rows, cols in blocks:
-        prod = wmat @ _columns(xg, g, cols)
-        prod += bias.data[:, None]  # on the contiguous product: the strided crop is then a plain copy
-        out[samples, :, rows] = g.crop(prod, samples, rows)
-    result = Tensor(out)
+    result = Tensor(_gather(wmat, _phases(xd, g), g, bias=bias.data)[0])
 
     def backward(gr: np.ndarray) -> None:
         gm = g.on_grid(gr)
         if weights.requires_grad:
-            xg = _phases(xd, g)
-            gw = _sum_blocks(_weight_grad(_columns(xg, g, cols), gm[:, cols]) for _, _, cols in blocks)
-            _accumulate(weights, gw.reshape(wd.shape))
+            _accumulate(weights, _gather(None, _phases(xd, g), g, small=gm)[1].reshape(wd.shape))
         if bias.requires_grad:
             _accumulate(bias, gm.sum(axis=1))  # zero off the output positions
         if x.requires_grad:
@@ -407,45 +418,24 @@ def conv_transpose2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec,
     Applying this op to an upstream gradient with spatially flipped forward
     kernels reproduces conv2d's input gradient exactly.
     """
-    xd = _batch_first(x.data, 4, "conv_transpose2d")
-    wd = weights.data
-    if wd.ndim != 4:
-        raise ShapeError(f"conv_transpose2d: weights must be [C_in,C_out,kh,kw], got {wd.shape}")
-    if wd.shape[1] != spec.out_channels:
-        raise ShapeError(f"conv_transpose2d: weight axis 1 is {wd.shape[1]}, spec says {spec.out_channels} output channels")
-    if (wd.shape[2], wd.shape[3]) != spec.kernel:
-        raise ShapeError(f"conv_transpose2d: weight kernel axes {wd.shape[2:]} do not match spec kernel {spec.kernel}")
-    if xd.shape[1] != wd.shape[0]:
-        raise ShapeError(f"conv_transpose2d: input channel axis is {xd.shape[1]}, weights expect {wd.shape[0]}")
-    if bias.dims != (spec.out_channels,):
-        raise ShapeError(f"conv_transpose2d: bias must be [{spec.out_channels}], got {bias.dims}")
-
-    b, c, h, w = xd.shape
-    if spec.out_extents(*out_hw) != (h, w):
+    xd, wd = _conv_checks("conv_transpose2d", x, weights, bias, spec, out_axis=1)
+    if spec.out_extents(*out_hw) != xd.shape[2:]:
         raise ShapeError(
             f"conv_transpose2d: target extent {out_hw} with stride {spec.stride} "
-            f"does not contract to the input extent ({h}, {w})")
+            f"does not contract to the input extent {xd.shape[2:]}")
 
-    g = _grid(spec, b, *out_hw)
-    wmat = wd.reshape(c, -1)  # [C_in, C_out*kh*kw]; the flip lives in the column order
+    g = _grid(spec, xd.shape[0], *out_hw)
+    wmat = wd.reshape(xd.shape[1], -1)  # [C_in, C_out*kh*kw]; the flip lives in the column order
     result = Tensor(_scatter(wmat.T, g.on_grid(xd), g, flip=True, bias=bias.data))
 
     def backward(gb: np.ndarray) -> None:
         if x.requires_grad or weights.requires_grad:
-            gp = _phases(gb, g)
-            xm = g.on_grid(xd) if weights.requires_grad else None
-            gx = np.empty((b, c, h, w), dtype=np.result_type(gb, wd)) if x.requires_grad else None
-            parts = []
-            for samples, rows, cols in g.blocks(wmat.shape[1] * gb.itemsize):
-                gcols = _columns(gp, g, cols, flip=True)
-                if x.requires_grad:
-                    np.copyto(gx[samples, :, rows], g.crop(wmat @ gcols, samples, rows))
-                if weights.requires_grad:
-                    parts.append(_weight_grad(gcols, xm[:, cols]))
-            if x.requires_grad:
+            gx, gw = _gather(wmat if x.requires_grad else None, _phases(gb, g), g, flip=True,
+                             small=g.on_grid(xd) if weights.requires_grad else None)
+            if gx is not None:
                 _accumulate(x, gx)
-            if weights.requires_grad:
-                _accumulate(weights, _sum_blocks(parts).reshape(wd.shape))
+            if gw is not None:
+                _accumulate(weights, gw.reshape(wd.shape))
         if bias.requires_grad:
             _accumulate(bias, gb.sum(axis=(0, 2, 3)))
 

@@ -163,19 +163,12 @@ def adam_step(named: Sequence[Tuple[str, Tensor]], state: AdamState, lr: float) 
 # Synthetic data
 # ----------------------------------------------------------------------------
 
-def _synth_clip(seed_seq: np.random.SeedSequence, clip_index: int,
-                snr_range_db: Tuple[float, float]) -> List[SegmentTriple]:
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    clean, noise, video = draw_clip(rng)
-    snr_db = float(rng.uniform(*snr_range_db))
-    return make_segment_pairs(clean, noise, video, snr_db, clip_id=f"synth{clip_index}")
-
-
 def synth_dataset(seed: int, n_items: int,
                   snr_range_db: Tuple[float, float] = (-10.0, 10.0)) -> List[SegmentTriple]:
     """Deterministic synthetic triples; one clip yields four of them.
 
-    Clip seeds are spawned up front, one per clip, from the dataset seed.
+    Clip seeds are spawned up front, one per clip, from the dataset seed;
+    each clip draws its signals, then its SNR.
     """
     if n_items < 1:
         raise TrainError(f"need at least one item, got {n_items}")
@@ -183,9 +176,11 @@ def synth_dataset(seed: int, n_items: int,
     audio_frames = 1 + (SAMPLE_RATE - WIN_LEN) // HOP
     triples_per_clip = min(audio_frames // SEG_FRAMES, VIDEO_FPS // SEG_VIDEO_FRAMES)
     n_clips = -(-n_items // triples_per_clip)
-    children = np.random.SeedSequence(seed).spawn(n_clips)
-    chunks = [_synth_clip(children[k], k, snr_range_db) for k in range(n_clips)]
-    items = [item for chunk in chunks for item in chunk]
+    items: List[SegmentTriple] = []
+    for child in np.random.SeedSequence(seed).spawn(n_clips):
+        rng = np.random.Generator(np.random.PCG64(child))
+        clean, noise, video = draw_clip(rng)
+        items += make_segment_pairs(clean, noise, video, float(rng.uniform(*snr_range_db)))
     return items[:n_items]
 
 
@@ -209,10 +204,7 @@ def load_dataset(dirpath: str) -> List[SegmentTriple]:
         noisy = load_mten(noisy_path)
         video = load_mten(os.path.join(dirpath, f"{k:05d}.video.mten"))
         clean = load_mten(os.path.join(dirpath, f"{k:05d}.clean.mten"))
-        items.append(SegmentTriple(
-            MelSegment(noisy, origin=f"{dirpath}:{k}/noisy"),
-            VideoSegment(video, origin=f"{dirpath}:{k}/video"),
-            MelSegment(clean, origin=f"{dirpath}:{k}/clean")))
+        items.append(SegmentTriple(MelSegment(noisy), VideoSegment(video), MelSegment(clean)))
         k += 1
     if not items:
         raise TrainError(f"no dataset items found under {dirpath}")

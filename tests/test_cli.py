@@ -47,17 +47,19 @@ class TestTraceShapes:
 class TestGradcheckCommand:
     @pytest.fixture()
     def fake_suites(self, monkeypatch):
+        # Like the real suites, the fakes fold the tolerance into ok: an op
+        # row fails above it, the model row at or above it.
         calls = {}
 
         def fake_ops(seeds, tol):
             calls["seeds"] = tuple(seeds)
             calls["tol"] = tol
-            return [CheckResult("add", 1e-9, True),
-                    CheckResult("conv2d", 3e-5, True)]
+            return [CheckResult("add", 1e-9, 1e-9 <= tol),
+                    CheckResult("conv2d", 3e-5, 3e-5 <= tol)]
 
         def fake_model(seed, width_divisor, tol):
             calls["model"] = (seed, width_divisor, tol)
-            return CheckResult(f"model[d={width_divisor}]", 5e-5, True)
+            return CheckResult(f"model[d={width_divisor}]", 5e-5, 5e-5 < tol)
 
         monkeypatch.setattr(cli, "run_op_suite", fake_ops)
         monkeypatch.setattr(cli, "run_model_check", fake_model)
@@ -403,6 +405,27 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("sub", ["train", "gradcheck", "eval"])
+    @pytest.mark.parametrize("value", ["-1", "2.5", "x"])
+    def test_bad_seed_names_flag_and_value(self, capsys, sub, value):
+        argv = [sub, "--seed", value] + (["--checkpoint", "ck.mffc"] if sub == "eval" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and repr(value) in err
+
+    def test_subcommand_defaults(self):
+        parse = cli.build_parser().parse_args
+        t = parse(["train"])
+        assert (t.seed, t.width_divisor, t.steps, t.snr_low, t.snr_high) == (0, 1, 100, -10.0, 10.0)
+        a = parse(["ablate"])
+        assert (a.width_divisor, a.steps, a.snr_low, a.snr_high) == (8, 50, -5.0, 0.0)
+        e = parse(["eval", "--checkpoint", "ck.mffc"])
+        assert (e.snr_low, e.snr_high) == (-5.0, 0.0)
+        assert parse(["gradcheck"]).width_divisor == 16
+        assert parse(["trace-shapes"]).width_divisor == 1
 
     def test_subcommand_required(self):
         with pytest.raises(SystemExit) as exc:

@@ -232,7 +232,10 @@ class TestPgmAndVideo:
         d = str(tmp_path / "vid")
         save_video_frames(d, stack)
         assert np.array_equal(load_video_frames(d), stack)
-        assert np.array_equal(load_video(d), stack)
+        frames = load_video(d)
+        assert frames.dtype == np.float64
+        assert np.array_equal(frames, stack / 255.0)
+        assert frames.min() >= 0.0 and frames.max() <= 1.0
 
     def test_video_rejects_gap_in_numbering(self, tmp_path):
         d = tmp_path / "vid"
@@ -246,7 +249,15 @@ class TestPgmAndVideo:
         arr = np.random.default_rng(4).uniform(0, 1, size=(4, 6, 6)).astype(np.float32)
         p = str(tmp_path / "v.mten")
         save_mten(p, arr)
-        assert np.allclose(load_video(p), arr)
+        frames = load_video(p)
+        assert frames.dtype == np.float64
+        assert np.array_equal(frames, arr)
+
+    def test_video_tensor_outside_unit_range_is_refused(self, tmp_path):
+        p = str(tmp_path / "v.mten")
+        save_mten(p, np.full((4, 6, 6), 1.5, dtype=np.float32))
+        with pytest.raises(FormatError, match=r"v\.mten: video tensor values must lie in \[0, 1\]"):
+            load_video(p)
 
 
 class TestCsvAndExport:

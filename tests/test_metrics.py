@@ -15,6 +15,7 @@ from mffcn.dsp import (
     make_segment_pairs,
     mix_at_snr,
 )
+from mffcn import metrics
 from mffcn.metrics import (
     EvalReport,
     ItemScore,
@@ -72,6 +73,15 @@ print(score.hex())
 
 
 class TestStoi:
+    def test_third_octave_bands_partition_bins(self):
+        # 15 bands over the 257 rfft bins; each band holds at least one bin
+        # and no bin lies in two bands
+        bands = metrics._third_octave_bands()
+        assert bands.shape == (15, 257)
+        assert set(np.unique(bands)) <= {0.0, 1.0}
+        assert bands.sum(axis=1).min() >= 1
+        assert bands.sum(axis=0).max() <= 1
+
     def test_identical_signals_near_one(self):
         x = _voice(0)
         assert stoi(x, x) >= 0.99
@@ -207,8 +217,7 @@ class TestMelGainProxy:
         clean, _ = clean_voice(rng)
         n = rng.normal(size=SAMPLE_RATE)
         noise = AudioClip(0.5 * n / np.max(np.abs(n)))
-        triples = make_segment_pairs(clean, noise, np.zeros((25, 80, 80)),
-                                     snr_db, clip_id="t")
+        triples = make_segment_pairs(clean, noise, np.zeros((25, 80, 80)), snr_db)
         mix = mix_at_snr(clean, noise, snr_db)
         return clean, mix, triples
 
@@ -225,7 +234,7 @@ class TestMelGainProxy:
     def test_unit_peak_after_boost(self):
         clean, mix, triples = self._case(1)
         seg = triples[0].noisy
-        boosted = MelSegment(seg.values + 4.0, origin=seg.origin)
+        boosted = MelSegment(seg.values + 4.0)
         proxy = mel_gain_proxy(mix.clip, [boosted])
         assert np.max(np.abs(proxy.samples)) <= 1.0 + 1e-12
 
