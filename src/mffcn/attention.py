@@ -30,19 +30,12 @@ from .tensor import ShapeError, Tensor
 
 
 @dataclass
-class DenseParams:
-    weight: Tensor
-    bias: Tensor
-
-
-@dataclass
 class ConvParams:
+    """A weight and its bias: a convolution's, whose channels and kernel are
+    the weight's axes, or a dense head's [out, in] matrix."""
+
     weight: Tensor
     bias: Tensor
-
-    def spec(self) -> ConvSpec:
-        o, _, kh, kw = self.weight.dims
-        return ConvSpec(out_channels=o, kernel=(kh, kw))
 
 
 @dataclass
@@ -62,8 +55,8 @@ class FusionParams:
     """
 
     concat_reduce: ConvParams
-    fc_v: DenseParams
-    fc_a: DenseParams
+    fc_v: ConvParams
+    fc_a: ConvParams
     post_weight: ConvParams
     spectral: SpectralParams
 
@@ -81,14 +74,14 @@ def channel_attention(v: Tensor, a: Tensor, params: FusionParams,
     if v.dims != a.dims:
         raise ShapeError(f"channel_attention: modality shapes differ, {v.dims} vs {a.dims}")
     merged = conv2d(concat_channels([v, a]), params.concat_reduce.weight,
-                    params.concat_reduce.bias, params.concat_reduce.spec())
+                    params.concat_reduce.bias, ConvSpec())
     descriptor = global_avg_pool(merged)
     score_v = fully_connected(descriptor, params.fc_v.weight, params.fc_v.bias)
     score_a = fully_connected(descriptor, params.fc_a.weight, params.fc_a.bias)
     w_v, w_a = softmax_pair(score_v, score_a)
     fused = conv2d(
         concat_channels([scale_channels(v, w_v), scale_channels(a, w_a)]),
-        params.post_weight.weight, params.post_weight.bias, params.post_weight.spec())
+        params.post_weight.weight, params.post_weight.bias, ConvSpec())
     if return_weights:
         return fused, w_v, w_a
     return fused
@@ -98,12 +91,8 @@ def spectral_attention(x: Tensor, params: SpectralParams,
                        return_mask: bool = False
                        ) -> Union[Tensor, Tuple[Tensor, Tensor]]:
     """Gate a feature map with a learned elementwise mask in (0, 1)."""
-    hidden = activation(
-        conv2d(x, params.hidden.weight, params.hidden.bias, params.hidden.spec()),
-        "relu")
-    mask = activation(
-        conv2d(hidden, params.mask.weight, params.mask.bias, params.mask.spec()),
-        "sigmoid")
+    hidden = activation(conv2d(x, params.hidden.weight, params.hidden.bias, ConvSpec()), "relu")
+    mask = activation(conv2d(hidden, params.mask.weight, params.mask.bias, ConvSpec()), "sigmoid")
     gated = scale_channels(x, mask)
     if return_mask:
         return gated, mask

@@ -235,18 +235,18 @@ def _draw_stack(rng, seed):
     return [_normal(rng, shape) for _ in range(3)], lambda args: stack(args, axis=0)
 
 
-def _draw_spec(rng, cout: int) -> ConvSpec:
-    return ConvSpec(out_channels=cout,
-                    kernel=(int(rng.integers(1, 4)), int(rng.integers(1, 4))),
-                    stride=(int(rng.integers(1, 3)), int(rng.integers(1, 3))))
+def _draw_geometry(rng) -> Tuple[Tuple[int, int], ConvSpec]:
+    """A kernel, then a stride: the draw order the pinned op results depend on."""
+    kernel = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+    return kernel, ConvSpec((int(rng.integers(1, 3)), int(rng.integers(1, 3))))
 
 
 def _draw_conv2d(rng, seed):
     cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     h, w = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-    spec = _draw_spec(rng, cout)
+    kernel, spec = _draw_geometry(rng)
     b = 2 if seed % 2 == 0 else 1
-    inputs = [_normal(rng, (b, cin, h, w)), _normal(rng, (cout, cin) + spec.kernel),
+    inputs = [_normal(rng, (b, cin, h, w)), _normal(rng, (cout, cin) + kernel),
               _normal(rng, (cout,))]
     return inputs, lambda args: ops.conv2d(*args, spec)
 
@@ -254,11 +254,11 @@ def _draw_conv2d(rng, seed):
 def _draw_conv_transpose2d(rng, seed):
     cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     oh, ow = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-    spec = _draw_spec(rng, cout)
+    kernel, spec = _draw_geometry(rng)
     b = 2 if seed % 2 == 1 else 1
-    # the input extents a forward conv with spec maps an (oh, ow) map to
+    # the input extents a forward conv with this stride maps an (oh, ow) map to
     inputs = [_normal(rng, (b, cin) + spec.out_extents(oh, ow)),
-              _normal(rng, (cin, cout) + spec.kernel), _normal(rng, (cout,))]
+              _normal(rng, (cin, cout) + kernel), _normal(rng, (cout,))]
     return inputs, lambda args: ops.conv_transpose2d(*args, spec, (oh, ow))
 
 

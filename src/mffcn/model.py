@@ -42,7 +42,6 @@ import numpy as np
 
 from .attention import (
     ConvParams,
-    DenseParams,
     FusionParams,
     SpectralParams,
     fusion_block,
@@ -228,8 +227,8 @@ def _build(strategy: FusionStrategy, width_divisor: int,
             weight=tensor(f"{prefix}.weight", (c_in, c_out) + kernel, "deconv"),
             bias=tensor(f"{prefix}.bias", (c_out,), "zeros"))
 
-    def dense_p(prefix: str, c_out: int, c_in: int) -> DenseParams:
-        return DenseParams(
+    def dense_p(prefix: str, c_out: int, c_in: int) -> ConvParams:
+        return ConvParams(
             weight=tensor(f"{prefix}.weight", (c_out, c_in), "fc"),
             bias=tensor(f"{prefix}.bias", (c_out,), "zeros"))
 
@@ -377,10 +376,7 @@ def encoder_layer_audio(x: Tensor, layer_idx: int, layer: EncoderLayerParams,
     if got != expected:
         raise ModelError(
             f"trace violation: audio layer {layer_idx} expects spatial {expected}, got {got}")
-    spec = ConvSpec(out_channels=layer.conv.weight.dims[0],
-                    kernel=KERNELS[layer_idx - 1],
-                    stride=AUDIO_STRIDES[layer_idx - 1])
-    x = conv2d(x, layer.conv.weight, layer.conv.bias, spec)
+    x = conv2d(x, layer.conv.weight, layer.conv.bias, ConvSpec(AUDIO_STRIDES[layer_idx - 1]))
     x = batch_norm(x, layer.norm.gamma, layer.norm.beta, layer.norm.state, mode)
     return activation(x, "leaky_relu")
 
@@ -392,9 +388,7 @@ def encoder_layer_video(x: Tensor, layer_idx: int, layer: EncoderLayerParams,
     if got != expected:
         raise ModelError(
             f"trace violation: video layer {layer_idx} expects spatial {expected}, got {got}")
-    spec = ConvSpec(out_channels=layer.conv.weight.dims[0],
-                    kernel=KERNELS[layer_idx - 1], stride=(1, 1))
-    x = conv2d(x, layer.conv.weight, layer.conv.bias, spec)
+    x = conv2d(x, layer.conv.weight, layer.conv.bias, ConvSpec())
     pool = VIDEO_POOLS[layer_idx - 1]
     if pool != (1, 1):
         x = maxpool2d(x, pool)
@@ -495,14 +489,11 @@ def decoder_layer(x: Tensor, j: int, layer: DecoderLayerParams, skip: Optional[T
     enc_i = N_LAYERS + 1 - j
     if layer.skip_reduce is not None:
         x = conv2d(concat_channels([x, skip]), layer.skip_reduce.weight,
-                   layer.skip_reduce.bias, layer.skip_reduce.spec())
+                   layer.skip_reduce.bias, ConvSpec())
     if layer.fusion is not None:
         x = fusion_block(video_feat, x, layer.fusion)
-    spec = ConvSpec(out_channels=layer.deconv.weight.dims[1],
-                    kernel=KERNELS[enc_i - 1],
-                    stride=AUDIO_STRIDES[enc_i - 1])
-    x = conv_transpose2d(x, layer.deconv.weight, layer.deconv.bias, spec,
-                         out_hw=AUDIO_HW_TRACE[enc_i - 1])
+    x = conv_transpose2d(x, layer.deconv.weight, layer.deconv.bias,
+                         ConvSpec(AUDIO_STRIDES[enc_i - 1]), out_hw=AUDIO_HW_TRACE[enc_i - 1])
     if layer.norm is not None:
         x = batch_norm(x, layer.norm.gamma, layer.norm.beta, layer.norm.state, mode)
         x = activation(x, "leaky_relu")
@@ -581,7 +572,7 @@ def mffcn_forward(y: Tensor, v: Tensor, params: MffcnParams, mode: str = "train"
     if wiring.ib_reduce:
         x = _node(memo, "ib_reduce", (x, vv), lambda: conv2d(
             concat_channels([x, align_to_audio(vv, N_LAYERS)]),
-            params.ib_reduce.weight, params.ib_reduce.bias, params.ib_reduce.spec()))
+            params.ib_reduce.weight, params.ib_reduce.bias, ConvSpec()))
     x = _node(memo, "bottleneck", (x,),
               lambda: bottleneck(x, params.bottleneck_attn, params.bottleneck_lstm))
     out = run_decoder(x, params.decoder, skips, video_feats, mode, memo=memo)

@@ -7,7 +7,8 @@ entry that also takes a single [C, H, W] segment. Convolutions are
 cross-correlations (no kernel flip on the forward pass) under "same-ceil"
 padding: each output extent is ceil(input / stride), the shortfall is
 padded with zeros split evenly, and the odd padding element goes on the
-bottom/right edge.
+bottom/right edge. A convolution's channel counts and kernel are its
+weights' axes; its ConvSpec adds only the stride.
 
 Both convolutions are lowered onto one zero-padded phase grid. The big side
 (conv2d's input, conv_transpose2d's output) is padded and split by stride
@@ -89,32 +90,20 @@ COL_BLOCK_BYTES = 2 << 20
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """Geometry of one convolution layer.
+    """The stride of one convolution layer; its channel counts and kernel are the weights' axes.
 
     Every layer pads "same-ceil" (see the module docstring): each output
-    extent is ceil(input / stride).
+    extent is ceil(input / stride), whatever the kernel.
     """
 
-    out_channels: int
-    kernel: Tuple[int, int]
     stride: Tuple[int, int] = (1, 1)
 
     def __post_init__(self):
-        if self.out_channels < 1:
-            raise ShapeError(f"out_channels must be positive, got {self.out_channels}")
-        if any(k < 1 for k in self.kernel) or len(self.kernel) != 2:
-            raise ShapeError(f"kernel extents must be positive pairs, got {self.kernel}")
         if any(s < 1 for s in self.stride) or len(self.stride) != 2:
             raise ShapeError(f"stride extents must be positive pairs, got {self.stride}")
 
     def out_extents(self, in_h: int, in_w: int) -> Tuple[int, int]:
         return (math.ceil(in_h / self.stride[0]), math.ceil(in_w / self.stride[1]))
-
-    def pads(self, in_h: int, in_w: int) -> Tuple[int, int, int, int]:
-        """(top, bottom, left, right) zero padding for an input extent."""
-        pt, pb = _same_ceil_pad(in_h, self.stride[0], self.kernel[0])
-        pl, pr = _same_ceil_pad(in_w, self.stride[1], self.kernel[1])
-        return pt, pb, pl, pr
 
 
 def _same_ceil_pad(extent: int, stride: int, kernel: int) -> Tuple[int, int]:
@@ -152,15 +141,16 @@ class _Grid:
     of sample n is grid column n*s + i*wq + j, s = hq*wq.
     """
 
-    def __init__(self, spec: ConvSpec, b: int, h: int, w: int):
-        (kh, kw), (sh, sw) = spec.kernel, spec.stride
-        pt, pb, pl, pr = spec.pads(h, w)
-        self.spec, self.b, self.h, self.w = spec, b, h, w
-        self.ho, self.wo = spec.out_extents(h, w)
+    def __init__(self, kernel: Tuple[int, int], stride: Tuple[int, int], b: int, h: int, w: int):
+        (kh, kw), (sh, sw) = kernel, stride
+        pt, pb = _same_ceil_pad(h, sh, kh)
+        pl, pr = _same_ceil_pad(w, sw, kw)
+        self.kernel, self.b, self.h, self.w = kernel, b, h, w
+        self.ho, self.wo = math.ceil(h / sh), math.ceil(w / sw)
         self.hq, self.wq = -(-(h + pt + pb) // sh), -(-(w + pl + pr) // sw)
         self.s = self.hq * self.wq
         self.ph, self.pw = min(sh, kh), min(sw, kw)  # phases that hold kernel taps
-        self.view = spec.kernel == spec.stride == (1, 1)  # the columns are the operand itself
+        self.view = kernel == stride == (1, 1)  # the columns are the operand itself
         self.span = b * self.s + (kw - 1) // sw  # plane length; the tail keeps the last taps in bounds
         # Per phase: its plane (None without taps), the big side's rows and
         # columns in it, and where the first of them sits in the plane.
@@ -292,7 +282,7 @@ def _columns(planes: np.ndarray, g: _Grid, cols: slice, flip: bool = False) -> n
     """
     if g.view:
         return planes[0, :, cols]
-    kh, kw = g.spec.kernel
+    kh, kw = g.kernel
     c, span, n = planes.shape[1], planes.shape[2], cols.stop - cols.start
     out = np.empty((c, kh, kw, n), dtype=planes.dtype)
     taps = out[:, ::-1, ::-1] if flip else out
@@ -307,7 +297,7 @@ def _add_columns(cols: np.ndarray, planes: np.ndarray, g: _Grid, start: int, fli
     The adjoint of _columns (same flip): one shifted contiguous add per tap.
     """
     c, n = planes.shape[1], cols.shape[1]
-    taps = cols.reshape(c, *g.spec.kernel, n)
+    taps = cols.reshape(c, *g.kernel, n)
     if flip:
         taps = taps[:, ::-1, ::-1]
     for u, v, plane, at in g.taps:
@@ -322,7 +312,7 @@ def _scatter(mat: np.ndarray, src: np.ndarray, g: _Grid, flip: bool = False,
     """
     if g.view:
         return _from_phases((mat @ src)[None], g, bias)
-    kh, kw = g.spec.kernel
+    kh, kw = g.kernel
     planes = g.planes(mat.shape[0] // (kh * kw), np.result_type(mat, src))
     for _, _, cols in g.blocks(mat.shape[0] * planes.itemsize):
         _add_columns(mat @ src[:, cols], planes, g, cols.start, flip)
@@ -344,7 +334,7 @@ def _gather(mat: Optional[np.ndarray], planes: np.ndarray, g: _Grid, flip: bool 
     out = total = None
     if mat is not None:
         out = np.empty((g.b, mat.shape[0], g.ho, g.wo), dtype=np.result_type(mat, planes))
-    for samples, rows, cols in g.blocks(planes.shape[1] * math.prod(g.spec.kernel) * planes.itemsize):
+    for samples, rows, cols in g.blocks(planes.shape[1] * math.prod(g.kernel) * planes.itemsize):
         columns = _columns(planes, g, cols, flip)
         if mat is not None:
             prod = mat @ columns
@@ -359,22 +349,17 @@ def _gather(mat: Optional[np.ndarray], planes: np.ndarray, g: _Grid, flip: bool 
     return out, total
 
 
-def _conv_checks(op: str, x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec,
+def _conv_checks(op: str, x: Tensor, weights: Tensor, bias: Tensor,
                  out_axis: int) -> Tuple[np.ndarray, np.ndarray]:
-    """x's and the weights' data, checked against the spec; out_axis is the weights' C_out axis."""
+    """x's and the weights' data, checked against each other; out_axis is the weights' C_out axis."""
     xd, wd = _batch_first(x.data, 4, op), weights.data
     if wd.ndim != 4:
         layout = "[C_out,C_in,kh,kw]" if out_axis == 0 else "[C_in,C_out,kh,kw]"
         raise ShapeError(f"{op}: weights must be {layout}, got {wd.shape}")
-    if wd.shape[out_axis] != spec.out_channels:
-        raise ShapeError(f"{op}: weight axis {out_axis} is {wd.shape[out_axis]}, "
-                         f"spec says {spec.out_channels} output channels")
-    if wd.shape[2:] != spec.kernel:
-        raise ShapeError(f"{op}: weight kernel axes {wd.shape[2:]} do not match spec kernel {spec.kernel}")
     if xd.shape[1] != wd.shape[1 - out_axis]:
         raise ShapeError(f"{op}: input channel axis is {xd.shape[1]}, weights expect {wd.shape[1 - out_axis]}")
-    if bias.dims != (spec.out_channels,):
-        raise ShapeError(f"{op}: bias must be [{spec.out_channels}], got {bias.dims}")
+    if bias.dims != (wd.shape[out_axis],):
+        raise ShapeError(f"{op}: bias must be [{wd.shape[out_axis]}], got {bias.dims}")
     return xd, wd
 
 
@@ -386,12 +371,12 @@ def _fold_batch(a: np.ndarray) -> np.ndarray:
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
     """Strided cross-correlation with fused bias.
 
-    x: [B, C_in, H, W]; weights: [C_out, C_in, kh, kw]; bias: [C_out].
-    Output spatial extents are ceil(extent / stride).
+    x: [B, C_in, H, W]; weights: [C_out, C_in, kh, kw]; bias: [C_out];
+    spec: the stride. Output spatial extents are ceil(extent / stride).
     """
-    xd, wd = _conv_checks("conv2d", x, weights, bias, spec, out_axis=0)
-    g = _grid(spec, xd.shape[0], *xd.shape[2:])
-    wmat = wd.reshape(spec.out_channels, -1)
+    xd, wd = _conv_checks("conv2d", x, weights, bias, out_axis=0)
+    g = _grid(wd.shape[2:], spec.stride, xd.shape[0], *xd.shape[2:])
+    wmat = wd.reshape(wd.shape[0], -1)
     result = Tensor(_gather(wmat, _phases(xd, g), g, bias=bias.data)[0])
 
     def backward(gr: np.ndarray) -> None:
@@ -410,21 +395,21 @@ def conv_transpose2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec,
                      out_hw: Tuple[int, int]) -> Tensor:
     """Transposed convolution: the adjoint of conv2d's input map, plus bias.
 
-    x: [B, C_in, H, W]; weights: [C_in, C_out, kh, kw]; bias: [C_out].
-    out_hw names the target extent explicitly and must satisfy
-    ceil(out / stride) == in for both axes, i.e. the extent a forward conv2d
-    with the same spec would have shrunk to this input.
+    x: [B, C_in, H, W]; weights: [C_in, C_out, kh, kw]; bias: [C_out];
+    spec: the stride. out_hw names the target extent explicitly and must
+    satisfy ceil(out / stride) == in for both axes, i.e. the extent a
+    forward conv2d with the same stride would have shrunk to this input.
 
     Applying this op to an upstream gradient with spatially flipped forward
     kernels reproduces conv2d's input gradient exactly.
     """
-    xd, wd = _conv_checks("conv_transpose2d", x, weights, bias, spec, out_axis=1)
+    xd, wd = _conv_checks("conv_transpose2d", x, weights, bias, out_axis=1)
     if spec.out_extents(*out_hw) != xd.shape[2:]:
         raise ShapeError(
             f"conv_transpose2d: target extent {out_hw} with stride {spec.stride} "
             f"does not contract to the input extent {xd.shape[2:]}")
 
-    g = _grid(spec, xd.shape[0], *out_hw)
+    g = _grid(wd.shape[2:], spec.stride, xd.shape[0], *out_hw)
     wmat = wd.reshape(xd.shape[1], -1)  # [C_in, C_out*kh*kw]; the flip lives in the column order
     result = Tensor(_scatter(wmat.T, g.on_grid(xd), g, flip=True, bias=bias.data))
 
@@ -528,8 +513,6 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     if state.mean.shape != (c,) or state.var.shape != (c,):
         raise ShapeError(f"batch_norm: state holds {state.mean.shape}, input has {c} channels")
     n = b * h * w
-    if n < 1:
-        raise ShapeError("batch_norm: zero elements per channel")
 
     if mode == "train":
         mu, var = _batch_stats(xd)

@@ -25,18 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dsp import (
-    HOP,
-    SAMPLE_RATE,
-    SEG_FRAMES,
-    SEG_VIDEO_FRAMES,
-    VIDEO_FPS,
-    WIN_LEN,
-    MelSegment,
-    SegmentTriple,
-    VideoSegment,
-    make_segment_pairs,
-)
+from .dsp import MelSegment, SegmentTriple, VideoSegment, make_segment_pairs
 from .formats import load_mten, save_loss_csv, save_mten
 from .model import (
     FusionStrategy,
@@ -65,7 +54,6 @@ class TrainConfig:
     seed: int = 0
     learning_rate: float = 0.0002
     batch_size: int = 8
-    snr_range_db: Tuple[float, float] = (-10.0, 10.0)
     strategy: FusionStrategy = FusionStrategy.MULTILAYER
     width_divisor: int = 1
 
@@ -76,11 +64,6 @@ class TrainConfig:
             raise TrainError(f"batch size must be at least 1, got {self.batch_size}")
         if self.steps < 0:
             raise TrainError(f"step count must be non-negative, got {self.steps}")
-        lo, hi = self.snr_range_db
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise TrainError(f"SNR range bounds must be finite, got [{lo}, {hi}]")
-        if lo > hi:
-            raise TrainError(f"SNR range must be ordered, got [{lo}, {hi}]")
         scaled_filters(self.width_divisor)  # raises on a bad divisor
 
 
@@ -165,22 +148,24 @@ def adam_step(named: Sequence[Tuple[str, Tensor]], state: AdamState, lr: float) 
 
 def synth_dataset(seed: int, n_items: int,
                   snr_range_db: Tuple[float, float] = (-10.0, 10.0)) -> List[SegmentTriple]:
-    """Deterministic synthetic triples; one clip yields four of them.
+    """Deterministic synthetic triples, cut from clip after clip until there are n_items.
 
-    Clip seeds are spawned up front, one per clip, from the dataset seed;
-    each clip draws its signals, then its SNR.
+    Each clip is seeded by the next child spawned from the dataset seed and
+    draws its signals, then its SNR uniformly from the finite, ordered range.
     """
     if n_items < 1:
         raise TrainError(f"need at least one item, got {n_items}")
-    # one-second clip: 97 spectrogram frames -> 4 audio segments, the binding cut
-    audio_frames = 1 + (SAMPLE_RATE - WIN_LEN) // HOP
-    triples_per_clip = min(audio_frames // SEG_FRAMES, VIDEO_FPS // SEG_VIDEO_FRAMES)
-    n_clips = -(-n_items // triples_per_clip)
+    lo, hi = snr_range_db
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise TrainError(f"SNR range bounds must be finite, got [{lo}, {hi}]")
+    if lo > hi:
+        raise TrainError(f"SNR range must be ordered, got [{lo}, {hi}]")
+    seeds = np.random.SeedSequence(seed)
     items: List[SegmentTriple] = []
-    for child in np.random.SeedSequence(seed).spawn(n_clips):
-        rng = np.random.Generator(np.random.PCG64(child))
+    while len(items) < n_items:
+        rng = np.random.Generator(np.random.PCG64(seeds.spawn(1)[0]))
         clean, noise, video = draw_clip(rng)
-        items += make_segment_pairs(clean, noise, video, float(rng.uniform(*snr_range_db)))
+        items += make_segment_pairs(clean, noise, video, float(rng.uniform(lo, hi)))
     return items[:n_items]
 
 

@@ -416,6 +416,18 @@ class TestParserBasics:
         err = capsys.readouterr().err
         assert "--seed" in err and repr(value) in err
 
+    @pytest.mark.parametrize("sub", ["train", "ablate"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-1"), ("--steps", "-1"), ("--steps", "2.5"), ("--batch", "0"), ("--batch", "x"),
+        ("--width-divisor", "3"), ("--width-divisor", "0")])
+    def test_bad_integer_flag_names_flag_and_value(self, capsys, sub, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([sub, flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert repr(value) in err or f"invalid choice: {value} " in err
+
     def test_subcommand_defaults(self):
         parse = cli.build_parser().parse_args
         t = parse(["train"])

@@ -99,7 +99,7 @@ def _assert_close(got, want):
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_conv2d_matches_loop_reference(kernel, stride, batch):
     rng = np.random.default_rng([*kernel, *stride, batch])
-    spec = ConvSpec(out_channels=C_OUT, kernel=kernel, stride=stride)
+    spec = ConvSpec(stride)
     x = rng.normal(size=(batch, C_IN) + HW)
     w = rng.normal(size=(C_OUT, C_IN) + kernel)
     b = rng.normal(size=C_OUT)
@@ -114,7 +114,7 @@ def test_conv2d_matches_loop_reference(kernel, stride, batch):
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_conv_transpose2d_matches_loop_reference(kernel, stride, batch):
     rng = np.random.default_rng([*kernel, *stride, batch, 1])
-    spec = ConvSpec(out_channels=C_OUT, kernel=kernel, stride=stride)
+    spec = ConvSpec(stride)
     x = rng.normal(size=(batch, C_IN) + spec.out_extents(*HW))
     w = rng.normal(size=(C_IN, C_OUT) + kernel)
     b = rng.normal(size=C_OUT)
@@ -141,7 +141,7 @@ MODEL_GEOMETRIES = [((2, 2), (1, 5), (5, 1)), ((2, 2), (1, 5), (5, 5)), ((2, 2),
 @pytest.mark.parametrize("kernel, stride, hw", MODEL_GEOMETRIES)
 def test_model_geometries_match_loop_reference(kernel, stride, hw, transpose, batch):
     rng = np.random.default_rng([*kernel, *stride, *hw, transpose, batch, 7])
-    spec = ConvSpec(out_channels=C_OUT, kernel=kernel, stride=stride)
+    spec = ConvSpec(stride)
     small = spec.out_extents(*hw)
     b = rng.normal(size=C_OUT)
     if transpose:
@@ -161,13 +161,12 @@ def test_model_geometries_match_loop_reference(kernel, stride, hw, transpose, ba
 
 def test_one_by_one_stride_one_columns_are_a_view():
     x = np.random.default_rng(0).normal(size=(2, 3, 5, 4))
-    spec = ConvSpec(out_channels=1, kernel=(1, 1))
-    g = _Grid(spec, 2, 5, 4)
+    g = _Grid((1, 1), (1, 1), 2, 5, 4)
     assert (g.hq, g.wq) == (5, 4)  # no padding: the grid is the map
     cols = _columns(_phases(x, g), g, slice(0, 2 * 20))
     assert cols.shape == (3, 2 * 20)  # [C, B*H*W]: the batch is folded into the columns
     np.testing.assert_array_equal(cols.reshape(3, 2, 5, 4), x.transpose(1, 0, 2, 3))
-    one_g = _Grid(spec, 1, 5, 4)
+    one_g = _Grid((1, 1), (1, 1), 1, 5, 4)
     one = _columns(_phases(x[1:], one_g), one_g, slice(0, 20))
     assert one.shape == (3, 20)
     assert np.shares_memory(one, x)
@@ -186,8 +185,7 @@ ADJOINT_GEOMETRIES = [(k, s, HW) for k in KERNELS for s in STRIDES] + MODEL_GEOM
 def test_col2im_is_the_adjoint_of_im2col(kernel, stride, hw, flip):
     """As the ops compose them: x -> phase planes -> columns, and back -> cropped x."""
     rng = np.random.default_rng([*kernel, *stride, *hw, flip])
-    spec = ConvSpec(out_channels=1, kernel=kernel, stride=stride)
-    g = _Grid(spec, 2, *hw)
+    g = _Grid(kernel, stride, 2, *hw)
     x = rng.normal(size=(2, C_IN) + hw)
     cols = _columns(_phases(x, g), g, _whole_grid(g), flip=flip)
     assert cols.shape == (C_IN * kernel[0] * kernel[1], g.s + g.ho * g.wq)
@@ -202,8 +200,7 @@ def test_col2im_is_the_adjoint_of_im2col(kernel, stride, hw, flip):
 def test_im2col_col2im_adjoint_over_whole_grid(kernel, stride, hw, flip):
     """Between arbitrary phase planes (padding, margins and tail included) and columns."""
     rng = np.random.default_rng([*kernel, *stride, *hw, flip, 8])
-    spec = ConvSpec(out_channels=1, kernel=kernel, stride=stride)
-    g = _Grid(spec, 3, *hw)
+    g = _Grid(kernel, stride, 3, *hw)
     planes = rng.normal(size=g.planes(C_IN, np.float64).shape)
     cols = _columns(planes, g, _whole_grid(g), flip=flip)
     c = rng.normal(size=cols.shape)
@@ -218,7 +215,7 @@ def test_im2col_col2im_adjoint_over_whole_grid(kernel, stride, hw, flip):
 def test_batch_rows_match_batch_one(kernel, stride, transpose):
     """Folding the batch into the GEMM columns leaves every row's result alone."""
     rng = np.random.default_rng([*kernel, *stride, transpose, 2])
-    spec = ConvSpec(out_channels=C_OUT, kernel=kernel, stride=stride)
+    spec = ConvSpec(stride)
     small = spec.out_extents(*HW)
     if transpose:
         shapes = (C_IN,) + small, (C_IN, C_OUT) + kernel, (C_OUT,) + HW
@@ -314,11 +311,11 @@ def test_blocked_conv2d_forward_matches_single_block(kernel, stride, batch, bloc
     own geometry is bitwise (test_blocked_model_forward_is_bitwise below).
     """
     rng = np.random.default_rng([*kernel, *stride, batch, 4])
-    spec = ConvSpec(out_channels=C_OUT, kernel=kernel, stride=stride)
+    spec = ConvSpec(stride)
     x = rng.normal(size=(batch, C_IN) + HW).astype(dtype)
     w = rng.normal(size=(C_OUT, C_IN) + kernel).astype(dtype)
     b = rng.normal(size=C_OUT).astype(dtype)
-    g = _Grid(spec, batch, *HW)
+    g = _Grid(kernel, stride, batch, *HW)
     col = _col_bytes(kernel, dtype)
     budget = BLOCKINGS[blocking](g, col)
     monkeypatch.setattr(ops, "COL_BLOCK_BYTES", budget)
@@ -353,7 +350,7 @@ def test_blocked_model_forward_is_bitwise(dtype, width_divisor, batch, monkeypat
     y = Tensor(rng.normal(size=lead + (1, 80, 20)).astype(dtype))
     v = Tensor(rng.uniform(size=lead + (5, 80, 80)).astype(dtype))
     assert 5 * 5 * 5 * 80 * 80 * np.dtype(dtype).itemsize > ops.COL_BLOCK_BYTES
-    bands = _Grid(ConvSpec(out_channels=1, kernel=(5, 5)), 1, 80, 80).blocks(5 * 5 * 5 * np.dtype(dtype).itemsize)
+    bands = _Grid((5, 5), (1, 1), 1, 80, 80).blocks(5 * 5 * 5 * np.dtype(dtype).itemsize)
     assert [rows.stop - rows.start for _, rows, _ in bands] == ([40] * 2 if dtype == np.float32 else [20] * 4)
     outs = []
     for budget in (ops.COL_BLOCK_BYTES, 1 << 40):
@@ -366,7 +363,7 @@ def test_blocked_model_forward_is_bitwise(dtype, width_divisor, batch, monkeypat
 # A 3x3 stride-1 conv over 4x3 maps pads one cell on every side: a 6x5 grid
 # (s = 30 columns per sample) whose first 4 rows hold the outputs. At one
 # byte per grid column, one sample's block spans 4*5 = 20 bytes.
-BLOCK_GRID = _Grid(ConvSpec(out_channels=1, kernel=(3, 3)), 5, 4, 3)
+BLOCK_GRID = _Grid((3, 3), (1, 1), 5, 4, 3)
 
 
 def _block(s0, s1, r0, r1):
@@ -401,7 +398,7 @@ def test_blocked_columns_bound_peak_memory():
     x = Tensor(rng.uniform(size=(4, 5, 80, 80)).astype(np.float32))
     w = Tensor(rng.normal(size=(8, 5, 5, 5)).astype(np.float32))
     b = Tensor(np.zeros(8, dtype=np.float32))
-    spec = ConvSpec(out_channels=8, kernel=(5, 5))
+    spec = ConvSpec()
     unblocked = 5 * 5 * 5 * 4 * 80 * 80 * 4
     assert unblocked == 12_800_000
     with no_grad():
@@ -421,7 +418,7 @@ def test_blocked_weight_gradient_bounds_peak_memory():
     w = Tensor(rng.normal(size=(8, 5, 5, 5)).astype(np.float32), requires_grad=True)
     b = Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
     g = Tensor(rng.normal(size=(4, 8, 80, 80)).astype(np.float32))
-    spec = ConvSpec(out_channels=8, kernel=(5, 5))
+    spec = ConvSpec()
     whole = 5 * 5 * 5 * 4 * 80 * 80 * 4
     with Tape() as tape:
         loss = (conv2d(x, w, b, spec) * g).sum()
@@ -441,7 +438,7 @@ def test_blocked_transpose_forward_bounds_peak_memory():
     x = Tensor(rng.normal(size=(8, 64, 40, 10)).astype(np.float32))
     w = Tensor(rng.normal(size=(64, 64, 4, 4)).astype(np.float32))
     b = Tensor(np.zeros(64, dtype=np.float32))
-    spec = ConvSpec(out_channels=64, kernel=(4, 4))
+    spec = ConvSpec()
     whole = 64 * 4 * 4 * 8 * 40 * 10 * 4
     assert whole == 13_107_200
     with no_grad():

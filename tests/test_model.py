@@ -7,7 +7,6 @@ import pytest
 
 from mffcn.attention import (
     ConvParams,
-    DenseParams,
     FusionParams,
     SpectralParams,
     channel_attention,
@@ -382,12 +381,12 @@ def _rand_fusion_params(rng, c, equal_heads=False):
             bias=Tensor(rng.normal(scale=0.1, size=(c_out,)).astype(np.float32)))
 
     def dense(c_out, c_in):
-        return DenseParams(
+        return ConvParams(
             weight=Tensor(rng.normal(scale=0.3, size=(c_out, c_in)).astype(np.float32)),
             bias=Tensor(rng.normal(scale=0.1, size=(c_out,)).astype(np.float32)))
 
     fc_v = dense(c, c)
-    fc_a = dense(c, c) if not equal_heads else DenseParams(
+    fc_a = dense(c, c) if not equal_heads else ConvParams(
         weight=Tensor(fc_v.weight.data.copy()), bias=Tensor(fc_v.bias.data.copy()))
     return FusionParams(
         concat_reduce=conv(c, 2 * c),

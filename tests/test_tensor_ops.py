@@ -203,7 +203,7 @@ class TestConv2d:
         x = _t([[[[1.0, 2.0], [3.0, 4.0]]]])
         w = _t(np.ones((1, 1, 2, 2)))
         b = _t([0.0])
-        spec = ConvSpec(out_channels=1, kernel=(2, 2), stride=(1, 1))
+        spec = ConvSpec((1, 1))
         y = conv2d(x, w, b, spec)
         assert np.array_equal(y.data[0, 0], np.array([[10.0, 6.0], [7.0, 4.0]], dtype=np.float32))
 
@@ -211,14 +211,14 @@ class TestConv2d:
         x = _t(np.random.default_rng(0).normal(size=(1, 3, 5, 7)))
         w = _t(np.eye(3).reshape(3, 3, 1, 1))
         b = _t(np.zeros(3))
-        y = conv2d(x, w, b, ConvSpec(out_channels=3, kernel=(1, 1)))
+        y = conv2d(x, w, b, ConvSpec())
         assert np.allclose(y.data, x.data, atol=1e-6)
 
     def test_table_first_audio_layer_shape(self):
         x = _t(np.zeros((1, 1, 80, 20)))
         w = _t(np.zeros((64, 1, 5, 5)))
         b = _t(np.zeros(64))
-        y = conv2d(x, w, b, ConvSpec(out_channels=64, kernel=(5, 5), stride=(2, 2)))
+        y = conv2d(x, w, b, ConvSpec((2, 2)))
         assert y.dims == (1, 64, 40, 10)
 
     def test_batch_rows_match_batch_one(self):
@@ -226,7 +226,7 @@ class TestConv2d:
         x = rng.normal(size=(2, 3, 6, 5)).astype(np.float32)
         w = _t(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
         b = _t(rng.normal(size=4).astype(np.float32))
-        spec = ConvSpec(out_channels=4, kernel=(3, 3), stride=(2, 1))
+        spec = ConvSpec((2, 1))
         full = conv2d(_t(x), w, b, spec)
         for i in range(2):
             single = conv2d(_t(x[i:i + 1]), w, b, spec)
@@ -237,7 +237,14 @@ class TestConv2d:
         w = _t(np.zeros((1, 3, 2, 2)))
         b = _t(np.zeros(1))
         with pytest.raises(ShapeError, match="channel"):
-            conv2d(x, w, b, ConvSpec(out_channels=1, kernel=(2, 2)))
+            conv2d(x, w, b, ConvSpec())
+
+    @pytest.mark.parametrize("op, w_shape", [
+        (lambda x, w, b: conv2d(x, w, b, ConvSpec()), (3, 2, 2, 2)),
+        (lambda x, w, b: conv_transpose2d(x, w, b, ConvSpec(), (4, 4)), (2, 3, 2, 2))])
+    def test_bias_must_match_the_weights_output_axis(self, op, w_shape):
+        with pytest.raises(ShapeError, match=r"bias must be \[3\], got \(2,\)"):
+            op(_t(np.zeros((1, 2, 4, 4))), _t(np.zeros(w_shape)), _t(np.zeros(2)))
 
     def test_input_left_unchanged(self):
         x_data = np.random.default_rng(1).normal(size=(1, 2, 4, 4)).astype(np.float32)
@@ -245,7 +252,7 @@ class TestConv2d:
         w = _t(np.ones((2, 2, 3, 3)), grad=True)
         b = _t(np.zeros(2), grad=True)
         with Tape() as tape:
-            y = conv2d(x, w, b, ConvSpec(out_channels=2, kernel=(3, 3)))
+            y = conv2d(x, w, b, ConvSpec())
             tape.backward(y.sum())
         assert np.array_equal(x.data, x_data)
 
@@ -255,14 +262,14 @@ class TestConvTranspose2d:
         x = _t(np.random.default_rng(5).normal(size=(1, 2, 4, 6)))
         w = _t(np.eye(2).reshape(2, 2, 1, 1))
         b = _t(np.zeros(2))
-        y = conv_transpose2d(x, w, b, ConvSpec(out_channels=2, kernel=(1, 1)), out_hw=(4, 6))
+        y = conv_transpose2d(x, w, b, ConvSpec(), out_hw=(4, 6))
         assert np.allclose(y.data, x.data, atol=1e-6)
 
     def test_inverts_first_audio_layer_extents(self):
         x = _t(np.zeros((1, 64, 40, 10)))
         w = _t(np.zeros((64, 1, 5, 5)))
         b = _t(np.zeros(1))
-        spec = ConvSpec(out_channels=1, kernel=(5, 5), stride=(2, 2))
+        spec = ConvSpec((2, 2))
         y = conv_transpose2d(x, w, b, spec, out_hw=(80, 20))
         assert y.dims == (1, 1, 80, 20)
 
@@ -270,13 +277,13 @@ class TestConvTranspose2d:
         x = _t(np.zeros((1, 1, 4, 4)))
         w = _t(np.zeros((1, 1, 2, 2)))
         b = _t(np.zeros(1))
-        spec = ConvSpec(out_channels=1, kernel=(2, 2), stride=(2, 2))
+        spec = ConvSpec((2, 2))
         with pytest.raises(ShapeError, match="extent"):
             conv_transpose2d(x, w, b, spec, out_hw=(9, 8))
 
     def test_matches_conv2d_input_gradient_with_flipped_kernels(self):
         rng = np.random.default_rng(7)
-        spec = ConvSpec(out_channels=3, kernel=(3, 2), stride=(2, 1))
+        spec = ConvSpec((2, 1))
         x = Tensor(rng.normal(size=(1, 2, 6, 5)).astype(np.float64), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 2, 3, 2)).astype(np.float64))
         b = Tensor(np.zeros(3, dtype=np.float64))
@@ -287,7 +294,7 @@ class TestConvTranspose2d:
         flipped = Tensor(np.ascontiguousarray(w.data[:, :, ::-1, ::-1]))
         via_transpose = conv_transpose2d(
             Tensor(g), flipped, Tensor(np.zeros(2, dtype=np.float64)),
-            ConvSpec(out_channels=2, kernel=(3, 2), stride=(2, 1)), out_hw=(6, 5))
+            ConvSpec((2, 1)), out_hw=(6, 5))
         assert np.allclose(x.grad, via_transpose.data, atol=1e-10)
 
 
@@ -522,7 +529,7 @@ class TestNonFiniteOperands:
     def test_conv2d_nan_weight(self):
         w = self._poison(_t(np.ones((2, 3, 3, 3))))
         with pytest.raises(NonFiniteError, match="tensor holds"):
-            conv2d(_t(np.ones((1, 3, 5, 4))), w, _t(np.zeros(2)), ConvSpec(out_channels=2, kernel=(3, 3)))
+            conv2d(_t(np.ones((1, 3, 5, 4))), w, _t(np.zeros(2)), ConvSpec())
 
     def test_batch_norm_nan_gamma(self):
         gamma = self._poison(_t(np.ones(2)))
@@ -731,9 +738,9 @@ class TestFusedLstm:
 # Each op's call on an input that lacks only its leading batch axis.
 WITHOUT_BATCH_AXIS = [
     ("conv2d", (2, 3, 3), lambda x: conv2d(x, _t(np.zeros((1, 2, 1, 1))), _t(np.zeros(1)),
-                                           ConvSpec(out_channels=1, kernel=(1, 1)))),
+                                           ConvSpec())),
     ("conv_transpose2d", (2, 3, 3), lambda x: conv_transpose2d(x, _t(np.zeros((2, 1, 1, 1))), _t(np.zeros(1)),
-                                                               ConvSpec(out_channels=1, kernel=(1, 1)), (3, 3))),
+                                                               ConvSpec(), (3, 3))),
     ("maxpool2d", (2, 3, 3), lambda x: maxpool2d(x, (1, 1))),
     ("batch_norm", (2, 3, 3), lambda x: batch_norm(x, _t(np.ones(2)), _t(np.zeros(2)), BatchNormState.initial(2))),
     ("global_avg_pool", (2, 3, 3), global_avg_pool),

@@ -1,6 +1,7 @@
 """Optimizer, loss, synthetic data, and training-loop tests."""
 
 import csv
+import inspect
 
 import numpy as np
 import pytest
@@ -28,23 +29,18 @@ class TestTrainConfig:
         cfg = TrainConfig()
         assert cfg.learning_rate == 0.0002
         assert cfg.batch_size == 8
-        assert cfg.snr_range_db == (-10.0, 10.0)
 
     def test_validation(self):
         with pytest.raises(TrainError):
             TrainConfig(learning_rate=0.0)
         with pytest.raises(TrainError):
             TrainConfig(batch_size=0)
-        with pytest.raises(TrainError):
-            TrainConfig(snr_range_db=(5.0, -5.0))
         with pytest.raises(Exception):
             TrainConfig(width_divisor=7)
 
     @pytest.mark.parametrize("kwargs", [
         {"learning_rate": float("nan")},
         {"learning_rate": float("inf")},
-        {"snr_range_db": (float("nan"), 10.0)},
-        {"snr_range_db": (-10.0, float("inf"))},
     ])
     def test_rejects_non_finite_values(self, kwargs):
         with pytest.raises(TrainError, match="finite"):
@@ -274,6 +270,18 @@ class TestFlatAdam:
 
 
 class TestSynthDataset:
+    def test_default_snr_range(self):
+        assert inspect.signature(synth_dataset).parameters["snr_range_db"].default == (-10.0, 10.0)
+
+    def test_rejects_unordered_snr_range(self):
+        with pytest.raises(TrainError, match="ordered"):
+            synth_dataset(0, 1, snr_range_db=(5.0, -5.0))
+
+    @pytest.mark.parametrize("snr_range_db", [(float("nan"), 10.0), (-10.0, float("inf"))])
+    def test_rejects_non_finite_snr_range(self, snr_range_db):
+        with pytest.raises(TrainError, match="finite"):
+            synth_dataset(0, 1, snr_range_db=snr_range_db)
+
     def test_deterministic(self):
         a = synth_dataset(5, 6)
         b = synth_dataset(5, 6)
