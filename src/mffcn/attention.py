@@ -9,6 +9,13 @@ then gates that merged map elementwise with a sigmoid mask in (0, 1).
 
 All convolutions in these blocks are 1x1: the only job here is channel
 mixing, never spatial filtering.
+
+Each attention is one taped op with a hand-written backward, as
+ops.lstm_forward is, in place of the 12 and 5 ops.py primitives it composed.
+Both repeat their arithmetic and the order in which their gradients reach
+each input, so outputs and gradients are bit-identical to the composition.
+Each scans the pre-activations that feed a sigmoid or a relu, which would
+squash an Inf; any other non-finite value reaches one of those or the output.
 """
 
 from __future__ import annotations
@@ -16,17 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple, Union
 
-from .ops import (
-    ConvSpec,
-    activation,
-    concat_channels,
-    conv2d,
-    fully_connected,
-    global_avg_pool,
-    scale_channels,
-    softmax_pair,
-)
-from .tensor import ShapeError, Tensor
+import numpy as np
+
+from .ops import _batch_first, _conv2d_data, _conv2d_grads, _dense_data, _dense_grads
+from .tensor import NonFiniteError, ShapeError, Tensor, _accumulate, _sigmoid, record
 
 
 @dataclass
@@ -69,34 +69,93 @@ def channel_attention(v: Tensor, a: Tensor, params: FusionParams,
     Pipeline: squeeze Conv1x1(concat[v, a]) to C channels, pool it to a
     channel descriptor, score with the two dense heads, softmax the pair
     into (w_v, w_a), then merge Conv1x1(concat[v * w_v, a * w_a]) back to C.
-    With return_weights the per-channel weights come back too.
+    With return_weights the per-channel [B, C] weights come back too, as
+    constants: gradients flow through the merged map only.
+
+    It keeps only [B, C] arrays, recomputing both concatenations in backward.
+    A NaN or Inf score difference (the sigmoid's input) raises NonFiniteError.
     """
     if v.dims != a.dims:
         raise ShapeError(f"channel_attention: modality shapes differ, {v.dims} vs {a.dims}")
-    merged = conv2d(concat_channels([v, a]), params.concat_reduce.weight,
-                    params.concat_reduce.bias, ConvSpec())
-    descriptor = global_avg_pool(merged)
-    score_v = fully_connected(descriptor, params.fc_v.weight, params.fc_v.bias)
-    score_a = fully_connected(descriptor, params.fc_a.weight, params.fc_a.bias)
-    w_v, w_a = softmax_pair(score_v, score_a)
-    fused = conv2d(
-        concat_channels([scale_channels(v, w_v), scale_channels(a, w_a)]),
-        params.post_weight.weight, params.post_weight.bias, ConvSpec())
+    vd, ad = _batch_first(v.data, 4, "channel_attention"), a.data
+    op, c = "channel_attention", vd.shape[1]
+    reduce, fc_v, fc_a, post = params.concat_reduce, params.fc_v, params.fc_a, params.post_weight
+    merged, grid_in = _conv2d_data(op, np.concatenate([vd, ad], axis=1), reduce.weight.data,
+                                   reduce.bias.data, (1, 1))
+    descriptor = merged.mean(axis=(2, 3), dtype=np.float64).astype(merged.dtype)
+    merged_shape, (h, w) = merged.shape, merged.shape[2:]
+    diff = (_dense_data(op, descriptor, fc_v.weight.data, fc_v.bias.data)
+            - _dense_data(op, descriptor, fc_a.weight.data, fc_a.bias.data))
+    if not np.isfinite(diff).all():
+        raise NonFiniteError("channel_attention: a score difference is NaN or Inf")
+    w_v = _sigmoid(diff)
+    w_a = 1.0 - w_v
+
+    def scaled() -> np.ndarray:
+        return np.concatenate([vd * w_v[:, :, None, None], ad * w_a[:, :, None, None]], axis=1)
+
+    fused, grid_out = _conv2d_data(op, scaled(), post.weight.data, post.bias.data, (1, 1))
+
+    def backward(g: np.ndarray) -> None:
+        g_cat = np.ascontiguousarray(_conv2d_grads(g, scaled(), post.weight, post.bias, grid_out, True))
+        g_sv, g_sa = g_cat[:, :c], g_cat[:, c:]
+        _accumulate(a, g_sa * w_a[:, :, None, None])
+        g_wa = (g_sa * ad).sum(axis=(2, 3))
+        _accumulate(v, g_sv * w_v[:, :, None, None])
+        g_wv = (g_sv * vd).sum(axis=(2, 3)) + -g_wa
+        g_diff = g_wv * w_v * (1.0 - w_v)
+        g_desc = _dense_grads(-g_diff, descriptor, fc_a.weight, fc_a.bias)
+        g_desc += _dense_grads(g_diff, descriptor, fc_v.weight, fc_v.bias)
+        g_merged = np.broadcast_to(g_desc[:, :, None, None] / (h * w),
+                                   merged_shape).astype(descriptor.dtype)
+        g_cat = np.ascontiguousarray(_conv2d_grads(
+            g_merged, np.concatenate([vd, ad], axis=1), reduce.weight, reduce.bias, grid_in, True))
+        _accumulate(v, g_cat[:, :c])
+        _accumulate(a, g_cat[:, c:])
+
+    tensors = (v, a) + tuple(t for p in (reduce, fc_v, fc_a, post) for t in (p.weight, p.bias))
+    result = record(Tensor(fused), tensors, backward)
     if return_weights:
-        return fused, w_v, w_a
-    return fused
+        return result, Tensor(w_v), Tensor(w_a)
+    return result
 
 
 def spectral_attention(x: Tensor, params: SpectralParams,
                        return_mask: bool = False
                        ) -> Union[Tensor, Tuple[Tensor, Tensor]]:
-    """Gate a feature map with a learned elementwise mask in (0, 1)."""
-    hidden = activation(conv2d(x, params.hidden.weight, params.hidden.bias, ConvSpec()), "relu")
-    mask = activation(conv2d(hidden, params.mask.weight, params.mask.bias, ConvSpec()), "sigmoid")
-    gated = scale_channels(x, mask)
+    """Gate a feature map with a learned elementwise mask in (0, 1).
+
+    The mask is sigmoid(Conv1x1(relu(Conv1x1(x)))); with return_mask it comes
+    back too, as a constant. It keeps the relu output and the mask for backward.
+    A NaN or Inf relu or sigmoid pre-activation raises NonFiniteError.
+    """
+    op, hidden_p, mask_p = "spectral_attention", params.hidden, params.mask
+    xd = _batch_first(x.data, 4, op)
+    pre, grid_hidden = _conv2d_data(op, xd, hidden_p.weight.data, hidden_p.bias.data, (1, 1))
+    if not np.isfinite(pre).all():
+        raise NonFiniteError("spectral_attention: a hidden pre-activation is NaN or Inf")
+    hidden = np.maximum(pre, 0)
+    pre, grid_mask = _conv2d_data(op, hidden, mask_p.weight.data, mask_p.bias.data, (1, 1))
+    if not np.isfinite(pre).all():
+        raise NonFiniteError("spectral_attention: a mask pre-activation is NaN or Inf")
+    mask = _sigmoid(pre)
+    gated = xd * mask
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            _accumulate(x, g * mask)
+        g_hidden = np.ascontiguousarray(_conv2d_grads(
+            g * xd * mask * (1.0 - mask), hidden, mask_p.weight, mask_p.bias, grid_mask, True))
+        # relu's derivative read off its output: max(sign(relu(z)), 0) is max(sign(z), 0) bit for bit
+        gx = _conv2d_grads(g_hidden * np.maximum(np.sign(hidden), 0.0), xd, hidden_p.weight,
+                           hidden_p.bias, grid_hidden, x.requires_grad)
+        if gx is not None:
+            _accumulate(x, gx)
+
+    result = record(Tensor(gated), (x, hidden_p.weight, hidden_p.bias, mask_p.weight, mask_p.bias), backward)
     if return_mask:
-        return gated, mask
-    return gated
+        return result, Tensor(mask)
+    return result
 
 
 def fusion_block(v: Tensor, a: Tensor, params: FusionParams) -> Tensor:

@@ -8,7 +8,7 @@ import argparse
 import math
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -93,6 +93,14 @@ def _require_finite(args, *names: str) -> None:
         value = getattr(args, name)
         if not math.isfinite(value):
             raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
+def _snr_range(args) -> Tuple[float, float]:
+    """(--snr-low, --snr-high), both finite and in order, else a ValueError naming the flags."""
+    _require_finite(args, "snr_low", "snr_high")
+    if args.snr_low > args.snr_high:
+        raise ValueError(f"--snr-low {args.snr_low:g} is above --snr-high {args.snr_high:g}")
+    return args.snr_low, args.snr_high
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,7 +214,8 @@ def cmd_trace_shapes(args) -> int:
 # ----------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    _require_finite(args, "lr", "snr_low", "snr_high")
+    _require_finite(args, "lr")
+    snr_range = _snr_range(args)
     config = TrainConfig(steps=args.steps, seed=args.seed, learning_rate=args.lr,
                          batch_size=args.batch, strategy=FusionStrategy(args.strategy),
                          width_divisor=args.width_divisor)
@@ -214,7 +223,7 @@ def cmd_train(args) -> int:
         data = load_dataset(args.data)
         print(f"loaded {len(data)} items from {args.data}")
     else:
-        data = synth_dataset(args.seed, 8 * args.batch, snr_range_db=(args.snr_low, args.snr_high))
+        data = synth_dataset(args.seed, 8 * args.batch, snr_range_db=snr_range)
         print(f"synthesized {len(data)} items (seed {args.seed})")
 
     os.makedirs(args.out, exist_ok=True)
@@ -293,19 +302,18 @@ def _write_reports(reports, args, csv_name: str) -> int:
 
 
 def cmd_eval(args) -> int:
-    _require_finite(args, "snr_low", "snr_high")
+    snrs = sorted(set(_snr_range(args)), reverse=True)
     params = load_model(args.checkpoint)
-    snrs = sorted({args.snr_low, args.snr_high}, reverse=True)
     reports = [evaluate_params(params, snr_db=s, seed=args.seed) for s in snrs]
     return _write_reports(reports, args, "eval.csv")
 
 
 def cmd_ablate(args) -> int:
-    _require_finite(args, "lr", "snr_low", "snr_high")
+    _require_finite(args, "lr")
+    snrs = sorted(set(_snr_range(args)), reverse=True)
     reports = run_ablation(seed=args.seed, width_divisor=args.width_divisor,
                            train_steps=args.steps, train_items=2 * args.batch,
-                           batch_size=args.batch, learning_rate=args.lr,
-                           snrs_db=sorted({args.snr_low, args.snr_high}, reverse=True))
+                           batch_size=args.batch, learning_rate=args.lr, snrs_db=snrs)
     code = _write_reports(reports, args, "ablation.csv")
     txt_path = os.path.join(args.out, "ablation.txt")
     with open(txt_path, "w") as fh:

@@ -29,7 +29,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import ops
+from . import attention, ops
+from .attention import ConvParams, FusionParams, SpectralParams
 from .ops import BatchNormState, ConvSpec, LstmGate, LstmLayerParams
 from .tensor import NonFiniteError, Tape, Tensor, TensorError, stack
 
@@ -286,6 +287,42 @@ def _draw_batch_norm_eval(rng, seed):
         *args, BatchNormState(mean.copy(), var.copy()), "eval")
 
 
+def _draw_norm_leaky(mode: str) -> Draw:
+    """x as _away_from_zero draws it, beta = gamma * mean / std of the statistics the mode
+    normalizes with: the pre-activation is then gamma * x / std, off the kink as x is."""
+    def draw(rng, seed):
+        c = int(rng.integers(1, 5))
+        x = _away_from_zero(rng, (3, c, int(rng.integers(2, 5)), int(rng.integers(2, 5)))).data
+        gamma = rng.uniform(0.5, 1.5, size=c)
+        if mode == "train":
+            mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        else:
+            mean, var = rng.standard_normal(c), rng.uniform(0.5, 2.0, size=c)
+        beta = gamma * mean / np.sqrt(var + ops.BN_EPS)
+        return [Tensor(x), Tensor(gamma), Tensor(beta)], lambda args: ops.norm_leaky(
+            *args, BatchNormState(mean.copy(), var.copy()), mode)
+    return draw
+
+
+def _draw_channel_attention(rng, seed):
+    b, c, h, w = 1 + seed % 2, int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    shapes = [(b, c, h, w)] * 2 + [(c, 2 * c, 1, 1), (c,), (c, c), (c,), (c, c), (c,), (c, 2 * c, 1, 1), (c,)]
+    return [_normal(rng, shape) for shape in shapes], lambda args: attention.channel_attention(
+        args[0], args[1], FusionParams(*[ConvParams(*args[k:k + 2]) for k in range(2, 10, 2)], spectral=None))
+
+
+def _draw_spectral_attention(rng, seed):
+    b, c, h, w = 1 + seed % 2, int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    # x > 0 and each hidden row's weights and bias share one sign: every relu
+    # pre-activation has that sign and a magnitude above 0.1
+    sign = rng.choice([-1.0, 1.0], size=c)
+    inputs = [Tensor(rng.uniform(0.1, 1.1, size=(b, c, h, w))),
+              Tensor(sign[:, None, None, None] * rng.uniform(0.1, 1.1, size=(c, c, 1, 1))),
+              Tensor(sign * rng.uniform(0.1, 1.1, size=c)), _normal(rng, (c, c, 1, 1)), _normal(rng, (c,))]
+    return inputs, lambda args: attention.spectral_attention(
+        args[0], SpectralParams(ConvParams(*args[1:3]), ConvParams(*args[3:5])))
+
+
 def _draw_softmax_pair(rng, seed):
     n = int(rng.integers(1, 7))
     return [_normal(rng, (n,)), _normal(rng, (n,))], lambda args: ops.softmax_pair(*args)
@@ -359,6 +396,10 @@ OP_TABLE: Dict[str, Draw] = {
     "concat_channels": _draw_concat_channels,
     "scale_channels": _draw_scale_channels,
     "lstm": _draw_lstm,
+    "norm_leaky_train": _draw_norm_leaky("train"),
+    "norm_leaky_eval": _draw_norm_leaky("eval"),
+    "channel_attention": _draw_channel_attention,
+    "spectral_attention": _draw_spectral_attention,
 }
 
 

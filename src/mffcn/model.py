@@ -54,13 +54,12 @@ from .ops import (
     ConvSpec,
     LstmGate,
     LstmLayerParams,
-    activation,
-    batch_norm,
     concat_channels,
     conv2d,
     conv_transpose2d,
     lstm_forward,
     maxpool2d,
+    norm_leaky,
 )
 from .tensor import NonFiniteError, Tensor, active_tape, no_grad
 
@@ -377,8 +376,7 @@ def encoder_layer_audio(x: Tensor, layer_idx: int, layer: EncoderLayerParams,
         raise ModelError(
             f"trace violation: audio layer {layer_idx} expects spatial {expected}, got {got}")
     x = conv2d(x, layer.conv.weight, layer.conv.bias, ConvSpec(AUDIO_STRIDES[layer_idx - 1]))
-    x = batch_norm(x, layer.norm.gamma, layer.norm.beta, layer.norm.state, mode)
-    return activation(x, "leaky_relu")
+    return norm_leaky(x, layer.norm.gamma, layer.norm.beta, layer.norm.state, mode)
 
 
 def encoder_layer_video(x: Tensor, layer_idx: int, layer: EncoderLayerParams,
@@ -392,8 +390,7 @@ def encoder_layer_video(x: Tensor, layer_idx: int, layer: EncoderLayerParams,
     pool = VIDEO_POOLS[layer_idx - 1]
     if pool != (1, 1):
         x = maxpool2d(x, pool)
-    x = batch_norm(x, layer.norm.gamma, layer.norm.beta, layer.norm.state, mode)
-    return activation(x, "leaky_relu")
+    return norm_leaky(x, layer.norm.gamma, layer.norm.beta, layer.norm.state, mode)
 
 
 def align_to_audio(v_feat: Tensor, layer_idx: int) -> Tensor:
@@ -495,8 +492,7 @@ def decoder_layer(x: Tensor, j: int, layer: DecoderLayerParams, skip: Optional[T
     x = conv_transpose2d(x, layer.deconv.weight, layer.deconv.bias,
                          ConvSpec(AUDIO_STRIDES[enc_i - 1]), out_hw=AUDIO_HW_TRACE[enc_i - 1])
     if layer.norm is not None:
-        x = batch_norm(x, layer.norm.gamma, layer.norm.beta, layer.norm.state, mode)
-        x = activation(x, "leaky_relu")
+        x = norm_leaky(x, layer.norm.gamma, layer.norm.beta, layer.norm.state, mode)
     return x
 
 

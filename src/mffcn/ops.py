@@ -63,8 +63,11 @@ full width that copy costs more than the per-gate matmuls it would merge.
 
 Finiteness needs no per-op scan: the Tensor constructor rejects NaN/Inf in
 every op output, including outputs computed from corrupted operands. The
-one exception is lstm_forward, whose gate pre-activations never become
-Tensors; it scans its pre-activation buffer once.
+exceptions are fused ops whose intermediates never become Tensors:
+lstm_forward scans its gate pre-activations, the attention ops (attention.py)
+their relu and sigmoid pre-activations; norm_leaky's rectifier keeps every
+NaN and Inf. Fused ops reuse the helpers of the ops they fuse, are
+bit-identical to them, and keep only what their backward reads.
 """
 
 from __future__ import annotations
@@ -349,23 +352,39 @@ def _gather(mat: Optional[np.ndarray], planes: np.ndarray, g: _Grid, flip: bool 
     return out, total
 
 
-def _conv_checks(op: str, x: Tensor, weights: Tensor, bias: Tensor,
-                 out_axis: int) -> Tuple[np.ndarray, np.ndarray]:
-    """x's and the weights' data, checked against each other; out_axis is the weights' C_out axis."""
-    xd, wd = _batch_first(x.data, 4, op), weights.data
+def _conv_checks(op: str, xd: np.ndarray, wd: np.ndarray, bd: np.ndarray, out_axis: int) -> None:
+    """Check an input, weights and bias against each other; out_axis is the weights' C_out axis."""
     if wd.ndim != 4:
         layout = "[C_out,C_in,kh,kw]" if out_axis == 0 else "[C_in,C_out,kh,kw]"
         raise ShapeError(f"{op}: weights must be {layout}, got {wd.shape}")
     if xd.shape[1] != wd.shape[1 - out_axis]:
         raise ShapeError(f"{op}: input channel axis is {xd.shape[1]}, weights expect {wd.shape[1 - out_axis]}")
-    if bias.dims != (wd.shape[out_axis],):
-        raise ShapeError(f"{op}: bias must be [{wd.shape[out_axis]}], got {bias.dims}")
-    return xd, wd
+    if bd.shape != (wd.shape[out_axis],):
+        raise ShapeError(f"{op}: bias must be [{wd.shape[out_axis]}], got {bd.shape}")
 
 
 def _fold_batch(a: np.ndarray) -> np.ndarray:
     """[B,C,H,W] -> [C, B*H*W]: the batch joins the GEMM columns (a view at B=1)."""
     return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
+
+
+def _conv2d_data(op: str, xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
+                 stride: Tuple[int, int]) -> Tuple[np.ndarray, _Grid]:
+    """conv2d's output for a checked [B, C_in, H, W] array, and the grid its backward reuses."""
+    _conv_checks(op, xd, wd, bd, out_axis=0)
+    g = _grid(wd.shape[2:], stride, xd.shape[0], *xd.shape[2:])
+    return _gather(wd.reshape(wd.shape[0], -1), _phases(xd, g), g, bias=bd)[0], g
+
+
+def _conv2d_grads(gr: np.ndarray, xd: np.ndarray, weights: Tensor, bias: Tensor, g: _Grid,
+                  need_x: bool) -> Optional[np.ndarray]:
+    """conv2d's backward for gr: accumulates the weight and bias gradients, returns x's if need_x."""
+    gm, wd = g.on_grid(gr), weights.data
+    if weights.requires_grad:
+        _accumulate(weights, _gather(None, _phases(xd, g), g, small=gm)[1].reshape(wd.shape))
+    if bias.requires_grad:
+        _accumulate(bias, gm.sum(axis=1))  # zero off the output positions
+    return _scatter(wd.reshape(wd.shape[0], -1).T, gm, g) if need_x else None
 
 
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
@@ -374,21 +393,15 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
     x: [B, C_in, H, W]; weights: [C_out, C_in, kh, kw]; bias: [C_out];
     spec: the stride. Output spatial extents are ceil(extent / stride).
     """
-    xd, wd = _conv_checks("conv2d", x, weights, bias, out_axis=0)
-    g = _grid(wd.shape[2:], spec.stride, xd.shape[0], *xd.shape[2:])
-    wmat = wd.reshape(wd.shape[0], -1)
-    result = Tensor(_gather(wmat, _phases(xd, g), g, bias=bias.data)[0])
+    xd = _batch_first(x.data, 4, "conv2d")
+    out, g = _conv2d_data("conv2d", xd, weights.data, bias.data, spec.stride)
 
     def backward(gr: np.ndarray) -> None:
-        gm = g.on_grid(gr)
-        if weights.requires_grad:
-            _accumulate(weights, _gather(None, _phases(xd, g), g, small=gm)[1].reshape(wd.shape))
-        if bias.requires_grad:
-            _accumulate(bias, gm.sum(axis=1))  # zero off the output positions
-        if x.requires_grad:
-            _accumulate(x, _scatter(wmat.T, gm, g))
+        gx = _conv2d_grads(gr, xd, weights, bias, g, x.requires_grad)
+        if gx is not None:
+            _accumulate(x, gx)
 
-    return record(result, (x, weights, bias), backward)
+    return record(Tensor(out), (x, weights, bias), backward)
 
 
 def conv_transpose2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec,
@@ -403,7 +416,8 @@ def conv_transpose2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec,
     Applying this op to an upstream gradient with spatially flipped forward
     kernels reproduces conv2d's input gradient exactly.
     """
-    xd, wd = _conv_checks("conv_transpose2d", x, weights, bias, out_axis=1)
+    xd, wd = _batch_first(x.data, 4, "conv_transpose2d"), weights.data
+    _conv_checks("conv_transpose2d", xd, wd, bias.data, out_axis=1)
     if spec.out_extents(*out_hw) != xd.shape[2:]:
         raise ShapeError(
             f"conv_transpose2d: target extent {out_hw} with stride {spec.stride} "
@@ -496,24 +510,17 @@ def _batch_stats(xd: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return mean.reshape(-1), var
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-               mode: str = "train") -> Tensor:
-    """Per-channel batch normalization over the batch and spatial axes.
-
-    Train mode normalizes with the biased batch statistics and folds them
-    into the running state (new = 0.9 * old + 0.1 * batch). Eval mode
-    normalizes with the running state and treats it as constant.
-    """
+def _norm_stats(op: str, x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
+                mode: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x's checked data, its per-channel mean and 1 / sqrt(var + eps); train mode updates state."""
     if mode not in ("train", "eval"):
-        raise ShapeError(f"batch_norm: mode must be 'train' or 'eval', got {mode!r}")
-    xd = _batch_first(x.data, 4, "batch_norm")
-    b, c, h, w = xd.shape
+        raise ShapeError(f"{op}: mode must be 'train' or 'eval', got {mode!r}")
+    xd = _batch_first(x.data, 4, op)
+    c = xd.shape[1]
     if gamma.dims != (c,) or beta.dims != (c,):
-        raise ShapeError(f"batch_norm: gamma/beta must be [{c}], got {gamma.dims} and {beta.dims}")
+        raise ShapeError(f"{op}: gamma/beta must be [{c}], got {gamma.dims} and {beta.dims}")
     if state.mean.shape != (c,) or state.var.shape != (c,):
-        raise ShapeError(f"batch_norm: state holds {state.mean.shape}, input has {c} channels")
-    n = b * h * w
-
+        raise ShapeError(f"{op}: state holds {state.mean.shape}, input has {c} channels")
     if mode == "train":
         mu, var = _batch_stats(xd)
         mu = mu.astype(xd.dtype)
@@ -523,28 +530,72 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     else:
         mu = state.mean.astype(xd.dtype)
         var = state.var.astype(xd.dtype)
+    return xd, mu, 1.0 / np.sqrt(var + BN_EPS)
 
-    inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
+
+def _normalize(xd: np.ndarray, mu: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """x-hat: x centred and scaled per channel."""
+    return (xd - mu[None, :, None, None]) * inv[None, :, None, None]
+
+
+def _norm_grads(gb: np.ndarray, xhat: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor,
+                inv: np.ndarray, mode: str) -> None:
+    """Batch norm's backward for output gradient gb; eval mode's statistics are constants."""
+    g_xhat = np.einsum("bchw,bchw->c", gb, xhat, optimize=True)
+    if gamma.requires_grad:
+        _accumulate(gamma, g_xhat)
+    if beta.requires_grad:
+        _accumulate(beta, gb.sum(axis=(0, 2, 3)))
+    if x.requires_grad:
+        scale = (gamma.data * inv)[None, :, None, None]
+        if mode == "train":
+            n = gb.shape[0] * gb.shape[2] * gb.shape[3]
+            g_mean = gb.mean(axis=(0, 2, 3), keepdims=True)
+            gx = scale * (gb - g_mean - xhat * (g_xhat / n)[None, :, None, None])
+        else:
+            gx = scale * gb
+        _accumulate(x, gx)
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
+               mode: str = "train") -> Tensor:
+    """Per-channel batch normalization over the batch and spatial axes.
+
+    Train mode normalizes with the biased batch statistics and folds them
+    into the running state (new = 0.9 * old + 0.1 * batch). Eval mode
+    normalizes with the running state and treats it as constant.
+    """
+    xd, mu, inv = _norm_stats("batch_norm", x, gamma, beta, state, mode)
+    xhat = _normalize(xd, mu, inv)
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-    result = Tensor(out)
 
     def backward(gb: np.ndarray) -> None:
-        g_xhat = np.einsum("bchw,bchw->c", gb, xhat, optimize=True)
-        if gamma.requires_grad:
-            _accumulate(gamma, g_xhat)
-        if beta.requires_grad:
-            _accumulate(beta, gb.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            scale = (gamma.data * inv)[None, :, None, None]
-            if mode == "train":
-                g_mean = gb.mean(axis=(0, 2, 3), keepdims=True)
-                gx = scale * (gb - g_mean - xhat * (g_xhat / n)[None, :, None, None])
-            else:
-                gx = scale * gb
-            _accumulate(x, gx)
+        _norm_grads(gb, xhat, x, gamma, beta, inv, mode)
 
-    return record(result, (x, gamma, beta), backward)
+    return record(Tensor(out), (x, gamma, beta), backward)
+
+
+def _leaky(xd: np.ndarray) -> np.ndarray:
+    """leaky_relu's forward: max(x, 0.2 x)."""
+    return np.maximum(xd, xd * xd.dtype.type(LEAKY_SLOPE))
+
+
+def norm_leaky(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
+               mode: str = "train") -> Tensor:
+    """batch_norm, then activation(., "leaky_relu"), as one taped op, bit-identical to the pair.
+
+    It keeps its output, whose sign (the pre-activation's) routes the gradient,
+    and recomputes x-hat for batch norm's backward (Ioffe & Szegedy, ICML 2015).
+    """
+    xd, mu, inv = _norm_stats("norm_leaky", x, gamma, beta, state, mode)
+    y = gamma.data[None, :, None, None] * _normalize(xd, mu, inv) + beta.data[None, :, None, None]
+    out = _leaky(y)
+
+    def backward(g: np.ndarray) -> None:
+        gb = g * np.maximum(np.sign(out), LEAKY_SLOPE)
+        _norm_grads(gb, _normalize(xd, mu, inv), x, gamma, beta, inv, mode)
+
+    return record(Tensor(out), (x, gamma, beta), backward)
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
@@ -565,7 +616,7 @@ def activation(x: Tensor, kind: str) -> Tensor:
         out = np.maximum(xd, 0)
         slope = 0.0
     else:
-        out = np.maximum(xd, xd * xd.dtype.type(LEAKY_SLOPE))
+        out = _leaky(xd)
         slope = LEAKY_SLOPE
     result = Tensor(out)
 
@@ -589,32 +640,36 @@ def softmax_pair(a: Tensor, b: Tensor) -> Tuple[Tensor, Tensor]:
     return wa, wb
 
 
+def _dense_data(op: str, xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray]) -> np.ndarray:
+    """x W^T (+ b) for a checked [B, F] array and [O, F] weights."""
+    if wd.ndim != 2:
+        raise ShapeError(f"{op}: weights must be [out,in], got {wd.shape}")
+    if xd.shape[1] != wd.shape[1]:
+        raise ShapeError(f"{op}: input feature axis is {xd.shape[1]}, weights expect {wd.shape[1]}")
+    if bd is not None and bd.shape != (wd.shape[0],):
+        raise ShapeError(f"{op}: bias must be [{wd.shape[0]}], got {bd.shape}")
+    out = (wd @ xd.T).T  # weights on the left: OpenBLAS is about 2x slower with a small batch as M
+    return out if bd is None else out + bd
+
+
+def _dense_grads(g: np.ndarray, xd: np.ndarray, weights: Tensor, bias: Optional[Tensor]) -> np.ndarray:
+    """A dense map's backward for g: accumulates the weight and bias gradients, returns x's."""
+    if weights.requires_grad:
+        _accumulate(weights, g.T @ xd)
+    if bias is not None and bias.requires_grad:
+        _accumulate(bias, g.sum(axis=0))
+    return g @ weights.data
+
+
 def fully_connected(x: Tensor, weights: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine map y = x W^T (+ b) of a [B, F] input to [B, O]; weights are [O, F]."""
     xd = _batch_first(x.data, 2, "fully_connected")
-    wd = weights.data
-    if wd.ndim != 2:
-        raise ShapeError(f"fully_connected: weights must be [out,in], got {wd.shape}")
-    if xd.shape[1] != wd.shape[1]:
-        raise ShapeError(f"fully_connected: input feature axis is {xd.shape[1]}, weights expect {wd.shape[1]}")
-    if bias is not None and bias.dims != (wd.shape[0],):
-        raise ShapeError(f"fully_connected: bias must be [{wd.shape[0]}], got {bias.dims}")
-
-    out = (wd @ xd.T).T  # weights on the left: OpenBLAS is about 2x slower with a small batch as M
-    if bias is not None:
-        out = out + bias.data
-    result = Tensor(out)
-    inputs = (x, weights) if bias is None else (x, weights, bias)
+    out = _dense_data("fully_connected", xd, weights.data, None if bias is None else bias.data)
 
     def backward(g: np.ndarray) -> None:
-        if weights.requires_grad:
-            _accumulate(weights, g.T @ xd)
-        if x.requires_grad:
-            _accumulate(x, g @ wd)
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=0))
+        _accumulate(x, _dense_grads(g, xd, weights, bias))
 
-    return record(result, inputs, backward)
+    return record(Tensor(out), (x, weights) if bias is None else (x, weights, bias), backward)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

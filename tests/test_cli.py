@@ -140,6 +140,13 @@ class TestTrainCommand:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "checkpoint.mffc").exists()
 
+    def test_unordered_snr_range_names_both_flags(self, tmp_path, capsys):
+        rc = main(["train", "--snr-low", "5", "--snr-high", "-5", "--steps", "1", "--batch", "2",
+                   "--width-divisor", "16", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--snr-low 5 is above --snr-high -5" in capsys.readouterr().err
+        assert not (tmp_path / "checkpoint.mffc").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_numeric_error(self, tmp_path):
         rc = main(["train", "--lr", "1e12", "--steps", "5", "--batch", "2",
@@ -240,6 +247,14 @@ class TestEvalCommand:
                    "--out", str(tmp_path), flag, "nan"])
         assert rc == 2
         assert flag in capsys.readouterr().err
+
+
+    def test_unordered_snr_range_names_both_flags(self, workdir, tmp_path, capsys):
+        rc = main(["eval", "--checkpoint", str(workdir / "ck" / "checkpoint.mffc"),
+                   "--out", str(tmp_path), "--snr-low", "0", "--snr-high", "-5"])
+        assert rc == 2
+        assert "--snr-low 0 is above --snr-high -5" in capsys.readouterr().err
+        assert not (tmp_path / "eval.csv").exists()
 
 
 class TestMalformedFilesNameTheDefect:
@@ -353,6 +368,11 @@ class TestAblateCommand:
         monkeypatch.setattr(cli, "run_ablation", lambda **kw: pytest.fail("ablation ran"))
         assert main(["ablate", flag, "inf", "--out", str(tmp_path)]) == 2
         assert flag in capsys.readouterr().err
+
+    def test_unordered_snr_range_names_both_flags(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "run_ablation", lambda **kw: pytest.fail("ablation ran"))
+        assert main(["ablate", "--snr-low", "2.5", "--snr-high", "-2.5", "--out", str(tmp_path)]) == 2
+        assert "--snr-low 2.5 is above --snr-high -2.5" in capsys.readouterr().err
 
     def test_nonfinite_report_is_numeric_error(self, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "run_ablation",

@@ -56,7 +56,8 @@ class TestFiniteDifferenceOracle:
 
 # Worst relative error of each op check per seed (DEFAULT_SEEDS order), recorded
 # while the ops still took inputs without a batch axis: the checks now draw the
-# same values with a leading axis of 1 and must reproduce these.
+# same values with a leading axis of 1 and must reproduce these. The norm_leaky
+# and attention rows were recorded when those ops became one taped op each.
 OP_WORST_ERRORS = {
     "add": (5.651228894718173e-12, 2.6147442547318357e-12, 1.2352880223496885e-13,
             1.8853065444147678e-13, 5.956855464094574e-11),
@@ -108,6 +109,14 @@ OP_WORST_ERRORS = {
                        4.0588936500735143e-13, 2.288798947672761e-12),
     "lstm": (2.9243742682096578e-06, 4.517039663625621e-05, 1.2300874325014916e-05,
              2.1003066600038878e-05, 9.179041330995028e-06),
+    "norm_leaky_train": (2.667866933586807e-06, 2.3901858144109795e-05, 5.745243074563717e-06,
+                         1.9209015782508587e-06, 8.498903406284962e-07),
+    "norm_leaky_eval": (1.295562866293319e-10, 8.071689972188019e-12, 9.857924408426414e-12,
+                        1.2291102803163365e-11, 3.9530765000386546e-11),
+    "channel_attention": (2.4197391433867143e-06, 1.3824006468889324e-07, 2.921599517145935e-06,
+                          2.864541485108821e-06, 2.2511927856590003e-07),
+    "spectral_attention": (8.228616191420575e-08, 3.7033208147629966e-08, 2.9252865119667307e-07,
+                           8.370694074655692e-07, 4.2486849701110104e-06),
 }
 
 
@@ -160,16 +169,24 @@ def _leaky_relu_with_scaled_backward(original):
 class TestPlantedWrongBackward:
     @pytest.fixture()
     def planted(self, monkeypatch):
+        """The wrong leaky_relu, in activation and in the norm_leaky the model calls."""
         from mffcn import model, ops
         wrong = _leaky_relu_with_scaled_backward(ops.activation)
+
+        def norm_leaky(x, gamma, beta, state, mode="train"):
+            return wrong(ops.batch_norm(x, gamma, beta, state, mode), "leaky_relu")
+
         monkeypatch.setattr(ops, "activation", wrong)
-        monkeypatch.setattr(model, "activation", wrong)
+        monkeypatch.setattr(ops, "norm_leaky", norm_leaky)
+        monkeypatch.setattr(model, "norm_leaky", norm_leaky)
 
     def test_op_row_fails_and_names_its_seed(self, planted):
         rows = {r.name: r for r in run_op_suite(seeds=(2, 3))}
-        assert [name for name, r in rows.items() if not r.ok] == ["leaky_relu"]
-        assert rows["leaky_relu"].detail.startswith("seed 2: gradient mismatch")
-        assert rows["leaky_relu"].worst_err > 0.05  # 0.1 / 1.1 where the slope is wrong
+        failed = ["leaky_relu", "norm_leaky_train", "norm_leaky_eval"]
+        assert [name for name, r in rows.items() if not r.ok] == failed
+        for name in failed:
+            assert rows[name].detail.startswith("seed 2: gradient mismatch")
+            assert rows[name].worst_err > 0.05  # 0.1 / 1.1 where the slope is wrong
 
     def test_model_check_fails_and_names_a_parameter(self, planted):
         result = run_model_check(seed=0, strategy=FusionStrategy.LATE)

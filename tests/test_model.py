@@ -41,7 +41,19 @@ from mffcn.model import (
     scaled_filters,
     shape_trace,
 )
-from mffcn.tensor import Tape, Tensor, backward, no_grad
+from mffcn import model as model_module
+from mffcn.ops import (
+    ConvSpec,
+    activation,
+    batch_norm,
+    concat_channels,
+    conv2d,
+    fully_connected,
+    global_avg_pool,
+    scale_channels,
+    softmax_pair,
+)
+from mffcn.tensor import NonFiniteError, Tape, Tensor, backward, no_grad
 
 
 def _sigmoid(x):
@@ -484,6 +496,180 @@ class TestSpectralAttention:
         ca = channel_attention(v, a, p)
         expected = spectral_attention(ca, p.spectral)
         assert np.array_equal(out.data, expected.data)
+
+
+def _composed_channel_attention(v, a, params, return_weights=False):
+    """Reference channel attention built from taped primitives.
+
+    This is the composition channel_attention replaced; the tape
+    differentiates it, so it referees the fused op's hand-written backward.
+    """
+    merged = conv2d(concat_channels([v, a]), params.concat_reduce.weight,
+                    params.concat_reduce.bias, ConvSpec())
+    descriptor = global_avg_pool(merged)
+    score_v = fully_connected(descriptor, params.fc_v.weight, params.fc_v.bias)
+    score_a = fully_connected(descriptor, params.fc_a.weight, params.fc_a.bias)
+    w_v, w_a = softmax_pair(score_v, score_a)
+    fused = conv2d(concat_channels([scale_channels(v, w_v), scale_channels(a, w_a)]),
+                   params.post_weight.weight, params.post_weight.bias, ConvSpec())
+    return (fused, w_v, w_a) if return_weights else fused
+
+
+def _composed_spectral_attention(x, params, return_mask=False):
+    """Reference spectral attention built from taped primitives (see above)."""
+    hidden = activation(conv2d(x, params.hidden.weight, params.hidden.bias, ConvSpec()), "relu")
+    mask = activation(conv2d(hidden, params.mask.weight, params.mask.bias, ConvSpec()), "sigmoid")
+    gated = scale_channels(x, mask)
+    return (gated, mask) if return_mask else gated
+
+
+def _composed_norm_leaky(x, gamma, beta, state, mode="train"):
+    return activation(batch_norm(x, gamma, beta, state, mode), "leaky_relu")
+
+
+def _tracked_fusion_params(rng, c):
+    p = _rand_fusion_params(rng, c)
+    for t in _fusion_tensors(p):
+        t.requires_grad = True
+    return p
+
+
+def _fusion_tensors(p):
+    pairs = (p.concat_reduce, p.fc_v, p.fc_a, p.post_weight, p.spectral.hidden, p.spectral.mask)
+    return [t for pair in pairs for t in (pair.weight, pair.bias)]
+
+
+def _value_and_grads(fn, leaves, direction, reuse):
+    """Output and the gradients of <output, direction> + <leaves[0], reuse> w.r.t. every leaf.
+
+    The second term gives leaves[0] a gradient from outside the op first, so
+    the order in which the op adds its contributions shows in the bits.
+    """
+    for t in leaves:
+        t.zero_grad()
+    with Tape() as tape:
+        out = fn()
+        loss = (out * Tensor(direction)).sum() + (leaves[0] * Tensor(reuse)).sum()
+        tape.backward(loss)
+    return [out.data] + [t.grad for t in leaves]
+
+
+class TestFusedAttentionMatchesComposed:
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("c,h,w", [(3, 5, 4), (8, 5, 1)])
+    def test_channel_attention_bitwise(self, batch, c, h, w):
+        rng = np.random.default_rng(100 * batch + c)
+        p = _tracked_fusion_params(rng, c)
+        v, a = (Tensor(rng.normal(size=(batch, c, h, w)).astype(np.float32), requires_grad=True)
+                for _ in range(2))
+        direction, reuse = (rng.normal(size=(batch, c, h, w)).astype(np.float32) for _ in range(2))
+        leaves = [v, a] + _fusion_tensors(p)[:8]
+        fused = _value_and_grads(lambda: channel_attention(v, a, p), leaves, direction, reuse)
+        reference = _value_and_grads(lambda: _composed_channel_attention(v, a, p), leaves,
+                                     direction, reuse)
+        for got, want in zip(fused, reference):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("c,h,w", [(3, 5, 4), (8, 5, 1)])
+    def test_spectral_attention_bitwise(self, batch, c, h, w):
+        rng = np.random.default_rng(200 * batch + c)
+        p = _tracked_fusion_params(rng, c).spectral
+        x = Tensor(rng.normal(size=(batch, c, h, w)).astype(np.float32), requires_grad=True)
+        direction, reuse = (rng.normal(size=(batch, c, h, w)).astype(np.float32) for _ in range(2))
+        leaves = [x, p.hidden.weight, p.hidden.bias, p.mask.weight, p.mask.bias]
+        fused = _value_and_grads(lambda: spectral_attention(x, p), leaves, direction, reuse)
+        reference = _value_and_grads(lambda: _composed_spectral_attention(x, p), leaves,
+                                     direction, reuse)
+        for got, want in zip(fused, reference):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", ["channel", "spectral"])
+    def test_constant_maps_give_the_reference_parameter_gradients(self, block):
+        rng = np.random.default_rng(250)
+        p = _tracked_fusion_params(rng, 3)
+        v, a = (Tensor(rng.normal(size=(2, 3, 4, 2)).astype(np.float32)) for _ in range(2))
+        direction = rng.normal(size=(2, 3, 4, 2)).astype(np.float32)
+        fused, composed = ((channel_attention, _composed_channel_attention) if block == "channel"
+                           else (lambda v, a, p: spectral_attention(a, p.spectral),
+                                 lambda v, a, p: _composed_spectral_attention(a, p.spectral)))
+        grads = []
+        for fn in (fused, composed):
+            for t in _fusion_tensors(p):
+                t.zero_grad()
+            with Tape() as tape:
+                tape.backward((fn(v, a, p) * Tensor(direction)).sum())
+            grads.append([None if t.grad is None else t.grad.tobytes() for t in _fusion_tensors(p)])
+        assert grads[0] == grads[1]
+        assert v.grad is None and a.grad is None
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_returned_weights_and_mask_equal_the_reference(self, batch):
+        rng = np.random.default_rng(300 + batch)
+        p = _rand_fusion_params(rng, 5)
+        v, a = (Tensor(rng.normal(scale=2.0, size=(batch, 5, 3, 2)).astype(np.float32))
+                for _ in range(2))
+        fused = channel_attention(v, a, p, return_weights=True)
+        reference = _composed_channel_attention(v, a, p, return_weights=True)
+        assert [t.data.tobytes() for t in fused] == [t.data.tobytes() for t in reference]
+        assert np.allclose(fused[1].data + fused[2].data, 1.0, atol=1e-6)
+        gated = spectral_attention(fused[0], p.spectral, return_mask=True)
+        reference = _composed_spectral_attention(fused[0], p.spectral, return_mask=True)
+        assert [t.data.tobytes() for t in gated] == [t.data.tobytes() for t in reference]
+
+    def test_one_record_each(self):
+        rng = np.random.default_rng(400)
+        p = _tracked_fusion_params(rng, 3)
+        v, a = (Tensor(rng.normal(size=(2, 3, 4, 4)).astype(np.float32)) for _ in range(2))
+        with Tape() as tape:
+            fusion_block(v, a, p)
+        assert len(tape) == 2
+
+    @pytest.mark.parametrize("plant", ["score", "hidden", "mask"])
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "composed"])
+    def test_planted_inf_raises(self, plant, fused):
+        # Each Inf reaches one pre-activation. relu turns the -Inf into 0 and
+        # the sigmoid turns the +Inf into a finite weight, so only a scan of
+        # the pre-activation itself can see them.
+        rng = np.random.default_rng(500)
+        p = _rand_fusion_params(rng, 3)
+        bias = {"score": p.fc_v.bias, "hidden": p.spectral.hidden.bias,
+                "mask": p.spectral.mask.bias}[plant]
+        bias.data[1] = -np.inf if plant == "hidden" else np.inf
+        v, a = (Tensor(rng.normal(size=(2, 3, 4, 4)).astype(np.float32)) for _ in range(2))
+        ca, sa = ((channel_attention, spectral_attention) if fused else
+                  (_composed_channel_attention, _composed_spectral_attention))
+        with pytest.raises(NonFiniteError):
+            sa(ca(v, a, p), p.spectral)
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_model_gradients_match_the_composed_ops_bitwise(monkeypatch, batch, mode):
+    """A multilayer d=16 forward and backward, with the fused ops and with the
+    compositions they replaced: the output, every parameter gradient and the
+    running statistics agree bit for bit."""
+    y, v = _small_inputs(seed=batch, batch=batch)
+    direction = np.random.default_rng(batch).normal(size=y.dims).astype(np.float32)
+
+    def run():
+        params = init_params(0, FusionStrategy.MULTILAYER, 16)
+        with Tape() as tape:
+            out = mffcn_forward(y, v, params, mode=mode)
+            records = len(tape)
+            tape.backward((out * Tensor(direction)).sum())
+        return records, ([out.data] + [t.grad for _, t in params.named]
+                         + [s for _, st in params.named_states for s in (st.mean, st.var)])
+
+    fused_records, fused = run()
+    monkeypatch.setattr(model_module, "norm_leaky", _composed_norm_leaky)
+    monkeypatch.setattr(model_module, "spectral_attention", _composed_spectral_attention)
+    monkeypatch.setattr(model_module, "fusion_block", lambda v, a, p: _composed_spectral_attention(
+        _composed_channel_attention(v, a, p), p.spectral))
+    reference_records, reference = run()
+    assert (fused_records, reference_records) == (113, 296)
+    assert len(fused) == len(reference)
+    assert all(got.tobytes() == want.tobytes() for got, want in zip(fused, reference))
 
 
 class TestBottleneck:

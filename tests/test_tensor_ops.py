@@ -22,6 +22,7 @@ from mffcn.ops import (
     global_avg_pool,
     lstm_forward,
     maxpool2d,
+    norm_leaky,
     scale_channels,
     softmax_pair,
 )
@@ -735,6 +736,51 @@ class TestFusedLstm:
             lstm_forward(seq, params)
 
 
+def _composed_norm_leaky(x, gamma, beta, state, mode):
+    """Reference: the batch_norm and activation pair norm_leaky replaced."""
+    return activation(batch_norm(x, gamma, beta, state, mode), "leaky_relu")
+
+
+class TestNormLeaky:
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_composed_reference_bitwise(self, batch, mode, dtype):
+        rng = np.random.default_rng(batch + 10 * (mode == "train"))
+        c = 6
+        x = Tensor(rng.normal(size=(batch, c, 5, 3)).astype(dtype), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, size=c).astype(dtype), requires_grad=True)
+        beta = Tensor(rng.normal(size=c).astype(dtype), requires_grad=True)
+        direction, reuse = (rng.normal(size=x.dims).astype(dtype) for _ in range(2))
+        mean, var = rng.normal(size=c).astype(dtype), rng.uniform(0.5, 2.0, size=c).astype(dtype)
+
+        def run(fn):
+            state = BatchNormState(mean.copy(), var.copy())
+            for t in (x, gamma, beta):
+                t.zero_grad()
+            with Tape() as tape:
+                out = fn(x, gamma, beta, state, mode)
+                # x's gradient from outside the op comes first, as a reused input's would
+                tape.backward((out * Tensor(direction)).sum() + (x * Tensor(reuse)).sum())
+            return [out.data, x.grad, gamma.grad, beta.grad, state.mean, state.var]
+
+        fused, reference = run(norm_leaky), run(_composed_norm_leaky)
+        assert [a.tobytes() for a in fused] == [b.tobytes() for b in reference]
+
+    def test_one_record(self):
+        rng = np.random.default_rng(3)
+        with Tape() as tape:
+            norm_leaky(Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True),
+                       _t(np.ones(3)), _t(np.zeros(3)), BatchNormState.initial(3))
+        assert len(tape) == 1
+
+    def test_planted_inf_raises(self):
+        beta = _t(np.zeros(2))
+        beta.data[1] = -np.inf  # stays -Inf through the rectifier: the output's scan sees it
+        with pytest.raises(NonFiniteError, match="tensor holds"):
+            norm_leaky(_t(np.ones((1, 2, 3, 3))), _t(np.ones(2)), beta, BatchNormState.initial(2))
+
+
 # Each op's call on an input that lacks only its leading batch axis.
 WITHOUT_BATCH_AXIS = [
     ("conv2d", (2, 3, 3), lambda x: conv2d(x, _t(np.zeros((1, 2, 1, 1))), _t(np.zeros(1)),
@@ -743,6 +789,7 @@ WITHOUT_BATCH_AXIS = [
                                                                ConvSpec(), (3, 3))),
     ("maxpool2d", (2, 3, 3), lambda x: maxpool2d(x, (1, 1))),
     ("batch_norm", (2, 3, 3), lambda x: batch_norm(x, _t(np.ones(2)), _t(np.zeros(2)), BatchNormState.initial(2))),
+    ("norm_leaky", (2, 3, 3), lambda x: norm_leaky(x, _t(np.ones(2)), _t(np.zeros(2)), BatchNormState.initial(2))),
     ("global_avg_pool", (2, 3, 3), global_avg_pool),
     ("concat_channels", (2, 3, 3), lambda x: concat_channels([x, x])),
     ("scale_channels", (2, 3, 3), lambda x: scale_channels(x, x)),

@@ -395,6 +395,21 @@ class TestTrainLoop:
         with pytest.raises(TrainError, match=rf"^step {at_step}: .*parameter {name!r}"):
             train(cfg, synth_dataset(0, 2), params=params)
 
+    def test_acceptance_step_tapes_116_records(self, monkeypatch):
+        # multilayer, d=8, batch 4: 113 forward records plus the loss's 3
+        lengths = []
+        replay = Tape.backward
+
+        def counted(tape, loss):
+            lengths.append(len(tape))
+            replay(tape, loss)
+
+        monkeypatch.setattr(Tape, "backward", counted)
+        cfg = TrainConfig(steps=1, seed=0, width_divisor=8, batch_size=4,
+                          strategy=FusionStrategy.MULTILAYER)
+        train(cfg, synth_dataset(0, 4))
+        assert lengths == [116]
+
     def test_empty_data_rejected(self):
         cfg = TrainConfig(steps=1, width_divisor=16)
         with pytest.raises(TrainError, match="empty"):
