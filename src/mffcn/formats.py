@@ -48,7 +48,8 @@ class FormatError(ValueError):
 # MTEN tensor container
 # ----------------------------------------------------------------------------
 
-def encode_mten(array: np.ndarray) -> bytes:
+def _mten_array(array: np.ndarray) -> np.ndarray:
+    """The float32 C-order array an MTEN blob holds; no copy of a float32 C-order input."""
     arr = np.ascontiguousarray(array, dtype=np.float32)
     if arr.ndim < 1:
         arr = arr.reshape(1)
@@ -56,9 +57,13 @@ def encode_mten(array: np.ndarray) -> bytes:
         raise FormatError(f"rank {arr.ndim} exceeds the u8 rank field")
     if not np.all(np.isfinite(arr)):
         raise FormatError("refusing to encode non-finite tensor values")
-    head = MTEN_MAGIC + struct.pack("<BB", 1, arr.ndim)
-    dims = struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + dims + arr.tobytes(order="C")
+    return arr
+
+
+def _write_mten(fh: BinaryIO, arr: np.ndarray) -> None:
+    """Write one MTEN blob of an _mten_array result: its header, then its payload in place."""
+    fh.write(MTEN_MAGIC + struct.pack(f"<BB{arr.ndim}I", 1, arr.ndim, *arr.shape))
+    fh.write(memoryview(arr))
 
 
 def _read_mten(fh: BinaryIO, end: int) -> np.ndarray:
@@ -104,8 +109,9 @@ def _finite(arr: np.ndarray) -> np.ndarray:
 
 
 def save_mten(path: str, array: np.ndarray) -> None:
+    arr = _mten_array(array)
     with open(path, "wb") as fh:
-        fh.write(encode_mten(array))
+        _write_mten(fh, arr)
 
 
 def load_mten(path: str) -> np.ndarray:
@@ -126,17 +132,30 @@ def load_mten(path: str) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 def save_checkpoint(path: str, entries: Dict[str, np.ndarray]) -> None:
-    """Write named tensors in insertion order."""
-    out = [MFFC_MAGIC, struct.pack("<BI", 1, len(entries))]
+    """Write named tensors in insertion order, replacing path atomically.
+
+    Every name and array is checked before anything is written. The records
+    then stream into path + ".part", each payload straight from its float32
+    array, so no encoded copy of the entries is ever held. The part file
+    replaces path only once it is complete, and is removed if anything fails.
+    """
+    records = []
     for name, arr in entries.items():
         raw = name.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise FormatError(f"parameter name too long: {name[:40]}...")
-        out.append(struct.pack("<H", len(raw)))
-        out.append(raw)
-        out.append(encode_mten(arr))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(out))
+        records.append((struct.pack("<H", len(raw)) + raw, _mten_array(arr)))
+    part = path + ".part"
+    try:
+        with open(part, "wb") as fh:
+            fh.write(MFFC_MAGIC + struct.pack("<BI", 1, len(records)))
+            for head, arr in records:
+                fh.write(head)
+                _write_mten(fh, arr)
+        os.replace(part, path)
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
 
 
 def load_checkpoint(path: str) -> Dict[str, np.ndarray]:

@@ -473,14 +473,15 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
     coordinates would take millions of forward passes; instead every
     parameter tensor contributes one randomly drawn coordinate.
 
-    The probe model is built once over float64 base tensors; each probe
-    perturbs one coordinate of them in place, runs the MSE over one eval
-    forward, and restores the coordinate exactly. The first forward of the
-    determinism check, at the base point, fills a model.ForwardMemo; every
-    probe's forward reads it, so it reruns only the node that owns the
-    perturbed tensor and the nodes downstream of it, bit for bit what a
-    whole forward gives. The determinism check still compares the base point
-    against a model rebuilt from fresh copies.
+    The taped pass and every probe run over the one set of float64 tensors
+    init_params returns, and only each tensor's probed coordinate of the
+    analytic gradient is kept. Each probe perturbs one coordinate in place,
+    runs the MSE over one eval forward, and restores the coordinate exactly.
+    The first forward of the determinism check, at the base point, fills a
+    model.ForwardMemo; every probe's forward reads it, so it reruns only the
+    node that owns the perturbed tensor and the nodes downstream of it, bit
+    for bit what a whole forward gives. The determinism check still compares
+    the base point against a model rebuilt from fresh copies.
 
     Three departures from the per-op defaults, all about probing a
     composition of ten-plus nonlinear layers rather than a single op. The
@@ -534,15 +535,17 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
 
     name = f"model[{strategy.value},d={width_divisor},seed={seed}]"
 
-    taped = [Tensor(t.data.astype(np.float64), requires_grad=True) for t in inputs]
     with Tape() as tape:
-        tape.backward(loss(build(taped)))
+        tape.backward(loss(build(inputs)))
+    analytic = [float(t.grad[idx]) if t.grad is not None else 0.0
+                for t, idx in zip(inputs, coords)]
+    for t in inputs:
+        t.grad = None
 
-    base_args = [Tensor(t.data.astype(np.float64)) for t in inputs]
-    probe_model = build(base_args)
+    probe_model = build(inputs)
     memo = ForwardMemo()  # filled here, at the base point, and only read by the probes
     first = _scalar(loss(probe_model, memo))
-    second = _scalar(loss(build([Tensor(t.data.copy()) for t in base_args])))
+    second = _scalar(loss(build([Tensor(t.data.copy()) for t in inputs])))
     if first != second:
         return CheckResult(name, float("nan"), False,
                            f"loss not deterministic: {first} then {second}")
@@ -557,9 +560,7 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
     failures = []
     for pos, idx in enumerate(coords):
         memo.perturb(names[pos])
-        grad = taped[pos].grad
-        analytic = float(grad[idx]) if grad is not None else 0.0
-        rel, h = _ladder_error(probe, base_args, pos, idx, analytic, eps_ladder(MODEL_FD_EPS), tol)
+        rel, h = _ladder_error(probe, inputs, pos, idx, analytic[pos], eps_ladder(MODEL_FD_EPS), tol)
         if rel >= worst:
             worst = rel
             worst_at = f"{names[pos]}{list(idx)} rel {rel:.3e} at eps {h:.3g}"

@@ -9,7 +9,8 @@ Training first lays the parameters out as views of one flat buffer
 (tensor.FlatParams; a later call on the same tensors re-uses the layout).
 Gradients land in one matching flat buffer and the Adam moments are flat
 too, so each update is a few whole-vector ufuncs per block of ADAM_BLOCK
-elements, and the post-step finite check is one scan of the buffer.
+elements, and the post-step finite check scans each block right after its
+update, while it is still in cache.
 
 The synthetic dataset draws its clips from synth.draw_clip, mixes each at a
 uniformly drawn SNR and cuts it into aligned triples by the regular front
@@ -90,16 +91,18 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     return (diff * diff).mean()
 
 
-def adam_step(named: Sequence[Tuple[str, Tensor]], state: AdamState, lr: float) -> None:
-    """One in-place bias-corrected update; gradients must all be present.
+def adam_step(named: Sequence[Tuple[str, Tensor]], state: AdamState, lr: float) -> bool:
+    """One in-place bias-corrected update; True when every updated parameter is finite.
 
-    A parameter whose ``data`` was rebound since the layout was made is
-    copied back into its view, and a gradient assigned from outside the tape
-    is copied into its slot. The update then runs over the flat buffers in
-    blocks of ADAM_BLOCK elements, through two block-sized work vectors,
-    with the same operations, order and Python-float constants as the
-    per-tensor formula m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
-    p -= lr * (m/c1) / (sqrt(v/c2) + eps).
+    Gradients must all be present. A parameter whose ``data`` was rebound
+    since the layout was made is copied back into its view, and a gradient
+    assigned from outside the tape is copied into its slot. The update then
+    runs over the flat buffers in blocks of ADAM_BLOCK elements, through two
+    block-sized work vectors, with the same operations, order and
+    Python-float constants as the per-tensor formula m = b1*m + (1-b1)*g;
+    v = b2*v + (1-b2)*g*g; p -= lr * (m/c1) / (sqrt(v/c2) + eps). Each block
+    of parameters is scanned for NaN/Inf right after its update, into a
+    third work vector.
     """
     flat = state.flat
     if len(named) != len(flat.views):
@@ -122,6 +125,8 @@ def adam_step(named: Sequence[Tuple[str, Tensor]], state: AdamState, lr: float) 
     n = flat.data.size
     work_a = np.empty(min(n, ADAM_BLOCK), dtype=flat.data.dtype)
     work_b = np.empty_like(work_a)
+    finite_mask = np.empty(work_a.size, dtype=bool)
+    finite = True
     for lo in range(0, n, ADAM_BLOCK):
         hi = min(lo + ADAM_BLOCK, n)
         g, m, v = flat.grad[lo:hi], state.m[lo:hi], state.v[lo:hi]
@@ -139,7 +144,10 @@ def adam_step(named: Sequence[Tuple[str, Tensor]], state: AdamState, lr: float) 
         b += ADAM_EPS
         a /= b
         a *= lr
-        flat.data[lo:hi] -= a
+        block = flat.data[lo:hi]
+        block -= a
+        finite = finite and bool(np.isfinite(block, out=finite_mask[:hi - lo]).all())
+    return finite
 
 
 # ----------------------------------------------------------------------------
@@ -207,10 +215,8 @@ class TrainResult:
     adam: AdamState
 
 
-def _first_nonfinite(named: Sequence[Tuple[str, Tensor]], flat: FlatParams) -> Optional[str]:
-    """Name of the first non-finite parameter; one scan of the flat buffer when all are finite."""
-    if np.isfinite(flat.data).all():
-        return None
+def _first_nonfinite(named: Sequence[Tuple[str, Tensor]]) -> Optional[str]:
+    """Name of the first parameter that holds a NaN or Inf, if any."""
     for name, t in named:
         if not np.all(np.isfinite(t.data)):
             return name
@@ -260,14 +266,13 @@ def train(config: TrainConfig, data: Sequence[SegmentTriple],
                 loss = mse_loss(pred, tgt)
                 tape.backward(loss)
         except NonFiniteError as exc:
-            culprit = _first_nonfinite(params.named, adam.flat)
+            culprit = _first_nonfinite(params.named)
             where = f"parameter {culprit!r}" if culprit else "an intermediate value"
             raise TrainError(f"step {step}: forward/backward hit non-finite values "
                              f"in {where}: {exc}") from exc
         loss_value = loss.item()
-        adam_step(params.named, adam, config.learning_rate)
-        culprit = _first_nonfinite(params.named, adam.flat)
-        if culprit is not None:
+        if not adam_step(params.named, adam, config.learning_rate):
+            culprit = _first_nonfinite(params.named)
             raise TrainError(f"step {step}: parameter {culprit!r} became non-finite")
         for _, p in params.named:
             p.zero_grad()

@@ -9,7 +9,7 @@ import pytest
 from mffcn import cli
 from mffcn.cli import main
 from mffcn.dsp import mix_at_snr
-from mffcn.formats import encode_mten, load_mten, save_mten, save_video_frames, save_wav
+from mffcn.formats import load_mten, save_mten, save_video_frames, save_wav
 from mffcn.gradcheck import CheckResult
 from mffcn.metrics import EvalReport, ItemScore
 from mffcn.synth import draw_clip
@@ -319,7 +319,8 @@ class TestMalformedFilesNameTheDefect:
         assert "s.pgm" in err and "2 bytes after the 2x2 pixel payload" in err
 
     def test_mten_rank_past_the_dims(self, tmp_path, capsys):
-        raw = bytearray(encode_mten(np.ones((80, 20), dtype=np.float32)))
+        save_mten(str(tmp_path / "s.mten"), np.ones((80, 20), dtype=np.float32))
+        raw = bytearray((tmp_path / "s.mten").read_bytes())
         raw[5] = 7  # five payload words become dims whose product overflows int64
         (tmp_path / "s.mten").write_bytes(bytes(raw))
         assert main(["export-spec", str(tmp_path / "s.mten"), "--out", str(tmp_path)]) == 2

@@ -2,17 +2,20 @@
 
 import csv
 import io
+import os
 import re
 import struct
 
 import numpy as np
 import pytest
 
+from mffcn import formats
 from mffcn.dsp import AudioClip
 from mffcn.formats import (
     FormatError,
+    _mten_array,
     _read_mten,
-    encode_mten,
+    _write_mten,
     export_spectrogram,
     load_checkpoint,
     load_mten,
@@ -29,6 +32,13 @@ from mffcn.formats import (
 )
 
 
+def _mten_bytes(array):
+    """One MTEN blob, as save_mten and save_checkpoint write it."""
+    fh = io.BytesIO()
+    _write_mten(fh, _mten_array(array))
+    return fh.getvalue()
+
+
 class TestMten:
     def test_round_trip_preserves_bits(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -40,7 +50,7 @@ class TestMten:
         assert np.array_equal(back, arr)
 
     def test_header_layout(self):
-        blob = encode_mten(np.zeros((2, 3), dtype=np.float32))
+        blob = _mten_bytes(np.zeros((2, 3), dtype=np.float32))
         assert blob[:4] == b"MTEN"
         version, rank = struct.unpack_from("<BB", blob, 4)
         assert (version, rank) == (1, 2)
@@ -54,7 +64,7 @@ class TestMten:
             load_mten(str(p))
 
     def test_rejects_truncated_payload(self, tmp_path):
-        blob = encode_mten(np.ones(8, dtype=np.float32))
+        blob = _mten_bytes(np.ones(8, dtype=np.float32))
         p = tmp_path / "cut.mten"
         p.write_bytes(blob[:-4])
         with pytest.raises(FormatError, match="truncated"):
@@ -63,13 +73,13 @@ class TestMten:
     @pytest.mark.parametrize("cut", [3, 9, 20])
     def test_truncated_file_error_names_the_path(self, tmp_path, cut):
         p = tmp_path / "cut.mten"
-        p.write_bytes(encode_mten(np.ones((3, 4)))[:cut])
+        p.write_bytes(_mten_bytes(np.ones((3, 4)))[:cut])
         with pytest.raises(FormatError, match=r"cut\.mten: truncated tensor"):
             load_mten(str(p))
 
     def test_rejects_trailing_garbage(self, tmp_path):
         p = tmp_path / "extra.mten"
-        p.write_bytes(encode_mten(np.ones(2, dtype=np.float32)) + b"xx")
+        p.write_bytes(_mten_bytes(np.ones(2, dtype=np.float32)) + b"xx")
         with pytest.raises(FormatError, match="trailing"):
             load_mten(str(p))
 
@@ -79,19 +89,21 @@ class TestMten:
         with pytest.raises(FormatError, match=r"r65\.mten: tensor rank 65 is not supported"):
             load_mten(str(p))
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(FormatError):
-            encode_mten(np.array([np.nan], dtype=np.float32))
+    def test_rejects_nonfinite(self, tmp_path):
+        p = tmp_path / "nan.mten"
+        with pytest.raises(FormatError, match="non-finite"):
+            save_mten(str(p), np.array([np.nan], dtype=np.float32))
+        assert not p.exists()
 
     def test_decode_offset_chain(self):
         # load_checkpoint reads its records back to back with _read_mten:
         # each read must stop exactly at the end of its own blob.
         a = np.arange(4, dtype=np.float32)
         b = np.ones((2, 2), dtype=np.float32)
-        buf = encode_mten(a) + encode_mten(b)
+        buf = _mten_bytes(a) + _mten_bytes(b)
         fh = io.BytesIO(buf)
         first = _read_mten(fh, len(buf))
-        assert fh.tell() == len(encode_mten(a))
+        assert fh.tell() == len(_mten_bytes(a))
         second = _read_mten(fh, len(buf))
         assert np.array_equal(first, a)
         assert np.array_equal(second, b)
@@ -113,6 +125,40 @@ class TestCheckpoint:
         for k in entries:
             assert np.array_equal(back[k], entries[k])
 
+    def test_overwrite_leaves_no_part_file(self, tmp_path):
+        p = tmp_path / "model.mffc"
+        save_checkpoint(str(p), {"a": np.zeros(3, dtype=np.float32)})
+        save_checkpoint(str(p), {"b": np.ones(2, dtype=np.float32)})
+        assert list(load_checkpoint(str(p))) == ["b"]
+        assert os.listdir(tmp_path) == ["model.mffc"]
+
+    @pytest.mark.parametrize("bad", ["nan", "long name", "io error"])
+    def test_failed_write_keeps_the_old_checkpoint(self, tmp_path, monkeypatch, bad):
+        p = tmp_path / "model.mffc"
+        save_checkpoint(str(p), {"a": np.arange(3, dtype=np.float32)})
+        before = p.read_bytes()
+        entries = {"a": np.ones(3, dtype=np.float32), "b": np.ones((2, 2), dtype=np.float32)}
+        expected = FormatError
+        if bad == "nan":
+            entries["b"][1, 0] = np.nan
+        elif bad == "long name":
+            entries["x" * 0x10000] = np.ones(1, dtype=np.float32)
+        else:
+            write = formats._write_mten
+
+            def failing(fh, arr):
+                if arr.ndim == 2:  # the second record, after the first was written
+                    fh.write(b"MTEN")
+                    raise OSError("no space left on device")
+                write(fh, arr)
+
+            monkeypatch.setattr(formats, "_write_mten", failing)
+            expected = OSError
+        with pytest.raises(expected):
+            save_checkpoint(str(p), entries)
+        assert p.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.mffc"]
+
     def test_rejects_wrong_magic(self, tmp_path):
         p = tmp_path / "x.mffc"
         p.write_bytes(b"XXXX\x01\x00\x00\x00\x00")
@@ -120,7 +166,7 @@ class TestCheckpoint:
             load_checkpoint(str(p))
 
     def test_rejects_duplicate_names(self, tmp_path):
-        blob = encode_mten(np.ones(1, dtype=np.float32))
+        blob = _mten_bytes(np.ones(1, dtype=np.float32))
         rec = struct.pack("<H", 4) + b"name" + blob
         p = tmp_path / "dup.mffc"
         p.write_bytes(b"MFFC" + struct.pack("<BI", 1, 2) + rec + rec)
@@ -128,7 +174,7 @@ class TestCheckpoint:
             load_checkpoint(str(p))
 
     def test_rejects_undecodable_name_naming_the_record(self, tmp_path):
-        blob = encode_mten(np.ones(1, dtype=np.float32))
+        blob = _mten_bytes(np.ones(1, dtype=np.float32))
         good = struct.pack("<H", 4) + b"name" + blob
         bad = struct.pack("<H", 4) + b"na\x85e" + blob
         p = tmp_path / "utf.mffc"
@@ -137,7 +183,7 @@ class TestCheckpoint:
             load_checkpoint(str(p))
 
     def test_rejects_bad_payload_naming_the_record(self, tmp_path):
-        rec = struct.pack("<H", 4) + b"name" + b"XTEN" + encode_mten(np.ones(1))[4:]
+        rec = struct.pack("<H", 4) + b"name" + b"XTEN" + _mten_bytes(np.ones(1))[4:]
         p = tmp_path / "payload.mffc"
         p.write_bytes(b"MFFC" + struct.pack("<BI", 1, 1) + rec)
         with pytest.raises(FormatError, match=r"payload\.mffc: record 0 \('name'\): bad tensor magic"):

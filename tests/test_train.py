@@ -375,8 +375,9 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("at_step", [1, 2])
     def test_nonfinite_parameter_named_with_step(self, monkeypatch, at_step):
-        # a NaN planted before step 1 stops its forward; one planted by the
-        # update of step 2 is caught by the scan after it
+        # a NaN planted before step 1 stops its forward; a NaN gradient fed to
+        # the update of step 2 makes the parameter non-finite, which the
+        # update's own scan catches
         cfg = TrainConfig(steps=3, seed=0, batch_size=2, width_divisor=16,
                           strategy=FusionStrategy.LATE)
         params = init_params(0, FusionStrategy.LATE, 16)
@@ -387,9 +388,9 @@ class TestTrainLoop:
             update = train_module.adam_step
 
             def planted(named, state, lr):
-                update(named, state, lr)
-                if state.step == at_step:
-                    target.data.flat[0] = np.nan
+                if state.step + 1 == at_step:
+                    target.grad.flat[0] = np.nan
+                return update(named, state, lr)
 
             monkeypatch.setattr(train_module, "adam_step", planted)
         with pytest.raises(TrainError, match=rf"^step {at_step}: .*parameter {name!r}"):
