@@ -11,9 +11,7 @@ from .tensor import (
     Tape,
     Tensor,
     TensorError,
-    backward,
     no_grad,
-    stack,
 )
 
 __version__ = "0.1.0"
@@ -24,8 +22,6 @@ __all__ = [
     "Tape",
     "Tensor",
     "TensorError",
-    "backward",
     "no_grad",
-    "stack",
     "__version__",
 ]

@@ -11,7 +11,8 @@ All convolutions in these blocks are 1x1: the only job here is channel
 mixing, never spatial filtering.
 
 Each attention is one taped op with a hand-written backward, as
-ops.lstm_forward is, in place of the 12 and 5 ops.py primitives it composed.
+ops.lstm_forward is, in place of the 12 and 5 taped primitives it composed
+(tests/composed.py keeps both compositions as references).
 Both repeat their arithmetic and the order in which their gradients reach
 each input, so outputs and gradients are bit-identical to the composition.
 Each scans the pre-activations that feed a sigmoid or a relu, which would

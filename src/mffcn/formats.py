@@ -55,6 +55,8 @@ def _mten_array(array: np.ndarray) -> np.ndarray:
         arr = arr.reshape(1)
     if arr.ndim > 255:
         raise FormatError(f"rank {arr.ndim} exceeds the u8 rank field")
+    if 0 in arr.shape:
+        raise FormatError(f"tensor dims must be positive, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise FormatError("refusing to encode non-finite tensor values")
     return arr

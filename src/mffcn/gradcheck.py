@@ -7,12 +7,12 @@ coordinates do not blow up the ratio; 1e-4 is the default pass threshold.
 A coordinate that misses it is probed again at the smaller steps of
 eps_ladder before it counts as a failure.
 
-Two suites build on the oracle. The per-op suite probes every differentiable
-operation on small random inputs (extents at most 6, five seeds by default)
-over all coordinates. It is one table, OP_TABLE: each row is a draw function
-that takes a seeded generator and returns an op's inputs and the op, and
-check_op projects each output on a fixed random direction (an output with no
-axes is the loss itself) before handing the loss to the oracle. The network
+Two suites build on the oracle. The per-op suite probes every operation the
+program tapes on small random inputs (extents at most 6, five seeds by
+default) over all coordinates. It is one table, OP_TABLE: each row is a draw
+function that takes a seeded generator and returns an op's inputs and the op,
+and check_op projects the output on a fixed random direction (an output with
+no axes is the loss itself) before handing the loss to the oracle. The network
 suite differentiates the full model under a mean-squared loss and
 spot-checks a few random coordinates per parameter tensor, since probing
 every one of the millions of coordinates is far beyond any sane budget;
@@ -32,7 +32,7 @@ import numpy as np
 from . import attention, ops
 from .attention import ConvParams, FusionParams, SpectralParams
 from .ops import BatchNormState, ConvSpec, LstmGate, LstmLayerParams
-from .tensor import NonFiniteError, Tape, Tensor, TensorError, stack
+from .tensor import NonFiniteError, Tape, Tensor, TensorError
 
 FD_EPS = 1e-3
 MODEL_FD_EPS = 1e-4  # the whole-network check's first step (see run_model_check)
@@ -196,7 +196,7 @@ def _well_separated(rng: np.random.Generator, shape) -> Tensor:
 
 # Each row of OP_TABLE draws one op's inputs from rng, in a fixed order, and
 # returns them with the op as a function of those inputs. The op returns a
-# Tensor or a tuple of them; check_op reduces each to a loss.
+# Tensor; check_op reduces it to a loss.
 Draw = Callable[[np.random.Generator, int], Tuple[List[Tensor], Callable]]
 
 
@@ -207,9 +207,9 @@ def _elementwise(fn2) -> Draw:
     return draw
 
 
-def _unary(make_input, fn) -> Draw:
+def _unary(fn) -> Draw:
     def draw(rng, seed):
-        return [make_input(rng, _rand_shape(rng))], lambda args: fn(args[0])
+        return [_normal(rng, _rand_shape(rng))], lambda args: fn(args[0])
     return draw
 
 
@@ -222,18 +222,6 @@ def _draw_permute(rng, seed):
     shape = _rand_shape(rng, rank=3)
     axes = tuple(int(a) for a in rng.permutation(3))
     return [_normal(rng, shape)], lambda args: args[0].permute(*axes)
-
-
-def _draw_pick(rng, seed):
-    shape = _rand_shape(rng, rank=3)
-    axis = int(rng.integers(0, 3))
-    index = int(rng.integers(0, shape[axis]))
-    return [_normal(rng, shape)], lambda args: args[0].pick(axis, index)
-
-
-def _draw_stack(rng, seed):
-    shape = _rand_shape(rng, rank=2)
-    return [_normal(rng, shape) for _ in range(3)], lambda args: stack(args, axis=0)
 
 
 def _draw_geometry(rng) -> Tuple[Tuple[int, int], ConvSpec]:
@@ -268,23 +256,6 @@ def _draw_maxpool2d(rng, seed):
     h, w = int(rng.integers(2, 7)), int(rng.integers(2, 7))
     window = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
     return [_well_separated(rng, (1, c, h, w))], lambda args: ops.maxpool2d(args[0], window)
-
-
-def _draw_batch_norm_train(rng, seed):
-    c = int(rng.integers(1, 5))
-    shape = (3, c, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-    inputs = [_normal(rng, shape), Tensor(rng.uniform(0.5, 1.5, size=c)), _normal(rng, (c,))]
-    return inputs, lambda args: ops.batch_norm(
-        *args, BatchNormState.initial(c, dtype=np.float64), "train")
-
-
-def _draw_batch_norm_eval(rng, seed):
-    c = int(rng.integers(1, 5))
-    inputs = [_normal(rng, (2, c, 3, 3)), Tensor(rng.uniform(0.5, 1.5, size=c)),
-              _normal(rng, (c,))]
-    mean, var = rng.standard_normal(c), rng.uniform(0.5, 2.0, size=c)
-    return inputs, lambda args: ops.batch_norm(
-        *args, BatchNormState(mean.copy(), var.copy()), "eval")
 
 
 def _draw_norm_leaky(mode: str) -> Draw:
@@ -323,35 +294,10 @@ def _draw_spectral_attention(rng, seed):
         args[0], SpectralParams(ConvParams(*args[1:3]), ConvParams(*args[3:5])))
 
 
-def _draw_softmax_pair(rng, seed):
-    n = int(rng.integers(1, 7))
-    return [_normal(rng, (n,)), _normal(rng, (n,))], lambda args: ops.softmax_pair(*args)
-
-
-def _draw_fully_connected(rng, seed):
-    fin, fout = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-    n = 3 if seed % 2 == 0 else 1
-    inputs = [_normal(rng, (n, fin)), _normal(rng, (fout, fin)), _normal(rng, (fout,))]
-    return inputs, lambda args: ops.fully_connected(*args)
-
-
-def _draw_global_avg_pool(rng, seed):
-    c = int(rng.integers(1, 6))
-    x = _normal(rng, (1, c, int(rng.integers(1, 7)), int(rng.integers(1, 7))))
-    return [x], lambda args: ops.global_avg_pool(args[0])
-
-
 def _draw_concat_channels(rng, seed):
     h, w = int(rng.integers(1, 5)), int(rng.integers(1, 5))
     cs = [int(rng.integers(1, 4)) for _ in range(3)]
     return [_normal(rng, (1, c, h, w)) for c in cs], ops.concat_channels
-
-
-def _draw_scale_channels(rng, seed):
-    c, h, w = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
-    x = _normal(rng, (1, c, h, w))
-    weight_shape = [(1, c), (1, c, h, w)][seed % 2]
-    return [x, _normal(rng, weight_shape)], lambda args: ops.scale_channels(*args)
 
 
 def _draw_lstm(rng, seed):
@@ -371,30 +317,16 @@ def _draw_lstm(rng, seed):
 
 
 OP_TABLE: Dict[str, Draw] = {
-    "add": _elementwise(lambda a, b: a + b),
     "sub": _elementwise(lambda a, b: a - b),
     "mul": _elementwise(lambda a, b: a * b),
-    "scalar_mix": _unary(_normal, lambda x: 1.5 - (-x) * 0.75 + 0.25),
-    "sum": _unary(_normal, lambda x: x.sum()),
-    "mean": _unary(_normal, lambda x: (x * x).mean()),
+    "sum": _unary(lambda x: x.sum()),
+    "mean": _unary(lambda x: (x * x).mean()),
     "reshape": _draw_reshape,
     "permute": _draw_permute,
-    "pick": _draw_pick,
-    "stack": _draw_stack,
-    "sigmoid": _unary(_normal, lambda x: x.sigmoid()),
-    "tanh": _unary(_normal, lambda x: x.tanh()),
-    "leaky_relu": _unary(_away_from_zero, lambda x: ops.activation(x, "leaky_relu")),
-    "relu": _unary(_away_from_zero, lambda x: ops.activation(x, "relu")),
     "conv2d": _draw_conv2d,
     "conv_transpose2d": _draw_conv_transpose2d,
     "maxpool2d": _draw_maxpool2d,
-    "batch_norm_train": _draw_batch_norm_train,
-    "batch_norm_eval": _draw_batch_norm_eval,
-    "softmax_pair": _draw_softmax_pair,
-    "fully_connected": _draw_fully_connected,
-    "global_avg_pool": _draw_global_avg_pool,
     "concat_channels": _draw_concat_channels,
-    "scale_channels": _draw_scale_channels,
     "lstm": _draw_lstm,
     "norm_leaky_train": _draw_norm_leaky("train"),
     "norm_leaky_eval": _draw_norm_leaky("eval"),
@@ -403,28 +335,19 @@ OP_TABLE: Dict[str, Draw] = {
 }
 
 
-def _outputs(out) -> tuple:
-    return out if isinstance(out, tuple) else (out,)
-
-
 def check_op(name: str, seed: int, tol: float = REL_TOL) -> float:
     """Gradient-check one OP_TABLE row at one seed; returns the worst relative error.
 
-    A 0-d output is the loss itself. Otherwise output k is projected on
-    random_projection(seed + 9000 + k) and the projections are summed, so
-    the loss is a fixed random linear function of every output coordinate.
+    A 0-d output is the loss itself. Otherwise the output is projected on
+    random_projection(seed + 9000), so the loss is a fixed random linear
+    function of every output coordinate.
     """
     inputs, op = OP_TABLE[name](_rng(seed), seed)
-    outs = _outputs(op(inputs))
-    if len(outs) == 1 and outs[0].ndim == 0:
+    out = op(inputs)
+    if out.ndim == 0:
         return check_gradients(op, inputs, tol=tol)
-    directions = [random_projection(seed + 9000 + k, out.dims) for k, out in enumerate(outs)]
-
-    def loss(args):
-        terms = [projected_loss(out, d) for out, d in zip(_outputs(op(args)), directions)]
-        return sum(terms[1:], terms[0])
-
-    return check_gradients(loss, inputs, tol=tol)
+    direction = random_projection(seed + 9000, out.dims)
+    return check_gradients(lambda args: projected_loss(op(args), direction), inputs, tol=tol)
 
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)

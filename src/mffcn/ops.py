@@ -1,7 +1,7 @@
 """Neural-network operations built on the taped tensor engine.
 
 Every op takes one layout with the batch axis first: [B, C, H, W] feature
-maps, [B, T, F] sequences and [B, F] vectors. An input without its batch
+maps and [B, T, F] sequences. An input without its batch
 axis raises a ShapeError naming the op; model.mffcn_forward is the one
 entry that also takes a single [C, H, W] segment. Convolutions are
 cross-correlations (no kernel flip on the forward pass) under "same-ceil"
@@ -66,8 +66,9 @@ every op output, including outputs computed from corrupted operands. The
 exceptions are fused ops whose intermediates never become Tensors:
 lstm_forward scans its gate pre-activations, the attention ops (attention.py)
 their relu and sigmoid pre-activations; norm_leaky's rectifier keeps every
-NaN and Inf. Fused ops reuse the helpers of the ops they fuse, are
-bit-identical to them, and keep only what their backward reads.
+NaN and Inf. Fused ops are bit-identical to the compositions of taped
+primitives they replaced, which tests/composed.py keeps as their
+references, and keep only what their backward reads.
 """
 
 from __future__ import annotations
@@ -84,8 +85,6 @@ from .tensor import NonFiniteError, ShapeError, Tensor, _accumulate, _sigmoid, r
 LEAKY_SLOPE = 0.2
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
-
-ACTIVATION_KINDS = ("leaky_relu", "relu", "sigmoid")
 
 # Most bytes of GEMM columns (or scatter product) a convolution builds at once (see _Grid.blocks).
 COL_BLOCK_BYTES = 2 << 20
@@ -116,7 +115,7 @@ def _same_ceil_pad(extent: int, stride: int, kernel: int) -> Tuple[int, int]:
     return lo, total - lo
 
 
-_LAYOUTS = {2: "[B,F]", 3: "[B,T,F]", 4: "[B,C,H,W]"}
+_LAYOUTS = {3: "[B,T,F]", 4: "[B,C,H,W]"}
 
 
 def _batch_first(data: np.ndarray, rank: int, op: str) -> np.ndarray:
@@ -557,24 +556,6 @@ def _norm_grads(gb: np.ndarray, xhat: np.ndarray, x: Tensor, gamma: Tensor, beta
         _accumulate(x, gx)
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-               mode: str = "train") -> Tensor:
-    """Per-channel batch normalization over the batch and spatial axes.
-
-    Train mode normalizes with the biased batch statistics and folds them
-    into the running state (new = 0.9 * old + 0.1 * batch). Eval mode
-    normalizes with the running state and treats it as constant.
-    """
-    xd, mu, inv = _norm_stats("batch_norm", x, gamma, beta, state, mode)
-    xhat = _normalize(xd, mu, inv)
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-
-    def backward(gb: np.ndarray) -> None:
-        _norm_grads(gb, xhat, x, gamma, beta, inv, mode)
-
-    return record(Tensor(out), (x, gamma, beta), backward)
-
-
 def _leaky(xd: np.ndarray) -> np.ndarray:
     """leaky_relu's forward: max(x, 0.2 x)."""
     return np.maximum(xd, xd * xd.dtype.type(LEAKY_SLOPE))
@@ -582,10 +563,14 @@ def _leaky(xd: np.ndarray) -> np.ndarray:
 
 def norm_leaky(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                mode: str = "train") -> Tensor:
-    """batch_norm, then activation(., "leaky_relu"), as one taped op, bit-identical to the pair.
+    """Per-channel batch normalization, then leaky relu (max(y, 0.2 y)), as one taped op.
 
-    It keeps its output, whose sign (the pre-activation's) routes the gradient,
-    and recomputes x-hat for batch norm's backward (Ioffe & Szegedy, ICML 2015).
+    Batch norm normalizes over the batch and spatial axes (Ioffe & Szegedy,
+    ICML 2015). Train mode uses the biased batch statistics and folds them
+    into the running state (new = 0.9 * old + 0.1 * batch); eval mode uses
+    the running state and treats it as constant. The op keeps its output,
+    whose sign (the pre-activation's) routes the gradient as
+    max(sign(y), 0.2), and recomputes x-hat for batch norm's backward.
     """
     xd, mu, inv = _norm_stats("norm_leaky", x, gamma, beta, state, mode)
     y = gamma.data[None, :, None, None] * _normalize(xd, mu, inv) + beta.data[None, :, None, None]
@@ -596,48 +581,6 @@ def norm_leaky(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         _norm_grads(gb, _normalize(xd, mu, inv), x, gamma, beta, inv, mode)
 
     return record(Tensor(out), (x, gamma, beta), backward)
-
-
-def activation(x: Tensor, kind: str) -> Tensor:
-    """Pointwise nonlinearity: leaky_relu (slope 0.2), relu, sigmoid.
-
-    The rectifiers build no boolean mask. leaky_relu is max(x, 0.2 x), relu
-    is max(x, 0), and the backward multiplies g by max(sign(x), slope): 1
-    where x > 0, the slope elsewhere. These are bit-identical to the select
-    forms where(x > 0, x, slope x) and where(x > 0, g, slope g), signed
-    zeros and denormals included.
-    """
-    if kind not in ACTIVATION_KINDS:
-        raise ShapeError(f"activation: unknown kind {kind!r}, expected one of {ACTIVATION_KINDS}")
-    if kind == "sigmoid":
-        return x.sigmoid()
-    xd = x.data
-    if kind == "relu":
-        out = np.maximum(xd, 0)
-        slope = 0.0
-    else:
-        out = _leaky(xd)
-        slope = LEAKY_SLOPE
-    result = Tensor(out)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * np.maximum(np.sign(xd), slope))
-
-    return record(result, (x,), backward)
-
-
-def softmax_pair(a: Tensor, b: Tensor) -> Tuple[Tensor, Tensor]:
-    """Two-way softmax across a pair of equally shaped score tensors.
-
-    The pair case reduces to a sigmoid of the score difference, which is the
-    max-subtracted form and therefore safe for large magnitudes. The weights
-    sum to one by construction.
-    """
-    if a.dims != b.dims:
-        raise ShapeError(f"softmax_pair: score shapes differ, {a.dims} vs {b.dims}")
-    wa = (a - b).sigmoid()
-    wb = 1.0 - wa
-    return wa, wb
 
 
 def _dense_data(op: str, xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray]) -> np.ndarray:
@@ -661,30 +604,6 @@ def _dense_grads(g: np.ndarray, xd: np.ndarray, weights: Tensor, bias: Optional[
     return g @ weights.data
 
 
-def fully_connected(x: Tensor, weights: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map y = x W^T (+ b) of a [B, F] input to [B, O]; weights are [O, F]."""
-    xd = _batch_first(x.data, 2, "fully_connected")
-    out = _dense_data("fully_connected", xd, weights.data, None if bias is None else bias.data)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, _dense_grads(g, xd, weights, bias))
-
-    return record(Tensor(out), (x, weights) if bias is None else (x, weights, bias), backward)
-
-
-def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over the spatial axes: [B, C, H, W] -> [B, C]."""
-    xd = _batch_first(x.data, 4, "global_avg_pool")
-    b, c, h, w = xd.shape
-    out = xd.mean(axis=(2, 3), dtype=np.float64).astype(xd.dtype)
-    result = Tensor(out)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, np.broadcast_to(g[:, :, None, None] / (h * w), xd.shape).astype(xd.dtype))
-
-    return record(result, (x,), backward)
-
-
 def concat_channels(xs: Sequence[Tensor]) -> Tensor:
     """Concatenate [B, C_k, H, W] maps along the channel axis; batch and spatial extents must agree."""
     if not xs:
@@ -705,37 +624,6 @@ def concat_channels(xs: Sequence[Tensor]) -> Tensor:
             start += t.dims[1]
 
     return record(out, tuple(xs), backward)
-
-
-def scale_channels(x: Tensor, w: Tensor) -> Tensor:
-    """Multiply a [B, C, H, W] map by per-channel weights or an equally shaped mask.
-
-    Accepts w of shape [B, C] (one weight per sample and channel) or the
-    full input shape for elementwise gating.
-    """
-    xd = _batch_first(x.data, 4, "scale_channels")
-    wd = w.data
-    if wd.shape == xd.shape:
-        expand = wd
-        reduce_axes: Tuple[int, ...] = ()
-    elif wd.shape == xd.shape[:2]:
-        expand = wd[:, :, None, None]
-        reduce_axes = (2, 3)
-    else:
-        raise ShapeError(f"scale_channels: weight shape {wd.shape} does not fit input {xd.shape}")
-
-    out = Tensor(xd * expand)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g * expand)
-        if w.requires_grad:
-            gw = g * xd
-            if reduce_axes:
-                gw = gw.sum(axis=reduce_axes)
-            _accumulate(w, gw)
-
-    return record(out, (x, w), backward)
 
 
 @dataclass

@@ -139,23 +139,6 @@ class Tensor:
         if self.dims != other.dims:
             raise ShapeError(f"{op}: operand shapes differ, {self.dims} vs {other.dims}")
 
-    def __add__(self, other: Union["Tensor", Scalar]) -> "Tensor":
-        if isinstance(other, Tensor):
-            self._binary_shapes(other, "add")
-            out = Tensor(self.data + other.data)
-
-            def backward(g: np.ndarray) -> None:
-                _accumulate(self, g)
-                _accumulate(other, g)
-
-            return record(out, (self, other), backward)
-        out = Tensor(self.data + float(other))
-
-        def backward_s(g: np.ndarray) -> None:
-            _accumulate(self, g)
-
-        return record(out, (self,), backward_s)
-
     def __sub__(self, other: "Tensor") -> "Tensor":
         self._binary_shapes(other, "sub")
         out = Tensor(self.data - other.data)
@@ -165,14 +148,6 @@ class Tensor:
             _accumulate(other, -g)
 
         return record(out, (self, other), backward)
-
-    def __rsub__(self, other: Scalar) -> "Tensor":
-        out = Tensor(float(other) - self.data)
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, -g)
-
-        return record(out, (self,), backward)
 
     def __mul__(self, other: Union["Tensor", Scalar]) -> "Tensor":
         if isinstance(other, Tensor):
@@ -192,14 +167,6 @@ class Tensor:
             _accumulate(self, g * s)
 
         return record(out, (self,), backward_s)
-
-    def __neg__(self) -> "Tensor":
-        out = Tensor(-self.data)
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, -g)
-
-        return record(out, (self,), backward)
 
     # -- reductions (64-bit accumulation) ------------------------------------
 
@@ -244,51 +211,11 @@ class Tensor:
 
         return record(out, (self,), backward)
 
-    def pick(self, axis: int, index: int) -> "Tensor":
-        """Select one index along an axis, removing that axis."""
-        ax = axis if axis >= 0 else axis + self.ndim
-        if not 0 <= ax < self.ndim:
-            raise ShapeError(f"pick: axis {axis} out of range for {self.dims}")
-        if not 0 <= index < self.dims[ax]:
-            raise ShapeError(f"pick: index {index} out of range on axis {ax} of {self.dims}")
-        out = Tensor(np.take(self.data, index, axis=ax))
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                buf = np.zeros_like(self.data)
-                sl = [slice(None)] * self.ndim
-                sl[ax] = index
-                buf[tuple(sl)] = g
-                _accumulate(self, buf)
-
-        return record(out, (self,), backward)
-
-    # -- pointwise nonlinearities ----------------------------------------------
-
-    def sigmoid(self) -> "Tensor":
-        """Numerically stable logistic, clamped to the open unit interval."""
-        y = _sigmoid(self.data)
-        result = Tensor(y)
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, g * y * (1.0 - y))
-
-        return record(result, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        y = np.tanh(self.data)
-        result = Tensor(y)
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, g * (1.0 - y * y))
-
-        return record(result, (self,), backward)
-
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic of a float array without overflow, clamped to the open unit interval.
 
-    Shared by Tensor.sigmoid and the fused LSTM so both gate the same way.
+    Shared by the fused LSTM and attention ops so they all gate the same way.
     """
     e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) below
     d = 1.0 + e
@@ -297,25 +224,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     one = x.dtype.type(1.0)
     np.clip(y, np.finfo(x.dtype).tiny, np.nextafter(one, 0), out=y)
     return y
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Join same-shape tensors along a new axis."""
-    if not tensors:
-        raise ShapeError("stack needs at least one tensor")
-    first = tensors[0].dims
-    for t in tensors[1:]:
-        if t.dims != first:
-            raise ShapeError(f"stack: mismatched shapes {first} vs {t.dims}")
-    out = Tensor(np.stack([t.data for t in tensors], axis=axis))
-    ax = axis if axis >= 0 else axis + out.ndim
-
-    def backward(g: np.ndarray) -> None:
-        parts = np.moveaxis(g, ax, 0)
-        for t, gp in zip(tensors, parts):
-            _accumulate(t, gp)
-
-    return record(out, tuple(tensors), backward)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -440,9 +348,3 @@ class Tape:
             if out.grad is not None:
                 fn(out.grad)
 
-
-def backward(loss: Tensor) -> None:
-    """Run reverse-mode differentiation from a scalar loss on its tape."""
-    if not isinstance(loss, Tensor) or loss._tape is None:
-        raise TensorError("backward() requires a tensor produced by taped operations")
-    loss._tape.backward(loss)

@@ -26,8 +26,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dsp import MelSegment, SegmentTriple, VideoSegment, make_segment_pairs
-from .formats import load_mten, save_loss_csv, save_mten
+from .dsp import DspError, MelSegment, SegmentTriple, VideoSegment, make_segment_pairs
+from .formats import FormatError, load_mten, save_loss_csv, save_mten
 from .model import (
     FusionStrategy,
     MffcnParams,
@@ -187,18 +187,22 @@ def save_dataset(dirpath: str, items: Sequence[SegmentTriple]) -> None:
 
 
 def load_dataset(dirpath: str) -> List[SegmentTriple]:
-    """Read triples written by save_dataset (or any pre-extracted corpus)."""
+    """Read triples written by save_dataset (or any pre-extracted corpus).
+
+    A part of an item that is missing, unreadable or not a valid segment
+    raises a FormatError naming its file and the item index.
+    """
     items = []
-    k = 0
-    while True:
-        noisy_path = os.path.join(dirpath, f"{k:05d}.noisy.mten")
-        if not os.path.exists(noisy_path):
-            break
-        noisy = load_mten(noisy_path)
-        video = load_mten(os.path.join(dirpath, f"{k:05d}.video.mten"))
-        clean = load_mten(os.path.join(dirpath, f"{k:05d}.clean.mten"))
-        items.append(SegmentTriple(MelSegment(noisy), VideoSegment(video), MelSegment(clean)))
-        k += 1
+    while os.path.exists(os.path.join(dirpath, f"{len(items):05d}.noisy.mten")):
+        k, parts = len(items), []
+        for kind, segment in (("noisy", MelSegment), ("video", VideoSegment), ("clean", MelSegment)):
+            path = os.path.join(dirpath, f"{k:05d}.{kind}.mten")
+            try:
+                parts.append(segment(load_mten(path)))
+            except (OSError, FormatError, DspError) as exc:
+                detail = exc.strerror if isinstance(exc, OSError) else str(exc).removeprefix(f"{path}: ")
+                raise FormatError(f"{path}: item {k}: {detail}") from None
+        items.append(SegmentTriple(*parts))
     if not items:
         raise TrainError(f"no dataset items found under {dirpath}")
     return items

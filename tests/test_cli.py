@@ -128,6 +128,19 @@ class TestTrainCommand:
                    "--out", str(tmp_path / "run")])
         assert rc == 0
 
+    @pytest.mark.parametrize("defect, named", [
+        ("missing", "00003.clean.mten: item 3: "),
+        ("shape", "00003.noisy.mten: item 3: "),
+        ("range", "00003.video.mten: item 3: "),
+    ])
+    def test_bad_dataset_item_is_usage_error_naming_the_file(self, tmp_path, capsys, defect, named):
+        from test_train import plant_dataset_defect
+        rc = main(["train", "--steps", "1", "--batch", "2", "--width-divisor", "16",
+                   "--data", plant_dataset_defect(tmp_path / "ds", defect), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_invalid_lr_is_usage_error(self):
         assert main(["train", "--lr", "-1", "--width-divisor", "16"]) == 2
 

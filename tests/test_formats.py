@@ -95,6 +95,14 @@ class TestMten:
             save_mten(str(p), np.array([np.nan], dtype=np.float32))
         assert not p.exists()
 
+    @pytest.mark.parametrize("shape", [(0, 3), (0,), (2, 1, 0)])
+    def test_rejects_zero_extent(self, tmp_path, shape):
+        # the reader refuses a zero extent, so the writer must not make one
+        p = tmp_path / "empty.mten"
+        with pytest.raises(FormatError, match=re.escape(f"tensor dims must be positive, got {shape}")):
+            save_mten(str(p), np.zeros(shape, dtype=np.float32))
+        assert not p.exists()
+
     def test_decode_offset_chain(self):
         # load_checkpoint reads its records back to back with _read_mten:
         # each read must stop exactly at the end of its own blob.
@@ -132,15 +140,18 @@ class TestCheckpoint:
         assert list(load_checkpoint(str(p))) == ["b"]
         assert os.listdir(tmp_path) == ["model.mffc"]
 
-    @pytest.mark.parametrize("bad", ["nan", "long name", "io error"])
+    @pytest.mark.parametrize("bad", ["nan", "zero extent", "long name", "io error"])
     def test_failed_write_keeps_the_old_checkpoint(self, tmp_path, monkeypatch, bad):
         p = tmp_path / "model.mffc"
         save_checkpoint(str(p), {"a": np.arange(3, dtype=np.float32)})
         before = p.read_bytes()
         entries = {"a": np.ones(3, dtype=np.float32), "b": np.ones((2, 2), dtype=np.float32)}
-        expected = FormatError
+        expected, match = FormatError, None
         if bad == "nan":
             entries["b"][1, 0] = np.nan
+        elif bad == "zero extent":
+            entries["b"] = np.ones((2, 0), dtype=np.float32)
+            match = re.escape("tensor dims must be positive, got (2, 0)")
         elif bad == "long name":
             entries["x" * 0x10000] = np.ones(1, dtype=np.float32)
         else:
@@ -154,7 +165,7 @@ class TestCheckpoint:
 
             monkeypatch.setattr(formats, "_write_mten", failing)
             expected = OSError
-        with pytest.raises(expected):
+        with pytest.raises(expected, match=match):
             save_checkpoint(str(p), entries)
         assert p.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.mffc"]

@@ -19,6 +19,8 @@ from mffcn.gradcheck import (
 from mffcn.model import FusionStrategy, init_params
 from mffcn.tensor import NonFiniteError, Tensor, TensorError
 
+import composed
+
 
 class TestFiniteDifferenceOracle:
     def test_sum_of_squares(self):
@@ -57,7 +59,9 @@ class TestFiniteDifferenceOracle:
 # Worst relative error of each op check per seed (DEFAULT_SEEDS order), recorded
 # while the ops still took inputs without a batch axis: the checks now draw the
 # same values with a leading axis of 1 and must reproduce these. The norm_leaky
-# and attention rows were recorded when those ops became one taped op each.
+# and attention rows were recorded when those ops became one taped op each. The
+# rows of the primitives the fused ops replaced were recorded from OP_TABLE and
+# are now checked from composed.OP_ROWS.
 OP_WORST_ERRORS = {
     "add": (5.651228894718173e-12, 2.6147442547318357e-12, 1.2352880223496885e-13,
             1.8853065444147678e-13, 5.956855464094574e-11),
@@ -128,6 +132,19 @@ def test_op_gradients(name, seed):
     np.testing.assert_allclose(worst, OP_WORST_ERRORS[name][DEFAULT_SEEDS.index(seed)], rtol=1e-9, atol=0)
 
 
+@pytest.mark.parametrize("name", sorted(composed.OP_ROWS))
+@pytest.mark.parametrize("seed", DEFAULT_SEEDS)
+def test_composed_primitive_gradients(name, seed):
+    worst = composed.check_row(name, seed)
+    assert worst < REL_TOL
+    np.testing.assert_allclose(worst, OP_WORST_ERRORS[name][DEFAULT_SEEDS.index(seed)], rtol=1e-9, atol=0)
+
+
+def test_every_pin_has_one_row():
+    assert sorted([*OP_TABLE, *composed.OP_ROWS]) == sorted(OP_WORST_ERRORS)
+    assert len(OP_TABLE) == 15
+
+
 class TestOpSuiteTolerance:
     def test_truncation_miss_passes_down_the_ladder(self):
         # at FD_EPS the lstm check at seed 6 reads 3.65e-4, truncation of the
@@ -149,40 +166,28 @@ class TestOpSuiteTolerance:
             assert seed in "34" and float(err) == pytest.approx(r.worst_err, rel=1e-3)
 
 
-def _leaky_relu_with_scaled_backward(original):
-    """ops.activation, except that leaky_relu's backward is 1.1 times too large."""
+def _leaky_relu_with_scaled_backward(x):
+    """composed.leaky_relu, except that its backward is 1.1 times too large."""
     from mffcn.tensor import _accumulate, record
 
-    def activation(x, kind):
-        if kind != "leaky_relu":
-            return original(x, kind)
-        out = Tensor(np.maximum(x.data, 0.2 * x.data))
+    def backward(g):
+        _accumulate(x, 1.1 * g * np.where(x.data > 0, 1.0, 0.2))
 
-        def backward(g):
-            _accumulate(x, 1.1 * g * np.where(x.data > 0, 1.0, 0.2))
-
-        return record(out, (x,), backward)
-
-    return activation
+    return record(Tensor(np.maximum(x.data, 0.2 * x.data)), (x,), backward)
 
 
 class TestPlantedWrongBackward:
     @pytest.fixture()
     def planted(self, monkeypatch):
-        """The wrong leaky_relu, in activation and in the norm_leaky the model calls."""
+        """The composed norm_leaky with the wrong rectifier, in ops and in the model."""
         from mffcn import model, ops
-        wrong = _leaky_relu_with_scaled_backward(ops.activation)
-
-        def norm_leaky(x, gamma, beta, state, mode="train"):
-            return wrong(ops.batch_norm(x, gamma, beta, state, mode), "leaky_relu")
-
-        monkeypatch.setattr(ops, "activation", wrong)
-        monkeypatch.setattr(ops, "norm_leaky", norm_leaky)
-        monkeypatch.setattr(model, "norm_leaky", norm_leaky)
+        monkeypatch.setattr(composed, "leaky_relu", _leaky_relu_with_scaled_backward)
+        monkeypatch.setattr(ops, "norm_leaky", composed.norm_leaky)
+        monkeypatch.setattr(model, "norm_leaky", composed.norm_leaky)
 
     def test_op_row_fails_and_names_its_seed(self, planted):
         rows = {r.name: r for r in run_op_suite(seeds=(2, 3))}
-        failed = ["leaky_relu", "norm_leaky_train", "norm_leaky_eval"]
+        failed = ["norm_leaky_train", "norm_leaky_eval"]
         assert [name for name, r in rows.items() if not r.ok] == failed
         for name in failed:
             assert rows[name].detail.startswith("seed 2: gradient mismatch")

@@ -42,18 +42,9 @@ from mffcn.model import (
     shape_trace,
 )
 from mffcn import model as model_module
-from mffcn.ops import (
-    ConvSpec,
-    activation,
-    batch_norm,
-    concat_channels,
-    conv2d,
-    fully_connected,
-    global_avg_pool,
-    scale_channels,
-    softmax_pair,
-)
-from mffcn.tensor import NonFiniteError, Tape, Tensor, backward, no_grad
+from mffcn.tensor import NonFiniteError, Tape, Tensor, no_grad
+
+import composed
 
 
 def _sigmoid(x):
@@ -204,7 +195,7 @@ class TestForward:
         with Tape() as tape:
             out = mffcn_forward(y, v, params, mode="eval")
             loss = (out * out).mean()
-            backward(loss)
+            tape.backward(loss)
         missing = [n for n, t in params.named if t.grad is None]
         assert missing == []
 
@@ -498,35 +489,6 @@ class TestSpectralAttention:
         assert np.array_equal(out.data, expected.data)
 
 
-def _composed_channel_attention(v, a, params, return_weights=False):
-    """Reference channel attention built from taped primitives.
-
-    This is the composition channel_attention replaced; the tape
-    differentiates it, so it referees the fused op's hand-written backward.
-    """
-    merged = conv2d(concat_channels([v, a]), params.concat_reduce.weight,
-                    params.concat_reduce.bias, ConvSpec())
-    descriptor = global_avg_pool(merged)
-    score_v = fully_connected(descriptor, params.fc_v.weight, params.fc_v.bias)
-    score_a = fully_connected(descriptor, params.fc_a.weight, params.fc_a.bias)
-    w_v, w_a = softmax_pair(score_v, score_a)
-    fused = conv2d(concat_channels([scale_channels(v, w_v), scale_channels(a, w_a)]),
-                   params.post_weight.weight, params.post_weight.bias, ConvSpec())
-    return (fused, w_v, w_a) if return_weights else fused
-
-
-def _composed_spectral_attention(x, params, return_mask=False):
-    """Reference spectral attention built from taped primitives (see above)."""
-    hidden = activation(conv2d(x, params.hidden.weight, params.hidden.bias, ConvSpec()), "relu")
-    mask = activation(conv2d(hidden, params.mask.weight, params.mask.bias, ConvSpec()), "sigmoid")
-    gated = scale_channels(x, mask)
-    return (gated, mask) if return_mask else gated
-
-
-def _composed_norm_leaky(x, gamma, beta, state, mode="train"):
-    return activation(batch_norm(x, gamma, beta, state, mode), "leaky_relu")
-
-
 def _tracked_fusion_params(rng, c):
     p = _rand_fusion_params(rng, c)
     for t in _fusion_tensors(p):
@@ -549,7 +511,7 @@ def _value_and_grads(fn, leaves, direction, reuse):
         t.zero_grad()
     with Tape() as tape:
         out = fn()
-        loss = (out * Tensor(direction)).sum() + (leaves[0] * Tensor(reuse)).sum()
+        loss = composed.add((out * Tensor(direction)).sum(), (leaves[0] * Tensor(reuse)).sum())
         tape.backward(loss)
     return [out.data] + [t.grad for t in leaves]
 
@@ -565,7 +527,7 @@ class TestFusedAttentionMatchesComposed:
         direction, reuse = (rng.normal(size=(batch, c, h, w)).astype(np.float32) for _ in range(2))
         leaves = [v, a] + _fusion_tensors(p)[:8]
         fused = _value_and_grads(lambda: channel_attention(v, a, p), leaves, direction, reuse)
-        reference = _value_and_grads(lambda: _composed_channel_attention(v, a, p), leaves,
+        reference = _value_and_grads(lambda: composed.channel_attention(v, a, p), leaves,
                                      direction, reuse)
         for got, want in zip(fused, reference):
             assert got.tobytes() == want.tobytes()
@@ -579,7 +541,7 @@ class TestFusedAttentionMatchesComposed:
         direction, reuse = (rng.normal(size=(batch, c, h, w)).astype(np.float32) for _ in range(2))
         leaves = [x, p.hidden.weight, p.hidden.bias, p.mask.weight, p.mask.bias]
         fused = _value_and_grads(lambda: spectral_attention(x, p), leaves, direction, reuse)
-        reference = _value_and_grads(lambda: _composed_spectral_attention(x, p), leaves,
+        reference = _value_and_grads(lambda: composed.spectral_attention(x, p), leaves,
                                      direction, reuse)
         for got, want in zip(fused, reference):
             assert got.tobytes() == want.tobytes()
@@ -590,11 +552,11 @@ class TestFusedAttentionMatchesComposed:
         p = _tracked_fusion_params(rng, 3)
         v, a = (Tensor(rng.normal(size=(2, 3, 4, 2)).astype(np.float32)) for _ in range(2))
         direction = rng.normal(size=(2, 3, 4, 2)).astype(np.float32)
-        fused, composed = ((channel_attention, _composed_channel_attention) if block == "channel"
-                           else (lambda v, a, p: spectral_attention(a, p.spectral),
-                                 lambda v, a, p: _composed_spectral_attention(a, p.spectral)))
+        fused, reference = ((channel_attention, composed.channel_attention) if block == "channel"
+                            else (lambda v, a, p: spectral_attention(a, p.spectral),
+                                  lambda v, a, p: composed.spectral_attention(a, p.spectral)))
         grads = []
-        for fn in (fused, composed):
+        for fn in (fused, reference):
             for t in _fusion_tensors(p):
                 t.zero_grad()
             with Tape() as tape:
@@ -610,11 +572,11 @@ class TestFusedAttentionMatchesComposed:
         v, a = (Tensor(rng.normal(scale=2.0, size=(batch, 5, 3, 2)).astype(np.float32))
                 for _ in range(2))
         fused = channel_attention(v, a, p, return_weights=True)
-        reference = _composed_channel_attention(v, a, p, return_weights=True)
+        reference = composed.channel_attention(v, a, p, return_weights=True)
         assert [t.data.tobytes() for t in fused] == [t.data.tobytes() for t in reference]
         assert np.allclose(fused[1].data + fused[2].data, 1.0, atol=1e-6)
         gated = spectral_attention(fused[0], p.spectral, return_mask=True)
-        reference = _composed_spectral_attention(fused[0], p.spectral, return_mask=True)
+        reference = composed.spectral_attention(fused[0], p.spectral, return_mask=True)
         assert [t.data.tobytes() for t in gated] == [t.data.tobytes() for t in reference]
 
     def test_one_record_each(self):
@@ -638,7 +600,7 @@ class TestFusedAttentionMatchesComposed:
         bias.data[1] = -np.inf if plant == "hidden" else np.inf
         v, a = (Tensor(rng.normal(size=(2, 3, 4, 4)).astype(np.float32)) for _ in range(2))
         ca, sa = ((channel_attention, spectral_attention) if fused else
-                  (_composed_channel_attention, _composed_spectral_attention))
+                  (composed.channel_attention, composed.spectral_attention))
         with pytest.raises(NonFiniteError):
             sa(ca(v, a, p), p.spectral)
 
@@ -662,10 +624,9 @@ def test_model_gradients_match_the_composed_ops_bitwise(monkeypatch, batch, mode
                          + [s for _, st in params.named_states for s in (st.mean, st.var)])
 
     fused_records, fused = run()
-    monkeypatch.setattr(model_module, "norm_leaky", _composed_norm_leaky)
-    monkeypatch.setattr(model_module, "spectral_attention", _composed_spectral_attention)
-    monkeypatch.setattr(model_module, "fusion_block", lambda v, a, p: _composed_spectral_attention(
-        _composed_channel_attention(v, a, p), p.spectral))
+    monkeypatch.setattr(model_module, "norm_leaky", composed.norm_leaky)
+    monkeypatch.setattr(model_module, "spectral_attention", composed.spectral_attention)
+    monkeypatch.setattr(model_module, "fusion_block", composed.fusion_block)
     reference_records, reference = run()
     assert (fused_records, reference_records) == (113, 296)
     assert len(fused) == len(reference)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mffcn import train as train_module
-from mffcn.formats import load_checkpoint
+from mffcn.formats import FormatError, load_checkpoint, save_mten
 from mffcn.gradcheck import check_gradients
 from mffcn.model import FusionStrategy, init_params, mffcn_forward, save_model
 from mffcn.tensor import Tape, Tensor, TensorError
@@ -22,6 +22,8 @@ from mffcn.train import (
     synth_dataset,
     train,
 )
+
+import composed
 
 
 class TestTrainConfig:
@@ -251,7 +253,7 @@ class TestFlatAdam:
         state = AdamState.initial(named)
         a, b = named[0][1], named[1][1]
         with Tape() as tape:
-            tape.backward((a * a).sum() + b.sum() + b.sum())
+            tape.backward(composed.add(composed.add((a * a).sum(), b.sum()), b.sum()))
         assert a.grad is state.flat.slots[0] and b.grad is state.flat.slots[1]
         assert np.array_equal(a.grad, 2.0 * a.data)
         assert np.array_equal(b.grad, np.full(b.dims, 2.0, dtype=np.float32))
@@ -329,6 +331,27 @@ class TestSynthDataset:
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(TrainError, match="no dataset items"):
             load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("defect, message", [
+        ("missing", r"00003\.clean\.mten: item 3: No such file or directory$"),
+        ("shape", r"00003\.noisy\.mten: item 3: segment must be 80x20, got \(80, 21\)$"),
+        ("range", r"00003\.video\.mten: item 3: video pixel values must lie in \[0, 1\]$"),
+    ])
+    def test_bad_item_names_its_file_and_index(self, tmp_path, defect, message):
+        with pytest.raises(FormatError, match=message):
+            load_dataset(plant_dataset_defect(tmp_path / "ds", defect))
+
+
+def plant_dataset_defect(dirpath, defect):
+    """A saved four-item dataset whose item 3 has one defect; returns its directory."""
+    save_dataset(str(dirpath), synth_dataset(1, 4))
+    if defect == "missing":
+        (dirpath / "00003.clean.mten").unlink()
+    elif defect == "shape":
+        save_mten(str(dirpath / "00003.noisy.mten"), np.zeros((80, 21), dtype=np.float32))
+    else:
+        save_mten(str(dirpath / "00003.video.mten"), np.full((5, 80, 80), 300.0, dtype=np.float32))
+    return str(dirpath)
 
 
 class TestTrainLoop:
