@@ -351,11 +351,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NonFiniteError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except TrainError as exc:
-        numeric = "non-finite" in str(exc)
-        print(f"{'numeric failure' if numeric else 'error'}: {exc}", file=sys.stderr)
-        return 3 if numeric else 2
-    except (FormatError, DspError, ModelError, MetricError, TensorError,
+    except (FormatError, DspError, ModelError, MetricError, TensorError, TrainError,
             OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

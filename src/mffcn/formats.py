@@ -136,17 +136,22 @@ def load_mten(path: str) -> np.ndarray:
 def save_checkpoint(path: str, entries: Dict[str, np.ndarray]) -> None:
     """Write named tensors in insertion order, replacing path atomically.
 
-    Every name and array is checked before anything is written. The records
-    then stream into path + ".part", each payload straight from its float32
-    array, so no encoded copy of the entries is ever held. The part file
-    replaces path only once it is complete, and is removed if anything fails.
+    Every name and array is checked before anything is written; a refused
+    array raises a FormatError naming its record. The records then stream
+    into path + ".part", each payload straight from its float32 array, so no
+    encoded copy of the entries is ever held. The part file replaces path
+    only once it is complete, and is removed if anything fails.
     """
     records = []
-    for name, arr in entries.items():
+    for k, (name, arr) in enumerate(entries.items()):
         raw = name.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise FormatError(f"parameter name too long: {name[:40]}...")
-        records.append((struct.pack("<H", len(raw)) + raw, _mten_array(arr)))
+        try:
+            arr = _mten_array(arr)
+        except FormatError as exc:
+            raise FormatError(f"{path}: record {k} ({name!r}): {exc}") from None
+        records.append((struct.pack("<H", len(raw)) + raw, arr))
     part = path + ".part"
     try:
         with open(part, "wb") as fh:

@@ -1,24 +1,25 @@
 """Finite-difference verification of the reverse-mode engine.
 
-The oracle is a central difference with step 1e-3, evaluated in float64 and
-compared coordinate by coordinate against the tape's gradient. A relative
+The oracle is a central difference with first step 1e-3, evaluated in float64
+and compared coordinate by coordinate against the tape's gradient. A relative
 error uses max(|analytic|, |numeric|, 1e-6) as denominator so near-zero
-coordinates do not blow up the ratio; 1e-4 is the default pass threshold.
-A coordinate that misses it is probed again at the smaller steps of
-eps_ladder before it counts as a failure.
+coordinates do not blow up the ratio; a coordinate passes when its error is
+below the threshold, 1e-4 by default. Both suites tape one float64 copy of
+their inputs, check that the loss on it equals the loss on fresh copies, and
+probe that same copy in place: every probed coordinate walks eps_ladder until
+it passes, and fails only if it misses at every step.
 
-Two suites build on the oracle. The per-op suite probes every operation the
-program tapes on small random inputs (extents at most 6, five seeds by
-default) over all coordinates. It is one table, OP_TABLE: each row is a draw
-function that takes a seeded generator and returns an op's inputs and the op,
-and check_op projects the output on a fixed random direction (an output with
-no axes is the loss itself) before handing the loss to the oracle. The network
-suite differentiates the full model under a mean-squared loss and
-spot-checks a few random coordinates per parameter tensor, since probing
-every one of the millions of coordinates is far beyond any sane budget;
-sampled coordinates are drawn fresh per seed. Each of its probes is one eval
-forward that reruns only the layers from the perturbed tensor's owner on and
-reuses the rest from the base-point forward.
+The per-op suite probes every operation the program tapes on small random
+inputs (extents at most 6, five seeds by default) over all coordinates. It
+is one table, OP_TABLE: each row is a draw function that takes a seeded
+generator and returns an op's inputs and the op, and check_op projects the
+output on a fixed random direction (an output with no axes is the loss
+itself) before handing the loss to the oracle. The network suite
+differentiates the full model under a mean-squared loss and spot-checks one
+random coordinate per parameter tensor, drawn fresh per seed, since probing
+all of its millions is far beyond any sane budget. Each of its probes is one
+eval forward that reruns only the layers from the perturbed tensor's owner
+on and reuses the rest from the base-point forward.
 """
 
 from __future__ import annotations
@@ -38,33 +39,6 @@ FD_EPS = 1e-3
 MODEL_FD_EPS = 1e-4  # the whole-network check's first step (see run_model_check)
 REL_TOL = 1e-4
 REL_FLOOR = 1e-6
-
-
-def finite_difference_gradient(fn: Callable[[Sequence[Tensor]], Tensor],
-                               inputs: Sequence[Tensor],
-                               eps: float = FD_EPS) -> list:
-    """Central-difference gradient of a scalar-valued function at every coordinate.
-
-    fn is called with non-taped float64 copies of the inputs: at the base
-    point and again on fresh copies of it, demanding equal scalars, since fn
-    must be deterministic; then, for every probe, with the same base tensors,
-    one coordinate perturbed in place and restored afterwards. So fn must not
-    mutate its arguments or keep them past the call.
-    """
-    base_args = [Tensor(t.data.astype(np.float64)) for t in inputs]
-    first = _scalar(fn(base_args))
-    second = _scalar(fn([Tensor(t.data.copy()) for t in base_args]))
-    if first != second:
-        raise TensorError(
-            f"function is not deterministic: repeated evaluation gave {first} then {second}")
-
-    grads = []
-    for pos, t in enumerate(base_args):
-        g = np.empty(t.data.shape)
-        for idx in np.ndindex(*t.data.shape):
-            g[idx] = _central_diff(fn, base_args, pos, idx, eps)
-        grads.append(g)
-    return grads
 
 
 def _scalar(t: Tensor) -> float:
@@ -123,33 +97,35 @@ def check_gradients(fn: Callable[[Sequence[Tensor]], Tensor],
     """Tape the function, differentiate, and compare against finite differences.
 
     Returns the worst relative error across all checked coordinates; raises
-    GradientMismatch when it exceeds tol. A coordinate that misses tol is
-    probed again at the later steps of eps_ladder(FD_EPS) and keeps the error
-    of the step it passes at, or of the last: the truncation error of a
-    central difference shrinks with its step, a wrong gradient's gap does not.
-    Inputs are probed in float64 copies so callers can hand in float32
-    parameters directly.
+    GradientMismatch when an input's worst error is not below tol. The
+    inputs are copied to float64, so callers can hand in float32 parameters.
+    fn gets those copies when taped, at the base point and at every probe,
+    and fresh copies of them once: it must be deterministic, and must not
+    mutate its arguments or keep them past the call. Each coordinate keeps
+    the error of the first step of eps_ladder(FD_EPS) it passes at, or of
+    the last: the truncation error of a central difference shrinks with its
+    step, a wrong gradient's gap does not.
     """
-    taped_inputs = [Tensor(t.data.astype(np.float64), requires_grad=True) for t in inputs]
+    args = [Tensor(t.data.astype(np.float64), requires_grad=True) for t in inputs]
     with Tape() as tape:
-        loss = fn(taped_inputs)
-        tape.backward(loss)
+        tape.backward(fn(args))
+    first = _scalar(fn(args))
+    second = _scalar(fn([Tensor(t.data.copy()) for t in args]))
+    if first != second:
+        raise TensorError(
+            f"function is not deterministic: repeated evaluation gave {first} then {second}")
 
-    numeric = finite_difference_gradient(fn, inputs)
-    base_args = [Tensor(t.data.astype(np.float64)) for t in inputs]
     worst = 0.0
-    for pos, (t, num) in enumerate(zip(taped_inputs, numeric)):
-        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        rel = np.abs(analytic - num) / np.maximum(np.maximum(np.abs(analytic), np.abs(num)),
-                                                  REL_FLOOR)
-        for idx in map(tuple, np.argwhere(rel > tol)):
-            rel[idx], _ = _ladder_error(fn, base_args, pos, idx, float(analytic[idx]),
-                                        eps_ladder(FD_EPS)[1:], tol)
-        err = float(np.max(rel, initial=0.0))
+    for pos, t in enumerate(args):
+        err = 0.0
+        for idx in np.ndindex(*t.dims):
+            analytic = float(t.grad[idx]) if t.grad is not None else 0.0
+            rel, _ = _ladder_error(fn, args, pos, idx, analytic, eps_ladder(FD_EPS), tol)
+            err = max(err, rel)
         worst = max(worst, err)
-        if err > tol:
+        if err >= tol:
             raise GradientMismatch(
-                f"gradient mismatch on input {pos}: max relative error {err:.3e} > {tol:.0e}", err)
+                f"gradient mismatch on input {pos}: max relative error {err:.3e} >= {tol:.0e}", err)
     return worst
 
 
@@ -396,17 +372,14 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
     coordinates would take millions of forward passes; instead every
     parameter tensor contributes one randomly drawn coordinate.
 
-    The taped pass and every probe run over the one set of float64 tensors
-    init_params returns, and only each tensor's probed coordinate of the
-    analytic gradient is kept. Each probe perturbs one coordinate in place,
-    runs the MSE over one eval forward, and restores the coordinate exactly.
-    The first forward of the determinism check, at the base point, fills a
-    model.ForwardMemo; every probe's forward reads it, so it reruns only the
-    node that owns the perturbed tensor and the nodes downstream of it, bit
-    for bit what a whole forward gives. The determinism check still compares
-    the base point against a model rebuilt from fresh copies.
+    The one float64 copy is the set of tensors init_params returns, and only
+    each tensor's probed coordinate of the analytic gradient is kept. The
+    base-point forward of the determinism check fills a model.ForwardMemo;
+    every probe's forward reads it, so it reruns only the node that owns the
+    perturbed tensor and the nodes downstream of it, bit for bit what a
+    whole forward gives. The fresh copies form a model rebuilt around them.
 
-    Three departures from the per-op defaults, all about probing a
+    Two departures from the per-op defaults, both about probing a
     composition of ten-plus nonlinear layers rather than a single op. The
     step starts at 1e-4: at 1e-3 the O(eps^2) truncation term of the central
     difference is already visible against the 1e-4 gate, while float64
@@ -414,13 +387,12 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
     from the zero init: stride gaps in the transposed convolutions emit bare
     bias values, so at exact zero whole planes of leaky-relu inputs sit on
     the kink, where a one-sided derivative and a symmetric difference
-    quotient disagree for any correct implementation. And each coordinate
-    that misses at the starting step is retried at eps/10 and eps/30 before
-    being declared wrong: one layer-1 weight reaches thousands of pool
-    windows and relu sites, so a fixed probe interval straddles some argmax
-    flip on most seeds. A straddle resolves once the step is inside the gap;
-    a genuinely wrong gradient holds its gap at every step, so the ladder
-    cannot mask real defects.
+    quotient disagree for any correct implementation. The ladder matters
+    most here: one layer-1 weight reaches thousands of pool windows and relu
+    sites, so a fixed probe interval straddles some argmax flip on most
+    seeds. A straddle resolves once the step is inside the gap; a genuinely
+    wrong gradient holds its gap at every step, so the ladder cannot mask
+    real defects.
 
     On success the detail names the worst coordinate: its parameter, index,
     relative error and the step of the ladder at which it passed.
@@ -459,23 +431,22 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
     name = f"model[{strategy.value},d={width_divisor},seed={seed}]"
 
     with Tape() as tape:
-        tape.backward(loss(build(inputs)))
+        tape.backward(loss(params))
     analytic = [float(t.grad[idx]) if t.grad is not None else 0.0
                 for t, idx in zip(inputs, coords)]
     for t in inputs:
         t.grad = None
 
-    probe_model = build(inputs)
     memo = ForwardMemo()  # filled here, at the base point, and only read by the probes
-    first = _scalar(loss(probe_model, memo))
+    first = _scalar(loss(params, memo))
     second = _scalar(loss(build([Tensor(t.data.copy()) for t in inputs])))
     if first != second:
         return CheckResult(name, float("nan"), False,
                            f"loss not deterministic: {first} then {second}")
 
     def probe(args: Sequence[Tensor]) -> Tensor:
-        # probe_model holds the very tensors _central_diff perturbs in place
-        return loss(probe_model, memo)
+        # params holds the very tensors _central_diff perturbs in place
+        return loss(params, memo)
 
     names = [n for n, _ in params.named]
     worst = 0.0

@@ -46,7 +46,7 @@ ADAM_BLOCK = 1 << 16  # elements per block of the flat Adam update
 
 
 class TrainError(RuntimeError):
-    pass
+    """Bad training configuration or data; a numeric abort raises tensor.NonFiniteError."""
 
 
 @dataclass
@@ -94,10 +94,10 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 def adam_step(named: Sequence[Tuple[str, Tensor]], state: AdamState, lr: float) -> bool:
     """One in-place bias-corrected update; True when every updated parameter is finite.
 
-    Gradients must all be present. A parameter whose ``data`` was rebound
-    since the layout was made is copied back into its view, and a gradient
-    assigned from outside the tape is copied into its slot. The update then
-    runs over the flat buffers in blocks of ADAM_BLOCK elements, through two
+    Gradients must all be present, each in its tensor's slot of the flat
+    gradient buffer, where a backward pass puts it, and each parameter's
+    ``data`` must still be its view of the layout. The update runs over the
+    flat buffers in blocks of ADAM_BLOCK elements, through two
     block-sized work vectors, with the same operations, order and
     Python-float constants as the per-tensor formula m = b1*m + (1-b1)*g;
     v = b2*v + (1-b2)*g*g; p -= lr * (m/c1) / (sqrt(v/c2) + eps). Each block
@@ -110,14 +110,8 @@ def adam_step(named: Sequence[Tuple[str, Tensor]], state: AdamState, lr: float) 
     for (name, p), view, slot in zip(named, flat.views, flat.slots):
         if p.grad is None:
             raise TrainError(f"parameter {name!r} has no gradient")
-        if p.data is not view:
-            if p.data.shape != view.shape:
-                raise TrainError(f"parameter {name!r} has shape {p.data.shape}, "
-                                 f"the Adam state expects {view.shape}")
-            np.copyto(view, p.data)
-            p.data = view
-        if p.grad is not slot:
-            np.copyto(slot, p.grad)
+        if p.data is not view or p.grad is not slot:
+            raise TrainError(f"parameter {name!r} or its gradient is not in the Adam state's layout")
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1 ** t
@@ -241,8 +235,8 @@ def train(config: TrainConfig, data: Sequence[SegmentTriple],
     """Run the optimizer; see the module docstring for the step recipe.
 
     Batches walk a seeded permutation of the dataset, reshuffled per epoch.
-    A non-finite loss, gradient, or parameter aborts with the step index and
-    the first offending parameter's name.
+    A non-finite loss, gradient, or parameter aborts with a NonFiniteError
+    naming the step index and the first offending parameter.
     """
     if len(data) == 0:
         raise TrainError("training data is empty")
@@ -272,12 +266,12 @@ def train(config: TrainConfig, data: Sequence[SegmentTriple],
         except NonFiniteError as exc:
             culprit = _first_nonfinite(params.named)
             where = f"parameter {culprit!r}" if culprit else "an intermediate value"
-            raise TrainError(f"step {step}: forward/backward hit non-finite values "
-                             f"in {where}: {exc}") from exc
+            raise NonFiniteError(f"step {step}: forward/backward hit non-finite values "
+                                 f"in {where}: {exc}") from exc
         loss_value = loss.item()
         if not adam_step(params.named, adam, config.learning_rate):
             culprit = _first_nonfinite(params.named)
-            raise TrainError(f"step {step}: parameter {culprit!r} became non-finite")
+            raise NonFiniteError(f"step {step}: parameter {culprit!r} became non-finite")
         for _, p in params.named:
             p.zero_grad()
         history.append(loss_value)

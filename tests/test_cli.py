@@ -167,6 +167,22 @@ class TestTrainCommand:
                    "--out", str(tmp_path)])
         assert rc == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_learning_rate_is_numeric_error(self, tmp_path, capsys):
+        rc = main(["train", "--lr", "1e30", "--steps", "5", "--batch", "2",
+                   "--width-divisor", "16", "--strategy", "late",
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("numeric failure: step ")
+
+    def test_empty_data_dir_is_usage_error_whatever_its_name(self, tmp_path, capsys):
+        data = tmp_path / "non-finite-data"
+        data.mkdir()
+        rc = main(["train", "--data", str(data), "--steps", "1", "--batch", "2",
+                   "--width-divisor", "16", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: no dataset items found under ")
+
 
 class TestEnhanceCommand:
     def test_writes_segments_and_images(self, workdir, tmp_path, capsys):

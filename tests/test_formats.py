@@ -149,9 +149,10 @@ class TestCheckpoint:
         expected, match = FormatError, None
         if bad == "nan":
             entries["b"][1, 0] = np.nan
+            match = re.escape("record 1 ('b'): refusing to encode non-finite tensor values")
         elif bad == "zero extent":
             entries["b"] = np.ones((2, 0), dtype=np.float32)
-            match = re.escape("tensor dims must be positive, got (2, 0)")
+            match = re.escape("record 1 ('b'): tensor dims must be positive, got (2, 0)")
         elif bad == "long name":
             entries["x" * 0x10000] = np.ones(1, dtype=np.float32)
         else:

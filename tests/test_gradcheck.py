@@ -9,10 +9,10 @@ from mffcn.gradcheck import (
     DEFAULT_SEEDS,
     OP_TABLE,
     REL_TOL,
+    _central_diff,
     check_gradients,
     check_op,
     eps_ladder,
-    finite_difference_gradient,
     run_model_check,
     run_op_suite,
 )
@@ -25,15 +25,23 @@ import composed
 class TestFiniteDifferenceOracle:
     def test_sum_of_squares(self):
         x = Tensor(np.array([1.0, 2.0]))
-        grads = finite_difference_gradient(lambda args: (args[0] * args[0]).sum(), [x])
-        assert np.allclose(grads[0], [2.0, 4.0], atol=1e-5)
+        assert check_gradients(lambda args: (args[0] * args[0]).sum(), [x]) < 1e-9
 
     def test_linear_is_exact(self):
         x = Tensor(np.array([3.0, -1.0, 0.5]))
         w = np.array([2.0, 5.0, -4.0])
-        grads = finite_difference_gradient(
-            lambda args: (args[0] * Tensor(w)).sum(), [x])
-        assert np.allclose(grads[0], w, atol=1e-9)
+        assert check_gradients(lambda args: (args[0] * Tensor(w)).sum(), [x]) < 1e-9
+
+    def test_float32_inputs_are_probed_in_float64(self):
+        x = Tensor(np.array([0.1, -2.5, 3.0], dtype=np.float32))
+        seen = []
+
+        def fn(args):
+            seen.append(args[0].dtype)
+            return (args[0] * args[0]).sum()
+
+        assert check_gradients(fn, [x]) < 1e-9
+        assert set(seen) == {np.dtype(np.float64)}
 
     def test_nondeterminism_detected(self):
         calls = []
@@ -43,7 +51,8 @@ class TestFiniteDifferenceOracle:
             return (args[0] * float(len(calls))).sum()
 
         with pytest.raises(TensorError, match="deterministic"):
-            finite_difference_gradient(flaky, [Tensor(np.array([1.0]))])
+            check_gradients(flaky, [Tensor(np.array([1.0]))])
+        assert len(calls) == 3  # taped, then at the base point and on fresh copies
 
     def test_check_gradients_flags_wrong_backward(self):
         # A loss whose true gradient is 2x; pretend it is x by scaling inside.
@@ -260,7 +269,7 @@ class TestWholeModel:
 
 
 class TestProbeInPlace:
-    @pytest.mark.parametrize("raise_at", [3, 4])  # the +eps and the -eps probe
+    @pytest.mark.parametrize("raise_at", [4, 5])  # the +eps and the -eps probe
     def test_raising_loss_restores_the_coordinate(self, raise_at):
         x = Tensor(np.array([0.1, -2.5, 3.0]))
         seen = []
@@ -272,30 +281,45 @@ class TestProbeInPlace:
             return (args[0] * args[0]).sum()
 
         with pytest.raises(RuntimeError, match="mid-probe"):
-            finite_difference_gradient(fn, [x])
-        assert seen[-1] is seen[0]  # probes reuse the base tensor
+            check_gradients(fn, [x])
+        assert seen[-1] is seen[0] and seen[1] is seen[0]  # the taped copy is the one probed
+        assert seen[2] is not seen[0]  # the determinism check's fresh copy
         assert seen[-1].data.tobytes() == x.data.tobytes()
 
-    def test_nonfinite_probe_is_rejected_and_restored(self):
-        x = Tensor(np.array([1.5e308]))
+    def test_probes_reuse_the_taped_copy(self):
+        x = Tensor(np.array([0.5, -1.5]))
         seen = []
 
         def fn(args):
             seen.append(args[0])
+            return (args[0] * args[0]).sum()
+
+        check_gradients(fn, [x])
+        assert len(seen) == 3 + 2 * x.size  # each coordinate passes at its first step
+        assert all(t is seen[0] for t in seen[:2] + seen[3:])
+        assert seen[0].data.tobytes() == x.data.tobytes()
+
+    def test_nonfinite_probe_is_rejected_and_restored(self):
+        x = Tensor(np.array([-1.5e308]))
+        seen = []
+
+        def fn(args):
+            seen.append(float(args[0].data[0]))
             return args[0].sum()
 
         with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
-            finite_difference_gradient(fn, [x], eps=1e308)
-        assert seen[0].data.tobytes() == x.data.tobytes()
+            _central_diff(fn, [x], 0, (0,), 1e308)  # +eps is finite, -eps overflows
+        assert seen == [-1.5e308 + 1e308]
+        assert x.data.tobytes() == np.array([-1.5e308]).tobytes()
 
 
 @pytest.fixture(scope="module")
 def recorded_check():
     """run_model_check(seed=0) with every model forward watched.
 
-    Each forward over an already seen model must differ from that model's
-    first forward in exactly one coordinate. Each such probe hands on the
-    memo its model's first forward filled, and its output, which alone
+    Each forward over an already seen model must be at that model's first
+    point or differ from it in exactly one coordinate. Each such probe hands
+    on the memo the base-point forward filled, and its output, which alone
     decides the loss, is compared bit for bit with a whole forward over fresh
     copies.
     """
@@ -325,6 +349,8 @@ def recorded_check():
             first_seen[id(params)] = (params, flat(params))
             return out
         changed = np.flatnonzero(flat(params) != first_seen[id(params)][1])
+        if len(changed) == 0:  # the base point again
+            return out
         assert len(changed) == 1, changed
         ends = np.cumsum([t.size for _, t in params.named])
         pos = int(np.searchsorted(ends, changed[0], side="right"))
@@ -360,9 +386,18 @@ class TestModelCheckInPlace:
         _, first_seen, probed, _, memos = recorded_check
         (probe_model, _), = [seen for seen in first_seen.values() if len(memos[id(seen[0])]) > 1]
         handed = memos[id(probe_model)]
-        assert len(handed) == len(probed) + 1
-        assert handed[0] is not None and all(m is handed[0] for m in handed)
-        assert handed[0].params is probe_model
+        # the taped forward, the base-point forward that fills the memo, the probes
+        assert len(handed) == len(probed) + 2
+        assert handed[0] is None
+        assert handed[1] is not None and all(m is handed[1] for m in handed[1:])
+        assert handed[1].params is probe_model
+
+    def test_one_model_is_taped_and_probed(self, recorded_check):
+        # one taped forward and two for the determinism check, the second on
+        # the fresh-copy model, then one forward per probe
+        _, first_seen, probed, _, memos = recorded_check
+        assert len(first_seen) == 2
+        assert sum(len(handed) for handed in memos.values()) == 3 + len(probed)
 
     def test_base_tensors_left_bit_identical(self, recorded_check):
         _, first_seen, _, _, _ = recorded_check

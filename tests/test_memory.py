@@ -1,17 +1,18 @@
 """Traced memory bounds that fail if a whole extra copy of a model comes back.
 
 tracemalloc counts every numpy buffer, so each bound is read against the
-bytes of the model it handles. The readings quoted were taken at 6014841,
-before these paths held one copy, and after.
+bytes of the model it handles. The readings quoted were taken before each
+path held one copy, and after: at 6014841 for the model check and the
+checkpoint write, at 24f1582 for check_gradients.
 """
 
 import tracemalloc
 
 import numpy as np
 
-from mffcn.gradcheck import DEFAULT_SEEDS, run_model_check
+from mffcn.gradcheck import DEFAULT_SEEDS, REL_TOL, check_gradients, run_model_check
 from mffcn.model import FusionStrategy, init_params, save_model
-from mffcn.tensor import Tape
+from mffcn.tensor import Tape, Tensor
 from mffcn.train import TrainConfig, synth_dataset, train
 
 
@@ -37,6 +38,25 @@ def test_model_check_holds_one_model():
     result, peak = _traced_peak(lambda: run_model_check(seed=DEFAULT_SEEDS[0]))
     assert result.ok, result.detail
     assert peak <= 4 * param_bytes, (peak, param_bytes)
+
+
+def test_op_check_holds_one_copy_of_its_inputs():
+    """check_gradients tapes and probes one float64 copy of its inputs.
+
+    Two 8192-element float64 inputs are 128 KiB under (a * b).sum(): the
+    traced peak read 7.04x their bytes with a separate probe copy and a
+    whole-gradient central-difference pass, and 5.04x over one copy.
+    """
+    rng = np.random.default_rng(0)
+    inputs = [Tensor(rng.standard_normal(8192)) for _ in range(2)]
+    input_bytes = sum(t.data.nbytes for t in inputs)
+
+    def product(args):
+        return (args[0] * args[1]).sum()
+
+    worst, peak = _traced_peak(lambda: check_gradients(product, inputs))
+    assert worst < REL_TOL
+    assert peak <= 6 * input_bytes, (peak, input_bytes)
 
 
 def test_checkpoint_write_holds_no_encoded_copy(tmp_path):

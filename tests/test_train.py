@@ -10,7 +10,7 @@ from mffcn import train as train_module
 from mffcn.formats import FormatError, load_checkpoint, save_mten
 from mffcn.gradcheck import check_gradients
 from mffcn.model import FusionStrategy, init_params, mffcn_forward, save_model
-from mffcn.tensor import Tape, Tensor, TensorError
+from mffcn.tensor import NonFiniteError, Tape, Tensor, TensorError, _accumulate
 from mffcn.train import (
     AdamState,
     TrainConfig,
@@ -90,13 +90,19 @@ def _toy_params(seed=0):
             ("b", Tensor(rng.normal(size=(4,)).astype(np.float32), requires_grad=True))]
 
 
+def _feed(p, g):
+    """Hand p the gradient g as a backward pass does: into its slot of the flat layout."""
+    p.zero_grad()
+    _accumulate(p, g)
+
+
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         named = _toy_params()
-        for _, p in named:
-            p.grad = np.zeros_like(p.data)
         before = [p.data.copy() for _, p in named]
         state = AdamState.initial(named)
+        for _, p in named:
+            _feed(p, np.zeros_like(p.data))
         adam_step(named, state, lr=0.1)
         for (_, p), b in zip(named, before):
             assert np.array_equal(p.data, b)
@@ -105,22 +111,24 @@ class TestAdam:
     def test_first_step_is_signed_lr(self):
         # bias correction makes the first update lr * g / (|g| + eps)
         named = _toy_params(1)
+        state = AdamState.initial(named)
         grads = []
         for _, p in named:
             g = np.random.default_rng(2).normal(size=p.dims).astype(np.float32)
             g[np.abs(g) < 0.1] = 0.5  # keep |g| clear of the eps floor
-            p.grad = g
+            _feed(p, g)
             grads.append(g)
         before = [p.data.copy() for _, p in named]
-        adam_step(named, AdamState.initial(named), lr=0.01)
+        adam_step(named, state, lr=0.01)
         for (_, p), b, g in zip(named, before, grads):
             assert np.allclose(p.data, b - 0.01 * np.sign(g), atol=1e-5)
 
     def test_missing_gradient_raises(self):
         named = _toy_params()
-        named[0][1].grad = np.zeros_like(named[0][1].data)
-        with pytest.raises(TrainError, match="no gradient"):
-            adam_step(named, AdamState.initial(named), lr=0.1)
+        state = AdamState.initial(named)
+        _feed(named[0][1], np.zeros_like(named[0][1].data))
+        with pytest.raises(TrainError, match="'b' has no gradient"):
+            adam_step(named, state, lr=0.1)
 
     def test_deterministic(self):
         runs = []
@@ -130,7 +138,7 @@ class TestAdam:
             rng = np.random.default_rng(4)
             for _ in range(5):
                 for _, p in named:
-                    p.grad = rng.normal(size=p.dims).astype(np.float32)
+                    _feed(p, rng.normal(size=p.dims).astype(np.float32))
                 adam_step(named, state, lr=0.003)
             runs.append([p.data.copy() for _, p in named])
         for a, b in zip(*runs):
@@ -178,7 +186,7 @@ class TestFlatAdam:
         with np.errstate(over="ignore"):  # float32 (1e30)^2 overflows v to inf on both paths
             for step in range(1, 6):
                 for name, p in named:
-                    p.grad = _edge_gradient(rng, p.dims, dtype)
+                    _feed(p, _edge_gradient(rng, p.dims, dtype))
                     ref[name][1] = p.grad.copy()
                 adam_step(named, state, lr=0.003)
                 _reference_adam_step(ref, moments, step, lr=0.003)
@@ -211,36 +219,26 @@ class TestFlatAdam:
         assert AdamState.initial(named).flat is first
         assert AdamState.initial(named[::-1]).flat is not first
 
-    def test_rebound_data_is_copied_into_the_layout(self):
+    @pytest.mark.parametrize("outside", ["data", "grad"])
+    def test_parameter_outside_the_layout_rejected(self, outside):
         named = _toy_params(5)
         state = AdamState.initial(named)
-        a = named[0][1]
-        a.data = np.full_like(a.data, 2.0)
-        ref = {name: [p.data.copy(), np.ones_like(p.data)] for name, p in named}
-        moments = {name: (np.zeros_like(p.data), np.zeros_like(p.data)) for name, p in named}
         for _, p in named:
-            p.grad = np.ones_like(p.data)
-        adam_step(named, state, lr=0.1)
-        _reference_adam_step(ref, moments, 1, lr=0.1)
-        assert a.data.base is state.flat.data
-        for name, p in named:
-            assert np.array_equal(p.data, ref[name][0])
-        # a fresh layout starts from the rebound values too
+            _feed(p, np.ones_like(p.data))
         b = named[1][1]
-        b.data = np.full_like(b.data, -3.0)
-        again = AdamState.initial(named)
-        assert again.flat is not state.flat
-        assert np.array_equal(b.data, np.full(b.dims, -3.0, dtype=np.float32))
-        assert b.data.base is again.flat.data
-
-    def test_rebound_data_of_another_shape_rejected(self):
-        named = _toy_params()
-        state = AdamState.initial(named)
-        named[1][1].data = np.zeros(5, dtype=np.float32)
-        for _, p in named:
-            p.grad = np.zeros_like(p.data)
-        with pytest.raises(TrainError, match="shape"):
+        before = state.flat.data.copy()
+        if outside == "data":
+            b.data = np.full_like(b.data, 2.0)
+        else:
+            b.grad = np.ones_like(b.data)
+        with pytest.raises(TrainError, match="'b' or its gradient is not in the Adam state's layout"):
             adam_step(named, state, lr=0.1)
+        assert state.step == 0 and state.flat.data.tobytes() == before.tobytes()
+        # a fresh layout starts from the rebound values
+        if outside == "data":
+            again = AdamState.initial(named)
+            assert again.flat is not state.flat and b.data.base is again.flat.data
+            assert np.array_equal(b.data, np.full(b.dims, 2.0, dtype=np.float32))
 
     def test_mixed_dtypes_rejected(self):
         named = [("a", Tensor(np.ones(2, dtype=np.float32), requires_grad=True)),
@@ -393,7 +391,7 @@ class TestTrainLoop:
         cfg = TrainConfig(steps=10, seed=0, learning_rate=1e12, batch_size=2,
                           width_divisor=16, strategy=FusionStrategy.LATE)
         data = synth_dataset(0, 2)
-        with pytest.raises(TrainError, match="step"):
+        with pytest.raises(NonFiniteError, match="^step "):
             train(cfg, data)
 
     @pytest.mark.parametrize("at_step", [1, 2])
@@ -416,8 +414,9 @@ class TestTrainLoop:
                 return update(named, state, lr)
 
             monkeypatch.setattr(train_module, "adam_step", planted)
-        with pytest.raises(TrainError, match=rf"^step {at_step}: .*parameter {name!r}"):
+        with pytest.raises(NonFiniteError, match=rf"^step {at_step}: .*parameter {name!r}") as info:
             train(cfg, synth_dataset(0, 2), params=params)
+        assert isinstance(info.value.__cause__, NonFiniteError) == (at_step == 1)
 
     def test_acceptance_step_tapes_116_records(self, monkeypatch):
         # multilayer, d=8, batch 4: 113 forward records plus the loss's 3
