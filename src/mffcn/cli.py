@@ -332,7 +332,7 @@ def cmd_export_spec(args) -> int:
     elif args.input.endswith(".pgm"):
         out = os.path.join(args.out, stem + ".mten")
         save_mten(out, load_pgm(args.input).astype(np.float32))
-        print(f"wrote {out} (8-bit pixel values, scale not recovered)")
+        print(f"wrote {out} (raw pixel values, 0 to the PGM's maxval; scale not recovered)")
     elif args.input.endswith(".csv"):
         arr = np.loadtxt(args.input, delimiter=",", dtype=np.float64, ndmin=2)
         out = os.path.join(args.out, stem + ".mten")
@@ -347,7 +347,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Overflow and invalid values are caught where they become a Tensor or reach
+        # a fused op's scan, which names them; numpy's own warnings would only repeat that.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except NonFiniteError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -15,8 +15,10 @@ the RIFF size, byte rate and block align that agree with that, and chunks
 that tile the file. Anything else is rejected with a descriptive error
 rather than resampled.
 
-PGM: binary P5 with maxval 255 and nothing after the pixels. Video
-directories hold frames named frame_000000.pgm onward, contiguously.
+PGM: binary P5 with any maxval from 1 to 65535, one byte per sample up to
+255 and two big-endian bytes above, no sample above maxval, and nothing after
+the pixels. Video directories hold frames named frame_000000.pgm onward,
+contiguously; each frame scales to [0, 1] by its own maxval.
 
 Every reader names the file in its errors, and a checkpoint reader the
 record too.
@@ -302,6 +304,12 @@ def save_pgm(path: str, image: np.ndarray) -> None:
 
 
 def load_pgm(path: str) -> np.ndarray:
+    """A PGM's samples: uint8 when its maxval is at most 255, else uint16."""
+    return _read_pgm(path)[0]
+
+
+def _read_pgm(path: str) -> Tuple[np.ndarray, int]:
+    """A PGM's samples (see load_pgm) and its maxval."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:2] != b"P5":
@@ -329,16 +337,21 @@ def load_pgm(path: str) -> np.ndarray:
         tokens.append(int(token))
     pos += 1  # single whitespace byte after maxval
     w, h, maxval = tokens
-    if maxval != 255:
-        raise FormatError(f"{path}: maxval {maxval}, need 255")
+    if not 1 <= maxval <= 65535:
+        raise FormatError(f"{path}: PGM maxval must be 1 to 65535, got {maxval}")
     if w < 1 or h < 1:
         raise FormatError(f"{path}: bad image extent {w}x{h}")
-    if len(buf) - pos < w * h:
+    wide = maxval > 255
+    size = w * h * (2 if wide else 1)
+    if len(buf) - pos < size:
         raise FormatError(f"{path}: truncated pixel payload")
-    if len(buf) - pos > w * h:
-        raise FormatError(f"{path}: {len(buf) - pos - w * h} bytes after the "
+    if len(buf) - pos > size:
+        raise FormatError(f"{path}: {len(buf) - pos - size} bytes after the "
                           f"{w}x{h} pixel payload")
-    return np.frombuffer(buf, dtype=np.uint8, count=w * h, offset=pos).reshape(h, w).copy()
+    samples = np.frombuffer(buf, dtype=">u2" if wide else np.uint8, count=w * h, offset=pos)
+    if samples.max() > maxval:
+        raise FormatError(f"{path}: PGM sample {samples.max()} exceeds maxval {maxval}")
+    return samples.astype(np.uint16 if wide else np.uint8).reshape(h, w), maxval
 
 
 def save_video_frames(dirpath: str, frames: np.ndarray) -> None:
@@ -351,8 +364,8 @@ def save_video_frames(dirpath: str, frames: np.ndarray) -> None:
         save_pgm(os.path.join(dirpath, FRAME_NAME % t), arr[t])
 
 
-def load_video_frames(dirpath: str) -> np.ndarray:
-    """Read frame_000000.pgm onward into a [T,H,W] uint8 stack."""
+def load_video_frames(dirpath: str) -> List[Tuple[np.ndarray, int]]:
+    """(samples, maxval) of frame_000000.pgm onward (see load_pgm), all of one extent."""
     found = {}
     for name in os.listdir(dirpath):
         m = FRAME_RE.match(name)
@@ -363,18 +376,18 @@ def load_video_frames(dirpath: str) -> np.ndarray:
     indices = sorted(found)
     if indices[0] != 0 or indices[-1] != len(indices) - 1:
         raise FormatError(f"{dirpath}: frame numbers must be contiguous from 0")
-    frames = [load_pgm(found[i]) for i in indices]
-    shape = frames[0].shape
-    for i, f in enumerate(frames):
+    frames = [_read_pgm(found[i]) for i in indices]
+    shape = frames[0][0].shape
+    for i, (f, _) in enumerate(frames):
         if f.shape != shape:
             raise FormatError(f"{dirpath}: frame {i} is {f.shape}, first frame is {shape}")
-    return np.stack(frames, axis=0)
+    return frames
 
 
 def load_video(path: str) -> np.ndarray:
-    """Float64 [T,H,W] frames in [0, 1]: a directory of 8-bit PGM frames over 255, or a tensor file."""
+    """Float64 [T,H,W] frames in [0, 1]: a directory of PGM frames, each over its own maxval, or a tensor file."""
     if os.path.isdir(path):
-        return load_video_frames(path) / 255.0
+        return np.stack([samples / float(maxval) for samples, maxval in load_video_frames(path)], axis=0)
     arr = load_mten(path).astype(np.float64)
     if arr.ndim != 3:
         raise FormatError(f"{path}: video tensor must be [T,H,W], got {arr.shape}")

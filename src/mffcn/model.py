@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -69,6 +70,9 @@ KERNELS = ((5, 5), (4, 4), (4, 4), (4, 4),
            (2, 2), (2, 2), (2, 2), (2, 2), (2, 2), (2, 2))
 AUDIO_STRIDES = ((2, 2), (1, 1), (2, 2), (1, 1), (2, 1),
                  (1, 1), (2, 1), (1, 1), (1, 5), (1, 1))
+# Built once: each layer call passes its spec rather than constructing one.
+AUDIO_SPECS = tuple(ConvSpec(s) for s in AUDIO_STRIDES)
+UNIT_SPEC = ConvSpec()
 VIDEO_POOLS = ((2, 4), (1, 2), (2, 2), (1, 1), (2, 1),
                (1, 1), (2, 1), (1, 1), (1, 5), (1, 1))
 N_LAYERS = 10
@@ -375,7 +379,7 @@ def encoder_layer_audio(x: Tensor, layer_idx: int, layer: EncoderLayerParams,
     if got != expected:
         raise ModelError(
             f"trace violation: audio layer {layer_idx} expects spatial {expected}, got {got}")
-    x = conv2d(x, layer.conv.weight, layer.conv.bias, ConvSpec(AUDIO_STRIDES[layer_idx - 1]))
+    x = conv2d(x, layer.conv.weight, layer.conv.bias, AUDIO_SPECS[layer_idx - 1])
     return norm_leaky(x, layer.norm.gamma, layer.norm.beta, layer.norm.state, mode)
 
 
@@ -386,7 +390,7 @@ def encoder_layer_video(x: Tensor, layer_idx: int, layer: EncoderLayerParams,
     if got != expected:
         raise ModelError(
             f"trace violation: video layer {layer_idx} expects spatial {expected}, got {got}")
-    x = conv2d(x, layer.conv.weight, layer.conv.bias, ConvSpec())
+    x = conv2d(x, layer.conv.weight, layer.conv.bias, UNIT_SPEC)
     pool = VIDEO_POOLS[layer_idx - 1]
     if pool != (1, 1):
         x = maxpool2d(x, pool)
@@ -462,7 +466,7 @@ class ForwardMemo:
             self.nodes[name] = (inputs, fn())
             return self.nodes[name][1]
         seen, out = self.nodes[name]
-        if name == self.owner or any(a is not b for a, b in zip(inputs, seen)):
+        if name == self.owner or not all(map(operator.is_, inputs, seen)):
             return fn()
         return out
 
@@ -486,11 +490,11 @@ def decoder_layer(x: Tensor, j: int, layer: DecoderLayerParams, skip: Optional[T
     enc_i = N_LAYERS + 1 - j
     if layer.skip_reduce is not None:
         x = conv2d(concat_channels([x, skip]), layer.skip_reduce.weight,
-                   layer.skip_reduce.bias, ConvSpec())
+                   layer.skip_reduce.bias, UNIT_SPEC)
     if layer.fusion is not None:
         x = fusion_block(video_feat, x, layer.fusion)
     x = conv_transpose2d(x, layer.deconv.weight, layer.deconv.bias,
-                         ConvSpec(AUDIO_STRIDES[enc_i - 1]), out_hw=AUDIO_HW_TRACE[enc_i - 1])
+                         AUDIO_SPECS[enc_i - 1], out_hw=AUDIO_HW_TRACE[enc_i - 1])
     if layer.norm is not None:
         x = norm_leaky(x, layer.norm.gamma, layer.norm.beta, layer.norm.state, mode)
     return x
@@ -568,7 +572,7 @@ def mffcn_forward(y: Tensor, v: Tensor, params: MffcnParams, mode: str = "train"
     if wiring.ib_reduce:
         x = _node(memo, "ib_reduce", (x, vv), lambda: conv2d(
             concat_channels([x, align_to_audio(vv, N_LAYERS)]),
-            params.ib_reduce.weight, params.ib_reduce.bias, ConvSpec()))
+            params.ib_reduce.weight, params.ib_reduce.bias, UNIT_SPEC))
     x = _node(memo, "bottleneck", (x,),
               lambda: bottleneck(x, params.bottleneck_attn, params.bottleneck_lstm))
     out = run_decoder(x, params.decoder, skips, video_feats, mode, memo=memo)

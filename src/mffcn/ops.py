@@ -29,6 +29,10 @@ weights reshaped, never copied ([C_out, C_in*kh*kw] and
 takes from them the product, cropped straight into its slice of the small
 side (conv2d's forward, conv_transpose2d's input gradient), and/or the
 weight gradient, gradient times columns summed over blocks (both ops).
+When one block covers a single sample on a grid without margins (a 1x1
+convolution at batch 1, say), the crop would copy every element in order,
+so _gather hands back the biased product itself, reshaped: a fresh array
+that shares no memory with the operands.
 _scatter, its adjoint, multiplies a grid-placed operand, adds the product
 back with col2im and crops the planes once (conv2d's input gradient,
 conv_transpose2d's forward). conv_transpose2d uses its weights unflipped:
@@ -153,6 +157,8 @@ class _Grid:
         self.s = self.hq * self.wq
         self.ph, self.pw = min(sh, kh), min(sw, kw)  # phases that hold kernel taps
         self.view = kernel == stride == (1, 1)  # the columns are the operand itself
+        # One sample on a grid without margins: a one-block product reshaped is the small side.
+        self.uncropped = b == 1 and (self.hq, self.wq) == (self.ho, self.wo)
         self.span = b * self.s + (kw - 1) // sw  # plane length; the tail keeps the last taps in bounds
         # Per phase: its plane (None without taps), the big side's rows and
         # columns in it, and where the first of them sits in the plane.
@@ -334,15 +340,20 @@ def _gather(mat: Optional[np.ndarray], planes: np.ndarray, g: _Grid, flip: bool 
     a short block loses to the later copy of the transposed part.
     """
     out = total = None
-    if mat is not None:
+    blocks = g.blocks(planes.shape[1] * math.prod(g.kernel) * planes.itemsize)
+    uncropped = g.uncropped and len(blocks) == 1
+    if mat is not None and not uncropped:
         out = np.empty((g.b, mat.shape[0], g.ho, g.wo), dtype=np.result_type(mat, planes))
-    for samples, rows, cols in g.blocks(planes.shape[1] * math.prod(g.kernel) * planes.itemsize):
+    for samples, rows, cols in blocks:
         columns = _columns(planes, g, cols, flip)
         if mat is not None:
             prod = mat @ columns
             if bias is not None:
                 prod += bias[:, None]  # on the contiguous product: the strided crop is then a plain copy
-            out[samples, :, rows] = g.crop(prod, samples, rows)
+            if uncropped:
+                out = prod.reshape(1, -1, g.ho, g.wo)  # the crop would copy every element in order
+            else:
+                out[samples, :, rows] = g.crop(prod, samples, rows)
         if small is not None:
             sc = small[:, cols]
             part = (columns @ sc.T).T if columns.shape[1] > columns.shape[0] else sc @ columns.T
@@ -527,8 +538,8 @@ def _norm_stats(op: str, x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNor
         state.mean[...] = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
         state.var[...] = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
     else:
-        mu = state.mean.astype(xd.dtype)
-        var = state.var.astype(xd.dtype)
+        mu = state.mean.astype(xd.dtype, copy=False)  # only read; norm_leaky copies it for a taped backward
+        var = state.var.astype(xd.dtype, copy=False)
     return xd, mu, 1.0 / np.sqrt(var + BN_EPS)
 
 
@@ -580,7 +591,10 @@ def norm_leaky(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         gb = g * np.maximum(np.sign(out), LEAKY_SLOPE)
         _norm_grads(gb, _normalize(xd, mu, inv), x, gamma, beta, inv, mode)
 
-    return record(Tensor(out), (x, gamma, beta), backward)
+    result = record(Tensor(out), (x, gamma, beta), backward)
+    if result.requires_grad and mu is state.mean:
+        mu = mu.copy()  # backward reads mu when it runs: keep this forward's mean, whatever updates the state
+    return result
 
 
 def _dense_data(op: str, xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray]) -> np.ndarray:

@@ -8,7 +8,11 @@ explicit BatchNorm running state, which lives outside tensors) mutates.
 
 Storage is float32 by default. float64 tensors are supported end to end and
 are what the gradient-check suites use; full reductions (sum, mean) always
-accumulate in 64-bit regardless of storage dtype.
+accumulate in 64-bit regardless of storage dtype. The constructor keeps an
+exact numpy array of either dtype as it is, so the tensor holds that very
+array; an ndarray subclass of either dtype (np.memmap, say) is viewed as a
+plain array, and anything else (lists, integer arrays, other byte orders) is
+converted to float32. Every construction scans the result for NaN and Inf.
 
 Trained parameters are views of one flat buffer (FlatParams, laid out when
 training starts), which Adam updates in place with whole-vector operations.
@@ -88,7 +92,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_tape", "_flat", "_grad_slot")
 
     def __init__(self, data, requires_grad: bool = False):
-        if isinstance(data, (np.ndarray, np.generic)) and data.dtype in FLOAT_DTYPES:
+        if type(data) is np.ndarray and data.dtype in FLOAT_DTYPES:
+            arr = data  # kept as it is: np.asarray would hand back this same object
+        elif isinstance(data, (np.ndarray, np.generic)) and data.dtype in FLOAT_DTYPES:
             arr = np.asarray(data)
         else:
             arr = np.asarray(data, dtype=DEFAULT_DTYPE)
@@ -221,9 +227,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     d = 1.0 + e
     # numerator 1 where x >= 0, else e (<= 1): the branch select without a mask copy
     y = np.maximum(e, x >= 0) / d
-    one = x.dtype.type(1.0)
-    np.clip(y, np.finfo(x.dtype).tiny, np.nextafter(one, 0), out=y)
-    return y
+    lo, hi = _SIGMOID_BOUNDS[x.dtype]
+    return np.minimum(np.maximum(y, lo, out=y), hi, out=y)  # np.clip's selects, without its wrappers
+
+
+# _sigmoid's clip bounds per float dtype: the smallest normal and the largest value below one.
+_SIGMOID_BOUNDS = {dt: (np.finfo(dt).tiny, np.nextafter(dt.type(1.0), 0)) for dt in FLOAT_DTYPES}
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -292,10 +301,11 @@ def flatten(tensors: Sequence[Tensor]) -> FlatParams:
 
 def record(out: Tensor, inputs: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
     """Register an executed op on the active tape if any input tracks grads."""
-    tape = active_tape()
-    if tape is None or not grad_enabled():
+    tapes = getattr(_tls, "tapes", None)  # active_tape() and grad_enabled(), read in one place
+    if not tapes or not getattr(_tls, "grad_enabled", True):
         return out
     if any(t.requires_grad for t in inputs):
+        tape = tapes[-1]
         out.requires_grad = True
         out._tape = tape
         tape._records.append((out, backward))

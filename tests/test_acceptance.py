@@ -4,6 +4,11 @@ Budgets are wall-clock on a desktop CPU. Every check recomputes what it
 verifies; nothing here trusts another test's output.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -17,7 +22,6 @@ from mffcn.metrics import run_ablation, stoi
 from mffcn.model import AUDIO_HW_TRACE, N_LAYERS, init_params, shape_trace
 from mffcn.tensor import Tensor, no_grad
 from mffcn.synth import clean_voice
-from mffcn.train import TrainConfig, synth_dataset, train
 
 REL_TOL = 1e-4          # gradient agreement, criteria 1
 WEIGHT_TOL = 1e-6       # attention weight closure, criterion 3
@@ -31,19 +35,45 @@ def _verdict(capsys, num: int, ok: bool, detail: str) -> None:
         print(f"CRITERION {num} {'PASS' if ok else 'FAIL'}  {detail}", flush=True)
 
 
+# One training of criterion 4's exact configuration: argv is the checkpoint path and
+# the JSON path for the loss history (float.hex) and the seconds it took.
+_OVERFIT_CHILD = """
+import json, sys, time
+from mffcn.train import TrainConfig, synth_dataset, train
+started = time.perf_counter()
+config = TrainConfig(steps=500, seed=0, learning_rate=0.0002, batch_size=4, width_divisor=8)
+result = train(config, synth_dataset(0, 4), checkpoint_path=sys.argv[1])
+with open(sys.argv[2], "w") as fh:
+    json.dump({"history": [x.hex() for x in result.loss_history],
+               "seconds": time.perf_counter() - started}, fh)
+"""
+
+
 @pytest.fixture(scope="module")
 def overfit_pair(tmp_path_factory):
-    """Criterion 4's exact configuration, run twice for criterion 8."""
+    """Criterion 4's exact configuration, run twice at once for criterion 8.
+
+    Each run is a child process with one BLAS thread, set before numpy
+    loads: training is bit-identical for a fixed BLAS thread count.
+    """
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = tmp_path_factory.mktemp("overfit")
+    children = {tag: subprocess.Popen([sys.executable, "-c", _OVERFIT_CHILD, str(out / f"{tag}.mffc"),
+                                       str(out / f"{tag}.json")], env=env, stderr=subprocess.PIPE, text=True)
+                for tag in ("first", "second")}
     runs = {}
-    for tag in ("first", "second"):
-        config = TrainConfig(steps=500, seed=0, learning_rate=0.0002,
-                             batch_size=4, width_divisor=8)
-        started = time.perf_counter()
-        data = synth_dataset(0, 4)
-        ck = tmp_path_factory.mktemp("overfit") / f"{tag}.mffc"
-        result = train(config, data, checkpoint_path=str(ck))
-        runs[tag] = (result.loss_history, ck.read_bytes(),
-                     time.perf_counter() - started)
+    try:
+        for tag, child in children.items():
+            _, err = child.communicate(timeout=1200)
+            assert child.returncode == 0, err
+            report = json.loads((out / f"{tag}.json").read_text())
+            runs[tag] = ([float.fromhex(x) for x in report["history"]],
+                         (out / f"{tag}.mffc").read_bytes(), report["seconds"])
+    finally:
+        for child in children.values():  # a failed or timed-out run leaves no training behind
+            child.kill()
+            child.wait(timeout=60)
     return runs
 
 
@@ -226,7 +256,7 @@ def test_criterion_8_determinism(capsys, overfit_pair):
     ok = same_history and same_checkpoint
     _verdict(capsys, 8, ok,
              f"loss history {'bit-identical' if same_history else 'DIFFERS'} "
-             f"({len(hist_a)} steps), checkpoint "
+             f"({len(hist_a)} steps, two processes), checkpoint "
              f"{'bit-identical' if same_checkpoint else 'DIFFERS'} "
              f"({len(bytes_a)} bytes)")
     assert same_history

@@ -2,6 +2,9 @@
 
 import csv
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -174,6 +177,17 @@ class TestTrainCommand:
                    "--out", str(tmp_path)])
         assert rc == 3
         assert capsys.readouterr().err.startswith("numeric failure: step ")
+
+    def test_numeric_abort_writes_one_line(self, tmp_path):
+        # A fresh interpreter, so numpy's warnings would reach stderr rather than pytest.
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        child = subprocess.run(
+            [sys.executable, "-m", "mffcn.cli", "train", "--width-divisor", "16", "--batch", "1",
+             "--steps", "2", "--lr", "1e30", "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=300)
+        assert child.returncode == 3
+        lines = child.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure: step 2: "), child.stderr
 
     def test_empty_data_dir_is_usage_error_whatever_its_name(self, tmp_path, capsys):
         data = tmp_path / "non-finite-data"
@@ -434,6 +448,12 @@ class TestExportSpec:
         img = load_mten(str(tmp_path / "p" / "s.mten"))
         assert img.shape == (80, 20)
         assert img.max() == 255.0
+
+    def test_sixteen_bit_pgm_to_mten(self, tmp_path, capsys):
+        (tmp_path / "w.pgm").write_bytes(b"P5\n2 1\n1000\n\x03\xe8\x01\x02")
+        assert main(["export-spec", str(tmp_path / "w.pgm"), "--out", str(tmp_path)]) == 0
+        assert load_mten(str(tmp_path / "w.mten")).tolist() == [[1000.0, 258.0]]
+        assert "0 to the PGM's maxval" in capsys.readouterr().out
 
     def test_unknown_extension(self, tmp_path):
         (tmp_path / "x.txt").write_text("hi")

@@ -172,6 +172,35 @@ def test_one_by_one_stride_one_columns_are_a_view():
     assert np.shares_memory(one, x)
 
 
+@pytest.mark.parametrize("kernel, stride, hw", [((1, 1), (1, 1), (5, 4)), ((2, 2), (2, 2), (6, 4))])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("taped", [False, True])
+def test_uncropped_product_is_the_cropped_output(kernel, stride, hw, dtype, taped):
+    # A one-sample grid without margins hands back its product; the crop it skips gives the same bytes.
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(1, 3) + hw).astype(dtype), requires_grad=taped)
+    w = Tensor(rng.normal(size=(4, 3) + kernel).astype(dtype), requires_grad=taped)
+    b = Tensor(rng.normal(size=4).astype(dtype), requires_grad=taped)
+    with Tape() as tape:
+        out = conv2d(x, w, b, ConvSpec(stride)).data
+    assert len(tape) == taped
+    g = _Grid(kernel, stride, 1, *hw)
+    assert g.uncropped
+    g.uncropped = False
+    want = ops._gather(w.data.reshape(4, -1), _phases(x.data, g), g, bias=b.data)[0]
+    assert out.shape == want.shape and out.dtype == want.dtype and out.flags.c_contiguous
+    assert out.tobytes() == want.tobytes()
+    assert not any(np.shares_memory(out, t.data) for t in (x, w, b))
+
+
+def test_only_one_sample_on_a_grid_without_margins_is_uncropped():
+    assert _Grid((1, 1), (1, 1), 1, 5, 4).uncropped
+    assert not _Grid((1, 1), (1, 1), 2, 5, 4).uncropped  # the batch sits between channels and space
+    assert not _Grid((3, 3), (1, 1), 1, 5, 4).uncropped  # padded margins are cropped off
+    assert not _Grid((3, 3), (2, 2), 1, 5, 4).uncropped  # a 7-row padded map is a 4-row grid for 3 rows
+    assert _Grid((1, 1), (2, 2), 1, 5, 4).uncropped  # a strided 1x1 grid has no margins
+
+
 def _whole_grid(g):
     """The grid columns of a one-block lowering: every column any block reads."""
     return slice(0, (g.b - 1) * g.s + g.ho * g.wq)

@@ -12,6 +12,7 @@ import pytest
 from mffcn import formats
 from mffcn.dsp import AudioClip
 from mffcn.formats import (
+    FRAME_NAME,
     FormatError,
     _mten_array,
     _read_mten,
@@ -284,12 +285,68 @@ class TestPgmAndVideo:
         with pytest.raises(FormatError, match=rf"bad\.pgm: PGM {field} is not a decimal number"):
             load_pgm(str(p))
 
+    def test_sixteen_bit_pgm_reads_big_endian_samples(self, tmp_path):
+        p = tmp_path / "w.pgm"
+        p.write_bytes(b"P5\n2 1\n1000\n\x03\xe8\x01\x02")
+        img = load_pgm(str(p))
+        assert img.dtype == np.uint16
+        assert img.tolist() == [[1000, 258]]
+
+    @pytest.mark.parametrize("maxval", [1, 100, 255, 256, 1000, 65535])
+    def test_video_scales_each_frame_by_its_maxval(self, tmp_path, maxval):
+        # one scene quantized at 8 bits and at this maxval loads to the same frames within
+        # both quantization steps: 1/255 from 255 on
+        scene = np.random.default_rng(maxval).uniform(0.0, 1.0, size=(3, 6, 5))
+        eight, other = tmp_path / "eight", tmp_path / "other"
+        save_video_frames(str(eight), np.round(scene * 255).astype(np.uint8))
+        other.mkdir()
+        for t, frame in enumerate(np.round(scene * maxval).astype(np.int64)):
+            path = other / (FRAME_NAME % t)
+            if maxval > 255:
+                _wide_pgm(path, frame, maxval)
+            else:
+                path.write_bytes(f"P5\n5 6\n{maxval}\n".encode("ascii") + frame.astype(np.uint8).tobytes())
+        got = load_video(str(other))
+        assert got.dtype == np.float64 and got.min() >= 0.0 and got.max() <= 1.0
+        assert np.abs(got - load_video(str(eight))).max() <= max(0.5 / maxval + 0.5 / 255, 1.0 / 255)
+        assert np.array_equal(got, np.round(scene * maxval) / maxval)
+
+    def test_video_frames_of_different_maxvals(self, tmp_path):
+        d = tmp_path / "vid"
+        d.mkdir()
+        (d / (FRAME_NAME % 0)).write_bytes(b"P5\n1 1\n255\n\xff")
+        _wide_pgm(d / (FRAME_NAME % 1), np.array([[500]]), 1000)
+        assert load_video(str(d)).tolist() == [[[1.0]], [[0.5]]]
+
+    @pytest.mark.parametrize("maxval", [0, 65536, 99999])
+    def test_pgm_rejects_maxval_out_of_range_by_name(self, tmp_path, maxval):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(f"P5\n2 2\n{maxval}\n".encode("ascii") + b"\x00" * 8)
+        with pytest.raises(FormatError, match=rf"bad\.pgm: PGM maxval must be 1 to 65535, got {maxval}"):
+            load_pgm(str(p))
+
+    @pytest.mark.parametrize("header, payload", [(b"P5\n2 1\n100\n", b"\x64\x65"),
+                                                 (b"P5\n2 1\n300\n", b"\x01\x2c\x01\x2d")])
+    def test_pgm_rejects_sample_above_maxval(self, tmp_path, header, payload):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(header + payload)
+        with pytest.raises(FormatError, match=r"bad\.pgm: PGM sample \d+ exceeds maxval"):
+            load_pgm(str(p))
+
+    def test_sixteen_bit_pgm_needs_two_bytes_a_sample(self, tmp_path):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(b"P5\n2 2\n256\n\x00\x01\x00\x02")
+        with pytest.raises(FormatError, match="truncated pixel payload"):
+            load_pgm(str(p))
+
     def test_video_directory_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         stack = rng.integers(0, 256, size=(5, 12, 10), dtype=np.uint8)
         d = str(tmp_path / "vid")
         save_video_frames(d, stack)
-        assert np.array_equal(load_video_frames(d), stack)
+        read = load_video_frames(d)
+        assert [maxval for _, maxval in read] == [255] * len(stack)
+        assert np.array_equal(np.stack([samples for samples, _ in read]), stack)
         frames = load_video(d)
         assert frames.dtype == np.float64
         assert np.array_equal(frames, stack / 255.0)
@@ -359,7 +416,15 @@ def _mffc_header(blob: bytes) -> list:
 
 
 def _pgm_header(blob: bytes) -> range:
-    return range(blob.index(b"255\n") + 4)
+    """The three header lines save_pgm and _wide_pgm write: magic, extents, maxval."""
+    return range(sum(len(line) + 1 for line in blob.split(b"\n", 3)[:3]))
+
+
+def _wide_pgm(path, samples: np.ndarray, maxval: int) -> None:
+    """A PGM with two-byte big-endian samples (maxval above 255)."""
+    h, w = samples.shape
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii") + samples.astype(">u2").tobytes())
 
 
 def _sweep_files(tmp_path):
@@ -370,12 +435,19 @@ def _sweep_files(tmp_path):
     save_mten(str(tmp_path / "t.mten"), rng.normal(size=(3, 4, 5)))
     save_model(str(tmp_path / "m.mffc"), init_params(0, FusionStrategy.MULTILAYER, 16))
     save_wav(str(tmp_path / "a.wav"), rng.uniform(-0.5, 0.5, size=1601))
-    save_pgm(str(tmp_path / "f.pgm"), rng.integers(0, 256, size=(6, 8), dtype=np.uint8))
+    # Each PGM holds its maxval, so a flip that lowers the maxval leaves a sample above it.
+    narrow = rng.integers(0, 256, size=(6, 8), dtype=np.uint8)
+    narrow[0, 0] = 255
+    save_pgm(str(tmp_path / "f.pgm"), narrow)
+    wide = rng.integers(0, 65536, size=(6, 8))
+    wide[0, 0] = 65535
+    _wide_pgm(tmp_path / "w.pgm", wide, 65535)
     files = []
     for name, loader, header in (("t.mten", load_mten, _mten_header),
                                  ("m.mffc", load_model, _mffc_header),
                                  ("a.wav", load_wav, lambda blob: range(44)),
-                                 ("f.pgm", load_pgm, _pgm_header)):
+                                 ("f.pgm", load_pgm, _pgm_header),
+                                 ("w.pgm", load_pgm, _pgm_header)):
         blob = (tmp_path / name).read_bytes()
         files.append((name, blob, loader, list(header(blob))))
     return files
@@ -429,7 +501,7 @@ class TestMalformedSweep:
                 for mask in [1 << b for b in range(8)] + rng.integers(1, 256, size=2).tolist():
                     old, new = blob[at], blob[at] ^ int(mask)
                     # in a PGM header one whitespace byte is as good as another
-                    if name == "f.pgm" and bytes([old]).isspace() and bytes([new]).isspace():
+                    if name.endswith(".pgm") and bytes([old]).isspace() and bytes([new]).isspace():
                         continue
                     bad = bytearray(blob)
                     bad[at] = new

@@ -26,6 +26,7 @@ from mffcn.tensor import (
     Tape,
     Tensor,
     TensorError,
+    _SIGMOID_BOUNDS,
     _sigmoid,
     no_grad,
 )
@@ -66,6 +67,41 @@ class TestTensorBasics:
     def test_rejects_zero_extent(self):
         with pytest.raises(ShapeError):
             Tensor(np.zeros((2, 0)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_an_exact_float_array(self, dtype):
+        a = np.arange(6, dtype=dtype).reshape(2, 3)
+        assert Tensor(a).data is a
+
+    @pytest.mark.parametrize("data", [[[0, 1], [2, 3]], np.arange(4).reshape(2, 2),
+                                      np.arange(4, dtype=np.uint8).reshape(2, 2),
+                                      np.arange(4, dtype=">f8").reshape(2, 2)],
+                             ids=["list", "int64", "uint8", "big-endian"])
+    def test_converts_what_is_not_a_native_float_array(self, data):
+        t = Tensor(data)
+        assert type(t.data) is np.ndarray and t.dtype == np.float32
+        assert t.data.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_converts_an_ndarray_subclass(self, tmp_path, dtype):
+        mm = np.memmap(tmp_path / "m.bin", dtype=dtype, mode="w+", shape=(2, 3))
+        mm[...] = np.arange(6).reshape(2, 3)
+        t = Tensor(mm)
+        assert type(t.data) is np.ndarray and t.dtype == dtype
+        assert t.data.tolist() == [[0, 1, 2], [3, 4, 5]]
+        mm[0, 0] = np.nan
+        with pytest.raises(NonFiniteError):
+            Tensor(mm)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kept_array_is_still_scanned(self, dtype):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFiniteError):
+                Tensor(np.array([[1.0, bad]], dtype=dtype))
+        with pytest.raises(ShapeError):
+            Tensor(np.empty((0, 3), dtype=dtype))
+        with pytest.raises(ShapeError):
+            Tensor([])
 
     def test_item_requires_single_element(self):
         with pytest.raises(ShapeError):
@@ -407,6 +443,14 @@ class TestActivationsAndGating:
     def test_sigmoid_at_zero(self):
         assert sigmoid(_t([0.0])).item() == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bounds_are_tiny_and_below_one(self, dtype):
+        lo, hi = _SIGMOID_BOUNDS[np.dtype(dtype)]
+        assert lo == np.finfo(dtype).tiny and lo.dtype == dtype
+        assert hi == np.nextafter(dtype(1.0), dtype(0.0)) and hi.dtype == dtype
+        y = _sigmoid(np.array([-1e4, 1e4], dtype=dtype))
+        assert y.tolist() == [lo, hi]
+
     def test_sigmoid_stays_inside_open_interval(self):
         y = sigmoid(_t([-500.0, 500.0]))
         assert 0.0 < y.data[0] and y.data[1] < 1.0
@@ -732,6 +776,38 @@ class TestNormLeaky:
 
         fused, reference = run(norm_leaky), run(composed.norm_leaky)
         assert [a.tobytes() for a in fused] == [b.tobytes() for b in reference]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_mode_reads_its_state_only(self, dtype):
+        rng = np.random.default_rng(4)
+        c = 3
+        x = Tensor(rng.normal(size=(2, c, 4, 3)).astype(dtype), requires_grad=True)
+        gamma, beta = (Tensor(rng.normal(size=c).astype(dtype), requires_grad=True) for _ in range(2))
+        state = BatchNormState(rng.normal(size=c).astype(dtype), rng.uniform(0.5, 2.0, size=c).astype(dtype))
+        mean, var = state.mean.copy(), state.var.copy()
+        with Tape() as tape:
+            out = norm_leaky(x, gamma, beta, state, "eval")
+            tape.backward(out.sum())
+        assert state.mean.tobytes() == mean.tobytes() and state.var.tobytes() == var.tobytes()
+        for arr in (out.data, x.grad, gamma.grad, beta.grad):
+            assert not np.shares_memory(arr, state.mean) and not np.shares_memory(arr, state.var)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_backward_keeps_the_statistics_of_its_forward(self, dtype):
+        rng = np.random.default_rng(5)
+        xd, gd, bd = rng.normal(size=(2, 3, 4, 4)), rng.uniform(0.5, 1.5, 3), rng.normal(size=3)
+
+        def grads(update_between):
+            x, gamma, beta = (Tensor(a.astype(dtype), requires_grad=True) for a in (xd, gd, bd))
+            state = BatchNormState(np.full(3, 0.3, dtype=dtype), np.full(3, 2.0, dtype=dtype))
+            with Tape() as tape:
+                out = norm_leaky(x, gamma, beta, state, "eval")
+                if update_between:  # a train-mode call folds a batch into the running state
+                    norm_leaky(Tensor((xd + 5.0).astype(dtype)), gamma, beta, state, "train")
+                tape.backward((out * out).sum())
+            return [t.grad.tobytes() for t in (x, gamma, beta)]
+
+        assert grads(True) == grads(False)
 
     def test_one_record(self):
         rng = np.random.default_rng(3)
