@@ -15,6 +15,7 @@ import numpy as np
 from .dsp import (
     SAMPLE_RATE,
     SEG_VIDEO_FRAMES,
+    VIDEO_HW,
     AudioClip,
     DspError,
     VideoSegment,
@@ -25,6 +26,7 @@ from .dsp import (
 from .formats import (
     FormatError,
     export_spectrogram,
+    load_csv,
     load_mten,
     load_pgm,
     load_video,
@@ -34,9 +36,11 @@ from .formats import (
 from .gradcheck import DEFAULT_SEEDS, REL_TOL, run_model_check, run_op_suite
 from .metrics import MetricError, ablation_to_csv, evaluate_params, format_ablation, run_ablation
 from .model import (
+    AUDIO_STRIDES,
+    KERNELS,
+    VIDEO_POOLS,
     FusionStrategy,
     ModelError,
-    N_LAYERS,
     WIDTH_DIVISORS,
     enhance_segments,
     load_model,
@@ -199,8 +203,7 @@ def cmd_trace_shapes(args) -> int:
           f"{'audio':>12} {'video':>12}")
     print(f"{'in':>5}  {'':>7} {'':>7} {'':>7}   "
           f"{fmt(trace['audio'][0]):>12} {fmt(trace['video'][0]):>12}")
-    for i in range(1, N_LAYERS + 1):
-        k, s, pl = trace["kernels"][i - 1], trace["audio_strides"][i - 1], trace["video_pools"][i - 1]
+    for i, (k, s, pl) in enumerate(zip(KERNELS, AUDIO_STRIDES, VIDEO_POOLS), start=1):
         print(f"{i:>5}  {fmt(k):>7} {fmt(s):>7} {fmt(pl):>7}   "
               f"{fmt(trace['audio'][i]):>12} {fmt(trace['video'][i]):>12}")
     print("decoder:", "  ".join(fmt(s) for s in trace["decoder"]))
@@ -238,10 +241,10 @@ def cmd_train(args) -> int:
 
 
 def _video_unit_frames(path: str) -> np.ndarray:
-    """The video's [0, 1] frames (see formats.load_video), resized to 80x80."""
+    """The video's [0, 1] frames (see formats.load_video), resized to VIDEO_HW."""
     frames = load_video(path)
-    if frames.shape[1:] != (80, 80):
-        frames = np.stack([bilinear_resize(f, 80, 80) for f in frames])
+    if frames.shape[1:] != VIDEO_HW:
+        frames = np.stack([bilinear_resize(f, *VIDEO_HW) for f in frames])
     return np.clip(frames, 0.0, 1.0)
 
 
@@ -327,6 +330,8 @@ def cmd_export_spec(args) -> int:
     stem = os.path.splitext(os.path.basename(args.input))[0]
     if args.input.endswith(".mten"):
         arr = load_mten(args.input)
+        if arr.ndim != 2:
+            raise FormatError(f"{args.input}: a spectrogram must be 2-D, got shape {arr.shape}")
         pgm, csv_path = export_spectrogram(os.path.join(args.out, stem), arr)
         print(f"wrote {pgm} and {csv_path}")
     elif args.input.endswith(".pgm"):
@@ -334,9 +339,8 @@ def cmd_export_spec(args) -> int:
         save_mten(out, load_pgm(args.input).astype(np.float32))
         print(f"wrote {out} (raw pixel values, 0 to the PGM's maxval; scale not recovered)")
     elif args.input.endswith(".csv"):
-        arr = np.loadtxt(args.input, delimiter=",", dtype=np.float64, ndmin=2)
         out = os.path.join(args.out, stem + ".mten")
-        save_mten(out, arr)
+        save_mten(out, load_csv(args.input))
         print(f"wrote {out}")
     else:
         raise FormatError(f"{args.input}: expected a .mten, .pgm, or .csv file")

@@ -409,6 +409,37 @@ def save_loss_csv(path: str, losses: Sequence[float]) -> None:
             writer.writerow([i, repr(float(value))])
 
 
+def load_csv(path: str) -> np.ndarray:
+    """A comma-separated table of numbers as a 2-D float32 array, skipping blank lines.
+
+    Each value is parsed as a float64 and then rounded to float32, as
+    save_mten would round it.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
+    if not rows:
+        raise FormatError(f"{path}: CSV holds no values")
+    width = len(rows[0][1])
+    values = []
+    for line, row in rows:
+        if len(row) != width:
+            raise FormatError(f"{path}: line {line} has {len(row)} values, the first row {width}")
+        for col, text in enumerate(row, start=1):
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise FormatError(f"{path}: line {line}, column {col}: {text!r} is not a number") from None
+    with np.errstate(over="ignore"):
+        arr = np.array(values).reshape(len(rows), width).astype(np.float32)
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        r, c = bad[0]
+        raise FormatError(f"{path}: line {rows[r][0]}, column {c + 1}: "
+                          f"{rows[r][1][c]!r} is not a finite float32 value")
+    return arr
+
+
 def export_spectrogram(base_path: str, spect: np.ndarray) -> Tuple[str, str]:
     """Write a 2-D spectrogram as a min-max scaled PGM plus a raw-value CSV.
 

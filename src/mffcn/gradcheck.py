@@ -399,7 +399,8 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
     """
     # Imported here: the model layer depends on this module's clients, and
     # the per-op suite should stay usable without pulling in the full graph.
-    from .model import ForwardMemo, FusionStrategy, _build, init_params, mffcn_forward
+    from .model import (AUDIO_IN, VIDEO_IN, ForwardMemo, FusionStrategy, _build, init_params,
+                        mffcn_forward)
 
     if strategy is None:
         strategy = FusionStrategy.MULTILAYER
@@ -410,17 +411,14 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
     for name, t in params.named:
         if name.endswith(".bias") or name.endswith(".beta"):
             t.data[...] = rng.uniform(-0.05, 0.05, size=t.data.shape)
-    y = Tensor(0.5 * rng.standard_normal((1, 1, 80, 20)))
-    v = Tensor(rng.uniform(0.0, 1.0, size=(1, 5, 80, 80)))
-    target = Tensor(0.5 * rng.standard_normal((1, 1, 80, 20)))
+    y = Tensor(0.5 * rng.standard_normal((1,) + AUDIO_IN))
+    v = Tensor(rng.uniform(0.0, 1.0, size=(1,) + VIDEO_IN))
+    target = Tensor(0.5 * rng.standard_normal((1,) + AUDIO_IN))
 
     def build(args: Sequence[Tensor]):
         it = iter(args)
-        rebuilt, _ = _build(
-            strategy, width_divisor,
-            lambda name, shape, kind: next(it),
-            lambda name, channels: BatchNormState.initial(channels, dtype=np.float64))
-        return rebuilt
+        return _build(strategy, width_divisor, lambda name, shape, kind: next(it),
+                      lambda name, channels: BatchNormState.initial(channels, dtype=np.float64))
 
     def loss(model, memo=None) -> Tensor:
         diff = mffcn_forward(y, v, model, mode="eval", memo=memo) - target

@@ -29,6 +29,12 @@ the bottleneck).
 All channel widths (and the bottleneck LSTM width) divide by a constructor
 parameter so a width-16 clone stays small enough for finite-difference
 verification of the whole graph.
+
+Shapes are checked once, at mffcn_forward's entry (_check_model_inputs);
+from there the fixed schedule fixes every intermediate shape, so the layer
+helpers check nothing themselves, and each op still refuses an input it
+cannot take with a ShapeError naming the op. shape_trace reads its tables
+off the same schedule, with no tensor allocated.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from .attention import (
     fusion_block,
     spectral_attention,
 )
-from .dsp import MelSegment, VideoSegment
+from .dsp import N_MELS, SEG_FRAMES, SEG_VIDEO_FRAMES, VIDEO_HW, MelSegment, VideoSegment
 from .formats import FormatError, load_checkpoint, save_checkpoint
 from .ops import (
     BatchNormState,
@@ -79,8 +85,8 @@ N_LAYERS = 10
 # Most segments per inference forward: the batch whose memory the full-width
 # benchmark measures.
 INFER_CHUNK = 8
-AUDIO_IN = (1, 80, 20)
-VIDEO_IN = (5, 80, 80)
+AUDIO_IN = (1, N_MELS, SEG_FRAMES)
+VIDEO_IN = (SEG_VIDEO_FRAMES,) + VIDEO_HW
 
 
 class ModelError(ValueError):
@@ -189,51 +195,35 @@ WIRINGS: Dict[FusionStrategy, Wiring] = {
 
 
 def _build(strategy: FusionStrategy, width_divisor: int,
-           tensor_factory: Optional[Callable[[str, tuple, str], Optional[Tensor]]],
-           state_factory: Optional[Callable[[str, int], Optional[BatchNormState]]],
-           ) -> Tuple[MffcnParams, List[Tuple[str, tuple, str]]]:
+           tensor_factory: Callable[[str, tuple, str], Tensor],
+           state_factory: Callable[[str, int], BatchNormState]) -> MffcnParams:
     """Single definition of the parameter topology.
 
-    The factories may be None, in which case only the recorded name/shape
-    list is meaningful (symbolic mode for counting and validation). Kinds:
-    'conv' and 'deconv' and 'fc' are fan-in-initialized weights, 'zeros' and
-    'ones' are constant-initialized vectors.
+    tensor_factory(name, shape, kind) makes each trainable tensor, in
+    parameter and checkpoint order. Kinds: 'conv', 'deconv' and 'fc' are
+    fan-in-initialized weights, 'zeros' and 'ones' are constant-initialized
+    vectors. state_factory(name, channels) makes each batch-norm state.
+    parameter_shapes passes factories that only record and return None.
     """
     widths = scaled_filters(width_divisor)
     wiring = WIRINGS[strategy]
-    recorded: List[Tuple[str, tuple, str]] = []
     named: List[Tuple[str, Tensor]] = []
     named_states: List[Tuple[str, BatchNormState]] = []
 
-    def tensor(name: str, shape: tuple, kind: str) -> Optional[Tensor]:
-        recorded.append((name, shape, kind))
-        if tensor_factory is None:
-            return None
+    def tensor(name: str, shape: tuple, kind: str) -> Tensor:
         t = tensor_factory(name, shape, kind)
         named.append((name, t))
         return t
 
-    def state(name: str, channels: int) -> Optional[BatchNormState]:
-        if state_factory is None:
-            return None
+    def state(name: str, channels: int) -> BatchNormState:
         st = state_factory(name, channels)
         named_states.append((name, st))
         return st
 
-    def conv_p(prefix: str, c_out: int, c_in: int, kernel: Tuple[int, int]) -> ConvParams:
-        return ConvParams(
-            weight=tensor(f"{prefix}.weight", (c_out, c_in) + kernel, "conv"),
-            bias=tensor(f"{prefix}.bias", (c_out,), "zeros"))
-
-    def deconv_p(prefix: str, c_in: int, c_out: int, kernel: Tuple[int, int]) -> ConvParams:
-        return ConvParams(
-            weight=tensor(f"{prefix}.weight", (c_in, c_out) + kernel, "deconv"),
-            bias=tensor(f"{prefix}.bias", (c_out,), "zeros"))
-
-    def dense_p(prefix: str, c_out: int, c_in: int) -> ConvParams:
-        return ConvParams(
-            weight=tensor(f"{prefix}.weight", (c_out, c_in), "fc"),
-            bias=tensor(f"{prefix}.bias", (c_out,), "zeros"))
+    def affine(prefix: str, shape: tuple, kind: str) -> ConvParams:
+        """A weight and its zero bias, one entry per output channel."""
+        return ConvParams(weight=tensor(f"{prefix}.weight", shape, kind),
+                          bias=tensor(f"{prefix}.bias", (shape[kind == "deconv"],), "zeros"))
 
     def norm_p(prefix: str, channels: int) -> NormParams:
         return NormParams(
@@ -241,15 +231,17 @@ def _build(strategy: FusionStrategy, width_divisor: int,
             beta=tensor(f"{prefix}.beta", (channels,), "zeros"),
             state=state(prefix, channels))
 
+    def spectral_p(prefix: str, c: int) -> SpectralParams:
+        return SpectralParams(hidden=affine(f"{prefix}.spectral_hidden", (c, c, 1, 1), "conv"),
+                              mask=affine(f"{prefix}.spectral_mask", (c, c, 1, 1), "conv"))
+
     def fusion_p(prefix: str, c: int) -> FusionParams:
         return FusionParams(
-            concat_reduce=conv_p(f"{prefix}.concat_reduce", c, 2 * c, (1, 1)),
-            fc_v=dense_p(f"{prefix}.fc_v", c, c),
-            fc_a=dense_p(f"{prefix}.fc_a", c, c),
-            post_weight=conv_p(f"{prefix}.post_weight", c, 2 * c, (1, 1)),
-            spectral=SpectralParams(
-                hidden=conv_p(f"{prefix}.spectral_hidden", c, c, (1, 1)),
-                mask=conv_p(f"{prefix}.spectral_mask", c, c, (1, 1))))
+            concat_reduce=affine(f"{prefix}.concat_reduce", (c, 2 * c, 1, 1), "conv"),
+            fc_v=affine(f"{prefix}.fc_v", (c, c), "fc"),
+            fc_a=affine(f"{prefix}.fc_a", (c, c), "fc"),
+            post_weight=affine(f"{prefix}.post_weight", (c, 2 * c, 1, 1), "conv"),
+            spectral=spectral_p(prefix, c))
 
     def lstm_p(prefix: str, hidden: int, feat: int) -> LstmLayerParams:
         gates = []
@@ -262,10 +254,10 @@ def _build(strategy: FusionStrategy, width_divisor: int,
         return LstmLayerParams(*gates)
 
     def encoder_p(branch: str, c_in: int, n_layers: int) -> List[EncoderLayerParams]:
+        channels = (c_in,) + widths
         return [EncoderLayerParams(
-            conv=conv_p(f"{branch}.{i}.conv", widths[i - 1],
-                        c_in if i == 1 else widths[i - 2], KERNELS[i - 1]),
-            norm=norm_p(f"{branch}.{i}.bn", widths[i - 1]))
+            conv=affine(f"{branch}.{i}.conv", (channels[i], channels[i - 1]) + KERNELS[i - 1], "conv"),
+            norm=norm_p(f"{branch}.{i}.bn", channels[i]))
             for i in range(1, n_layers + 1)]
 
     audio_enc = encoder_p("audio_enc", AUDIO_IN[0], N_LAYERS)
@@ -273,32 +265,30 @@ def _build(strategy: FusionStrategy, width_divisor: int,
     fusion = {i: fusion_p(f"fusion.{i}", widths[i - 1]) for i in wiring.fuse}
 
     bottleneck_c = widths[-1]
-    bottleneck_attn = SpectralParams(
-        hidden=conv_p("bottleneck.attn.spectral_hidden", bottleneck_c, bottleneck_c, (1, 1)),
-        mask=conv_p("bottleneck.attn.spectral_mask", bottleneck_c, bottleneck_c, (1, 1)))
+    bottleneck_attn = spectral_p("bottleneck.attn", bottleneck_c)
     bottleneck_lstm = [lstm_p(f"bottleneck.lstm.{k}", bottleneck_c, bottleneck_c)
                        for k in (1, 2)]
 
-    ib_reduce = (conv_p("ib_reduce", bottleneck_c, 2 * bottleneck_c, (1, 1))
+    ib_reduce = (affine("ib_reduce", (bottleneck_c, 2 * bottleneck_c, 1, 1), "conv")
                  if wiring.ib_reduce else None)
 
+    channels = (AUDIO_IN[0],) + widths
     decoder = []
     for j in range(1, N_LAYERS + 1):
         enc_i = N_LAYERS + 1 - j
-        c_here = widths[enc_i - 1]
-        c_out = AUDIO_IN[0] if enc_i == 1 else widths[enc_i - 2]
+        c_here, c_out = channels[enc_i], channels[enc_i - 1]
         # creation order is parameter and checkpoint order: skip projection,
         # fusion block, deconv, norm
-        skip_reduce = (conv_p(f"decoder.{j}.skip_reduce", c_here, 2 * c_here, (1, 1))
+        skip_reduce = (affine(f"decoder.{j}.skip_reduce", (c_here, 2 * c_here, 1, 1), "conv")
                        if wiring.skips else None)
         dec_fusion = fusion_p(f"decoder_fusion.{j}", c_here) if wiring.decoder_fusion else None
         decoder.append(DecoderLayerParams(
-            deconv=deconv_p(f"decoder.{j}.deconv", c_here, c_out, KERNELS[enc_i - 1]),
+            deconv=affine(f"decoder.{j}.deconv", (c_here, c_out) + KERNELS[enc_i - 1], "deconv"),
             norm=None if enc_i == 1 else norm_p(f"decoder.{j}.bn", c_out),
             skip_reduce=skip_reduce,
             fusion=dec_fusion))
 
-    params = MffcnParams(
+    return MffcnParams(
         strategy=strategy,
         width_divisor=width_divisor,
         audio_enc=audio_enc,
@@ -310,14 +300,14 @@ def _build(strategy: FusionStrategy, width_divisor: int,
         decoder=decoder,
         named=named,
         named_states=named_states)
-    return params, recorded
 
 
 def parameter_shapes(strategy: FusionStrategy, width_divisor: int = 1
                      ) -> List[Tuple[str, tuple, str]]:
     """Ordered (name, shape, kind) for every trainable tensor, no allocation."""
-    _, recorded = _build(strategy, width_divisor, None, None)
-    return recorded
+    shapes: List[Tuple[str, tuple, str]] = []
+    _build(strategy, width_divisor, lambda *entry: shapes.append(entry), lambda name, channels: None)
+    return shapes
 
 
 def parameter_count(strategy: FusionStrategy, width_divisor: int = 1) -> int:
@@ -325,13 +315,8 @@ def parameter_count(strategy: FusionStrategy, width_divisor: int = 1) -> int:
 
 
 def _fan_in(shape: tuple, kind: str) -> int:
-    if kind == "conv":
-        return int(np.prod(shape[1:]))
-    if kind == "deconv":
-        return shape[0] * int(np.prod(shape[2:]))
-    if kind == "fc":
-        return shape[1]
-    raise ModelError(f"kind {kind!r} has no fan-in")
+    """Inputs per output unit: every axis but the output-channel one (axis 1 of a deconv)."""
+    return math.prod(shape) // shape[kind == "deconv"]
 
 
 def init_params(seed: int, strategy: FusionStrategy = FusionStrategy.MULTILAYER,
@@ -357,28 +342,16 @@ def init_params(seed: int, strategy: FusionStrategy = FusionStrategy.MULTILAYER,
     def state_factory(name: str, channels: int) -> BatchNormState:
         return BatchNormState.initial(channels, dtype=dtype)
 
-    params, _ = _build(strategy, width_divisor, tensor_factory, state_factory)
-    return params
+    return _build(strategy, width_divisor, tensor_factory, state_factory)
 
 
 # ----------------------------------------------------------------------------
 # Forward graph
 # ----------------------------------------------------------------------------
 
-def _spatial(t: Tensor, helper: str) -> Tuple[int, int]:
-    """The map's (H, W), once it is checked to be a [B,C,H,W] batch."""
-    if t.ndim != 4:
-        raise ModelError(f"{helper}: expected a [B,C,H,W] map with its batch axis, got {t.dims}")
-    return t.dims[-2], t.dims[-1]
-
-
 def encoder_layer_audio(x: Tensor, layer_idx: int, layer: EncoderLayerParams,
                         mode: str = "train") -> Tensor:
     """Strided conv, batch norm, leaky relu."""
-    expected, got = AUDIO_HW_TRACE[layer_idx - 1], _spatial(x, "encoder_layer_audio")
-    if got != expected:
-        raise ModelError(
-            f"trace violation: audio layer {layer_idx} expects spatial {expected}, got {got}")
     x = conv2d(x, layer.conv.weight, layer.conv.bias, AUDIO_SPECS[layer_idx - 1])
     return norm_leaky(x, layer.norm.gamma, layer.norm.beta, layer.norm.state, mode)
 
@@ -386,10 +359,6 @@ def encoder_layer_audio(x: Tensor, layer_idx: int, layer: EncoderLayerParams,
 def encoder_layer_video(x: Tensor, layer_idx: int, layer: EncoderLayerParams,
                         mode: str = "train") -> Tensor:
     """Stride-1 conv, max pool by the layer's tuple, batch norm, leaky relu."""
-    expected, got = VIDEO_HW_TRACE[layer_idx - 1], _spatial(x, "encoder_layer_video")
-    if got != expected:
-        raise ModelError(
-            f"trace violation: video layer {layer_idx} expects spatial {expected}, got {got}")
     x = conv2d(x, layer.conv.weight, layer.conv.bias, UNIT_SPEC)
     pool = VIDEO_POOLS[layer_idx - 1]
     if pool != (1, 1):
@@ -402,9 +371,9 @@ def align_to_audio(v_feat: Tensor, layer_idx: int) -> Tensor:
 
     The two traces only disagree at layer 1 (video keeps twice the width);
     the ratio is always an exact integer (a test checks the traces), so a
-    max pool closes the gap.
+    max pool closes the gap. At every other layer the feature comes back
+    as it is.
     """
-    _spatial(v_feat, "align_to_audio")
     vh, vw = VIDEO_HW_TRACE[layer_idx]
     ah, aw = AUDIO_HW_TRACE[layer_idx]
     if (vh, vw) == (ah, aw):
@@ -419,15 +388,8 @@ def bottleneck(x: Tensor, attn: SpectralParams, lstms: Sequence[LstmLayerParams]
     to aggregate is the 5-step frequency axis; hidden size equals the channel
     count, which keeps the output shape equal to the input shape.
     """
-    got = _spatial(x, "bottleneck")
-    if got != AUDIO_HW_TRACE[-1]:
-        raise ModelError(f"bottleneck expects spatial {AUDIO_HW_TRACE[-1]}, got {got}")
-    b, c = x.dims[:2]
-    if lstms[0].hidden_size != c or lstms[0].feature_size != c:
-        raise ModelError(
-            f"bottleneck LSTM is sized {lstms[0].hidden_size}, input has {c} channels")
     y = spectral_attention(x, attn)
-    steps = x.dims[2]
+    b, c, steps = x.dims[:3]
     seq = y.reshape(b, c, steps).permute(0, 2, 1)
     for layer in lstms:
         seq = lstm_forward(seq, layer)
@@ -486,7 +448,6 @@ def decoder_layer(x: Tensor, j: int, layer: DecoderLayerParams, skip: Optional[T
     block fuses video_feat in. The last layer is linear with a single output
     channel.
     """
-    _spatial(x, "decoder_layer")
     enc_i = N_LAYERS + 1 - j
     if layer.skip_reduce is not None:
         x = conv2d(concat_channels([x, skip]), layer.skip_reduce.weight,
@@ -610,26 +571,19 @@ def enhance_segments(noisy: Sequence[MelSegment], videos: Sequence[VideoSegment]
 # ----------------------------------------------------------------------------
 
 def shape_trace(width_divisor: int = 1) -> dict:
-    """Layer-by-layer shape tables derived purely from the schedule."""
+    """Layer-by-layer (C, H, W) tables read off the schedule.
+
+    Entry i of audio and video is the map after layer i, entry 0 the input.
+    Decoder layer j ends at the input of encoder layer 11-j, so the decoder
+    table is the audio table reversed, without its last entry.
+    """
     widths = scaled_filters(width_divisor)
-    audio = [AUDIO_IN[:1] + AUDIO_HW_TRACE[0]]
-    video = [VIDEO_IN[:1] + VIDEO_HW_TRACE[0]]
-    for i in range(1, N_LAYERS + 1):
-        audio.append((widths[i - 1],) + AUDIO_HW_TRACE[i])
-        video.append((widths[i - 1],) + VIDEO_HW_TRACE[i])
-    decoder = []
-    for j in range(1, N_LAYERS + 1):
-        enc_i = N_LAYERS + 1 - j
-        c_out = AUDIO_IN[0] if enc_i == 1 else widths[enc_i - 2]
-        decoder.append((c_out,) + AUDIO_HW_TRACE[enc_i - 1])
+    audio = [(c,) + hw for c, hw in zip((AUDIO_IN[0],) + widths, AUDIO_HW_TRACE)]
+    video = [(c,) + hw for c, hw in zip((VIDEO_IN[0],) + widths, VIDEO_HW_TRACE)]
     return {
-        "width_divisor": width_divisor,
         "audio": audio,
         "video": video,
-        "decoder": decoder,
-        "kernels": list(KERNELS),
-        "audio_strides": list(AUDIO_STRIDES),
-        "video_pools": list(VIDEO_POOLS),
+        "decoder": audio[-2::-1],
         "parameter_counts": {
             s.value: parameter_count(s, width_divisor) for s in FusionStrategy
         },
@@ -696,7 +650,7 @@ def load_model(path: str) -> MffcnParams:
                 raise non_finite(f"{name}.{stat}")
         return BatchNormState(mean=mean.copy(), var=var.copy())
 
-    params, _ = _build(strategy, width_divisor, tensor_factory, state_factory)
+    params = _build(strategy, width_divisor, tensor_factory, state_factory)
     if entries:
         extra = ", ".join(sorted(entries)[:5])
         raise FormatError(f"{path}: checkpoint holds unknown entries: {extra}")

@@ -46,6 +46,25 @@ class TestTraceShapes:
         assert main(["trace-shapes", "--width-divisor", "16"]) == 0
         assert "64x5x1" in capsys.readouterr().out
 
+    def test_scaled_output_pinned(self, capsys):
+        assert main(["trace-shapes", "--width-divisor", "16"]) == 0
+        assert capsys.readouterr().out == """\
+layer   kernel  stride    pool          audio        video
+   in                                 1x80x20      5x80x80
+    1      5x5     2x2     2x4        4x40x10      4x40x20
+    2      4x4     1x1     1x2        4x40x10      4x40x10
+    3      4x4     2x2     2x2         8x20x5       8x20x5
+    4      4x4     1x1     1x1         8x20x5       8x20x5
+    5      2x2     2x1     2x1        16x10x5      16x10x5
+    6      2x2     1x1     1x1        16x10x5      16x10x5
+    7      2x2     2x1     2x1         32x5x5       32x5x5
+    8      2x2     1x1     1x1         32x5x5       32x5x5
+    9      2x2     1x5     1x5         64x5x1       64x5x1
+   10      2x2     1x1     1x1         64x5x1       64x5x1
+decoder: 64x5x1  32x5x5  32x5x5  16x10x5  16x10x5  8x20x5  8x20x5  4x40x10  4x40x10  1x80x20
+parameters: early=144,625  late=212,405  mid-bottleneck=187,509  mid-decoder=268,037  multilayer=290,109
+"""
+
 
 class TestGradcheckCommand:
     @pytest.fixture()
@@ -454,6 +473,34 @@ class TestExportSpec:
         assert main(["export-spec", str(tmp_path / "w.pgm"), "--out", str(tmp_path)]) == 0
         assert load_mten(str(tmp_path / "w.mten")).tolist() == [[1000.0, 258.0]]
         assert "0 to the PGM's maxval" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name, text, defect", [
+        ("empty.csv", "", "CSV holds no values"),
+        ("nan.csv", "1,nan\n", "line 1, column 2: 'nan' is not a finite float32 value"),
+        ("big.csv", "1,2\n3,1e39\n", "line 2, column 2: '1e39' is not a finite float32 value"),
+        ("ragged.csv", "1,2\n3\n", "line 2 has 1 values, the first row 2"),
+        ("alpha.csv", "1,2\n\n3,a\n", "line 3, column 2: 'a' is not a number"),
+    ], ids=["empty", "nan", "big", "ragged", "alpha"])
+    def test_bad_csv_refused_by_name(self, tmp_path, capsys, name, text, defect):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["export-spec", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {defect}\n"
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_spectrogram_of_another_rank_refused_by_name(self, tmp_path, capsys, shape):
+        path = tmp_path / "s.mten"
+        save_mten(str(path), np.ones(shape, dtype=np.float32))
+        assert main(["export-spec", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: a spectrogram must be 2-D, got shape {shape}\n")
+
+    def test_csv_with_blank_lines_spaces_and_quotes(self, tmp_path):
+        (tmp_path / "s.csv").write_text('1.5, 2\n\n"3",-4e-3\n')
+        assert main(["export-spec", str(tmp_path / "s.csv"), "--out", str(tmp_path)]) == 0
+        assert load_mten(str(tmp_path / "s.mten")).tolist() == (
+            np.array([[1.5, 2.0], [3.0, -4e-3]], dtype=np.float32).tolist())
 
     def test_unknown_extension(self, tmp_path):
         (tmp_path / "x.txt").write_text("hi")

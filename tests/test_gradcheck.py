@@ -337,10 +337,9 @@ def recorded_check():
 
     def fresh(params):
         it = iter([Tensor(t.data.copy()) for _, t in params.named])
-        rebuilt, _ = model._build(
+        return model._build(
             params.strategy, params.width_divisor, lambda name, shape, kind: next(it),
             lambda name, channels: BatchNormState.initial(channels, dtype=np.float64))
-        return rebuilt
 
     def watched(y, v, params, mode="train", **kwargs):
         out = original(y, v, params, mode=mode, **kwargs)

@@ -1,5 +1,6 @@
 """Network graph tests: traces, wirings, attention math, checkpoints."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -42,7 +43,7 @@ from mffcn.model import (
     shape_trace,
 )
 from mffcn import model as model_module
-from mffcn.tensor import NonFiniteError, Tape, Tensor, no_grad
+from mffcn.tensor import NonFiniteError, ShapeError, Tape, Tensor, no_grad
 
 import composed
 
@@ -123,6 +124,30 @@ class TestParameterAccounting:
             names = [n for n, _, _ in parameter_shapes(strategy, 8)]
             has = any(n.startswith("ib_reduce") for n in names)
             assert has == (strategy is FusionStrategy.INTERMEDIATE_BOTTLENECK)
+
+    # sha256 of save_model(init_params(0, wiring, 16)) and of the space-joined
+    # kind column of parameter_shapes(wiring, 16)
+    PINNED = {
+        FusionStrategy.EARLY: (
+            "0458e4a509e5734dfb8b7eb613838c7bfca2c17ebc2cdf46103630b1593d77f5", "adba09db6c7ee6e9"),
+        FusionStrategy.LATE: (
+            "fb0ae8a445647a12f5489d769a2e3632e68852fcf307a34066fc604b36f103b4", "5913af2b55cb50a6"),
+        FusionStrategy.INTERMEDIATE_BOTTLENECK: (
+            "cca58f4bd7551e3a9c1fa62f6f2c1372624eb9ade5f27a64d85f3921fa42f6e3", "76b693531b4a3626"),
+        FusionStrategy.INTERMEDIATE_DECODER: (
+            "0427bfebbde1375222facaac47d83dbe313133ae63dd1039862f16297a1a6808", "0d343565354c4340"),
+        FusionStrategy.MULTILAYER: (
+            "ec160c4a791a3a405a1bf8924655a1dfa23f4dd52e1ee225a31b523925eae4e9", "055dc66a7a58e9f8"),
+    }
+
+    @pytest.mark.parametrize("strategy", list(FusionStrategy), ids=lambda s: s.value)
+    def test_init_checkpoint_and_kinds_pinned(self, tmp_path, strategy):
+        path = str(tmp_path / "init.mffc")
+        save_model(path, init_params(0, strategy, 16))
+        with open(path, "rb") as fh:
+            checkpoint = hashlib.sha256(fh.read()).hexdigest()
+        kinds = " ".join(kind for _, _, kind in parameter_shapes(strategy, 16))
+        assert (checkpoint, hashlib.sha256(kinds.encode()).hexdigest()[:16]) == self.PINNED[strategy]
 
     def test_width_divisor_scales_conv_weights(self):
         full = dict((n, s) for n, s, _ in parameter_shapes(FusionStrategy.LATE, 1))
@@ -212,25 +237,21 @@ class TestForward:
         with pytest.raises(ModelError):
             mffcn_forward(yb, v, params)
 
-    def test_trace_violation_message(self):
-        params = init_params(0, FusionStrategy.LATE, 16)
-        wrong = Tensor(np.zeros((1, 4, 13, 13), dtype=np.float32))
-        with pytest.raises(ModelError, match="trace violation"):
-            encoder_layer_audio(wrong, 2, params.audio_enc[1])
-        with pytest.raises(ModelError, match="trace violation"):
-            encoder_layer_video(wrong, 2, params.video_enc[1])
-
-    @pytest.mark.parametrize("helper, call", [
-        ("encoder_layer_audio", lambda p, x: encoder_layer_audio(x, 10, p.audio_enc[9])),
-        ("encoder_layer_video", lambda p, x: encoder_layer_video(x, 10, p.video_enc[9])),
-        ("align_to_audio", lambda p, x: align_to_audio(x, 10)),
-        ("bottleneck", lambda p, x: bottleneck(x, p.bottleneck_attn, p.bottleneck_lstm)),
-        ("decoder_layer", lambda p, x: decoder_layer(x, 1, p.decoder[0], None, None)),
+    # The helpers trust mffcn_forward's entry check for extents; a map
+    # without its batch axis is refused by the first op it reaches.
+    @pytest.mark.parametrize("helper, op, call", [
+        ("encoder_layer_audio", "conv2d", lambda p, x: encoder_layer_audio(x, 10, p.audio_enc[9])),
+        ("encoder_layer_video", "conv2d", lambda p, x: encoder_layer_video(x, 10, p.video_enc[9])),
+        ("align_to_audio", "maxpool2d", lambda p, x: align_to_audio(x, 1)),
+        ("bottleneck", "spectral_attention",
+         lambda p, x: bottleneck(x, p.bottleneck_attn, p.bottleneck_lstm)),
+        ("decoder_layer", "conv_transpose2d",
+         lambda p, x: decoder_layer(x, 1, p.decoder[0], None, None)),
     ])
-    def test_layer_helpers_name_a_missing_batch_axis(self, helper, call):
+    def test_layer_helpers_name_a_missing_batch_axis(self, helper, op, call):
         params = init_params(0, FusionStrategy.LATE, 16)
         unbatched = Tensor(np.zeros((64, 5, 1), dtype=np.float32))
-        with pytest.raises(ModelError, match=rf"^{helper}: .*batch axis, got \(64, 5, 1\)"):
+        with pytest.raises(ShapeError, match=rf"^{op}: expected a \[B,C,H,W\] input, got \(64, 5, 1\)$"):
             call(params, unbatched)
 
     def test_align_pools_only_layer_one(self):
@@ -648,11 +669,8 @@ class TestBottleneck:
 
     def test_shape_guard(self):
         params = init_params(0, FusionStrategy.LATE, 16)
-        bad = Tensor(np.zeros((1, 64, 4, 1), dtype=np.float32))
-        with pytest.raises(ModelError):
-            bottleneck(bad, params.bottleneck_attn, params.bottleneck_lstm)
         thin = Tensor(np.zeros((1, 32, 5, 1), dtype=np.float32))
-        with pytest.raises(ModelError):
+        with pytest.raises(ShapeError, match="^spectral_attention: input channel axis is 32, weights expect 64$"):
             bottleneck(thin, params.bottleneck_attn, params.bottleneck_lstm)
 
 
