@@ -44,10 +44,6 @@ class TestTraceShapes:
 
     def test_scaled(self, capsys):
         assert main(["trace-shapes", "--width-divisor", "16"]) == 0
-        assert "64x5x1" in capsys.readouterr().out
-
-    def test_scaled_output_pinned(self, capsys):
-        assert main(["trace-shapes", "--width-divisor", "16"]) == 0
         assert capsys.readouterr().out == """\
 layer   kernel  stride    pool          audio        video
    in                                 1x80x20      5x80x80
