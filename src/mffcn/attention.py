@@ -83,8 +83,8 @@ def channel_attention(v: Tensor, a: Tensor, params: FusionParams,
     reduce, fc_v, fc_a, post = params.concat_reduce, params.fc_v, params.fc_a, params.post_weight
     merged, grid_in = _conv2d_data(op, np.concatenate([vd, ad], axis=1), reduce.weight.data,
                                    reduce.bias.data, (1, 1))
-    descriptor = merged.mean(axis=(2, 3), dtype=np.float64).astype(merged.dtype)
     merged_shape, (h, w) = merged.shape, merged.shape[2:]
+    descriptor = (np.add.reduce(merged, axis=(2, 3), dtype=np.float64) / (h * w)).astype(merged.dtype)
     diff = (_dense_data(op, descriptor, fc_v.weight.data, fc_v.bias.data)
             - _dense_data(op, descriptor, fc_a.weight.data, fc_a.bias.data))
     if not np.isfinite(diff).all():

@@ -477,13 +477,16 @@ def maxpool2d(x: Tensor, window: Tuple[int, int]) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         gxp = np.zeros_like(xp)
-        pending = np.ones(out.shape, dtype=bool)  # windows whose argmax is not yet found
+        hit = xp[:, :, ::wh, ::ww] == out
+        pending = ~hit  # windows whose argmax is not yet found
+        np.copyto(gxp[:, :, ::wh, ::ww], g, where=hit)
         for u in range(wh):
             for v in range(ww):
-                hit = xp[:, :, u::wh, v::ww] == out
-                hit &= pending
-                pending ^= hit
-                np.copyto(gxp[:, :, u::wh, v::ww], g, where=hit)
+                if u or v:
+                    np.equal(xp[:, :, u::wh, v::ww], out, out=hit)
+                    hit &= pending
+                    pending ^= hit
+                    np.copyto(gxp[:, :, u::wh, v::ww], g, where=hit)
         _accumulate(x, gxp[:, :, pt:pt + h, pl:pl + w])
 
     return record(result, (x,), backward)
@@ -550,18 +553,24 @@ def _normalize(xd: np.ndarray, mu: np.ndarray, inv: np.ndarray) -> np.ndarray:
 
 def _norm_grads(gb: np.ndarray, xhat: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor,
                 inv: np.ndarray, mode: str) -> None:
-    """Batch norm's backward for output gradient gb; eval mode's statistics are constants."""
-    g_xhat = np.einsum("bchw,bchw->c", gb, xhat, optimize=True)
+    """Batch norm's backward for output gradient gb; eval mode's statistics are constants.
+
+    The per-channel dot of gb and x-hat is the one stacked matmul that
+    ``np.einsum("bchw,bchw->c", optimize=True)`` plans and runs; at one element
+    per channel einsum multiplies, keeping a zero product's sign, and so does this.
+    """
+    c, n = gb.shape[1], gb.size // gb.shape[1]
+    g_xhat = (gb * xhat).reshape(c) if n == 1 else np.matmul(
+        gb.transpose(1, 0, 2, 3).reshape(c, 1, n), xhat.transpose(1, 0, 2, 3).reshape(c, n, 1)).reshape(c)
+    g_sum = np.add.reduce(gb, axis=(0, 2, 3))
     if gamma.requires_grad:
         _accumulate(gamma, g_xhat)
     if beta.requires_grad:
-        _accumulate(beta, gb.sum(axis=(0, 2, 3)))
+        _accumulate(beta, g_sum)
     if x.requires_grad:
         scale = (gamma.data * inv)[None, :, None, None]
         if mode == "train":
-            n = gb.shape[0] * gb.shape[2] * gb.shape[3]
-            g_mean = gb.mean(axis=(0, 2, 3), keepdims=True)
-            gx = scale * (gb - g_mean - xhat * (g_xhat / n)[None, :, None, None])
+            gx = scale * (gb - (g_sum / n)[None, :, None, None] - xhat * (g_xhat / n)[None, :, None, None])
         else:
             gx = scale * gb
         _accumulate(x, gx)

@@ -141,9 +141,28 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 
     def backward(gb):
-        ops._norm_grads(gb, xhat, x, gamma, beta, inv, mode)
+        norm_grads(gb, xhat, x, gamma, beta, inv, mode)
 
     return record(Tensor(out), (x, gamma, beta), backward)
+
+
+def norm_grads(gb: np.ndarray, xhat: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor,
+               inv: np.ndarray, mode: str) -> None:
+    """Batch norm's backward with einsum, sum and mean; ops._norm_grads runs the matmul einsum plans here."""
+    g_xhat = np.einsum("bchw,bchw->c", gb, xhat, optimize=True)
+    if gamma.requires_grad:
+        _accumulate(gamma, g_xhat)
+    if beta.requires_grad:
+        _accumulate(beta, gb.sum(axis=(0, 2, 3)))
+    if x.requires_grad:
+        scale = (gamma.data * inv)[None, :, None, None]
+        if mode == "train":
+            n = gb.shape[0] * gb.shape[2] * gb.shape[3]
+            g_mean = gb.mean(axis=(0, 2, 3), keepdims=True)
+            gx = scale * (gb - g_mean - xhat * (g_xhat / n)[None, :, None, None])
+        else:
+            gx = scale * gb
+        _accumulate(x, gx)
 
 
 def softmax_pair(a: Tensor, b: Tensor) -> Tuple[Tensor, Tensor]:

@@ -289,9 +289,13 @@ def ref_maxpool2d(x, g, window):
 
 
 @pytest.mark.parametrize("batch", BATCHES)
-@pytest.mark.parametrize("window", [(2, 2), (2, 4), (3, 3), (1, 2)])
+@pytest.mark.parametrize("window", [(2, 2), (2, 4), (3, 3), (1, 2), (1, 5)])
 def test_maxpool2d_matches_loop_reference(window, batch):
-    """Ties (integer-valued input) go to the first cell; edges are padded with -inf."""
+    """Ties (integer-valued input) go to the first cell; edges are padded with -inf.
+
+    Under (1, 5) the 7 columns pad to 10, so each row's first window starts on
+    -inf padding: its first tap never holds the maximum.
+    """
     rng = np.random.default_rng([*window, batch, 3])
     x = rng.integers(-2, 2, size=(batch, C_IN) + HW).astype(np.float64)
     x[x == 0] = rng.choice([-0.0, 0.0], size=int((x == 0).sum()))  # signed-zero ties

@@ -12,6 +12,7 @@ import numpy as np
 
 from mffcn.gradcheck import DEFAULT_SEEDS, REL_TOL, check_gradients, run_model_check
 from mffcn.model import FusionStrategy, init_params, save_model
+from mffcn.ops import BatchNormState, norm_leaky
 from mffcn.tensor import Tape, Tensor
 from mffcn.train import TrainConfig, synth_dataset, train
 
@@ -57,6 +58,24 @@ def test_op_check_holds_one_copy_of_its_inputs():
     worst, peak = _traced_peak(lambda: check_gradients(product, inputs))
     assert worst < REL_TOL
     assert peak <= 6 * input_bytes, (peak, input_bytes)
+
+
+def test_norm_leaky_backward_holds_four_maps():
+    """norm_leaky's backward on a (4, 8, 80, 80) float32 map, the d=8 layer-1 size at batch 4.
+
+    Its traced peak read 3.28 MB, 4.0x the incoming gradient's bytes, with
+    the channel dot as einsum and as the matmul einsum runs; the matmul's
+    transposed copies of gb and x-hat must not add a fifth map.
+    """
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((4, 8, 80, 80)).astype(np.float32), requires_grad=True)
+    gamma, beta = (Tensor(np.ones(8, np.float32), requires_grad=True) for _ in range(2))
+    with Tape() as tape:
+        out = norm_leaky(x, gamma, beta, BatchNormState.initial(8), "train")
+    (_, backward), = tape._records
+    g = rng.standard_normal(out.dims).astype(np.float32)
+    _, peak = _traced_peak(lambda: backward(g))
+    assert peak <= 4.1 * g.nbytes, (peak, g.nbytes)
 
 
 def test_checkpoint_write_holds_no_encoded_copy(tmp_path):

@@ -777,6 +777,27 @@ class TestNormLeaky:
         fused, reference = run(norm_leaky), run(composed.norm_leaky)
         assert [a.tobytes() for a in fused] == [b.tobytes() for b in reference]
 
+    @pytest.mark.parametrize("hw", [(80, 80), (40, 10), (5, 1), (1, 1)])
+    @pytest.mark.parametrize("c", [1, 8, 128])
+    @pytest.mark.parametrize("batch", [1, 3, 4])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_norm_grads_match_einsum_reference_bitwise(self, hw, c, batch, mode, dtype):
+        """The channel dot's matmul gives einsum's bytes, a one-element channel's -0.0 included."""
+        rng = np.random.default_rng([*hw, c, batch, mode == "train"])
+        x = Tensor(rng.normal(size=(batch, c) + hw).astype(dtype))
+        gamma, beta = Tensor(rng.uniform(0.5, 1.5, size=c).astype(dtype)), Tensor(np.zeros(c, dtype))
+        state = BatchNormState(rng.normal(size=c).astype(dtype), rng.uniform(0.5, 2.0, size=c).astype(dtype))
+        xd, mu, inv = ops._norm_stats("batch_norm", x, gamma, beta, state, mode)
+        xhat, gb = ops._normalize(xd, mu, inv), rng.normal(size=x.dims).astype(dtype)
+
+        def grads(fn):
+            leaves = [Tensor(t.data, requires_grad=True) for t in (x, gamma, beta)]
+            fn(gb, xhat, *leaves, inv, mode)
+            return [t.grad.tobytes() for t in leaves]
+
+        assert grads(ops._norm_grads) == grads(composed.norm_grads)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_eval_mode_reads_its_state_only(self, dtype):
         rng = np.random.default_rng(4)

@@ -377,6 +377,16 @@ class TestTrainLoop:
         with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
             assert a.read() == b.read()
 
+    def test_step_runs_without_einsum(self, monkeypatch):
+        """Batch norm's channel dot is a matmul: einsum would re-plan it on every backward."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.einsum called in a train step")
+
+        monkeypatch.setattr(np, "einsum", refuse)
+        cfg = TrainConfig(steps=1, seed=0, batch_size=2, width_divisor=16,
+                          strategy=FusionStrategy.MULTILAYER)
+        assert np.isfinite(train(cfg, synth_dataset(0, 2)).loss_history).all()
+
     def test_descends_on_fixed_batch(self):
         # small lr on a single repeated batch: nearly every step improves
         cfg = TrainConfig(steps=50, seed=0, learning_rate=1e-4, batch_size=4,
