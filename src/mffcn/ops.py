@@ -19,9 +19,10 @@ position (i, j) is grid column n*hq*wq + i*wq + j, and its kernel tap
 (u, v) lies in plane (u % sh, v % sw), (u // sh)*wq + v // sw columns
 further on. So every im2col row of a range of grid columns is one
 contiguous run of a plane (one strided copy per phase fills them all), and
-col2im adds each tap back as one shifted contiguous run. Grid columns off
-the small side's extents are computed and dropped, which widens the GEMMs
-by up to hq*wq / (ho*wo); operands placed on the grid are zero there.
+the taps col2im sums into a plane cell sit at fixed strides in the product
+(one reduction per phase). Grid columns off the small side's extents are
+computed and dropped, which widens the GEMMs by up to hq*wq / (ho*wo);
+operands placed on the grid are zero there.
 
 Every pass is one of two directions, each one GEMM per block with the
 weights reshaped, never copied ([C_out, C_in*kh*kw] and
@@ -33,7 +34,7 @@ When one block covers a single sample on a grid without margins (a 1x1
 convolution at batch 1, say), the crop would copy every element in order,
 so _gather hands back the biased product itself, reshaped: a fresh array
 that shares no memory with the operands.
-_scatter, its adjoint, multiplies a grid-placed operand, adds the product
+_scatter, its adjoint, multiplies a grid-placed operand, sums the product
 back with col2im and crops the planes once (conv2d's input gradient,
 conv_transpose2d's forward). conv_transpose2d uses its weights unflipped:
 the spatial flip is the tap order in which col2im (forward) and im2col
@@ -45,11 +46,11 @@ than kept on the tape.
 Every pass works in blocks of at most COL_BLOCK_BYTES (2 MiB) of columns or
 scatter product over ranges of grid columns: whole samples while one sample
 fits, so a batch that fits is a single block, else near-equal bands of
-small-side rows of one sample. Peak column memory stays at one block
-however large the batch (the first video conv would otherwise take 3.4 MB
-of float32 columns per segment). A geometry's phase and tap tables and its
-blocks are worked out once and cached, since a model meets the same
-geometries on every call.
+small-side rows of one sample. Peak column memory stays at one block (a
+scatter's plus its halo columns, see _col2im) however large the batch (the
+first video conv would otherwise take 3.4 MB of float32 columns per
+segment). A geometry's phase tables and its blocks are worked out once and
+cached, since a model meets the same geometries on every call.
 
 maxpool2d's forward is a running maximum over the window taps. The argmax
 that routes the gradient is found in backward only, by a scan of the taps
@@ -151,7 +152,7 @@ class _Grid:
         (kh, kw), (sh, sw) = kernel, stride
         pt, pb = _same_ceil_pad(h, sh, kh)
         pl, pr = _same_ceil_pad(w, sw, kw)
-        self.kernel, self.b, self.h, self.w = kernel, b, h, w
+        self.kernel, self.stride, self.b, self.h, self.w = kernel, stride, b, h, w
         self.ho, self.wo = math.ceil(h / sh), math.ceil(w / sw)
         self.hq, self.wq = -(-(h + pt + pb) // sh), -(-(w + pl + pr) // sw)
         self.s = self.hq * self.wq
@@ -173,9 +174,7 @@ class _Grid:
         self.gathers = [(p * self.pw + q, slice(p, None, sh), slice(q, None, sw),
                          len(range(p, kh, sh)), len(range(q, kw, sw)))
                         for p in range(self.ph) for q in range(self.pw)]
-        # Per tap (u, v): its plane and offset.
-        self.taps = [(u, v, (u % sh) * self.pw + v % sw, (u // sh) * self.wq + v // sw)
-                     for u in range(kh) for v in range(kw)]
+        self.halo = (kh - 1) // sh * self.wq + (kw - 1) // sw  # the farthest tap's offset
         self._blocks = {}
 
     def planes(self, c: int, dtype) -> np.ndarray:
@@ -299,32 +298,57 @@ def _columns(planes: np.ndarray, g: _Grid, cols: slice, flip: bool = False) -> n
     return out.reshape(c * kh * kw, n)
 
 
-def _add_columns(cols: np.ndarray, planes: np.ndarray, g: _Grid, start: int, flip: bool = False) -> None:
-    """col2im: add GEMM columns [C*kh*kw, n] of the grid columns from start onto phase planes.
+def _col2im(mat: np.ndarray, src: np.ndarray, g: _Grid, flip: bool = False) -> np.ndarray:
+    """col2im(mat @ src): phase planes [ph*pw, C, span] for grid columns src [., b*s], block by block.
 
-    The adjoint of _columns (same flip): one shifted contiguous add per tap.
+    The adjoint of _columns (same flip). Each block's product lands in rows
+    [halo | product | halo], halo being the farthest tap's offset, where a
+    phase's taps of its cells are a strided view (steps negated for flip).
+    The halos are zeros, except that the left one holds the last product
+    columns of a block before that ends where this one starts, and that
+    block stops there: every cell sums all its taps at once, from +0.0 in
+    kernel order. numpy's reduction keeps that order only while its inner
+    loop is the unit-stride cell axis (a lone cell's taps it sums pairwise),
+    and its short rows cost more, so a phase with no more cells per channel
+    than channels adds its taps one by one. Grid columns between blocks
+    add nothing, src being zero off the small side (as on_grid places it).
     """
-    c, n = planes.shape[1], cols.shape[1]
-    taps = cols.reshape(c, *g.kernel, n)
-    if flip:
-        taps = taps[:, ::-1, ::-1]
-    for u, v, plane, at in g.taps:
-        planes[plane, :, start + at:start + at + n] += taps[:, u, v]
+    if g.view:  # one tap at offset 0
+        return (mat @ src)[None]
+    (kh, kw), (sh, sw), halo = g.kernel, g.stride, g.halo
+    c, dtype = mat.shape[0] // (kh * kw), np.result_type(mat, src)
+    planes = np.empty((g.ph * g.pw, c, g.span), dtype=dtype)  # every cell is some block's
+    blocks = [cols for _, _, cols in g.blocks(mat.shape[0] * planes.itemsize)]
+    buf = np.zeros((mat.shape[0], max(cols.stop - cols.start for cols in blocks) + 2 * halo), dtype=dtype)
+    row, sign = buf.shape[1], -1 if flip else 1
+    for k, cols in enumerate(blocks):
+        n = cols.stop - cols.start
+        joined = k + 1 < len(blocks) and blocks[k + 1].start == cols.stop
+        m = n if joined else n + halo  # the cells this block sums
+        if k:  # the block before wrote into the halos
+            buf[:, :halo] = buf[:, last:last + halo] if blocks[k - 1].stop == cols.start else 0
+            buf[:, halo + n:halo + m] = 0
+        np.matmul(mat, src[:, cols], out=buf[:, halo:halo + n])
+        for plane, us, vs, nu, nv in g.gathers:
+            first = (kh - 1 - us.start) * kw + kw - 1 - vs.start if flip else us.start * kw + vs.start
+            taps = _strided(buf, first * row + halo, (c, nu, nv, m),
+                            (kh * kw * row, sign * sh * kw * row - g.wq, sign * sw * row - 1, 1))
+            out = planes[plane, :, cols.start:cols.start + m]
+            if m > c:
+                np.add.reduce(taps, axis=(1, 2), out=out, initial=0.0)
+            else:
+                out[...] = 0.0
+                for i in range(nu):
+                    for j in range(nv):
+                        out += taps[:, i, j]
+        last = n
+    return planes
 
 
 def _scatter(mat: np.ndarray, src: np.ndarray, g: _Grid, flip: bool = False,
              bias: Optional[np.ndarray] = None) -> np.ndarray:
-    """The big-side [b, C, h, w] sum of col2im(mat @ src) for grid columns src [., b*s], block by block.
-
-    A 1x1 stride-1 product is the result itself: one tap at offset 0.
-    """
-    if g.view:
-        return _from_phases((mat @ src)[None], g, bias)
-    kh, kw = g.kernel
-    planes = g.planes(mat.shape[0] // (kh * kw), np.result_type(mat, src))
-    for _, _, cols in g.blocks(mat.shape[0] * planes.itemsize):
-        _add_columns(mat @ src[:, cols], planes, g, cols.start, flip)
-    return _from_phases(planes, g, bias)
+    """The big-side [b, C, h, w] crop of col2im(mat @ src), plus a per-channel bias."""
+    return _from_phases(_col2im(mat, src, g, flip), g, bias)
 
 
 def _gather(mat: Optional[np.ndarray], planes: np.ndarray, g: _Grid, flip: bool = False,

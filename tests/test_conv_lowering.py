@@ -5,6 +5,7 @@ position and kernel tap, and contract only the channel axes, all in float64.
 Forward values and all three gradients must agree to 1e-10.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from mffcn import ops
-from mffcn.ops import (ConvSpec, _add_columns, _columns, _from_phases, _Grid, _phases, conv2d,
+from mffcn.ops import (ConvSpec, _col2im, _columns, _from_phases, _Grid, _phases, _scatter, conv2d,
                        conv_transpose2d, maxpool2d)
 from mffcn.tensor import Tape, Tensor, no_grad
 
@@ -206,6 +207,13 @@ def _whole_grid(g):
     return slice(0, (g.b - 1) * g.s + g.ho * g.wq)
 
 
+def _identity_product(c, g):
+    """(mat, src) whose product is the one-block columns c, on grid columns [., b*s]."""
+    src = np.zeros((c.shape[0], g.b * g.s))
+    src[:, :c.shape[1]] = c
+    return np.eye(c.shape[0]), src
+
+
 ADJOINT_GEOMETRIES = [(k, s, HW) for k in KERNELS for s in STRIDES] + MODEL_GEOMETRIES
 
 
@@ -219,8 +227,7 @@ def test_col2im_is_the_adjoint_of_im2col(kernel, stride, hw, flip):
     cols = _columns(_phases(x, g), g, _whole_grid(g), flip=flip)
     assert cols.shape == (C_IN * kernel[0] * kernel[1], g.s + g.ho * g.wq)
     c = rng.normal(size=cols.shape)
-    planes = g.planes(C_IN, c.dtype)
-    _add_columns(c, planes, g, 0, flip=flip)
+    planes = _col2im(*_identity_product(c, g), g, flip=flip)
     np.testing.assert_allclose(np.vdot(c, cols), np.vdot(_from_phases(planes, g), x), rtol=1e-12)
 
 
@@ -233,9 +240,72 @@ def test_im2col_col2im_adjoint_over_whole_grid(kernel, stride, hw, flip):
     planes = rng.normal(size=g.planes(C_IN, np.float64).shape)
     cols = _columns(planes, g, _whole_grid(g), flip=flip)
     c = rng.normal(size=cols.shape)
-    back = np.zeros_like(planes)
-    _add_columns(c, back, g, 0, flip=flip)
+    back = _col2im(*_identity_product(c, g), g, flip=flip)
+    assert back.shape == planes.shape
     np.testing.assert_allclose(np.vdot(c, cols), np.vdot(back, planes), rtol=1e-12)
+
+
+def add_columns(cols, planes, g, start, flip=False):
+    """Per-tap col2im: add GEMM columns [C*kh*kw, n] of the grid columns from start onto phase planes.
+
+    One shifted contiguous add per tap, in kernel order: the reference the
+    per-phase reductions of ops._col2im must equal bit for bit.
+    """
+    (kh, kw), (sh, sw) = g.kernel, g.stride
+    c, n = planes.shape[1], cols.shape[1]
+    taps = cols.reshape(c, kh, kw, n)
+    if flip:
+        taps = taps[:, ::-1, ::-1]
+    for u in range(kh):
+        for v in range(kw):
+            at = start + (u // sh) * g.wq + v // sw
+            planes[(u % sh) * g.pw + v % sw, :, at:at + n] += taps[:, u, v]
+
+
+def _wide_range(rng, shape, dtype):
+    """Values of either sign from 1e-6 to 1e6 in magnitude, one in twenty of them -0.0."""
+    a = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
+    a[rng.uniform(size=shape) < 0.05] = -0.0
+    return a.astype(dtype)
+
+
+# Every non-view kernel and stride over three extents, the model geometries,
+# and eight taps per phase over a one-column grid: one-row bands there own a
+# single cell per channel, whose taps numpy would reduce in its own order.
+SCATTER_GEOMETRIES = ([(k, s, hw) for k in KERNELS for s in STRIDES for hw in (HW, (40, 10), (80, 20))
+                       if not k == s == (1, 1)] + MODEL_GEOMETRIES + [((8, 2), (1, 2), (12, 2))])
+
+
+@pytest.mark.parametrize("kernel, stride, hw", SCATTER_GEOMETRIES)
+def test_col2im_matches_per_tap_reference_bitwise(kernel, stride, hw, monkeypatch):
+    """_col2im and _scatter equal add_columns over the same blocked GEMM products, byte for byte.
+
+    The reference gathers each block's product into one array of the whole
+    grid's columns and adds it back tap by tap, so every plane cell sums its
+    taps in kernel order, as _col2im does across band boundaries. Small
+    budgets force row bands, down to one row. At batch 1, 24 output
+    channels take the path for phases with no more cells than channels.
+    """
+    multi = 0
+    for (batch, c_out), dtype, flip, bias, budget in itertools.product(
+            ((1, 24), (3, C_OUT)), (np.float32, np.float64), (False, True), (False, True),
+            (ops.COL_BLOCK_BYTES, 4000, 700, 50)):
+        rng = np.random.default_rng([*kernel, *stride, *hw, batch, flip, bias, budget, c_out])
+        g = _Grid(kernel, stride, batch, *hw)
+        mat = _wide_range(rng, (c_out * kernel[0] * kernel[1], C_IN), dtype)
+        src = g.on_grid(_wide_range(rng, (batch, C_IN, g.ho, g.wo), dtype))
+        b = _wide_range(rng, (c_out,), dtype) if bias else None
+        monkeypatch.setattr(ops, "COL_BLOCK_BYTES", budget)
+        blocks = g.blocks(mat.shape[0] * np.dtype(dtype).itemsize)
+        multi += len(blocks) > 1
+        whole = np.zeros((mat.shape[0], _whole_grid(g).stop), dtype=dtype)
+        for _, _, cols in blocks:
+            whole[:, cols] = mat @ src[:, cols]
+        want = g.planes(c_out, dtype)
+        add_columns(whole, want, g, 0, flip=flip)
+        assert _col2im(mat, src, g, flip).tobytes() == want.tobytes()
+        assert _scatter(mat, src, g, flip, b).tobytes() == _from_phases(want, g, b).tobytes()
+    assert multi >= 16  # at least every budget of 50 bytes bands the grid
 
 
 @pytest.mark.parametrize("transpose", [False, True])
