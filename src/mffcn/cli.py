@@ -26,6 +26,7 @@ from .dsp import (
 from .formats import (
     FormatError,
     export_spectrogram,
+    in_file,
     load_csv,
     load_mten,
     load_pgm,
@@ -326,24 +327,25 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_export_spec(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    stem = os.path.splitext(os.path.basename(args.input))[0]
-    if args.input.endswith(".mten"):
-        arr = load_mten(args.input)
-        if arr.ndim != 2:
-            raise FormatError(f"{args.input}: a spectrogram must be 2-D, got shape {arr.shape}")
-        pgm, csv_path = export_spectrogram(os.path.join(args.out, stem), arr)
-        print(f"wrote {pgm} and {csv_path}")
-    elif args.input.endswith(".pgm"):
-        out = os.path.join(args.out, stem + ".mten")
-        save_mten(out, load_pgm(args.input).astype(np.float32))
-        print(f"wrote {out} (raw pixel values, 0 to the PGM's maxval; scale not recovered)")
-    elif args.input.endswith(".csv"):
-        out = os.path.join(args.out, stem + ".mten")
-        save_mten(out, load_csv(args.input))
-        print(f"wrote {out}")
-    else:
-        raise FormatError(f"{args.input}: expected a .mten, .pgm, or .csv file")
+    with in_file(args.input):
+        os.makedirs(args.out, exist_ok=True)
+        stem = os.path.splitext(os.path.basename(args.input))[0]
+        if args.input.endswith(".mten"):
+            arr = load_mten(args.input)
+            if arr.ndim != 2:
+                raise FormatError(f"a spectrogram must be 2-D, got shape {arr.shape}")
+            pgm, csv_path = export_spectrogram(os.path.join(args.out, stem), arr)
+            print(f"wrote {pgm} and {csv_path}")
+        elif args.input.endswith(".pgm"):
+            out = os.path.join(args.out, stem + ".mten")
+            save_mten(out, load_pgm(args.input).astype(np.float32))
+            print(f"wrote {out} (raw pixel values, 0 to the PGM's maxval; scale not recovered)")
+        elif args.input.endswith(".csv"):
+            out = os.path.join(args.out, stem + ".mten")
+            save_mten(out, load_csv(args.input))
+            print(f"wrote {out}")
+        else:
+            raise FormatError("expected a .mten, .pgm, or .csv file")
     return 0
 
 

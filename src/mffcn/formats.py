@@ -11,27 +11,30 @@ Checkpoint ("MFFC"): magic `MFFC`, u8 version=1, u32 record count, then per
 record a u16 name length, the UTF-8 name, and an embedded MTEN blob.
 
 WAV: RIFF/WAVE, PCM format 1, mono, 16-bit signed samples at 16000 Hz, with
-the RIFF size, byte rate and block align that agree with that, and chunks
-that tile the file. Anything else is rejected with a descriptive error
-rather than resampled.
+the RIFF size, byte rate and block align that agree with that, chunks that
+tile the file, one fmt and one data chunk, and whole samples. Anything else
+is rejected with a descriptive error rather than resampled.
 
 PGM: binary P5 with any maxval from 1 to 65535, one byte per sample up to
 255 and two big-endian bytes above, no sample above maxval, and nothing after
 the pixels. Video directories hold frames named frame_000000.pgm onward,
 contiguously; each frame scales to [0, 1] by its own maxval.
 
-Every reader names the file in its errors, and a checkpoint reader the
-record too.
+A refusal is a FormatError whose text is the file's path, then the defect.
+Parsers state only the defect; each public reader runs inside in_file(path),
+which puts the path first, so a bad frame of a video directory names the frame.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import math
 import os
 import re
 import struct
-from typing import BinaryIO, Dict, List, Sequence, Tuple
+from typing import BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +46,30 @@ FRAME_RE = re.compile(r"frame_(\d{6})\.pgm$")
 
 
 class FormatError(ValueError):
-    """Raised for malformed or unsupported files."""
+    """A malformed or unsupported file: the text states the defect; str() puts path (see in_file) first."""
+
+    path: Optional[str] = None
+
+    def __str__(self) -> str:
+        return super().__str__() if self.path is None else f"{self.path}: {super().__str__()}"
+
+
+@contextlib.contextmanager
+def in_file(path: str) -> Iterator[None]:
+    """Name path in a FormatError raised inside, unless an inner in_file named its own file."""
+    try:
+        yield
+    except FormatError as exc:
+        exc.path = exc.path or path
+        raise
+
+
+def _utf8(raw: bytes, what: str) -> str:
+    """raw decoded as UTF-8, else a refusal naming what, the byte offset and the reason."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} is not valid UTF-8 (byte {exc.start}: {exc.reason})") from None
 
 
 # ----------------------------------------------------------------------------
@@ -75,7 +101,7 @@ def _read_mten(fh: BinaryIO, end: int) -> np.ndarray:
 
     The payload is read straight into a fresh float32 array, so a file is
     never held twice in memory. It is not scanned for NaN/Inf here: each
-    caller scans every array once (_finite, or the Tensor constructor for
+    caller scans every array once (load_mten, or the Tensor constructor for
     the parameters load_model wraps).
     """
     head = fh.read(6)
@@ -106,12 +132,6 @@ def _read_mten(fh: BinaryIO, end: int) -> np.ndarray:
     return arr
 
 
-def _finite(arr: np.ndarray) -> np.ndarray:
-    if not np.isfinite(arr).all():
-        raise FormatError("tensor payload holds NaN or Inf values")
-    return arr
-
-
 def save_mten(path: str, array: np.ndarray) -> None:
     arr = _mten_array(array)
     with open(path, "wb") as fh:
@@ -119,15 +139,13 @@ def save_mten(path: str, array: np.ndarray) -> None:
 
 
 def load_mten(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
+    with in_file(path), open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
-        try:
-            arr = _finite(_read_mten(fh, end))
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from None
-        pos = fh.tell()
-    if pos != end:
-        raise FormatError(f"{path}: {end - pos} trailing bytes after tensor payload")
+        arr = _read_mten(fh, end)
+        if not np.isfinite(arr).all():
+            raise FormatError("tensor payload holds NaN or Inf values")
+        if fh.tell() != end:
+            raise FormatError(f"{end - fh.tell()} trailing bytes after tensor payload")
     return arr
 
 
@@ -139,20 +157,21 @@ def save_checkpoint(path: str, entries: Dict[str, np.ndarray]) -> None:
     """Write named tensors in insertion order, replacing path atomically.
 
     Every name and array is checked before anything is written; a refused
-    array raises a FormatError naming its record. The records then stream
-    into path + ".part", each payload straight from its float32 array, so no
-    encoded copy of the entries is ever held. The part file replaces path
-    only once it is complete, and is removed if anything fails.
+    array raises a FormatError naming path and its record. The records then
+    stream into path + ".part", each payload straight from its float32 array,
+    so no encoded copy of the entries is ever held. The part file replaces
+    path only once it is complete, and is removed if anything fails.
     """
     records = []
     for k, (name, arr) in enumerate(entries.items()):
         raw = name.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise FormatError(f"parameter name too long: {name[:40]}...")
-        try:
-            arr = _mten_array(arr)
-        except FormatError as exc:
-            raise FormatError(f"{path}: record {k} ({name!r}): {exc}") from None
+        with in_file(path):
+            try:
+                arr = _mten_array(arr)
+            except FormatError as exc:
+                raise FormatError(f"record {k} ({name!r}): {exc}") from None
         records.append((struct.pack("<H", len(raw)) + raw, arr))
     part = path + ".part"
     try:
@@ -173,40 +192,35 @@ def load_checkpoint(path: str) -> Dict[str, np.ndarray]:
     Payloads are not scanned for NaN/Inf: model.load_model checks every
     array it keeps once, naming the path and the record.
     """
-    with open(path, "rb") as fh:
+    with in_file(path), open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
         head = fh.read(9)
         if head[:4] != MFFC_MAGIC:
-            raise FormatError(f"{path}: not a checkpoint file")
+            raise FormatError("not a checkpoint file")
         if len(head) < 9:
-            raise FormatError(f"{path}: truncated checkpoint header")
+            raise FormatError("truncated checkpoint header")
         version, count = struct.unpack_from("<BI", head, 4)
         if version != 1:
-            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+            raise FormatError(f"unsupported checkpoint version {version}")
         entries: Dict[str, np.ndarray] = {}
         for k in range(count):
             raw = fh.read(2)
             if len(raw) < 2:
-                raise FormatError(f"{path}: record {k}: truncated record header")
+                raise FormatError(f"record {k}: truncated record header")
             (nlen,) = struct.unpack("<H", raw)
             raw = fh.read(nlen)
             if len(raw) < nlen:
-                raise FormatError(f"{path}: record {k}: truncated record name")
-            try:
-                name = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{path}: record {k} name is not valid UTF-8 "
-                                  f"(byte {exc.start}: {exc.reason})") from None
+                raise FormatError(f"record {k}: truncated record name")
+            name = _utf8(raw, f"record {k} name")
             try:
                 arr = _read_mten(fh, end)
             except FormatError as exc:
-                raise FormatError(f"{path}: record {k} ({name!r}): {exc}") from None
+                raise FormatError(f"record {k} ({name!r}): {exc}") from None
             if name in entries:
-                raise FormatError(f"{path}: record {k}: duplicate parameter name {name!r}")
+                raise FormatError(f"record {k}: duplicate parameter name {name!r}")
             entries[name] = arr
-        pos = fh.tell()
-    if pos != end:
-        raise FormatError(f"{path}: {end - pos} trailing bytes after last record")
+        if fh.tell() != end:
+            raise FormatError(f"{end - fh.tell()} trailing bytes after last record")
     return entries
 
 
@@ -235,54 +249,56 @@ def save_wav(path: str, samples: np.ndarray) -> None:
 
 def load_wav(path: str) -> np.ndarray:
     """Read a mono 16-bit 16 kHz PCM WAV into float64 samples in [-1, 1]."""
-    with open(path, "rb") as fh:
+    with in_file(path), open(path, "rb") as fh:
         buf = fh.read()
-    if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
-        raise FormatError(f"{path}: not a RIFF/WAVE file")
-    pos = 12
-    fmt_seen = False
-    data = None
-    while pos + 8 <= len(buf):
-        cid = buf[pos:pos + 4]
-        (size,) = struct.unpack_from("<I", buf, pos + 4)
-        body = buf[pos + 8:pos + 8 + size]
-        if len(body) < size:
-            raise FormatError(f"{path}: truncated {cid!r} chunk")
-        if cid == b"fmt ":
-            if size < 16:
-                raise FormatError(f"{path}: fmt chunk too short")
-            codec, channels, rate, byte_rate, align, bits = struct.unpack_from("<HHIIHH", body, 0)
-            if codec != 1:
-                raise FormatError(f"{path}: compressed WAV (format {codec}) is not supported, need PCM")
-            if channels != 1:
-                raise FormatError(f"{path}: {channels} channels, need mono")
-            if rate != WAV_RATE:
-                raise FormatError(f"{path}: sample rate {rate}, need {WAV_RATE}")
-            if bits != 16:
-                raise FormatError(f"{path}: {bits}-bit samples, need 16")
-            if byte_rate != 2 * WAV_RATE or align != 2:
-                raise FormatError(f"{path}: byte rate {byte_rate} and block align {align} "
-                                  f"disagree with 16-bit mono at {WAV_RATE} Hz")
-            fmt_seen = True
-        elif cid == b"data":
-            data = body
-        pos += 8 + size + (size % 2)
-    if pos < len(buf):
-        raise FormatError(f"{path}: truncated chunk header ({len(buf) - pos} bytes "
-                          f"after the last chunk)")
-    (riff_size,) = struct.unpack_from("<I", buf, 4)
-    if riff_size != len(buf) - 8:
-        raise FormatError(f"{path}: RIFF size field says {riff_size} bytes, "
-                          f"file holds {len(buf) - 8}")
-    if not fmt_seen:
-        raise FormatError(f"{path}: missing fmt chunk")
-    if data is None:
-        raise FormatError(f"{path}: missing data chunk")
-    pcm = np.frombuffer(data, dtype="<i2")
-    # 32767 mirrors the writer's scale so a save/load round trip stays within
-    # half a quantization step; -32768, which the writer never emits but
-    # clipped recordings do, would land just below -1.0 and is clamped.
-    return np.maximum(pcm.astype(np.float64) / 32767.0, -1.0)
+        if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
+            raise FormatError("not a RIFF/WAVE file")
+        pos = 12
+        fmt_seen = False
+        data = None
+        while pos + 8 <= len(buf):
+            cid = buf[pos:pos + 4]
+            (size,) = struct.unpack_from("<I", buf, pos + 4)
+            body = buf[pos + 8:pos + 8 + size]
+            if len(body) < size:
+                raise FormatError(f"truncated {cid!r} chunk")
+            if (cid == b"fmt " and fmt_seen) or (cid == b"data" and data is not None):
+                raise FormatError(f"duplicate {cid!r} chunk")
+            if cid == b"fmt ":
+                if size < 16:
+                    raise FormatError("fmt chunk too short")
+                codec, channels, rate, byte_rate, align, bits = struct.unpack_from("<HHIIHH", body, 0)
+                if codec != 1:
+                    raise FormatError(f"compressed WAV (format {codec}) is not supported, need PCM")
+                if channels != 1:
+                    raise FormatError(f"{channels} channels, need mono")
+                if rate != WAV_RATE:
+                    raise FormatError(f"sample rate {rate}, need {WAV_RATE}")
+                if bits != 16:
+                    raise FormatError(f"{bits}-bit samples, need 16")
+                if byte_rate != 2 * WAV_RATE or align != 2:
+                    raise FormatError(f"byte rate {byte_rate} and block align {align} "
+                                      f"disagree with 16-bit mono at {WAV_RATE} Hz")
+                fmt_seen = True
+            elif cid == b"data":
+                data = body
+            pos += 8 + size + (size % 2)
+        if pos < len(buf):
+            raise FormatError(f"truncated chunk header ({len(buf) - pos} bytes after the last chunk)")
+        (riff_size,) = struct.unpack_from("<I", buf, 4)
+        if riff_size != len(buf) - 8:
+            raise FormatError(f"RIFF size field says {riff_size} bytes, file holds {len(buf) - 8}")
+        if not fmt_seen:
+            raise FormatError("missing fmt chunk")
+        if data is None:
+            raise FormatError("missing data chunk")
+        if len(data) % 2:
+            raise FormatError(f"data chunk holds {len(data)} bytes, not a whole number of 2-byte samples")
+        pcm = np.frombuffer(data, dtype="<i2")
+        # 32767 mirrors the writer's scale so a save/load round trip stays within
+        # half a quantization step; -32768, which the writer never emits but
+        # clipped recordings do, would land just below -1.0 and is clamped.
+        return np.maximum(pcm.astype(np.float64) / 32767.0, -1.0)
 
 
 # ----------------------------------------------------------------------------
@@ -310,48 +326,46 @@ def load_pgm(path: str) -> np.ndarray:
 
 def _read_pgm(path: str) -> Tuple[np.ndarray, int]:
     """A PGM's samples (see load_pgm) and its maxval."""
-    with open(path, "rb") as fh:
+    with in_file(path), open(path, "rb") as fh:
         buf = fh.read()
-    if buf[:2] != b"P5":
-        raise FormatError(f"{path}: not a binary PGM (P5) file")
-    # Header tokens may be separated by any whitespace and '#' comments.
-    pos = 2
-    tokens: List[int] = []
-    fields = ("width", "height", "maxval")
-    while len(tokens) < 3:
-        while pos < len(buf) and buf[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(buf) and buf[pos:pos + 1] == b"#":
-            while pos < len(buf) and buf[pos:pos + 1] != b"\n":
+        if buf[:2] != b"P5":
+            raise FormatError("not a binary PGM (P5) file")
+        # Header tokens may be separated by any whitespace and '#' comments.
+        pos = 2
+        tokens: List[int] = []
+        fields = ("width", "height", "maxval")
+        while len(tokens) < 3:
+            while pos < len(buf) and buf[pos:pos + 1].isspace():
                 pos += 1
-            continue
-        start = pos
-        while pos < len(buf) and not buf[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError(f"{path}: truncated PGM header")
-        token = buf[start:pos]
-        if not token.isdigit():
-            raise FormatError(f"{path}: PGM {fields[len(tokens)]} is not a decimal number: "
-                              f"{token[:20]!r}")
-        tokens.append(int(token))
-    pos += 1  # single whitespace byte after maxval
-    w, h, maxval = tokens
-    if not 1 <= maxval <= 65535:
-        raise FormatError(f"{path}: PGM maxval must be 1 to 65535, got {maxval}")
-    if w < 1 or h < 1:
-        raise FormatError(f"{path}: bad image extent {w}x{h}")
-    wide = maxval > 255
-    size = w * h * (2 if wide else 1)
-    if len(buf) - pos < size:
-        raise FormatError(f"{path}: truncated pixel payload")
-    if len(buf) - pos > size:
-        raise FormatError(f"{path}: {len(buf) - pos - size} bytes after the "
-                          f"{w}x{h} pixel payload")
-    samples = np.frombuffer(buf, dtype=">u2" if wide else np.uint8, count=w * h, offset=pos)
-    if samples.max() > maxval:
-        raise FormatError(f"{path}: PGM sample {samples.max()} exceeds maxval {maxval}")
-    return samples.astype(np.uint16 if wide else np.uint8).reshape(h, w), maxval
+            if pos < len(buf) and buf[pos:pos + 1] == b"#":
+                while pos < len(buf) and buf[pos:pos + 1] != b"\n":
+                    pos += 1
+                continue
+            start = pos
+            while pos < len(buf) and not buf[pos:pos + 1].isspace():
+                pos += 1
+            if start == pos:
+                raise FormatError("truncated PGM header")
+            token = buf[start:pos]
+            if not token.isdigit():
+                raise FormatError(f"PGM {fields[len(tokens)]} is not a decimal number: {token[:20]!r}")
+            tokens.append(int(token))
+        pos += 1  # single whitespace byte after maxval
+        w, h, maxval = tokens
+        if not 1 <= maxval <= 65535:
+            raise FormatError(f"PGM maxval must be 1 to 65535, got {maxval}")
+        if w < 1 or h < 1:
+            raise FormatError(f"bad image extent {w}x{h}")
+        wide = maxval > 255
+        size = w * h * (2 if wide else 1)
+        if len(buf) - pos < size:
+            raise FormatError("truncated pixel payload")
+        if len(buf) - pos > size:
+            raise FormatError(f"{len(buf) - pos - size} bytes after the {w}x{h} pixel payload")
+        samples = np.frombuffer(buf, dtype=">u2" if wide else np.uint8, count=w * h, offset=pos)
+        if samples.max() > maxval:
+            raise FormatError(f"PGM sample {samples.max()} exceeds maxval {maxval}")
+        return samples.astype(np.uint16 if wide else np.uint8).reshape(h, w), maxval
 
 
 def save_video_frames(dirpath: str, frames: np.ndarray) -> None:
@@ -364,36 +378,33 @@ def save_video_frames(dirpath: str, frames: np.ndarray) -> None:
         save_pgm(os.path.join(dirpath, FRAME_NAME % t), arr[t])
 
 
-def load_video_frames(dirpath: str) -> List[Tuple[np.ndarray, int]]:
+def _video_frames(dirpath: str) -> List[Tuple[np.ndarray, int]]:
     """(samples, maxval) of frame_000000.pgm onward (see load_pgm), all of one extent."""
-    found = {}
-    for name in os.listdir(dirpath):
-        m = FRAME_RE.match(name)
-        if m:
-            found[int(m.group(1))] = os.path.join(dirpath, name)
+    matches = (FRAME_RE.match(name) for name in os.listdir(dirpath))
+    found = {int(m.group(1)): os.path.join(dirpath, m.string) for m in matches if m}
     if not found:
-        raise FormatError(f"{dirpath}: no frame_######.pgm files")
+        raise FormatError("no frame_######.pgm files")
     indices = sorted(found)
     if indices[0] != 0 or indices[-1] != len(indices) - 1:
-        raise FormatError(f"{dirpath}: frame numbers must be contiguous from 0")
+        raise FormatError("frame numbers must be contiguous from 0")
     frames = [_read_pgm(found[i]) for i in indices]
     shape = frames[0][0].shape
     for i, (f, _) in enumerate(frames):
         if f.shape != shape:
-            raise FormatError(f"{dirpath}: frame {i} is {f.shape}, first frame is {shape}")
+            raise FormatError(f"frame {i} is {f.shape}, first frame is {shape}")
     return frames
 
 
 def load_video(path: str) -> np.ndarray:
     """Float64 [T,H,W] frames in [0, 1]: a directory of PGM frames, each over its own maxval, or a tensor file."""
-    if os.path.isdir(path):
-        return np.stack([samples / float(maxval) for samples, maxval in load_video_frames(path)], axis=0)
-    arr = load_mten(path).astype(np.float64)
-    if arr.ndim != 3:
-        raise FormatError(f"{path}: video tensor must be [T,H,W], got {arr.shape}")
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise FormatError(f"{path}: video tensor values must lie in [0, 1], "
-                          f"got min {arr.min():g}, max {arr.max():g}")
+    with in_file(path):
+        if os.path.isdir(path):
+            return np.stack([samples / float(maxval) for samples, maxval in _video_frames(path)], axis=0)
+        arr = load_mten(path).astype(np.float64)
+        if arr.ndim != 3:
+            raise FormatError(f"video tensor must be [T,H,W], got {arr.shape}")
+        if arr.min() < 0.0 or arr.max() > 1.0:
+            raise FormatError(f"video tensor values must lie in [0, 1], got min {arr.min():g}, max {arr.max():g}")
     return arr
 
 
@@ -415,29 +426,29 @@ def load_csv(path: str) -> np.ndarray:
     Each value is parsed as a float64 and then rounded to float32, as
     save_mten would round it.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with in_file(path), open(path, "rb") as fh:
+        reader = csv.reader(io.StringIO(_utf8(fh.read(), "CSV"), newline=""))
         rows = [(reader.line_num, row) for row in reader if row]
-    if not rows:
-        raise FormatError(f"{path}: CSV holds no values")
-    width = len(rows[0][1])
-    values = []
-    for line, row in rows:
-        if len(row) != width:
-            raise FormatError(f"{path}: line {line} has {len(row)} values, the first row {width}")
-        for col, text in enumerate(row, start=1):
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise FormatError(f"{path}: line {line}, column {col}: {text!r} is not a number") from None
-    with np.errstate(over="ignore"):
-        arr = np.array(values).reshape(len(rows), width).astype(np.float32)
-    bad = np.argwhere(~np.isfinite(arr))
-    if len(bad):
-        r, c = bad[0]
-        raise FormatError(f"{path}: line {rows[r][0]}, column {c + 1}: "
-                          f"{rows[r][1][c]!r} is not a finite float32 value")
-    return arr
+        if not rows:
+            raise FormatError("CSV holds no values")
+        width = len(rows[0][1])
+        values = []
+        for line, row in rows:
+            if len(row) != width:
+                raise FormatError(f"line {line} has {len(row)} values, the first row {width}")
+            for col, text in enumerate(row, start=1):
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    raise FormatError(f"line {line}, column {col}: {text!r} is not a number") from None
+        with np.errstate(over="ignore"):
+            arr = np.array(values).reshape(len(rows), width).astype(np.float32)
+        bad = np.argwhere(~np.isfinite(arr))
+        if len(bad):
+            r, c = bad[0]
+            raise FormatError(f"line {rows[r][0]}, column {c + 1}: "
+                              f"{rows[r][1][c]!r} is not a finite float32 value")
+        return arr
 
 
 def export_spectrogram(base_path: str, spect: np.ndarray) -> Tuple[str, str]:

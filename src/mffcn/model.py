@@ -55,7 +55,7 @@ from .attention import (
     spectral_attention,
 )
 from .dsp import N_MELS, SEG_FRAMES, SEG_VIDEO_FRAMES, VIDEO_HW, MelSegment, VideoSegment
-from .formats import FormatError, load_checkpoint, save_checkpoint
+from .formats import FormatError, in_file, load_checkpoint, save_checkpoint
 from .ops import (
     BatchNormState,
     ConvSpec,
@@ -608,50 +608,46 @@ def save_model(path: str, params: MffcnParams) -> None:
     save_checkpoint(path, entries)
 
 
-def _meta_int(path: str, entries: Dict[str, np.ndarray], key: str,
-              allowed: Sequence[int]) -> int:
+def _meta_int(entries: Dict[str, np.ndarray], key: str, allowed: Sequence[int]) -> int:
     """Pop a one-element metadata entry that must hold one of the allowed integers."""
     if key not in entries:
-        raise FormatError(f"{path}: checkpoint lacks the {key!r} metadata entry")
+        raise FormatError(f"checkpoint lacks the {key!r} metadata entry")
     values = entries.pop(key).reshape(-1).tolist()
     if len(values) != 1 or values[0] not in allowed:
-        raise FormatError(f"{path}: {key} must be one of {list(allowed)}, got {values}")
+        raise FormatError(f"{key} must be one of {list(allowed)}, got {values}")
     return int(values[0])
 
 
 def load_model(path: str) -> MffcnParams:
     """Rebuild a model from a checkpoint, validating the full name set."""
-    entries = load_checkpoint(path)
-    width_divisor = _meta_int(path, entries, "meta.width_divisor", WIDTH_DIVISORS)
-    strategy = CODE_STRATEGIES[_meta_int(path, entries, "meta.strategy", sorted(CODE_STRATEGIES))]
+    with in_file(path):
+        entries = load_checkpoint(path)
+        width_divisor = _meta_int(entries, "meta.width_divisor", WIDTH_DIVISORS)
+        strategy = CODE_STRATEGIES[_meta_int(entries, "meta.strategy", sorted(CODE_STRATEGIES))]
 
-    def non_finite(record: str) -> FormatError:
-        return FormatError(f"{path}: record {record!r}: tensor payload holds NaN or Inf values")
+        def tensor_factory(name: str, shape: tuple, kind: str) -> Tensor:
+            if name not in entries:
+                raise FormatError(f"checkpoint is missing parameter {name!r}")
+            arr = entries.pop(name)
+            if arr.shape != shape:
+                raise FormatError(f"parameter {name!r} has shape {arr.shape}, expected {shape}")
+            try:
+                return Tensor(arr, requires_grad=True)  # the one NaN/Inf scan of a parameter
+            except NonFiniteError:
+                raise FormatError(f"record {name!r}: tensor payload holds NaN or Inf values") from None
 
-    def tensor_factory(name: str, shape: tuple, kind: str) -> Tensor:
-        if name not in entries:
-            raise FormatError(f"{path}: checkpoint is missing parameter {name!r}")
-        arr = entries.pop(name)
-        if arr.shape != shape:
-            raise FormatError(
-                f"{path}: parameter {name!r} has shape {arr.shape}, expected {shape}")
-        try:
-            return Tensor(arr, requires_grad=True)  # the one NaN/Inf scan of a parameter
-        except NonFiniteError:
-            raise non_finite(name) from None
+        def state_factory(name: str, channels: int) -> BatchNormState:
+            mean = entries.pop(f"{name}.running_mean", None)
+            var = entries.pop(f"{name}.running_var", None)
+            if mean is None or var is None or mean.shape != (channels,) or var.shape != (channels,):
+                raise FormatError(f"checkpoint lacks valid running stats for {name!r}")
+            for record, arr in ((f"{name}.running_mean", mean), (f"{name}.running_var", var)):
+                if not np.isfinite(arr).all():
+                    raise FormatError(f"record {record!r}: tensor payload holds NaN or Inf values")
+            return BatchNormState(mean=mean.copy(), var=var.copy())
 
-    def state_factory(name: str, channels: int) -> BatchNormState:
-        mean = entries.pop(f"{name}.running_mean", None)
-        var = entries.pop(f"{name}.running_var", None)
-        if mean is None or var is None or mean.shape != (channels,) or var.shape != (channels,):
-            raise FormatError(f"{path}: checkpoint lacks valid running stats for {name!r}")
-        for stat, arr in (("running_mean", mean), ("running_var", var)):
-            if not np.isfinite(arr).all():
-                raise non_finite(f"{name}.{stat}")
-        return BatchNormState(mean=mean.copy(), var=var.copy())
-
-    params = _build(strategy, width_divisor, tensor_factory, state_factory)
-    if entries:
-        extra = ", ".join(sorted(entries)[:5])
-        raise FormatError(f"{path}: checkpoint holds unknown entries: {extra}")
+        params = _build(strategy, width_divisor, tensor_factory, state_factory)
+        if entries:
+            extra = ", ".join(sorted(entries)[:5])
+            raise FormatError(f"checkpoint holds unknown entries: {extra}")
     return params

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dsp import DspError, MelSegment, SegmentTriple, VideoSegment, make_segment_pairs
-from .formats import FormatError, load_mten, save_loss_csv, save_mten
+from .formats import FormatError, in_file, load_mten, save_loss_csv, save_mten
 from .model import (
     FusionStrategy,
     MffcnParams,
@@ -191,11 +191,12 @@ def load_dataset(dirpath: str) -> List[SegmentTriple]:
         k, parts = len(items), []
         for kind, segment in (("noisy", MelSegment), ("video", VideoSegment), ("clean", MelSegment)):
             path = os.path.join(dirpath, f"{k:05d}.{kind}.mten")
-            try:
-                parts.append(segment(load_mten(path)))
-            except (OSError, FormatError, DspError) as exc:
-                detail = exc.strerror if isinstance(exc, OSError) else str(exc).removeprefix(f"{path}: ")
-                raise FormatError(f"{path}: item {k}: {detail}") from None
+            with in_file(path):
+                try:
+                    parts.append(segment(load_mten(path)))
+                except (OSError, FormatError, DspError) as exc:
+                    detail = exc.strerror if isinstance(exc, OSError) else exc.args[0]
+                    raise FormatError(f"item {k}: {detail}") from None
         items.append(SegmentTriple(*parts))
     if not items:
         raise TrainError(f"no dataset items found under {dirpath}")

@@ -484,6 +484,12 @@ class TestExportSpec:
         assert main(["export-spec", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {path}: {defect}\n"
 
+    def test_non_utf8_csv_refused_by_name(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,2\n3,\xff\n")
+        assert main(["export-spec", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: CSV is not valid UTF-8 (byte 6: invalid start byte)\n"
+
     @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
     def test_spectrogram_of_another_rank_refused_by_name(self, tmp_path, capsys, shape):
         path = tmp_path / "s.mten"

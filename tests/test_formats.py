@@ -16,13 +16,14 @@ from mffcn.formats import (
     FormatError,
     _mten_array,
     _read_mten,
+    _video_frames,
     _write_mten,
     export_spectrogram,
     load_checkpoint,
+    load_csv,
     load_mten,
     load_pgm,
     load_video,
-    load_video_frames,
     load_wav,
     save_checkpoint,
     save_loss_csv,
@@ -31,6 +32,16 @@ from mffcn.formats import (
     save_video_frames,
     save_wav,
 )
+
+
+def _wav_bytes(*chunks):
+    """A RIFF/WAVE file of (chunk id, payload) chunks, each odd payload padded to even length."""
+    body = b"WAVE" + b"".join(cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) % 2)
+                              for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+WAV_FMT = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
 
 
 def _mten_bytes(array):
@@ -250,6 +261,30 @@ class TestWav:
         with pytest.raises(FormatError, match="RIFF"):
             load_wav(str(p))
 
+    def test_rejects_odd_data_chunk(self, tmp_path):
+        # 19 bytes and a pad byte tile the file, but hold nine and a half samples
+        p = tmp_path / "odd.wav"
+        p.write_bytes(_wav_bytes((b"fmt ", WAV_FMT), (b"data", bytes(19))))
+        with pytest.raises(FormatError) as info:
+            load_wav(str(p))
+        assert str(info.value) == f"{p}: data chunk holds 19 bytes, not a whole number of 2-byte samples"
+
+    @pytest.mark.parametrize("chunks, cid", [
+        (((b"fmt ", WAV_FMT), (b"data", bytes(4)), (b"data", bytes(2))), "b'data'"),
+        (((b"fmt ", WAV_FMT), (b"fmt ", WAV_FMT), (b"data", bytes(4))), "b'fmt '"),
+    ], ids=["data", "fmt"])
+    def test_rejects_repeated_chunk(self, tmp_path, chunks, cid):
+        p = tmp_path / "twice.wav"
+        p.write_bytes(_wav_bytes(*chunks))
+        with pytest.raises(FormatError) as info:
+            load_wav(str(p))
+        assert str(info.value) == f"{p}: duplicate {cid} chunk"
+
+    def test_other_chunks_may_repeat(self, tmp_path):
+        p = tmp_path / "lists.wav"
+        p.write_bytes(_wav_bytes((b"LIST", b"ab"), (b"fmt ", WAV_FMT), (b"LIST", b"c"), (b"data", bytes(4))))
+        assert load_wav(str(p)).tolist() == [0.0, 0.0]
+
     def test_rejects_over_range_on_save(self, tmp_path):
         with pytest.raises(FormatError, match="scale"):
             save_wav(str(tmp_path / "x.wav"), np.array([1.5]))
@@ -344,7 +379,7 @@ class TestPgmAndVideo:
         stack = rng.integers(0, 256, size=(5, 12, 10), dtype=np.uint8)
         d = str(tmp_path / "vid")
         save_video_frames(d, stack)
-        read = load_video_frames(d)
+        read = _video_frames(d)
         assert [maxval for _, maxval in read] == [255] * len(stack)
         assert np.array_equal(np.stack([samples for samples, _ in read]), stack)
         frames = load_video(d)
@@ -358,7 +393,7 @@ class TestPgmAndVideo:
         save_pgm(str(d / "frame_000000.pgm"), np.zeros((2, 2), dtype=np.uint8))
         save_pgm(str(d / "frame_000002.pgm"), np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(FormatError, match="contiguous"):
-            load_video_frames(str(d))
+            load_video(str(d))
 
     def test_video_from_tensor_file(self, tmp_path):
         arr = np.random.default_rng(4).uniform(0, 1, size=(4, 6, 6)).astype(np.float32)
@@ -395,6 +430,14 @@ class TestCsvAndExport:
             rows = [line.split(",") for line in fh.read().splitlines()]
         back = np.array([[float(v) for v in row] for row in rows])
         assert np.allclose(back, s)
+
+    def test_non_utf8_csv_names_the_file_byte(self, tmp_path):
+        # past the text decoder's first chunk, so the offset is the file's, not the chunk's
+        p = tmp_path / "latin.csv"
+        p.write_bytes(b"1\n" * 5000 + b"caf\xe9\n")
+        with pytest.raises(FormatError) as info:
+            load_csv(str(p))
+        assert str(info.value) == f"{p}: CSV is not valid UTF-8 (byte 10003: invalid continuation byte)"
 
 
 def _mten_header(blob: bytes) -> range:
@@ -455,7 +498,8 @@ def _sweep_files(tmp_path):
 
 def _rejections(tmp_path, name, loader, variants):
     """Load each (label, bytes, names a record) variant; list those not
-    rejected by a FormatError naming the file, and the record if asked."""
+    rejected by a FormatError that starts with the file's path, and names
+    the record if asked."""
     missed = []
     for label, blob, in_record in variants:
         p = str(tmp_path / f"bad-{name}")
@@ -465,8 +509,8 @@ def _rejections(tmp_path, name, loader, variants):
             loader(p)
         except FormatError as exc:
             msg = str(exc)
-            if p not in msg:
-                missed.append(f"{label}: message lacks the path: {msg}")
+            if not msg.startswith(p + ": "):
+                missed.append(f"{label}: message does not start with the path: {msg}")
             elif in_record and not re.search(r"record \d+", msg):
                 missed.append(f"{label}: message lacks the record: {msg}")
         except Exception as exc:  # noqa: BLE001 - any other exception is the defect
@@ -508,3 +552,49 @@ class TestMalformedSweep:
                     variants.append((f"byte {at} {old:#04x}->{new:#04x}", bytes(bad), False))
             missed += _rejections(tmp_path, name, loader, variants)
         assert not missed, "\n".join(missed)
+
+
+def _refusals(tmp_path):
+    """(reader, its argument, the file its refusal must name first) for one malformed input per public reader."""
+    from mffcn.model import load_model
+    from mffcn.train import load_dataset, save_dataset, synth_dataset
+
+    def bad(name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        return str(path)
+
+    save_video_frames(str(tmp_path / "vid"), np.zeros((2, 3, 3), dtype=np.uint8))
+    frame = bad(f"vid/{FRAME_NAME % 1}", b"P5\n3 3\n255\n")
+    bright = str(tmp_path / "bright.mten")
+    save_mten(bright, np.full((2, 3, 3), 2.0, dtype=np.float32))
+    bare = str(tmp_path / "bare.mffc")
+    save_checkpoint(bare, {"x": np.ones(1, dtype=np.float32)})
+    save_dataset(str(tmp_path / "ds"), synth_dataset(1, 2))
+    part = bad("ds/00001.video.mten", b"MTEN")
+    wav = bad("a.wav", _wav_bytes((b"fmt ", WAV_FMT)))
+    pgm = bad("a.pgm", b"P5\n2 2\n255\n\x00")
+    mten = bad("a.mten", _mten_bytes(np.ones(3))[:-1])
+    mffc = bad("a.mffc", b"MFFC\x01\x01\x00\x00\x00\x03\x00")
+    table = bad("a.csv", b"1,2\n3\n")
+    return {
+        "load_wav": (load_wav, wav, wav),
+        "load_pgm": (load_pgm, pgm, pgm),
+        "load_video (directory)": (load_video, str(tmp_path / "vid"), frame),
+        "load_video (tensor)": (load_video, bright, bright),
+        "load_mten": (load_mten, mten, mten),
+        "load_checkpoint": (load_checkpoint, mffc, mffc),
+        "load_model": (load_model, bare, bare),
+        "load_csv": (load_csv, table, table),
+        "load_dataset": (load_dataset, str(tmp_path / "ds"), part),
+    }
+
+
+def test_each_reader_refusal_starts_with_the_file(tmp_path):
+    cases = _refusals(tmp_path)
+    starts = {}
+    for name, (reader, arg, named) in cases.items():
+        with pytest.raises(FormatError) as info:
+            reader(arg)
+        starts[name] = str(info.value).startswith(named + ": ")
+    assert starts == dict.fromkeys(cases, True)
