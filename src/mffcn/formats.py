@@ -157,17 +157,19 @@ def save_checkpoint(path: str, entries: Dict[str, np.ndarray]) -> None:
     """Write named tensors in insertion order, replacing path atomically.
 
     Every name and array is checked before anything is written; a refused
-    array raises a FormatError naming path and its record. The records then
-    stream into path + ".part", each payload straight from its float32 array,
-    so no encoded copy of the entries is ever held. The part file replaces
-    path only once it is complete, and is removed if anything fails.
+    name or array raises a FormatError naming path and its record. The
+    records then stream into path + ".part", each payload straight from its
+    float32 array, so no encoded copy of the entries is ever held. The part
+    file replaces path only once it is complete, and is removed if anything
+    fails.
     """
     records = []
     for k, (name, arr) in enumerate(entries.items()):
         raw = name.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise FormatError(f"parameter name too long: {name[:40]}...")
         with in_file(path):
+            if len(raw) > 0xFFFF:
+                raise FormatError(f"record {k} ({name[:40]!r}...): parameter name is {len(raw)} "
+                                  f"UTF-8 bytes, at most {0xFFFF}")
             try:
                 arr = _mten_array(arr)
             except FormatError as exc:

@@ -277,11 +277,17 @@ class EvalReport:
                    and math.isfinite(i.log_spectral_distance) for i in self.items)
 
 
+def _check_clip_count(n_clips: int) -> None:
+    if n_clips < 1:
+        raise MetricError(f"evaluation needs at least one clip, got {n_clips}")
+
+
 def evaluate_params(params: MffcnParams, snr_db: float, seed: int,
                     n_clips: int = 2) -> EvalReport:
     """Score a model on freshly synthesized mixtures at one fixed SNR."""
     if not math.isfinite(snr_db):
         raise MetricError(f"evaluation SNR must be finite, got {snr_db} dB")
+    _check_clip_count(n_clips)
     children = np.random.SeedSequence([seed, int(round(snr_db * 10)) & 0xFFFF]).spawn(n_clips)
     scores = []
     for k in range(n_clips):
@@ -319,6 +325,7 @@ def run_ablation(seed: int = 0, width_divisor: int = 8, train_steps: int = 50,
     """
     from .train import TrainConfig, synth_dataset, train
 
+    _check_clip_count(n_eval_clips)
     if strategies is None:
         strategies = list(FusionStrategy)
     data = synth_dataset(seed, train_items)

@@ -49,8 +49,12 @@ fits, so a batch that fits is a single block, else near-equal bands of
 small-side rows of one sample. Peak column memory stays at one block (a
 scatter's plus its halo columns, see _col2im) however large the batch (the
 first video conv would otherwise take 3.4 MB of float32 columns per
-segment). A geometry's phase tables and its blocks are worked out once and
-cached, since a model meets the same geometries on every call.
+segment). For a GEMM of m < 43 output rows, _gather's row bands shrink to
+m * 48 KiB, at least 256 KiB, in multiples of 16 grid columns, so they stay
+in L2 (see _Grid.blocks). The forward keeps its bits; the weight gradient's
+sum over blocks rounds differently. A geometry's phase tables and its
+blocks are worked out once and cached, since a model meets the same
+geometries on every call.
 
 maxpool2d's forward is a running maximum over the window taps. The argmax
 that routes the gradient is found in backward only, by a scan of the taps
@@ -198,7 +202,7 @@ class _Grid:
         out[:, :, :self.ho, :self.wo] = a.transpose(1, 0, 2, 3)
         return out.reshape(a.shape[1], -1)
 
-    def blocks(self, col_bytes: int) -> List[Tuple[slice, slice, slice]]:
+    def blocks(self, col_bytes: int, m: Optional[int] = None) -> List[Tuple[slice, slice, slice]]:
         """(samples, small-side rows, grid columns) blocks of at most COL_BLOCK_BYTES of GEMM columns.
 
         col_bytes is the size of the GEMM columns of one grid column. Blocks
@@ -206,16 +210,28 @@ class _Grid:
         single block, else near-equal bands of rows of one sample (at least
         one row each). A block's columns run from its first row to the end of
         its last, the grid's margins in between included.
+
+        m is _gather's GEMM output rows. Below 43 rows, a sample that does
+        not fit is cut into bands of m * 48 KiB, at least 256 KiB, that stay
+        in L2 (Goto & van de Geijn, TOMS 2008). Such bands are whole units of
+        16 // gcd(wq, 16) rows, i.e. multiples of 16 grid columns, which
+        OpenBLAS computes bit for bit as in one unblocked GEMM; a unit larger
+        than the budget keeps the flat bands. A weight gradient summed over
+        these bands rounds otherwise than over 2 MiB ones.
         """
-        key = (col_bytes, COL_BLOCK_BYTES)
+        key = (col_bytes, COL_BLOCK_BYTES, m)
         if key not in self._blocks:
             row = self.wq * col_bytes
             if self.ho * row <= COL_BLOCK_BYTES:
                 most = 1 + (COL_BLOCK_BYTES - self.ho * row) // (self.s * col_bytes)
                 spans = [(s0, s1, 0, self.ho) for s0, s1 in _bands(self.b, most)]
             else:
-                bands = _bands(self.ho, max(1, COL_BLOCK_BYTES // row))
-                spans = [(n, n + 1, r0, r1) for n in range(self.b) for r0, r1 in bands]
+                unit = 16 // math.gcd(self.wq, 16)
+                budget = max(256 << 10, m * (48 << 10)) if m else COL_BLOCK_BYTES
+                if not unit * row <= budget < COL_BLOCK_BYTES:
+                    unit, budget = 1, COL_BLOCK_BYTES
+                bands = _bands(-(-self.ho // unit), max(1, budget // (unit * row)))
+                spans = [(n, n + 1, unit * r0, min(unit * r1, self.ho)) for n in range(self.b) for r0, r1 in bands]
             self._blocks[key] = [(slice(s0, s1), slice(r0, r1), slice(s0 * self.s + r0 * self.wq,
                                                                      (s1 - 1) * self.s + r1 * self.wq))
                                  for s0, s1, r0, r1 in spans]
@@ -364,7 +380,8 @@ def _gather(mat: Optional[np.ndarray], planes: np.ndarray, g: _Grid, flip: bool 
     a short block loses to the later copy of the transposed part.
     """
     out = total = None
-    blocks = g.blocks(planes.shape[1] * math.prod(g.kernel) * planes.itemsize)
+    m = (mat if mat is not None else small).shape[0]
+    blocks = g.blocks(planes.shape[1] * math.prod(g.kernel) * planes.itemsize, m)
     uncropped = g.uncropped and len(blocks) == 1
     if mat is not None and not uncropped:
         out = np.empty((g.b, mat.shape[0], g.ho, g.wo), dtype=np.result_type(mat, planes))

@@ -436,15 +436,18 @@ def test_blocked_conv2d_forward_matches_single_block(kernel, stride, batch, bloc
     assert (np.abs(blocked - whole) <= bound).all()
 
 
-@pytest.mark.parametrize("dtype, width_divisor, batch", [
-    (np.float32, 8, 4), (np.float32, 8, 1), (np.float64, 16, 3), (np.float64, 16, None)])
-def test_blocked_model_forward_is_bitwise(dtype, width_divisor, batch, monkeypatch):
-    """At the default budget the first video conv (5x5 over 5x80x80) runs in
-    bands of phase-grid rows: one grid column takes 500 bytes of float32
-    columns (1,000 in float64) and one 84-column grid row 42,000 (84,000), so
-    the 2 MiB budget makes two 40-row bands per sample (four 20-row bands in
-    float64). The eval-mode forward is bit-identical to one block per conv.
-    Batch None feeds mffcn_forward one [C,H,W] segment."""
+@pytest.mark.parametrize("dtype, width_divisor, batch, rows", [
+    (np.float32, 8, 4, 8), (np.float32, 8, 1, 8), (np.float64, 8, 3, 4), (np.float64, 16, None, 20)])
+def test_blocked_model_forward_is_bitwise(dtype, width_divisor, batch, rows, monkeypatch):
+    """The first video conv (5x5 over 5x80x80, 64 / width_divisor output
+    channels) runs in bands of phase-grid rows: one grid column takes 500
+    bytes of float32 columns (1,000 in float64) and one 84-column grid row
+    42,000 (84,000), so one sample exceeds COL_BLOCK_BYTES. At d=8 its GEMM
+    has 8 rows, so the budget drops to 384 KiB: 8-row bands in float32,
+    4-row ones (one unit of 336 grid columns) in float64. At d=16 the 256 KiB
+    budget holds no float64 unit, so the 2 MiB budget's 20-row bands stay.
+    The eval-mode forward runs those bands and is bit-identical to one block
+    per conv. Batch None feeds mffcn_forward one [C,H,W] segment."""
     from mffcn.model import FusionStrategy, init_params, mffcn_forward
 
     params = init_params(0, FusionStrategy.MULTILAYER, width_divisor, dtype=dtype)
@@ -453,14 +456,76 @@ def test_blocked_model_forward_is_bitwise(dtype, width_divisor, batch, monkeypat
     y = Tensor(rng.normal(size=lead + (1, 80, 20)).astype(dtype))
     v = Tensor(rng.uniform(size=lead + (5, 80, 80)).astype(dtype))
     assert 5 * 5 * 5 * 80 * 80 * np.dtype(dtype).itemsize > ops.COL_BLOCK_BYTES
-    bands = _Grid((5, 5), (1, 1), 1, 80, 80).blocks(5 * 5 * 5 * np.dtype(dtype).itemsize)
-    assert [rows.stop - rows.start for _, rows, _ in bands] == ([40] * 2 if dtype == np.float32 else [20] * 4)
-    outs = []
+    widths, columns = [], ops._columns
+
+    def spy(planes, g, cols, flip=False):
+        if (g.kernel, g.w) == ((5, 5), 80):  # not the audio branch's 5x5 over 80x20
+            widths.append(cols.stop - cols.start)
+        return columns(planes, g, cols, flip)
+
+    monkeypatch.setattr(ops, "_columns", spy)
+    outs, bands = [], None
     for budget in (ops.COL_BLOCK_BYTES, 1 << 40):
         monkeypatch.setattr(ops, "COL_BLOCK_BYTES", budget)
         with no_grad():
             outs.append(mffcn_forward(y, v, params, mode="eval").data)
+        bands = bands or widths[:]
+    assert bands == [rows * 84] * (80 // rows) * (batch or 1)
     assert outs[0].tobytes() == outs[1].tobytes()
+
+
+def _model_gathers(width_divisor, batch, dtype):
+    """{(grid, col_bytes, GEMM rows)} of every _gather in a train-mode forward and backward of the model."""
+    from mffcn.model import FusionStrategy, init_params, mffcn_forward
+
+    seen, gather = set(), ops._gather
+
+    def spy(mat, planes, g, flip=False, bias=None, small=None):
+        seen.add((g, planes.shape[1] * math.prod(g.kernel) * planes.itemsize,
+                  (mat if mat is not None else small).shape[0]))
+        return gather(mat, planes, g, flip, bias, small)
+
+    params = init_params(0, FusionStrategy.MULTILAYER, width_divisor, dtype=dtype)
+    rng = np.random.default_rng(8)
+    y = Tensor(rng.normal(size=(batch, 1, 80, 20)).astype(dtype))
+    v = Tensor(rng.uniform(size=(batch, 5, 80, 80)).astype(dtype))
+    ops._gather = spy
+    try:
+        with Tape() as tape:
+            tape.backward(mffcn_forward(y, v, params, mode="train").sum())
+    finally:
+        ops._gather = gather
+    return seen
+
+
+def test_gemm_rows_size_only_the_bands_of_split_geometries():
+    """Every _gather geometry of d=8 and d=16 at batch 1 and 4 in both dtypes,
+    plus d=1's first video conv (64 output channels) at batch 1 and 8.
+
+    Geometries whose samples fit whole (a batch that fits is one block),
+    and GEMMs of 64 or more rows, keep the flat-budget blocks. The rest are
+    row bands of a multiple of 16 grid columns within COL_BLOCK_BYTES,
+    covering every row of every sample once; those of d=16 float64 keep the
+    flat bands, as one 4-row unit exceeds their 256 KiB budget.
+    """
+    geometries = set()
+    for (d, batch), dtype in itertools.product(itertools.product((8, 16), (1, 4)), (np.float32, np.float64)):
+        geometries |= _model_gathers(d, batch, dtype)
+    geometries |= {(_Grid((5, 5), (1, 1), b, 80, 80), 125 * it, 64) for b in (1, 8) for it in (4, 8)}
+    rebanded = 0
+    for g, col, m in geometries:
+        flat, blocks = g.blocks(col), g.blocks(col, m)
+        if m >= 64 or g.ho * g.wq * col <= ops.COL_BLOCK_BYTES:
+            assert blocks == flat, (g.kernel, g.b, g.h, g.w, col, m)
+            continue
+        rebanded += blocks != flat
+        seen = np.zeros((g.b, g.ho), dtype=int)
+        for samples, rows, cols in blocks:
+            seen[samples, rows] += 1
+            assert (cols.stop - cols.start) % 16 == 0
+            assert (cols.stop - cols.start) * col <= ops.COL_BLOCK_BYTES
+        assert (seen == 1).all()
+    assert rebanded == 6  # the first video conv (forward and gw alike) at batch 1 and 4: d=8, d=16 float32
 
 
 # A 3x3 stride-1 conv over 4x3 maps pads one cell on every side: a 6x5 grid

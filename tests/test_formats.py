@@ -167,6 +167,8 @@ class TestCheckpoint:
             match = re.escape("record 1 ('b'): tensor dims must be positive, got (2, 0)")
         elif bad == "long name":
             entries["x" * 0x10000] = np.ones(1, dtype=np.float32)
+            match = re.escape(f"{p}: record 2 ('{'x' * 40}'...): parameter name is 65536 UTF-8 bytes, "
+                              "at most 65535") + "$"
         else:
             write = formats._write_mten
 

@@ -301,6 +301,18 @@ class TestEvaluateParams:
         with pytest.raises(MetricError, match="SNR must be finite"):
             evaluate_params(params, snr_db=snr_db, seed=0, n_clips=1)
 
+    @pytest.mark.parametrize("n_clips", [0, -1])
+    @pytest.mark.parametrize("entry", ["evaluate_params", "run_ablation"])
+    def test_rejects_fewer_than_one_clip(self, entry, n_clips, monkeypatch):
+        import mffcn.train
+
+        monkeypatch.setattr(mffcn.train, "train", None)  # run_ablation refuses before it trains
+        with pytest.raises(MetricError, match=f"at least one clip, got {n_clips}$"):
+            if entry == "evaluate_params":
+                evaluate_params(init_params(0, FusionStrategy.LATE, 16), snr_db=0.0, seed=0, n_clips=n_clips)
+            else:
+                run_ablation(width_divisor=16, n_eval_clips=n_clips)
+
     def test_deterministic(self):
         params = init_params(0, FusionStrategy.LATE, 16)
         a = evaluate_params(params, snr_db=5.0, seed=2, n_clips=1)
