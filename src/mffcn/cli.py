@@ -35,7 +35,14 @@ from .formats import (
     save_mten,
 )
 from .gradcheck import DEFAULT_SEEDS, REL_TOL, run_model_check, run_op_suite
-from .metrics import MetricError, ablation_to_csv, evaluate_params, format_ablation, run_ablation
+from .metrics import (
+    MetricError,
+    ablation_to_csv,
+    evaluate_params,
+    format_ablation,
+    log_spectral_distance,
+    run_ablation,
+)
 from .model import (
     AUDIO_STRIDES,
     KERNELS,
@@ -281,8 +288,7 @@ def cmd_enhance(args) -> int:
         if len(clean_segs) >= n:
             clean_cat = np.concatenate([s.values for s in clean_segs[:n]], axis=1)
             written += export_spectrogram(os.path.join(args.out, "clean"), clean_cat)
-            dist = float(np.sqrt(np.mean((enh_cat - clean_cat) ** 2)))
-            print(f"log-spectral distance to reference: {dist:.4f}")
+            print(f"log-spectral distance to reference: {log_spectral_distance(enh_cat, clean_cat):.4f}")
         else:
             print(f"reference WAV too short ({len(clean_segs)} segments), skipping",
                   file=sys.stderr)

@@ -355,7 +355,7 @@ def ablation_to_csv(reports: Sequence[EvalReport]) -> str:
 
 
 def format_ablation(reports: Sequence[EvalReport]) -> str:
-    """Aligned-column text table, one row per strategy, one column group per SNR."""
+    """Aligned-column text table of a full strategy x SNR grid: a row per strategy, a group per SNR."""
     snrs = sorted({r.snr_db for r in reports}, reverse=True)
     strategies = []
     for r in reports:
@@ -372,11 +372,8 @@ def format_ablation(reports: Sequence[EvalReport]) -> str:
     for s in strategies:
         row = s.ljust(width)
         for snr in snrs:
-            r = by_key.get((s, snr))
-            if r is None:
-                row += "| (missing)" + " " * 16
-            else:
-                row += (f"| {r.mean_stoi_pct:6.2f} {r.mean_si_sdr_db:+6.2f} "
-                        f"{r.mean_log_spectral_distance:6.3f} ")
+            r = by_key[(s, snr)]
+            row += (f"| {r.mean_stoi_pct:6.2f} {r.mean_si_sdr_db:+6.2f} "
+                    f"{r.mean_log_spectral_distance:6.3f} ")
         rows.append(row)
     return "\n".join(rows) + "\n"

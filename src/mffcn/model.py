@@ -385,15 +385,16 @@ def bottleneck(x: Tensor, attn: SpectralParams, lstms: Sequence[LstmLayerParams]
     """Self-attention gate, then two stacked LSTMs along the frequency axis.
 
     By layer 10 the time axis is a single column, so the only sequence left
-    to aggregate is the 5-step frequency axis; hidden size equals the channel
-    count, which keeps the output shape equal to the input shape.
+    to aggregate is the 5-step frequency axis, read channel-first as the
+    map holds it: the channels are the LSTM features. Hidden size equals the
+    channel count, which keeps the output shape equal to the input shape.
     """
     y = spectral_attention(x, attn)
     b, c, steps = x.dims[:3]
-    seq = y.reshape(b, c, steps).permute(0, 2, 1)
+    seq = y.reshape(b, c, steps)
     for layer in lstms:
         seq = lstm_forward(seq, layer)
-    return seq.permute(0, 2, 1).reshape(b, c, steps, 1)
+    return seq.reshape(b, c, steps, 1)
 
 
 class ForwardMemo:

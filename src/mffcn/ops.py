@@ -1,9 +1,9 @@
 """Neural-network operations built on the taped tensor engine.
 
 Every op takes one layout with the batch axis first: [B, C, H, W] feature
-maps and [B, T, F] sequences. An input without its batch
-axis raises a ShapeError naming the op; model.mffcn_forward is the one
-entry that also takes a single [C, H, W] segment. Convolutions are
+maps and [B, F, T] sequences, features first like a map's channels. An input
+without its batch axis raises a ShapeError naming the op; model.mffcn_forward
+is the one entry that also takes a single [C, H, W] segment. Convolutions are
 cross-correlations (no kernel flip on the forward pass) under "same-ceil"
 padding: each output extent is ceil(input / stride), the shortfall is
 padded with zeros split evenly, and the odd padding element goes on the
@@ -56,10 +56,10 @@ sum over blocks rounds differently. A geometry's phase tables and its
 blocks are worked out once and cached, since a model meets the same
 geometries on every call.
 
-maxpool2d's forward is a running maximum over the window taps. The argmax
-that routes the gradient is found in backward only, by a scan of the taps
-in reading order for the first one equal to the window's maximum, so
-inference never pays for it.
+maxpool2d takes only windows that tile its input, as every network pool does.
+Its forward is a running maximum over the window taps. The argmax routing the
+gradient is found in backward only, by a scan of the taps in reading order for
+the first one equal to the window's maximum, so inference never pays for it.
 
 lstm_forward runs a whole recurrent layer as one taped op rather than 22
 taped primitives per time step. Each gate's input projection is one GEMM
@@ -124,7 +124,7 @@ def _same_ceil_pad(extent: int, stride: int, kernel: int) -> Tuple[int, int]:
     return lo, total - lo
 
 
-_LAYOUTS = {3: "[B,T,F]", 4: "[B,C,H,W]"}
+_LAYOUTS = {3: "[B,F,T]", 4: "[B,C,H,W]"}
 
 
 def _batch_first(data: np.ndarray, rank: int, op: str) -> np.ndarray:
@@ -132,15 +132,6 @@ def _batch_first(data: np.ndarray, rank: int, op: str) -> np.ndarray:
     if data.ndim != rank:
         raise ShapeError(f"{op}: expected a {_LAYOUTS[rank]} input, got {data.shape}")
     return data
-
-
-def _pad_hw(a: np.ndarray, pt: int, pb: int, pl: int, pr: int, value: float = 0.0) -> np.ndarray:
-    if pt == pb == pl == pr == 0:
-        return a
-    h, w = a.shape[-2:]
-    out = np.full(a.shape[:-2] + (h + pt + pb, w + pl + pr), value, dtype=a.dtype)
-    out[..., pt:pt + h, pl:pl + w] = a  # np.pad spends about 50 us per call in Python
-    return out
 
 
 class _Grid:
@@ -493,42 +484,38 @@ def conv_transpose2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec,
 
 
 def maxpool2d(x: Tensor, window: Tuple[int, int]) -> Tensor:
-    """Non-overlapping max pooling; window doubles as the stride.
+    """Non-overlapping max pooling by a window that tiles the input; window doubles as the stride.
 
-    Same-ceil padding fills with -inf, and the construction guarantees every
-    window covers at least one real cell. The forward is a running maximum
-    over the window taps; the argmax is found only in backward, where ties
-    route the gradient to the first window element in reading order.
+    The forward is a running maximum over the window taps; the argmax is
+    found only in backward, where ties route the gradient to the first
+    window element in reading order.
     """
     wh, ww = window
     if wh < 1 or ww < 1:
         raise ShapeError(f"maxpool2d: window extents must be positive, got {window}")
     xd = _batch_first(x.data, 4, "maxpool2d")
-    b, c, h, w = xd.shape
-    ho, wo = math.ceil(h / wh), math.ceil(w / ww)
-    pt, pb = _same_ceil_pad(h, wh, wh)
-    pl, pr = _same_ceil_pad(w, ww, ww)
-    xp = _pad_hw(xd, pt, pb, pl, pr, value=-np.inf)  # exactly [B, C, ho*wh, wo*ww]
-    out = xp[:, :, ::wh, ::ww].copy()
+    if xd.shape[2] % wh or xd.shape[3] % ww:
+        raise ShapeError(f"maxpool2d: window {window} does not tile the input extents {xd.shape[2:]}")
+    out = xd[:, :, ::wh, ::ww].copy()
     for u in range(wh):
         for v in range(ww):
             if u or v:
-                np.maximum(xp[:, :, u::wh, v::ww], out, out=out)  # ties keep the earlier tap
+                np.maximum(xd[:, :, u::wh, v::ww], out, out=out)  # ties keep the earlier tap
     result = Tensor(out)
 
     def backward(g: np.ndarray) -> None:
-        gxp = np.zeros_like(xp)
-        hit = xp[:, :, ::wh, ::ww] == out
+        gx = np.zeros_like(xd)
+        hit = xd[:, :, ::wh, ::ww] == out
         pending = ~hit  # windows whose argmax is not yet found
-        np.copyto(gxp[:, :, ::wh, ::ww], g, where=hit)
+        np.copyto(gx[:, :, ::wh, ::ww], g, where=hit)
         for u in range(wh):
             for v in range(ww):
                 if u or v:
-                    np.equal(xp[:, :, u::wh, v::ww], out, out=hit)
+                    np.equal(xd[:, :, u::wh, v::ww], out, out=hit)
                     hit &= pending
                     pending ^= hit
-                    np.copyto(gxp[:, :, u::wh, v::ww], g, where=hit)
-        _accumulate(x, gxp[:, :, pt:pt + h, pl:pl + w])
+                    np.copyto(gx[:, :, u::wh, v::ww], g, where=hit)
+        _accumulate(x, gx)
 
     return record(result, (x,), backward)
 
@@ -720,15 +707,15 @@ class LstmLayerParams:
 
 
 def lstm_forward(seq: Tensor, params: LstmLayerParams) -> Tensor:
-    """Run one LSTM layer over a [B, T, F] sequence as one taped op.
+    """Run one LSTM layer over a features-first [B, F, T] sequence as one taped op.
 
-    Returns the hidden states for every step, [B, T, H], from zero initial
-    hidden and cell states. Each gate's input projection plus bias is one
-    GEMM over all B*T rows before the time loop; each step then adds one
-    ``wh @ h`` per gate. The backward pass is backpropagation through time
-    written out by hand: its only per-step matmuls are the four ``dz @ wh``,
-    and the weight, bias and input gradients are each one GEMM or sum over
-    all steps.
+    Returns the hidden states for every step, [B, H, T], from zero initial
+    hidden and cell states; the op works on step-major views of its input
+    and output. Each gate's input projection plus bias is one GEMM over all
+    B*T rows before the time loop; each step then adds one ``wh @ h`` per
+    gate. The backward pass is backpropagation through time written out by
+    hand: its only per-step matmuls are the four ``dz @ wh``, and the
+    weight, bias and input gradients are each one GEMM or sum over all steps.
 
     The four gates keep their own weight tensors, so parameter names,
     shapes and checkpoints are those of the per-gate layout. They are not
@@ -741,8 +728,8 @@ def lstm_forward(seq: Tensor, params: LstmLayerParams) -> Tensor:
     xd = _batch_first(seq.data, 3, "lstm_forward")
     hidden = params.hidden_size
     feat = params.feature_size
-    if xd.shape[2] != feat:
-        raise ShapeError(f"lstm_forward: feature axis is {xd.shape[2]}, gates expect {feat}")
+    if xd.shape[1] != feat:
+        raise ShapeError(f"lstm_forward: feature axis is {xd.shape[1]}, gates expect {feat}")
     for name, gate in params.gates():
         if gate.wx.dims != (hidden, feat) or gate.wh.dims != (hidden, hidden) or gate.bias.dims != (hidden,):
             raise ShapeError(f"lstm_forward: {name} gate shapes are inconsistent")
@@ -750,8 +737,8 @@ def lstm_forward(seq: Tensor, params: LstmLayerParams) -> Tensor:
     # The three sigmoid gates first, so one call activates them together.
     gates = (params.input_gate, params.forget_gate, params.output_gate, params.cell_gate)
     tensors = tuple(t for gate in gates for t in (gate.wx, gate.wh, gate.bias))
-    b, steps, _ = xd.shape
-    xs = xd.reshape(b * steps, feat)
+    b, _, steps = xd.shape
+    xs = xd.transpose(0, 2, 1).reshape(b * steps, feat)
     dtype = np.result_type(xd, *(t.data for t in tensors))
 
     z = np.empty((4, b, steps, hidden), dtype=dtype)  # pre-activations, gate-major
@@ -776,9 +763,10 @@ def lstm_forward(seq: Tensor, params: LstmLayerParams) -> Tensor:
         np.multiply(o, tanh_c[:, t], out=out[:, t])
     if not np.all(np.isfinite(z)):
         raise NonFiniteError("lstm_forward: a gate pre-activation is NaN or Inf")
-    result = Tensor(out)
+    result = Tensor(out.transpose(0, 2, 1))
 
     def backward(gh: np.ndarray) -> None:
+        gh = gh.transpose(0, 2, 1)
         dz = np.empty_like(act)
         for t in range(steps - 1, -1, -1):
             i, f, o, g = act[:, :, t]
@@ -820,6 +808,6 @@ def lstm_forward(seq: Tensor, params: LstmLayerParams) -> Tensor:
                 part = dzs[k] @ gate.wx.data
                 gx = part if gx is None else np.add(gx, part, out=gx)
         if seq.requires_grad:
-            _accumulate(seq, gx.reshape(b, steps, feat))
+            _accumulate(seq, gx.reshape(b, steps, feat).transpose(0, 2, 1))
 
     return record(result, (seq,) + tensors, backward)

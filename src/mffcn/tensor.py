@@ -24,11 +24,9 @@ until touched and the optimizer reads all gradients as one vector.
 from __future__ import annotations
 
 import threading
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-
-Scalar = Union[int, float]
 
 FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 DEFAULT_DTYPE = np.float32
@@ -139,7 +137,7 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    # -- elementwise arithmetic (strict shapes; scalars broadcast) ----------
+    # -- elementwise arithmetic (tensor operands of one shape) ---------------
 
     def _binary_shapes(self, other: "Tensor", op: str) -> None:
         if self.dims != other.dims:
@@ -155,24 +153,16 @@ class Tensor:
 
         return record(out, (self, other), backward)
 
-    def __mul__(self, other: Union["Tensor", Scalar]) -> "Tensor":
-        if isinstance(other, Tensor):
-            self._binary_shapes(other, "mul")
-            a, b = self.data, other.data
-            out = Tensor(a * b)
+    def __mul__(self, other: "Tensor") -> "Tensor":
+        self._binary_shapes(other, "mul")
+        a, b = self.data, other.data
+        out = Tensor(a * b)
 
-            def backward(g: np.ndarray) -> None:
-                _accumulate(self, g * b)
-                _accumulate(other, g * a)
+        def backward(g: np.ndarray) -> None:
+            _accumulate(self, g * b)
+            _accumulate(other, g * a)
 
-            return record(out, (self, other), backward)
-        s = float(other)
-        out = Tensor(self.data * s)
-
-        def backward_s(g: np.ndarray) -> None:
-            _accumulate(self, g * s)
-
-        return record(out, (self,), backward_s)
+        return record(out, (self, other), backward)
 
     # -- reductions (64-bit accumulation) ------------------------------------
 
@@ -203,17 +193,6 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             _accumulate(self, g.reshape(src))
-
-        return record(out, (self,), backward)
-
-    def permute(self, *axes: int) -> "Tensor":
-        if sorted(axes) != list(range(self.ndim)):
-            raise ShapeError(f"permute: {axes} is not a permutation of {self.ndim} axes")
-        inverse = np.argsort(axes)
-        out = Tensor(np.transpose(self.data, axes))
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, np.transpose(g, inverse))
 
         return record(out, (self,), backward)
 

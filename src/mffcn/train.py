@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -43,6 +44,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 ADAM_BLOCK = 1 << 16  # elements per block of the flat Adam update
+# A part file as save_dataset names it: the item index as "{k:05d}", then the part.
+_PART_RE = re.compile(r"(0\d{4}|[1-9]\d{4,})\.(?:noisy|video|clean)\.mten")
 
 
 class TrainError(RuntimeError):
@@ -183,12 +186,15 @@ def save_dataset(dirpath: str, items: Sequence[SegmentTriple]) -> None:
 def load_dataset(dirpath: str) -> List[SegmentTriple]:
     """Read triples written by save_dataset (or any pre-extracted corpus).
 
-    A part of an item that is missing, unreadable or not a valid segment
-    raises a FormatError naming its file and the item index.
+    Items run from 00000 to the highest index among the part files. A part
+    that is missing, unreadable or not a valid segment raises a FormatError
+    naming its file and the item index.
     """
+    names = os.listdir(dirpath) if os.path.isdir(dirpath) else []
+    count = max((int(m.group(1)) + 1 for m in map(_PART_RE.fullmatch, names) if m), default=0)
     items = []
-    while os.path.exists(os.path.join(dirpath, f"{len(items):05d}.noisy.mten")):
-        k, parts = len(items), []
+    for k in range(count):
+        parts = []
         for kind, segment in (("noisy", MelSegment), ("video", VideoSegment), ("clean", MelSegment)):
             path = os.path.join(dirpath, f"{k:05d}.{kind}.mten")
             with in_file(path):
@@ -246,6 +252,9 @@ def train(config: TrainConfig, data: Sequence[SegmentTriple],
     elif params.strategy is not config.strategy:
         raise TrainError(
             f"config says {config.strategy.value}, parameters say {params.strategy.value}")
+    elif params.width_divisor != config.width_divisor:
+        raise TrainError(f"config says width divisor {config.width_divisor}, "
+                         f"parameters say {params.width_divisor}")
     adam = AdamState.initial(params.named)
     order_rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([config.seed, 0x0D5E])))

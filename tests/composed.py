@@ -218,13 +218,13 @@ def scale_channels(x: Tensor, w: Tensor) -> Tensor:
 
 
 def lstm(seq: Tensor, params: LstmLayerParams) -> Tensor:
-    """ops.lstm_forward, one cell step at a time."""
+    """ops.lstm_forward, one cell step at a time: [B, F, T] in, [B, H, T] out."""
     state_shape = (seq.dims[0], params.hidden_size)
     h = Tensor(np.zeros(state_shape, dtype=seq.dtype))
     c = Tensor(np.zeros(state_shape, dtype=seq.dtype))
     outputs = []
-    for t in range(seq.dims[1]):
-        x_t = pick(seq, 1, t)
+    for t in range(seq.dims[2]):
+        x_t = pick(seq, 2, t)
         z = {name: add(fully_connected(x_t, gate.wx, gate.bias), fully_connected(h, gate.wh))
              for name, gate in params.gates()}
         i = sigmoid(z["input"])
@@ -234,7 +234,7 @@ def lstm(seq: Tensor, params: LstmLayerParams) -> Tensor:
         c = add(f * c, i * g)
         h = o * tanh(c)
         outputs.append(h)
-    return stack(outputs, axis=1)
+    return stack(outputs, axis=2)
 
 
 def norm_leaky(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
@@ -333,7 +333,7 @@ def _draw_scale_channels(rng, seed):
 
 OP_ROWS: Dict[str, Draw] = {
     "add": _elementwise(add),
-    "scalar_mix": _unary(lambda x: add(rsub(1.5, neg(x) * 0.75), 0.25)),
+    "scalar_mix": _unary(lambda x: add(rsub(1.5, neg(x) * Tensor(np.full(x.dims, 0.75))), 0.25)),
     "pick": _draw_pick,
     "stack": _draw_stack,
     "sigmoid": _unary(sigmoid),

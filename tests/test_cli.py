@@ -9,10 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from mffcn import cli
+from mffcn import cli, metrics
 from mffcn.cli import main
-from mffcn.dsp import mix_at_snr
-from mffcn.formats import load_mten, save_mten, save_video_frames, save_wav
+from mffcn.dsp import AudioClip, log_mel, mix_at_snr
+from mffcn.formats import load_mten, load_wav, save_mten, save_video_frames, save_wav
 from mffcn.gradcheck import CheckResult
 from mffcn.metrics import EvalReport, ItemScore
 from mffcn.synth import draw_clip
@@ -148,6 +148,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("defect, named", [
         ("missing", "00003.clean.mten: item 3: "),
+        ("gap", "00001.noisy.mten: item 1: "),
         ("shape", "00003.noisy.mten: item 3: "),
         ("range", "00003.video.mten: item 3: "),
     ])
@@ -225,6 +226,28 @@ class TestEnhanceCommand:
         assert seg.shape == (80, 20)
         for name in ("noisy.pgm", "enhanced.pgm", "clean.pgm", "noisy.csv"):
             assert (tmp_path / name).exists(), name
+
+    def test_reference_distance_is_the_metric(self, workdir, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def recorded(a, b):
+            calls.append(metrics.log_spectral_distance(a, b))
+            return calls[-1]
+
+        monkeypatch.setattr(cli, "log_spectral_distance", recorded)
+        rc = main(["enhance", str(workdir / "noisy.wav"), str(workdir / "frames"),
+                   str(workdir / "clean.wav"),
+                   "--checkpoint", str(workdir / "ck" / "checkpoint.mffc"),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        n = len([f for f in os.listdir(tmp_path) if f.startswith("enhanced_")])
+        enhanced = np.concatenate([load_mten(str(tmp_path / f"enhanced_{k:03d}.mten"))
+                                   for k in range(n)], axis=1)
+        clean_segs = log_mel(AudioClip(load_wav(str(workdir / "clean.wav"))))
+        clean = np.concatenate([s.values for s in clean_segs[:n]], axis=1)
+        want = metrics.log_spectral_distance(enhanced, clean)  # float64 differences
+        assert calls == [want]
+        assert f"log-spectral distance to reference: {want:.4f}\n" in capsys.readouterr().out
 
     def test_resizes_offsize_frames(self, workdir, tmp_path):
         frames = np.random.default_rng(0).integers(0, 255, (10, 100, 120), dtype=np.uint8)

@@ -336,23 +336,19 @@ def test_batch_rows_match_batch_one(kernel, stride, transpose):
 
 
 def ref_maxpool2d(x, g, window):
-    """Forward and input grad by walking each window's real cells in reading order."""
+    """Forward and input grad by walking each window's cells in reading order."""
     wh, ww = window
-    _, _, h, w = x.shape
-    pt, _ = _pads(h, wh, wh)
-    pl, _ = _pads(w, ww, ww)
-    ho, wo = math.ceil(h / wh), math.ceil(w / ww)
-    y = np.full(x.shape[:2] + (ho, wo), -np.inf)
+    ho, wo = x.shape[2] // wh, x.shape[3] // ww
+    y = np.empty(x.shape[:2] + (ho, wo))
     gx = np.zeros_like(x)
     for bi in range(x.shape[0]):
         for ci in range(x.shape[1]):
             for i in range(ho):
                 for j in range(wo):
                     best = None
-                    for r in range(i * wh - pt, (i + 1) * wh - pt):
-                        for c in range(j * ww - pl, (j + 1) * ww - pl):
-                            real = 0 <= r < h and 0 <= c < w
-                            if real and (best is None or x[bi, ci, r, c] > y[bi, ci, i, j]):
+                    for r in range(i * wh, (i + 1) * wh):
+                        for c in range(j * ww, (j + 1) * ww):
+                            if best is None or x[bi, ci, r, c] > y[bi, ci, i, j]:
                                 best, y[bi, ci, i, j] = (r, c), x[bi, ci, r, c]
                     gx[(bi, ci) + best] += g[bi, ci, i, j]
     return y, gx
@@ -361,16 +357,16 @@ def ref_maxpool2d(x, g, window):
 @pytest.mark.parametrize("batch", BATCHES)
 @pytest.mark.parametrize("window", [(2, 2), (2, 4), (3, 3), (1, 2), (1, 5)])
 def test_maxpool2d_matches_loop_reference(window, batch):
-    """Ties (integer-valued input) go to the first cell; edges are padded with -inf.
+    """Ties (integer-valued input) go to the first cell.
 
-    Under (1, 5) the 7 columns pad to 10, so each row's first window starts on
-    -inf padding: its first tap never holds the maximum.
+    The extents are three by two windows: maxpool2d takes only windows that
+    tile its input.
     """
     rng = np.random.default_rng([*window, batch, 3])
-    x = rng.integers(-2, 2, size=(batch, C_IN) + HW).astype(np.float64)
+    hw = (3 * window[0], 2 * window[1])
+    x = rng.integers(-2, 2, size=(batch, C_IN) + hw).astype(np.float64)
     x[x == 0] = rng.choice([-0.0, 0.0], size=int((x == 0).sum()))  # signed-zero ties
-    ho, wo = (math.ceil(HW[i] / window[i]) for i in range(2))
-    g = rng.normal(size=(batch, C_IN, ho, wo))
+    g = rng.normal(size=(batch, C_IN, 3, 2))
     xt = Tensor(x, requires_grad=True)
     with Tape() as tape:
         y = maxpool2d(xt, window)

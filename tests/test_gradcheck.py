@@ -48,7 +48,7 @@ class TestFiniteDifferenceOracle:
 
         def flaky(args):
             calls.append(None)
-            return (args[0] * float(len(calls))).sum()
+            return (args[0] * Tensor(np.full(args[0].dims, float(len(calls))))).sum()
 
         with pytest.raises(TensorError, match="deterministic"):
             check_gradients(flaky, [Tensor(np.array([1.0]))])
@@ -68,9 +68,10 @@ class TestFiniteDifferenceOracle:
 # Worst relative error of each op check per seed (DEFAULT_SEEDS order), recorded
 # while the ops still took inputs without a batch axis: the checks now draw the
 # same values with a leading axis of 1 and must reproduce these. The norm_leaky
-# and attention rows were recorded when those ops became one taped op each. The
-# rows of the primitives the fused ops replaced were recorded from OP_TABLE and
-# are now checked from composed.OP_ROWS.
+# and attention rows were recorded when those ops became one taped op each, the
+# lstm row when it took features-first sequences and the maxpool2d row when it
+# took tiling windows only. The rows of the primitives the fused ops replaced
+# were recorded from OP_TABLE and are now checked from composed.OP_ROWS.
 OP_WORST_ERRORS = {
     "add": (5.651228894718173e-12, 2.6147442547318357e-12, 1.2352880223496885e-13,
             1.8853065444147678e-13, 5.956855464094574e-11),
@@ -86,8 +87,6 @@ OP_WORST_ERRORS = {
              8.316483199841973e-14, 8.846709388079749e-10),
     "reshape": (9.978555711462304e-13, 9.401888827388405e-12, 2.0244278665552308e-13,
                 5.164353376786245e-13, 1.9912772520365013e-12),
-    "permute": (8.559871695892947e-12, 2.6147442547318357e-12, 2.0244278665552308e-13,
-                5.164353376786245e-13, 3.598757594988285e-11),
     "pick": (1.696117949062583e-12, 2.6147442547318357e-12, 1.3396316295301015e-14,
              1.723034147009812e-14, 7.682304843723034e-12),
     "stack": (2.4092747429260458e-11, 4.3634277151526325e-12, 1.0197005918966115e-12,
@@ -104,8 +103,8 @@ OP_WORST_ERRORS = {
                2.747190183244134e-12, 2.1195303108534022e-10),
     "conv_transpose2d": (3.537180248840963e-11, 7.978388054097023e-11, 3.243546455292149e-11,
                          2.0798133239408e-12, 2.2587160613172117e-11),
-    "maxpool2d": (7.534247040398157e-12, 4.048505948598929e-12, 1.7011486583211241e-13,
-                  1.6009973394530324e-13, 2.552748424714312e-12),
+    "maxpool2d": (7.776881497553115e-13, 9.401888827388405e-12, 1.6885533709128825e-14,
+                  8.132839963447039e-15, 1.675700971618585e-11),
     "batch_norm_train": (9.121747235708044e-08, 5.240913969789519e-08, 1.0893312032130395e-06,
                          2.373239883513073e-06, 8.747993543671902e-08),
     "batch_norm_eval": (8.457787615743751e-12, 8.299358487706781e-11, 2.321398572373246e-11,
@@ -120,8 +119,8 @@ OP_WORST_ERRORS = {
                         1.6783661103998595e-12, 6.535302928793831e-12),
     "scale_channels": (1.0845661578332026e-11, 3.049879977246707e-11, 1.0470573251552226e-12,
                        4.0588936500735143e-13, 2.288798947672761e-12),
-    "lstm": (2.9243742682096578e-06, 4.517039663625621e-05, 1.2300874325014916e-05,
-             2.1003066600038878e-05, 9.179041330995028e-06),
+    "lstm": (9.030071246087985e-06, 4.126100817567302e-06, 1.0863559931299727e-05,
+             7.936103739720283e-06, 4.145650735288157e-06),
     "norm_leaky_train": (2.667866933586807e-06, 2.3901858144109795e-05, 5.745243074563717e-06,
                          1.9209015782508587e-06, 8.498903406284962e-07),
     "norm_leaky_eval": (1.295562866293319e-10, 8.071689972188019e-12, 9.857924408426414e-12,
@@ -151,18 +150,18 @@ def test_composed_primitive_gradients(name, seed):
 
 def test_every_pin_has_one_row():
     assert sorted([*OP_TABLE, *composed.OP_ROWS]) == sorted(OP_WORST_ERRORS)
-    assert len(OP_TABLE) == 15
+    assert len(OP_TABLE) == 14
 
 
 class TestOpSuiteTolerance:
     def test_truncation_miss_passes_down_the_ladder(self):
-        # at FD_EPS the lstm check at seed 6 reads 3.65e-4, truncation of the
+        # at FD_EPS the lstm check at seed 39 reads 6.12e-4, truncation of the
         # central difference; its missing coordinates pass at a smaller step
-        assert check_op("lstm", 6) < REL_TOL
-        assert all(r.ok for r in run_op_suite(seeds=(3, 4, 5, 6, 7)))
+        assert check_op("lstm", 39) < REL_TOL
+        assert all(r.ok for r in run_op_suite(seeds=(37, 38, 39, 40, 41)))
 
     def test_tolerance_reaches_every_op_check(self):
-        lstm = {r.name: r for r in run_op_suite(seeds=(6,), tol=1e-3)}["lstm"]
+        lstm = {r.name: r for r in run_op_suite(seeds=(39,), tol=1e-3)}["lstm"]
         assert lstm.ok and REL_TOL < lstm.worst_err < 1e-3
 
     def test_failing_rows_report_the_failing_error(self):

@@ -1,9 +1,10 @@
-"""Every op in ops.py and attention.py that records on the tape has an OP_TABLE row.
+"""Every taped op (in ops.py, attention.py and the Tensor methods) has an OP_TABLE row.
 
 An op records when its body calls ``record``. A row covers an op when the
 op's name appears in the row's expression in gradcheck.OP_TABLE, or in the
 body of a module-level function of gradcheck.py the row names (its draw
-function). So a new taped op without a finite-difference check fails here.
+function); an operator such as ``a * b`` names its method (``__mul__``).
+So a new taped op without a finite-difference check fails here.
 """
 
 import ast
@@ -17,22 +18,37 @@ def _tree(module):
     return ast.parse(path.read_text(), str(path))
 
 
+# The method each binary operator that Tensor defines calls.
+_OPERATOR_METHODS = {ast.Sub: "__sub__", ast.Mult: "__mul__"}
+
+
 def _names(node):
-    """Every identifier and attribute name under node."""
+    """Every identifier, attribute name and operator method under node."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             yield sub.id
         elif isinstance(sub, ast.Attribute):
             yield sub.attr
+        elif isinstance(sub, ast.BinOp) and type(sub.op) in _OPERATOR_METHODS:
+            yield _OPERATOR_METHODS[type(sub.op)]
+
+
+def _records(node):
+    return any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+               and sub.func.id == "record" for sub in ast.walk(node))
 
 
 def _recording_ops():
-    """module.function of each top-level function whose body calls record."""
-    return [f"{module}.{node.name}" for module in ("ops", "attention")
-            for node in _tree(module).body
-            if isinstance(node, ast.FunctionDef)
-            and any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
-                    and sub.func.id == "record" for sub in ast.walk(node))]
+    """module.function of each top-level function, and tensor.Tensor.method
+    of each Tensor method, whose body calls record."""
+    functions = [f"{module}.{node.name}" for module in ("ops", "attention")
+                 for node in _tree(module).body
+                 if isinstance(node, ast.FunctionDef) and _records(node)]
+    tensor, = [node for node in _tree("tensor").body
+               if isinstance(node, ast.ClassDef) and node.name == "Tensor"]
+    methods = [f"tensor.Tensor.{node.name}" for node in tensor.body
+               if isinstance(node, ast.FunctionDef) and _records(node)]
+    return functions + methods
 
 
 def _covered_names():
@@ -52,9 +68,10 @@ def _covered_names():
 
 def test_recording_ops_are_found():
     assert {"ops.conv2d", "ops.norm_leaky", "ops.lstm_forward", "attention.channel_attention",
-            "attention.spectral_attention"} <= set(_recording_ops())
+            "attention.spectral_attention", "tensor.Tensor.__sub__", "tensor.Tensor.__mul__",
+            "tensor.Tensor.sum", "tensor.Tensor.mean", "tensor.Tensor.reshape"} <= set(_recording_ops())
 
 
 def test_every_recording_op_has_an_op_table_row():
     covered = _covered_names()
-    assert [op for op in _recording_ops() if op.split(".")[1] not in covered] == []
+    assert [op for op in _recording_ops() if op.rsplit(".", 1)[1] not in covered] == []

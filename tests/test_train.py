@@ -332,6 +332,7 @@ class TestSynthDataset:
 
     @pytest.mark.parametrize("defect, message", [
         ("missing", r"00003\.clean\.mten: item 3: No such file or directory$"),
+        ("gap", r"00001\.noisy\.mten: item 1: No such file or directory$"),
         ("shape", r"00003\.noisy\.mten: item 3: segment must be 80x20, got \(80, 21\)$"),
         ("range", r"00003\.video\.mten: item 3: video pixel values must lie in \[0, 1\]$"),
     ])
@@ -341,10 +342,12 @@ class TestSynthDataset:
 
 
 def plant_dataset_defect(dirpath, defect):
-    """A saved four-item dataset whose item 3 has one defect; returns its directory."""
+    """A saved four-item dataset whose item 3 (item 1 for "gap") has one defect; returns its directory."""
     save_dataset(str(dirpath), synth_dataset(1, 4))
     if defect == "missing":
         (dirpath / "00003.clean.mten").unlink()
+    elif defect == "gap":  # items 2 and 3 stay complete after the hole
+        (dirpath / "00001.noisy.mten").unlink()
     elif defect == "shape":
         save_mten(str(dirpath / "00003.noisy.mten"), np.zeros((80, 21), dtype=np.float32))
     else:
@@ -428,8 +431,8 @@ class TestTrainLoop:
             train(cfg, synth_dataset(0, 2), params=params)
         assert isinstance(info.value.__cause__, NonFiniteError) == (at_step == 1)
 
-    def test_acceptance_step_tapes_116_records(self, monkeypatch):
-        # multilayer, d=8, batch 4: 113 forward records plus the loss's 3
+    def test_acceptance_step_tapes_114_records(self, monkeypatch):
+        # multilayer, d=8, batch 4: 111 forward records plus the loss's 3
         lengths = []
         replay = Tape.backward
 
@@ -441,7 +444,7 @@ class TestTrainLoop:
         cfg = TrainConfig(steps=1, seed=0, width_divisor=8, batch_size=4,
                           strategy=FusionStrategy.MULTILAYER)
         train(cfg, synth_dataset(0, 4))
-        assert lengths == [116]
+        assert lengths == [114]
 
     def test_empty_data_rejected(self):
         cfg = TrainConfig(steps=1, width_divisor=16)
@@ -452,6 +455,12 @@ class TestTrainLoop:
         cfg = TrainConfig(steps=1, width_divisor=16, strategy=FusionStrategy.LATE)
         params = init_params(0, FusionStrategy.EARLY, 16)
         with pytest.raises(TrainError, match="config says"):
+            train(cfg, synth_dataset(0, 2), params=params)
+
+    def test_mismatched_width_rejected(self):
+        cfg = TrainConfig(steps=1, width_divisor=32, strategy=FusionStrategy.LATE)
+        params = init_params(0, FusionStrategy.LATE, 16)
+        with pytest.raises(TrainError, match="^config says width divisor 32, parameters say 16$"):
             train(cfg, synth_dataset(0, 2), params=params)
 
     def test_loss_csv_written(self, tmp_path):
