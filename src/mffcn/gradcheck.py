@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -147,9 +147,8 @@ def projected_loss(out: Tensor, direction: np.ndarray) -> Tensor:
 # Per-op check suite
 # ----------------------------------------------------------------------------
 
-def _rand_shape(rng: np.random.Generator, rank: Optional[int] = None) -> tuple:
-    if rank is None:
-        rank = int(rng.integers(1, 4))
+def _rand_shape(rng: np.random.Generator) -> tuple:
+    rank = int(rng.integers(1, 4))
     return tuple(int(rng.integers(1, 7)) for _ in range(rank))
 
 
@@ -214,9 +213,10 @@ def _draw_conv_transpose2d(rng, seed):
     cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     oh, ow = int(rng.integers(2, 7)), int(rng.integers(2, 7))
     kernel, spec = _draw_geometry(rng)
+    sh, sw = spec.stride
     b = 2 if seed % 2 == 1 else 1
     # the input extents a forward conv with this stride maps an (oh, ow) map to
-    inputs = [_normal(rng, (b, cin) + spec.out_extents(oh, ow)),
+    inputs = [_normal(rng, (b, cin, -(-oh // sh), -(-ow // sw))),
               _normal(rng, (cin, cout) + kernel), _normal(rng, (cout,))]
     return inputs, lambda args: ops.conv_transpose2d(*args, spec, (oh, ow))
 

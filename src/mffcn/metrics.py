@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .dsp import (
 )
 from .model import FusionStrategy, MffcnParams, enhance_segments
 from .synth import draw_clip
+from .train import TrainConfig, synth_dataset, train
 
 STOI_RATE = 10000
 STOI_FRAME = 256
@@ -178,8 +179,8 @@ def si_sdr(clean: AudioClip, processed: AudioClip) -> float:
     return float(np.clip(10.0 * np.log10(pt / pr), -SDR_CAP_DB, SDR_CAP_DB))
 
 
-def log_spectral_distance(a: MelSegment, b: MelSegment) -> float:
-    """RMS difference of log-Mel values."""
+def log_spectral_distance(a: Union[MelSegment, np.ndarray], b: Union[MelSegment, np.ndarray]) -> float:
+    """RMS difference of log-Mel values; each side is a MelSegment or a 2-D array of its values."""
     av = a.values if isinstance(a, MelSegment) else np.asarray(a)
     bv = b.values if isinstance(b, MelSegment) else np.asarray(b)
     if av.shape != bv.shape:
@@ -323,8 +324,6 @@ def run_ablation(seed: int = 0, width_divisor: int = 8, train_steps: int = 50,
     The training set, seeds, step budget, and evaluation mixtures are shared
     across strategies, so rows differ only by topology.
     """
-    from .train import TrainConfig, synth_dataset, train
-
     _check_clip_count(n_eval_clips)
     if strategies is None:
         strategies = list(FusionStrategy)

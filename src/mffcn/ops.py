@@ -117,8 +117,8 @@ class ConvSpec:
         return (math.ceil(in_h / self.stride[0]), math.ceil(in_w / self.stride[1]))
 
 
-def _same_ceil_pad(extent: int, stride: int, kernel: int) -> Tuple[int, int]:
-    out = math.ceil(extent / stride)
+def _same_ceil_pad(extent: int, out: int, stride: int, kernel: int) -> Tuple[int, int]:
+    """Zeros (before, after) that let out windows at this stride cover extent; the odd one goes after."""
     total = max((out - 1) * stride + kernel - extent, 0)
     lo = total // 2
     return lo, total - lo
@@ -145,10 +145,10 @@ class _Grid:
 
     def __init__(self, kernel: Tuple[int, int], stride: Tuple[int, int], b: int, h: int, w: int):
         (kh, kw), (sh, sw) = kernel, stride
-        pt, pb = _same_ceil_pad(h, sh, kh)
-        pl, pr = _same_ceil_pad(w, sw, kw)
         self.kernel, self.stride, self.b, self.h, self.w = kernel, stride, b, h, w
         self.ho, self.wo = math.ceil(h / sh), math.ceil(w / sw)
+        pt, pb = _same_ceil_pad(h, self.ho, sh, kh)
+        pl, pr = _same_ceil_pad(w, self.wo, sw, kw)
         self.hq, self.wq = -(-(h + pt + pb) // sh), -(-(w + pl + pr) // sw)
         self.s = self.hq * self.wq
         self.ph, self.pw = min(sh, kh), min(sw, kw)  # phases that hold kernel taps

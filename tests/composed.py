@@ -280,14 +280,14 @@ def _off_zero(fn) -> Draw:
 
 
 def _draw_pick(rng, seed):
-    shape = _rand_shape(rng, rank=3)
+    shape = tuple(int(rng.integers(1, 7)) for _ in range(3))
     axis = int(rng.integers(0, 3))
     index = int(rng.integers(0, shape[axis]))
     return [_normal(rng, shape)], lambda args: pick(args[0], axis, index)
 
 
 def _draw_stack(rng, seed):
-    shape = _rand_shape(rng, rank=2)
+    shape = tuple(int(rng.integers(1, 7)) for _ in range(2))
     return [_normal(rng, shape) for _ in range(3)], lambda args: stack(args, axis=0)
 
 

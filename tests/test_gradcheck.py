@@ -7,6 +7,7 @@ import pytest
 
 from mffcn.gradcheck import (
     DEFAULT_SEEDS,
+    FD_EPS,
     OP_TABLE,
     REL_TOL,
     _central_diff,
@@ -17,7 +18,7 @@ from mffcn.gradcheck import (
     run_op_suite,
 )
 from mffcn.model import FusionStrategy, init_params
-from mffcn.tensor import NonFiniteError, Tensor, TensorError
+from mffcn.tensor import NonFiniteError, Tensor, TensorError, _accumulate, record
 
 import composed
 
@@ -153,7 +154,35 @@ def test_every_pin_has_one_row():
     assert len(OP_TABLE) == 14
 
 
+def _cube(x, scale=1.0):
+    """x ** 3 as one taped op whose backward is scale times the exact 3 x^2."""
+    def backward(g):
+        _accumulate(x, scale * 3.0 * g * x.data ** 2)
+
+    return record(Tensor(x.data ** 3), (x,), backward)
+
+
 class TestOpSuiteTolerance:
+    # At x = 0.01 a central difference of x^3 reads 3 x^2 + h^2: its relative
+    # truncation error h^2 / (3 x^2 + h^2) is 3.3e-3 at FD_EPS, 3.3e-5 at FD_EPS / 10.
+    X = 0.01
+
+    def _rel_errors(self, scale):
+        x = Tensor(np.array([self.X]), requires_grad=True)
+        analytic = scale * 3.0 * self.X ** 2
+        numeric = [_central_diff(lambda args: _cube(args[0]), [x], 0, (0,), h) for h in eps_ladder(FD_EPS)]
+        return [abs(analytic - n) / max(abs(analytic), abs(n)) for n in numeric]
+
+    def test_planted_truncation_miss_passes_down_the_ladder(self):
+        first, second, _ = self._rel_errors(1.0)
+        truncation = [h * h / (3.0 * self.X ** 2 + h * h) for h in eps_ladder(FD_EPS)[:2]]
+        assert [first, second] == pytest.approx(truncation, rel=1e-6)
+        assert first > REL_TOL > second
+        assert check_gradients(lambda args: _cube(args[0]), [Tensor(np.array([self.X]))]) == second
+
+    def test_planted_wrong_backward_fails_at_every_step(self):
+        assert all(rel > REL_TOL for rel in self._rel_errors(1.1))
+
     def test_truncation_miss_passes_down_the_ladder(self):
         # at FD_EPS the lstm check at seed 39 reads 6.12e-4, truncation of the
         # central difference; its missing coordinates pass at a smaller step

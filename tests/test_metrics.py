@@ -304,9 +304,9 @@ class TestEvaluateParams:
     @pytest.mark.parametrize("n_clips", [0, -1])
     @pytest.mark.parametrize("entry", ["evaluate_params", "run_ablation"])
     def test_rejects_fewer_than_one_clip(self, entry, n_clips, monkeypatch):
-        import mffcn.train
+        import mffcn.metrics
 
-        monkeypatch.setattr(mffcn.train, "train", None)  # run_ablation refuses before it trains
+        monkeypatch.setattr(mffcn.metrics, "train", None)  # run_ablation refuses before it trains
         with pytest.raises(MetricError, match=f"at least one clip, got {n_clips}$"):
             if entry == "evaluate_params":
                 evaluate_params(init_params(0, FusionStrategy.LATE, 16), snr_db=0.0, seed=0, n_clips=n_clips)

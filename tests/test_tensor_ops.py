@@ -277,6 +277,11 @@ class TestConv2d:
         with pytest.raises(ShapeError, match=r"bias must be \[3\], got \(2,\)"):
             op(_t(np.zeros((1, 2, 4, 4))), _t(np.zeros(w_shape)), _t(np.zeros(2)))
 
+    @pytest.mark.parametrize("stride", [(0, 1), (1, -2), (2,)])
+    def test_spec_rejects_a_stride_that_is_not_a_pair_of_positive_integers(self, stride):
+        with pytest.raises(ShapeError, match=rf"^stride extents must be positive pairs, got {re.escape(str(stride))}$"):
+            ConvSpec(stride)
+
     def test_input_left_unchanged(self):
         x_data = np.random.default_rng(1).normal(size=(1, 2, 4, 4)).astype(np.float32)
         x = Tensor(x_data.copy(), requires_grad=True)
