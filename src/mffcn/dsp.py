@@ -7,7 +7,9 @@ applied to the power spectrogram, floored at 1e-10 before the log. Model
 samples are non-overlapping 20-frame spectrogram segments, each aligned
 with 5 video frames at 25 fps (both cover the same 200 ms).
 
-Everything here is a pure function of its arguments; no hidden state.
+Everything here is a pure function of its arguments; no hidden state. The
+constants a clip's processing reuses (Hann windows, the Mel filterbank,
+polyphase tables) are cached read-only arrays.
 """
 
 from __future__ import annotations
@@ -108,10 +110,13 @@ class SegmentTriple:
         return iter((self.noisy, self.video, self.clean))
 
 
+@lru_cache(maxsize=4)
 def hann_window(n: int) -> np.ndarray:
-    """Symmetric Hann: w[k] = 0.5 * (1 - cos(2*pi*k / (n-1)))."""
+    """Symmetric Hann, read-only: w[k] = 0.5 * (1 - cos(2*pi*k / (n-1)))."""
     k = np.arange(n, dtype=np.float64)
-    return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / (n - 1)))
+    w = 0.5 * (1.0 - np.cos(2.0 * np.pi * k / (n - 1)))
+    w.flags.writeable = False
+    return w
 
 
 def stft(clip: AudioClip) -> np.ndarray:
@@ -213,6 +218,7 @@ def _polyphase_taps(up: int, down: int) -> Tuple[np.ndarray, np.ndarray]:
     idx = half + r[:, None] * down - (first[:, None] + np.arange(taps)) * up
     table = np.where(idx >= 0, h[np.maximum(idx, 0)], 0.0)
     table.flags.writeable = False
+    first.flags.writeable = False
     return table, first
 
 

@@ -312,6 +312,8 @@ def save_pgm(path: str, image: np.ndarray) -> None:
     if img.ndim != 2:
         raise FormatError(f"PGM image must be 2-D, got shape {img.shape}")
     if img.dtype != np.uint8:
+        if not np.all(np.isfinite(img)):
+            raise FormatError("PGM pixel values must be finite, got NaN or Inf")
         if np.min(img) < 0 or np.max(img) > 255:
             raise FormatError("PGM pixel values must fit in 0..255")
         img = img.astype(np.uint8)
@@ -332,7 +334,8 @@ def _read_pgm(path: str) -> Tuple[np.ndarray, int]:
         buf = fh.read()
         if buf[:2] != b"P5":
             raise FormatError("not a binary PGM (P5) file")
-        # Header tokens may be separated by any whitespace and '#' comments.
+        # Header tokens may be separated by any whitespace and '#' comments; as in
+        # libnetpbm, a '#' also ends a width or height (maxval ends at whitespace).
         pos = 2
         tokens: List[int] = []
         fields = ("width", "height", "maxval")
@@ -344,7 +347,9 @@ def _read_pgm(path: str) -> Tuple[np.ndarray, int]:
                     pos += 1
                 continue
             start = pos
-            while pos < len(buf) and not buf[pos:pos + 1].isspace():
+            ends_at_hash = len(tokens) < 2
+            while pos < len(buf) and not buf[pos:pos + 1].isspace() and not (
+                    ends_at_hash and buf[pos:pos + 1] == b"#"):
                 pos += 1
             if start == pos:
                 raise FormatError("truncated PGM header")

@@ -193,14 +193,36 @@ def log_spectral_distance(a: Union[MelSegment, np.ndarray], b: Union[MelSegment,
 # Mel-gain waveform proxy
 # ----------------------------------------------------------------------------
 
+@lru_cache(maxsize=4)
+def _istft_envelope(n_frames: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only mask of the samples the squared windows of n_frames frames cover, and their sum there."""
+    w = hann_window(WIN_LEN)
+    norm = _overlap_add(np.broadcast_to(w ** 2, (n_frames, WIN_LEN)), HOP)
+    good = norm > 1e-10
+    divisor = norm[good]
+    good.flags.writeable = False
+    divisor.flags.writeable = False
+    return good, divisor
+
+
 def _istft(spec: np.ndarray) -> np.ndarray:
     """Weighted overlap-add inverse of the analysis in dsp.stft."""
-    w = hann_window(WIN_LEN)
-    out = _overlap_add(np.fft.irfft(spec.T, n=WIN_LEN, axis=1) * w, HOP)
-    norm = _overlap_add(np.broadcast_to(w ** 2, (spec.shape[1], WIN_LEN)), HOP)
-    good = norm > 1e-10
-    out[good] /= norm[good]
+    out = _overlap_add(np.fft.irfft(spec.T, n=WIN_LEN, axis=1) * hann_window(WIN_LEN), HOP)
+    good, divisor = _istft_envelope(spec.shape[1])
+    out[good] /= divisor
     return out
+
+
+@lru_cache(maxsize=1)
+def _proxy_weights() -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only column-normalized filterbank, and the mask of bins outside every triangle."""
+    fb = mel_filterbank()
+    colsum = fb.sum(axis=0)
+    weights = np.divide(fb, colsum, out=np.zeros_like(fb), where=colsum > 0)
+    outside = colsum == 0
+    weights.flags.writeable = False
+    outside.flags.writeable = False
+    return weights, outside
 
 
 def mel_gain_proxy(noisy: AudioClip, enhanced: Sequence[MelSegment]) -> AudioClip:
@@ -219,15 +241,13 @@ def mel_gain_proxy(noisy: AudioClip, enhanced: Sequence[MelSegment]) -> AudioCli
             f"noisy clip gives {spec.shape[1]} frames, segments need {n_frames}")
     spec = spec[:, :n_frames]
 
-    fb = mel_filterbank()
-    noisy_log = np.log(fb @ (np.abs(spec) ** 2) + LOG_FLOOR)
+    noisy_log = np.log(mel_filterbank() @ (np.abs(spec) ** 2) + LOG_FLOOR)
     enhanced_log = np.concatenate([seg.values.astype(np.float64) for seg in enhanced], axis=1)
     mel_gain = np.exp(enhanced_log - noisy_log)
 
-    colsum = fb.sum(axis=0)
-    weights = np.divide(fb, colsum, out=np.zeros_like(fb), where=colsum > 0)
+    weights, outside = _proxy_weights()
     bin_gain = weights.T @ mel_gain
-    bin_gain[colsum == 0, :] = 1.0
+    bin_gain[outside, :] = 1.0
 
     wave = _istft(spec * np.sqrt(bin_gain))
     peak = np.max(np.abs(wave))

@@ -6,6 +6,11 @@ tonal cluster; the video track is a moving bright ellipse whose vertical
 aperture follows the audio envelope, which gives the fusion path an actually
 useful visual cue. Every draw comes from the caller's generator, so a seeded
 generator gives the same clip every time.
+
+The mouth frames are rendered in one pass: the ellipse test is a column term
+plus a row term broadcast over all frames, and the pixel noise is then drawn
+frame by frame, so the draws come in the order a per-frame recipe takes them
+and the clip is the same as one rendered a frame at a time.
 """
 
 from __future__ import annotations
@@ -61,19 +66,22 @@ def mouth_video(rng: np.random.Generator, env: np.ndarray) -> np.ndarray:
     aperture = 3.0 + 12.0 * (env_f - env_f.min()) / (spread if spread > 0 else 1.0)
 
     h, w = VIDEO_HW
-    yy, xx = np.mgrid[0:h, 0:w]
     cx = 40.0 + np.clip(np.cumsum(rng.normal(0.0, 0.6, size=n_frames)), -6.0, 6.0)
     cy = 40.0 + np.clip(np.cumsum(rng.normal(0.0, 0.6, size=n_frames)), -6.0, 6.0)
     half_width = rng.uniform(10.0, 15.0)
     background = rng.uniform(0.05, 0.15)
 
+    # the ellipse test is separable: a [T, 1, W] column term plus a [T, H, 1] row term
     frames = np.empty((n_frames, h, w))
-    for f in range(n_frames):
-        r = ((xx - cx[f]) / half_width) ** 2 + ((yy - cy[f]) / aperture[f]) ** 2
-        frame = np.where(r <= 1.0, 0.85, background)
-        frame = frame + rng.normal(0.0, 0.02, size=frame.shape)
-        frames[f] = np.clip(frame, 0.0, 1.0)
-    return frames
+    np.add(((np.arange(w) - cx[:, None, None]) / half_width) ** 2,
+           ((np.arange(h)[:, None] - cy[:, None, None]) / aperture[:, None, None]) ** 2,
+           out=frames)
+    inside = frames <= 1.0
+    frames.fill(background)
+    frames[inside] = 0.85
+    for frame in frames:
+        frame += rng.normal(0.0, 0.02, size=frame.shape)
+    return np.clip(frames, 0.0, 1.0, out=frames)
 
 
 def draw_clip(rng: np.random.Generator) -> Tuple[AudioClip, AudioClip, np.ndarray]:

@@ -304,6 +304,29 @@ class TestPgmAndVideo:
         p.write_bytes(b"P5\n# a comment\n2 2\n255\n\x01\x02\x03\x04")
         assert np.array_equal(load_pgm(str(p)), [[1, 2], [3, 4]])
 
+    @pytest.mark.parametrize("header", [
+        b"P5\n2# c\n1\n255\n",
+        b"P5\n2\n1# c\n255\n",
+        b"P5 2#c\n1#\n255\n",
+        b"P5\n2#\n#\n1 # c\n255\n",
+    ])
+    def test_pgm_comment_may_end_width_or_height(self, tmp_path, header):
+        plain, commented = tmp_path / "plain.pgm", tmp_path / "c.pgm"
+        plain.write_bytes(b"P5\n2 1\n255\n\x07\x09")
+        commented.write_bytes(header + b"\x07\x09")
+        assert np.array_equal(load_pgm(str(commented)), load_pgm(str(plain)))
+
+    @pytest.mark.parametrize("image", [[[np.nan, 12.0]], [[3.0, np.inf]], [[-np.inf, 0.0]]])
+    def test_pgm_save_refuses_non_finite_pixels_before_writing(self, tmp_path, image):
+        p = tmp_path / "f.pgm"
+        with pytest.raises(FormatError, match="PGM pixel values must be finite"):
+            save_pgm(str(p), np.array(image))
+        assert not p.exists()
+        d = tmp_path / "vid"
+        with pytest.raises(FormatError, match="PGM pixel values must be finite"):
+            save_video_frames(str(d), np.array([[[1.0, 2.0]], image]))
+        assert not (d / (FRAME_NAME % 1)).exists()
+
     def test_pgm_rejects_p2(self, tmp_path):
         p = tmp_path / "a.pgm"
         p.write_bytes(b"P2\n2 2\n255\n1 2 3 4\n")
@@ -315,6 +338,7 @@ class TestPgmAndVideo:
         (b"P5\n2 +2\n255\n", "height"),
         (b"P5\n2 2\n255\xe0\n", "maxval"),
         (b"P5\n2 2\n-255\n", "maxval"),
+        (b"P5\n2 2\n255# c\n", "maxval"),
     ])
     def test_pgm_rejects_non_decimal_field_by_name(self, tmp_path, header, field):
         p = tmp_path / "bad.pgm"
