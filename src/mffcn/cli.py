@@ -18,10 +18,10 @@ from .dsp import (
     VIDEO_HW,
     AudioClip,
     DspError,
-    VideoSegment,
     bilinear_resize,
     log_mel,
     segment_samples,
+    video_segments,
 )
 from .formats import (
     FormatError,
@@ -262,15 +262,15 @@ def cmd_enhance(args) -> int:
     frames = _video_unit_frames(args.video)
 
     noisy_segs = log_mel(clip)
-    n = min(len(noisy_segs), frames.shape[0] // SEG_VIDEO_FRAMES)
+    videos = video_segments(frames)
+    n = min(len(noisy_segs), len(videos))
     if n == 0:
         raise DspError(
             f"need at least 1 aligned segment, got {len(noisy_segs)} audio "
             f"segments but only {frames.shape[0]} video frames ({SEG_VIDEO_FRAMES} per segment)")
 
     os.makedirs(args.out, exist_ok=True)
-    videos = [VideoSegment(frames[SEG_VIDEO_FRAMES * k:SEG_VIDEO_FRAMES * (k + 1)]) for k in range(n)]
-    enhanced = enhance_segments(noisy_segs[:n], videos, params)
+    enhanced = enhance_segments(noisy_segs[:n], videos[:n], params)
     for k, seg in enumerate(enhanced):
         save_mten(os.path.join(args.out, f"enhanced_{k:03d}.mten"), seg.values)
     audio_left = len(clip) - segment_samples(n)
@@ -288,7 +288,7 @@ def cmd_enhance(args) -> int:
         if len(clean_segs) >= n:
             clean_cat = np.concatenate([s.values for s in clean_segs[:n]], axis=1)
             written += export_spectrogram(os.path.join(args.out, "clean"), clean_cat)
-            print(f"log-spectral distance to reference: {log_spectral_distance(enh_cat, clean_cat):.4f}")
+            print(f"log-spectral distance to reference: {log_spectral_distance(enhanced, clean_segs[:n]):.4f}")
         else:
             print(f"reference WAV too short ({len(clean_segs)} segments), skipping",
                   file=sys.stderr)

@@ -7,6 +7,9 @@ applied to the power spectrogram, floored at 1e-10 before the log. Model
 samples are non-overlapping 20-frame spectrogram segments, each aligned
 with 5 video frames at 25 fps (both cover the same 200 ms).
 
+A clip is mixed once (mix_at_snr, which also gain-matches the clean signal);
+log_mel and video_segments cut it, and make_segment_pairs pairs the cuts.
+
 Everything here is a pure function of its arguments; no hidden state. The
 constants a clip's processing reuses (Hann windows, the Mel filterbank,
 polyphase tables) are cached read-only arrays.
@@ -92,11 +95,11 @@ class VideoSegment:
 
 @dataclass
 class MixResult:
-    """A noisy mixture plus the scale factors that produced it."""
+    """A noisy mixture, the clean signal gain-matched to it, and the noise's scale factor."""
 
     clip: AudioClip
+    clean: AudioClip
     noise_scale: float
-    peak_scale: float
 
 
 @dataclass
@@ -104,10 +107,6 @@ class SegmentTriple:
     noisy: MelSegment
     video: VideoSegment
     clean: MelSegment
-    snr_db: float = math.nan
-
-    def __iter__(self):
-        return iter((self.noisy, self.video, self.clean))
 
 
 @lru_cache(maxsize=4)
@@ -157,16 +156,18 @@ def mel_filterbank() -> np.ndarray:
     return bank
 
 
+def log_mel_values(spec: np.ndarray) -> np.ndarray:
+    """ln(mel @ |spec|^2 + 1e-10) of a [bins, frames] spectrogram, shape [N_MELS, frames]."""
+    return np.log(mel_filterbank() @ (np.abs(spec) ** 2) + LOG_FLOOR)
+
+
 def log_mel(clip: AudioClip) -> List[MelSegment]:
-    """Log-Mel segments: ln(mel @ |stft|^2 + 1e-10), cut into 80x20 blocks.
+    """The clip's log-Mel values (see log_mel_values), cut into 80x20 segments.
 
     Segments are non-overlapping in time; a trailing partial segment is
     dropped so every segment is exactly 20 frames.
     """
-    spec = stft(clip)
-    power = np.abs(spec) ** 2
-    mel = mel_filterbank() @ power
-    values = np.log(mel + LOG_FLOOR)
+    values = log_mel_values(stft(clip))
     return [MelSegment(values[:, SEG_FRAMES * k:SEG_FRAMES * (k + 1)])
             for k in range(values.shape[1] // SEG_FRAMES)]
 
@@ -179,11 +180,11 @@ def segment_samples(n_segments: int) -> int:
 
 
 def mix_at_snr(clean: AudioClip, noise: AudioClip, snr_db: float) -> MixResult:
-    """Scale noise to hit the requested SNR and add it to the clean signal.
+    """Scale noise to hit the requested SNR, add it to the clean signal, and gain-match the clean.
 
     snr_db >= 100 is treated as the no-noise limit (scale 0). If the mixture
-    would clip, the whole mixture is scaled down to peak 1 and that factor is
-    reported; otherwise peak_scale is 1.0.
+    would clip, it is scaled down to peak 1 and the returned clean signal is
+    the input clean scaled by the same factor; otherwise it is the input clean.
     """
     if len(clean) != len(noise):
         raise DspError(f"length mismatch: clean {len(clean)} vs noise {len(noise)} samples")
@@ -199,11 +200,11 @@ def mix_at_snr(clean: AudioClip, noise: AudioClip, snr_db: float) -> MixResult:
         noise_scale = float(np.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0))))
     mixed = clean.samples + noise_scale * noise.samples
     peak = float(np.max(np.abs(mixed)))
-    peak_scale = 1.0
     if peak > 1.0:
         peak_scale = 1.0 / peak
         mixed = mixed * peak_scale
-    return MixResult(clip=AudioClip(mixed), noise_scale=noise_scale, peak_scale=peak_scale)
+        clean = AudioClip(clean.samples * peak_scale)
+    return MixResult(clip=AudioClip(mixed), clean=clean, noise_scale=noise_scale)
 
 
 @lru_cache(maxsize=8)
@@ -274,31 +275,28 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1.0 - rf[:, None]) + bot * rf[:, None]
 
 
-def make_segment_pairs(clean: AudioClip, noise: AudioClip, video_frames: np.ndarray,
-                       snr_db: float) -> List[SegmentTriple]:
-    """Cut one utterance into aligned (noisy, video, clean) training triples.
-
-    Segment k pairs spectrogram frames [20k, 20k+20) with video frames
-    [5k, 5k+5), both anchored at the clip start. The clean reference is
-    scaled by the mixture's anti-clip factor so the pair stays gain-matched.
-    An audio/video duration mismatch of more than one segment is an error.
-    """
+def video_segments(video_frames: np.ndarray) -> List[VideoSegment]:
+    """A [T, 80, 80] clip's whole 5-frame segments, segment k being frames [5k, 5k+5)."""
     frames = np.asarray(video_frames, dtype=np.float64)
     if frames.ndim != 3 or frames.shape[1:] != VIDEO_HW:
         raise DspError(f"video must be [T, 80, 80], got {frames.shape}")
+    return [VideoSegment(frames[SEG_VIDEO_FRAMES * k:SEG_VIDEO_FRAMES * (k + 1)])
+            for k in range(frames.shape[0] // SEG_VIDEO_FRAMES)]
 
-    mix = mix_at_snr(clean, noise, snr_db)
-    clean_ref = AudioClip(clean.samples * mix.peak_scale) if mix.peak_scale != 1.0 else clean
 
+def make_segment_pairs(mix: MixResult, video_frames: np.ndarray) -> List[SegmentTriple]:
+    """Cut one mixed utterance into aligned (noisy, video, clean) training triples.
+
+    Segment k pairs spectrogram frames [20k, 20k+20) of the mixture and of its
+    gain-matched clean signal with video segment k, all anchored at the clip
+    start. An audio/video duration mismatch of more than one segment is an error.
+    """
+    videos = video_segments(video_frames)
     noisy_segs = log_mel(mix.clip)
-    clean_segs = log_mel(clean_ref)
-    n_audio = len(noisy_segs)
-    n_video = frames.shape[0] // SEG_VIDEO_FRAMES
+    clean_segs = log_mel(mix.clean)
+    n_audio, n_video = len(noisy_segs), len(videos)
     if abs(n_audio - n_video) > 1:
         raise DspError(
             f"audio gives {n_audio} segments but video gives {n_video}; "
             "they must agree within one segment")
-    n = min(n_audio, n_video)
-    return [SegmentTriple(noisy=noisy_segs[k], clean=clean_segs[k], snr_db=snr_db,
-                          video=VideoSegment(frames[SEG_VIDEO_FRAMES * k:SEG_VIDEO_FRAMES * (k + 1)]))
-            for k in range(n)]
+    return [SegmentTriple(*parts) for parts in zip(noisy_segs, videos, clean_segs)]

@@ -316,6 +316,8 @@ def save_pgm(path: str, image: np.ndarray) -> None:
             raise FormatError("PGM pixel values must be finite, got NaN or Inf")
         if np.min(img) < 0 or np.max(img) > 255:
             raise FormatError("PGM pixel values must fit in 0..255")
+        if not np.array_equal(img, np.round(img)):
+            raise FormatError("PGM pixel values must be whole numbers")
         img = img.astype(np.uint8)
     h, w = img.shape
     with open(path, "wb") as fh:

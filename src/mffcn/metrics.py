@@ -5,7 +5,7 @@ intelligibility recipe: both signals go to 10 kHz, silent reference frames
 are dropped, a 512-point spectrogram is pooled into fifteen 1/3-octave
 bands, and clipped normalized correlations over 30-frame (384 ms) segments
 are averaged. Waveform fidelity is scale-invariant SDR, capped at +-60 dB.
-The Mel-domain distance is a plain RMS difference of log values.
+The Mel-domain distance is the mean over segments of their RMS log-Mel difference.
 
 The network emits Mel spectrograms, not waveforms, so waveform metrics are
 computed on a defined proxy: the ratio of enhanced to noisy Mel energy is
@@ -24,19 +24,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dsp import (
     HOP,
-    LOG_FLOOR,
     SAMPLE_RATE,
     SEG_FRAMES,
     WIN_LEN,
     AudioClip,
     MelSegment,
     hann_window,
+    log_mel_values,
     mel_filterbank,
     mix_at_snr,
     make_segment_pairs,
@@ -179,14 +179,15 @@ def si_sdr(clean: AudioClip, processed: AudioClip) -> float:
     return float(np.clip(10.0 * np.log10(pt / pr), -SDR_CAP_DB, SDR_CAP_DB))
 
 
-def log_spectral_distance(a: Union[MelSegment, np.ndarray], b: Union[MelSegment, np.ndarray]) -> float:
-    """RMS difference of log-Mel values; each side is a MelSegment or a 2-D array of its values."""
-    av = a.values if isinstance(a, MelSegment) else np.asarray(a)
-    bv = b.values if isinstance(b, MelSegment) else np.asarray(b)
-    if av.shape != bv.shape:
-        raise MetricError(f"shape mismatch: {av.shape} vs {bv.shape}")
-    diff = av.astype(np.float64) - bv.astype(np.float64)
-    return float(np.sqrt(np.mean(diff ** 2)))
+def log_spectral_distance(a: Sequence[MelSegment], b: Sequence[MelSegment]) -> float:
+    """Mean over aligned segment pairs of the RMS difference of their log-Mel values."""
+    if len(a) != len(b):
+        raise MetricError(f"segment count mismatch: {len(a)} vs {len(b)}")
+    if not a:
+        raise MetricError("no segments given")
+    rms = [np.sqrt(np.mean((x.values.astype(np.float64) - y.values.astype(np.float64)) ** 2))
+           for x, y in zip(a, b)]
+    return float(np.mean(rms))
 
 
 # ----------------------------------------------------------------------------
@@ -241,7 +242,7 @@ def mel_gain_proxy(noisy: AudioClip, enhanced: Sequence[MelSegment]) -> AudioCli
             f"noisy clip gives {spec.shape[1]} frames, segments need {n_frames}")
     spec = spec[:, :n_frames]
 
-    noisy_log = np.log(mel_filterbank() @ (np.abs(spec) ** 2) + LOG_FLOOR)
+    noisy_log = log_mel_values(spec)
     enhanced_log = np.concatenate([seg.values.astype(np.float64) for seg in enhanced], axis=1)
     mel_gain = np.exp(enhanced_log - noisy_log)
 
@@ -315,14 +316,12 @@ def evaluate_params(params: MffcnParams, snr_db: float, seed: int,
         rng = np.random.Generator(np.random.PCG64(children[k]))
         clean, noise, video = draw_clip(rng)
         mix = mix_at_snr(clean, noise, snr_db)
-        triples = make_segment_pairs(clean, noise, video, snr_db)
+        triples = make_segment_pairs(mix, video)
 
         enhanced = enhance_segments([t.noisy for t in triples], [t.video for t in triples], params)
         proxy = mel_gain_proxy(mix.clip, enhanced)
-        reference = AudioClip(clean.samples[:proxy.samples.size] * mix.peak_scale)
-
-        lsd = float(np.mean([log_spectral_distance(e, t.clean)
-                             for e, t in zip(enhanced, triples)]))
+        reference = AudioClip(mix.clean.samples[:proxy.samples.size])
+        lsd = log_spectral_distance(enhanced, [t.clean for t in triples])
         # raw band correlations can dip below zero on badly damaged audio;
         # the report's percentage scale floors at no-intelligibility
         scores.append(ItemScore(

@@ -543,6 +543,12 @@ def mffcn_forward(y: Tensor, v: Tensor, params: MffcnParams, mode: str = "train"
     return out.reshape(*y.dims) if single else out
 
 
+def segment_batch(noisy: Sequence[MelSegment], videos: Sequence[VideoSegment]) -> Tuple[Tensor, Tensor]:
+    """The network's float32 input batch: [B,1,80,20] Mel values and [B,5,80,80] frames."""
+    return (Tensor(np.stack([s.values[None] for s in noisy], dtype=np.float32)),
+            Tensor(np.stack([s.frames for s in videos], dtype=np.float32)))
+
+
 def enhance_segments(noisy: Sequence[MelSegment], videos: Sequence[VideoSegment],
                      params: MffcnParams) -> List[MelSegment]:
     """Typed batched inference: eval-mode batch norm, no taping.
@@ -558,9 +564,7 @@ def enhance_segments(noisy: Sequence[MelSegment], videos: Sequence[VideoSegment]
         raise ModelError("no segments to enhance")
     enhanced: List[MelSegment] = []
     for lo in range(0, len(noisy), INFER_CHUNK):
-        chunk = range(lo, min(lo + INFER_CHUNK, len(noisy)))
-        y = Tensor(np.stack([noisy[k].values[None] for k in chunk], dtype=np.float32))
-        v = Tensor(np.stack([videos[k].frames for k in chunk], dtype=np.float32))
+        y, v = segment_batch(noisy[lo:lo + INFER_CHUNK], videos[lo:lo + INFER_CHUNK])
         with no_grad():
             out = mffcn_forward(y, v, params, mode="eval")
         enhanced += [MelSegment(o[0]) for o in out.data]

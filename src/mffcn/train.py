@@ -12,9 +12,9 @@ too, so each update is a few whole-vector ufuncs per block of ADAM_BLOCK
 elements, and the post-step finite check scans each block right after its
 update, while it is still in cache.
 
-The synthetic dataset draws its clips from synth.draw_clip, mixes each at a
-uniformly drawn SNR and cuts it into aligned triples by the regular front
-end.
+The synthetic dataset draws its clips from synth.draw_clip, mixes each once
+at a uniformly drawn SNR (dsp.mix_at_snr) and cuts the mixture into aligned
+triples by the regular front end (dsp.make_segment_pairs).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dsp import DspError, MelSegment, SegmentTriple, VideoSegment, make_segment_pairs
+from .dsp import DspError, MelSegment, SegmentTriple, VideoSegment, make_segment_pairs, mix_at_snr
 from .formats import FormatError, in_file, load_mten, save_loss_csv, save_mten
 from .model import (
     FusionStrategy,
@@ -36,6 +36,7 @@ from .model import (
     mffcn_forward,
     save_model,
     scaled_filters,
+    segment_batch,
 )
 from .synth import draw_clip
 from .tensor import FlatParams, NonFiniteError, Tape, Tensor, flatten
@@ -170,7 +171,7 @@ def synth_dataset(seed: int, n_items: int,
     while len(items) < n_items:
         rng = np.random.Generator(np.random.PCG64(seeds.spawn(1)[0]))
         clean, noise, video = draw_clip(rng)
-        items += make_segment_pairs(clean, noise, video, float(rng.uniform(lo, hi)))
+        items += make_segment_pairs(mix_at_snr(clean, noise, float(rng.uniform(lo, hi))), video)
     return items[:n_items]
 
 
@@ -228,13 +229,6 @@ def _first_nonfinite(named: Sequence[Tuple[str, Tensor]]) -> Optional[str]:
     return None
 
 
-def _stack_batch(items: Sequence[SegmentTriple]) -> Tuple[Tensor, Tensor, Tensor]:
-    y = np.stack([item.noisy.values[None, :, :] for item in items])
-    v = np.stack([item.video.frames for item in items])
-    tgt = np.stack([item.clean.values[None, :, :] for item in items])
-    return Tensor(y), Tensor(v), Tensor(tgt)
-
-
 def train(config: TrainConfig, data: Sequence[SegmentTriple],
           params: Optional[MffcnParams] = None,
           checkpoint_path: Optional[str] = None,
@@ -267,7 +261,8 @@ def train(config: TrainConfig, data: Sequence[SegmentTriple],
         batch = [data[i] for i in order[:config.batch_size]]
         del order[:config.batch_size]
 
-        y, v, tgt = _stack_batch(batch)
+        y, v = segment_batch([item.noisy for item in batch], [item.video for item in batch])
+        tgt = Tensor(np.stack([item.clean.values[None] for item in batch]))
         try:
             with Tape() as tape:
                 pred = mffcn_forward(y, v, params, mode="train")

@@ -11,7 +11,7 @@ import pytest
 
 from mffcn import cli, metrics
 from mffcn.cli import main
-from mffcn.dsp import AudioClip, log_mel, mix_at_snr
+from mffcn.dsp import AudioClip, MelSegment, log_mel, mix_at_snr
 from mffcn.formats import load_mten, load_wav, save_mten, save_video_frames, save_wav
 from mffcn.gradcheck import CheckResult
 from mffcn.metrics import EvalReport, ItemScore
@@ -26,7 +26,7 @@ def workdir(tmp_path_factory):
     clean, noise, video = draw_clip(rng)
     mix = mix_at_snr(clean, noise, 0.0)
     save_wav(str(root / "noisy.wav"), mix.clip.samples)
-    save_wav(str(root / "clean.wav"), clean.samples * mix.peak_scale)
+    save_wav(str(root / "clean.wav"), mix.clean.samples)
     save_video_frames(str(root / "frames"), np.round(video * 255).astype(np.uint8))
     rc = main(["train", "--steps", "1", "--batch", "2", "--width-divisor", "16",
                "--strategy", "late", "--out", str(root / "ck")])
@@ -241,11 +241,9 @@ class TestEnhanceCommand:
                    "--out", str(tmp_path)])
         assert rc == 0
         n = len([f for f in os.listdir(tmp_path) if f.startswith("enhanced_")])
-        enhanced = np.concatenate([load_mten(str(tmp_path / f"enhanced_{k:03d}.mten"))
-                                   for k in range(n)], axis=1)
-        clean_segs = log_mel(AudioClip(load_wav(str(workdir / "clean.wav"))))
-        clean = np.concatenate([s.values for s in clean_segs[:n]], axis=1)
-        want = metrics.log_spectral_distance(enhanced, clean)  # float64 differences
+        enhanced = [MelSegment(load_mten(str(tmp_path / f"enhanced_{k:03d}.mten"))) for k in range(n)]
+        clean = log_mel(AudioClip(load_wav(str(workdir / "clean.wav"))))[:n]
+        want = metrics.log_spectral_distance(enhanced, clean)  # the mean of per-segment distances
         assert calls == [want]
         assert f"log-spectral distance to reference: {want:.4f}\n" in capsys.readouterr().out
 

@@ -17,11 +17,13 @@ from mffcn.dsp import (
     bilinear_resize,
     hann_window,
     log_mel,
+    log_mel_values,
     make_segment_pairs,
     mel_filterbank,
     mix_at_snr,
     resample_poly,
     stft,
+    video_segments,
 )
 
 
@@ -149,6 +151,14 @@ class TestLogMel:
         b = log_mel(AudioClip(clip.samples.copy()))[0].values
         assert np.array_equal(a, b)
 
+    def test_segments_cut_the_spectrogram_log_mel(self):
+        clip = _noise_clip(14, 7360)
+        spec = stft(clip)
+        values = log_mel_values(spec)
+        assert np.array_equal(values, np.log(mel_filterbank() @ np.abs(spec) ** 2 + LOG_FLOOR))
+        for k, seg in enumerate(log_mel(clip)):
+            assert np.array_equal(seg.values, values[:, 20 * k:20 * k + 20].astype(np.float32))
+
 
 class TestMixAtSnr:
     def test_equal_power_at_zero_db(self):
@@ -180,13 +190,23 @@ class TestMixAtSnr:
         mix = mix_at_snr(clean, noise, 100.0)
         assert mix.noise_scale == 0.0
         assert np.array_equal(mix.clip.samples, clean.samples)
+        assert mix.clean is clean
 
-    def test_anti_clip_normalization_reported(self):
+    def test_anti_clip_normalization_scales_the_clean_too(self):
         clean = AudioClip(np.full(1000, 0.9))
         noise = AudioClip(np.concatenate([[1e-3], np.full(999, 0.9)]))
         mix = mix_at_snr(clean, noise, 0.0)
-        assert mix.peak_scale < 1.0
-        assert np.max(np.abs(mix.clip.samples)) <= 1.0 + 1e-12
+        assert np.max(np.abs(mix.clip.samples)) == pytest.approx(1.0, abs=1e-12)
+        peak_scale = 1.0 / np.max(np.abs(clean.samples + mix.noise_scale * noise.samples))
+        assert peak_scale < 1.0
+        assert np.array_equal(mix.clean.samples, clean.samples * peak_scale)
+
+    def test_unclipped_mixture_keeps_the_clean_clip(self):
+        clean = _noise_clip(28, 2000, scale=0.2)
+        noise = _noise_clip(29, 2000, scale=0.2)
+        mix = mix_at_snr(clean, noise, 0.0)
+        assert np.max(np.abs(mix.clip.samples)) < 1.0
+        assert mix.clean is clean
 
     def test_zero_power_rejected(self):
         live = _noise_clip(27, 100)
@@ -273,31 +293,56 @@ class TestBilinearResize:
             bilinear_resize(np.ones((1, 5)), 4, 4)
 
 
+class TestVideoSegments:
+    def test_segment_k_is_frames_5k_to_5k_plus_5(self):
+        video = np.random.default_rng(53).uniform(size=(13, 80, 80))
+        segs = video_segments(video)
+        assert len(segs) == 2  # the 3 trailing frames fill no segment
+        for k, seg in enumerate(segs):
+            assert np.array_equal(seg.frames, video[5 * k:5 * k + 5].astype(np.float32))
+
+    def test_fewer_than_five_frames_give_none(self):
+        assert video_segments(np.zeros((4, 80, 80))) == []
+
+    @pytest.mark.parametrize("shape", [(10, 80, 40), (80, 80)])
+    def test_frame_extent_enforced(self, shape):
+        with pytest.raises(DspError, match=r"video must be \[T, 80, 80\]"):
+            video_segments(np.zeros(shape))
+
+
 class TestMakeSegmentPairs:
     def test_one_second_gives_four_triples(self):
         clean = _noise_clip(41, 16000, scale=0.2)
         noise = _noise_clip(42, 16000, scale=0.05)
         video = np.random.default_rng(43).uniform(size=(25, 80, 80))
-        triples = make_segment_pairs(clean, noise, video, snr_db=5.0)
+        triples = make_segment_pairs(mix_at_snr(clean, noise, 5.0), video)
         assert len(triples) == 4
-        noisy, vid, ref = triples[0]
-        assert noisy.values.shape == (80, 20)
-        assert vid.frames.shape == (5, 80, 80)
-        assert ref.values.shape == (80, 20)
+        assert triples[0].noisy.values.shape == (80, 20)
+        assert triples[0].video.frames.shape == (5, 80, 80)
+        assert triples[0].clean.values.shape == (80, 20)
 
     def test_video_chunks_follow_segments(self):
         clean = _noise_clip(44, 16000, scale=0.2)
         noise = _noise_clip(45, 16000, scale=0.05)
         video = np.random.default_rng(46).uniform(size=(25, 80, 80))
-        triples = make_segment_pairs(clean, noise, video, snr_db=0.0)
+        triples = make_segment_pairs(mix_at_snr(clean, noise, 0.0), video)
         for k, t in enumerate(triples):
             assert np.allclose(t.video.frames, video[5 * k:5 * k + 5], atol=1e-6)
+
+    def test_pairs_the_mixture_with_its_gain_matched_clean(self):
+        clean = AudioClip(np.full(7360, 0.9) * np.sign(np.sin(np.arange(7360) / 7.0) + 0.5))
+        noise = _noise_clip(54, 7360, scale=0.9)
+        mix = mix_at_snr(clean, noise, 0.0)
+        assert mix.clean is not clean  # the mixture clipped, so the clean was scaled
+        triples = make_segment_pairs(mix, np.zeros((10, 80, 80)))
+        assert [t.noisy.values.tobytes() for t in triples] == [s.values.tobytes() for s in log_mel(mix.clip)]
+        assert [t.clean.values.tobytes() for t in triples] == [s.values.tobytes() for s in log_mel(mix.clean)]
 
     def test_noise_free_limit_reproduces_clean(self):
         clean = _noise_clip(47, 7360, scale=0.2)
         noise = _noise_clip(48, 7360, scale=0.2)
         video = np.random.default_rng(49).uniform(size=(10, 80, 80))
-        triples = make_segment_pairs(clean, noise, video, snr_db=150.0)
+        triples = make_segment_pairs(mix_at_snr(clean, noise, 150.0), video)
         for t in triples:
             assert np.array_equal(t.noisy.values, t.clean.values)
 
@@ -306,4 +351,4 @@ class TestMakeSegmentPairs:
         noise = _noise_clip(51, 16000, scale=0.05)
         video = np.random.default_rng(52).uniform(size=(5, 80, 80))  # 1 seg vs 4
         with pytest.raises(DspError, match="within one segment"):
-            make_segment_pairs(clean, noise, video, snr_db=0.0)
+            make_segment_pairs(mix_at_snr(clean, noise, 0.0), video)

@@ -327,6 +327,22 @@ class TestPgmAndVideo:
             save_video_frames(str(d), np.array([[[1.0, 2.0]], image]))
         assert not (d / (FRAME_NAME % 1)).exists()
 
+    @pytest.mark.parametrize("image", [[[0.6, 254.9, 1.0]], [[0.9, 0.9]], [[12.0, 3.5]]])
+    def test_pgm_save_refuses_fractional_pixels_before_writing(self, tmp_path, image):
+        p = tmp_path / "f.pgm"
+        with pytest.raises(FormatError, match="^PGM pixel values must be whole numbers$"):
+            save_pgm(str(p), np.array(image))
+        assert not p.exists()
+        d = tmp_path / "vid"
+        with pytest.raises(FormatError, match="^PGM pixel values must be whole numbers$"):
+            save_video_frames(str(d), np.array([np.ones_like(image), image]))
+        assert not (d / (FRAME_NAME % 1)).exists()
+
+    def test_pgm_save_takes_whole_float_pixels(self, tmp_path):
+        p = str(tmp_path / "f.pgm")
+        save_pgm(p, np.array([[0.0, 255.0, 1.0]]))
+        assert load_pgm(p).tolist() == [[0, 255, 1]]
+
     def test_pgm_rejects_p2(self, tmp_path):
         p = tmp_path / "a.pgm"
         p.write_bytes(b"P2\n2 2\n255\n1 2 3 4\n")

@@ -194,21 +194,33 @@ class TestSiSdr:
 
 class TestLogSpectralDistance:
     def test_identical_is_zero(self):
-        a = np.random.default_rng(0).normal(size=(80, 20))
+        a = [MelSegment(np.random.default_rng(0).normal(size=(80, 20)))]
         assert log_spectral_distance(a, a) == 0.0
 
     def test_constant_offset(self):
         a = np.random.default_rng(1).normal(size=(80, 20))
-        assert log_spectral_distance(a, a + 0.5) == pytest.approx(0.5)
+        assert log_spectral_distance([MelSegment(a)], [MelSegment(a + 0.5)]) == pytest.approx(0.5)
 
-    def test_accepts_segments(self):
-        a = MelSegment(np.zeros((80, 20)))
-        b = MelSegment(np.full((80, 20), 2.0))
-        assert log_spectral_distance(a, b) == pytest.approx(2.0)
+    def test_mean_of_per_segment_rms(self):
+        zeros = [MelSegment(np.zeros((80, 20)))] * 2
+        apart = [MelSegment(np.full((80, 20), 1.0)), MelSegment(np.full((80, 20), 3.0))]
+        # the RMS over the two segments joined would be sqrt(5)
+        assert log_spectral_distance(zeros, apart) == 2.0
 
-    def test_shape_mismatch(self):
-        with pytest.raises(MetricError, match="shape"):
-            log_spectral_distance(np.zeros((80, 20)), np.zeros((80, 21)))
+    def test_differences_are_taken_in_float64(self):
+        # 2**25 - 1 needs 25 significant bits; a float32 difference rounds it to 2**25
+        a = MelSegment(np.full((80, 20), 2.0 ** 25))
+        b = MelSegment(np.full((80, 20), 1.0))
+        assert log_spectral_distance([a], [b]) == pytest.approx(2.0 ** 25 - 1.0, rel=1e-12)
+
+    def test_segment_count_mismatch(self):
+        seg = MelSegment(np.zeros((80, 20)))
+        with pytest.raises(MetricError, match="segment count mismatch: 2 vs 1"):
+            log_spectral_distance([seg, seg], [seg])
+
+    def test_no_segments(self):
+        with pytest.raises(MetricError, match="no segments"):
+            log_spectral_distance([], [])
 
 
 class TestMelGainProxy:
@@ -217,9 +229,8 @@ class TestMelGainProxy:
         clean, _ = clean_voice(rng)
         n = rng.normal(size=SAMPLE_RATE)
         noise = AudioClip(0.5 * n / np.max(np.abs(n)))
-        triples = make_segment_pairs(clean, noise, np.zeros((25, 80, 80)), snr_db)
         mix = mix_at_snr(clean, noise, snr_db)
-        return clean, mix, triples
+        return clean, mix, make_segment_pairs(mix, np.zeros((25, 80, 80)))
 
     def test_identity_gain_returns_noisy_audio(self):
         # handing back the noisy log-Mel makes every gain 1, so the proxy is
@@ -245,7 +256,7 @@ class TestMelGainProxy:
             clean, mix, triples = self._case(seed)
             proxy = mel_gain_proxy(mix.clip, [t.clean for t in triples])
             m = proxy.samples.size
-            ref = AudioClip(clean.samples[:m] * mix.peak_scale)
+            ref = AudioClip(mix.clean.samples[:m])
             before = stoi(ref, AudioClip(mix.clip.samples[:m]))
             after = stoi(ref, proxy)
             assert after > before + 0.15, f"seed {seed}: {before:.3f} -> {after:.3f}"
@@ -312,6 +323,21 @@ class TestEvaluateParams:
                 evaluate_params(init_params(0, FusionStrategy.LATE, 16), snr_db=0.0, seed=0, n_clips=n_clips)
             else:
                 run_ablation(width_divisor=16, n_eval_clips=n_clips)
+
+    def test_mixes_each_clip_once(self, monkeypatch):
+        import mffcn.dsp
+
+        snrs = []
+
+        def spy(clean, noise, snr_db):
+            snrs.append(snr_db)
+            return mix_at_snr(clean, noise, snr_db)
+
+        # both bindings: evaluate_params's own, and any call inside dsp
+        monkeypatch.setattr(metrics, "mix_at_snr", spy)
+        monkeypatch.setattr(mffcn.dsp, "mix_at_snr", spy)
+        evaluate_params(init_params(0, FusionStrategy.LATE, 16), snr_db=-5.0, seed=0, n_clips=3)
+        assert snrs == [-5.0] * 3
 
     def test_deterministic(self):
         params = init_params(0, FusionStrategy.LATE, 16)

@@ -1,11 +1,15 @@
-"""The one-pass mouth renderer against the per-frame loop it replaced.
+"""The synthetic corpus and evaluation scores: pinned, and against the per-frame renderer.
 
-mouth_video_per_frame below is that loop: it tests the ellipse and draws
-the pixel noise one frame at a time. synth.mouth_video renders all frames
-at once but draws the noise in the same order, so frames, the generator's
-state after the call, the corpus and the evaluation scores agree bit for bit.
+mouth_video_per_frame below is the loop synth.mouth_video replaced: it tests
+the ellipse and draws the pixel noise one frame at a time. synth.mouth_video
+renders all frames at once but draws the noise in the same order, so frames,
+the generator's state after the call, the corpus and the evaluation scores
+agree bit for bit. The corpus bytes and the scores are also pinned, so a
+change to the front end (mixing, log-Mel, segment pairing, scoring) that
+moves a bit fails here.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -60,8 +64,8 @@ def test_frames_and_generator_state_match_the_per_frame_loop():
 
 
 def _corpus_bytes():
-    return b"".join(part.values.tobytes() if hasattr(part, "values") else part.frames.tobytes()
-                    for item in synth_dataset(0, 10) for part in item)
+    return b"".join(item.noisy.values.tobytes() + item.video.frames.tobytes() + item.clean.values.tobytes()
+                    for item in synth_dataset(0, 10))
 
 
 def _scores():
@@ -69,6 +73,20 @@ def _scores():
     return [[(i.stoi_pct, i.si_sdr_db, i.log_spectral_distance)
              for i in evaluate_params(params, snr_db, 0, n_clips=2).items]
             for snr_db in (0.0, -5.0)]
+
+
+# sha256 of _corpus_bytes(), and of the float.hex strings of _scores() joined in order
+CORPUS_SHA256 = "d62a2efb006577eebfc729db3bb82179c624e73df9f2502ec79ed0b041eb4d3b"
+SCORES_SHA256 = "425e457443832d08fe920560892b3f613aa90c62f801ff5b55e93a6997a2e3e1"
+
+
+def test_corpus_bytes_pinned():
+    assert hashlib.sha256(_corpus_bytes()).hexdigest() == CORPUS_SHA256
+
+
+def test_scores_pinned():
+    hexes = "".join(float.hex(x) for report in _scores() for item in report for x in item)
+    assert hashlib.sha256(hexes.encode()).hexdigest() == SCORES_SHA256
 
 
 @pytest.mark.parametrize("output", [_corpus_bytes, _scores], ids=["synth_dataset", "evaluate_params"])

@@ -1,12 +1,14 @@
 """Optimizer, loss, synthetic data, and training-loop tests."""
 
 import csv
+import dataclasses
 import inspect
 
 import numpy as np
 import pytest
 
 from mffcn import train as train_module
+from mffcn.dsp import SegmentTriple, mix_at_snr
 from mffcn.formats import FormatError, load_checkpoint, save_mten
 from mffcn.gradcheck import check_gradients
 from mffcn.model import FusionStrategy, init_params, mffcn_forward, save_model
@@ -269,6 +271,19 @@ class TestFlatAdam:
             assert p.data is view and p.grad is None
 
 
+@pytest.fixture()
+def mix_snrs(monkeypatch):
+    """The SNR of each synth_dataset mixture, in call order."""
+    snrs = []
+
+    def spy(clean, noise, snr_db):
+        snrs.append(snr_db)
+        return mix_at_snr(clean, noise, snr_db)
+
+    monkeypatch.setattr(train_module, "mix_at_snr", spy)
+    return snrs
+
+
 class TestSynthDataset:
     def test_default_snr_range(self):
         assert inspect.signature(synth_dataset).parameters["snr_range_db"].default == (-10.0, 10.0)
@@ -282,26 +297,29 @@ class TestSynthDataset:
         with pytest.raises(TrainError, match="finite"):
             synth_dataset(0, 1, snr_range_db=snr_range_db)
 
-    def test_deterministic(self):
+    def test_deterministic(self, mix_snrs):
         a = synth_dataset(5, 6)
+        snrs_a = list(mix_snrs)
         b = synth_dataset(5, 6)
+        assert mix_snrs == snrs_a * 2
         for x, y in zip(a, b):
             assert np.array_equal(x.noisy.values, y.noisy.values)
             assert np.array_equal(x.video.frames, y.video.frames)
             assert np.array_equal(x.clean.values, y.clean.values)
-            assert x.snr_db == y.snr_db
 
-    def test_item_count_and_unpacking(self):
+    def test_item_count_and_fields(self):
         items = synth_dataset(0, 6)
         assert len(items) == 6
-        noisy, video, clean = items[0]
-        assert noisy.values.shape == (80, 20)
-        assert video.frames.shape == (5, 80, 80)
-        assert clean.values.shape == (80, 20)
+        # load_dataset builds triples positionally, in this order
+        assert [f.name for f in dataclasses.fields(SegmentTriple)] == ["noisy", "video", "clean"]
+        assert items[0].noisy.values.shape == (80, 20)
+        assert items[0].video.frames.shape == (5, 80, 80)
+        assert items[0].clean.values.shape == (80, 20)
 
-    def test_snr_draws_center_on_midpoint(self):
-        items = synth_dataset(0, 1000)
-        assert abs(np.mean([it.snr_db for it in items]) - 0.0) < 0.5
+    def test_snr_draws_center_on_midpoint(self, mix_snrs):
+        synth_dataset(0, 1000)
+        assert len(mix_snrs) == 250  # four items per one-second clip
+        assert abs(np.mean(mix_snrs) - 0.0) < 0.5
 
     def test_mouth_follows_audio_energy(self):
         # per clip: total ellipse brightness vs clean Mel energy per video frame
