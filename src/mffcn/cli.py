@@ -269,6 +269,7 @@ def cmd_enhance(args) -> int:
             f"need at least 1 aligned segment, got {len(noisy_segs)} audio "
             f"segments but only {frames.shape[0]} video frames ({SEG_VIDEO_FRAMES} per segment)")
 
+    clean_segs = log_mel(AudioClip(load_wav(args.clean_wav))) if args.clean_wav else None
     os.makedirs(args.out, exist_ok=True)
     enhanced = enhance_segments(noisy_segs[:n], videos[:n], params)
     for k, seg in enumerate(enhanced):
@@ -283,8 +284,7 @@ def cmd_enhance(args) -> int:
     written = list(export_spectrogram(os.path.join(args.out, "noisy"), noisy_cat))
     written += export_spectrogram(os.path.join(args.out, "enhanced"), enh_cat)
 
-    if args.clean_wav:
-        clean_segs = log_mel(AudioClip(load_wav(args.clean_wav)))
+    if clean_segs is not None:
         if len(clean_segs) >= n:
             clean_cat = np.concatenate([s.values for s in clean_segs[:n]], axis=1)
             written += export_spectrogram(os.path.join(args.out, "clean"), clean_cat)

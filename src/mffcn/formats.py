@@ -307,7 +307,8 @@ def load_wav(path: str) -> np.ndarray:
 # PGM (binary P5) and video frame directories
 # ----------------------------------------------------------------------------
 
-def save_pgm(path: str, image: np.ndarray) -> None:
+def _pgm_bytes(image: np.ndarray) -> bytes:
+    """A 2-D image of whole 0..255 values, encoded as a binary PGM; refused otherwise."""
     img = np.asarray(image)
     if img.ndim != 2:
         raise FormatError(f"PGM image must be 2-D, got shape {img.shape}")
@@ -320,9 +321,13 @@ def save_pgm(path: str, image: np.ndarray) -> None:
             raise FormatError("PGM pixel values must be whole numbers")
         img = img.astype(np.uint8)
     h, w = img.shape
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + img.tobytes(order="C")
+
+
+def save_pgm(path: str, image: np.ndarray) -> None:
+    data = _pgm_bytes(image)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(img.tobytes(order="C"))
+        fh.write(data)
 
 
 def load_pgm(path: str) -> np.ndarray:
@@ -378,13 +383,15 @@ def _read_pgm(path: str) -> Tuple[np.ndarray, int]:
 
 
 def save_video_frames(dirpath: str, frames: np.ndarray) -> None:
-    """Write a [T,H,W] stack of 0..255 values as numbered PGM frames."""
+    """Write a [T,H,W] stack of 0..255 values as numbered PGM frames, or, if any frame is refused, nothing."""
     arr = np.asarray(frames)
     if arr.ndim != 3:
         raise FormatError(f"video stack must be [T,H,W], got {arr.shape}")
+    encoded = [_pgm_bytes(frame) for frame in arr]
     os.makedirs(dirpath, exist_ok=True)
-    for t in range(arr.shape[0]):
-        save_pgm(os.path.join(dirpath, FRAME_NAME % t), arr[t])
+    for t, data in enumerate(encoded):
+        with open(os.path.join(dirpath, FRAME_NAME % t), "wb") as fh:
+            fh.write(data)
 
 
 def _video_frames(dirpath: str) -> List[Tuple[np.ndarray, int]]:

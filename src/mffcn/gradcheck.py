@@ -30,10 +30,12 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from . import attention, ops
+from . import attention, model, ops
 from .attention import ConvParams, FusionParams, SpectralParams
+from .model import AUDIO_IN, VIDEO_IN, ForwardMemo, FusionStrategy, _build, init_params
 from .ops import BatchNormState, ConvSpec, LstmGate, LstmLayerParams
 from .tensor import NonFiniteError, Tape, Tensor, TensorError
+from .train import mse_loss
 
 FD_EPS = 1e-3
 MODEL_FD_EPS = 1e-4  # the whole-network check's first step (see run_model_check)
@@ -390,11 +392,6 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
     On success the detail names the worst coordinate: its parameter, index,
     relative error and the step of the ladder at which it passed.
     """
-    # Imported here: the model layer depends on this module's clients, and
-    # the per-op suite should stay usable without pulling in the full graph.
-    from .model import (AUDIO_IN, VIDEO_IN, ForwardMemo, FusionStrategy, _build, init_params,
-                        mffcn_forward)
-
     if strategy is None:
         strategy = FusionStrategy.MULTILAYER
     params = init_params(seed, strategy, width_divisor, dtype=np.float64)
@@ -413,9 +410,9 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
         return _build(strategy, width_divisor, lambda name, shape, kind: next(it),
                       lambda name, channels: BatchNormState.initial(channels, dtype=np.float64))
 
-    def loss(model, memo=None) -> Tensor:
-        diff = mffcn_forward(y, v, model, mode="eval", memo=memo) - target
-        return (diff * diff).mean()
+    def loss(net, memo=None) -> Tensor:
+        # read off the module at each call, so a wrapper put there sees every forward
+        return mse_loss(model.mffcn_forward(y, v, net, mode="eval", memo=memo), target)
 
     coords = [tuple(int(rng.integers(0, e)) for e in t.dims) for t in inputs]
 

@@ -1,10 +1,13 @@
 """Dense float tensors with reverse-mode differentiation on an explicit tape.
 
-Every differentiable operation appends one record to the innermost active
-Tape; Tape.backward replays the records exactly once, newest first, so
-gradients accumulate additively across repeated uses of a tensor. Tensors
-are treated as immutable values by all operations; only ``.grad`` (and the
-explicit BatchNorm running state, which lives outside tensors) mutates.
+Each thread has one recording slot: the recording Tape, a no_grad marker,
+or nothing. A Tape starts only on an empty slot (tapes do not nest, and none
+starts inside no_grad); no_grad inside a Tape pauses it. Every differentiable
+operation appends one record to the recording Tape; Tape.backward replays the
+records exactly once, newest first, so gradients accumulate additively across
+repeated uses of a tensor. Tensors are treated as immutable values by all
+operations; only ``.grad`` (and the explicit BatchNorm running state, which
+lives outside tensors) mutates.
 
 Storage is float32 by default. float64 tensors are supported end to end and
 are what the gradient-check suites use; full reductions (sum, mean) always
@@ -44,36 +47,29 @@ class NonFiniteError(TensorError):
     pass
 
 
-_tls = threading.local()
+class _Slot(threading.local):
+    value = None  # this thread's recording Tape, _NO_GRAD inside no_grad, or None
 
 
-def _tape_stack() -> list:
-    stack = getattr(_tls, "tapes", None)
-    if stack is None:
-        stack = []
-        _tls.tapes = stack
-    return stack
+_slot = _Slot()
+_NO_GRAD = object()
 
 
 def active_tape() -> Optional["Tape"]:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
-
-
-def grad_enabled() -> bool:
-    return getattr(_tls, "grad_enabled", True)
+    tape = _slot.value
+    return None if tape is _NO_GRAD else tape
 
 
 class no_grad:
     """Context manager that suspends tape recording."""
 
     def __enter__(self) -> "no_grad":
-        self._prev = grad_enabled()
-        _tls.grad_enabled = False
+        self._saved = _slot.value
+        _slot.value = _NO_GRAD
         return self
 
     def __exit__(self, *exc) -> bool:
-        _tls.grad_enabled = self._prev
+        _slot.value = self._saved
         return False
 
 
@@ -167,23 +163,20 @@ class Tensor:
     # -- reductions (64-bit accumulation) ------------------------------------
 
     def sum(self) -> "Tensor":
-        total = np.sum(self.data, dtype=np.float64)
-        out = Tensor(np.asarray(total, dtype=self.data.dtype))
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(self, np.full_like(self.data, g))
-
-        return record(out, (self,), backward)
+        return record(*self._total_over(1))  # dividing by one is exact
 
     def mean(self) -> "Tensor":
-        n = self.data.size
+        return record(*self._total_over(self.data.size))
+
+    def _total_over(self, n: int) -> tuple:
+        """The float64 total divided by n, as record's (out, inputs, backward)."""
         total = np.sum(self.data, dtype=np.float64) / n
         out = Tensor(np.asarray(total, dtype=self.data.dtype))
 
         def backward(g: np.ndarray) -> None:
             _accumulate(self, np.full_like(self.data, g / n))
 
-        return record(out, (self,), backward)
+        return out, (self,), backward
 
     # -- structure ------------------------------------------------------------
 
@@ -279,12 +272,9 @@ def flatten(tensors: Sequence[Tensor]) -> FlatParams:
 
 
 def record(out: Tensor, inputs: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
-    """Register an executed op on the active tape if any input tracks grads."""
-    tapes = getattr(_tls, "tapes", None)  # active_tape() and grad_enabled(), read in one place
-    if not tapes or not getattr(_tls, "grad_enabled", True):
-        return out
-    if any(t.requires_grad for t in inputs):
-        tape = tapes[-1]
+    """Register an executed op on the recording tape if any input tracks grads."""
+    tape = active_tape()
+    if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._tape = tape
         tape._records.append((out, backward))
@@ -294,8 +284,9 @@ def record(out: Tensor, inputs: Sequence[Tensor], backward: Callable[[np.ndarray
 class Tape:
     """Execution-ordered record of differentiable operations.
 
-    Entering the context makes this tape active for the current thread. A
-    tape is confined to the thread that runs it and is replayed at most once.
+    Entering the context puts this tape in the current thread's recording
+    slot, which must be empty. A tape is confined to the thread that runs it
+    and is replayed at most once.
     """
 
     def __init__(self):
@@ -303,12 +294,15 @@ class Tape:
         self._replayed = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        if _slot.value is _NO_GRAD:
+            raise TensorError("a tape cannot start inside no_grad")
+        if _slot.value is not None:
+            raise TensorError("a tape is already recording on this thread; tapes do not nest")
+        _slot.value = self
         return self
 
     def __exit__(self, *exc) -> bool:
-        popped = _tape_stack().pop()
-        assert popped is self, "tape stack corrupted"
+        _slot.value = None
         return False
 
     def __len__(self) -> int:

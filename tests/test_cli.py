@@ -306,6 +306,17 @@ class TestEnhanceCommand:
                    "--checkpoint", str(workdir / "ck" / "checkpoint.mffc")])
         assert rc == 2
 
+    def test_bad_reference_wav_is_refused_before_any_output(self, workdir, tmp_path, capsys):
+        clean = tmp_path / "clean.wav"
+        clean.write_bytes(b"not a wav file")
+        out = tmp_path / "o"
+        rc = main(["enhance", str(workdir / "noisy.wav"), str(workdir / "frames"), str(clean),
+                   "--checkpoint", str(workdir / "ck" / "checkpoint.mffc"),
+                   "--out", str(out)])
+        assert rc == 2
+        assert str(clean) in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvalCommand:
     def test_writes_report_csv(self, workdir, tmp_path, capsys):

@@ -338,6 +338,12 @@ class TestPgmAndVideo:
             save_video_frames(str(d), np.array([np.ones_like(image), image]))
         assert not (d / (FRAME_NAME % 1)).exists()
 
+    def test_refused_video_frame_leaves_nothing_on_disk(self, tmp_path):
+        d = tmp_path / "vid"
+        with pytest.raises(FormatError, match="^PGM pixel values must be whole numbers$"):
+            save_video_frames(str(d), np.array([np.ones((1, 2)), [[0.5, 1.0]]]))
+        assert not d.exists()
+
     def test_pgm_save_takes_whole_float_pixels(self, tmp_path):
         p = str(tmp_path / "f.pgm")
         save_pgm(p, np.array([[0.0, 255.0, 1.0]]))

@@ -333,6 +333,15 @@ class TestForwardMemo:
         with Tape(), pytest.raises(ModelError, match="tape"):
             mffcn_forward(y, v, params, mode="eval", memo=ForwardMemo())
 
+    def test_runs_under_no_grad_inside_a_tape(self):
+        params = init_params(0, FusionStrategy.LATE, 16)
+        y, v = _small_inputs(batch=1)
+        want = mffcn_forward(y, v, params, mode="eval").data
+        with Tape() as tape, no_grad():
+            got = mffcn_forward(y, v, params, mode="eval", memo=ForwardMemo())
+        assert len(tape) == 0
+        assert np.array_equal(got.data, want)
+
     def test_refuses_a_memo_filled_over_another_model(self):
         y, v = _small_inputs(batch=1)
         memo = ForwardMemo()

@@ -28,6 +28,7 @@ from mffcn.tensor import (
     TensorError,
     _SIGMOID_BOUNDS,
     _sigmoid,
+    active_tape,
     no_grad,
 )
 
@@ -185,6 +186,51 @@ class TestTapeMechanics:
                 y = x * x
             assert not y.requires_grad
             assert len(tape) == 0
+
+    def test_nested_tape_refused_and_outer_keeps_recording(self):
+        x = _t([1.0], grad=True)
+        with Tape() as outer:
+            with pytest.raises(TensorError, match="tapes do not nest"):
+                with Tape():
+                    pass
+            loss = (x * x).sum()
+            assert len(outer) == 2
+            outer.backward(loss)
+        assert x.grad.tolist() == [2.0]
+
+    def test_tape_inside_no_grad_refused(self):
+        with no_grad(), pytest.raises(TensorError, match="inside no_grad"):
+            with Tape():
+                pass
+
+    def test_no_grad_inside_tape_pauses_then_resumes(self):
+        x = _t([1.0], grad=True)
+        with Tape() as tape:
+            with no_grad():
+                paused = x * x
+            resumed = x * x
+        assert not paused.requires_grad and resumed.requires_grad
+        assert len(tape) == 1
+
+    def test_active_tape_none_under_no_grad(self):
+        assert active_tape() is None
+        with no_grad():
+            assert active_tape() is None
+        with Tape() as tape:
+            assert active_tape() is tape  # an empty tape is falsy, but it is the one recording
+            with no_grad():
+                assert active_tape() is None
+        assert active_tape() is None
+
+    def test_new_tape_starts_after_a_tape_block_raises(self):
+        x = _t([1.0], grad=True)
+        with pytest.raises(RuntimeError):
+            with Tape():
+                raise RuntimeError("mid-forward failure")
+        assert active_tape() is None
+        with Tape() as tape:
+            y = x * x
+        assert y.requires_grad and len(tape) == 1
 
     def test_ops_outside_tape_do_not_track(self):
         x = _t([1.0], grad=True)
