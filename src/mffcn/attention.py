@@ -4,6 +4,9 @@ A fusion block takes same-shaped video and audio feature maps. Channel
 attention first squeezes a concat-reduce convolution of both modalities into
 a per-channel descriptor, scores it with two independent linear heads, and
 softmaxes the pair into modality weights that always sum to one per channel.
+The squeeze is the spatial mean of a 1x1 convolution, and both are linear:
+the descriptor is the reduce weight, read as [C, 2C], applied to the two
+modalities' spatial means, so no full-size reduced map is ever built.
 The reweighted modalities are merged back to C channels. Spectral attention
 then gates that merged map elementwise with a sigmoid mask in (0, 1).
 
@@ -67,24 +70,29 @@ def channel_attention(v: Tensor, a: Tensor, params: FusionParams,
                       ) -> Union[Tensor, Tuple[Tensor, Tensor, Tensor]]:
     """Merge two same-shaped modality maps under learned per-channel weights.
 
-    Pipeline: squeeze Conv1x1(concat[v, a]) to C channels, pool it to a
-    channel descriptor, score with the two dense heads, softmax the pair
-    into (w_v, w_a), then merge Conv1x1(concat[v * w_v, a * w_a]) back to C.
-    With return_weights the per-channel [B, C] weights come back too, as
-    constants: gradients flow through the merged map only.
+    Pipeline: squeeze Conv1x1(concat[v, a]) to C channels and pool it to a
+    channel descriptor, computed as the reduce weight, read as [C, 2C], times
+    the [B, 2C] spatial means of v and a (accumulated in float64); score with
+    the two dense heads, softmax the pair into (w_v, w_a), then merge
+    Conv1x1(concat[v * w_v, a * w_a]) back to C. With return_weights the
+    per-channel [B, C] weights come back too, as constants: gradients flow
+    through the merged map only.
 
-    It keeps only [B, C] arrays, recomputing both concatenations in backward.
+    It keeps only [B, C] and [B, 2C] arrays. Backward recomputes the merge's
+    concatenation; the squeeze's input gradient is its [B, 2C] gradient over
+    h * w, spread evenly over space. The reduce weight must be [C, 2C, 1, 1].
     A NaN or Inf score difference (the sigmoid's input) raises NonFiniteError.
     """
     if v.dims != a.dims:
         raise ShapeError(f"channel_attention: modality shapes differ, {v.dims} vs {a.dims}")
     vd, ad = _batch_first(v.data, 4, "channel_attention"), a.data
-    op, c = "channel_attention", vd.shape[1]
+    op, c, (h, w) = "channel_attention", vd.shape[1], vd.shape[2:]
     reduce, fc_v, fc_a, post = params.concat_reduce, params.fc_v, params.fc_a, params.post_weight
-    merged, grid_in = _conv2d_data(op, np.concatenate([vd, ad], axis=1), reduce.weight.data,
-                                   reduce.bias.data, (1, 1))
-    merged_shape, (h, w) = merged.shape, merged.shape[2:]
-    descriptor = (np.add.reduce(merged, axis=(2, 3), dtype=np.float64) / (h * w)).astype(merged.dtype)
+    if reduce.weight.dims != (c, 2 * c, 1, 1):
+        raise ShapeError(f"{op}: concat-reduce weights must be [{c},{2 * c},1,1], got {reduce.weight.dims}")
+    pooled = np.concatenate([np.add.reduce(m, axis=(2, 3), dtype=np.float64) for m in (vd, ad)], axis=1)
+    pooled = (pooled / (h * w)).astype(vd.dtype)
+    descriptor = _dense_data(op, pooled, reduce.weight.data.reshape(c, 2 * c), reduce.bias.data)
     diff = (_dense_data(op, descriptor, fc_v.weight.data, fc_v.bias.data)
             - _dense_data(op, descriptor, fc_a.weight.data, fc_a.bias.data))
     if not np.isfinite(diff).all():
@@ -107,12 +115,9 @@ def channel_attention(v: Tensor, a: Tensor, params: FusionParams,
         g_diff = g_wv * w_v * (1.0 - w_v)
         g_desc = _dense_grads(-g_diff, descriptor, fc_a.weight, fc_a.bias)
         g_desc += _dense_grads(g_diff, descriptor, fc_v.weight, fc_v.bias)
-        g_merged = np.broadcast_to(g_desc[:, :, None, None] / (h * w),
-                                   merged_shape).astype(descriptor.dtype)
-        g_cat = np.ascontiguousarray(_conv2d_grads(
-            g_merged, np.concatenate([vd, ad], axis=1), reduce.weight, reduce.bias, grid_in, True))
-        _accumulate(v, g_cat[:, :c])
-        _accumulate(a, g_cat[:, c:])
+        g_pooled = _dense_grads(g_desc, pooled, reduce.weight, reduce.bias) / (h * w)
+        _accumulate(a, np.broadcast_to(g_pooled[:, c:, None, None], ad.shape))
+        _accumulate(v, np.broadcast_to(g_pooled[:, :c, None, None], vd.shape))
 
     tensors = (v, a) + tuple(t for p in (reduce, fc_v, fc_a, post) for t in (p.weight, p.bias))
     result = record(Tensor(fused), tensors, backward)

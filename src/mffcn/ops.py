@@ -616,12 +616,20 @@ def norm_leaky(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     Batch norm normalizes over the batch and spatial axes (Ioffe & Szegedy,
     ICML 2015). Train mode uses the biased batch statistics and folds them
     into the running state (new = 0.9 * old + 0.1 * batch); eval mode uses
-    the running state and treats it as constant. The op keeps its output,
-    whose sign (the pre-activation's) routes the gradient as
-    max(sign(y), 0.2), and recomputes x-hat for batch norm's backward.
+    the running state and treats it as constant, so it normalizes as one
+    scale and shift, x * s + t with s = gamma / sqrt(var + eps) and
+    t = beta - s * mean: gamma * x-hat + beta up to rounding, bit for bit
+    where gamma = 1 and mean = 0 (as init_params leaves every layer). The op
+    keeps its output, whose sign (the pre-activation's) routes the gradient
+    as max(sign(y), 0.2), and recomputes x-hat for batch norm's backward.
     """
     xd, mu, inv = _norm_stats("norm_leaky", x, gamma, beta, state, mode)
-    y = gamma.data[None, :, None, None] * _normalize(xd, mu, inv) + beta.data[None, :, None, None]
+    if mode == "train":
+        y = gamma.data[None, :, None, None] * _normalize(xd, mu, inv) + beta.data[None, :, None, None]
+    else:  # a fixed per-channel affine map: x * s + t
+        s = gamma.data * inv
+        y = xd * s[None, :, None, None]
+        y += (beta.data - s * mu)[None, :, None, None]
     out = _leaky(y)
 
     def backward(g: np.ndarray) -> None:
@@ -647,12 +655,15 @@ def _dense_data(op: str, xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray
 
 
 def _dense_grads(g: np.ndarray, xd: np.ndarray, weights: Tensor, bias: Optional[Tensor]) -> np.ndarray:
-    """A dense map's backward for g: accumulates the weight and bias gradients, returns x's."""
+    """A dense map's backward for g: accumulates the weight and bias gradients, returns x's.
+
+    The weights may carry trailing unit axes (a 1x1 convolution's), read as [O, F].
+    """
     if weights.requires_grad:
-        _accumulate(weights, g.T @ xd)
+        _accumulate(weights, (g.T @ xd).reshape(weights.dims))
     if bias is not None and bias.requires_grad:
         _accumulate(bias, g.sum(axis=0))
-    return g @ weights.data
+    return g @ weights.data.reshape(g.shape[1], xd.shape[1])
 
 
 def concat_channels(xs: Sequence[Tensor]) -> Tensor:

@@ -8,9 +8,10 @@ useful visual cue. Every draw comes from the caller's generator, so a seeded
 generator gives the same clip every time.
 
 The mouth frames are rendered in one pass: the ellipse test is a column term
-plus a row term broadcast over all frames, and the pixel noise is then drawn
-frame by frame, so the draws come in the order a per-frame recipe takes them
-and the clip is the same as one rendered a frame at a time.
+plus a row term broadcast over all frames, and the pixel noise of all frames
+is one standard-normal draw, scaled. It takes the generator's values in the
+order a per-frame recipe takes them, so the clip is the same as one rendered
+a frame at a time.
 """
 
 from __future__ import annotations
@@ -77,10 +78,10 @@ def mouth_video(rng: np.random.Generator, env: np.ndarray) -> np.ndarray:
            ((np.arange(h)[:, None] - cy[:, None, None]) / aperture[:, None, None]) ** 2,
            out=frames)
     inside = frames <= 1.0
-    frames.fill(background)
-    frames[inside] = 0.85
-    for frame in frames:
-        frame += rng.normal(0.0, 0.02, size=frame.shape)
+    rng.standard_normal(out=frames)  # every frame's pixel noise in one draw, then scaled
+    frames *= 0.02
+    for frame, mask in zip(frames, inside):
+        frame += np.where(mask, 0.85, background)
     return np.clip(frames, 0.0, 1.0, out=frames)
 
 

@@ -135,10 +135,15 @@ def relu(x: Tensor) -> Tensor:
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                mode: str = "train") -> Tensor:
-    """Per-channel batch normalization, as norm_leaky normalizes."""
+    """Per-channel batch normalization, as norm_leaky normalizes: gamma * x-hat + beta
+    in train mode, x * s + t with s = gamma * inv and t = beta - s * mean in eval mode."""
     xd, mu, inv = ops._norm_stats("batch_norm", x, gamma, beta, state, mode)
     xhat = ops._normalize(xd, mu, inv)
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    if mode == "train":
+        out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    else:
+        s = gamma.data * inv
+        out = xd * s[None, :, None, None] + (beta.data - s * mu)[None, :, None, None]
 
     def backward(gb):
         norm_grads(gb, xhat, x, gamma, beta, inv, mode)
@@ -172,8 +177,9 @@ def softmax_pair(a: Tensor, b: Tensor) -> Tuple[Tensor, Tensor]:
 
 
 def fully_connected(x: Tensor, weights: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """x W^T (+ b) of a [B, F] input; weights are [O, F]."""
-    out = ops._dense_data("fully_connected", x.data, weights.data, None if bias is None else bias.data)
+    """x W^T (+ b) of a [B, F] input; weights are [O, F], or a 1x1 convolution's [O, F, 1, 1]."""
+    wd = weights.data.reshape(weights.dims[0], -1)
+    out = ops._dense_data("fully_connected", x.data, wd, None if bias is None else bias.data)
 
     def backward(g):
         _accumulate(x, ops._dense_grads(g, x.data, weights, bias))
@@ -244,10 +250,13 @@ def norm_leaky(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 
 
 def channel_attention(v: Tensor, a: Tensor, params: FusionParams, return_weights: bool = False):
-    """attention.channel_attention; with return_weights, the weights come back taped."""
-    merged = ops.conv2d(ops.concat_channels([v, a]), params.concat_reduce.weight,
-                        params.concat_reduce.bias, ConvSpec())
-    descriptor = global_avg_pool(merged)
+    """attention.channel_attention; with return_weights, the weights come back taped.
+
+    The descriptor is the 1x1 concat-reduce weight applied to the spatial
+    means of both modalities.
+    """
+    pooled = global_avg_pool(ops.concat_channels([v, a]))
+    descriptor = fully_connected(pooled, params.concat_reduce.weight, params.concat_reduce.bias)
     score_v = fully_connected(descriptor, params.fc_v.weight, params.fc_v.bias)
     score_a = fully_connected(descriptor, params.fc_a.weight, params.fc_a.bias)
     w_v, w_a = softmax_pair(score_v, score_a)

@@ -72,7 +72,10 @@ class TestFiniteDifferenceOracle:
 # and attention rows were recorded when those ops became one taped op each, the
 # lstm row when it took features-first sequences and the maxpool2d row when it
 # took tiling windows only. The rows of the primitives the fused ops replaced
-# were recorded from OP_TABLE and are now checked from composed.OP_ROWS.
+# were recorded from OP_TABLE and are now checked from composed.OP_ROWS. The
+# batch_norm_eval and norm_leaky_eval rows, and channel_attention's last
+# value, were recorded again when eval batch norm became one scale and shift
+# and channel attention began to squeeze the pooled maps.
 OP_WORST_ERRORS = {
     "add": (5.651228894718173e-12, 2.6147442547318357e-12, 1.2352880223496885e-13,
             1.8853065444147678e-13, 5.956855464094574e-11),
@@ -108,8 +111,8 @@ OP_WORST_ERRORS = {
                   8.132839963447039e-15, 1.675700971618585e-11),
     "batch_norm_train": (9.121747235708044e-08, 5.240913969789519e-08, 1.0893312032130395e-06,
                          2.373239883513073e-06, 8.747993543671902e-08),
-    "batch_norm_eval": (8.457787615743751e-12, 8.299358487706781e-11, 2.321398572373246e-11,
-                        9.72486272500857e-12, 1.7655231496669028e-11),
+    "batch_norm_eval": (8.457787615743751e-12, 4.994092491995678e-11, 1.6493494667241965e-11,
+                        1.659831765338652e-11, 1.7655231496669028e-11),
     "softmax_pair": (1.4147996272945245e-07, 8.289598337107152e-08, 8.333244313493145e-08,
                      1.447601942444888e-07, 8.161287798276183e-08),
     "fully_connected": (2.4616154291025565e-12, 1.2698224523890296e-11, 8.728220654283618e-13,
@@ -124,10 +127,10 @@ OP_WORST_ERRORS = {
              7.936103739720283e-06, 4.145650735288157e-06),
     "norm_leaky_train": (2.667866933586807e-06, 2.3901858144109795e-05, 5.745243074563717e-06,
                          1.9209015782508587e-06, 8.498903406284962e-07),
-    "norm_leaky_eval": (1.295562866293319e-10, 8.071689972188019e-12, 9.857924408426414e-12,
-                        1.2291102803163365e-11, 3.9530765000386546e-11),
+    "norm_leaky_eval": (9.013179232711238e-11, 7.784575120023139e-12, 1.0316247593904076e-11,
+                        2.886011829314684e-11, 1.0756364391003411e-11),
     "channel_attention": (2.4197391433867143e-06, 1.3824006468889324e-07, 2.921599517145935e-06,
-                          2.864541485108821e-06, 2.2511927856590003e-07),
+                          2.864541485108821e-06, 2.2511832169626065e-07),
     "spectral_attention": (8.228616191420575e-08, 3.7033208147629966e-08, 2.9252865119667307e-07,
                            8.370694074655692e-07, 4.2486849701110104e-06),
 }
@@ -239,26 +242,28 @@ class TestPlantedWrongBackward:
 
 
 # (name, worst_err.hex(), ok, detail) of run_model_check per (wiring, seed),
-# recorded while every probe still ran a whole forward: probes that rerun
-# only the nodes downstream of the perturbed tensor must reproduce them.
+# recorded with every probe running a whole forward (last with the memo
+# bypassed, when eval batch norm became one scale and shift and channel
+# attention began to squeeze the pooled maps): probes that rerun only the
+# nodes downstream of the perturbed tensor must reproduce them.
 MODEL_CHECKS = {
-    ("multilayer", 0): ("model[multilayer,d=16,seed=0]", "0x1.27f1e8ce15eaap-15", True,
+    ("multilayer", 0): ("model[multilayer,d=16,seed=0]", "0x1.27f1e8ce4126cp-15", True,
                         "286 coordinates; worst video_enc.1.conv.bias[3] rel 3.528e-05 at eps 0.0001"),
-    ("multilayer", 1): ("model[multilayer,d=16,seed=1]", "0x1.0c2b6b113046fp-15", True,
+    ("multilayer", 1): ("model[multilayer,d=16,seed=1]", "0x1.0c2b6b1135dacp-15", True,
                         "286 coordinates; worst audio_enc.2.conv.bias[2] rel 3.197e-05 at eps 0.0001"),
-    ("multilayer", 2): ("model[multilayer,d=16,seed=2]", "0x1.c457ecb4e4ac0p-21", True,
-                        "286 coordinates; worst bottleneck.lstm.2.input.wh[43, 47] rel 8.426e-07 at eps 0.0001"),
+    ("multilayer", 2): ("model[multilayer,d=16,seed=2]", "0x1.7c3f6b811b0a3p-21", True,
+                        "286 coordinates; worst bottleneck.lstm.2.input.bias[39] rel 7.083e-07 at eps 0.0001"),
     ("multilayer", 3): ("model[multilayer,d=16,seed=3]", "0x1.716201337d31dp-14", True,
                         "286 coordinates; worst decoder.8.bn.beta[1] rel 8.807e-05 at eps 0.0001"),
-    ("multilayer", 4): ("model[multilayer,d=16,seed=4]", "0x1.fd539c39f3b38p-21", True,
-                        "286 coordinates; worst bottleneck.lstm.2.output.wx[41, 20] rel 9.487e-07 at eps 0.0001"),
+    ("multilayer", 4): ("model[multilayer,d=16,seed=4]", "0x1.68432fd3fcce9p-21", True,
+                        "286 coordinates; worst bottleneck.lstm.2.forget.wh[3, 21] rel 6.710e-07 at eps 0.0001"),
     ("early", 0): ("model[early,d=16,seed=0]", "0x1.ba46d5fde9180p-22", True,
                    "122 coordinates; worst bottleneck.lstm.1.cell.wh[39, 58] rel 4.119e-07 at eps 0.0001"),
-    ("late", 0): ("model[late,d=16,seed=0]", "0x1.83039c0626a00p-22", True,
+    ("late", 0): ("model[late,d=16,seed=0]", "0x1.83039bccee300p-22", True,
                   "158 coordinates; worst audio_enc.3.conv.bias[3] rel 3.604e-07 at eps 0.0001"),
     ("mid-bottleneck", 0): ("model[mid-bottleneck,d=16,seed=0]", "0x1.d8c9f009cfe17p-15", True,
                             "148 coordinates; worst decoder.6.deconv.bias[6] rel 5.636e-05 at eps 0.0001"),
-    ("mid-decoder", 0): ("model[mid-decoder,d=16,seed=0]", "0x1.5dbed499cc6a8p-19", True,
+    ("mid-decoder", 0): ("model[mid-decoder,d=16,seed=0]", "0x1.5dbed49ba671dp-19", True,
                          "266 coordinates; worst video_enc.2.bn.gamma[1] rel 2.606e-06 at eps 0.0001"),
 }
 

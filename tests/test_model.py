@@ -490,6 +490,16 @@ class TestChannelAttention:
         with pytest.raises(Exception):
             channel_attention(v, a, p)
 
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 4, 3, 3), (3, 4, 1, 1), (2, 6, 1, 1)])
+    def test_reduce_weight_must_be_a_1x1_2c_to_c_conv(self, shape):
+        rng = np.random.default_rng(18)
+        p = _rand_fusion_params(rng, 2)
+        p.concat_reduce.weight = Tensor(rng.normal(size=shape).astype(np.float32))
+        v, a = (Tensor(rng.normal(size=(1, 2, 3, 3)).astype(np.float32)) for _ in range(2))
+        with pytest.raises(ShapeError, match=r"^channel_attention: concat-reduce weights must be "
+                                             r"\[2,4,1,1\], got "):
+            channel_attention(v, a, p)
+
 
 class TestSpectralAttention:
     def test_mask_strictly_inside_unit_interval(self):
