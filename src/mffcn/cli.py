@@ -7,6 +7,7 @@ unusable files, 3 a computation produced non-finite numbers.
 import argparse
 import math
 import os
+import re
 import sys
 from typing import List, Optional, Tuple
 
@@ -115,8 +116,23 @@ def _snr_range(args) -> Tuple[float, float]:
     return args.snr_low, args.snr_high
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every negative float spelling as a value, not as a flag.
+
+    argparse's own matcher knows only -5 and -.5, so ``--snr-low -1e1`` or
+    ``--snr-low -inf`` would stop at "expected one argument". This one also
+    takes exponent forms, -inf and -nan; add_subparsers builds every
+    subcommand's parser with the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mffcn",
         description="Audio-visual speech enhancement kit: verification, "
                     "training, inference, and reporting.")

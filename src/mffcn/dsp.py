@@ -250,14 +250,16 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resampling, align-corners-false.
 
     Source coordinate for output index i is (i + 0.5) * (in / out) - 0.5,
-    clamped to the valid range before blending the four neighbors.
+    clamped to the valid range before blending the four neighbors. An axis
+    of one pixel clamps every coordinate to that pixel, so the output is
+    constant along it (a 1x1 image gives a constant image).
     """
     a = np.asarray(img, dtype=np.float64)
     if a.ndim != 2:
         raise DspError(f"resize expects a 2-D image, got shape {a.shape}")
     in_h, in_w = a.shape
-    if in_h < 2 or in_w < 2:
-        raise DspError(f"resize needs input extents of at least 2, got {a.shape}")
+    if in_h < 1 or in_w < 1:
+        raise DspError(f"input extents must be positive, got {a.shape}")
     if out_h < 1 or out_w < 1:
         raise DspError(f"output extents must be positive, got ({out_h}, {out_w})")
 

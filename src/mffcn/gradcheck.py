@@ -43,12 +43,6 @@ REL_TOL = 1e-4
 REL_FLOOR = 1e-6
 
 
-def _scalar(t: Tensor) -> float:
-    if t.size != 1:
-        raise TensorError(f"gradcheck target must return a scalar, got shape {t.dims}")
-    return float(t.data.reshape(()))
-
-
 def _central_diff(fn, base_args, pos, idx, eps) -> float:
     """(fn(x + eps e_idx) - fn(x - eps e_idx)) / 2 eps, probed in place.
 
@@ -64,7 +58,7 @@ def _central_diff(fn, base_args, pos, idx, eps) -> float:
             if not np.isfinite(probed):
                 raise NonFiniteError("tensor holds NaN or Inf values")
             data[idx] = probed
-            values.append(_scalar(fn(base_args)))
+            values.append(fn(base_args).item())
     finally:
         data[idx] = saved
     return (values[0] - values[1]) / (2.0 * eps)
@@ -111,8 +105,8 @@ def check_gradients(fn: Callable[[Sequence[Tensor]], Tensor],
     args = [Tensor(t.data.astype(np.float64), requires_grad=True) for t in inputs]
     with Tape() as tape:
         tape.backward(fn(args))
-    first = _scalar(fn(args))
-    second = _scalar(fn([Tensor(t.data.copy()) for t in args]))
+    first = fn(args).item()
+    second = fn([Tensor(t.data.copy()) for t in args]).item()
     if first != second:
         raise TensorError(
             f"function is not deterministic: repeated evaluation gave {first} then {second}")
@@ -426,8 +420,8 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
         t.grad = None
 
     memo = ForwardMemo()  # filled here, at the base point, and only read by the probes
-    first = _scalar(loss(params, memo))
-    second = _scalar(loss(build([Tensor(t.data.copy()) for t in inputs])))
+    first = loss(params, memo).item()
+    second = loss(build([Tensor(t.data.copy()) for t in inputs])).item()
     if first != second:
         return CheckResult(name, float("nan"), False,
                            f"loss not deterministic: {first} then {second}")

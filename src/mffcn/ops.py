@@ -551,17 +551,33 @@ def _batch_stats(xd: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return mean.reshape(-1), var
 
 
-def _norm_stats(op: str, x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-                mode: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x's checked data, its per-channel mean and 1 / sqrt(var + eps); train mode updates state."""
+def norm_leaky(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
+               mode: str = "train") -> Tensor:
+    """Per-channel batch normalization, then leaky relu (max(y, 0.2 y)), as one taped op.
+
+    Batch norm normalizes over the batch and spatial axes (Ioffe & Szegedy,
+    ICML 2015). Train mode uses the biased batch statistics (_batch_stats)
+    and folds them into the running state (new = 0.9 * old + 0.1 * batch);
+    eval mode reads a copy of the running state and treats it as constant,
+    so it normalizes as one scale and shift, x * s + t with
+    s = gamma / sqrt(var + eps) and t = beta - s * mean: gamma * x-hat + beta
+    up to rounding, bit for bit where gamma = 1 and mean = 0 (as init_params
+    leaves every layer). The op keeps its output, whose sign (the
+    pre-activation's) routes the gradient as max(sign(y), 0.2), and
+    recomputes x-hat for batch norm's backward. That backward's per-channel
+    dot of the gradient and x-hat is the one stacked matmul that
+    ``np.einsum("bchw,bchw->c", optimize=True)`` plans and runs; at one
+    element per channel einsum multiplies, keeping a zero product's sign,
+    and so does this.
+    """
     if mode not in ("train", "eval"):
-        raise ShapeError(f"{op}: mode must be 'train' or 'eval', got {mode!r}")
-    xd = _batch_first(x.data, 4, op)
+        raise ShapeError(f"norm_leaky: mode must be 'train' or 'eval', got {mode!r}")
+    xd = _batch_first(x.data, 4, "norm_leaky")
     c = xd.shape[1]
     if gamma.dims != (c,) or beta.dims != (c,):
-        raise ShapeError(f"{op}: gamma/beta must be [{c}], got {gamma.dims} and {beta.dims}")
+        raise ShapeError(f"norm_leaky: gamma/beta must be [{c}], got {gamma.dims} and {beta.dims}")
     if state.mean.shape != (c,) or state.var.shape != (c,):
-        raise ShapeError(f"{op}: state holds {state.mean.shape}, input has {c} channels")
+        raise ShapeError(f"norm_leaky: state holds {state.mean.shape}, input has {c} channels")
     if mode == "train":
         mu, var = _batch_stats(xd)
         mu = mu.astype(xd.dtype)
@@ -569,77 +585,39 @@ def _norm_stats(op: str, x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNor
         state.mean[...] = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
         state.var[...] = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
     else:
-        mu = state.mean.astype(xd.dtype, copy=False)  # only read; norm_leaky copies it for a taped backward
+        mu = state.mean.astype(xd.dtype)  # a copy: backward keeps this forward's mean, whatever updates the state
         var = state.var.astype(xd.dtype, copy=False)
-    return xd, mu, 1.0 / np.sqrt(var + BN_EPS)
-
-
-def _normalize(xd: np.ndarray, mu: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """x-hat: x centred and scaled per channel."""
-    return (xd - mu[None, :, None, None]) * inv[None, :, None, None]
-
-
-def _norm_grads(gb: np.ndarray, xhat: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor,
-                inv: np.ndarray, mode: str) -> None:
-    """Batch norm's backward for output gradient gb; eval mode's statistics are constants.
-
-    The per-channel dot of gb and x-hat is the one stacked matmul that
-    ``np.einsum("bchw,bchw->c", optimize=True)`` plans and runs; at one element
-    per channel einsum multiplies, keeping a zero product's sign, and so does this.
-    """
-    c, n = gb.shape[1], gb.size // gb.shape[1]
-    g_xhat = (gb * xhat).reshape(c) if n == 1 else np.matmul(
-        gb.transpose(1, 0, 2, 3).reshape(c, 1, n), xhat.transpose(1, 0, 2, 3).reshape(c, n, 1)).reshape(c)
-    g_sum = np.add.reduce(gb, axis=(0, 2, 3))
-    if gamma.requires_grad:
-        _accumulate(gamma, g_xhat)
-    if beta.requires_grad:
-        _accumulate(beta, g_sum)
-    if x.requires_grad:
-        scale = (gamma.data * inv)[None, :, None, None]
-        if mode == "train":
-            gx = scale * (gb - (g_sum / n)[None, :, None, None] - xhat * (g_xhat / n)[None, :, None, None])
-        else:
-            gx = scale * gb
-        _accumulate(x, gx)
-
-
-def _leaky(xd: np.ndarray) -> np.ndarray:
-    """leaky_relu's forward: max(x, 0.2 x)."""
-    return np.maximum(xd, xd * xd.dtype.type(LEAKY_SLOPE))
-
-
-def norm_leaky(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-               mode: str = "train") -> Tensor:
-    """Per-channel batch normalization, then leaky relu (max(y, 0.2 y)), as one taped op.
-
-    Batch norm normalizes over the batch and spatial axes (Ioffe & Szegedy,
-    ICML 2015). Train mode uses the biased batch statistics and folds them
-    into the running state (new = 0.9 * old + 0.1 * batch); eval mode uses
-    the running state and treats it as constant, so it normalizes as one
-    scale and shift, x * s + t with s = gamma / sqrt(var + eps) and
-    t = beta - s * mean: gamma * x-hat + beta up to rounding, bit for bit
-    where gamma = 1 and mean = 0 (as init_params leaves every layer). The op
-    keeps its output, whose sign (the pre-activation's) routes the gradient
-    as max(sign(y), 0.2), and recomputes x-hat for batch norm's backward.
-    """
-    xd, mu, inv = _norm_stats("norm_leaky", x, gamma, beta, state, mode)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     if mode == "train":
-        y = gamma.data[None, :, None, None] * _normalize(xd, mu, inv) + beta.data[None, :, None, None]
+        # one expression, so numpy reuses the x-hat temporary for both later steps
+        y = (gamma.data[None, :, None, None] * ((xd - mu[None, :, None, None]) * inv[None, :, None, None])
+             + beta.data[None, :, None, None])
     else:  # a fixed per-channel affine map: x * s + t
         s = gamma.data * inv
         y = xd * s[None, :, None, None]
         y += (beta.data - s * mu)[None, :, None, None]
-    out = _leaky(y)
+    out = np.maximum(y, y * y.dtype.type(LEAKY_SLOPE))
 
     def backward(g: np.ndarray) -> None:
         gb = g * np.maximum(np.sign(out), LEAKY_SLOPE)
-        _norm_grads(gb, _normalize(xd, mu, inv), x, gamma, beta, inv, mode)
+        xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
+        n = gb.size // c
+        g_xhat = (gb * xhat).reshape(c) if n == 1 else np.matmul(
+            gb.transpose(1, 0, 2, 3).reshape(c, 1, n), xhat.transpose(1, 0, 2, 3).reshape(c, n, 1)).reshape(c)
+        g_sum = np.add.reduce(gb, axis=(0, 2, 3))
+        if gamma.requires_grad:
+            _accumulate(gamma, g_xhat)
+        if beta.requires_grad:
+            _accumulate(beta, g_sum)
+        if x.requires_grad:
+            scale = (gamma.data * inv)[None, :, None, None]
+            if mode == "train":
+                gx = scale * (gb - (g_sum / n)[None, :, None, None] - xhat * (g_xhat / n)[None, :, None, None])
+            else:
+                gx = scale * gb
+            _accumulate(x, gx)
 
-    result = record(Tensor(out), (x, gamma, beta), backward)
-    if result.requires_grad and mu is state.mean:
-        mu = mu.copy()  # backward reads mu when it runs: keep this forward's mean, whatever updates the state
-    return result
+    return record(Tensor(out), (x, gamma, beta), backward)
 
 
 def _dense_data(op: str, xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray]) -> np.ndarray:

@@ -6,8 +6,10 @@ ops.norm_leaky, attention.channel_attention, attention.spectral_attention).
 This module rebuilds each of them from primitives that record one step each
 on the tape, so the tape differentiates them and referees the fused ops:
 lstm, norm_leaky, channel_attention and spectral_attention below. The
-primitives run the arithmetic the fused ops repeat, so outputs and gradients
-agree bit for bit.
+primitives compute their own statistics, products and rectifiers (batch
+norm's mean and variance are numpy's own) in the order the fused ops
+compute theirs, so outputs and gradients agree bit for bit while no line
+of arithmetic is shared.
 
 OP_ROWS holds the finite-difference rows of these primitives. check_row
 draws and projects each one as gradcheck.check_op does its rows, and hands
@@ -33,8 +35,8 @@ from mffcn.gradcheck import (
     projected_loss,
     random_projection,
 )
-from mffcn.ops import LEAKY_SLOPE, BatchNormState, ConvSpec, LstmLayerParams
-from mffcn.tensor import ShapeError, Tensor, _accumulate, _sigmoid, record
+from mffcn.ops import BN_EPS, LEAKY_SLOPE, BatchNormState, ConvSpec, LstmLayerParams
+from mffcn.tensor import ShapeError, Tensor, _accumulate, record
 
 # ----------------------------------------------------------------------------
 # Primitives
@@ -100,7 +102,11 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid(x.data)
+    """The logistic, 1 / (1 + e^-x) written with e = exp(-|x|) so it cannot
+    overflow, clamped to [tiny, the largest value below one] of x's dtype."""
+    e = np.exp(-np.abs(x.data))
+    y = np.where(x.data >= 0, 1.0, e) / (1.0 + e)
+    y = np.clip(y, np.finfo(y.dtype).tiny, np.nextafter(y.dtype.type(1.0), y.dtype.type(0.0)))
 
     def backward(g):
         _accumulate(x, g * y * (1.0 - y))
@@ -126,48 +132,60 @@ def _rectifier(x: Tensor, out: np.ndarray, slope: float) -> Tensor:
 
 
 def leaky_relu(x: Tensor) -> Tensor:
-    return _rectifier(x, ops._leaky(x.data), LEAKY_SLOPE)
+    return _rectifier(x, np.maximum(x.data, x.data * x.dtype.type(LEAKY_SLOPE)), LEAKY_SLOPE)
 
 
 def relu(x: Tensor) -> Tensor:
     return _rectifier(x, np.maximum(x.data, 0), 0.0)
 
 
+def _per_channel(a: np.ndarray) -> np.ndarray:
+    """A [C] array viewed [1, C, 1, 1], to broadcast over a [B, C, H, W] map."""
+    return a[None, :, None, None]
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                mode: str = "train") -> Tensor:
     """Per-channel batch normalization, as norm_leaky normalizes: gamma * x-hat + beta
-    in train mode, x * s + t with s = gamma * inv and t = beta - s * mean in eval mode."""
-    xd, mu, inv = ops._norm_stats("batch_norm", x, gamma, beta, state, mode)
-    xhat = ops._normalize(xd, mu, inv)
+    in train mode, x * s + t with s = gamma * inv and t = beta - s * mean in eval mode.
+
+    Train mode takes numpy's float64 mean and variance over batch and space,
+    cast to the map's dtype, and moves the state 0.1 of the way to them.
+    The backward runs einsum, sum and mean.
+    """
+    xd = x.data
     if mode == "train":
-        out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+        mu = xd.mean(axis=(0, 2, 3), dtype=np.float64).astype(xd.dtype)
+        var = xd.var(axis=(0, 2, 3), dtype=np.float64).astype(xd.dtype)
+        state.mean[...] = 0.9 * state.mean + 0.1 * mu
+        state.var[...] = 0.9 * state.var + 0.1 * var
+    else:
+        mu, var = state.mean.astype(xd.dtype), state.var.astype(xd.dtype)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (xd - _per_channel(mu)) * _per_channel(inv)
+    if mode == "train":
+        out = _per_channel(gamma.data) * xhat + _per_channel(beta.data)
     else:
         s = gamma.data * inv
-        out = xd * s[None, :, None, None] + (beta.data - s * mu)[None, :, None, None]
+        out = xd * _per_channel(s) + _per_channel(beta.data - s * mu)
 
     def backward(gb):
-        norm_grads(gb, xhat, x, gamma, beta, inv, mode)
+        g_xhat = np.einsum("bchw,bchw->c", gb, xhat, optimize=True)
+        if gamma.requires_grad:
+            _accumulate(gamma, g_xhat)
+        if beta.requires_grad:
+            _accumulate(beta, gb.sum(axis=(0, 2, 3)))
+        if x.requires_grad:
+            scale = _per_channel(gamma.data * inv)
+            if mode == "train":
+                n = gb.shape[0] * gb.shape[2] * gb.shape[3]
+                g_mean = gb.mean(axis=(0, 2, 3), keepdims=True)
+                gx = scale * (gb - g_mean - xhat * _per_channel(g_xhat / n))
+            else:
+                gx = scale * gb
+            _accumulate(x, gx)
 
     return record(Tensor(out), (x, gamma, beta), backward)
-
-
-def norm_grads(gb: np.ndarray, xhat: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor,
-               inv: np.ndarray, mode: str) -> None:
-    """Batch norm's backward with einsum, sum and mean; ops._norm_grads runs the matmul einsum plans here."""
-    g_xhat = np.einsum("bchw,bchw->c", gb, xhat, optimize=True)
-    if gamma.requires_grad:
-        _accumulate(gamma, g_xhat)
-    if beta.requires_grad:
-        _accumulate(beta, gb.sum(axis=(0, 2, 3)))
-    if x.requires_grad:
-        scale = (gamma.data * inv)[None, :, None, None]
-        if mode == "train":
-            n = gb.shape[0] * gb.shape[2] * gb.shape[3]
-            g_mean = gb.mean(axis=(0, 2, 3), keepdims=True)
-            gx = scale * (gb - g_mean - xhat * (g_xhat / n)[None, :, None, None])
-        else:
-            gx = scale * gb
-        _accumulate(x, gx)
 
 
 def softmax_pair(a: Tensor, b: Tensor) -> Tuple[Tensor, Tensor]:
@@ -178,11 +196,17 @@ def softmax_pair(a: Tensor, b: Tensor) -> Tuple[Tensor, Tensor]:
 
 def fully_connected(x: Tensor, weights: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """x W^T (+ b) of a [B, F] input; weights are [O, F], or a 1x1 convolution's [O, F, 1, 1]."""
-    wd = weights.data.reshape(weights.dims[0], -1)
-    out = ops._dense_data("fully_connected", x.data, wd, None if bias is None else bias.data)
+    xd, wd = x.data, weights.data.reshape(weights.dims[0], -1)
+    out = (wd @ xd.T).T  # weights on the left, as the fused ops multiply
+    if bias is not None:
+        out = out + bias.data
 
     def backward(g):
-        _accumulate(x, ops._dense_grads(g, x.data, weights, bias))
+        if weights.requires_grad:
+            _accumulate(weights, (g.T @ xd).reshape(weights.dims))
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, g.sum(axis=0))
+        _accumulate(x, g @ wd)
 
     return record(Tensor(out), (x, weights) if bias is None else (x, weights, bias), backward)
 

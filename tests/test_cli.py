@@ -276,6 +276,17 @@ class TestEnhanceCommand:
         written = sorted(f for f in os.listdir(tmp_path / "o") if f.endswith(".mten"))
         assert written == [f"enhanced_{k:03d}.mten" for k in range(segments)]
 
+    def test_one_pixel_frames_enhance(self, workdir, tmp_path):
+        dots = np.random.default_rng(4).integers(0, 255, (10, 1, 1), dtype=np.uint8)
+        save_video_frames(str(tmp_path / "dots"), dots)
+        frames = cli._video_unit_frames(str(tmp_path / "dots"))
+        assert np.array_equal(frames, np.broadcast_to(dots / 255.0, (10, 80, 80)))  # constant frames
+        rc = main(["enhance", str(workdir / "noisy.wav"), str(tmp_path / "dots"),
+                   "--checkpoint", str(workdir / "ck" / "checkpoint.mffc"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert (tmp_path / "o" / "enhanced_001.mten").exists()
+
     def test_dark_pgm_clip_is_scaled_by_its_maxval(self, tmp_path):
         # every pixel 0 or 1: still 8-bit values, not [0, 1] ones
         dark = np.random.default_rng(2).integers(0, 2, (5, 80, 80), dtype=np.uint8)
@@ -330,6 +341,13 @@ class TestEvalCommand:
 
     def test_missing_checkpoint(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope.mffc")]) == 2
+
+    def test_negative_exponent_snr_scores_at_that_snr(self, workdir, tmp_path):
+        rc = main(["eval", "--checkpoint", str(workdir / "ck" / "checkpoint.mffc"),
+                   "--out", str(tmp_path), "--snr-low", "-1e1", "--snr-high", "0"])
+        assert rc == 0
+        with open(tmp_path / "eval.csv", newline="") as fh:
+            assert sorted(float(row["snr_db"]) for row in csv.DictReader(fh)) == [-10.0, 0.0]
 
     @pytest.mark.parametrize("flag", ["--snr-low", "--snr-high"])
     def test_non_finite_snr_is_usage_error(self, workdir, tmp_path, capsys, flag):
@@ -539,6 +557,51 @@ class TestExportSpec:
     def test_unknown_extension(self, tmp_path):
         (tmp_path / "x.txt").write_text("hi")
         assert main(["export-spec", str(tmp_path / "x.txt")]) == 2
+
+
+# Each float flag, with its subcommand and the arguments that subcommand requires.
+FLOAT_FLAGS = [("train", "--lr", []), ("train", "--snr-low", []), ("train", "--snr-high", []),
+               ("eval", "--snr-low", ["--checkpoint", "ck.mffc"]),
+               ("eval", "--snr-high", ["--checkpoint", "ck.mffc"]),
+               ("ablate", "--lr", []), ("ablate", "--snr-low", []), ("ablate", "--snr-high", []),
+               ("gradcheck", "--tolerance", [])]
+
+
+class TestFloatFlagSpellings:
+    """``--flag value`` and ``--flag=value`` read alike, for negative exponent and non-finite values too.
+
+    argparse tells a negative number from a flag by cli._Parser's private
+    matcher, which these tests pin.
+    """
+
+    @pytest.mark.parametrize("sub, flag, needs", FLOAT_FLAGS)
+    @pytest.mark.parametrize("value", ["-1e1", "-1.5e-3", "-1E+2"])
+    def test_finite_value_parses_alike_in_both_spellings(self, sub, flag, needs, value):
+        parse, dest = cli.build_parser().parse_args, flag[2:].replace("-", "_")
+        apart = getattr(parse([sub, *needs, flag, value]), dest)
+        joined = getattr(parse([sub, *needs, f"{flag}={value}"]), dest)
+        assert apart == joined == float(value)
+
+    @pytest.fixture()
+    def nothing_runs(self, monkeypatch):
+        def refuse(name):
+            return lambda *args, **kwargs: pytest.fail(f"{name} ran")
+
+        for name in ("train", "synth_dataset", "load_dataset", "load_model", "evaluate_params",
+                     "run_ablation", "run_op_suite", "run_model_check"):
+            monkeypatch.setattr(cli, name, refuse(name))
+
+    @pytest.mark.parametrize("sub, flag, needs", FLOAT_FLAGS)
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "inf", "nan"])
+    @pytest.mark.parametrize("joined", [False, True], ids=["apart", "joined"])
+    def test_non_finite_value_is_refused_by_name(self, nothing_runs, tmp_path, capsys, sub, flag, needs,
+                                                 value, joined):
+        out = tmp_path / "out"
+        words = [f"{flag}={value}"] if joined else [flag, value]
+        outs = [] if sub == "gradcheck" else ["--out", str(out)]
+        assert main([sub, *needs, *words, *outs]) == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParserBasics:

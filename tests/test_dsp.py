@@ -288,9 +288,25 @@ class TestBilinearResize:
         out = bilinear_resize(ramp, 16, 64)
         assert np.all(np.diff(out, axis=1) >= -1e-12)
 
-    def test_tiny_input_rejected(self):
-        with pytest.raises(DspError, match="at least 2"):
-            bilinear_resize(np.ones((1, 5)), 4, 4)
+    def test_one_row_is_constant_down_the_rows(self):
+        row = np.random.default_rng(35).normal(size=7)
+        out = bilinear_resize(row[None], 4, 12)
+        assert np.array_equal(out, np.broadcast_to(out[0], (4, 12)))
+        np.testing.assert_allclose(out, bilinear_resize(np.stack([row, row]), 4, 12), rtol=0, atol=1e-12)
+
+    def test_one_column_is_constant_along_the_rows(self):
+        col = np.random.default_rng(36).normal(size=6)
+        out = bilinear_resize(col[:, None], 9, 5)
+        assert np.array_equal(out, np.broadcast_to(out[:, :1], (9, 5)))
+        np.testing.assert_allclose(out, bilinear_resize(np.stack([col, col], axis=1), 9, 5), rtol=0, atol=1e-12)
+
+    def test_one_pixel_gives_a_constant_image(self):
+        assert np.array_equal(bilinear_resize(np.full((1, 1), 0.375), 80, 80), np.full((80, 80), 0.375))
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
+    def test_empty_input_rejected(self, shape):
+        with pytest.raises(DspError, match="input extents must be positive"):
+            bilinear_resize(np.ones(shape), 4, 4)
 
 
 class TestVideoSegments:

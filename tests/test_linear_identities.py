@@ -62,12 +62,13 @@ def test_modality_weights_equal_the_pooled_concat_reduce_conv(fusion_inputs, blo
 
 
 def _norm_then_rectify(xd, gamma, beta, state):
-    """gamma * x-hat + beta under the running statistics, then leaky relu."""
+    """gamma * x-hat + beta under the running statistics, then leaky relu (slope 0.2 below zero)."""
     def per_channel(a):
         return a[None, :, None, None]
 
     xhat = (xd - per_channel(state.mean)) * per_channel(1.0 / np.sqrt(state.var + ops.BN_EPS))
-    return ops._leaky(per_channel(gamma) * xhat + per_channel(beta))
+    y = per_channel(gamma) * xhat + per_channel(beta)
+    return np.where(y > 0, y, 0.2 * y)
 
 
 @pytest.mark.parametrize("seed", range(5))
