@@ -185,6 +185,8 @@ def mix_at_snr(clean: AudioClip, noise: AudioClip, snr_db: float) -> MixResult:
     snr_db >= 100 is treated as the no-noise limit (scale 0). If the mixture
     would clip, it is scaled down to peak 1 and the returned clean signal is
     the input clean scaled by the same factor; otherwise it is the input clean.
+    An SNR whose noise gain or mixture is not finite (NaN, or thousands of dB
+    below zero) raises a DspError naming it.
     """
     if len(clean) != len(noise):
         raise DspError(f"length mismatch: clean {len(clean)} vs noise {len(noise)} samples")
@@ -197,9 +199,14 @@ def mix_at_snr(clean: AudioClip, noise: AudioClip, snr_db: float) -> MixResult:
     if snr_db >= 100.0:
         noise_scale = 0.0
     else:
-        noise_scale = float(np.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0))))
+        denom = p_noise * 10.0 ** (snr_db / 10.0)  # 0.0 once it underflows, far below -3000 dB
+        noise_scale = float(np.sqrt(p_clean / denom)) if denom > 0.0 else math.inf
+    if not math.isfinite(noise_scale):
+        raise DspError(f"SNR {snr_db} dB needs a noise gain beyond float64")
     mixed = clean.samples + noise_scale * noise.samples
     peak = float(np.max(np.abs(mixed)))
+    if not math.isfinite(peak):
+        raise DspError(f"SNR {snr_db} dB gives a mixture beyond float64")
     if peak > 1.0:
         peak_scale = 1.0 / peak
         mixed = mixed * peak_scale

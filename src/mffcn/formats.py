@@ -38,9 +38,10 @@ from typing import BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .dsp import SAMPLE_RATE
+
 MTEN_MAGIC = b"MTEN"
 MFFC_MAGIC = b"MFFC"
-WAV_RATE = 16000
 FRAME_NAME = "frame_%06d.pgm"
 FRAME_RE = re.compile(r"frame_(\d{6})\.pgm$")
 
@@ -241,7 +242,7 @@ def save_wav(path: str, samples: np.ndarray) -> None:
         raise FormatError("samples exceed [-1, 1]; scale before writing")
     pcm = np.round(x * 32767.0).astype("<i2")
     data = pcm.tobytes()
-    fmt = struct.pack("<HHIIHH", 1, 1, WAV_RATE, WAV_RATE * 2, 2, 16)
+    fmt = struct.pack("<HHIIHH", 1, 1, SAMPLE_RATE, SAMPLE_RATE * 2, 2, 16)
     body = (b"WAVE"
             + b"fmt " + struct.pack("<I", len(fmt)) + fmt
             + b"data" + struct.pack("<I", len(data)) + data)
@@ -274,13 +275,13 @@ def load_wav(path: str) -> np.ndarray:
                     raise FormatError(f"compressed WAV (format {codec}) is not supported, need PCM")
                 if channels != 1:
                     raise FormatError(f"{channels} channels, need mono")
-                if rate != WAV_RATE:
-                    raise FormatError(f"sample rate {rate}, need {WAV_RATE}")
+                if rate != SAMPLE_RATE:
+                    raise FormatError(f"sample rate {rate}, need {SAMPLE_RATE}")
                 if bits != 16:
                     raise FormatError(f"{bits}-bit samples, need 16")
-                if byte_rate != 2 * WAV_RATE or align != 2:
+                if byte_rate != 2 * SAMPLE_RATE or align != 2:
                     raise FormatError(f"byte rate {byte_rate} and block align {align} "
-                                      f"disagree with 16-bit mono at {WAV_RATE} Hz")
+                                      f"disagree with 16-bit mono at {SAMPLE_RATE} Hz")
                 fmt_seen = True
             elif cid == b"data":
                 data = body

@@ -10,7 +10,10 @@ padded with zeros split evenly, and the odd padding element goes on the
 bottom/right edge. A convolution's channel counts and kernel are its
 weights' axes; its ConvSpec adds only the stride.
 
-Both convolutions are lowered onto one zero-padded phase grid. The big side
+A 1x1 stride-1 conv2d is a dense map at every pixel (Lin et al., "Network
+In Network", ICLR 2014): it runs through _dense_data and _dense_grads, as
+the attention heads do, over its input folded to [C_in, B*H*W]. Every other
+convolution is lowered onto one zero-padded phase grid. The big side
 (conv2d's input, conv_transpose2d's output) is padded and split by stride
 phase into planes [C, B*hq*wq], hq and wq being the padded extents over the
 stride, rounded up: padded cell (y, x) of sample n sits in plane
@@ -30,17 +33,11 @@ weights reshaped, never copied ([C_out, C_in*kh*kw] and
 takes from them the product, cropped straight into its slice of the small
 side (conv2d's forward, conv_transpose2d's input gradient), and/or the
 weight gradient, gradient times columns summed over blocks (both ops).
-When one block covers a single sample on a grid without margins (a 1x1
-convolution at batch 1, say), the crop would copy every element in order,
-so _gather hands back the biased product itself, reshaped: a fresh array
-that shares no memory with the operands.
 _scatter, its adjoint, multiplies a grid-placed operand, sums the product
 back with col2im and crops the planes once (conv2d's input gradient,
 conv_transpose2d's forward). conv_transpose2d uses its weights unflipped:
 the spatial flip is the tap order in which col2im (forward) and im2col
-(backward) walk the columns. A 1x1 stride-1 convolution has one tap and no
-padding, so its columns are its operand (a view at batch 1) and its
-scatter is the product itself. Columns are recomputed in backward rather
+(backward) walk the columns. Columns are recomputed in backward rather
 than kept on the tape.
 
 Every pass works in blocks of at most COL_BLOCK_BYTES (2 MiB) of columns or
@@ -152,9 +149,6 @@ class _Grid:
         self.hq, self.wq = -(-(h + pt + pb) // sh), -(-(w + pl + pr) // sw)
         self.s = self.hq * self.wq
         self.ph, self.pw = min(sh, kh), min(sw, kw)  # phases that hold kernel taps
-        self.view = kernel == stride == (1, 1)  # the columns are the operand itself
-        # One sample on a grid without margins: a one-block product reshaped is the small side.
-        self.uncropped = b == 1 and (self.hq, self.wq) == (self.ho, self.wo)
         self.span = b * self.s + (kw - 1) // sw  # plane length; the tail keeps the last taps in bounds
         # Per phase: its plane (None without taps), the big side's rows and
         # columns in it, and where the first of them sits in the plane.
@@ -187,8 +181,6 @@ class _Grid:
 
     def on_grid(self, a: np.ndarray) -> np.ndarray:
         """A small-side [b, C, ho, wo] operand as grid columns [C, b*s], zero off its positions."""
-        if (self.hq, self.wq) == (self.ho, self.wo):
-            return _fold_batch(a)
         out = np.zeros((a.shape[1], self.b, self.hq, self.wq), dtype=a.dtype)
         out[:, :, :self.ho, :self.wo] = a.transpose(1, 0, 2, 3)
         return out.reshape(a.shape[1], -1)
@@ -255,13 +247,7 @@ def _bands(n: int, most: int) -> List[Tuple[int, int]]:
 
 
 def _phases(a: np.ndarray, g: _Grid) -> np.ndarray:
-    """A big-side [b, C, h, w] array zero-padded onto its phase planes.
-
-    For a 1x1 stride-1 convolution the one plane is a itself as [C, b*h*w],
-    a view at one sample.
-    """
-    if g.view:
-        return _fold_batch(a)[None]
+    """A big-side [b, C, h, w] array zero-padded onto its phase planes."""
     planes = g.planes(a.shape[1], a.dtype)
     for gv, rows, cols in g.phase_views(planes):
         if gv is not None:
@@ -291,11 +277,8 @@ def _columns(planes: np.ndarray, g: _Grid, cols: slice, flip: bool = False) -> n
 
     Row (c, u, v) is the contiguous run of plane (u % sh, v % sw), channel
     c, that starts (u // sh)*wq + v // sw past the first column. flip
-    reverses the kernel taps. A 1x1 stride-1 convolution's columns are a
-    view of its plane.
+    reverses the kernel taps.
     """
-    if g.view:
-        return planes[0, :, cols]
     kh, kw = g.kernel
     c, span, n = planes.shape[1], planes.shape[2], cols.stop - cols.start
     out = np.empty((c, kh, kw, n), dtype=planes.dtype)
@@ -320,8 +303,6 @@ def _col2im(mat: np.ndarray, src: np.ndarray, g: _Grid, flip: bool = False) -> n
     than channels adds its taps one by one. Grid columns between blocks
     add nothing, src being zero off the small side (as on_grid places it).
     """
-    if g.view:  # one tap at offset 0
-        return (mat @ src)[None]
     (kh, kw), (sh, sw), halo = g.kernel, g.stride, g.halo
     c, dtype = mat.shape[0] // (kh * kw), np.result_type(mat, src)
     planes = np.empty((g.ph * g.pw, c, g.span), dtype=dtype)  # every cell is some block's
@@ -373,8 +354,7 @@ def _gather(mat: Optional[np.ndarray], planes: np.ndarray, g: _Grid, flip: bool 
     out = total = None
     m = (mat if mat is not None else small).shape[0]
     blocks = g.blocks(planes.shape[1] * math.prod(g.kernel) * planes.itemsize, m)
-    uncropped = g.uncropped and len(blocks) == 1
-    if mat is not None and not uncropped:
+    if mat is not None:
         out = np.empty((g.b, mat.shape[0], g.ho, g.wo), dtype=np.result_type(mat, planes))
     for samples, rows, cols in blocks:
         columns = _columns(planes, g, cols, flip)
@@ -382,10 +362,7 @@ def _gather(mat: Optional[np.ndarray], planes: np.ndarray, g: _Grid, flip: bool 
             prod = mat @ columns
             if bias is not None:
                 prod += bias[:, None]  # on the contiguous product: the strided crop is then a plain copy
-            if uncropped:
-                out = prod.reshape(1, -1, g.ho, g.wo)  # the crop would copy every element in order
-            else:
-                out[samples, :, rows] = g.crop(prod, samples, rows)
+            out[samples, :, rows] = g.crop(prod, samples, rows)
         if small is not None:
             sc = small[:, cols]
             part = (columns @ sc.T).T if columns.shape[1] > columns.shape[0] else sc @ columns.T
@@ -411,16 +388,23 @@ def _fold_batch(a: np.ndarray) -> np.ndarray:
 
 
 def _conv2d_data(op: str, xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
-                 stride: Tuple[int, int]) -> Tuple[np.ndarray, _Grid]:
-    """conv2d's output for a checked [B, C_in, H, W] array, and the grid its backward reuses."""
+                 stride: Tuple[int, int]) -> Tuple[np.ndarray, Optional[_Grid]]:
+    """conv2d's C-ordered output for a checked [B, C_in, H, W] array, and the grid its backward
+    reuses: none for a 1x1 stride-1 conv, _dense_data over the pixels (a fresh array at batch 1)."""
     _conv_checks(op, xd, wd, bd, out_axis=0)
+    if wd.shape[2:] == stride == (1, 1):
+        rows = _dense_data(op, _fold_batch(xd).T, wd.reshape(wd.shape[:2]), bd)
+        return np.ascontiguousarray(rows.T.reshape(-1, xd.shape[0], *xd.shape[2:]).swapaxes(0, 1)), None
     g = _grid(wd.shape[2:], stride, xd.shape[0], *xd.shape[2:])
     return _gather(wd.reshape(wd.shape[0], -1), _phases(xd, g), g, bias=bd)[0], g
 
 
-def _conv2d_grads(gr: np.ndarray, xd: np.ndarray, weights: Tensor, bias: Tensor, g: _Grid,
+def _conv2d_grads(gr: np.ndarray, xd: np.ndarray, weights: Tensor, bias: Tensor, g: Optional[_Grid],
                   need_x: bool) -> Optional[np.ndarray]:
     """conv2d's backward for gr: accumulates the weight and bias gradients, returns x's if need_x."""
+    if g is None:  # a 1x1 stride-1 conv
+        gx = _dense_grads(_fold_batch(gr).T, _fold_batch(xd).T, weights, bias)
+        return gx.T.reshape(-1, xd.shape[0], *xd.shape[2:]).swapaxes(0, 1) if need_x else None
     gm, wd = g.on_grid(gr), weights.data
     if weights.requires_grad:
         _accumulate(weights, _gather(None, _phases(xd, g), g, small=gm)[1].reshape(wd.shape))
@@ -629,19 +613,22 @@ def _dense_data(op: str, xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray
     if bd is not None and bd.shape != (wd.shape[0],):
         raise ShapeError(f"{op}: bias must be [{wd.shape[0]}], got {bd.shape}")
     out = (wd @ xd.T).T  # weights on the left: OpenBLAS is about 2x slower with a small batch as M
-    return out if bd is None else out + bd
+    return out if bd is None else np.add(out, bd, out=out)
 
 
 def _dense_grads(g: np.ndarray, xd: np.ndarray, weights: Tensor, bias: Optional[Tensor]) -> np.ndarray:
     """A dense map's backward for g: accumulates the weight and bias gradients, returns x's.
 
-    The weights may carry trailing unit axes (a 1x1 convolution's), read as [O, F].
+    g and xd are [N, O] and [N, F] rows: a batch, or a 1x1 conv's pixels (its
+    weights' unit axes read as [O, F]). Both products are taken transposed, as
+    _dense_data's is: OpenBLAS sums many pixels up to 3x faster as (xd^T g)^T
+    than as g^T xd, and x's gradient comes back channel-major, like x's map.
     """
     if weights.requires_grad:
-        _accumulate(weights, (g.T @ xd).reshape(weights.dims))
+        _accumulate(weights, (xd.T @ g).T.reshape(weights.dims))
     if bias is not None and bias.requires_grad:
         _accumulate(bias, g.sum(axis=0))
-    return g @ weights.data.reshape(g.shape[1], xd.shape[1])
+    return (weights.data.reshape(g.shape[1], xd.shape[1]).T @ g.T).T
 
 
 def concat_channels(xs: Sequence[Tensor]) -> Tensor:

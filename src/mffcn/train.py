@@ -157,7 +157,8 @@ def synth_dataset(seed: int, n_items: int,
     """Deterministic synthetic triples, cut from clip after clip until there are n_items.
 
     Each clip is seeded by the next child spawned from the dataset seed and
-    draws its signals, then its SNR uniformly from the finite, ordered range.
+    draws its signals, then its SNR uniformly from the finite, ordered range,
+    whose width float64 must hold.
     """
     if n_items < 1:
         raise TrainError(f"need at least one item, got {n_items}")
@@ -166,6 +167,8 @@ def synth_dataset(seed: int, n_items: int,
         raise TrainError(f"SNR range bounds must be finite, got [{lo}, {hi}]")
     if lo > hi:
         raise TrainError(f"SNR range must be ordered, got [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise TrainError(f"SNR range [{lo}, {hi}] is too wide for float64 to draw from")
     seeds = np.random.SeedSequence(seed)
     items: List[SegmentTriple] = []
     while len(items) < n_items:

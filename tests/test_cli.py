@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -365,6 +366,24 @@ class TestEvalCommand:
         assert not (tmp_path / "eval.csv").exists()
 
 
+class TestSnrBeyondFloat64:
+    """An SNR range that parses but cannot be mixed or drawn is refused by name, before any output."""
+
+    @pytest.mark.parametrize("sub, low, high, defect", [
+        ("train", "-4000", "-4000", "SNR -4000.0 dB needs a noise gain beyond float64"),
+        ("eval", "-4000", "-4000", "SNR -4000.0 dB needs a noise gain beyond float64"),
+        ("train", "-3200", "-3200", "SNR -3200.0 dB needs a noise gain beyond float64"),
+        ("train", "-1e308", "1e308", "SNR range [-1e+308, 1e+308] is too wide for float64 to draw from"),
+    ], ids=["train-underflow", "eval-underflow", "train-overflow", "train-range"])
+    def test_refused_by_name(self, workdir, tmp_path, capsys, sub, low, high, defect):
+        out = tmp_path / "out"
+        needs = (["--checkpoint", str(workdir / "ck" / "checkpoint.mffc")] if sub == "eval" else
+                 ["--steps", "0", "--batch", "1", "--width-divisor", "64"])
+        assert main([sub, *needs, f"--snr-low={low}", "--snr-high", high, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {defect}\n"
+        assert not out.exists()
+
+
 class TestMalformedFilesNameTheDefect:
     def _checkpoint_entries(self, workdir):
         from mffcn.formats import load_checkpoint
@@ -602,6 +621,57 @@ class TestFloatFlagSpellings:
         assert main([sub, *needs, *words, *outs]) == 2
         assert f"{flag} must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+# Each integer flag's least allowed value, and the subcommands that take it with the arguments they require.
+INT_FLAGS = {"--seed": 0, "--steps": 0, "--batch": 1, "--width-divisor": 1}
+INT_FLAG_SUBS = [("gradcheck", ("--seed", "--width-divisor"), []), ("trace-shapes", ("--width-divisor",), []),
+                 ("train", tuple(INT_FLAGS), []), ("eval", ("--seed",), ["--checkpoint", "ck.mffc"]),
+                 ("ablate", tuple(INT_FLAGS), [])]
+# The least value, one below it, 0, -1, an exponent form, inf, nan and, for the divisor, a non-divisor.
+INT_CASES = [(sub, flag, needs, value) for sub, flags, needs in INT_FLAG_SUBS for flag in flags
+             for value in dict.fromkeys([str(INT_FLAGS[flag]), str(INT_FLAGS[flag] - 1), "0", "-1", "1e1", "inf",
+                                         "nan"] + (["3"] if flag == "--width-divisor" else []))]
+
+
+class TestIntegerFlagBoundaries:
+    """Every integer flag at and around its least value, in both spellings.
+
+    Of these values only the least one is allowed: it runs to exit 0 over
+    stand-ins for the heavy calls. Every other one exits 2 from the parser,
+    naming the flag, before anything is written under --out.
+    """
+
+    @pytest.fixture()
+    def light_runs(self, monkeypatch):
+        reports = [EvalReport("late", 0.0, 0, [ItemScore(50.0, 4.0, 1.0)])]
+        for name, fake in {"synth_dataset": lambda *args, **kwargs: [],
+                           "train": lambda *args, **kwargs: SimpleNamespace(loss_history=[]),
+                           "load_model": lambda path: None,
+                           "evaluate_params": lambda params, snr_db, seed: reports[0],
+                           "run_ablation": lambda **kwargs: reports,
+                           "run_op_suite": lambda seeds, tol: [],
+                           "run_model_check": lambda seed, width_divisor, tol: CheckResult("model", 0.0, True),
+                           }.items():
+            monkeypatch.setattr(cli, name, fake)
+
+    @pytest.mark.parametrize("sub, flag, needs, value", INT_CASES)
+    @pytest.mark.parametrize("joined", [False, True], ids=["apart", "joined"])
+    def test_runs_or_is_refused_by_name(self, light_runs, tmp_path, capsys, sub, flag, needs, value, joined):
+        out = tmp_path / "out"
+        words = [f"{flag}={value}"] if joined else [flag, value]
+        outs = ["--out", str(out)] if sub in ("train", "eval", "ablate") else []
+        try:
+            code = main([sub, *needs, *words, *outs])
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        if value == str(INT_FLAGS[flag]):
+            assert code == 0, err
+        else:
+            assert code == 2
+            assert f"argument {flag}: " in err
+            assert not out.exists()
 
 
 class TestParserBasics:

@@ -160,46 +160,62 @@ def test_model_geometries_match_loop_reference(kernel, stride, hw, transpose, ba
     _assert_close(got, want)
 
 
-def test_one_by_one_stride_one_columns_are_a_view():
-    x = np.random.default_rng(0).normal(size=(2, 3, 5, 4))
-    g = _Grid((1, 1), (1, 1), 2, 5, 4)
-    assert (g.hq, g.wq) == (5, 4)  # no padding: the grid is the map
-    cols = _columns(_phases(x, g), g, slice(0, 2 * 20))
-    assert cols.shape == (3, 2 * 20)  # [C, B*H*W]: the batch is folded into the columns
-    np.testing.assert_array_equal(cols.reshape(3, 2, 5, 4), x.transpose(1, 0, 2, 3))
-    one_g = _Grid((1, 1), (1, 1), 1, 5, 4)
-    one = _columns(_phases(x[1:], one_g), one_g, slice(0, 20))
-    assert one.shape == (3, 20)
-    assert np.shares_memory(one, x)
+def _fold(a):
+    """[B,C,H,W] -> [C, B*H*W]."""
+    return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
 
 
-@pytest.mark.parametrize("kernel, stride, hw", [((1, 1), (1, 1), (5, 4)), ((2, 2), (2, 2), (6, 4))])
+@pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("taped", [False, True])
-def test_uncropped_product_is_the_cropped_output(kernel, stride, hw, dtype, taped):
-    # A one-sample grid without margins hands back its product; the crop it skips gives the same bytes.
+@pytest.mark.parametrize("c_in, c_out, hw", [(3, 4, (5, 4)), (24, 16, (2, 3))], ids=["N>C", "N<C"])
+def test_pointwise_conv2d_is_a_dense_map_bitwise(c_in, c_out, hw, dtype, batch):
+    """A 1x1 stride-1 conv2d on the folded maps X [C_in, N] and G [C_out, N], N = B*H*W:
+    forward W @ X + b, weight gradient (X @ G.T).T, bias gradient G summed over N and
+    input gradient W.T @ G, each viewed back to its [B, C, H, W] or weight shape, byte for byte."""
+    rng = np.random.default_rng([c_in, c_out, batch, np.dtype(dtype).itemsize])
+    x = rng.normal(size=(batch, c_in) + hw).astype(dtype)
+    w = rng.normal(size=(c_out, c_in, 1, 1)).astype(dtype)
+    b = rng.normal(size=c_out).astype(dtype)
+    g = rng.normal(size=(batch, c_out) + hw).astype(dtype)
+    y, gx, gw, gb = _run(lambda xt, wt, bt: conv2d(xt, wt, bt, ConvSpec()), x, w, b, g)
+    X, G, W = _fold(x), _fold(g), w.reshape(c_out, c_in)
+
+    def unfold(a):
+        return np.ascontiguousarray(a.reshape(-1, batch, *hw).transpose(1, 0, 2, 3))
+
+    assert y.tobytes() == unfold(W @ X + b[:, None]).tobytes()
+    assert gw.tobytes() == np.ascontiguousarray((X @ G.T).T).reshape(w.shape).tobytes()
+    assert gb.tobytes() == G.sum(axis=1).tobytes()
+    assert gx.tobytes() == unfold(W.T @ G).tobytes()
+    xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
+    with no_grad():
+        out = conv2d(xt, wt, bt, ConvSpec()).data
+    assert out.flags.c_contiguous and out.dtype == dtype
+    assert not any(np.shares_memory(out, t.data) for t in (xt, wt, bt))
+
+
+def test_no_pointwise_geometry_reaches_the_grid(monkeypatch):
+    """One d=16 multilayer train step lowers only its spatial convolutions onto a phase grid."""
+    from mffcn.model import FusionStrategy, init_params, mffcn_forward
+
+    params = init_params(0, FusionStrategy.MULTILAYER, 16)
+    kernels = [t.dims[2:] for _, t in params.named if t.data.ndim == 4]
+    spatial = sum(k != (1, 1) for k in kernels)
+    assert 0 < spatial < len(kernels)
+    seen, grid = [], ops._grid
+
+    def spy(kernel, stride, b, h, w):
+        seen.append((tuple(kernel), tuple(stride)))
+        return grid(kernel, stride, b, h, w)
+
+    monkeypatch.setattr(ops, "_grid", spy)
     rng = np.random.default_rng(8)
-    x = Tensor(rng.normal(size=(1, 3) + hw).astype(dtype), requires_grad=taped)
-    w = Tensor(rng.normal(size=(4, 3) + kernel).astype(dtype), requires_grad=taped)
-    b = Tensor(rng.normal(size=4).astype(dtype), requires_grad=taped)
+    y = Tensor(rng.normal(size=(2, 1, 80, 20)).astype(np.float32))
+    v = Tensor(rng.uniform(size=(2, 5, 80, 80)).astype(np.float32))
     with Tape() as tape:
-        out = conv2d(x, w, b, ConvSpec(stride)).data
-    assert len(tape) == taped
-    g = _Grid(kernel, stride, 1, *hw)
-    assert g.uncropped
-    g.uncropped = False
-    want = ops._gather(w.data.reshape(4, -1), _phases(x.data, g), g, bias=b.data)[0]
-    assert out.shape == want.shape and out.dtype == want.dtype and out.flags.c_contiguous
-    assert out.tobytes() == want.tobytes()
-    assert not any(np.shares_memory(out, t.data) for t in (x, w, b))
-
-
-def test_only_one_sample_on_a_grid_without_margins_is_uncropped():
-    assert _Grid((1, 1), (1, 1), 1, 5, 4).uncropped
-    assert not _Grid((1, 1), (1, 1), 2, 5, 4).uncropped  # the batch sits between channels and space
-    assert not _Grid((3, 3), (1, 1), 1, 5, 4).uncropped  # padded margins are cropped off
-    assert not _Grid((3, 3), (2, 2), 1, 5, 4).uncropped  # a 7-row padded map is a 4-row grid for 3 rows
-    assert _Grid((1, 1), (2, 2), 1, 5, 4).uncropped  # a strided 1x1 grid has no margins
+        tape.backward(mffcn_forward(y, v, params, mode="train").sum())
+    assert ((1, 1), (1, 1)) not in seen
+    assert len(seen) == spatial
 
 
 def _whole_grid(g):
@@ -269,11 +285,11 @@ def _wide_range(rng, shape, dtype):
     return a.astype(dtype)
 
 
-# Every non-view kernel and stride over three extents, the model geometries,
-# and eight taps per phase over a one-column grid: one-row bands there own a
+# Every kernel and stride over three extents, the model geometries, and
+# eight taps per phase over a one-column grid: one-row bands there own a
 # single cell per channel, whose taps numpy would reduce in its own order.
-SCATTER_GEOMETRIES = ([(k, s, hw) for k in KERNELS for s in STRIDES for hw in (HW, (40, 10), (80, 20))
-                       if not k == s == (1, 1)] + MODEL_GEOMETRIES + [((8, 2), (1, 2), (12, 2))])
+SCATTER_GEOMETRIES = ([(k, s, hw) for k in KERNELS for s in STRIDES for hw in (HW, (40, 10), (80, 20))]
+                      + MODEL_GEOMETRIES + [((8, 2), (1, 2), (12, 2))])
 
 
 @pytest.mark.parametrize("kernel, stride, hw", SCATTER_GEOMETRIES)
