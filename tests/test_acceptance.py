@@ -1,9 +1,11 @@
-"""Acceptance gate: eight go/no-go checks, one printed verdict line each.
+"""Acceptance gate: eight go/no-go checks, one printed verdict line each,
+plus the pinned bytes of criterion 4's training.
 
 Budgets are wall-clock on a desktop CPU. Every check recomputes what it
 verifies; nothing here trusts another test's output.
 """
 
+import hashlib
 import json
 import os
 import pathlib
@@ -261,3 +263,16 @@ def test_criterion_8_determinism(capsys, overfit_pair):
              f"({len(bytes_a)} bytes)")
     assert same_history
     assert same_checkpoint
+
+
+# sha256 of criterion 4's loss history (its float.hex strings joined in order) and of its
+# checkpoint bytes, at one BLAS thread: a change that moves one bit of training fails here.
+TRAINING_HISTORY_SHA256 = "8cf533b784f6280c3c6efb8affefb37438c8bdb61c5b1eedf5ea03c12c965fc0"
+TRAINING_CHECKPOINT_SHA256 = "2e48dc48f96edc346474a1ec54a73b61dfa85a88a74aba48345f5bdc4222d655"
+
+
+def test_overfit_training_bytes_pinned(overfit_pair):
+    history, checkpoint, _ = overfit_pair["first"]
+    hexes = "".join(float.hex(x) for x in history)
+    assert hashlib.sha256(hexes.encode()).hexdigest() == TRAINING_HISTORY_SHA256
+    assert hashlib.sha256(checkpoint).hexdigest() == TRAINING_CHECKPOINT_SHA256
