@@ -11,7 +11,8 @@ The reweighted modalities are merged back to C channels. Spectral attention
 then gates that merged map elementwise with a sigmoid mask in (0, 1).
 
 All convolutions in these blocks are 1x1: the only job here is channel
-mixing, never spatial filtering.
+mixing, never spatial filtering. Convolutions and heads alike run through
+ops' dense pair (convolutions via _pointwise), which refuses a spatial kernel.
 
 Each attention is one taped op with a hand-written backward, as
 ops.lstm_forward is, in place of the 12 and 5 taped primitives it composed
@@ -29,7 +30,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .ops import _batch_first, _conv2d_data, _conv2d_grads, _dense_data, _dense_grads
+from .ops import _batch_first, _dense_data, _dense_grads, _pointwise, _pointwise_grads
 from .tensor import NonFiniteError, ShapeError, Tensor, _accumulate, _sigmoid, record
 
 
@@ -103,10 +104,10 @@ def channel_attention(v: Tensor, a: Tensor, params: FusionParams,
     def scaled() -> np.ndarray:
         return np.concatenate([vd * w_v[:, :, None, None], ad * w_a[:, :, None, None]], axis=1)
 
-    fused, grid_out = _conv2d_data(op, scaled(), post.weight.data, post.bias.data, (1, 1))
+    fused = _pointwise(op, scaled(), post.weight.data, post.bias.data)
 
     def backward(g: np.ndarray) -> None:
-        g_cat = np.ascontiguousarray(_conv2d_grads(g, scaled(), post.weight, post.bias, grid_out, True))
+        g_cat = np.ascontiguousarray(_pointwise_grads(g, scaled(), post.weight, post.bias))
         g_sv, g_sa = g_cat[:, :c], g_cat[:, c:]
         _accumulate(a, g_sa * w_a[:, :, None, None])
         g_wa = (g_sa * ad).sum(axis=(2, 3))
@@ -137,11 +138,11 @@ def spectral_attention(x: Tensor, params: SpectralParams,
     """
     op, hidden_p, mask_p = "spectral_attention", params.hidden, params.mask
     xd = _batch_first(x.data, 4, op)
-    pre, grid_hidden = _conv2d_data(op, xd, hidden_p.weight.data, hidden_p.bias.data, (1, 1))
+    pre = _pointwise(op, xd, hidden_p.weight.data, hidden_p.bias.data)
     if not np.isfinite(pre).all():
         raise NonFiniteError("spectral_attention: a hidden pre-activation is NaN or Inf")
     hidden = np.maximum(pre, 0)
-    pre, grid_mask = _conv2d_data(op, hidden, mask_p.weight.data, mask_p.bias.data, (1, 1))
+    pre = _pointwise(op, hidden, mask_p.weight.data, mask_p.bias.data)
     if not np.isfinite(pre).all():
         raise NonFiniteError("spectral_attention: a mask pre-activation is NaN or Inf")
     mask = _sigmoid(pre)
@@ -150,13 +151,11 @@ def spectral_attention(x: Tensor, params: SpectralParams,
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
             _accumulate(x, g * mask)
-        g_hidden = np.ascontiguousarray(_conv2d_grads(
-            g * xd * mask * (1.0 - mask), hidden, mask_p.weight, mask_p.bias, grid_mask, True))
+        g_hidden = np.ascontiguousarray(_pointwise_grads(g * xd * mask * (1.0 - mask), hidden,
+                                                         mask_p.weight, mask_p.bias))
         # relu's derivative read off its output: max(sign(relu(z)), 0) is max(sign(z), 0) bit for bit
-        gx = _conv2d_grads(g_hidden * np.maximum(np.sign(hidden), 0.0), xd, hidden_p.weight,
-                           hidden_p.bias, grid_hidden, x.requires_grad)
-        if gx is not None:
-            _accumulate(x, gx)
+        _accumulate(x, _pointwise_grads(g_hidden * np.maximum(np.sign(hidden), 0.0), xd,
+                                        hidden_p.weight, hidden_p.bias))
 
     result = record(Tensor(gated), (x, hidden_p.weight, hidden_p.bias, mask_p.weight, mask_p.bias), backward)
     if return_mask:

@@ -440,11 +440,14 @@ def save_loss_csv(path: str, losses: Sequence[float]) -> None:
 def load_csv(path: str) -> np.ndarray:
     """A comma-separated table of numbers as a 2-D float32 array, skipping blank lines.
 
-    Each value is parsed as a float64 and then rounded to float32, as
-    save_mten would round it.
+    The file is UTF-8; one leading byte-order mark, as spreadsheet tools
+    write, is dropped, and one anywhere else is part of a value. Each value
+    is parsed as a float64 and then rounded to float32, as save_mten would
+    round it.
     """
     with in_file(path), open(path, "rb") as fh:
-        reader = csv.reader(io.StringIO(_utf8(fh.read(), "CSV"), newline=""))
+        text = _utf8(fh.read(), "CSV").removeprefix("\ufeff")
+        reader = csv.reader(io.StringIO(text, newline=""))
         rows = [(reader.line_num, row) for row in reader if row]
         if not rows:
             raise FormatError("CSV holds no values")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -299,17 +299,13 @@ class EvalReport:
                    and math.isfinite(i.log_spectral_distance) for i in self.items)
 
 
-def _check_clip_count(n_clips: int) -> None:
-    if n_clips < 1:
-        raise MetricError(f"evaluation needs at least one clip, got {n_clips}")
-
-
 def evaluate_params(params: MffcnParams, snr_db: float, seed: int,
                     n_clips: int = 2) -> EvalReport:
     """Score a model on freshly synthesized mixtures at one fixed SNR."""
     if not math.isfinite(snr_db):
         raise MetricError(f"evaluation SNR must be finite, got {snr_db} dB")
-    _check_clip_count(n_clips)
+    if n_clips < 1:
+        raise MetricError(f"evaluation needs at least one clip, got {n_clips}")
     children = np.random.SeedSequence([seed, int(round(snr_db * 10)) & 0xFFFF]).spawn(n_clips)
     scores = []
     for k in range(n_clips):
@@ -335,27 +331,21 @@ def evaluate_params(params: MffcnParams, snr_db: float, seed: int,
 def run_ablation(seed: int = 0, width_divisor: int = 8, train_steps: int = 50,
                  train_items: int = 8, batch_size: int = 4,
                  learning_rate: float = 0.0002,
-                 snrs_db: Sequence[float] = (0.0, -5.0),
-                 n_eval_clips: int = 2,
-                 strategies: Optional[Sequence[FusionStrategy]] = None) -> List[EvalReport]:
-    """Train every wiring identically, score each at every SNR.
+                 snrs_db: Sequence[float] = (0.0, -5.0)) -> List[EvalReport]:
+    """Train every wiring identically, score each at every SNR on 2 clips.
 
     The training set, seeds, step budget, and evaluation mixtures are shared
     across strategies, so rows differ only by topology.
     """
-    _check_clip_count(n_eval_clips)
-    if strategies is None:
-        strategies = list(FusionStrategy)
     data = synth_dataset(seed, train_items)
     reports = []
-    for strategy in strategies:
+    for strategy in FusionStrategy:
         config = TrainConfig(steps=train_steps, seed=seed,
                              learning_rate=learning_rate, batch_size=batch_size,
                              strategy=strategy, width_divisor=width_divisor)
         result = train(config, data)
         for snr_db in snrs_db:
-            reports.append(evaluate_params(result.params, snr_db, seed,
-                                           n_clips=n_eval_clips))
+            reports.append(evaluate_params(result.params, snr_db, seed))
     return reports
 
 

@@ -11,9 +11,11 @@ bottom/right edge. A convolution's channel counts and kernel are its
 weights' axes; its ConvSpec adds only the stride.
 
 A 1x1 stride-1 conv2d is a dense map at every pixel (Lin et al., "Network
-In Network", ICLR 2014): it runs through _dense_data and _dense_grads, as
-the attention heads do, over its input folded to [C_in, B*H*W]. Every other
-convolution is lowered onto one zero-padded phase grid. The big side
+In Network", ICLR 2014), as is every channel mix: attention.py's convs and
+heads, and each LSTM gate's input projection. All run through _dense_data
+and _dense_grads, a pointwise conv via _pointwise / _pointwise_grads over
+its input folded to [C_in, B*H*W]. Every other convolution is lowered onto
+one zero-padded phase grid, conv2d's and conv_transpose2d's alone. The big side
 (conv2d's input, conv_transpose2d's output) is padded and split by stride
 phase into planes [C, B*hq*wq], hq and wq being the padded extents over the
 stride, rounded up: padded cell (y, x) of sample n sits in plane
@@ -59,13 +61,14 @@ gradient is found in backward only, by a scan of the taps in reading order for
 the first one equal to the window's maximum, so inference never pays for it.
 
 lstm_forward runs a whole recurrent layer as one taped op rather than 22
-taped primitives per time step. Each gate's input projection is one GEMM
-over every step before the time loop, which then adds one ``wh @ h`` per
-gate and step; the backward pass is backpropagation through time written
-out by hand. The four gates keep their own [H, F] / [H, H] weight tensors
-(names, shapes and checkpoints unchanged) instead of being stacked into one
-[4H, F] matrix: stacking would copy every gate weight on every call, and at
-full width that copy costs more than the per-gate matmuls it would merge.
+taped primitives per time step. Each gate's input projection is one
+_dense_data over every step before the time loop, which then adds one
+``wh @ h`` per gate and step; the backward pass is backpropagation through
+time written out by hand. The four gates keep their own [H, F] / [H, H]
+weight tensors (names, shapes and checkpoints unchanged) instead of being
+stacked into one [4H, F] matrix: stacking would copy every gate weight on
+every call, and at full width that copy costs more than the per-gate
+matmuls it would merge.
 
 Finiteness needs no per-op scan: the Tensor constructor rejects NaN/Inf in
 every op output, including outputs computed from corrupted operands. The
@@ -387,30 +390,20 @@ def _fold_batch(a: np.ndarray) -> np.ndarray:
     return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
 
 
-def _conv2d_data(op: str, xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
-                 stride: Tuple[int, int]) -> Tuple[np.ndarray, Optional[_Grid]]:
-    """conv2d's C-ordered output for a checked [B, C_in, H, W] array, and the grid its backward
-    reuses: none for a 1x1 stride-1 conv, _dense_data over the pixels (a fresh array at batch 1)."""
+def _pointwise(op: str, xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """A 1x1 stride-1 conv's C-ordered [B, C_out, H, W] output for a checked [B, C_in, H, W]
+    array: _dense_data over its pixels (a fresh array at batch 1). Other kernels are refused."""
     _conv_checks(op, xd, wd, bd, out_axis=0)
-    if wd.shape[2:] == stride == (1, 1):
-        rows = _dense_data(op, _fold_batch(xd).T, wd.reshape(wd.shape[:2]), bd)
-        return np.ascontiguousarray(rows.T.reshape(-1, xd.shape[0], *xd.shape[2:]).swapaxes(0, 1)), None
-    g = _grid(wd.shape[2:], stride, xd.shape[0], *xd.shape[2:])
-    return _gather(wd.reshape(wd.shape[0], -1), _phases(xd, g), g, bias=bd)[0], g
+    if wd.shape[2:] != (1, 1):
+        raise ShapeError(f"{op}: pointwise weights must be [C_out,C_in,1,1], got {wd.shape}")
+    rows = _dense_data(op, _fold_batch(xd).T, wd.reshape(wd.shape[:2]), bd)
+    return np.ascontiguousarray(rows.T.reshape(-1, xd.shape[0], *xd.shape[2:]).swapaxes(0, 1))
 
 
-def _conv2d_grads(gr: np.ndarray, xd: np.ndarray, weights: Tensor, bias: Tensor, g: Optional[_Grid],
-                  need_x: bool) -> Optional[np.ndarray]:
-    """conv2d's backward for gr: accumulates the weight and bias gradients, returns x's if need_x."""
-    if g is None:  # a 1x1 stride-1 conv
-        gx = _dense_grads(_fold_batch(gr).T, _fold_batch(xd).T, weights, bias)
-        return gx.T.reshape(-1, xd.shape[0], *xd.shape[2:]).swapaxes(0, 1) if need_x else None
-    gm, wd = g.on_grid(gr), weights.data
-    if weights.requires_grad:
-        _accumulate(weights, _gather(None, _phases(xd, g), g, small=gm)[1].reshape(wd.shape))
-    if bias.requires_grad:
-        _accumulate(bias, gm.sum(axis=1))  # zero off the output positions
-    return _scatter(wd.reshape(wd.shape[0], -1).T, gm, g) if need_x else None
+def _pointwise_grads(gr: np.ndarray, xd: np.ndarray, weights: Tensor, bias: Tensor) -> np.ndarray:
+    """_pointwise's backward for gr: accumulates the weight and bias gradients, returns x's map."""
+    gx = _dense_grads(_fold_batch(gr).T, _fold_batch(xd).T, weights, bias)
+    return gx.T.reshape(-1, xd.shape[0], *xd.shape[2:]).swapaxes(0, 1)
 
 
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
@@ -419,13 +412,26 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
     x: [B, C_in, H, W]; weights: [C_out, C_in, kh, kw]; bias: [C_out];
     spec: the stride. Output spatial extents are ceil(extent / stride).
     """
-    xd = _batch_first(x.data, 4, "conv2d")
-    out, g = _conv2d_data("conv2d", xd, weights.data, bias.data, spec.stride)
+    xd, wd = _batch_first(x.data, 4, "conv2d"), weights.data
+    if wd.shape[2:] == spec.stride == (1, 1):
+        out = _pointwise("conv2d", xd, wd, bias.data)
 
-    def backward(gr: np.ndarray) -> None:
-        gx = _conv2d_grads(gr, xd, weights, bias, g, x.requires_grad)
-        if gx is not None:
-            _accumulate(x, gx)
+        def backward(gr: np.ndarray) -> None:
+            _accumulate(x, _pointwise_grads(gr, xd, weights, bias))
+    else:
+        _conv_checks("conv2d", xd, wd, bias.data, out_axis=0)
+        g = _grid(wd.shape[2:], spec.stride, xd.shape[0], *xd.shape[2:])
+        wmat = wd.reshape(wd.shape[0], -1)  # [C_out, C_in*kh*kw]
+        out = _gather(wmat, _phases(xd, g), g, bias=bias.data)[0]
+
+        def backward(gr: np.ndarray) -> None:
+            gm = g.on_grid(gr)
+            if weights.requires_grad:
+                _accumulate(weights, _gather(None, _phases(xd, g), g, small=gm)[1].reshape(wd.shape))
+            if bias.requires_grad:
+                _accumulate(bias, gm.sum(axis=1))  # zero off the output positions
+            if x.requires_grad:
+                _accumulate(x, _scatter(wmat.T, gm, g))
 
     return record(Tensor(out), (x, weights, bias), backward)
 
@@ -604,19 +610,19 @@ def norm_leaky(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     return record(Tensor(out), (x, gamma, beta), backward)
 
 
-def _dense_data(op: str, xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray]) -> np.ndarray:
-    """x W^T (+ b) for a checked [B, F] array and [O, F] weights."""
+def _dense_data(op: str, xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """x W^T + b for a checked [B, F] array and [O, F] weights."""
     if wd.ndim != 2:
         raise ShapeError(f"{op}: weights must be [out,in], got {wd.shape}")
     if xd.shape[1] != wd.shape[1]:
         raise ShapeError(f"{op}: input feature axis is {xd.shape[1]}, weights expect {wd.shape[1]}")
-    if bd is not None and bd.shape != (wd.shape[0],):
+    if bd.shape != (wd.shape[0],):
         raise ShapeError(f"{op}: bias must be [{wd.shape[0]}], got {bd.shape}")
     out = (wd @ xd.T).T  # weights on the left: OpenBLAS is about 2x slower with a small batch as M
-    return out if bd is None else np.add(out, bd, out=out)
+    return np.add(out, bd, out=out)
 
 
-def _dense_grads(g: np.ndarray, xd: np.ndarray, weights: Tensor, bias: Optional[Tensor]) -> np.ndarray:
+def _dense_grads(g: np.ndarray, xd: np.ndarray, weights: Tensor, bias: Tensor) -> np.ndarray:
     """A dense map's backward for g: accumulates the weight and bias gradients, returns x's.
 
     g and xd are [N, O] and [N, F] rows: a batch, or a 1x1 conv's pixels (its
@@ -626,7 +632,7 @@ def _dense_grads(g: np.ndarray, xd: np.ndarray, weights: Tensor, bias: Optional[
     """
     if weights.requires_grad:
         _accumulate(weights, (xd.T @ g).T.reshape(weights.dims))
-    if bias is not None and bias.requires_grad:
+    if bias.requires_grad:
         _accumulate(bias, g.sum(axis=0))
     return (weights.data.reshape(g.shape[1], xd.shape[1]).T @ g.T).T
 
@@ -687,11 +693,11 @@ def lstm_forward(seq: Tensor, params: LstmLayerParams) -> Tensor:
 
     Returns the hidden states for every step, [B, H, T], from zero initial
     hidden and cell states; the op works on step-major views of its input
-    and output. Each gate's input projection plus bias is one GEMM over all
-    B*T rows before the time loop; each step then adds one ``wh @ h`` per
-    gate. The backward pass is backpropagation through time written out by
-    hand: its only per-step matmuls are the four ``dz @ wh``, and the
-    weight, bias and input gradients are each one GEMM or sum over all steps.
+    and output. Each gate's input projection plus bias is one _dense_data
+    over all B*T rows before the time loop; each step then adds one
+    ``wh @ h`` per gate. The backward pass is backpropagation through time
+    written out by hand: its only per-step matmuls are the four ``dz @ wh``;
+    then per gate one _dense_grads over all steps (wx, bias, input) and one GEMM (wh).
 
     The four gates keep their own weight tensors, so parameter names,
     shapes and checkpoints are those of the per-gate layout. They are not
@@ -719,7 +725,7 @@ def lstm_forward(seq: Tensor, params: LstmLayerParams) -> Tensor:
 
     z = np.empty((4, b, steps, hidden), dtype=dtype)  # pre-activations, gate-major
     for k, gate in enumerate(gates):
-        np.add((gate.wx.data @ xs.T).T.reshape(b, steps, hidden), gate.bias.data, out=z[k])
+        z[k] = _dense_data("lstm_forward", xs, gate.wx.data, gate.bias.data).reshape(b, steps, hidden)
     act = np.empty_like(z)  # i, f, o, g
     cell = np.empty((b, steps, hidden), dtype=dtype)
     tanh_c = np.empty_like(cell)
@@ -774,16 +780,10 @@ def lstm_forward(seq: Tensor, params: LstmLayerParams) -> Tensor:
         hs = h_prev.reshape(b * steps, hidden)
         gx = None
         for k, gate in enumerate(gates):
-            if gate.wx.requires_grad:
-                _accumulate(gate.wx, dzs[k].T @ xs)
+            part = _dense_grads(dzs[k], xs, gate.wx, gate.bias)
+            gx = part if gx is None else np.add(gx, part, out=gx)
             if gate.wh.requires_grad:
                 _accumulate(gate.wh, dzs[k].T @ hs)
-            if gate.bias.requires_grad:
-                _accumulate(gate.bias, dzs[k].sum(axis=0))
-            if seq.requires_grad:
-                part = dzs[k] @ gate.wx.data
-                gx = part if gx is None else np.add(gx, part, out=gx)
-        if seq.requires_grad:
-            _accumulate(seq, gx.reshape(b, steps, feat).transpose(0, 2, 1))
+        _accumulate(seq, gx.reshape(b, steps, feat).transpose(0, 2, 1))
 
     return record(result, (seq,) + tensors, backward)

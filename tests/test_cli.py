@@ -553,6 +553,25 @@ class TestExportSpec:
         assert main(["export-spec", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {path}: {defect}\n"
 
+    def test_csv_with_a_byte_order_mark_converts_as_without(self, tmp_path):
+        # spreadsheet tools write "CSV UTF-8" with a leading byte-order mark
+        table = b"1.0,2.0\r\n3.0,4.0\r\n"
+        for name, raw in (("plain", table), ("bom", b"\xef\xbb\xbf" + table)):
+            (tmp_path / f"{name}.csv").write_bytes(raw)
+            assert main(["export-spec", str(tmp_path / f"{name}.csv"), "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "bom" / "bom.mten").read_bytes() == (tmp_path / "plain" / "plain.mten").read_bytes()
+
+    @pytest.mark.parametrize("raw, defect", [
+        (b"\xef\xbb\xbf\xef\xbb\xbf1,2\n", "line 1, column 1: '\\ufeff1' is not a number"),
+        (b"1,\xef\xbb\xbf2\n", "line 1, column 2: '\\ufeff2' is not a number"),
+        (b"\xef\xbb\xbf1,\xff\n", "CSV is not valid UTF-8 (byte 5: invalid start byte)"),
+    ], ids=["second-mark", "mid-file-mark", "not-utf8-after-mark"])
+    def test_bad_csv_after_a_byte_order_mark_refused(self, tmp_path, capsys, raw, defect):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(raw)
+        assert main(["export-spec", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {defect}\n"
+
     def test_non_utf8_csv_refused_by_name(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"1,2\n3,\xff\n")

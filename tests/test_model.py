@@ -535,6 +535,24 @@ class TestSpectralAttention:
         assert np.array_equal(out.data, expected.data)
 
 
+@pytest.mark.parametrize("op, weight", [
+    ("channel_attention", "post_weight"),
+    ("spectral_attention", "hidden"),
+    ("spectral_attention", "mask"),
+])
+def test_attention_refuses_a_spatial_kernel_in_a_pointwise_weight(op, weight):
+    # a 3x3 kernel with matching channels would otherwise run as a 3x3 convolution
+    rng = np.random.default_rng(19)
+    p = _rand_fusion_params(rng, 2)
+    params = p if weight == "post_weight" else p.spectral
+    conv = getattr(params, weight)
+    conv.weight = Tensor(rng.normal(size=conv.weight.dims[:2] + (3, 3)).astype(np.float32))
+    v, a = (Tensor(rng.normal(size=(1, 2, 3, 3)).astype(np.float32)) for _ in range(2))
+    with pytest.raises(ShapeError, match=rf"^{op}: pointwise weights must be \[C_out,C_in,1,1\], got "
+                                         rf"\({conv.weight.dims[0]}, {conv.weight.dims[1]}, 3, 3\)$"):
+        channel_attention(v, a, params) if op == "channel_attention" else spectral_attention(v, params)
+
+
 def _tracked_fusion_params(rng, c):
     p = _rand_fusion_params(rng, c)
     for t in _fusion_tensors(p):

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -463,6 +464,29 @@ class TestTrainLoop:
                           strategy=FusionStrategy.MULTILAYER)
         train(cfg, synth_dataset(0, 4))
         assert lengths == [114]
+
+    @pytest.mark.parametrize("strategy, calls", [
+        (FusionStrategy.MULTILAYER, 80),  # 42 pointwise convs, 30 attention heads, 8 LSTM gate projections
+        (FusionStrategy.EARLY, 16),
+        (FusionStrategy.LATE, 16),
+        (FusionStrategy.INTERMEDIATE_BOTTLENECK, 11),
+        (FusionStrategy.INTERMEDIATE_DECODER, 70),
+    ], ids=lambda v: v.value if isinstance(v, FusionStrategy) else None)
+    def test_every_channel_mix_is_one_dense_pair(self, monkeypatch, strategy, calls):
+        # pointwise convs, attention heads and LSTM input projections all run through
+        # _dense_data forward and _dense_grads backward, whichever module calls them
+        counts = {"_dense_data": 0, "_dense_grads": 0}
+        for module in [m for name, m in sys.modules.items() if name.startswith("mffcn")]:
+            for name in counts:
+                if hasattr(module, name):
+                    def wrapped(*args, _name=name, _fn=getattr(module, name)):
+                        counts[_name] += 1
+                        return _fn(*args)
+
+                    monkeypatch.setattr(module, name, wrapped)
+        cfg = TrainConfig(steps=1, seed=0, width_divisor=16, batch_size=2, strategy=strategy)
+        train(cfg, synth_dataset(0, 2))
+        assert counts == {"_dense_data": calls, "_dense_grads": calls}
 
     def test_empty_data_rejected(self):
         cfg = TrainConfig(steps=1, width_divisor=16)
