@@ -37,7 +37,6 @@ from .formats import (
 )
 from .gradcheck import DEFAULT_SEEDS, REL_TOL, run_model_check, run_op_suite
 from .metrics import (
-    MetricError,
     ablation_to_csv,
     evaluate_params,
     format_ablation,
@@ -49,13 +48,12 @@ from .model import (
     KERNELS,
     VIDEO_POOLS,
     FusionStrategy,
-    ModelError,
     WIDTH_DIVISORS,
     enhance_segments,
     load_model,
     shape_trace,
 )
-from .tensor import NonFiniteError, TensorError
+from .tensor import NonFiniteError
 from .train import TrainConfig, TrainError, load_dataset, synth_dataset, train
 
 STRATEGY_NAMES = tuple(s.value for s in FusionStrategy)
@@ -353,10 +351,7 @@ def cmd_export_spec(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         stem = os.path.splitext(os.path.basename(args.input))[0]
         if args.input.endswith(".mten"):
-            arr = load_mten(args.input)
-            if arr.ndim != 2:
-                raise FormatError(f"a spectrogram must be 2-D, got shape {arr.shape}")
-            pgm, csv_path = export_spectrogram(os.path.join(args.out, stem), arr)
+            pgm, csv_path = export_spectrogram(os.path.join(args.out, stem), load_mten(args.input))
             print(f"wrote {pgm} and {csv_path}")
         elif args.input.endswith(".pgm"):
             out = os.path.join(args.out, stem + ".mten")
@@ -382,8 +377,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NonFiniteError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (FormatError, DspError, ModelError, MetricError, TensorError, TrainError,
-            OSError, ValueError) as exc:
+    except (OSError, ValueError, TrainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -478,7 +478,7 @@ def export_spectrogram(base_path: str, spect: np.ndarray) -> Tuple[str, str]:
     """
     s = np.asarray(spect, dtype=np.float64)
     if s.ndim != 2:
-        raise FormatError(f"spectrogram must be 2-D, got {s.shape}")
+        raise FormatError(f"a spectrogram must be 2-D, got shape {s.shape}")
     lo, hi = float(np.min(s)), float(np.max(s))
     if hi > lo:
         scaled = (s - lo) / (hi - lo) * 255.0

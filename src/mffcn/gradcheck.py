@@ -352,7 +352,7 @@ def run_op_suite(seeds: Sequence[int] = DEFAULT_SEEDS,
 # ----------------------------------------------------------------------------
 
 def run_model_check(seed: int = 0, width_divisor: int = 16,
-                    strategy=None, tol: float = REL_TOL) -> CheckResult:
+                    strategy=FusionStrategy.MULTILAYER, tol: float = REL_TOL) -> CheckResult:
     """Differentiate the full network under MSE and spot-check every tensor.
 
     Batch norm runs in eval mode with default statistics, which eval never
@@ -386,8 +386,6 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
     On success the detail names the worst coordinate: its parameter, index,
     relative error and the step of the ladder at which it passed.
     """
-    if strategy is None:
-        strategy = FusionStrategy.MULTILAYER
     params = init_params(seed, strategy, width_divisor, dtype=np.float64)
     inputs = [t for _, t in params.named]
 

@@ -440,16 +440,15 @@ def _node(memo: Optional[ForwardMemo], name: str, inputs: tuple,
     return fn() if memo is None else memo.run(name, inputs, fn)
 
 
-def decoder_layer(x: Tensor, j: int, layer: DecoderLayerParams, skip: Optional[Tensor],
+def decoder_layer(x: Tensor, enc_i: int, layer: DecoderLayerParams, skip: Optional[Tensor],
                   video_feat: Optional[Tensor], mode: str = "train") -> Tensor:
-    """Decoder layer j, undoing encoder layer 11-j.
+    """The decoder layer that undoes encoder layer enc_i.
 
     Before its deconv, a layer built with skip_reduce concatenates skip onto
     the running feature and 1x1-reduces it, and a layer built with a fusion
     block fuses video_feat in. The last layer is linear with a single output
     channel.
     """
-    enc_i = N_LAYERS + 1 - j
     if layer.skip_reduce is not None:
         x = conv2d(concat_channels([x, skip]), layer.skip_reduce.weight,
                    layer.skip_reduce.bias, UNIT_SPEC)
@@ -465,7 +464,7 @@ def decoder_layer(x: Tensor, j: int, layer: DecoderLayerParams, skip: Optional[T
 def run_decoder(x: Tensor, layers: Sequence[DecoderLayerParams],
                 skips: Sequence[Tensor], video_feats: Sequence[Tensor],
                 mode: str = "train", *, memo: Optional[ForwardMemo] = None) -> Tensor:
-    """Invert the audio trace: decoder_layer j for j = 1..10, as node decoder.j.
+    """Invert the audio trace: node decoder.j, for j = 1..10, undoes encoder layer 11-j.
 
     skips and video_feats hold one entry per encoder layer (index i-1 for
     layer i); a layer reads its entry only if it is built to use it.
@@ -475,7 +474,7 @@ def run_decoder(x: Tensor, layers: Sequence[DecoderLayerParams],
         skip = skips[enc_i - 1] if layer.skip_reduce is not None else None
         feat = video_feats[enc_i - 1] if layer.fusion is not None else None
         x = _node(memo, f"decoder.{j}", (x, skip, feat),
-                  lambda: decoder_layer(x, j, layer, skip, feat, mode))
+                  lambda: decoder_layer(x, enc_i, layer, skip, feat, mode))
     return x
 
 

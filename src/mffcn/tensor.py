@@ -5,7 +5,9 @@ or nothing. A Tape starts only on an empty slot (tapes do not nest, and none
 starts inside no_grad); no_grad inside a Tape pauses it. Every differentiable
 operation appends one record to the recording Tape; Tape.backward replays the
 records exactly once, newest first, so gradients accumulate additively across
-repeated uses of a tensor. Tensors are treated as immutable values by all
+repeated uses of a tensor. The records are the tape's only list of what it
+produced: no tensor points back at a tape, so a tape dropped without backward
+frees its graph at once. Tensors are treated as immutable values by all
 operations; only ``.grad`` (and the explicit BatchNorm running state, which
 lives outside tensors) mutates.
 
@@ -83,7 +85,7 @@ class Tensor:
     buffer) and only ever populated for tensors with ``requires_grad``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape", "_flat", "_grad_slot")
+    __slots__ = ("data", "requires_grad", "grad", "_flat", "_grad_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         if type(data) is np.ndarray and data.dtype in FLOAT_DTYPES:
@@ -99,7 +101,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._tape: Optional[Tape] = None
         self._flat: Optional[FlatParams] = None
         self._grad_slot: Optional[np.ndarray] = None
 
@@ -276,7 +277,6 @@ def record(out: Tensor, inputs: Sequence[Tensor], backward: Callable[[np.ndarray
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out._tape = tape
         tape._records.append((out, backward))
     return out
 
@@ -312,17 +312,17 @@ class Tape:
         """Populate gradients of every tensor the loss depends on.
 
         Records are visited exactly once, in reverse execution order;
-        contributions to tensors used multiple times add up. Each record is
-        dropped once replayed: recorded outputs point back at the tape, so
-        keeping the records would hold every intermediate until the cyclic
-        garbage collector runs.
+        contributions to tensors used multiple times add up. The loss must be
+        the output of one of the records; no tensor points back at a tape.
+        Each record is dropped once replayed, which frees intermediates as
+        the pass moves on.
         """
-        if loss._tape is not self:
+        if self._replayed:
+            raise TensorError("tape has already been replayed; build a fresh tape")
+        if not any(out is loss for out, _ in reversed(self._records)):
             raise TensorError("loss was not produced by operations recorded on this tape")
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.dims}")
-        if self._replayed:
-            raise TensorError("tape has already been replayed; build a fresh tape")
         self._replayed = True
         loss.grad = np.ones_like(loss.data)
         records, self._records = self._records, []
@@ -330,4 +330,3 @@ class Tape:
             out, fn = records.pop()
             if out.grad is not None:
                 fn(out.grad)
-

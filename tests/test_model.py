@@ -252,7 +252,7 @@ class TestForward:
         ("bottleneck", "spectral_attention",
          lambda p, x: bottleneck(x, p.bottleneck_attn, p.bottleneck_lstm)),
         ("decoder_layer", "conv_transpose2d",
-         lambda p, x: decoder_layer(x, 1, p.decoder[0], None, None)),
+         lambda p, x: decoder_layer(x, 10, p.decoder[0], None, None)),
     ])
     def test_layer_helpers_name_a_missing_batch_axis(self, helper, op, call):
         params = init_params(0, FusionStrategy.LATE, 16)

@@ -3,6 +3,7 @@
 import gc
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -145,8 +146,8 @@ class TestTapeMechanics:
                 tape.backward(loss)
 
     def test_backward_frees_intermediates_without_gc(self):
-        # Recorded outputs point back at their tape; once replayed, the tape
-        # must let go of them so reference counting alone frees a step.
+        # Once replayed, the tape must let go of its records so reference
+        # counting alone frees a step.
         x = _t(np.ones(1 << 20), grad=True)
         two, three = _t(np.full(1 << 20, 2.0)), _t(np.full(1 << 20, 3.0))
 
@@ -166,6 +167,35 @@ class TestTapeMechanics:
             tracemalloc.stop()
             gc.enable()
         assert after - before < (1 << 20)  # one float32 intermediate is 4 MiB
+
+    def test_dropped_tape_frees_its_graph_without_gc(self):
+        # No tensor points back at its tape, so a tape dropped without
+        # backward and its recorded outputs form no cycle.
+        x = _t(np.ones(4), grad=True)
+        gc.disable()
+        try:
+            with Tape():
+                data = weakref.ref((x * x).data)
+            assert data() is None
+        finally:
+            gc.enable()
+
+    def test_backward_refusals_keep_their_messages(self):
+        x = _t([1.0, 2.0], grad=True)
+        with Tape():
+            foreign = x.sum()
+        with Tape() as tape:
+            vector = x * x
+            loss = vector.sum()
+        with pytest.raises(TensorError, match=r"^loss was not produced by operations recorded on this tape$"):
+            tape.backward(foreign)
+        with pytest.raises(ShapeError, match=r"^backward needs a scalar loss, got shape \(2,\)$"):
+            tape.backward(vector)
+        tape.backward(loss)  # a refusal leaves the tape replayable
+        assert x.grad.tolist() == [2.0, 4.0]
+        for again in (loss, foreign, vector):  # replayed is checked first: no records remain
+            with pytest.raises(TensorError, match=r"^tape has already been replayed; build a fresh tape$"):
+                tape.backward(again)
 
     def test_backward_requires_scalar(self):
         x = _t([1.0, 2.0], grad=True)
