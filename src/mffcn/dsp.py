@@ -185,9 +185,11 @@ def mix_at_snr(clean: AudioClip, noise: AudioClip, snr_db: float) -> MixResult:
     snr_db >= 100 is treated as the no-noise limit (scale 0). If the mixture
     would clip, it is scaled down to peak 1 and the returned clean signal is
     the input clean scaled by the same factor; otherwise it is the input clean.
-    An SNR whose noise gain or mixture is not finite (NaN, or thousands of dB
-    below zero) raises a DspError naming it.
+    A NaN SNR, or one whose noise gain or mixture is not finite (thousands of
+    dB below zero), raises a DspError naming it.
     """
+    if math.isnan(snr_db):
+        raise DspError("SNR is NaN, need a number of dB")
     if len(clean) != len(noise):
         raise DspError(f"length mismatch: clean {len(clean)} vs noise {len(noise)} samples")
     p_clean = float(np.mean(clean.samples ** 2))

@@ -12,13 +12,18 @@ record a u16 name length, the UTF-8 name, and an embedded MTEN blob.
 
 WAV: RIFF/WAVE, PCM format 1, mono, 16-bit signed samples at 16000 Hz, with
 the RIFF size, byte rate and block align that agree with that, chunks that
-tile the file, one fmt and one data chunk, and whole samples. Anything else
-is rejected with a descriptive error rather than resampled.
+tile the file, one fmt and one data chunk, and whole samples. PCM may also be
+declared as WAVE_FORMAT_EXTENSIBLE (0xFFFE): a fmt chunk of at least 40
+bytes, an extension of 22 bytes or more that fits in it, 16 valid bits, any
+channel mask, and the PCM SubFormat GUID. Anything else is rejected with a
+descriptive error rather than resampled.
 
 PGM: binary P5 with any maxval from 1 to 65535, one byte per sample up to
 255 and two big-endian bytes above, no sample above maxval, and nothing after
-the pixels. Video directories hold frames named frame_000000.pgm onward,
-contiguously; each frame scales to [0, 1] by its own maxval.
+the pixels. Plain P2 has P5's header, then exactly width x height decimal
+samples separated by whitespace, none above maxval, and nothing else. Video
+directories hold frames named frame_000000.pgm onward, contiguously; each
+frame scales to [0, 1] by its own maxval.
 
 A refusal is a FormatError whose text is the file's path, then the defect.
 Parsers state only the defect; each public reader runs inside in_file(path),
@@ -44,6 +49,8 @@ MTEN_MAGIC = b"MTEN"
 MFFC_MAGIC = b"MFFC"
 FRAME_NAME = "frame_%06d.pgm"
 FRAME_RE = re.compile(r"frame_(\d{6})\.pgm$")
+# A WAVE_FORMAT_EXTENSIBLE SubFormat GUID is a 2-byte codec and then these 14 bytes.
+_SUBFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 
 class FormatError(ValueError):
@@ -250,6 +257,21 @@ def save_wav(path: str, samples: np.ndarray) -> None:
         fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
+def _extensible_codec(fmt: bytes) -> int:
+    """The codec a WAVE_FORMAT_EXTENSIBLE fmt chunk's SubFormat names; a PCM one needs 16 valid bits."""
+    if len(fmt) < 40:
+        raise FormatError(f"extensible fmt chunk holds {len(fmt)} bytes, need at least 40")
+    ext_size, valid_bits = struct.unpack_from("<HH", fmt, 16)
+    if not 22 <= ext_size <= len(fmt) - 18:
+        raise FormatError(f"extensible fmt extension size {ext_size}, need 22 to {len(fmt) - 18}")
+    if fmt[26:40] != _SUBFORMAT_TAIL:
+        raise FormatError(f"extensible WAV subformat GUID {fmt[24:40].hex()} is not supported, need PCM")
+    (codec,) = struct.unpack_from("<H", fmt, 24)
+    if codec == 1 and valid_bits != 16:
+        raise FormatError(f"{valid_bits} valid bits per sample, need 16")
+    return codec
+
+
 def load_wav(path: str) -> np.ndarray:
     """Read a mono 16-bit 16 kHz PCM WAV into float64 samples in [-1, 1]."""
     with in_file(path), open(path, "rb") as fh:
@@ -271,6 +293,8 @@ def load_wav(path: str) -> np.ndarray:
                 if size < 16:
                     raise FormatError("fmt chunk too short")
                 codec, channels, rate, byte_rate, align, bits = struct.unpack_from("<HHIIHH", body, 0)
+                if codec == 0xFFFE:  # WAVE_FORMAT_EXTENSIBLE: its SubFormat GUID names the codec
+                    codec = _extensible_codec(body)
                 if codec != 1:
                     raise FormatError(f"compressed WAV (format {codec}) is not supported, need PCM")
                 if channels != 1:
@@ -340,8 +364,8 @@ def _read_pgm(path: str) -> Tuple[np.ndarray, int]:
     """A PGM's samples (see load_pgm) and its maxval."""
     with in_file(path), open(path, "rb") as fh:
         buf = fh.read()
-        if buf[:2] != b"P5":
-            raise FormatError("not a binary PGM (P5) file")
+        if buf[:2] not in (b"P5", b"P2"):
+            raise FormatError("not a PGM (P5 or P2) file")
         # Header tokens may be separated by any whitespace and '#' comments; as in
         # libnetpbm, a '#' also ends a width or height (maxval ends at whitespace).
         pos = 2
@@ -372,15 +396,37 @@ def _read_pgm(path: str) -> Tuple[np.ndarray, int]:
         if w < 1 or h < 1:
             raise FormatError(f"bad image extent {w}x{h}")
         wide = maxval > 255
-        size = w * h * (2 if wide else 1)
-        if len(buf) - pos < size:
-            raise FormatError("truncated pixel payload")
-        if len(buf) - pos > size:
-            raise FormatError(f"{len(buf) - pos - size} bytes after the {w}x{h} pixel payload")
-        samples = np.frombuffer(buf, dtype=">u2" if wide else np.uint8, count=w * h, offset=pos)
-        if samples.max() > maxval:
-            raise FormatError(f"PGM sample {samples.max()} exceeds maxval {maxval}")
-        return samples.astype(np.uint16 if wide else np.uint8).reshape(h, w), maxval
+        if buf[:2] == b"P2":
+            samples = _plain_samples(buf[pos:], w, h, maxval)
+        else:
+            size = w * h * (2 if wide else 1)
+            if len(buf) - pos < size:
+                raise FormatError("truncated pixel payload")
+            if len(buf) - pos > size:
+                raise FormatError(f"{len(buf) - pos - size} bytes after the {w}x{h} pixel payload")
+            samples = np.frombuffer(buf, dtype=">u2" if wide else np.uint8, count=w * h, offset=pos)
+            if samples.max() > maxval:
+                raise FormatError(f"PGM sample {samples.max()} exceeds maxval {maxval}")
+        return np.array(samples, dtype=np.uint16 if wide else np.uint8).reshape(h, w), maxval
+
+
+def _plain_samples(raster: bytes, w: int, h: int, maxval: int) -> List[int]:
+    """The w*h whitespace-separated decimal samples of a plain (P2) PGM raster, each at most maxval."""
+    n = w * h
+    tokens = raster.split()
+    samples = []
+    for k, token in enumerate(tokens[:n]):
+        if not token.isdigit():
+            raise FormatError(f"PGM sample {k} is not a decimal number: {token[:20]!r}")
+        value = int(token.lstrip(b"0")[:6] or b"0")  # six significant digits exceed any maxval
+        if value > maxval:
+            raise FormatError(f"PGM sample {k} ({token[:20].decode()}) exceeds maxval {maxval}")
+        samples.append(value)
+    if len(tokens) < n:
+        raise FormatError(f"truncated pixel payload: {len(tokens)} of {n} samples")
+    if len(tokens) > n:
+        raise FormatError(f"{len(tokens) - n} values after the {w}x{h} samples")
+    return samples
 
 
 def save_video_frames(dirpath: str, frames: np.ndarray) -> None:

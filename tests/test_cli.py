@@ -539,6 +539,15 @@ class TestExportSpec:
         assert load_mten(str(tmp_path / "w.mten")).tolist() == [[1000.0, 258.0]]
         assert "0 to the PGM's maxval" in capsys.readouterr().out
 
+    def test_plain_p2_converts_as_its_p5_twin(self, tmp_path):
+        (tmp_path / "p5").mkdir()
+        (tmp_path / "p5" / "f.pgm").write_bytes(b"P5\n3 1\n1000\n\x03\xe8\x00\x07\x01\x02")
+        (tmp_path / "p2").mkdir()
+        (tmp_path / "p2" / "f.pgm").write_bytes(b"P2\n3 1\n1000\n1000 7\n258\n")
+        for name in ("p5", "p2"):
+            assert main(["export-spec", str(tmp_path / name / "f.pgm"), "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "p2" / "f.mten").read_bytes() == (tmp_path / "p5" / "f.mten").read_bytes()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name, text, defect", [
         ("empty.csv", "", "CSV holds no values"),

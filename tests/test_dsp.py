@@ -219,6 +219,20 @@ class TestMixAtSnr:
         with pytest.raises(DspError, match="length"):
             mix_at_snr(_noise_clip(28, 100), _noise_clip(29, 101), 0.0)
 
+    @pytest.mark.parametrize("snr, defect", [
+        (float("nan"), "SNR is NaN, need a number of dB"),
+        (float("-inf"), "SNR -inf dB needs a noise gain beyond float64"),
+    ], ids=["nan", "-inf"])
+    def test_nan_and_minus_inf_snr_refused_by_name(self, snr, defect):
+        with pytest.raises(DspError) as info:
+            mix_at_snr(_noise_clip(30, 100), _noise_clip(31, 100), snr)
+        assert str(info.value) == defect
+
+    def test_plus_inf_snr_is_noise_free(self):
+        clean = _noise_clip(32, 100)
+        mix = mix_at_snr(clean, _noise_clip(33, 100), float("inf"))
+        assert mix.noise_scale == 0.0 and mix.clean is clean
+
 
 class TestResamplePoly:
     # (up, down): the intelligibility metric's 16k -> 10k, and every common

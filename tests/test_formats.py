@@ -42,6 +42,18 @@ def _wav_bytes(*chunks):
 
 
 WAV_FMT = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")
+
+
+def _extensible_fmt(guid=PCM_GUID, ext_size=22, valid_bits=16, channel_mask=4):
+    """A WAVE_FORMAT_EXTENSIBLE fmt chunk for 16 kHz mono 16-bit samples."""
+    return struct.pack("<HHIIHHHHI", 0xFFFE, 1, 16000, 32000, 2, 16,
+                       ext_size, valid_bits, channel_mask) + guid
+
+
+def _as_extensible(wav: bytes) -> bytes:
+    """A save_wav file with its fmt chunk rewritten as WAVE_FORMAT_EXTENSIBLE PCM."""
+    return _wav_bytes((b"fmt ", _extensible_fmt()), (b"data", wav[44:]))
 
 
 def _mten_bytes(array):
@@ -257,6 +269,30 @@ class TestWav:
         with pytest.raises(FormatError, match="16000"):
             load_wav(str(p))
 
+    def test_extensible_pcm_reads_as_its_plain_twin(self, tmp_path):
+        plain, extensible = tmp_path / "plain.wav", tmp_path / "ext.wav"
+        save_wav(str(plain), np.random.default_rng(3).uniform(-1.0, 1.0, size=1601))
+        extensible.write_bytes(_as_extensible(plain.read_bytes()))
+        assert load_wav(str(extensible)).tobytes() == load_wav(str(plain)).tobytes()
+
+    @pytest.mark.parametrize("fmt, defect", [
+        (_extensible_fmt(guid=b"\x03" + PCM_GUID[1:]),
+         "compressed WAV (format 3) is not supported, need PCM"),
+        (_extensible_fmt(guid=PCM_GUID[:15] + b"\x72"),
+         "extensible WAV subformat GUID 0100000000001000800000aa00389b72 is not supported, need PCM"),
+        (_extensible_fmt(valid_bits=12), "12 valid bits per sample, need 16"),
+        (_extensible_fmt(ext_size=20), "extensible fmt extension size 20, need 22 to 22"),
+        (_extensible_fmt(ext_size=24), "extensible fmt extension size 24, need 22 to 22"),
+        (_extensible_fmt()[:38], "extensible fmt chunk holds 38 bytes, need at least 40"),
+        (_extensible_fmt()[:18], "extensible fmt chunk holds 18 bytes, need at least 40"),
+    ], ids=["float", "foreign-guid", "valid-bits", "short-ext", "long-ext", "short-chunk", "no-ext"])
+    def test_extensible_refusals_name_the_defect(self, tmp_path, fmt, defect):
+        p = tmp_path / "ext.wav"
+        p.write_bytes(_wav_bytes((b"fmt ", fmt), (b"data", bytes(4))))
+        with pytest.raises(FormatError) as info:
+            load_wav(str(p))
+        assert str(info.value) == f"{p}: {defect}"
+
     def test_rejects_non_riff(self, tmp_path):
         p = tmp_path / "n.wav"
         p.write_bytes(b"OggS" + b"\x00" * 40)
@@ -349,11 +385,46 @@ class TestPgmAndVideo:
         save_pgm(p, np.array([[0.0, 255.0, 1.0]]))
         assert load_pgm(p).tolist() == [[0, 255, 1]]
 
-    def test_pgm_rejects_p2(self, tmp_path):
+    @pytest.mark.parametrize("magic", [b"P3", b"P6", b"P1"])
+    def test_pgm_rejects_other_netpbm_magic(self, tmp_path, magic):
         p = tmp_path / "a.pgm"
-        p.write_bytes(b"P2\n2 2\n255\n1 2 3 4\n")
-        with pytest.raises(FormatError, match="P5"):
+        p.write_bytes(magic + b"\n2 2\n255\n1 2 3 4\n")
+        with pytest.raises(FormatError, match=r"not a PGM \(P5 or P2\) file$"):
             load_pgm(str(p))
+
+    @pytest.mark.parametrize("maxval", [255, 1000])
+    def test_plain_p2_twin_reads_as_its_p5_frame(self, tmp_path, maxval):
+        rng = np.random.default_rng(maxval)
+        frame = rng.integers(0, maxval + 1, size=(6, 5))
+        wide = maxval > 255
+        raster = frame.astype(">u2" if wide else np.uint8).tobytes()
+        rows = "\n".join(" ".join(map(str, row)) for row in frame)
+        for name, data in (("p5", b"P5\n5 6\n%d\n" % maxval + raster),
+                           ("p2", b"P2\n# plain\n5 6\n%d\n" % maxval + rows.encode() + b"\n")):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / (FRAME_NAME % 0)).write_bytes(data)
+        p5, p2 = (str(tmp_path / name / (FRAME_NAME % 0)) for name in ("p5", "p2"))
+        assert load_pgm(p2).dtype == load_pgm(p5).dtype
+        assert np.array_equal(load_pgm(p2), load_pgm(p5))
+        assert np.array_equal(load_pgm(p2), frame)
+        assert load_video(str(tmp_path / "p2")).tobytes() == load_video(str(tmp_path / "p5")).tobytes()
+
+    @pytest.mark.parametrize("data, defect", [
+        (b"P2\n2 2\n255\n1 2 x3 4\n", "PGM sample 2 is not a decimal number: b'x3'"),
+        (b"P2\n2 2\n255\n1 -2 3 4\n", "PGM sample 1 is not a decimal number: b'-2'"),
+        (b"P2\n2 2\n255\n1 2 3\n", "truncated pixel payload: 3 of 4 samples"),
+        (b"P2\n2 2\n255\n", "truncated pixel payload: 0 of 4 samples"),
+        (b"P2\n2 2\n255\n1 2 3 4 5 # c\n", "3 values after the 2x2 samples"),
+        (b"P2\n2 2\n255\n1 2 3 256\n", "PGM sample 3 (256) exceeds maxval 255"),
+        (b"P2\n2 2\n9\n1 2 3 0010\n", "PGM sample 3 (0010) exceeds maxval 9"),
+        (b"P2\n1 1\n255\n" + b"7" * 5000, "PGM sample 0 (77777777777777777777) exceeds maxval 255"),
+    ], ids=["alpha", "sign", "too-few", "none", "too-many", "above", "zero-padded", "huge"])
+    def test_plain_p2_refusals_name_the_defect(self, tmp_path, data, defect):
+        p = tmp_path / "a.pgm"
+        p.write_bytes(data)
+        with pytest.raises(FormatError) as info:
+            load_pgm(str(p))
+        assert str(info.value) == f"{p}: {defect}"
 
     @pytest.mark.parametrize("header, field", [
         (b"P5\n2x 2\n255\n", "width"),
@@ -526,6 +597,7 @@ def _sweep_files(tmp_path):
     save_mten(str(tmp_path / "t.mten"), rng.normal(size=(3, 4, 5)))
     save_model(str(tmp_path / "m.mffc"), init_params(0, FusionStrategy.MULTILAYER, 16))
     save_wav(str(tmp_path / "a.wav"), rng.uniform(-0.5, 0.5, size=1601))
+    (tmp_path / "x.wav").write_bytes(_as_extensible((tmp_path / "a.wav").read_bytes()))
     # Each PGM holds its maxval, so a flip that lowers the maxval leaves a sample above it.
     narrow = rng.integers(0, 256, size=(6, 8), dtype=np.uint8)
     narrow[0, 0] = 255
@@ -537,6 +609,8 @@ def _sweep_files(tmp_path):
     for name, loader, header in (("t.mten", load_mten, _mten_header),
                                  ("m.mffc", load_model, _mffc_header),
                                  ("a.wav", load_wav, lambda blob: range(44)),
+                                 # any channel mask (bytes 40-43) is valid: bits past the channels are ignored
+                                 ("x.wav", load_wav, lambda blob: [*range(40), *range(44, 68)]),
                                  ("f.pgm", load_pgm, _pgm_header),
                                  ("w.pgm", load_pgm, _pgm_header)):
         blob = (tmp_path / name).read_bytes()
