@@ -5,8 +5,8 @@ and compared coordinate by coordinate against the tape's gradient. A relative
 error uses max(|analytic|, |numeric|, 1e-6) as denominator so near-zero
 coordinates do not blow up the ratio; a coordinate passes when its error is
 below the threshold, 1e-4 by default. Both suites tape one float64 copy of
-their inputs, check that the loss on it equals the loss on fresh copies, and
-probe that same copy in place: every probed coordinate walks eps_ladder until
+their inputs, check that the loss on it equals the loss on a second copy
+that shares no data with it, and probe the first copy in place: every probed coordinate walks eps_ladder until
 it passes, and fails only if it misses at every step.
 
 The per-op suite probes every operation the program tapes on small random
@@ -17,22 +17,23 @@ output on a fixed random direction (an output with no axes is the loss
 itself) before handing the loss to the oracle. The network suite
 differentiates the full model under a mean-squared loss and spot-checks one
 random coordinate per parameter tensor, drawn fresh per seed, since probing
-all of its millions is far beyond any sane budget. Each of its probes is one
-eval forward that reruns only the layers from the perturbed tensor's owner
-on and reuses the rest from the base-point forward.
+all of its millions is far beyond any sane budget. It builds models only
+with init_params, and each probe is one eval forward that, through a
+ForwardMemo, reruns only the nodes from the perturbed tensor's owner on.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import attention, model, ops
 from .attention import ConvParams, FusionParams, SpectralParams
-from .model import AUDIO_IN, VIDEO_IN, ForwardMemo, FusionStrategy, _build, init_params
+from .model import AUDIO_IN, VIDEO_IN, FusionStrategy, init_params
 from .ops import BatchNormState, ConvSpec, LstmGate, LstmLayerParams
 from .tensor import NonFiniteError, Tape, Tensor, TensorError
 from .train import mse_loss
@@ -351,6 +352,38 @@ def run_op_suite(seeds: Sequence[int] = DEFAULT_SEEDS,
 # Whole-network check
 # ----------------------------------------------------------------------------
 
+class ForwardMemo:
+    """The node outputs of one eval forward, reused by forwards that change one tensor.
+
+    mffcn_forward hands each named node to run(). Until the first perturb()
+    the memo records every node's inputs and output; after it, it never
+    writes: a node reruns if it owns the tensor named by the last perturb(),
+    or if one of its inputs is not the very object recorded, and otherwise
+    hands back its recorded output. So one eval forward with no tape
+    recording fills it, over the model and the y and v objects that later
+    forwards perturb around.
+    """
+
+    def __init__(self) -> None:
+        self.nodes: Dict[str, Tuple[tuple, Tensor]] = {}
+        self.owner: Optional[str] = None  # the node that reruns; None while recording
+
+    def perturb(self, param_name: str) -> None:
+        """Name the one parameter tensor that may differ from the filling forward."""
+        head, index = (param_name.split(".") + [""])[:2]
+        head = "decoder" if head == "decoder_fusion" else head
+        self.owner = f"{head}.{index}" if index.isdigit() else head
+
+    def run(self, name: str, inputs: tuple, fn: Callable[[], Tensor]) -> Tensor:
+        if self.owner is None:
+            self.nodes[name] = (inputs, fn())
+            return self.nodes[name][1]
+        seen, out = self.nodes[name]
+        if name == self.owner or not all(map(operator.is_, inputs, seen)):
+            return fn()
+        return out
+
+
 def run_model_check(seed: int = 0, width_divisor: int = 16,
                     strategy=FusionStrategy.MULTILAYER, tol: float = REL_TOL) -> CheckResult:
     """Differentiate the full network under MSE and spot-check every tensor.
@@ -361,12 +394,14 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
     coordinates would take millions of forward passes; instead every
     parameter tensor contributes one randomly drawn coordinate.
 
-    The one float64 copy is the set of tensors init_params returns, and only
-    each tensor's probed coordinate of the analytic gradient is kept. The
-    base-point forward of the determinism check fills a model.ForwardMemo;
-    every probe's forward reads it, so it reruns only the node that owns the
-    perturbed tensor and the nodes downstream of it, bit for bit what a
-    whole forward gives. The fresh copies form a model rebuilt around them.
+    The one float64 copy is the set of tensors init_params returns, jittered
+    (below), and only each tensor's probed coordinate of the analytic
+    gradient is kept. The determinism check compares the loss on it with the
+    loss on a second model drawn the same way, which shares no data with it,
+    so a forward that moves a parameter in place fails. Its base-point
+    forward fills a ForwardMemo; every probe's forward reads it, so it
+    reruns only the node that owns the perturbed tensor and the nodes
+    downstream of it, bit for bit what a whole forward gives.
 
     Two departures from the per-op defaults, both about probing a
     composition of ten-plus nonlinear layers rather than a single op. The
@@ -386,21 +421,19 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
     On success the detail names the worst coordinate: its parameter, index,
     relative error and the step of the ladder at which it passed.
     """
-    params = init_params(seed, strategy, width_divisor, dtype=np.float64)
-    inputs = [t for _, t in params.named]
+    def draw_point():
+        """The jittered float64 model, and the generator that drew the jitter."""
+        net, rng = init_params(seed, strategy, width_divisor, dtype=np.float64), _rng(seed * 7919 + 17)
+        for name, t in net.named:
+            if name.endswith(".bias") or name.endswith(".beta"):
+                t.data[...] = rng.uniform(-0.05, 0.05, size=t.data.shape)
+        return net, rng
 
-    rng = _rng(seed * 7919 + 17)
-    for name, t in params.named:
-        if name.endswith(".bias") or name.endswith(".beta"):
-            t.data[...] = rng.uniform(-0.05, 0.05, size=t.data.shape)
+    params, rng = draw_point()
+    inputs = [t for _, t in params.named]
     y = Tensor(0.5 * rng.standard_normal((1,) + AUDIO_IN))
     v = Tensor(rng.uniform(0.0, 1.0, size=(1,) + VIDEO_IN))
     target = Tensor(0.5 * rng.standard_normal((1,) + AUDIO_IN))
-
-    def build(args: Sequence[Tensor]):
-        it = iter(args)
-        return _build(strategy, width_divisor, lambda name, shape, kind: next(it),
-                      lambda name, channels: BatchNormState.initial(channels, dtype=np.float64))
 
     def loss(net, memo=None) -> Tensor:
         # read off the module at each call, so a wrapper put there sees every forward
@@ -419,7 +452,7 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
 
     memo = ForwardMemo()  # filled here, at the base point, and only read by the probes
     first = loss(params, memo).item()
-    second = loss(build([Tensor(t.data.copy()) for t in inputs])).item()
+    second = loss(draw_point()[0]).item()
     if first != second:
         return CheckResult(name, float("nan"), False,
                            f"loss not deterministic: {first} then {second}")

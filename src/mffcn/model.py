@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -68,7 +67,7 @@ from .ops import (
     maxpool2d,
     norm_leaky,
 )
-from .tensor import NonFiniteError, Tensor, active_tape, no_grad
+from .tensor import NonFiniteError, Tensor, no_grad
 
 FILTERS = (64, 64, 128, 128, 256, 256, 512, 512, 1024, 1024)
 WIDTH_DIVISORS = tuple(d for d in range(1, FILTERS[0] + 1) if FILTERS[0] % d == 0)
@@ -397,46 +396,8 @@ def bottleneck(x: Tensor, attn: SpectralParams, lstms: Sequence[LstmLayerParams]
     return seq.reshape(b, c, steps, 1)
 
 
-class ForwardMemo:
-    """The node outputs of one eval forward, reused by forwards that change one tensor.
-
-    The forward walks named nodes: one encoder layer (audio_enc.i,
-    video_enc.i), one fusion block with its alignment (fusion.i), ib_reduce,
-    the bottleneck or one decoder layer (decoder.j, its decoder_fusion.j block
-    included), each named by the prefix of the parameters it owns, plus the
-    parameterless align.i pools that feed decoder fusion. A forward handed an
-    empty memo records every node's inputs and output. A later forward over
-    the same model never writes into it: a node reruns if it owns the tensor
-    named by the last perturb(), or if one of its inputs is not the very
-    object recorded, and otherwise hands back its recorded output. So the
-    memo must be filled at the point later forwards perturb around, with the
-    same y and v objects those forwards pass.
-    """
-
-    def __init__(self) -> None:
-        self.params: Optional[MffcnParams] = None  # the model, once a forward filled the memo
-        self.nodes: Dict[str, Tuple[tuple, Tensor]] = {}
-        self.owner = ""
-
-    def perturb(self, param_name: str) -> None:
-        """Name the one parameter tensor that may differ from the filling forward."""
-        head, index = (param_name.split(".") + [""])[:2]
-        head = "decoder" if head == "decoder_fusion" else head
-        self.owner = f"{head}.{index}" if index.isdigit() else head
-
-    def run(self, name: str, inputs: tuple, fn: Callable[[], Tensor]) -> Tensor:
-        if self.params is None:
-            self.nodes[name] = (inputs, fn())
-            return self.nodes[name][1]
-        seen, out = self.nodes[name]
-        if name == self.owner or not all(map(operator.is_, inputs, seen)):
-            return fn()
-        return out
-
-
-def _node(memo: Optional[ForwardMemo], name: str, inputs: tuple,
-          fn: Callable[[], Tensor]) -> Tensor:
-    """fn(), the forward node called name over inputs, through the memo if one is given."""
+def _node(memo, name: str, inputs: tuple, fn: Callable[[], Tensor]) -> Tensor:
+    """fn(), the forward node called name over inputs; with a memo, memo.run(name, inputs, fn)."""
     return fn() if memo is None else memo.run(name, inputs, fn)
 
 
@@ -463,7 +424,7 @@ def decoder_layer(x: Tensor, enc_i: int, layer: DecoderLayerParams, skip: Option
 
 def run_decoder(x: Tensor, layers: Sequence[DecoderLayerParams],
                 skips: Sequence[Tensor], video_feats: Sequence[Tensor],
-                mode: str = "train", *, memo: Optional[ForwardMemo] = None) -> Tensor:
+                mode: str = "train", *, memo=None) -> Tensor:
     """Invert the audio trace: node decoder.j, for j = 1..10, undoes encoder layer 11-j.
 
     skips and video_feats hold one entry per encoder layer (index i-1 for
@@ -491,23 +452,18 @@ def _check_model_inputs(y: Tensor, v: Tensor) -> None:
 
 
 def mffcn_forward(y: Tensor, v: Tensor, params: MffcnParams, mode: str = "train",
-                  *, memo: Optional[ForwardMemo] = None) -> Tensor:
+                  *, memo=None) -> Tensor:
     """Run the network under its strategy's wiring; output matches y's shape.
 
     y and v are [B,1,80,20] / [B,5,80,80] batches, which every op below
     takes, or one [1,80,20] / [5,80,80] segment, which runs as a batch of
     one and comes back without the batch axis.
 
-    memo, accepted only in eval mode with no tape recording, is a
-    ForwardMemo: an empty one is filled with every node's output, and a
-    filled one makes this forward rerun only the node that owns the tensor
-    it names and the nodes downstream of it.
+    Each node (audio_enc.i, video_enc.i, align.i, fusion.i, ib_reduce,
+    bottleneck, decoder.j) is named by the prefix of the parameters it owns.
+    With a memo, memo.run(name, inputs, fn) stands for the node's fn().
     """
     _check_model_inputs(y, v)
-    if memo is not None and (mode != "eval" or active_tape() is not None):
-        raise ModelError(f"a forward memo needs eval mode and no recording tape, got mode {mode!r}")
-    if memo is not None and memo.params is not None and memo.params is not params:
-        raise ModelError("the forward memo was filled by a forward over another model")
     wiring = WIRINGS[params.strategy]
     single = y.ndim == 3
     a, vv = (y.reshape(1, *y.dims), v.reshape(1, *v.dims)) if single else (y, v)
@@ -537,8 +493,6 @@ def mffcn_forward(y: Tensor, v: Tensor, params: MffcnParams, mode: str = "train"
     x = _node(memo, "bottleneck", (x,),
               lambda: bottleneck(x, params.bottleneck_attn, params.bottleneck_lstm))
     out = run_decoder(x, params.decoder, skips, video_feats, mode, memo=memo)
-    if memo is not None and memo.params is None:
-        memo.params = params
     return out.reshape(*y.dims) if single else out
 
 

@@ -37,7 +37,6 @@ ALLOWED = {
     "formats.save_wav",            # file writers for the formats the CLI reads: tests
     "formats.save_video_frames",   # and in-process input fixtures build files with them
     "train.save_dataset",          # writes the corpus layout train.load_dataset reads
-    "model.ForwardMemo.perturb",   # the probe hook of mffcn_forward's memo, which only the referee fills
 }
 
 

@@ -18,7 +18,7 @@ from mffcn.gradcheck import (
     run_op_suite,
 )
 from mffcn.model import FusionStrategy, init_params
-from mffcn.tensor import NonFiniteError, Tensor, TensorError, _accumulate, record
+from mffcn.tensor import NonFiniteError, Tensor, TensorError, _accumulate, active_tape, record
 
 import composed
 
@@ -300,6 +300,22 @@ class TestWholeModel:
         assert float(match.group(3)) == pytest.approx(model_check.worst_err, rel=1e-3)
         assert match.group(4) in [f"{h:.3g}" for h in eps_ladder(1e-4)]
 
+    def test_a_forward_that_moves_a_parameter_in_place_fails(self, monkeypatch):
+        """A forward that shifts a bias while it is taped leaves the taped model
+        away from the point init_params draws: the determinism check's second
+        model, drawn afresh, catches it."""
+        from mffcn import model
+        forward = model.mffcn_forward
+
+        def shifting(y, v, params, mode="train", **kwargs):
+            if active_tape() is not None:
+                params.audio_enc[0].conv.bias.data += 0.5
+            return forward(y, v, params, mode=mode, **kwargs)
+
+        monkeypatch.setattr(model, "mffcn_forward", shifting)
+        result = run_model_check(seed=0)
+        assert not result.ok and result.detail.startswith("loss not deterministic: ")
+
 
 class TestProbeInPlace:
     @pytest.mark.parametrize("raise_at", [4, 5])  # the +eps and the -eps probe
@@ -422,7 +438,6 @@ class TestModelCheckInPlace:
         assert len(handed) == len(probed) + 2
         assert handed[0] is None
         assert handed[1] is not None and all(m is handed[1] for m in handed[1:])
-        assert handed[1].params is probe_model
 
     def test_one_model_is_taped_and_probed(self, recorded_check):
         # one taped forward and two for the determinism check, the second on
