@@ -347,22 +347,23 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_export_spec(args) -> int:
+    # the input is read and checked before --out is made, so a refusal writes nothing
     with in_file(args.input):
-        os.makedirs(args.out, exist_ok=True)
-        stem = os.path.splitext(os.path.basename(args.input))[0]
+        stem = os.path.join(args.out, os.path.splitext(os.path.basename(args.input))[0])
         if args.input.endswith(".mten"):
-            pgm, csv_path = export_spectrogram(os.path.join(args.out, stem), load_mten(args.input))
+            pgm, csv_path = export_spectrogram(stem, load_mten(args.input))
             print(f"wrote {pgm} and {csv_path}")
-        elif args.input.endswith(".pgm"):
-            out = os.path.join(args.out, stem + ".mten")
-            save_mten(out, load_pgm(args.input).astype(np.float32))
-            print(f"wrote {out} (raw pixel values, 0 to the PGM's maxval; scale not recovered)")
+            return 0
+        if args.input.endswith(".pgm"):
+            arr = load_pgm(args.input).astype(np.float32)
+            note = " (raw pixel values, 0 to the PGM's maxval; scale not recovered)"
         elif args.input.endswith(".csv"):
-            out = os.path.join(args.out, stem + ".mten")
-            save_mten(out, load_csv(args.input))
-            print(f"wrote {out}")
+            arr, note = load_csv(args.input), ""
         else:
             raise FormatError("expected a .mten, .pgm, or .csv file")
+        os.makedirs(args.out, exist_ok=True)
+        save_mten(stem + ".mten", arr)
+        print(f"wrote {stem}.mten{note}")
     return 0
 
 

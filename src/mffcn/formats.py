@@ -10,12 +10,14 @@ dims, then row-major float32 payload.
 Checkpoint ("MFFC"): magic `MFFC`, u8 version=1, u32 record count, then per
 record a u16 name length, the UTF-8 name, and an embedded MTEN blob.
 
-WAV: RIFF/WAVE, PCM format 1, mono, 16-bit signed samples at 16000 Hz, with
-the RIFF size, byte rate and block align that agree with that, chunks that
-tile the file, one fmt and one data chunk, and whole samples. PCM may also be
-declared as WAVE_FORMAT_EXTENSIBLE (0xFFFE): a fmt chunk of at least 40
-bytes, an extension of 22 bytes or more that fits in it, 16 valid bits, any
-channel mask, and the PCM SubFormat GUID. Anything else is rejected with a
+WAV: RIFF/WAVE, mono at 16000 Hz, either PCM (format 1) with 16-bit signed
+samples or IEEE float (format 3) with 32- or 64-bit samples, each finite and
+in [-1, 1]; with the RIFF size, byte rate and block align that agree with
+that, chunks that tile the file, one fmt and one data chunk, and whole
+samples. Either codec may also be declared as WAVE_FORMAT_EXTENSIBLE
+(0xFFFE): a fmt chunk of at least 40 bytes, an extension of 22 bytes or more
+that fits in it, as many valid bits as the sample holds, any channel mask,
+and the PCM or IEEE float SubFormat GUID. Anything else is rejected with a
 descriptive error rather than resampled.
 
 PGM: binary P5 with any maxval from 1 to 65535, one byte per sample up to
@@ -51,6 +53,8 @@ FRAME_NAME = "frame_%06d.pgm"
 FRAME_RE = re.compile(r"frame_(\d{6})\.pgm$")
 # A WAVE_FORMAT_EXTENSIBLE SubFormat GUID is a 2-byte codec and then these 14 bytes.
 _SUBFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+# The sample layouts load_wav reads: (codec, bits per sample) -> little-endian dtype.
+_WAV_SAMPLES = {(1, 16): "<i2", (3, 32): "<f4", (3, 64): "<f8"}
 
 
 class FormatError(ValueError):
@@ -235,7 +239,7 @@ def load_checkpoint(path: str) -> Dict[str, np.ndarray]:
 
 
 # ----------------------------------------------------------------------------
-# WAV (RIFF, mono, 16-bit PCM, 16 kHz)
+# WAV (RIFF, mono, 16 kHz, 16-bit PCM or 32/64-bit float)
 # ----------------------------------------------------------------------------
 
 def save_wav(path: str, samples: np.ndarray) -> None:
@@ -258,28 +262,51 @@ def save_wav(path: str, samples: np.ndarray) -> None:
 
 
 def _extensible_codec(fmt: bytes) -> int:
-    """The codec a WAVE_FORMAT_EXTENSIBLE fmt chunk's SubFormat names; a PCM one needs 16 valid bits."""
+    """The codec a WAVE_FORMAT_EXTENSIBLE fmt chunk's SubFormat names; every bit of a sample must be valid."""
     if len(fmt) < 40:
         raise FormatError(f"extensible fmt chunk holds {len(fmt)} bytes, need at least 40")
-    ext_size, valid_bits = struct.unpack_from("<HH", fmt, 16)
+    bits, ext_size, valid_bits = struct.unpack_from("<HHH", fmt, 14)
     if not 22 <= ext_size <= len(fmt) - 18:
         raise FormatError(f"extensible fmt extension size {ext_size}, need 22 to {len(fmt) - 18}")
     if fmt[26:40] != _SUBFORMAT_TAIL:
-        raise FormatError(f"extensible WAV subformat GUID {fmt[24:40].hex()} is not supported, need PCM")
+        raise FormatError(f"extensible WAV subformat GUID {fmt[24:40].hex()} is not supported, "
+                          f"need PCM or IEEE float")
+    if valid_bits != bits:
+        raise FormatError(f"{valid_bits} valid bits per sample, need {bits}")
     (codec,) = struct.unpack_from("<H", fmt, 24)
-    if codec == 1 and valid_bits != 16:
-        raise FormatError(f"{valid_bits} valid bits per sample, need 16")
     return codec
 
 
+def _wav_dtype(fmt: bytes) -> np.dtype:
+    """The sample dtype a fmt chunk declares, if it is one of _WAV_SAMPLES at 16 kHz mono."""
+    if len(fmt) < 16:
+        raise FormatError("fmt chunk too short")
+    codec, channels, rate, byte_rate, align, bits = struct.unpack_from("<HHIIHH", fmt, 0)
+    if codec == 0xFFFE:  # WAVE_FORMAT_EXTENSIBLE: its SubFormat GUID names the codec
+        codec = _extensible_codec(fmt)
+    if codec not in (1, 3):
+        raise FormatError(f"compressed WAV (format {codec}) is not supported, need PCM or IEEE float")
+    if channels != 1:
+        raise FormatError(f"{channels} channels, need mono")
+    if rate != SAMPLE_RATE:
+        raise FormatError(f"sample rate {rate}, need {SAMPLE_RATE}")
+    if (codec, bits) not in _WAV_SAMPLES:
+        raise FormatError(f"{bits}-bit samples, need 16" if codec == 1 else
+                          f"{bits}-bit float samples, need 32 or 64")
+    if byte_rate != bits // 8 * SAMPLE_RATE or align != bits // 8:
+        raise FormatError(f"byte rate {byte_rate} and block align {align} "
+                          f"disagree with {bits}-bit mono at {SAMPLE_RATE} Hz")
+    return np.dtype(_WAV_SAMPLES[codec, bits])
+
+
 def load_wav(path: str) -> np.ndarray:
-    """Read a mono 16-bit 16 kHz PCM WAV into float64 samples in [-1, 1]."""
+    """Read a mono 16 kHz WAV (16-bit PCM, or 32- or 64-bit float) into float64 samples in [-1, 1]."""
     with in_file(path), open(path, "rb") as fh:
         buf = fh.read()
         if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
             raise FormatError("not a RIFF/WAVE file")
         pos = 12
-        fmt_seen = False
+        dtype = None
         data = None
         while pos + 8 <= len(buf):
             cid = buf[pos:pos + 4]
@@ -287,26 +314,10 @@ def load_wav(path: str) -> np.ndarray:
             body = buf[pos + 8:pos + 8 + size]
             if len(body) < size:
                 raise FormatError(f"truncated {cid!r} chunk")
-            if (cid == b"fmt " and fmt_seen) or (cid == b"data" and data is not None):
+            if (cid == b"fmt " and dtype is not None) or (cid == b"data" and data is not None):
                 raise FormatError(f"duplicate {cid!r} chunk")
             if cid == b"fmt ":
-                if size < 16:
-                    raise FormatError("fmt chunk too short")
-                codec, channels, rate, byte_rate, align, bits = struct.unpack_from("<HHIIHH", body, 0)
-                if codec == 0xFFFE:  # WAVE_FORMAT_EXTENSIBLE: its SubFormat GUID names the codec
-                    codec = _extensible_codec(body)
-                if codec != 1:
-                    raise FormatError(f"compressed WAV (format {codec}) is not supported, need PCM")
-                if channels != 1:
-                    raise FormatError(f"{channels} channels, need mono")
-                if rate != SAMPLE_RATE:
-                    raise FormatError(f"sample rate {rate}, need {SAMPLE_RATE}")
-                if bits != 16:
-                    raise FormatError(f"{bits}-bit samples, need 16")
-                if byte_rate != 2 * SAMPLE_RATE or align != 2:
-                    raise FormatError(f"byte rate {byte_rate} and block align {align} "
-                                      f"disagree with 16-bit mono at {SAMPLE_RATE} Hz")
-                fmt_seen = True
+                dtype = _wav_dtype(body)
             elif cid == b"data":
                 data = body
             pos += 8 + size + (size % 2)
@@ -315,17 +326,25 @@ def load_wav(path: str) -> np.ndarray:
         (riff_size,) = struct.unpack_from("<I", buf, 4)
         if riff_size != len(buf) - 8:
             raise FormatError(f"RIFF size field says {riff_size} bytes, file holds {len(buf) - 8}")
-        if not fmt_seen:
+        if dtype is None:
             raise FormatError("missing fmt chunk")
         if data is None:
             raise FormatError("missing data chunk")
-        if len(data) % 2:
-            raise FormatError(f"data chunk holds {len(data)} bytes, not a whole number of 2-byte samples")
-        pcm = np.frombuffer(data, dtype="<i2")
-        # 32767 mirrors the writer's scale so a save/load round trip stays within
-        # half a quantization step; -32768, which the writer never emits but
-        # clipped recordings do, would land just below -1.0 and is clamped.
-        return np.maximum(pcm.astype(np.float64) / 32767.0, -1.0)
+        if len(data) % dtype.itemsize:
+            raise FormatError(f"data chunk holds {len(data)} bytes, "
+                              f"not a whole number of {dtype.itemsize}-byte samples")
+        samples = np.frombuffer(data, dtype=dtype).astype(np.float64)
+        if dtype.kind == "i":
+            # 32767 mirrors the writer's scale so a save/load round trip stays within
+            # half a quantization step; -32768, which the writer never emits but
+            # clipped recordings do, would land just below -1.0 and is clamped.
+            return np.maximum(samples / 32767.0, -1.0)
+        bad = np.flatnonzero(~(np.abs(samples) <= 1.0))  # NaN fails the comparison too
+        if bad.size:
+            k = int(bad[0])
+            raise FormatError(f"float sample {k} is {samples[k]}, " + (
+                "outside [-1, 1]" if np.isfinite(samples[k]) else "not a finite number"))
+        return samples
 
 
 # ----------------------------------------------------------------------------
@@ -520,11 +539,13 @@ def load_csv(path: str) -> np.ndarray:
 def export_spectrogram(base_path: str, spect: np.ndarray) -> Tuple[str, str]:
     """Write a 2-D spectrogram as a min-max scaled PGM plus a raw-value CSV.
 
-    Returns the two paths written (<base>.pgm, <base>.csv).
+    Makes base_path's directory once the array is known to be 2-D. Returns
+    the two paths written (<base>.pgm, <base>.csv).
     """
     s = np.asarray(spect, dtype=np.float64)
     if s.ndim != 2:
         raise FormatError(f"a spectrogram must be 2-D, got shape {s.shape}")
+    os.makedirs(os.path.dirname(base_path) or ".", exist_ok=True)
     lo, hi = float(np.min(s)), float(np.max(s))
     if hi > lo:
         scaled = (s - lo) / (hi - lo) * 255.0

@@ -374,14 +374,39 @@ class TestSnrBeyondFloat64:
         ("eval", "-4000", "-4000", "SNR -4000.0 dB needs a noise gain beyond float64"),
         ("train", "-3200", "-3200", "SNR -3200.0 dB needs a noise gain beyond float64"),
         ("train", "-1e308", "1e308", "SNR range [-1e+308, 1e+308] is too wide for float64 to draw from"),
-    ], ids=["train-underflow", "eval-underflow", "train-overflow", "train-range"])
+        ("eval", "-1e308", "0", "SNR -1e+308 dB needs a noise gain beyond float64"),
+        ("ablate", "-1e308", "0", "SNR -1e+308 dB needs a noise gain beyond float64"),
+    ], ids=["train-underflow", "eval-underflow", "train-overflow", "train-range", "eval-tenfold-overflow",
+            "ablate-tenfold-overflow"])
     def test_refused_by_name(self, workdir, tmp_path, capsys, sub, low, high, defect):
         out = tmp_path / "out"
-        needs = (["--checkpoint", str(workdir / "ck" / "checkpoint.mffc")] if sub == "eval" else
-                 ["--steps", "0", "--batch", "1", "--width-divisor", "64"])
-        assert main([sub, *needs, f"--snr-low={low}", "--snr-high", high, "--out", str(out)]) == 2
+        assert main([sub, *self._needs(sub, workdir), f"--snr-low={low}", "--snr-high", high,
+                     "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {defect}\n"
         assert not out.exists()
+
+    @staticmethod
+    def _needs(sub, workdir):
+        return (["--checkpoint", str(workdir / "ck" / "checkpoint.mffc")] if sub == "eval" else
+                ["--steps", "0", "--batch", "1", "--width-divisor", "64"])
+
+    @pytest.mark.parametrize("sub", ["eval", "ablate"])
+    def test_an_snr_whose_tenfold_overflows_scores_without_noise(self, workdir, tmp_path, monkeypatch, sub):
+        """1e308 dB is past mix_at_snr's 100 dB no-noise limit, though ten times it is not a float64."""
+        scales = []
+
+        def spied(clean, noise, snr_db):
+            mix = mix_at_snr(clean, noise, snr_db)
+            scales.append((snr_db, mix.noise_scale))
+            return mix
+
+        monkeypatch.setattr(metrics, "mix_at_snr", spied)
+        out = tmp_path / "out"
+        assert main([sub, *self._needs(sub, workdir), "--snr-low", "0", "--snr-high", "1e308",
+                     "--out", str(out)]) == 0
+        with open(out / f"{'eval' if sub == 'eval' else 'ablation'}.csv", newline="") as fh:
+            assert {float(row["snr_db"]) for row in csv.DictReader(fh)} == {0.0, 1e308}
+        assert {scale for snr, scale in scales if snr == 1e308} == {0.0}
 
 
 class TestMalformedFilesNameTheDefect:
@@ -561,6 +586,7 @@ class TestExportSpec:
         path.write_text(text)
         assert main(["export-spec", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {path}: {defect}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_csv_with_a_byte_order_mark_converts_as_without(self, tmp_path):
         # spreadsheet tools write "CSV UTF-8" with a leading byte-order mark
@@ -594,6 +620,7 @@ class TestExportSpec:
         assert main(["export-spec", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: a spectrogram must be 2-D, got shape {shape}\n")
+        assert not (tmp_path / "o").exists()
 
     def test_csv_with_blank_lines_spaces_and_quotes(self, tmp_path):
         (tmp_path / "s.csv").write_text('1.5, 2\n\n"3",-4e-3\n')
@@ -604,6 +631,17 @@ class TestExportSpec:
     def test_unknown_extension(self, tmp_path):
         (tmp_path / "x.txt").write_text("hi")
         assert main(["export-spec", str(tmp_path / "x.txt")]) == 2
+
+    @pytest.mark.parametrize("name, raw, defect", [
+        ("t.pgm", b"P5\n2 2\n255\n\x00", "truncated pixel payload"),
+        ("x.txt", b"hi", "expected a .mten, .pgm, or .csv file"),
+    ], ids=["truncated-p5", "unknown-extension"])
+    def test_refused_input_leaves_no_out_directory(self, tmp_path, capsys, name, raw, defect):
+        path = tmp_path / name
+        path.write_bytes(raw)
+        assert main(["export-spec", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {defect}")
+        assert not (tmp_path / "o").exists()
 
 
 # Each float flag, with its subcommand and the arguments that subcommand requires.

@@ -43,6 +43,7 @@ def _wav_bytes(*chunks):
 
 WAV_FMT = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
 PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")
+FLOAT_GUID = b"\x03" + PCM_GUID[1:]
 
 
 def _extensible_fmt(guid=PCM_GUID, ext_size=22, valid_bits=16, channel_mask=4):
@@ -54,6 +55,15 @@ def _extensible_fmt(guid=PCM_GUID, ext_size=22, valid_bits=16, channel_mask=4):
 def _as_extensible(wav: bytes) -> bytes:
     """A save_wav file with its fmt chunk rewritten as WAVE_FORMAT_EXTENSIBLE PCM."""
     return _wav_bytes((b"fmt ", _extensible_fmt()), (b"data", wav[44:]))
+
+
+def _float_wav(samples, bits=32, extensible=False):
+    """16 kHz mono IEEE float WAV bytes of samples, as format 3 or as WAVE_FORMAT_EXTENSIBLE."""
+    width = bits // 8
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else 3, 1, 16000, 16000 * width, width, bits)
+    if extensible:
+        fmt += struct.pack("<HHI", 22, bits, 4) + FLOAT_GUID
+    return _wav_bytes((b"fmt ", fmt), (b"data", np.asarray(samples, dtype=f"<f{width}").tobytes()))
 
 
 def _mten_bytes(array):
@@ -276,19 +286,64 @@ class TestWav:
         assert load_wav(str(extensible)).tobytes() == load_wav(str(plain)).tobytes()
 
     @pytest.mark.parametrize("fmt, defect", [
-        (_extensible_fmt(guid=b"\x03" + PCM_GUID[1:]),
-         "compressed WAV (format 3) is not supported, need PCM"),
+        (_extensible_fmt(guid=b"\x02" + PCM_GUID[1:]),
+         "compressed WAV (format 2) is not supported, need PCM or IEEE float"),
+        (_extensible_fmt(guid=FLOAT_GUID), "16-bit float samples, need 32 or 64"),
         (_extensible_fmt(guid=PCM_GUID[:15] + b"\x72"),
-         "extensible WAV subformat GUID 0100000000001000800000aa00389b72 is not supported, need PCM"),
+         "extensible WAV subformat GUID 0100000000001000800000aa00389b72 is not supported, "
+         "need PCM or IEEE float"),
         (_extensible_fmt(valid_bits=12), "12 valid bits per sample, need 16"),
         (_extensible_fmt(ext_size=20), "extensible fmt extension size 20, need 22 to 22"),
         (_extensible_fmt(ext_size=24), "extensible fmt extension size 24, need 22 to 22"),
         (_extensible_fmt()[:38], "extensible fmt chunk holds 38 bytes, need at least 40"),
         (_extensible_fmt()[:18], "extensible fmt chunk holds 18 bytes, need at least 40"),
-    ], ids=["float", "foreign-guid", "valid-bits", "short-ext", "long-ext", "short-chunk", "no-ext"])
+    ], ids=["adpcm", "float-16", "foreign-guid", "valid-bits", "short-ext", "long-ext", "short-chunk",
+            "no-ext"])
     def test_extensible_refusals_name_the_defect(self, tmp_path, fmt, defect):
         p = tmp_path / "ext.wav"
         p.write_bytes(_wav_bytes((b"fmt ", fmt), (b"data", bytes(4))))
+        with pytest.raises(FormatError) as info:
+            load_wav(str(p))
+        assert str(info.value) == f"{p}: {defect}"
+
+    @pytest.mark.parametrize("bits, extensible", [(32, False), (64, False), (32, True), (64, True)],
+                             ids=["float32", "float64", "extensible-float32", "extensible-float64"])
+    def test_float_twin_of_a_pcm_file_loads_to_its_samples(self, tmp_path, bits, extensible):
+        pcm = tmp_path / "pcm.wav"
+        save_wav(str(pcm), np.random.default_rng(4).uniform(-1.0, 1.0, size=1601))
+        want = load_wav(str(pcm))
+        p = tmp_path / "float.wav"
+        p.write_bytes(_float_wav(want, bits, extensible))
+        got = load_wav(str(p))
+        assert got.dtype == np.float64
+        # float32 holds each sample to within its rounding; float64 holds it exactly
+        assert got.tobytes() == want.astype(f"<f{bits // 8}").astype(np.float64).tobytes()
+        assert np.max(np.abs(got - want)) <= (np.finfo(np.float32).eps / 2 if bits == 32 else 0.0)
+
+    @pytest.mark.parametrize("value, defect", [
+        (np.nan, "float sample 2 is nan, not a finite number"),
+        (-np.inf, "float sample 2 is -inf, not a finite number"),
+        (1.5, "float sample 2 is 1.5, outside [-1, 1]"),
+        (-1.0000001, "float sample 2 is -1.0000001, outside [-1, 1]"),
+    ], ids=["nan", "inf", "above", "just-below"])
+    def test_float_sample_outside_the_unit_range_refused(self, tmp_path, value, defect):
+        p = tmp_path / "f.wav"
+        p.write_bytes(_float_wav([0.5, -1.0, value, 1.0, np.nan], bits=64))
+        with pytest.raises(FormatError) as info:
+            load_wav(str(p))
+        assert str(info.value) == f"{p}: {defect}"
+
+    @pytest.mark.parametrize("fmt, data, defect", [
+        (struct.pack("<HHIIHH", 3, 1, 16000, 32000, 2, 16), bytes(4), "16-bit float samples, need 32 or 64"),
+        (struct.pack("<HHIIHH", 3, 1, 16000, 32000, 4, 32), bytes(8),
+         "byte rate 32000 and block align 4 disagree with 32-bit mono at 16000 Hz"),
+        (struct.pack("<HHIIHH", 3, 1, 16000, 128000, 8, 64), bytes(12),
+         "data chunk holds 12 bytes, not a whole number of 8-byte samples"),
+        (struct.pack("<HHIIHH", 1, 1, 16000, 64000, 4, 32), bytes(8), "32-bit samples, need 16"),
+    ], ids=["float-16", "byte-rate", "part-sample", "pcm-32"])
+    def test_float_header_refusals_name_the_defect(self, tmp_path, fmt, data, defect):
+        p = tmp_path / "f.wav"
+        p.write_bytes(_wav_bytes((b"fmt ", fmt), (b"data", data)))
         with pytest.raises(FormatError) as info:
             load_wav(str(p))
         assert str(info.value) == f"{p}: {defect}"
@@ -605,6 +660,9 @@ def _sweep_files(tmp_path):
     wide = rng.integers(0, 65536, size=(6, 8))
     wide[0, 0] = 65535
     _wide_pgm(tmp_path / "w.pgm", wide, 65535)
+    floats = np.random.default_rng(6).uniform(-0.5, 0.5, size=1201)
+    (tmp_path / "f.wav").write_bytes(_float_wav(floats[:801]))
+    (tmp_path / "xf.wav").write_bytes(_float_wav(floats[801:], bits=64, extensible=True))
     files = []
     for name, loader, header in (("t.mten", load_mten, _mten_header),
                                  ("m.mffc", load_model, _mffc_header),
@@ -612,7 +670,9 @@ def _sweep_files(tmp_path):
                                  # any channel mask (bytes 40-43) is valid: bits past the channels are ignored
                                  ("x.wav", load_wav, lambda blob: [*range(40), *range(44, 68)]),
                                  ("f.pgm", load_pgm, _pgm_header),
-                                 ("w.pgm", load_pgm, _pgm_header)):
+                                 ("w.pgm", load_pgm, _pgm_header),
+                                 ("f.wav", load_wav, lambda blob: range(44)),
+                                 ("xf.wav", load_wav, lambda blob: [*range(40), *range(44, 68)])):
         blob = (tmp_path / name).read_bytes()
         files.append((name, blob, loader, list(header(blob))))
     return files
