@@ -6,8 +6,9 @@ error uses max(|analytic|, |numeric|, 1e-6) as denominator so near-zero
 coordinates do not blow up the ratio; a coordinate passes when its error is
 below the threshold, 1e-4 by default. Both suites tape one float64 copy of
 their inputs, check that the loss on it equals the loss on a second copy
-that shares no data with it, and probe the first copy in place: every probed coordinate walks eps_ladder until
-it passes, and fails only if it misses at every step.
+that shares no data with it, and probe the first copy in place: every
+probed coordinate walks eps_ladder until it passes, and fails only if it
+misses at every step.
 
 The per-op suite probes every operation the program tapes on small random
 inputs (extents at most 6, five seeds by default) over all coordinates. It
@@ -423,7 +424,8 @@ def run_model_check(seed: int = 0, width_divisor: int = 16,
     """
     def draw_point():
         """The jittered float64 model, and the generator that drew the jitter."""
-        net, rng = init_params(seed, strategy, width_divisor, dtype=np.float64), _rng(seed * 7919 + 17)
+        net = init_params(seed, strategy, width_divisor, dtype=np.float64)
+        rng = _rng(seed * 7919 + 17)
         for name, t in net.named:
             if name.endswith(".bias") or name.endswith(".beta"):
                 t.data[...] = rng.uniform(-0.05, 0.05, size=t.data.shape)

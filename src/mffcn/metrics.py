@@ -306,7 +306,7 @@ def evaluate_params(params: MffcnParams, snr_db: float, seed: int,
         raise MetricError(f"evaluation SNR must be finite, got {snr_db} dB")
     if n_clips < 1:
         raise MetricError(f"evaluation needs at least one clip, got {n_clips}")
-    # the clips' seed tag: the SNR's tenfold, rounded, mod 2**16; a tenfold past float64 is taken exactly
+    # the clips' seed tag: the SNR's tenfold, rounded, mod 2**16 (exact where 10x overflows)
     tenfold = snr_db * 10
     tag = int(round(tenfold)) if math.isfinite(tenfold) else int(snr_db) * 10
     children = np.random.SeedSequence([seed, tag & 0xFFFF]).spawn(n_clips)

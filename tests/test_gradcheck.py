@@ -441,7 +441,7 @@ class TestModelCheckInPlace:
 
     def test_one_model_is_taped_and_probed(self, recorded_check):
         # one taped forward and two for the determinism check, the second on
-        # the fresh-copy model, then one forward per probe
+        # a second model drawn the same way, then one forward per probe
         _, first_seen, probed, _, memos = recorded_check
         assert len(first_seen) == 2
         assert sum(len(handed) for handed in memos.values()) == 3 + len(probed)
